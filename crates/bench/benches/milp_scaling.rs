@@ -29,8 +29,8 @@ use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::milp_bench_instance as instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, Kernel, LinExpr, Model, NodeOrder,
-    Pricing, RecoveryStats, Sense, SolverOptions, UpdateKind,
+    cmp, solve_with_stats, FactorKind, FaultPlan, Kernel, LinExpr, Model, NodeOrder, Pricing,
+    RecoveryStats, Sense, SolverOptions, UpdateKind,
 };
 use rr_rrg::Rrg;
 use rr_tgmg::{lp_bound, skeleton::tgmg_of};
@@ -159,12 +159,6 @@ fn measure_order(
     opts.solver.max_nodes = max_nodes;
     opts.solver.node_order = order;
     opts.solver.factor = factor;
-    // Pinned to the historical regime: pseudo-cost branching closes
-    // these instances in a handful of nodes, which would erase the
-    // ordering effect this A/B tracks (branching has its own A/B in
-    // `branching_comparison`).
-    opts.solver.branching = Branching::MostFractional;
-    opts.cuts = false;
     let t0 = Instant::now();
     let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -198,13 +192,11 @@ fn measure_order(
     (record, out.objective, out.stats.truncated)
 }
 
-/// The node-ordering A/B: `MAX_THR` on every bench instance under both
-/// orderings and both factorizations at a fixed node cap — the ROADMAP
-/// plateau case (truncated DFS on the 40-edge dense-LU run returns 4.0
-/// where best-bound finds 3.0), recorded per instance. Completed runs
+/// The node-ordering agreement check: `MAX_THR` on every bench instance
+/// under both orderings and both factorizations at a fixed node cap,
+/// recorded per instance (nodes, incumbents, queue peak). Completed runs
 /// must agree on the objective; truncated runs record their incumbent
-/// quality, and best-bound must never end *worse* than DFS at the same
-/// cap.
+/// quality.
 fn ordering_comparison(_c: &mut Criterion) {
     let mut records = Vec::new();
     let mut disagreements: Vec<String> = Vec::new();
@@ -224,14 +216,6 @@ fn ordering_comparison(_c: &mut Criterion) {
                      dfs {dfs_obj} vs best_bound {bb_obj}"
                 ));
             }
-            // MAX_THR minimizes x: at the same cap the best-bound
-            // incumbent must be at least as good as DFS's.
-            if bb_obj > dfs_obj + 1e-7 {
-                disagreements.push(format!(
-                    "max_thr {edges} edges / {factor:?}: best_bound incumbent {bb_obj} \
-                     worse than dfs {dfs_obj} at node cap {cap}"
-                ));
-            }
             println!(
                 "ordering comparison: max_thr {edges} edges / {factor:?} @ {cap} nodes: \
                  dfs {dfs_obj}{} vs best_bound {bb_obj}{}",
@@ -248,123 +232,9 @@ fn ordering_comparison(_c: &mut Criterion) {
     );
 }
 
-/// One branching-rule measurement of `MAX_THR` at a fixed node cap (no
-/// wall clock, so the run is deterministic).
-struct BranchingMeasurement {
-    record: JsonRecord,
-    objective: f64,
-    nodes: usize,
-    truncated: bool,
-    proven: bool,
-}
-
-fn measure_branching(
-    name: &str,
-    g: &Rrg,
-    branching: Branching,
-    cuts: bool,
-    max_nodes: usize,
-) -> BranchingMeasurement {
-    let mut opts = CoreOptions::fast();
-    opts.solver.time_limit = None;
-    opts.solver.max_nodes = max_nodes;
-    opts.solver.factor = FactorKind::Sparse;
-    opts.solver.branching = branching;
-    opts.cuts = cuts;
-    let t0 = Instant::now();
-    let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let label = match branching {
-        Branching::MostFractional => "most_fractional",
-        Branching::PseudoCost => "pseudo_cost",
-    };
-    let record = JsonRecord::new("milp_scaling")
-        .str("problem", "max_thr_branching")
-        .str("instance", name)
-        .str("branching", label)
-        .int("cuts", u64::from(cuts))
-        .int("node_cap", max_nodes as u64)
-        .num("wall_ms", wall_ms)
-        .num("objective", out.objective)
-        .int("nodes", out.stats.nodes as u64)
-        .int("pivots", out.stats.simplex_iters as u64)
-        .int("strong_branches", out.stats.strong_branches as u64)
-        .int("pseudo_updates", out.stats.pseudo_updates as u64)
-        .int("cuts_added", out.stats.cuts_added as u64)
-        .int("cuts_activated", out.stats.cuts_activated as u64)
-        .num("dual_bound", out.stats.dual_bound)
-        .int("truncated", u64::from(out.stats.truncated));
-    BranchingMeasurement {
-        record,
-        objective: out.objective,
-        nodes: out.stats.nodes,
-        truncated: out.stats.truncated,
-        proven: out.proven_optimal,
-    }
-}
-
-/// The branching-rule A/B — the PR 8 search-strength contract: on the
-/// 40-edge `MAX_THR` bench at the 1000-node cap and on the s27 Table-2
-/// profile, pseudo-cost branching with cycle-sum cuts must prove
-/// optimality in **strictly fewer** expanded nodes than most-fractional
-/// manages at the same budget (most-fractional truncates both). Records
-/// land in `BENCH_milp.json` before the assertions, so a regression
-/// fails loudly with the evidence on disk.
-fn branching_comparison(_c: &mut Criterion) {
-    let mut records = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    let s27 = rr_rrg::iscas::IscasProfile::by_name("s27")
-        .expect("s27 is a Table-2 profile")
-        .generate(2009);
-    let cases: [(&str, &Rrg, usize); 2] = [("bench40", &instance(40), 1000), ("s27", &s27, 20_000)];
-    for (name, g, cap) in cases {
-        let mf = measure_branching(name, g, Branching::MostFractional, false, cap);
-        let pc = measure_branching(name, g, Branching::PseudoCost, true, cap);
-        println!(
-            "branching comparison: max_thr {name} @ {cap} nodes: \
-             most_fractional obj {} in {} nodes{} vs pseudo_cost+cuts obj {} in {} nodes{}",
-            mf.objective,
-            mf.nodes,
-            if mf.truncated { " (truncated)" } else { "" },
-            pc.objective,
-            pc.nodes,
-            if pc.truncated { " (truncated)" } else { "" },
-        );
-        records.push(mf.record.clone());
-        records.push(pc.record.clone());
-        if pc.nodes >= mf.nodes {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost + cuts expanded {} nodes, most-fractional {} — \
-                 the search-strength contract is broken",
-                pc.nodes, mf.nodes
-            ));
-        }
-        if !pc.proven {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost + cuts no longer proves optimality at the \
-                 {cap}-node cap"
-            ));
-        }
-        // MAX_THR minimizes x: the stronger search must never return a
-        // worse incumbent at the same budget.
-        if pc.objective > mf.objective + 1e-7 {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost incumbent {} worse than most-fractional {}",
-                pc.objective, mf.objective
-            ));
-        }
-    }
-    append(&records);
-    assert!(
-        regressions.is_empty(),
-        "branching regression (records already in BENCH_milp.json):\n{}",
-        regressions.join("\n")
-    );
-}
-
 /// One pricing-rule measurement of `MAX_THR` at a fixed node cap (no
 /// wall clock, so the run is deterministic), under the production
-/// search configuration (pseudo-cost branching + cycle-sum cuts).
+/// search configuration (cycle-sum cuts on).
 struct PricingMeasurement {
     record: JsonRecord,
     objective: f64,
@@ -912,8 +782,8 @@ fn measure_parallel(
 /// runner the interesting trajectory is the *overhead* of the parallel
 /// machinery, which should stay near ×1). The run fails loudly — after
 /// the records are on disk — if any worker count reaches a different
-/// final objective or completion verdict than the serial run (schedule
-/// independence is the determinism contract of the parallel search).
+/// final objective or completion verdict than the 1-worker run (schedule
+/// independence is the determinism contract of the search).
 fn parallel_comparison(_c: &mut Criterion) {
     let edges = 40usize;
     let g = instance(edges);
@@ -923,7 +793,7 @@ fn parallel_comparison(_c: &mut Criterion) {
         .iter()
         .map(|&w| (w, measure_parallel(&g, edges, w, &mut disagreements)))
         .collect();
-    let serial = &runs[0].1;
+    let one = &runs[0].1;
     for (workers, m) in &runs {
         println!(
             "parallel comparison: max_thr {edges} edges, {workers} worker(s): \
@@ -935,31 +805,31 @@ fn parallel_comparison(_c: &mut Criterion) {
             if m.truncated { " (truncated)" } else { "" }
         );
         records.push(m.record.clone());
-        if (m.objective - serial.objective).abs() > 1e-7 * serial.objective.abs().max(1.0) {
+        if (m.objective - one.objective).abs() > 1e-7 * one.objective.abs().max(1.0) {
             disagreements.push(format!(
-                "max_thr {edges} edges: {workers} workers found {} vs serial {} — \
-                 the parallel search changed the answer",
-                m.objective, serial.objective
+                "max_thr {edges} edges: {workers} workers found {} vs 1 worker {} — \
+                 the worker count changed the answer",
+                m.objective, one.objective
             ));
         }
-        if m.truncated != serial.truncated {
+        if m.truncated != one.truncated {
             disagreements.push(format!(
                 "max_thr {edges} edges: completion verdicts diverge at {workers} workers \
-                 (serial truncated={}, parallel truncated={})",
-                serial.truncated, m.truncated
+                 (1 worker truncated={}, {workers} workers truncated={})",
+                one.truncated, m.truncated
             ));
         }
     }
     let two = &runs[1].1;
     let four = &runs[2].1;
-    let speedup_x2 = serial.wall_ms / two.wall_ms.max(1e-9);
-    let speedup_x4 = serial.wall_ms / four.wall_ms.max(1e-9);
+    let speedup_x2 = one.wall_ms / two.wall_ms.max(1e-9);
+    let speedup_x4 = one.wall_ms / four.wall_ms.max(1e-9);
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
         "parallel comparison: speedup ×{speedup_x2:.2} at 2 workers, \
-         ×{speedup_x4:.2} at 4 workers over the serial search \
+         ×{speedup_x4:.2} at 4 workers over 1 worker \
          ({host_cpus} host CPU(s){})",
         if host_cpus < 4 {
             " — speedup bounded by the host, the gate here is agreement + overhead"
@@ -972,13 +842,13 @@ fn parallel_comparison(_c: &mut Criterion) {
             .int("edges", edges as u64)
             .int("node_cap", 1000)
             .int("host_cpus", host_cpus as u64)
-            .num("serial_ms", serial.wall_ms)
+            .num("one_worker_ms", one.wall_ms)
             .num("two_workers_ms", two.wall_ms)
             .num("four_workers_ms", four.wall_ms)
             .num("speedup_x2", speedup_x2)
             .num("speedup_x4", speedup_x4)
-            .num("objective", serial.objective)
-            .int("truncated", u64::from(serial.truncated)),
+            .num("objective", one.objective)
+            .int("truncated", u64::from(one.truncated)),
     );
     append(&records);
     assert!(
@@ -1162,7 +1032,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_lp_scaling, bench_milp_scaling, kernel_comparison, ordering_comparison,
-        branching_comparison, pricing_comparison, update_comparison, fault_comparison,
-        parallel_comparison, mirrored_comparison
+        pricing_comparison, update_comparison, fault_comparison, parallel_comparison,
+        mirrored_comparison
 }
 criterion_main!(benches);

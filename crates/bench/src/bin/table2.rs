@@ -23,16 +23,21 @@ fn main() {
     let opts = args.core_options();
 
     // An unknown `--only` name used to produce a silently empty sweep
-    // (exit 0, no rows); fail loudly instead.
+    // (exit 0, no rows), and an unknown `--require-proven` name would
+    // read as a lost proof; fail loudly instead.
     let known: Vec<&str> = TABLE2.iter().map(|p| p.name).collect();
-    let unknown = args.unknown_only(&known);
-    if !unknown.is_empty() {
-        eprintln!(
-            "error: unknown circuit(s) in --only: {} (known: {})",
-            unknown.join(", "),
-            known.join(", ")
-        );
-        std::process::exit(2);
+    for (flag, unknown) in [
+        ("--only", args.unknown_only(&known)),
+        ("--require-proven", args.unknown_required(&known)),
+    ] {
+        if !unknown.is_empty() {
+            eprintln!(
+                "error: unknown circuit(s) in {flag}: {} (known: {})",
+                unknown.join(", "),
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
 
     let selected: Vec<_> = TABLE2
@@ -67,7 +72,7 @@ fn main() {
     let total = results.len();
     let mut table = Table2::default();
     let mut records = Vec::new();
-    let mut completed = 0usize;
+    let mut proven: Vec<&str> = Vec::new();
     for (name, scaled, edges, wall_ms, res) in results {
         match res {
             Ok((row, table1)) => {
@@ -80,7 +85,7 @@ fn main() {
                 // included): the `(limit, n incidents)` annotations stay
                 // per-row in the rendered table rather than aborting.
                 if row.proven_optimal {
-                    completed += 1;
+                    proven.push(name);
                 }
                 records.push(
                     JsonRecord::new("table2")
@@ -114,13 +119,23 @@ fn main() {
         "(paper, full-size with CPLEX: average I% = 14.5, RC_lp_min = RC_min in >half \
          the cases, average err% = 12.5)"
     );
-    println!("{completed}/{total} circuits completed (all MILPs proven within gap)");
-    if let Some(required) = args.require_complete {
-        if completed < required {
-            eprintln!(
-                "error: only {completed}/{total} circuits completed; --require-complete {required}"
-            );
-            std::process::exit(1);
-        }
+    println!(
+        "{}/{total} circuits completed (all MILPs proven within gap): {}",
+        proven.len(),
+        proven.join(", ")
+    );
+    let lost: Vec<&str> = args
+        .require_proven
+        .iter()
+        .map(String::as_str)
+        .filter(|name| !proven.contains(name))
+        .collect();
+    if !lost.is_empty() {
+        eprintln!(
+            "error: {} circuit(s) in --require-proven lost their proof: {}",
+            lost.len(),
+            lost.join(", ")
+        );
+        std::process::exit(1);
     }
 }

@@ -27,8 +27,8 @@ use rr_tgmg::sim::SimParams;
 /// seed 42): the **single source of truth** for every consumer that
 /// claims to measure "the N-edge bench instance" — the `milp_scaling`
 /// bench records in `BENCH_milp.json`, the `factor_kernels` e2e
-/// regression, and the `search_orders` golden/ordering suite all pin
-/// trajectories of exactly this graph, so the definition must not fork.
+/// regression, and the `search_gate` golden table all pin trajectories
+/// of exactly this graph, so the definition must not fork.
 pub fn milp_bench_instance(edges: usize) -> Rrg {
     let nodes = edges / 2;
     let early = (nodes / 8).max(1);
@@ -53,16 +53,17 @@ pub struct HarnessArgs {
     pub only: Vec<String>,
     /// Print per-configuration detail (`--verbose`).
     pub verbose: bool,
-    /// Branch & bound worker threads per MILP (`--workers N`); `1`
-    /// keeps the serial, bit-reproducible search.
+    /// Branch & bound workers per MILP (`--workers N`); `1` runs the
+    /// one worker on the calling thread, which keeps the search
+    /// deterministic.
     pub workers: usize,
     /// Per-MILP node budget (`--max-nodes N`), the deterministic
     /// alternative to the wall clock that the CI sweep gate uses.
     pub max_nodes: Option<usize>,
-    /// Minimum number of circuits that must complete (prove optimality
-    /// or reach the configured gap) for the run to exit 0
-    /// (`--require-complete K`); `table2` enforces it.
-    pub require_complete: Option<usize>,
+    /// Circuits that must complete — every MILP of their sweep proven
+    /// optimal or within the configured gap — for the run to exit 0
+    /// (`--require-proven s27,s526`); `table2` enforces it.
+    pub require_proven: Vec<String>,
 }
 
 impl Default for HarnessArgs {
@@ -76,7 +77,7 @@ impl Default for HarnessArgs {
             verbose: false,
             workers: 1,
             max_nodes: None,
-            require_complete: None,
+            require_proven: Vec::new(),
         }
     }
 }
@@ -130,18 +131,17 @@ impl HarnessArgs {
                             .expect("max-nodes must be an integer"),
                     )
                 }
-                "--require-complete" => {
-                    out.require_complete = Some(
-                        take("--require-complete")
-                            .parse()
-                            .expect("require-complete must be an integer"),
-                    )
+                "--require-proven" => {
+                    out.require_proven = take("--require-proven")
+                        .split(',')
+                        .map(str::to_string)
+                        .collect()
                 }
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --seed N --max-edges N --full-size --time-limit SECS \
                          --horizon CYCLES --only s526,s27 --workers N --max-nodes N \
-                         --require-complete K --verbose"
+                         --require-proven s27,s526 --verbose"
                     );
                     std::process::exit(0);
                 }
@@ -186,12 +186,22 @@ impl HarnessArgs {
     /// result means the sweep would silently run on an empty selection;
     /// binaries must fail loudly instead.
     pub fn unknown_only(&self, known: &[&str]) -> Vec<String> {
-        self.only
-            .iter()
-            .filter(|n| !known.contains(&n.as_str()))
-            .cloned()
-            .collect()
+        unknown_names(&self.only, known)
     }
+
+    /// The `--require-proven` names that match nothing in `known` — a
+    /// typo there would otherwise read as a lost proof.
+    pub fn unknown_required(&self, known: &[&str]) -> Vec<String> {
+        unknown_names(&self.require_proven, known)
+    }
+}
+
+fn unknown_names(names: &[String], known: &[&str]) -> Vec<String> {
+    names
+        .iter()
+        .filter(|n| !known.contains(&n.as_str()))
+        .cloned()
+        .collect()
 }
 
 /// Runs items in parallel with up to `available_parallelism` workers,
@@ -309,9 +319,9 @@ mod tests {
 
     #[test]
     fn node_budget_flags_reach_solver_options() {
-        let a = args(&["--max-nodes", "5000", "--require-complete", "12"]);
+        let a = args(&["--max-nodes", "5000", "--require-proven", "s27,s526"]);
         assert_eq!(a.max_nodes, Some(5000));
-        assert_eq!(a.require_complete, Some(12));
+        assert_eq!(a.require_proven, vec!["s27", "s526"]);
         assert_eq!(a.core_options().solver.max_nodes, 5000);
         // Unset keeps the solver default rather than an accidental zero.
         let d = args(&[]);
@@ -327,5 +337,7 @@ mod tests {
         assert_eq!(a.unknown_only(&["s27", "s526"]), vec!["s9999", "sXYZ"]);
         assert!(args(&["--only", "s27"]).unknown_only(&["s27"]).is_empty());
         assert!(args(&[]).unknown_only(&["s27"]).is_empty());
+        let r = args(&["--require-proven", "s27,s9999"]);
+        assert_eq!(r.unknown_required(&["s27"]), vec!["s9999"]);
     }
 }

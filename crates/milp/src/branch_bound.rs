@@ -1,63 +1,56 @@
-//! Branch & bound for mixed-integer models: one generic **search core**,
-//! pluggable **node ordering**, one LP backend.
+//! Branch & bound for mixed-integer models: the entry points, the LP
+//! backend, and the search data structures the worker loop in
+//! [`crate::parallel`] runs on.
 //!
-//! # Architecture: `SearchCore` / `NodeOrder` / `LpBackend`
+//! # Architecture
 //!
-//! A single [`SearchCore`] owns everything the search itself consists of:
-//! the node/time budget, incumbent and gap bookkeeping, branching-variable
-//! selection (highest priority class, most fractional within it), the
-//! round-and-fix heuristic schedule, and the branch tree — an arena of
-//! one-bound-tightening [`TreeNode`]s whose boxes are (de)applied by
-//! walking the tree between consecutively expanded nodes (undo up to the
-//! lowest common ancestor, re-apply down), so jumping anywhere in the
-//! tree costs only the path difference. The core is parameterized twice:
+//! Every solve — one worker or many — runs the same search loop
+//! (`parallel` module): workers claim open nodes from a shared
+//! [`Frontier`], dive from each claim in a bounded depth-first
+//! **episode**, and hand the leftovers back. With
+//! [`SolverOptions::workers`]` = 1` the single worker runs on the calling
+//! thread. This module supplies the pieces that loop is built from:
+//!
+//! * **The branch tree** — an arena of one-bound-tightening
+//!   [`TreeNode`]s. A worker moves its kernel between nodes by walking
+//!   the tree (undo up to the lowest common ancestor, re-apply down), so
+//!   jumping anywhere in the tree costs only the path difference.
 //!
 //! * **Node ordering** ([`NodeOrder`], selected by
-//!   [`SolverOptions::node_order`]):
-//!   [`NodeOrder::DfsNearerFirst`] is a LIFO stack exploring the nearer
-//!   branching side first — bit-compatible with the historical recursive
-//!   DFS (same node order, same kernel state at every solve, hence the
-//!   same node/pivot counts; the `search_orders` regression pins this).
-//!   [`NodeOrder::BestBound`] is a priority queue keyed on the **parent
-//!   LP bound** (ties broken most-recently-pushed-first) interleaved
-//!   with bounded depth-first **episodes**: each node popped from the
-//!   queue is dived from (children bypass the queue, LIFO) until the
-//!   dive dies or exceeds an episode cap scaled to the integer count,
-//!   whereupon the leftovers are flushed back into the queue — dives
-//!   find the integral leaves that weak LP bounds never would, while
-//!   the queue keeps the *frontier* in proven-potential order. Queued
-//!   entries whose bound cannot beat the incumbent are discarded
-//!   unsolved, and because the queue is bound-sorted the first
-//!   unprunable deficit proves optimality for the whole frontier. Every
-//!   queued child carries an `Rc` of its parent's optimal basis, so
-//!   best-first jumps still warm-start (**warm-basis handoff**) — the
-//!   fix for DFS's plateau incumbents under small node caps (see
-//!   ROADMAP / the 40-edge `MAX_THR` bench, where truncated DFS returns
-//!   4.0 and best-bound finds 3.0).
+//!   [`SolverOptions::node_order`]): [`NodeOrder::DfsNearerFirst`] keeps
+//!   the frontier as a LIFO stack exploring the nearer branching side
+//!   first; [`NodeOrder::BestBound`] keeps it as a priority queue keyed
+//!   on a best-estimate score (parent LP bound plus the pseudo-cost
+//!   prediction of the remaining repair cost, ties broken
+//!   most-recently-pushed-first). Either way a claimed node is dived
+//!   from until the episode cap trips, so weak LP bounds still reach
+//!   integral leaves. Entries whose bound cannot beat the incumbent are
+//!   discarded unsolved. Every open node carries an `Arc` of its
+//!   parent's optimal basis, so jumps still warm-start.
 //!
-//! * **LP backend** ([`LpBackend`]): [`WarmBackend`] — the only
-//!   backend — runs the revised kernel over a [`BoxedForm`] built once.
-//!   Branching rewrites a column's `[lo, hi]` box in place, and since
-//!   rhs/bound changes leave reduced costs untouched, *any* optimal
-//!   basis anywhere in the tree is dual feasible for every node: nodes
-//!   are reoptimized by a bounded dual-simplex run from whatever basis
-//!   the previous node left behind, falling back to the parent snapshot,
-//!   then to a cold two-phase solve ([`SolverOptions::warm_start`]` =
-//!   false` forces cold solves — the warm-start A/B baseline). Every
-//!   variable shape branches natively: a box `[lo, hi]` on a shifted,
-//!   mirrored, or free (split-pair) integer translates to standard-form
-//!   column-bound updates via [`ColMap::box_updates`], so warm starts,
-//!   steepest-edge weights, and pseudo-costs survive across nodes for
-//!   all of them. The historical `LegacyBackend` (a model clone
-//!   re-solved from scratch at every node, mandatory for mirrored/free
-//!   integers and the dense-tableau kernel) is gone: the dense tableau
-//!   survives as a kernel-level oracle only — rung 6 of the per-node
+//! * **Branching** ([`select_branch_var`]): pseudo-cost branching with
+//!   reliability probes, scored by the product rule over the shared
+//!   [`PseudoCosts`] table.
+//!
+//! * **The LP backend** ([`WarmBackend`]) runs the revised kernel over a
+//!   [`BoxedForm`] built once. Branching rewrites a column's `[lo, hi]`
+//!   box in place, and since rhs/bound changes leave reduced costs
+//!   untouched, *any* optimal basis anywhere in the tree is dual
+//!   feasible for every node: nodes are reoptimized by a bounded
+//!   dual-simplex run from whatever basis the previous node left behind,
+//!   falling back to the parent snapshot, then to a cold two-phase solve
+//!   ([`SolverOptions::warm_start`]` = false` forces cold solves — the
+//!   warm-start A/B baseline). Every variable shape branches natively: a
+//!   box `[lo, hi]` on a shifted, mirrored, or free (split-pair) integer
+//!   translates to standard-form column-bound updates via
+//!   [`ColMap::box_updates`], so warm starts, steepest-edge weights, and
+//!   pseudo-costs survive across nodes for all of them. The dense
+//!   tableau is a kernel-level oracle only — rung 6 of the per-node
 //!   recovery ladder, plus a whole-solve cross-validation pass when
 //!   [`Kernel::DenseTableau`] is requested for a MILP (the search runs
-//!   the warm backend in the oracle configuration from
-//!   [`SolverOptions::resolve`], then the incumbent's integer assignment
-//!   is pinned and re-solved by the genuine dense tableau, which must
-//!   reproduce the objective).
+//!   in the oracle configuration from [`SolverOptions::resolve`], then
+//!   the incumbent's integer assignment is pinned and re-solved by the
+//!   genuine dense tableau, which must reproduce the objective).
 //!
 //! The round-and-fix heuristic (round all integer variables of a
 //! relaxation, fix them, re-solve the continuous part) provides early
@@ -65,7 +58,8 @@
 //! relaxations solve in a handful of nodes. Node and wall-clock limits
 //! return the best incumbent with [`Status::Feasible`] instead of
 //! failing; [`Status::Optimal`] is reported only when the search
-//! genuinely completed (or closed the [`SolverOptions::gap_tol`] gap).
+//! genuinely completed (or closed the [`SolverOptions::gap_tol`] gap
+//! against the open-node bound).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -74,9 +68,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::expr::VarId;
-use crate::model::{
-    Branching, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind,
-};
+use crate::model::{FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind};
 use crate::recover::RecoveryStats;
 use crate::revised::{BasisState, Revised};
 use crate::solution::{Solution, SolveError, Status};
@@ -132,17 +124,16 @@ pub struct BranchBoundStats {
     /// `(node index, objective)` at every incumbent acceptance, in
     /// order — the improvement trajectory of the search.
     pub incumbent_trace: Vec<(usize, f64)>,
-    /// LP relaxation objective of every solved node, in solve order
-    /// (`NaN` for nodes whose LP failed or proved infeasible). Length
-    /// equals `nodes`; best-bound entries discarded unsolved from the
-    /// queue do not appear.
+    /// LP relaxation objective of every solved node, in claim order —
+    /// solve order with one worker (`NaN` for nodes whose LP failed or
+    /// proved infeasible). Length equals `nodes`; entries discarded
+    /// unsolved do not appear.
     pub node_bounds: Vec<f64>,
     /// Candidates strong-branched by the reliability rule (each counts
-    /// one probed candidate, i.e. up to two child dual-simplex probes;
-    /// pseudo-cost branching only).
+    /// one probed candidate, i.e. up to two child dual-simplex probes).
     pub strong_branches: usize,
     /// Pseudo-cost observations recorded: node bound degradations plus
-    /// strong-branch probe results (pseudo-cost branching only).
+    /// strong-branch probe results.
     pub pseudo_updates: usize,
     /// Lazily-activatable cut rows carried by the standard form.
     pub cuts_added: usize,
@@ -174,7 +165,7 @@ pub struct BranchBoundStats {
 }
 
 /// Outcome of one strong-branch child probe (see
-/// [`LpBackend::probe_branch`]). Probe results only *bias* branching —
+/// [`WarmBackend::probe_branch`]). Probe results only *bias* branching —
 /// an `Infeasible` verdict steers selection toward the variable but
 /// never prunes, so an unverified probe cannot break correctness.
 #[derive(Debug, Clone, Copy)]
@@ -190,9 +181,9 @@ pub(crate) enum ProbeOutcome {
 
 /// Shared pseudo-cost table: per variable × direction mean bound
 /// degradation per unit of fractionality, learned from node solves and
-/// strong-branch probes. All cells are atomics so the parallel search
-/// reads estimates lock-free; in the serial search the relaxed atomics
-/// are exactly as deterministic as plain fields.
+/// strong-branch probes. All cells are atomics so concurrent workers
+/// read estimates lock-free; with one worker the relaxed atomics are
+/// exactly as deterministic as plain fields.
 pub(crate) struct PseudoCosts {
     /// `cells[vi][dir]`, `dir` 0 = down (floor) and 1 = up (ceil).
     cells: Vec<[PseudoCell; 2]>,
@@ -266,93 +257,14 @@ impl PseudoCosts {
 }
 
 // ---------------------------------------------------------------------------
-// LP backends
+// LP backend
 // ---------------------------------------------------------------------------
-
-/// What the search core needs from an LP layer: apply a variable box,
-/// solve the node relaxation, snapshot warm-start state, and run the
-/// round-and-fix / hint pinning protocols.
-pub(crate) trait LpBackend {
-    /// Pushes a model variable's current box into the LP (a no-op for
-    /// variables without standard-form columns, i.e. fixed at the root).
-    fn set_var_box(&mut self, vi: usize, lo: f64, hi: f64);
-
-    /// Solves the current node LP and returns the relaxation optimum.
-    fn solve_node(
-        &mut self,
-        opts: &SolverOptions,
-        parent: Option<&BasisState>,
-        stats: &mut BranchBoundStats,
-    ) -> Result<Solution, SolveError>;
-
-    /// Warm-start state children should resume from (`None` when the
-    /// backend has none, or warm starts are disabled).
-    fn snapshot(&self, opts: &SolverOptions) -> Option<BasisState>;
-
-    /// Round-and-fix: pin `pins`, re-solve the continuous part, restore
-    /// the boxes in `restore` (and any internal LP state), and return
-    /// the polished candidate — `fallback` when the re-solve fails.
-    fn round_and_fix(
-        &mut self,
-        opts: &SolverOptions,
-        pins: &[(usize, f64)],
-        restore: &[(usize, f64, f64)],
-        fallback: &Solution,
-        stats: &mut BranchBoundStats,
-    ) -> Solution;
-
-    /// Hint seeding: pin `pins`, solve from scratch, restore, and return
-    /// the solution (`None` when the pinned LP fails).
-    fn seed_hint(
-        &mut self,
-        opts: &SolverOptions,
-        pins: &[(usize, f64)],
-        restore: &[(usize, f64, f64)],
-        stats: &mut BranchBoundStats,
-    ) -> Option<Solution>;
-
-    /// Final stats the backend owns (pivot totals, factorization
-    /// telemetry).
-    fn finish(&self, stats: &mut BranchBoundStats);
-
-    /// Lazily-activatable cut rows this backend carries (warm backend
-    /// only; 0 everywhere else).
-    fn cut_count(&self) -> usize {
-        0
-    }
-
-    /// Checks every inactive cut against `sol`, activates the violated
-    /// ones (tightening their row rhs to the integer-valid value in
-    /// place), and returns how many fired — the caller must then
-    /// re-solve the node LP.
-    fn separate_cuts(&mut self, sol: &Solution) -> usize {
-        let _ = sol;
-        0
-    }
-
-    /// Strong-branch probe: a bounded dual reoptimization of the child
-    /// box `[lo, hi]` of `vi` from the current node optimum, restoring
-    /// the box `[restore_lo, restore_hi]` (but not the basis — any
-    /// dual-feasible basis warm-starts any node) afterwards.
-    fn probe_branch(
-        &mut self,
-        opts: &SolverOptions,
-        vi: usize,
-        lo: f64,
-        hi: f64,
-        restore_lo: f64,
-        restore_hi: f64,
-    ) -> ProbeOutcome {
-        let _ = (opts, vi, lo, hi, restore_lo, restore_hi);
-        ProbeOutcome::Skipped
-    }
-}
 
 /// Revised-kernel backend over a [`BoxedForm`] built once; branching
 /// mutates column boxes in place and nodes dual-reoptimize from the
 /// previous basis. The form is behind an `Arc` — read-only after the
-/// build — so the parallel search can hand one copy to every worker's
-/// backend while each worker keeps exclusive ownership of its kernel.
+/// build — so the search can hand one copy to every worker's backend
+/// while each worker keeps exclusive ownership of its kernel.
 pub(crate) struct WarmBackend<'a> {
     pub(crate) model: &'a Model,
     pub(crate) form: Arc<BoxedForm>,
@@ -503,7 +415,7 @@ impl WarmBackend<'_> {
 
     /// Restores the pre-ladder configuration: Bland forcing off, a fresh
     /// kernel under the original options. The fresh kernel has no basis
-    /// yet — [`LpBackend::snapshot`] guards against handing that state
+    /// yet — [`WarmBackend::snapshot`] guards against handing that state
     /// to children, and the next node solve re-establishes one (warm
     /// from its parent snapshot, or cold).
     fn restore_kernel(&mut self, opts: &SolverOptions) {
@@ -512,8 +424,8 @@ impl WarmBackend<'_> {
     }
 
     /// Activates cut `i` (tightens its row to the integer-valid rhs) if
-    /// this backend has not already — the parallel workers use this to
-    /// mirror activations other workers published.
+    /// this backend has not already — workers use this to mirror
+    /// activations other workers published.
     pub(crate) fn apply_cut(&mut self, i: usize) {
         if !self.active_cuts[i] {
             let cr = self.form.cut_rows[i];
@@ -521,10 +433,10 @@ impl WarmBackend<'_> {
             self.active_cuts[i] = true;
         }
     }
-}
 
-impl LpBackend for WarmBackend<'_> {
-    fn set_var_box(&mut self, vi: usize, lo: f64, hi: f64) {
+    /// Pushes a model variable's box into the LP (a no-op for variables
+    /// without standard-form columns, i.e. fixed at the root).
+    pub(crate) fn set_var_box(&mut self, vi: usize, lo: f64, hi: f64) {
         if let Some(map) = self.int_maps[vi] {
             for (col, l, u) in map.box_updates(lo, hi).into_iter().flatten() {
                 self.kernel.set_col_bounds(col, l, u);
@@ -534,7 +446,7 @@ impl LpBackend for WarmBackend<'_> {
 
     /// Solves the current node LP: in-place dual reoptimization when the
     /// kernel state allows it, else from the parent basis, else cold.
-    fn solve_node(
+    pub(crate) fn solve_node(
         &mut self,
         opts: &SolverOptions,
         parent: Option<&BasisState>,
@@ -590,26 +502,29 @@ impl LpBackend for WarmBackend<'_> {
         }
     }
 
-    fn snapshot(&self, opts: &SolverOptions) -> Option<BasisState> {
+    /// Warm-start state children should resume from (`None` when warm
+    /// starts are disabled or the kernel has no basis).
+    pub(crate) fn snapshot(&self, opts: &SolverOptions) -> Option<BasisState> {
         // Skipped entirely in the cold A/B configuration, which never
         // reads it; also skipped right after a ladder restore, whose
         // fresh kernel has no basis to hand to children yet.
         (opts.warm_start && self.kernel.has_basis()).then(|| self.kernel.basis_snapshot())
     }
 
-    /// Pin every branchable integer's box to the rounded relaxation
-    /// value, reoptimize the continuous part from the current basis, and
-    /// return the result. The pre-heuristic basis is restored afterwards
-    /// so the next node's in-place warm start resumes from the node
-    /// optimum instead of re-navigating away from the heuristic's pinned
-    /// vertex (a no-op when the polish took zero pivots).
-    fn round_and_fix(
+    /// Round-and-fix: pin every branchable integer's box to the rounded
+    /// relaxation value (`pins`), reoptimize the continuous part from the
+    /// current basis, restore the boxes in `restore`, and return the
+    /// polished candidate — `fallback` when the re-solve fails. The
+    /// pre-heuristic basis is restored afterwards so the next node's
+    /// in-place warm start resumes from the node optimum instead of
+    /// re-navigating away from the heuristic's pinned vertex (a no-op
+    /// when the polish took zero pivots).
+    pub(crate) fn round_and_fix(
         &mut self,
         opts: &SolverOptions,
         pins: &[(usize, f64)],
         restore: &[(usize, f64, f64)],
         fallback: &Solution,
-        _stats: &mut BranchBoundStats,
     ) -> Solution {
         // The basis restore below only matters when later solves warm
         // start in place; cold mode re-crashes every node anyway. A
@@ -643,12 +558,13 @@ impl LpBackend for WarmBackend<'_> {
         candidate
     }
 
-    fn seed_hint(
+    /// Hint seeding: pin `pins`, solve from scratch, restore, and return
+    /// the solution (`None` when the pinned LP fails).
+    pub(crate) fn seed_hint(
         &mut self,
         opts: &SolverOptions,
         pins: &[(usize, f64)],
         restore: &[(usize, f64, f64)],
-        _stats: &mut BranchBoundStats,
     ) -> Option<Solution> {
         for &(vi, val) in pins {
             self.set_var_box(vi, val, val);
@@ -668,13 +584,8 @@ impl LpBackend for WarmBackend<'_> {
 
     /// Folds this backend's kernel telemetry into `stats`
     /// **additively**: counters accumulate, peaks take the max, and the
-    /// recovery ledger is absorbed rather than overwritten. The serial
-    /// search calls this once on zeroed stats (where `+=` equals `=`);
-    /// the parallel merge layer calls it once per worker into the same
-    /// struct, so an assignment here would silently drop every worker's
-    /// counters but the last — including recovery counters from
-    /// fallback re-solves.
-    fn finish(&self, stats: &mut BranchBoundStats) {
+    /// recovery ledger is absorbed rather than overwritten.
+    pub(crate) fn finish(&self, stats: &mut BranchBoundStats) {
         stats.simplex_iters += self.kernel.iters;
         stats.refactors += self.kernel.factor_stats.refactors;
         stats.ft_updates += self.kernel.factor_stats.ft_updates;
@@ -689,11 +600,11 @@ impl LpBackend for WarmBackend<'_> {
         stats.weight_resets += self.kernel.pricing_stats.weight_resets;
     }
 
-    fn cut_count(&self) -> usize {
-        self.form.cut_rows.len()
-    }
-
-    fn separate_cuts(&mut self, sol: &Solution) -> usize {
+    /// Checks every inactive cut against `sol`, activates the violated
+    /// ones (tightening their row rhs to the integer-valid value in
+    /// place), and returns how many fired — the caller must then
+    /// re-solve the node LP.
+    pub(crate) fn separate_cuts(&mut self, sol: &Solution) -> usize {
         let mut activated = 0;
         for (i, cr) in self.form.cut_rows.iter().enumerate() {
             if self.active_cuts[i] {
@@ -712,7 +623,11 @@ impl LpBackend for WarmBackend<'_> {
         activated
     }
 
-    fn probe_branch(
+    /// Strong-branch probe: a bounded dual reoptimization of the child
+    /// box `[lo, hi]` of `vi` from the current node optimum, restoring
+    /// the box `[restore_lo, restore_hi]` (but not the basis — any
+    /// dual-feasible basis warm-starts any node) afterwards.
+    pub(crate) fn probe_branch(
         &mut self,
         opts: &SolverOptions,
         vi: usize,
@@ -748,9 +663,7 @@ impl LpBackend for WarmBackend<'_> {
 
 /// One node of the branch tree: a single bound tightening of `vi` on top
 /// of `parent`. Activating a node walks the tree from the previously
-/// active one (undo to the lowest common ancestor, apply down), so the
-/// stepwise box mutations — and hence the kernel state — are identical to
-/// what the historical recursive DFS produced.
+/// active one (undo to the lowest common ancestor, apply down).
 pub(crate) struct TreeNode {
     pub(crate) parent: usize,
     pub(crate) depth: usize,
@@ -795,8 +708,6 @@ impl TreeNode {
 /// the box `[plo, phi]`, returned `[far, near]` (the nearer branching
 /// side last, so LIFO consumers pop it first and equal-bound heap ties
 /// resolve toward it). Children whose box would be empty are `None`.
-/// Shared between the serial core's `expand` and the parallel workers so
-/// both layers branch identically.
 pub(crate) fn branch_children(
     parent: usize,
     depth: usize,
@@ -840,36 +751,6 @@ pub(crate) fn branch_children(
     }
 }
 
-/// Most-fractional branching: highest priority class first, most
-/// fractional within it, **ties broken toward the lowest `VarId`** —
-/// explicit, so selection never depends on the iteration order of
-/// `int_vars` (the workers=1 bit-exactness contract). Returns `None`
-/// when the point is integral. Shared between the serial core and the
-/// parallel workers.
-pub(crate) fn most_fractional_of(
-    model: &Model,
-    int_vars: &[VarId],
-    int_tol: f64,
-    sol: &Solution,
-) -> Option<(VarId, f64)> {
-    let mut best: Option<(VarId, f64)> = None;
-    let mut best_key = (i32::MIN, int_tol);
-    for &v in int_vars {
-        let val = sol.value(v);
-        let frac = (val - val.round()).abs();
-        if frac <= int_tol {
-            continue;
-        }
-        let key = (model.var(v).priority(), frac);
-        let wins = key > best_key || (key == best_key && best.is_some_and(|(bv, _)| v < bv));
-        if wins {
-            best_key = key;
-            best = Some((v, val));
-        }
-    }
-    best
-}
-
 /// Pseudo-cost branching with reliability probes: among the fractional
 /// candidates of the highest priority class, strong-branch (bounded
 /// dual-simplex probe of both children) the most fractional candidates
@@ -878,11 +759,10 @@ pub(crate) fn most_fractional_of(
 /// `max(down·f⁻, ε) · max(up·f⁺, ε)`. A probe that proves a child
 /// infeasible scores `+∞` (branching there closes one side for free)
 /// but never prunes. Ties break toward higher fractionality, then lower
-/// `VarId`. Returns `None` when the point is integral. Shared between
-/// the serial core and the parallel workers.
+/// `VarId`. Returns `None` when the point is integral.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn select_branch_var<B: LpBackend>(
-    backend: &mut B,
+pub(crate) fn select_branch_var(
+    backend: &mut WarmBackend,
     model: &Model,
     opts: &SolverOptions,
     int_vars: &[VarId],
@@ -1043,7 +923,7 @@ pub(crate) struct OpenNode {
     /// pruning and discard tests compare against the incumbent.
     pub(crate) bound: f64,
     /// Heap-ordering key, signed. Equals `bound` except under
-    /// pseudo-cost best-bound, where it is the best-estimate score
+    /// best-bound, where it is the best-estimate score
     /// `bound + Σ pseudo-cost·fractionality` — a prediction, never used
     /// to prune.
     pub(crate) key: f64,
@@ -1107,8 +987,8 @@ impl Frontier {
         }
     }
     /// Minimum valid LP bound over the open nodes (`+∞` when empty).
-    /// Under pseudo-cost scoring the heap is estimate-ordered, so the
-    /// minimum genuinely requires the scan.
+    /// The heap is estimate-ordered, so the minimum genuinely requires
+    /// the scan.
     pub(crate) fn min_bound(&self) -> f64 {
         let fold = |it: &mut dyn Iterator<Item = f64>| it.fold(f64::INFINITY, f64::min);
         match self {
@@ -1118,567 +998,8 @@ impl Frontier {
     }
 }
 
-/// The generic branch & bound driver; see the module docs.
-struct SearchCore<'a, B: LpBackend> {
-    backend: B,
-    model: &'a Model,
-    opts: &'a SolverOptions,
-    sense_mul: f64,
-    /// Wall-clock deadline, captured **once** at solve start
-    /// ([`SolverOptions::time_limit`] past that instant) and shared with
-    /// the backend's kernel — budget checks must measure one common
-    /// clock, never restart it.
-    deadline: Option<Instant>,
-    best: Option<Solution>,
-    stats: BranchBoundStats,
-    int_vars: Vec<VarId>,
-    /// Current branch bounds per model variable (model space), tracking
-    /// the active tree node.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    arena: Vec<TreeNode>,
-    /// Arena index of the node whose boxes are currently applied.
-    cur: usize,
-    frontier: Frontier,
-    /// Best-bound dive stack: each node popped from the priority queue
-    /// starts a bounded depth-first **episode** over its subtree
-    /// (children go here, LIFO, bypassing the queue) — plunging is what
-    /// finds integral leaves when the LP bound is weak, where pure
-    /// best-first would wander the shallow frontier forever. When the
-    /// episode exceeds [`SearchCore::episode_cap`] solved nodes, the
-    /// remaining dive entries are flushed into the queue (each already
-    /// carries its parent bound key and basis), and the globally best
-    /// bound picks the next episode's root.
-    dive: Vec<OpenNode>,
-    /// Nodes solved in the current best-bound episode.
-    episode: usize,
-    /// Episode length cap: scales with the number of integer variables
-    /// (an episode should be able to reach an integral leaf, which takes
-    /// on the order of one branching level per fractional integer).
-    episode_cap: usize,
-    seq: usize,
-    /// Learned pseudo-cost table (unused under
-    /// [`Branching::MostFractional`]).
-    pseudo: PseudoCosts,
-}
-
-impl<'a, B: LpBackend> SearchCore<'a, B> {
-    fn new(
-        model: &'a Model,
-        opts: &'a SolverOptions,
-        backend: B,
-        deadline: Option<Instant>,
-    ) -> Self {
-        let int_vars: Vec<VarId> = model
-            .vars()
-            .filter(|(_, v)| v.is_integer())
-            .map(|(id, _)| id)
-            .collect();
-        let int_count = int_vars.len();
-        SearchCore {
-            backend,
-            model,
-            opts,
-            sense_mul: match model.sense {
-                Sense::Minimize => 1.0,
-                Sense::Maximize => -1.0,
-            },
-            deadline,
-            best: None,
-            stats: BranchBoundStats {
-                order: opts.node_order,
-                ..BranchBoundStats::default()
-            },
-            int_vars,
-            lo: model.vars.iter().map(|v| v.lower).collect(),
-            hi: model.vars.iter().map(|v| v.upper).collect(),
-            arena: Vec::new(),
-            cur: 0,
-            frontier: Frontier::new(opts.node_order),
-            dive: Vec::new(),
-            episode: 0,
-            episode_cap: 64.max(2 * int_count),
-            seq: 0,
-            pseudo: PseudoCosts::new(model.vars.len()),
-        }
-    }
-
-    fn out_of_budget(&self) -> bool {
-        if self.stats.nodes >= self.opts.max_nodes {
-            return true;
-        }
-        self.deadline.is_some_and(|dl| Instant::now() >= dl)
-    }
-
-    /// Signed objective for pruning comparisons (always "minimize").
-    fn signed(&self, obj: f64) -> f64 {
-        self.sense_mul * obj
-    }
-
-    /// Picks the branching variable according to
-    /// [`SolverOptions::branching`]; `None` when the point is integral.
-    fn pick_branch_var(&mut self, sol: &Solution) -> Option<(VarId, f64)> {
-        match self.opts.branching {
-            Branching::MostFractional => {
-                most_fractional_of(self.model, &self.int_vars, self.opts.int_tol, sol)
-            }
-            Branching::PseudoCost => select_branch_var(
-                &mut self.backend,
-                self.model,
-                self.opts,
-                &self.int_vars,
-                sol,
-                &self.lo,
-                &self.hi,
-                self.sense_mul,
-                &self.pseudo,
-                &mut self.stats,
-            ),
-        }
-    }
-
-    /// Minimum valid LP bound over every open node (frontier plus the
-    /// pending dive entries), signed; `+∞` when nothing is open.
-    fn open_bound_min(&self) -> f64 {
-        self.dive
-            .iter()
-            .map(|o| o.bound)
-            .fold(self.frontier.min_bound(), f64::min)
-    }
-
-    /// Gap termination test against the incumbent. `node_bound` is the
-    /// signed bound of the node currently being expanded (still open
-    /// from the dual-bound perspective).
-    ///
-    /// Historically the gap was measured against the **root** LP bound —
-    /// the weakest valid bound, so `gap_tol` fired late and the reported
-    /// gap over-stated reality on solved instances. Under pseudo-cost
-    /// branching the minimum over the open set (which is the valid
-    /// global dual bound) is used instead; most-fractional mode keeps
-    /// the historical rule so the pinned goldens replay bit-exact.
-    fn within_gap(&self, node_bound: f64) -> bool {
-        let Some(best) = &self.best else { return false };
-        if self.stats.nodes == 0 {
-            return false;
-        }
-        let bound = match self.opts.branching {
-            Branching::MostFractional => self.signed(self.stats.root_bound),
-            Branching::PseudoCost => node_bound.min(self.open_bound_min()),
-        };
-        let inc = self.signed(best.objective);
-        inc - bound <= self.opts.gap_tol * inc.abs().max(1.0)
-    }
-
-    /// Tightest proven dual bound at this point of the search (signed):
-    /// open-node minimum joined with the incumbent, falling back to the
-    /// root bound when nothing tighter exists.
-    fn proven_dual_bound(&self) -> f64 {
-        let inc = self
-            .best
-            .as_ref()
-            .map_or(f64::INFINITY, |b| self.signed(b.objective));
-        let bound = self.open_bound_min().min(inc);
-        if bound.is_finite() {
-            bound
-        } else {
-            self.signed(self.stats.root_bound)
-        }
-    }
-
-    /// Installs `candidate` as the incumbent when it is integral and
-    /// improves on the current best.
-    fn accept_incumbent(&mut self, candidate: Solution) {
-        // Rounded values clamped into the current box can be fractional
-        // when an integer variable carries fractional bounds — only
-        // truly integral points may become incumbents.
-        let integral = self.int_vars.iter().all(|&v| {
-            let x = candidate.value(v);
-            (x - x.round()).abs() <= self.opts.int_tol
-        });
-        let better = match &self.best {
-            None => true,
-            Some(b) => self.signed(candidate.objective) < self.signed(b.objective) - 1e-9,
-        };
-        if integral && better {
-            if self.stats.incumbents == 0 {
-                self.stats.first_incumbent_node = self.stats.nodes;
-            }
-            self.stats.incumbents += 1;
-            self.stats
-                .incumbent_trace
-                .push((self.stats.nodes, candidate.objective));
-            self.best = Some(candidate);
-        }
-    }
-
-    /// Round-and-fix heuristic: pin every integer's box to the rounded
-    /// relaxation value, let the backend re-solve the continuous part,
-    /// and offer the result as an incumbent. Integers fixed at the root
-    /// have no standard-form column — their pin/restore is a no-op in
-    /// the backend, so they are harmless to include.
-    fn offer_incumbent(&mut self, sol: &Solution) {
-        let mut pins: Vec<(usize, f64)> = Vec::with_capacity(self.int_vars.len());
-        let mut restore: Vec<(usize, f64, f64)> = Vec::with_capacity(self.int_vars.len());
-        for k in 0..self.int_vars.len() {
-            let v = self.int_vars[k];
-            let vi = v.index();
-            let val = sol.value(v).round().clamp(self.lo[vi], self.hi[vi]);
-            pins.push((vi, val));
-            restore.push((vi, self.lo[vi], self.hi[vi]));
-        }
-        let candidate =
-            self.backend
-                .round_and_fix(self.opts, &pins, &restore, sol, &mut self.stats);
-        self.accept_incumbent(candidate);
-    }
-
-    /// Warm-start hint: pin the hinted integers, solve the continuous
-    /// part, and install the result as the first incumbent if integral.
-    fn seed_hint(&mut self, hint: &[(VarId, f64)]) {
-        if hint.is_empty() {
-            return;
-        }
-        let mut pins: Vec<(usize, f64)> = Vec::with_capacity(hint.len());
-        let mut restore: Vec<(usize, f64, f64)> = Vec::with_capacity(hint.len());
-        for &(v, val) in hint {
-            let vi = v.index();
-            if !self.model.var(v).is_integer() {
-                continue;
-            }
-            let val = val.round().clamp(self.lo[vi], self.hi[vi]);
-            pins.push((vi, val));
-            restore.push((vi, self.lo[vi], self.hi[vi]));
-        }
-        if let Some(sol) = self
-            .backend
-            .seed_hint(self.opts, &pins, &restore, &mut self.stats)
-        {
-            // Accepted only if truly integral on all integer vars
-            // (hinted or not); recorded at node 0, before any search.
-            self.accept_incumbent(sol);
-        }
-    }
-
-    /// Undoes one node's tightening (restores the parent box of its
-    /// branch variable).
-    fn undo(&mut self, n: usize) {
-        let (vi, plo, phi) = {
-            let nd = &self.arena[n];
-            (nd.vi, nd.parent_lo, nd.parent_hi)
-        };
-        self.lo[vi] = plo;
-        self.hi[vi] = phi;
-        self.backend.set_var_box(vi, plo, phi);
-    }
-
-    /// Applies one node's tightening.
-    fn apply(&mut self, n: usize) {
-        let (vi, lo, hi) = {
-            let nd = &self.arena[n];
-            (nd.vi, nd.lo, nd.hi)
-        };
-        self.lo[vi] = lo;
-        self.hi[vi] = hi;
-        self.backend.set_var_box(vi, lo, hi);
-    }
-
-    /// Switches the applied boxes from the currently active node to `t`
-    /// by walking the tree: undo up to the lowest common ancestor, apply
-    /// down to `t`. For DFS this performs exactly the unwind/descend
-    /// sequence of the historical recursion; for best-bound it costs the
-    /// path difference of the jump.
-    fn activate(&mut self, t: usize) {
-        let mut a = self.cur;
-        let mut b = t;
-        let mut down: Vec<usize> = Vec::new();
-        while self.arena[a].depth > self.arena[b].depth {
-            self.undo(a);
-            a = self.arena[a].parent;
-        }
-        while self.arena[b].depth > self.arena[a].depth {
-            down.push(b);
-            b = self.arena[b].parent;
-        }
-        while a != b {
-            self.undo(a);
-            a = self.arena[a].parent;
-            down.push(b);
-            b = self.arena[b].parent;
-        }
-        for &n in down.iter().rev() {
-            self.apply(n);
-        }
-        self.cur = t;
-    }
-
-    /// Queues the two children of an expanded node (far branching side
-    /// first, so the LIFO stack pops — and equal-bound heap ties
-    /// resolve — the nearer side first). Under best-bound the nearer
-    /// existing child goes to the plunge slot instead of the queue.
-    /// Children whose box would be empty are never queued.
-    fn expand(
-        &mut self,
-        t: usize,
-        var: VarId,
-        val: f64,
-        bound: f64,
-        basis: Option<Arc<BasisState>>,
-        sol: &Solution,
-    ) {
-        let vi = var.index();
-        let depth = self.arena[t].depth + 1;
-        let signed_bound = self.signed(bound);
-        // Best-estimate scoring (pseudo-cost best-bound only): the
-        // shared completion term Σ_j min(down_j·f⁻_j, up_j·f⁺_j) over
-        // the *other* fractional variables, plus the per-child cost of
-        // rounding `vi` itself. Estimates are predictions — they order
-        // the queue but never prune (pruning reads `OpenNode::bound`).
-        let estimate = self.opts.branching == Branching::PseudoCost
-            && self.opts.node_order == NodeOrder::BestBound;
-        let common = if estimate {
-            let mut sum = 0.0;
-            for &v in &self.int_vars {
-                if v.index() == vi {
-                    continue;
-                }
-                let x = sol.value(v);
-                let fd = x - x.floor();
-                let fu = x.ceil() - x;
-                if fd.min(fu) <= self.opts.int_tol {
-                    continue;
-                }
-                let down = self.pseudo.estimate(v.index(), false) * fd;
-                let up = self.pseudo.estimate(v.index(), true) * fu;
-                sum += down.min(up).max(0.0);
-            }
-            sum
-        } else {
-            0.0
-        };
-        let children = branch_children(t, depth, vi, val, self.lo[vi], self.hi[vi], bound);
-        let mut entries: Vec<OpenNode> = Vec::with_capacity(2);
-        for child in children.into_iter().flatten() {
-            let key = if estimate {
-                signed_bound + common + self.pseudo.estimate(vi, child.up) * child.frac
-            } else {
-                signed_bound
-            };
-            let idx = self.arena.len();
-            self.arena.push(child);
-            self.seq += 1;
-            entries.push(OpenNode {
-                node: idx,
-                bound: signed_bound,
-                key,
-                seq: self.seq,
-                basis: basis.clone(),
-            });
-        }
-        match self.opts.node_order {
-            NodeOrder::DfsNearerFirst => {
-                for e in entries {
-                    self.frontier.push(e);
-                }
-            }
-            NodeOrder::BestBound => {
-                // Children continue the current episode depth-first (the
-                // nearer side, pushed last, pops first).
-                self.dive.extend(entries);
-            }
-        }
-        self.stats.queue_peak = self
-            .stats
-            .queue_peak
-            .max(self.frontier.len() + self.dive.len());
-    }
-
-    /// The main loop: pop, activate, solve, bound, branch.
-    fn run(&mut self) -> Result<(), SolveError> {
-        self.arena.push(TreeNode::root());
-        self.frontier.push(OpenNode {
-            node: 0,
-            bound: f64::NEG_INFINITY,
-            key: f64::NEG_INFINITY,
-            seq: 0,
-            basis: None,
-        });
-        self.stats.queue_peak = 1;
-        loop {
-            // An over-long episode hands its remaining dive entries back
-            // to the queue (each carries its own bound key and basis), so
-            // the globally best bound picks the next episode's root.
-            if self.episode >= self.episode_cap && !self.dive.is_empty() {
-                for e in self.dive.drain(..) {
-                    self.frontier.push(e);
-                }
-            }
-            let open = match self.dive.pop() {
-                Some(p) => {
-                    // A dive node that cannot beat the incumbent is
-                    // discarded unsolved; the episode continues with its
-                    // pending siblings.
-                    let prunable = self
-                        .best
-                        .as_ref()
-                        .is_some_and(|best| p.bound >= self.signed(best.objective) - 1e-9);
-                    if prunable {
-                        continue;
-                    }
-                    p
-                }
-                None => {
-                    self.episode = 0;
-                    let Some(o) = self.frontier.pop() else { break };
-                    if self.opts.node_order == NodeOrder::BestBound {
-                        if let Some(best) = &self.best {
-                            if o.bound >= self.signed(best.objective) - 1e-9 {
-                                match self.opts.branching {
-                                    // Most-fractional keys equal bounds,
-                                    // so the queue is bound-sorted: every
-                                    // remaining open node is at least as
-                                    // bad and the incumbent is proven
-                                    // optimal. Discarded entries were
-                                    // never solved and are not counted
-                                    // as nodes.
-                                    Branching::MostFractional => return Ok(()),
-                                    // Estimate-sorted queue: only this
-                                    // entry is proven prunable; keep
-                                    // draining.
-                                    Branching::PseudoCost => continue,
-                                }
-                            }
-                        }
-                    }
-                    o
-                }
-            };
-            if self.out_of_budget() {
-                self.stats.truncated = true;
-                return Ok(());
-            }
-            self.activate(open.node);
-            self.stats.nodes += 1;
-            self.episode += 1;
-            let mut relax =
-                match self
-                    .backend
-                    .solve_node(self.opts, open.basis.as_deref(), &mut self.stats)
-                {
-                    Ok(sol) => sol,
-                    Err(SolveError::Infeasible) => {
-                        self.stats.node_bounds.push(f64::NAN);
-                        continue;
-                    }
-                    Err(SolveError::IterationLimit) | Err(SolveError::Numerical(_)) => {
-                        // No usable bound for this subtree (budget or
-                        // numerics): prune it and keep whatever incumbent
-                        // exists — aborting would discard a feasible answer
-                        // over one bad node.
-                        self.stats.node_bounds.push(f64::NAN);
-                        self.stats.truncated = true;
-                        continue;
-                    }
-                    // Bound tightenings cannot make a bounded LP unbounded,
-                    // but a free-integer model may genuinely be unbounded at
-                    // the root.
-                    Err(e) => return Err(e),
-                };
-            // Lazy cut separation: tighten violated cut rows to their
-            // integer-valid rhs and re-solve until the point is clean.
-            // The weaker pre-activation bound stays valid, so a failed
-            // re-solve simply keeps it; an Infeasible verdict closes the
-            // node (cuts hold for every integer point in this box).
-            let mut cut_closed = false;
-            if self.backend.cut_count() > 0 {
-                for _ in 0..8 {
-                    let fired = self.backend.separate_cuts(&relax);
-                    if fired == 0 {
-                        break;
-                    }
-                    self.stats.cuts_activated += fired;
-                    match self
-                        .backend
-                        .solve_node(self.opts, open.basis.as_deref(), &mut self.stats)
-                    {
-                        Ok(sol) => relax = sol,
-                        Err(SolveError::Infeasible) => {
-                            cut_closed = true;
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            self.stats.node_bounds.push(relax.objective);
-            let depth = self.arena[open.node].depth;
-            if depth == 0 {
-                self.stats.root_bound = relax.objective;
-            }
-            // Pseudo-cost learning: this node's bound degradation
-            // against its parent, normalized by the branch
-            // fractionality.
-            if self.opts.branching == Branching::PseudoCost {
-                let nd = &self.arena[open.node];
-                if nd.vi != usize::MAX && nd.frac > self.opts.int_tol && nd.parent_obj.is_finite() {
-                    let degrade =
-                        (self.signed(relax.objective) - self.signed(nd.parent_obj)).max(0.0);
-                    self.pseudo.record(nd.vi, nd.up, degrade / nd.frac);
-                    self.stats.pseudo_updates += 1;
-                }
-            }
-            if cut_closed {
-                continue;
-            }
-            if let Some(best) = &self.best {
-                if self.signed(relax.objective) >= self.signed(best.objective) - 1e-9 {
-                    continue; // cannot beat the incumbent
-                }
-            }
-            // Children warm-start from this node's optimal basis —
-            // snapshot before strong-branch probes or the heuristic
-            // perturb the kernel. (Taking it before branching selection
-            // is a pure reorder for most-fractional mode: selection
-            // there never touches the kernel.)
-            let my_basis = self.backend.snapshot(self.opts).map(Arc::new);
-            let Some((var, val)) = self.pick_branch_var(&relax) else {
-                // Integral leaf: the relaxation point IS the optimal
-                // incumbent for this box.
-                self.accept_incumbent(relax);
-                continue;
-            };
-            if self.opts.rounding_heuristic && (depth == 0 || depth.is_multiple_of(8)) {
-                self.offer_incumbent(&relax);
-            }
-            if self.within_gap(self.signed(relax.objective)) {
-                return Ok(());
-            }
-            self.expand(open.node, var, val, relax.objective, my_basis, &relax);
-        }
-        Ok(())
-    }
-}
-
-/// Runs the search with the given backend and assembles the result.
-fn run_search<B: LpBackend>(
-    model: &Model,
-    opts: &SolverOptions,
-    hint: &[(VarId, f64)],
-    backend: B,
-    deadline: Option<Instant>,
-) -> Result<(Solution, BranchBoundStats), SolveError> {
-    let mut core = SearchCore::new(model, opts, backend, deadline);
-    core.stats.cuts_added = core.backend.cut_count();
-    core.seed_hint(hint);
-    core.run()?;
-    // Report the proven dual bound in the model's sense (never NaN, so
-    // bit-exact stats comparisons keep working).
-    core.stats.dual_bound = core.sense_mul * core.proven_dual_bound();
-    core.backend.finish(&mut core.stats);
-    finish(core.best, core.stats)
-}
-
 // ---------------------------------------------------------------------------
-// Shared entry points
+// Entry points
 // ---------------------------------------------------------------------------
 
 pub(crate) fn finish(
@@ -1779,22 +1100,7 @@ pub fn solve_with_stats_hinted(
         }
         return result;
     }
-    let form = Arc::new(form);
-    let result = if opts.workers >= 2 {
-        crate::parallel::solve_parallel(model, opts, hint, form, int_maps, deadline)
-    } else {
-        let mut kernel = Revised::new(&form, opts);
-        kernel.set_deadline(deadline);
-        let active_cuts = vec![false; form.cut_rows.len()];
-        let backend = WarmBackend {
-            model,
-            form,
-            int_maps,
-            kernel,
-            active_cuts,
-        };
-        run_search(model, opts, hint, backend, deadline)
-    };
+    let result = crate::parallel::search(model, opts, hint, Arc::new(form), int_maps, deadline);
     if want_oracle {
         if let Ok((sol, _)) = &result {
             cross_validate_dense(model, opts, sol)?;
@@ -1993,40 +1299,6 @@ mod tests {
         m.add_constraint(LinExpr::var(x), cmp::GE, -2.5);
         let sol = m.solve().unwrap();
         assert_eq!(sol.int_value(x), -2);
-    }
-
-    /// Most-fractional selection golden: when two variables tie on both
-    /// priority and fractionality, the lowest `VarId` wins — a pinned
-    /// tie-break, not an iteration-order accident. Priority still
-    /// dominates fractionality.
-    #[test]
-    fn most_fractional_ties_break_to_lowest_var_id() {
-        let mut m = Model::new(Sense::Minimize);
-        let a = m.add_integer("a", 0.0, 10.0);
-        let b = m.add_integer("b", 0.0, 10.0);
-        let c = m.add_integer("c", 0.0, 10.0);
-        let int_vars = vec![a, b, c];
-        let frac = |m: &Model, values: Vec<f64>| {
-            let sol = Solution {
-                values,
-                objective: 0.0,
-                status: Status::Feasible,
-            };
-            most_fractional_of(m, &int_vars, 1e-6, &sol)
-        };
-        // b and c tie at fractionality 0.5 (a is less fractional):
-        // the lower VarId b wins.
-        assert_eq!(frac(&m, vec![1.25, 2.5, 3.5]), Some((b, 2.5)));
-        // All three tie: the lowest VarId a wins.
-        assert_eq!(frac(&m, vec![1.5, 2.5, 3.5]), Some((a, 1.5)));
-        // An integral point yields no branching candidate.
-        assert_eq!(frac(&m, vec![1.0, 2.0, 3.0]), None);
-        // Priority dominates fractionality; within the top priority
-        // class the VarId tie-break still applies.
-        m.set_priority(b, 5);
-        m.set_priority(c, 5);
-        assert_eq!(frac(&m, vec![1.5, 2.25, 3.25]), Some((b, 2.25)));
-        assert_eq!(frac(&m, vec![1.5, 2.25, 3.75]), Some((b, 2.25)));
     }
 
     #[test]

@@ -99,9 +99,8 @@
 //!   [`BranchBoundStats::weight_resets`] but not a numerical event).
 //! * [`Pricing::Dantzig`] preserves the historical behavior bit-exactly
 //!   — raw worst violation / most negative reduced cost, one
-//!   breakpoint per dual pivot, duals recomputed every pivot. The
-//!   trajectory goldens pin this mode so their numbers stay comparable
-//!   across PRs.
+//!   breakpoint per dual pivot, duals recomputed every pivot. It is the
+//!   pricing A/B baseline and the dense-tableau oracle's rule.
 //!
 //! Directional pivot counters ([`BranchBoundStats::dual_pivots`] /
 //! [`BranchBoundStats::primal_pivots`] /
@@ -128,53 +127,47 @@
 //! test and bench gates assert that injected runs prove the same optima
 //! as their clean twins.
 //!
-//! The search itself is one generic core over **one LP backend** — the
-//! warm revised kernel — with pluggable **node ordering**
+//! The search itself is one work-stealing loop over **one LP backend**
+//! — the warm revised kernel — with pluggable **node ordering**
 //! ([`SolverOptions::node_order`]): depth-first with the nearer
 //! branching side explored first ([`NodeOrder::DfsNearerFirst`], the
-//! default), or a best-bound priority queue ([`NodeOrder::BestBound`])
-//! that expands nodes in parent-LP-bound order with the parent basis
-//! handed off across jumps — the remedy for DFS plateau incumbents
-//! under tight node caps. Every integer variable shape branches
-//! natively: a node box on a shifted, mirrored (upper-bounded, lower
-//! −∞), or fully free (split-pair) integer translates to in-place
-//! column-bound updates on the bounded-variable form, so warm starts,
-//! steepest-edge weights, and pseudo-costs survive across nodes for
-//! every model. The historical rebuild-per-node `LegacyBackend` is
-//! gone; see the `branch_bound` module docs.
+//! default), or a best-estimate priority queue ([`NodeOrder::BestBound`])
+//! with the parent basis handed off across jumps — the remedy for DFS
+//! plateau incumbents under tight node caps. Every integer variable
+//! shape branches natively: a node box on a shifted, mirrored
+//! (upper-bounded, lower −∞), or fully free (split-pair) integer
+//! translates to in-place column-bound updates on the bounded-variable
+//! form, so warm starts, steepest-edge weights, and pseudo-costs survive
+//! across nodes for every model; see the `branch_bound` module docs.
 //!
 //! # Branching and node scoring
 //!
-//! Which variable to branch on is chosen by [`SolverOptions::branching`]:
+//! The search has one branching rule, **pseudo-cost branching with
+//! reliability probes**. It maintains per-variable, per-direction
+//! pseudo-costs — running means of the observed LP bound degradation
+//! per unit of fractionality — learned from every expanded child. Until
+//! a variable's history is *reliable* ([`SolverOptions::reliability`]
+//! observations per direction), the most fractional unreliable
+//! candidates of the highest [`priority`](Model::set_priority) class are
+//! **strong-branched**: both children get a bounded dual-simplex probe
+//! ([`SolverOptions::strong_branch_pivots`], capped at
+//! [`SolverOptions::strong_branch_candidates`] candidates per node) and
+//! the observed degradations seed the table. The candidate maximizing
+//! the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is branched (ties
+//! toward higher fractionality, then the lower [`VarId`]); a probe that
+//! proves a child infeasible biases selection toward the variable but
+//! never prunes, so an unverified probe cannot break correctness.
 //!
-//! * [`Branching::PseudoCost`] (the default) maintains per-variable,
-//!   per-direction **pseudo-costs** — running means of the observed LP
-//!   bound degradation per unit of fractionality — learned from every
-//!   expanded child. Until a variable's history is *reliable*
-//!   ([`SolverOptions::reliability`] observations per direction), the
-//!   most fractional unreliable candidates are **strong-branched**: both
-//!   children get a bounded dual-simplex probe
-//!   ([`SolverOptions::strong_branch_pivots`], capped at
-//!   [`SolverOptions::strong_branch_candidates`] candidates per node)
-//!   and the observed degradations seed the table. The candidate
-//!   maximizing the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is
-//!   branched; a probe that proves a child infeasible biases selection
-//!   toward the variable but never prunes, so an unverified probe cannot
-//!   break correctness. Under [`NodeOrder::BestBound`] the queue is
-//!   keyed on a **best-estimate** score — the node LP bound plus the
-//!   pseudo-cost-predicted cost of repairing every remaining fractional
-//!   variable — rather than the raw parent bound, and the gap test /
-//!   reported [`BranchBoundStats::dual_bound`] use the **global
-//!   open-node minimum** (a valid dual bound) instead of the weak root
-//!   LP bound. With `workers >= 2` the pseudo-cost table is shared:
-//!   node-expansion updates fold in under the existing budget lock,
-//!   probe updates and all reads are lock-free atomics.
-//! * [`Branching::MostFractional`] is the historical rule — highest
-//!   [`priority`](Model::set_priority) class first, most fractional
-//!   within it, ties broken to the lowest [`VarId`] (a pinned golden,
-//!   not an iteration-order accident). The trajectory goldens and the
-//!   ordering A/B benches stay pinned to this mode so their numbers
-//!   remain comparable across PRs.
+//! Under [`NodeOrder::BestBound`] the queue is keyed on a
+//! **best-estimate** score — the node LP bound plus the
+//! pseudo-cost-predicted cost of repairing every remaining fractional
+//! variable — while pruning reads the raw bound. The gap test and the
+//! reported [`BranchBoundStats::dual_bound`] use the **global open-node
+//! minimum** (the frontier joined with the bounds of the episodes in
+//! flight), a valid dual bound; the gap test runs whenever an incumbent
+//! improves. The pseudo-cost table is shared by all workers:
+//! node-expansion updates fold in under the existing budget lock, probe
+//! updates and all reads are lock-free atomics.
 //!
 //! On the retiming MILPs the `MAX_THR` formulation additionally carries
 //! **cycle-sum cuts** (`rr-core`'s formulation layer): every fundamental
@@ -190,22 +183,22 @@
 //!
 //! # Concurrency model
 //!
-//! [`SolverOptions::workers`]` >= 2` runs the search as a
-//! **work-stealing parallel branch & bound** (the `parallel` module);
-//! `workers = 1` (the default) routes through the serial core unchanged
-//! and is bit-exact with the historical single-threaded trajectories.
-//! Every model parallelizes — mirrored and free integers included;
-//! there is no serial-only model class. Unsupported knob combinations
-//! are normalized loudly in one place ([`SolverOptions::resolve`]), not
-//! silently ignored per call site. Ownership is strictly layered:
+//! Every solve runs one **work-stealing branch & bound** loop (the
+//! `parallel` module) with [`SolverOptions::workers`] workers.
+//! `workers = 1` (the default) runs the single worker on the calling
+//! thread — no thread is spawned and the trajectory is deterministic;
+//! `workers >= 2` spawns scoped worker threads. Every model runs at any
+//! worker count — mirrored and free integers included. Unsupported knob
+//! combinations are normalized loudly in one place
+//! ([`SolverOptions::resolve`]), not silently ignored per call site.
+//! Ownership is strictly layered:
 //!
 //! * **Per worker (exclusive):** one `Revised` kernel with its own
 //!   sparse LU factors, eta file, fault injector, and recovery ladder
 //!   state, plus the worker's locally tracked variable boxes. Nothing
 //!   about LP solving is shared, so no kernel state is ever protected by
 //!   a lock — a worker re-derives a claimed node's boxes from the shared
-//!   branch tree (the same LCA walk the serial core uses) and applies
-//!   them to its private kernel.
+//!   branch tree (an LCA walk) and applies them to its private kernel.
 //! * **Shared (read-only):** the standard form behind an `Arc` — built
 //!   once, immutable thereafter.
 //! * **Shared (locked):** the open-node frontier, branch-tree arena, and
@@ -216,8 +209,8 @@
 //! into an atomic (signed-objective bits) *while the incumbent lock is
 //! held*, with `Release` ordering; the hot pruning path reads it
 //! `Acquire` without locking. Because the cutoff only ever tightens, a
-//! racy read sees at worst a slightly stale (looser) value — a node the
-//! serial search would have pruned may get solved redundantly, but no
+//! racy read sees at worst a slightly stale (looser) value — a node a
+//! fresher cutoff would have pruned may get solved redundantly, but no
 //! node is ever pruned against an incumbent that does not exist. The
 //! same monotonicity argument makes discarding queued nodes at claim
 //! time individually sound: each discarded entry's own bound proves its
@@ -231,7 +224,8 @@
 //! factors, and would serialize exactly the slow path that most needs to
 //! stay independent. Instead each worker escalates privately and the
 //! merge layer folds the per-worker [`RecoveryStats`] ledgers together
-//! additively at join, so the reported totals keep their serial shape.
+//! additively at join, so the reported totals have one shape at every
+//! worker count.
 //!
 //! A single wall-clock deadline is captured once at solve start and
 //! installed on every kernel, so N workers share one
@@ -284,8 +278,8 @@ mod standard;
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
 pub use model::{
-    cmp, Branching, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense,
-    SolverOptions, UpdateKind, Variable,
+    cmp, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions,
+    UpdateKind, Variable,
 };
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};

@@ -191,14 +191,13 @@ pub enum Pricing {
     SteepestEdge,
     /// The historical rule: Dantzig (most negative reduced cost /
     /// worst absolute violation) with the automatic Bland fallback,
-    /// no reference weights, one breakpoint per dual pivot. The
-    /// bit-exact trajectory goldens pin this mode so their numbers
-    /// stay comparable across PRs.
+    /// no reference weights, one breakpoint per dual pivot. Kept as
+    /// the pricing A/B baseline and the dense-tableau oracle's rule.
     Dantzig,
 }
 
 /// Node selection strategy of the branch & bound search (see the
-/// `branch_bound` module docs for the search-core architecture).
+/// `branch_bound` module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeOrder {
     /// Depth-first, exploring the nearer branching side first. Cheapest
@@ -207,33 +206,13 @@ pub enum NodeOrder {
     /// subtrees.
     #[default]
     DfsNearerFirst,
-    /// Best-bound first: a priority queue keyed on the parent LP bound
-    /// (ties dive like DFS), with the parent basis handed off to each
-    /// queued child so warm starts survive the jumps. Finds strong
-    /// incumbents earlier under node caps and prunes the whole frontier
-    /// the moment the best queued bound cannot beat the incumbent.
+    /// Best-bound first: a priority queue keyed on a best-estimate score
+    /// (the parent LP bound plus the pseudo-cost-predicted cost of
+    /// repairing the remaining fractional variables; ties dive like
+    /// DFS), with the parent basis handed off to each queued child so
+    /// warm starts survive the jumps. Finds strong incumbents earlier
+    /// under node caps.
     BestBound,
-}
-
-/// Branching-variable selection rule of the branch & bound search (see
-/// the crate-level "Branching and node scoring" docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Branching {
-    /// Pseudo-cost (reliability) branching: per-variable up/down
-    /// pseudo-costs are learned from the bound degradations the search
-    /// observes; a variable whose direction has fewer than
-    /// [`SolverOptions::reliability`] observations is strong-branched
-    /// (both children dual-reoptimized under a small pivot budget)
-    /// before its pseudo-cost is trusted. Candidates are scored by the
-    /// product rule and, under [`NodeOrder::BestBound`], queued children
-    /// are ordered by a best-estimate key instead of the raw parent
-    /// bound. The production default.
-    #[default]
-    PseudoCost,
-    /// Highest priority class first, most fractional within it, ties
-    /// broken toward the lowest [`VarId`]. The historical rule; the
-    /// bit-exact trajectory goldens pin this mode.
-    MostFractional,
 }
 
 /// Resource limits and tolerances for the solver.
@@ -294,17 +273,16 @@ pub struct SolverOptions {
     /// `None` — the default — injects nothing; the recovery ladder and
     /// residual health monitor stay armed either way.
     pub faults: Option<crate::FaultPlan>,
-    /// Branch & bound worker threads. `1` (the default) runs the serial
-    /// search core and is bit-exact with the historical trajectories;
-    /// `>= 2` runs the work-stealing parallel search, where each worker
-    /// owns its own kernel and factors and claims bounded DFS episodes
-    /// from a shared frontier (see the crate-level "Concurrency model"
-    /// docs). Every model parallelizes — there is no serial-only model
-    /// class; [`SolverOptions::resolve`] normalizes `0` to `1` and pins
-    /// the [`Kernel::DenseTableau`] oracle configuration to `1`.
+    /// Branch & bound workers. Every solve runs the same work-stealing
+    /// search loop, where each worker owns its own kernel and factors
+    /// and claims bounded DFS episodes from a shared frontier (see the
+    /// crate-level "Concurrency model" docs). `1` (the default) runs the
+    /// one worker on the calling thread — no thread is spawned, and the
+    /// trajectory is deterministic; `>= 2` spawns that many scoped
+    /// threads. Every model runs at any worker count;
+    /// [`SolverOptions::resolve`] normalizes `0` to `1` and pins the
+    /// [`Kernel::DenseTableau`] oracle configuration to `1`.
     pub workers: usize,
-    /// Branching-variable selection rule (see [`Branching`]).
-    pub branching: Branching,
     /// Reliability threshold of pseudo-cost branching: a variable
     /// direction with fewer recorded observations than this is
     /// strong-branched instead of trusted (0 disables strong branching
@@ -344,7 +322,6 @@ impl Default for SolverOptions {
             refactor_fill_growth: 8.0,
             faults: None,
             workers: 1,
-            branching: Branching::PseudoCost,
             reliability: 4,
             strong_branch_pivots: 100,
             strong_branch_candidates: 8,
@@ -392,7 +369,7 @@ impl SolverOptions {
         if eff.kernel == Kernel::DenseTableau {
             if eff.workers != 1 {
                 notes.push(format!(
-                    "workers: {} -> 1 (the DenseTableau oracle runs serially)",
+                    "workers: {} -> 1 (the DenseTableau oracle runs one worker)",
                     eff.workers
                 ));
                 eff.workers = 1;

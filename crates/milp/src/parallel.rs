@@ -1,4 +1,7 @@
-//! Work-stealing parallel branch & bound over the warm revised backend.
+//! The branch & bound search loop: work-stealing workers over the warm
+//! revised backend. Every solve runs here; with
+//! [`SolverOptions::workers`]` = 1` the one worker runs on the calling
+//! thread and no thread is spawned.
 //!
 //! Layering (see also the crate-level "Concurrency model" docs):
 //!
@@ -14,46 +17,43 @@
 //!   [`crate::revised::Revised`] kernel, sparse factors, fault injector,
 //!   and recovery ladder, sharing only the read-only `Arc<BoxedForm>`.
 //!   A worker claims one open node from the frontier and runs it as a
-//!   bounded DFS **episode** (the serial core's dive mechanism is the
-//!   unit of work): children bypass the queue onto a worker-local dive
-//!   stack until the episode cap trips, whereupon the leftovers — each
-//!   carrying its own bound key and parent-basis `Arc` — are flushed
-//!   back to the shared frontier for any worker to steal. Node boxes are
-//!   re-derived per worker by the same LCA tree walk the serial core
-//!   uses, reading the shared arena under the lock but applying the box
-//!   mutations to the worker's private kernel.
+//!   bounded DFS **episode**: children bypass the queue onto a
+//!   worker-local dive stack until the episode cap trips, whereupon the
+//!   leftovers — each carrying its own bound key and parent-basis
+//!   `Arc` — are flushed back to the shared frontier for any worker to
+//!   steal. Node boxes are re-derived per worker by an LCA walk of the
+//!   shared branch tree, read under the lock but applied to the
+//!   worker's private kernel.
 //!
 //! * **Merge layer** — every worker accumulates a private
 //!   [`BranchBoundStats`]; at join they are folded additively (counters
-//!   sum, peaks max, recovery ledgers absorb) into the single stats
-//!   struct the serial search produces, so `report.rs`, Table-1
-//!   rendering, and `BENCH_milp.json` records keep their shape.
+//!   sum, peaks max, recovery ledgers absorb) into one stats struct, so
+//!   `report.rs`, Table-1 rendering, and `BENCH_milp.json` records do not
+//!   depend on the worker count.
 //!
 //! Termination: a worker that finds the frontier empty while
 //! `outstanding == 0` (no episode still running that could flush more
-//! work) declares the search done. Frontier entries whose bound cannot
-//! beat the cutoff are discarded unsolved at claim time — each discard
-//! is individually sound (its bound alone proves the subtree useless),
-//! so no global agreement is needed. Budget exhaustion (shared node cap
-//! or the single shared deadline) marks the search truncated and stops
-//! every worker at its next claim.
+//! work) declares the search done. Frontier and dive entries whose bound
+//! cannot beat the cutoff are discarded unsolved — each discard is
+//! individually sound (its bound alone proves the subtree useless), so
+//! no global agreement is needed. The gap test runs whenever an
+//! incumbent improves, against the open-node bound. Budget exhaustion
+//! (shared node cap or the single shared deadline) marks the search
+//! truncated and stops every worker at its next claim.
 //!
-//! Every model parallelizes — shifted, mirrored, and free (split-pair)
+//! Every model runs here — shifted, mirrored, and free (split-pair)
 //! integers all branch through the same in-place column-box updates.
-//! `workers <= 1` routes through the serial [`crate::branch_bound`]
-//! core unchanged, which is what makes `workers = 1` bit-exact with the
-//! historical trajectories.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::branch_bound::{
-    branch_children, finish, most_fractional_of, select_branch_var, BranchBoundStats, Frontier,
-    LpBackend, OpenNode, PseudoCosts, TreeNode, WarmBackend,
+    branch_children, finish, select_branch_var, BranchBoundStats, Frontier, OpenNode, PseudoCosts,
+    TreeNode, WarmBackend,
 };
 use crate::expr::VarId;
-use crate::model::{Branching, Model, NodeOrder, Sense, SolverOptions};
+use crate::model::{Model, NodeOrder, Sense, SolverOptions};
 use crate::revised::Revised;
 use crate::solution::{Solution, SolveError};
 use crate::standard::{BoxedForm, ColMap};
@@ -92,7 +92,7 @@ struct Shared {
 /// never blocks node claims. The pruning cutoff is mirrored into
 /// [`Ctx::cutoff`] *while this lock is held*, so the atomic only ever
 /// tightens and a racy read sees, at worst, a slightly stale (looser)
-/// cutoff — which can never prune a node the serial search would keep.
+/// cutoff — which can only keep a node, never prune a good one.
 struct Incumbent {
     best: Option<Solution>,
     incumbents: usize,
@@ -139,9 +139,8 @@ impl Ctx<'_> {
 
     /// Offers `candidate` as an incumbent (must be integral to win) and
     /// returns whether it was installed. On improvement the atomic
-    /// cutoff is tightened before the lock drops; the gap check against
-    /// the root bound runs afterwards (separate lock) and may end the
-    /// whole search.
+    /// cutoff is tightened before the lock drops; the gap check runs
+    /// afterwards (separate lock) and may end the whole search.
     fn accept(&self, candidate: Solution, node_idx: usize) -> bool {
         let integral = self.int_vars.iter().all(|&v| {
             let x = candidate.value(v);
@@ -179,25 +178,18 @@ impl Ctx<'_> {
         installed
     }
 
-    /// Gap termination test (the serial core's stopping rule, evaluated
-    /// on the shared state): against the root LP bound historically
-    /// (most-fractional mode, keeping the pinned goldens bit-exact), or
-    /// against the valid global dual bound — frontier minimum joined
-    /// with the in-flight episode floors — under pseudo-cost branching.
+    /// Gap termination test against the valid global dual bound: the
+    /// frontier minimum joined with the in-flight episode floors.
     fn within_gap(&self) -> bool {
         let bound = {
             let sh = self.shared.lock().unwrap();
             if !sh.root_solved {
                 return false;
             }
-            match self.opts.branching {
-                Branching::MostFractional => self.signed(sh.root_bound),
-                Branching::PseudoCost => sh
-                    .episode_floor
-                    .iter()
-                    .copied()
-                    .fold(sh.frontier.min_bound(), f64::min),
-            }
+            sh.episode_floor
+                .iter()
+                .copied()
+                .fold(sh.frontier.min_bound(), f64::min)
         };
         let inc = {
             let inc = self.incumbent.lock().unwrap();
@@ -224,9 +216,9 @@ struct Worker<'c, 'm> {
     /// applied.
     cur: usize,
     stats: BranchBoundStats,
-    /// Shorter than the serial cap: episodes are also the unit of load
-    /// balancing, so with more workers each claim hands work back to
-    /// the frontier sooner.
+    /// Shrinks with the worker count: episodes are also the unit of
+    /// load balancing, so with more workers each claim hands work back
+    /// to the frontier sooner.
     episode_cap: usize,
 }
 
@@ -262,7 +254,7 @@ impl Worker<'_, '_> {
         }
     }
 
-    /// The serial core's LCA walk, read-only: collects the box
+    /// The branch-tree LCA walk, read-only: collects the box
     /// mutations that switch this worker from `self.cur` to `t` into
     /// `ops` (in application order) and returns `t`'s depth. Runs under
     /// the shared lock (the arena is append-only but `Vec` growth moves
@@ -292,31 +284,6 @@ impl Worker<'_, '_> {
         arena[t].depth
     }
 
-    /// Branching variable, through the same shared selection functions
-    /// the serial core uses (pseudo-cost estimates read lock-free from
-    /// the shared table; strong-branch probes run on this worker's
-    /// private kernel).
-    fn pick_branch_var(&mut self, sol: &Solution) -> Option<(VarId, f64)> {
-        let ctx = self.ctx;
-        match ctx.opts.branching {
-            Branching::MostFractional => {
-                most_fractional_of(ctx.model, &ctx.int_vars, ctx.opts.int_tol, sol)
-            }
-            Branching::PseudoCost => select_branch_var(
-                &mut self.backend,
-                ctx.model,
-                ctx.opts,
-                &ctx.int_vars,
-                sol,
-                &self.lo,
-                &self.hi,
-                ctx.sense_mul,
-                &ctx.pseudo,
-                &mut self.stats,
-            ),
-        }
-    }
-
     /// Round-and-fix heuristic on this worker's kernel; the candidate is
     /// offered through the shared incumbent lock.
     fn offer_incumbent(&mut self, sol: &Solution, node_idx: usize) {
@@ -329,9 +296,7 @@ impl Worker<'_, '_> {
             pins.push((vi, val));
             restore.push((vi, self.lo[vi], self.hi[vi]));
         }
-        let candidate = self
-            .backend
-            .round_and_fix(ctx.opts, &pins, &restore, sol, &mut self.stats);
+        let candidate = self.backend.round_and_fix(ctx.opts, &pins, &restore, sol);
         ctx.accept(candidate, node_idx);
     }
 
@@ -351,10 +316,12 @@ impl Worker<'_, '_> {
         let ctx = self.ctx;
         let vi = var.index();
         let signed_bound = ctx.signed(bound);
-        // Best-estimate keys, mirroring the serial core (estimates order
-        // the queue; pruning reads `OpenNode::bound`).
-        let estimate = ctx.opts.branching == Branching::PseudoCost
-            && ctx.opts.node_order == NodeOrder::BestBound;
+        // Best-estimate scoring (best-bound only): the shared completion
+        // term Σ_j min(down_j·f⁻_j, up_j·f⁺_j) over the *other*
+        // fractional variables, plus the per-child cost of rounding `vi`
+        // itself. Estimates order the queue but never prune (pruning
+        // reads `OpenNode::bound`).
+        let estimate = ctx.opts.node_order == NodeOrder::BestBound;
         let common = if estimate {
             let mut sum = 0.0;
             for &v in &ctx.int_vars {
@@ -413,7 +380,7 @@ impl Worker<'_, '_> {
         let mut solved = 0usize;
         while let Some(open) = dive.pop() {
             if open.bound >= ctx.cutoff() - 1e-9 {
-                continue; // discarded unsolved, like the serial dive
+                continue; // cannot beat the incumbent: discarded unsolved
             }
             // Lock 1: claim one unit of the shared node budget and read
             // the box mutations that move this kernel to the node. Early
@@ -487,11 +454,14 @@ impl Worker<'_, '_> {
                         return false;
                     }
                 };
-            // Lazy cut separation, as in the serial core: activate
-            // violated cuts (publishing each first activation globally)
-            // and re-solve; Infeasible closes the node.
+            // Lazy cut separation: activate violated cuts (publishing
+            // each first activation globally) and re-solve until the
+            // point is clean. The weaker pre-activation bound stays
+            // valid, so a failed re-solve simply keeps it; Infeasible
+            // closes the node (cuts hold for every integer point in this
+            // box).
             let mut cut_closed = false;
-            if self.backend.cut_count() > 0 {
+            if !ctx.cut_flags.is_empty() {
                 for _ in 0..8 {
                     if self.backend.separate_cuts(&relax) == 0 {
                         break;
@@ -530,7 +500,18 @@ impl Worker<'_, '_> {
             let branch = if pruned {
                 None
             } else {
-                self.pick_branch_var(&relax)
+                select_branch_var(
+                    &mut self.backend,
+                    ctx.model,
+                    ctx.opts,
+                    &ctx.int_vars,
+                    &relax,
+                    &self.lo,
+                    &self.hi,
+                    ctx.sense_mul,
+                    &ctx.pseudo,
+                    &mut self.stats,
+                )
             };
             let heuristic_due = ctx.opts.rounding_heuristic
                 && branch.is_some()
@@ -539,8 +520,10 @@ impl Worker<'_, '_> {
                 self.offer_incumbent(&relax, node_idx + 1);
             }
             // Lock 2: publish the bound, record the pseudo-cost
-            // observation (the shared table is updated under the
-            // existing budget lock), and append the children.
+            // observation — this node's bound degradation against its
+            // parent per unit of branch fractionality (the shared table
+            // is updated under the existing budget lock) — and append
+            // the children.
             {
                 let mut sh = ctx.shared.lock().unwrap();
                 sh.node_bounds[node_idx] = relax.objective;
@@ -548,17 +531,12 @@ impl Worker<'_, '_> {
                     sh.root_bound = relax.objective;
                     sh.root_solved = true;
                 }
-                if ctx.opts.branching == Branching::PseudoCost {
-                    let nd = &sh.arena[open.node];
-                    if nd.vi != usize::MAX
-                        && nd.frac > ctx.opts.int_tol
-                        && nd.parent_obj.is_finite()
-                    {
-                        let degrade =
-                            (ctx.signed(relax.objective) - ctx.signed(nd.parent_obj)).max(0.0);
-                        ctx.pseudo.record(nd.vi, nd.up, degrade / nd.frac);
-                        self.stats.pseudo_updates += 1;
-                    }
+                let nd = &sh.arena[open.node];
+                if nd.vi != usize::MAX && nd.frac > ctx.opts.int_tol && nd.parent_obj.is_finite() {
+                    let degrade =
+                        (ctx.signed(relax.objective) - ctx.signed(nd.parent_obj)).max(0.0);
+                    ctx.pseudo.record(nd.vi, nd.up, degrade / nd.frac);
+                    self.stats.pseudo_updates += 1;
                 }
                 if let Some(bv) = branch {
                     self.expand(
@@ -595,7 +573,8 @@ impl Worker<'_, '_> {
     }
 
     /// The worker main loop: claim, run the episode, retire the claim.
-    fn run(&mut self) {
+    /// Returns this worker's stats with its kernel telemetry folded in.
+    fn run(mut self) -> BranchBoundStats {
         while let Some(open) = self.claim() {
             let keep_going = self.episode(open);
             let mut sh = self.ctx.shared.lock().unwrap();
@@ -607,15 +586,18 @@ impl Worker<'_, '_> {
             drop(sh);
             self.ctx.idle.notify_all();
             if !keep_going {
-                return;
+                break;
             }
         }
+        self.backend.finish(&mut self.stats);
+        self.stats
     }
 }
 
-/// Entry point from [`crate::branch_bound::solve_with_stats_hinted`]:
-/// the warm revised path with `opts.workers >= 2`.
-pub(crate) fn solve_parallel(
+/// The search entry point from
+/// [`crate::branch_bound::solve_with_stats_hinted`]: every branch & bound
+/// solve, at any worker count.
+pub(crate) fn search(
     model: &Model,
     opts: &SolverOptions,
     hint: &[(VarId, f64)],
@@ -676,8 +658,9 @@ pub(crate) fn solve_parallel(
             .map(|_| AtomicBool::new(false))
             .collect(),
     };
-    // The serial cap (one integral leaf per episode) divided across the
-    // workers, so early episodes start feeding the frontier quickly.
+    // Long enough for one episode to reach an integral leaf (about one
+    // branching level per fractional integer), divided across the
+    // workers so early episodes start feeding the frontier quickly.
     let episode_cap = (64.max(2 * int_count) / workers).max(8);
     let mut pool: Vec<Worker> = (0..workers)
         .map(|id| {
@@ -704,8 +687,8 @@ pub(crate) fn solve_parallel(
             }
         })
         .collect();
-    // Hint seeding runs serially on worker 0 before any thread spawns
-    // (it may install the first incumbent and tighten the cutoff).
+    // Hint seeding runs on worker 0 before the search starts (it may
+    // install the first incumbent and tighten the cutoff).
     if !hint.is_empty() {
         let w0 = &mut pool[0];
         let mut pins: Vec<(usize, f64)> = Vec::with_capacity(hint.len());
@@ -719,24 +702,19 @@ pub(crate) fn solve_parallel(
             pins.push((vi, val));
             restore.push((vi, w0.lo[vi], w0.hi[vi]));
         }
-        if let Some(sol) = w0.backend.seed_hint(opts, &pins, &restore, &mut w0.stats) {
+        if let Some(sol) = w0.backend.seed_hint(opts, &pins, &restore) {
             ctx.accept(sol, 0);
         }
     }
-    let worker_stats: Vec<BranchBoundStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = pool
-            .into_iter()
-            .map(|mut w| {
-                s.spawn(move || {
-                    w.run();
-                    let mut stats = w.stats;
-                    w.backend.finish(&mut stats);
-                    stats
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let worker_stats: Vec<BranchBoundStats> = if workers == 1 {
+        // One worker runs on the calling thread: no spawn, no join.
+        pool.into_iter().map(Worker::run).collect()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = pool.into_iter().map(|w| s.spawn(move || w.run())).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
     // Merge layer: counters sum, peaks max, recovery ledgers absorb.
     let mut stats = BranchBoundStats {
         order: opts.node_order,

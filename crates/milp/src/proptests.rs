@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use crate::factor::{Eta, Factor, FactorConfig};
 use crate::model::{
-    cmp, Branching, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions, UpdateKind,
+    cmp, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions, UpdateKind,
 };
 use crate::solution::SolveError;
 use crate::LinExpr;
@@ -192,8 +192,8 @@ proptest! {
     /// mirrored, and fully free bound shapes — the class the deleted
     /// `LegacyBackend` used to own — must branch natively on the warm
     /// path and agree with the dense-tableau oracle request across every
-    /// `NodeOrder` × `Branching` × `workers ∈ {1, 2}` combination, with
-    /// integral feasible points throughout.
+    /// `NodeOrder` × `workers ∈ {1, 2}` combination, with integral
+    /// feasible points throughout.
     #[test]
     fn mirrored_and_free_integers_agree_with_dense_oracle(
         lp in planted_unboxed_milp(4, 3),
@@ -208,34 +208,31 @@ proptest! {
         prop_assert!(m.max_violation(dense.values(), 1e-6) < 1e-5);
         for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
             for workers in [1usize, 2] {
-                for branching in [Branching::MostFractional, Branching::PseudoCost] {
-                    let opts = SolverOptions {
-                        node_order: order,
-                        workers,
-                        branching,
-                        ..base.clone()
-                    };
-                    let (sol, stats) = crate::solve_with_stats(&m, &opts)
-                        .expect("planted MILP must be feasible");
-                    prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                    for (i, &v) in vars.iter().enumerate() {
-                        let x = sol[v];
-                        prop_assert!(
-                            (x - x.round()).abs() < 1e-6,
-                            "x{i} = {x} not integral (shape {})",
-                            lp.shapes[i]
-                        );
-                    }
-                    if stats.truncated || dense_stats.truncated {
-                        continue;
-                    }
+                let opts = SolverOptions {
+                    node_order: order,
+                    workers,
+                    ..base.clone()
+                };
+                let (sol, stats) = crate::solve_with_stats(&m, &opts)
+                    .expect("planted MILP must be feasible");
+                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+                for (i, &v) in vars.iter().enumerate() {
+                    let x = sol[v];
                     prop_assert!(
-                        (sol.objective - dense.objective).abs() < 1e-7,
-                        "{order:?}/workers={workers}/{branching:?}: warm {} vs dense oracle {}",
-                        sol.objective,
-                        dense.objective
+                        (x - x.round()).abs() < 1e-6,
+                        "x{i} = {x} not integral (shape {})",
+                        lp.shapes[i]
                     );
                 }
+                if stats.truncated || dense_stats.truncated {
+                    continue;
+                }
+                prop_assert!(
+                    (sol.objective - dense.objective).abs() < 1e-7,
+                    "{order:?}/workers={workers}: warm {} vs dense oracle {}",
+                    sol.objective,
+                    dense.objective
+                );
             }
         }
     }
@@ -543,95 +540,36 @@ proptest! {
         }
     }
 
-    /// A completed best-bound run never expands more nodes than the
-    /// proven-optimal DFS run on the same instance, up to branching
-    /// ties: best-bound must additionally expand some nodes whose LP
-    /// bound *equals* the optimum before the proving incumbent appears
-    /// (DFS can dodge those with a luckily early incumbent). Cold node
-    /// solves keep the two trees identical (warm starts may surface
-    /// different vertices of degenerate node LPs, changing the branching
-    /// variable), so the comparison is exact.
+    /// **Schedule oracle**: node ordering and the worker count change
+    /// which nodes get explored, never which answer comes out. For every
+    /// `NodeOrder` × `workers ∈ {1, 2}` combination, completed runs must
+    /// agree on the objective and return feasible points.
     #[test]
-    fn best_bound_expands_no_more_nodes_than_dfs_plus_ties(lp in planted_lp(5, 4)) {
-        let (m, _vars) = lp.build();
-        // Pinned to most-fractional branching: the tie-counting argument
-        // assumes both trees branch identically at every shared node,
-        // which pseudo-cost probing (history-dependent) would break.
-        let base = SolverOptions {
-            max_nodes: 20_000,
-            warm_start: false,
-            branching: Branching::MostFractional,
-            ..Default::default()
-        };
-        let dfs = crate::solve_with_stats(&m, &base).expect("planted MILP must be feasible");
-        let bb = crate::solve_with_stats(
-            &m,
-            &SolverOptions { node_order: NodeOrder::BestBound, ..base.clone() },
-        )
-        .expect("planted MILP must be feasible");
-        if !dfs.1.truncated && !bb.1.truncated {
-            prop_assert!((dfs.0.objective - bb.0.objective).abs() < 1e-7);
-            let sgn = match m.sense {
-                Sense::Minimize => 1.0,
-                Sense::Maximize => -1.0,
-            };
-            let opt = sgn * bb.0.objective;
-            // Slack nodes: LP bound ties the optimum (or worse), or the
-            // node proved infeasible (bound effectively +∞, recorded as
-            // NaN) — DFS can dodge either with a luckily early
-            // incumbent, best-bound cannot.
-            let ties = bb
-                .1
-                .node_bounds
-                .iter()
-                .filter(|b| b.is_nan() || sgn * **b >= opt - 1e-6)
-                .count();
-            prop_assert!(
-                bb.1.nodes <= dfs.1.nodes + ties,
-                "best-bound expanded {} nodes vs DFS {} + {} ties",
-                bb.1.nodes,
-                dfs.1.nodes,
-                ties
-            );
-        }
-    }
-
-    /// **Branching-rule oracle**: pseudo-cost branching (reliability
-    /// probes, best-estimate scoring) changes which nodes get explored,
-    /// never which answer comes out. For every `NodeOrder` × `workers ∈
-    /// {1, 2}` combination, a completed pseudo-cost run and a completed
-    /// most-fractional run must agree on the objective, and both must
-    /// return feasible integral points. (Planted models carry no
-    /// cycle-sum cuts, so this isolates the branching layer.)
-    #[test]
-    fn pseudo_cost_and_most_fractional_agree(lp in planted_lp(5, 4)) {
+    fn node_orders_and_worker_counts_agree(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
         let mut reference: Option<f64> = None;
         for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
             for workers in [1usize, 2] {
-                for branching in [Branching::MostFractional, Branching::PseudoCost] {
-                    let opts = SolverOptions {
-                        max_nodes: 4_000,
-                        node_order: order,
-                        workers,
-                        branching,
-                        ..Default::default()
-                    };
-                    let (sol, stats) =
-                        crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                    prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                    if stats.truncated {
-                        continue;
-                    }
-                    match reference {
-                        None => reference = Some(sol.objective),
-                        Some(r) => prop_assert!(
-                            (sol.objective - r).abs() < 1e-7,
-                            "{order:?}/workers={workers}/{branching:?}: {} vs reference {}",
-                            sol.objective,
-                            r
-                        ),
-                    }
+                let opts = SolverOptions {
+                    max_nodes: 4_000,
+                    node_order: order,
+                    workers,
+                    ..Default::default()
+                };
+                let (sol, stats) =
+                    crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
+                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+                if stats.truncated {
+                    continue;
+                }
+                match reference {
+                    None => reference = Some(sol.objective),
+                    Some(r) => prop_assert!(
+                        (sol.objective - r).abs() < 1e-7,
+                        "{order:?}/workers={workers}: {} vs reference {}",
+                        sol.objective,
+                        r
+                    ),
                 }
             }
         }

@@ -27,13 +27,21 @@ cargo test -q --offline
 echo "==> cargo test -p rr-milp proptests (fixed-seed kernel/oracle gate)"
 cargo test -q -p rr-milp --offline proptests
 
-# The node-ordering regression: DFS through the unified search core must
-# reproduce the pre-refactor golden trajectories bit-for-bit, best-bound
-# must escape the 40-edge MAX_THR plateau, and both orderings must prove
-# identical optima on every instance they can complete. Fixed seeds and
-# node caps (no wall clocks), so failures reproduce exactly.
-echo "==> cargo test --test search_orders (fixed-seed node-ordering gate)"
-cargo test -q --offline --test search_orders
+# The search gate: one golden table pins the one-worker trajectory of
+# the production search (objective, nodes, pivots, warm/cold split,
+# incumbent trace, cuts activated) on the ring MILP and MAX_THR for
+# bench20, bench40 and s27. Alongside it: both node orderings and
+# workers in {1, 2, 4} prove identical optima on the Table-1 instances,
+# faulted parallel runs agree with their clean twins, mirrored/free
+# integer fixtures solve warm and match the dense oracle, truncation and
+# dual bounds reach the reports, and source-level checks keep the
+# deleted search modes deleted. Fixed seeds and node caps (no wall
+# clocks), so failures reproduce exactly. Run in release: the agreement
+# checks solve every instance at several worker counts. The named
+# trajectory pins in search_orders, backend_unification, parallel_search
+# and pseudo_cost_search run in the cargo test step above.
+echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
+cargo test -q --offline --release --test search_gate
 
 # The self-healing gate: fixed-seed fault-injected runs must prove the
 # same optima as their clean twins on every Table-1 figure and bench
@@ -42,21 +50,6 @@ cargo test -q --offline --test search_orders
 # deterministic SplitMix64 stream per site), so failures replay exactly.
 echo "==> cargo test --test fault_injection (fixed-seed recovery-ladder gate)"
 cargo test -q --offline --release --test fault_injection
-
-# The parallel-search determinism gate: workers=1 must reproduce the
-# serial goldens bit-exact, workers∈{2,4} must prove identical optima
-# and verdicts on every completed Table-1 instance, and fault-injected
-# parallel runs must agree with their clean twins. Run in release: the
-# suite solves every instance at three worker counts.
-echo "==> cargo test --test parallel_search (parallel-search determinism gate)"
-cargo test -q --offline --release --test parallel_search
-
-# The pseudo-cost trajectory gate: node-count goldens for the default
-# search (pseudo-cost branching + cycle-sum cuts) on fixed-seed
-# instances, the search-strength comparisons against most-fractional,
-# and the dual-bound/gap regression tests. Fixed seeds and node caps.
-echo "==> cargo test --test pseudo_cost_search (pseudo-cost golden gate)"
-cargo test -q --offline --release --test pseudo_cost_search
 
 # The pricing gate: steepest-edge (dual steepest-edge rows + Devex
 # columns + long-step ratio test) and the historical Dantzig rule must
@@ -67,30 +60,21 @@ cargo test -q --offline --release --test pseudo_cost_search
 echo "==> cargo test --test pricing_search (pricing agreement gate)"
 cargo test -q --offline --release --test pricing_search
 
-# The backend-unification gate: the two PR 4 golden instances must
-# replay bit-exact through the unified warm backend, mirrored/free
-# integer fixtures (the deleted LegacyBackend's model class) must solve
-# warm at workers∈{1,2} and agree with the dense oracle, and
-# source-level assertions pin that no model clone lives in the node
-# loop. Fixed seeds and node caps, so failures reproduce exactly.
-echo "==> cargo test --test backend_unification (one-backend gate)"
-cargo test -q --offline --release --test backend_unification
-
 # The reduced Table-2 sweep: all 18 ISCAS89 profiles scaled to 20 edges
 # under a deterministic per-MILP node budget (the generous wall clock
-# never binds in practice). Before pseudo-cost branching and cycle-sum
-# cuts, the low-θ MIN_CYC steps of the sweep blew any such budget on
-# most circuits; the gate holds the line at ≥ 12 of 18 circuits with
-# every MILP in their sweeps proven within gap (currently 17–18). The
-# sweep's per-circuit records append to BENCH_milp.json.
-echo "==> table2 --max-edges 20 (reduced Table-2 sweep gate)"
+# never binds in practice). --require-proven names every circuit whose
+# whole sweep is proven within gap at seed 2009, so losing any single
+# proof fails the run and prints every circuit that lost one. The other
+# three (s641, s344, s713) are unproven at this budget. The sweep's
+# per-circuit records append to BENCH_milp.json.
+echo "==> table2 --max-edges 20 (reduced Table-2 per-circuit proof gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
-  --max-edges 20 --max-nodes 20000 --time-limit 600 --require-complete 12
+  --max-edges 20 --max-nodes 20000 --time-limit 600 \
+  --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s953,s1494,s820
 
 # Bench code must at least compile so the perf harness can't silently
 # rot between PRs (running the benches stays a manual/nightly job); this
-# also covers the ordering and parallel A/B arms of milp_scaling
-# (ordering_comparison, parallel_comparison).
+# also covers every A/B arm of milp_scaling.
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 

@@ -1,0 +1,32 @@
+//! Fixtures shared by the branch & bound test files.
+
+use rr_milp::{cmp, LinExpr, Model, Sense};
+
+/// The ring-difference golden instance: difference constraints over a
+/// ring plus coupling knapsack rows, the model of the ring row in the
+/// `search_gate` golden table. The ring pins in `search_orders`,
+/// `backend_unification` and `parallel_search` hold for exactly this
+/// model, so change it only together with them.
+pub fn ring_difference_milp(n: usize, rows: usize) -> Model {
+    let mut m = Model::new(Sense::Minimize);
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
+        .collect();
+    let mut obj = LinExpr::new();
+    for (i, &v) in vars.iter().enumerate() {
+        obj += ((i % 4 + 1) as f64) * v;
+    }
+    m.set_objective(obj);
+    for i in 0..n {
+        let j = (i + 1) % n;
+        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
+    }
+    for r in 0..rows {
+        let mut row = LinExpr::new();
+        for (i, &v) in vars.iter().enumerate() {
+            row += (((i + r) % 5 + 1) as f64) * v;
+        }
+        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
+    }
+    m
+}

@@ -4,8 +4,8 @@
 //! never pruning on a corrupted bound — and the recovery counters must
 //! show the injected faults were actually hit, not skipped around.
 //!
-//! Instances mirror the `search_orders` ordering-regression suite: the
-//! Table-1 paper figures (`MAX_THR` at the min-delay cycle time and
+//! Instances mirror the `search_gate` agreement checks: the Table-1
+//! paper figures (`MAX_THR` at the min-delay cycle time and
 //! `MIN_CYC(1)`) plus the 20/40-edge bench instances (`MIN_CYC(1)`).
 //! Direct `solve_with_stats` runs on a planted MILP cover the deep end
 //! of the ladder (the dense-oracle rung), which hinted runs absorb
@@ -212,8 +212,8 @@ fn fault_injection_is_deterministic() {
 }
 
 /// `faults: None` must be fully inert: the recovery counters of a clean
-/// run are all zero (the golden-trajectory suite in `search_orders`
-/// separately pins that the trajectories are bit-exact).
+/// run are all zero (the golden table in `search_gate` separately pins
+/// the clean trajectories).
 #[test]
 fn clean_runs_record_no_recovery_activity() {
     let m = ring_difference_milp(12, 6);

@@ -1,246 +1,110 @@
-//! Determinism gate for the parallel branch & bound
-//! (`SolverOptions::workers`):
-//!
-//! * **Serial bit-exactness** — `workers = 1` routes through the
-//!   unchanged serial core, so it must reproduce the pinned
-//!   `search_orders` goldens *bit-exact*: same objective, same node and
-//!   pivot counts, same incumbent trace.
-//! * **Schedule independence of verdicts** — `workers ∈ {2, 4}` must
-//!   prove identical optima (≤ 1e-7) and identical verdicts as the
-//!   serial search on every Table-1 instance the serial search
-//!   completes (paper figures × {MAX_THR, MIN_CYC} plus the bench
-//!   `MIN_CYC` instances). The parallel node *schedule* is
-//!   nondeterministic; a completed branch & bound proves the optimum
-//!   regardless of schedule, which is exactly what this asserts.
-//! * **Fault tolerance under parallelism** — a fault-injected parallel
-//!   run (every worker carries its own deterministic injector and
-//!   recovery ladder) must still agree with its clean twin, and the
-//!   merged recovery ledger must show the injections actually fired.
-//!
-//! The multi-instance sweeps fan out through the shared
-//! `parallel_map_bounded` helper — the same bounded-parallelism idiom
-//! the table harness uses.
+//! One-worker identity of the worker loop. With `workers = 1` the single
+//! worker runs on the calling thread, so it is the serial search. Every
+//! way of asking for one worker replays the same trajectory bit-exact:
+//! the default options, an explicit `workers = 1`, and `workers = 0`
+//! (normalized to one worker by `SolverOptions::resolve`). The
+//! multi-worker checks live in `search_gate.rs`.
 
-use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
+mod common;
+
+use common::ring_difference_milp;
+use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, LinExpr, Model, NodeOrder, Pricing,
-    Sense, SolverOptions, Status, UpdateKind,
-};
-use rr_rrg::figures;
-use rr_rrg::Rrg;
-
-/// Deterministic solver options: node caps only, no wall clock. Pinned
-/// to most-fractional branching without cycle-sum cuts — the regime the
-/// trajectory goldens were captured under.
-fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
-    let mut opts = CoreOptions::fast();
-    opts.solver.time_limit = None;
-    opts.solver.max_nodes = max_nodes;
-    opts.solver.node_order = order;
-    opts.solver.factor = FactorKind::Sparse;
-    opts.solver.gap_tol = 1e-9;
-    opts.solver.workers = workers;
-    opts.solver.branching = Branching::MostFractional;
-    opts.solver.pricing = Pricing::Dantzig;
-    opts.cuts = false;
-    opts
-}
-
-/// The `search_orders` golden instance, frozen with its trajectory pins.
-fn ring_difference_milp(n: usize, rows: usize) -> Model {
-    let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj += ((i % 4 + 1) as f64) * v;
-    }
-    m.set_objective(obj);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
-    }
-    for r in 0..rows {
-        let mut row = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            row += (((i + r) % 5 + 1) as f64) * v;
-        }
-        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
-    }
-    m
-}
+use rr_milp::{solve_with_stats, BranchBoundStats, NodeOrder, SolverOptions, Status};
 
 /// Bit-exact stats equality. `node_bounds` holds NaN for failed node
 /// LPs, so the derived `PartialEq` (NaN ≠ NaN) cannot express
 /// "identical trajectory"; those entries are compared bitwise instead.
-fn assert_stats_identical(mut a: rr_milp::BranchBoundStats, mut b: rr_milp::BranchBoundStats) {
-    let bounds_a: Vec<u64> = std::mem::take(&mut a.node_bounds)
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    let bounds_b: Vec<u64> = std::mem::take(&mut b.node_bounds)
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    assert_eq!(bounds_a, bounds_b, "node-bound trajectories diverged");
+fn assert_stats_identical(mut a: BranchBoundStats, mut b: BranchBoundStats) {
+    let bits = |s: &mut BranchBoundStats| -> Vec<u64> {
+        std::mem::take(&mut s.node_bounds)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    assert_eq!(
+        bits(&mut a),
+        bits(&mut b),
+        "node-bound trajectories diverged"
+    );
     assert_eq!(a, b);
 }
 
-/// `workers = 1` reproduces the pinned serial golden bit-exact — and
-/// produces the byte-identical stats struct of a default (`workers`
-/// unset) run, because it *is* the serial code path.
+/// The ring row of the `search_gate` golden table, replayed by the
+/// default options, `workers = 1` and `workers = 0`.
 #[test]
 fn one_worker_matches_the_serial_goldens_bit_exact() {
     let m = ring_difference_milp(12, 6);
-    let serial = SolverOptions {
-        update: UpdateKind::ProductForm,
-        branching: Branching::MostFractional,
-        pricing: Pricing::Dantzig,
-        ..SolverOptions::default()
-    };
-    let explicit = SolverOptions {
-        workers: 1,
-        ..serial.clone()
-    };
-    let (sol_default, stats_default) = solve_with_stats(&m, &serial).unwrap();
-    let (sol, stats) = solve_with_stats(&m, &explicit).unwrap();
-    // The search_orders golden, verbatim.
+    let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!(
         (sol.objective - 50.0).abs() < 1e-12,
         "obj {}",
         sol.objective
     );
-    assert_eq!(stats.nodes, 79, "node count drifted from serial golden");
-    assert_eq!(stats.simplex_iters, 135, "pivot count drifted");
-    assert_eq!(stats.warm_solves, 78);
-    assert_eq!(stats.cold_solves, 1);
-    assert_eq!(stats.incumbents, 1);
-    assert_eq!(stats.first_incumbent_node, 64);
-    assert_eq!(stats.incumbent_trace, vec![(64, 50.0)]);
-    // Bit-exactness against the default run, field for field.
-    assert_eq!(sol.objective.to_bits(), sol_default.objective.to_bits());
-    assert_stats_identical(stats, stats_default);
+    // nodes, pivots, warm solves, cold solves, incumbent trace
+    assert_eq!(
+        (
+            stats.nodes,
+            stats.simplex_iters,
+            stats.warm_solves,
+            stats.cold_solves,
+            stats.incumbent_trace.clone()
+        ),
+        (181, 684, 180, 1, vec![(71, 50.0)]),
+        "one-worker trajectory drifted from the golden"
+    );
+    for workers in [1usize, 0] {
+        let opts = SolverOptions {
+            workers,
+            ..SolverOptions::default()
+        };
+        let (other, other_stats) = solve_with_stats(&m, &opts).unwrap();
+        assert_eq!(
+            other.objective.to_bits(),
+            sol.objective.to_bits(),
+            "workers = {workers}"
+        );
+        assert_stats_identical(other_stats, stats.clone());
+    }
 }
 
-/// `workers = 1` on the best-bound 40-edge plateau case: identical
-/// trajectory to the default serial run, including under truncation.
+/// A truncated best-bound run on the 40-edge `MAX_THR` bench instance:
+/// `workers = 1`, `workers = 0` and a repeat of the one-worker run stop
+/// at the same node with the same incumbent, dual bound and per-node
+/// bound trace.
 #[test]
 fn one_worker_matches_serial_best_bound_truncated_runs() {
     let g = bench_instance(40);
-    let serial =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 1000, 1)).unwrap();
-    let default_run =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 1000, 0)).unwrap();
-    assert_eq!(
-        serial.objective.to_bits(),
-        default_run.objective.to_bits(),
-        "workers=1 diverged from the default serial run"
-    );
-    assert!(serial.stats.truncated);
-    assert_stats_identical(serial.stats, default_run.stats);
-    assert!(serial.objective <= 3.0 + 1e-6);
-}
-
-/// Every Table-1 instance the serial search completes: `workers ∈ {2,4}`
-/// prove the same optimum (≤ 1e-7) with the same verdict.
-#[test]
-fn parallel_workers_prove_identical_optima_on_table1_instances() {
-    let figures: Vec<(&str, Rrg)> = vec![
-        ("figure_1a(0.5)", figures::figure_1a(0.5)),
-        ("figure_1a(0.9)", figures::figure_1a(0.9)),
-        ("figure_1b(0.5)", figures::figure_1b(0.5)),
-        ("figure_2(0.7)", figures::figure_2(0.7)),
-    ];
-    let mut jobs: Vec<(String, Rrg, &'static str)> = Vec::new();
-    for (name, g) in &figures {
-        for problem in ["max_thr", "min_cyc"] {
-            jobs.push((name.to_string(), g.clone(), problem));
-        }
-    }
-    for edges in [20usize, 40] {
-        jobs.push((format!("bench{edges}"), bench_instance(edges), "min_cyc"));
-    }
-    // Outer fan-out through the shared harness helper; each job runs the
-    // serial reference plus both parallel configurations.
-    let failures: Vec<String> = parallel_map_bounded(4, jobs, |(name, g, problem)| {
-        let solve = |workers: usize| {
-            let opts = capped(NodeOrder::BestBound, 20_000, workers);
-            match problem {
-                "max_thr" => formulation::max_thr(&g, g.max_delay(), &opts),
-                _ => formulation::min_cyc(&g, 1.0, &opts),
-            }
+    let run = |workers: usize| {
+        let opts = CoreOptions {
+            solver: SolverOptions {
+                max_nodes: 40,
+                node_order: NodeOrder::BestBound,
+                workers,
+                ..SolverOptions::default()
+            },
+            ..CoreOptions::default()
         };
-        let serial = match solve(1) {
-            Ok(out) => out,
-            Err(e) => return format!("{name}/{problem}: serial failed: {e}"),
-        };
-        if !serial.proven_optimal {
-            return format!("{name}/{problem}: serial did not prove optimality");
-        }
-        for workers in [2usize, 4] {
-            let par = match solve(workers) {
-                Ok(out) => out,
-                Err(e) => return format!("{name}/{problem}: {workers} workers failed: {e}"),
-            };
-            if !par.proven_optimal {
-                return format!("{name}/{problem}: {workers} workers did not prove optimality");
-            }
-            // Relative tolerance: different pivot paths leave LP-level
-            // noise in the recovered objective, which scales with its
-            // magnitude (bench40's τ ≈ 54.6 wobbles by ~2e-7).
-            if (par.objective - serial.objective).abs() > 1e-7 * serial.objective.abs().max(1.0) {
-                return format!(
-                    "{name}/{problem}: {workers} workers found {} vs serial {}",
-                    par.objective, serial.objective
-                );
-            }
-        }
-        String::new()
-    })
-    .into_iter()
-    .filter(|s| !s.is_empty())
-    .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-/// A fault-injected parallel run agrees with its clean parallel twin on
-/// every instance, and the merged per-worker recovery ledgers show the
-/// injections actually fired somewhere in the sweep.
-#[test]
-fn faulted_parallel_runs_agree_with_clean_twins() {
-    let instances: Vec<(String, Rrg)> = vec![
-        ("figure_1a(0.5)".into(), figures::figure_1a(0.5)),
-        ("figure_1b(0.5)".into(), figures::figure_1b(0.5)),
-        ("bench20".into(), bench_instance(20)),
-    ];
-    let mut injected_total = 0usize;
-    for (name, g) in &instances {
-        let solve = |faults: Option<FaultPlan>| {
-            let mut opts = capped(NodeOrder::BestBound, 20_000, 4);
-            opts.solver.faults = faults;
-            formulation::min_cyc(g, 1.0, &opts)
-        };
-        let clean = solve(None).unwrap_or_else(|e| panic!("{name} clean: {e}"));
-        let faulted = solve(Some(FaultPlan::seeded(0xDAC_2009)))
-            .unwrap_or_else(|e| panic!("{name} faulted: {e}"));
-        assert_eq!(clean.stats.recovery.faults_injected, 0);
-        assert!(
-            (clean.objective - faulted.objective).abs() <= 1e-7,
-            "{name}: clean {} vs faulted {}",
-            clean.objective,
-            faulted.objective
-        );
-        assert_eq!(
-            clean.proven_optimal, faulted.proven_optimal,
-            "{name}: verdicts diverged under faults"
-        );
-        injected_total += faulted.stats.recovery.faults_injected;
-    }
+        formulation::max_thr(&g, g.max_delay(), &opts).unwrap()
+    };
+    let one = run(1);
     assert!(
-        injected_total > 0,
-        "the fault plan never fired across the parallel sweep"
+        one.stats.truncated,
+        "completed in {} nodes",
+        one.stats.nodes
     );
+    assert!(!one.proven_optimal);
+    // ξ = 3.0 is the proven optimum (the bench40 golden row): a truncated
+    // run's incumbent cannot beat it, and its dual bound cannot pass it.
+    assert!(one.objective >= 3.0 - 1e-6, "incumbent {}", one.objective);
+    assert!(
+        one.stats.dual_bound <= 3.0 + 1e-6,
+        "dual {}",
+        one.stats.dual_bound
+    );
+    for other in [run(0), run(1)] {
+        assert_eq!(one.objective.to_bits(), other.objective.to_bits());
+        assert_stats_identical(other.stats, one.stats.clone());
+    }
 }

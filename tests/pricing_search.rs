@@ -5,7 +5,7 @@
 //!   rows, Devex entering columns, long-step ratio test, incremental
 //!   reduced costs) and the historical Dantzig rule must prove
 //!   identical optima on the Table-1 figure instances and the bench
-//!   graphs, across both node orderings and serial/parallel search.
+//!   graphs, across both node orderings and one or two workers.
 //! * **Degeneracy** — the Bland anti-cycling fallback still engages
 //!   under steepest-edge pricing: a massively degenerate model must
 //!   terminate at its true optimum.
@@ -19,8 +19,8 @@
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, LinExpr, Model, NodeOrder, Pricing, Sense,
-    SolverOptions, Status,
+    cmp, solve_with_stats, FactorKind, LinExpr, Model, NodeOrder, Pricing, Sense, SolverOptions,
+    Status,
 };
 use rr_rrg::figures;
 
@@ -33,7 +33,6 @@ fn capped(pricing: Pricing, order: NodeOrder, max_nodes: usize, workers: usize) 
     opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
-    opts.solver.branching = Branching::MostFractional;
     opts.solver.pricing = pricing;
     opts.cuts = false;
     opts
@@ -79,9 +78,8 @@ fn pricing_rules_agree_on_table1_instances() {
 }
 
 /// The 20-edge bench instance under the production configuration
-/// (pseudo-cost branching + cycle-sum cuts — plain most-fractional
-/// keeps the `MAX_THR` fractional plateau open at any cap): both
-/// pricings complete and land on the pinned optimum.
+/// (cycle-sum cuts on): both pricings complete and land on the pinned
+/// optimum.
 #[test]
 fn pricing_rules_agree_on_bench20() {
     let g = bench_instance(20);
@@ -137,7 +135,7 @@ fn steepest_edge_terminates_on_a_degenerate_model() {
 }
 
 /// Directional pivot counters tie out against the kernel's total
-/// iteration count on serial warm runs under both pricing rules, and a
+/// iteration count on one-worker warm runs under both pricing rules, and a
 /// warm search actually exercises the dual reoptimizer.
 #[test]
 fn pivot_counters_tie_out_on_serial_warm_runs() {
