@@ -29,8 +29,8 @@ use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::milp_bench_instance as instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, FactorKind, FaultPlan, Kernel, LinExpr, Model, NodeOrder, Pricing,
-    RecoveryStats, Sense, SolverOptions, UpdateKind,
+    cmp, solve_with_stats, FactorKind, FaultPlan, Kernel, LinExpr, Model, NodeOrder, RecoveryStats,
+    Sense, SolverOptions, UpdateKind,
 };
 use rr_rrg::Rrg;
 use rr_tgmg::{lp_bound, skeleton::tgmg_of};
@@ -229,100 +229,6 @@ fn ordering_comparison(_c: &mut Criterion) {
         disagreements.is_empty(),
         "node-ordering regression (records already in BENCH_milp.json):\n{}",
         disagreements.join("\n")
-    );
-}
-
-/// One pricing-rule measurement of `MAX_THR` at a fixed node cap (no
-/// wall clock, so the run is deterministic), under the production
-/// search configuration (cycle-sum cuts on).
-struct PricingMeasurement {
-    record: JsonRecord,
-    objective: f64,
-    pivots: usize,
-    truncated: bool,
-}
-
-fn measure_pricing(name: &str, g: &Rrg, pricing: Pricing, max_nodes: usize) -> PricingMeasurement {
-    let mut opts = CoreOptions::fast();
-    opts.solver.time_limit = None;
-    opts.solver.max_nodes = max_nodes;
-    opts.solver.factor = FactorKind::Sparse;
-    opts.solver.pricing = pricing;
-    let t0 = Instant::now();
-    let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let label = match pricing {
-        Pricing::SteepestEdge => "steepest_edge",
-        Pricing::Dantzig => "dantzig",
-    };
-    let record = JsonRecord::new("milp_scaling")
-        .str("problem", "max_thr_pricing")
-        .str("instance", name)
-        .str("pricing", label)
-        .int("node_cap", max_nodes as u64)
-        .num("wall_ms", wall_ms)
-        .num("objective", out.objective)
-        .int("nodes", out.stats.nodes as u64)
-        .int("pivots", out.stats.simplex_iters as u64)
-        .int("dual_pivots", out.stats.dual_pivots as u64)
-        .int("primal_pivots", out.stats.primal_pivots as u64)
-        .int("bound_flips", out.stats.bound_flips as u64)
-        .int("weight_resets", out.stats.weight_resets as u64)
-        .num("dual_bound", out.stats.dual_bound)
-        .int("truncated", u64::from(out.stats.truncated));
-    PricingMeasurement {
-        record,
-        objective: out.objective,
-        pivots: out.stats.simplex_iters,
-        truncated: out.stats.truncated,
-    }
-}
-
-/// The pricing A/B — the PR 9 hot-path contract: on the 20- and 40-edge
-/// `MAX_THR` benches at the 1000-node cap, steepest-edge pricing (dual
-/// steepest-edge rows, Devex columns, long-step ratio test) must agree
-/// with Dantzig on every completed run, and on the 40-edge instance it
-/// must prove the optimum in **strictly fewer total pivots**. Records
-/// land in `BENCH_milp.json` before the assertions, so a regression
-/// fails loudly with the evidence on disk.
-fn pricing_comparison(_c: &mut Criterion) {
-    let mut records = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    for (name, edges) in [("bench20", 20usize), ("bench40", 40)] {
-        let g = instance(edges);
-        let se = measure_pricing(name, &g, Pricing::SteepestEdge, 1000);
-        let dz = measure_pricing(name, &g, Pricing::Dantzig, 1000);
-        println!(
-            "pricing comparison: max_thr {name} @ 1000 nodes: \
-             steepest_edge obj {} in {} pivots{} vs dantzig obj {} in {} pivots{}",
-            se.objective,
-            se.pivots,
-            if se.truncated { " (truncated)" } else { "" },
-            dz.objective,
-            dz.pivots,
-            if dz.truncated { " (truncated)" } else { "" },
-        );
-        records.push(se.record.clone());
-        records.push(dz.record.clone());
-        if !se.truncated && !dz.truncated && (se.objective - dz.objective).abs() > 1e-7 {
-            regressions.push(format!(
-                "max_thr {name}: completed runs disagree — steepest-edge {} vs dantzig {}",
-                se.objective, dz.objective
-            ));
-        }
-        if name == "bench40" && se.pivots >= dz.pivots {
-            regressions.push(format!(
-                "max_thr {name}: steepest-edge took {} pivots, dantzig {} — \
-                 the pricing hot-path contract is broken",
-                se.pivots, dz.pivots
-            ));
-        }
-    }
-    append(&records);
-    assert!(
-        regressions.is_empty(),
-        "pricing regression (records already in BENCH_milp.json):\n{}",
-        regressions.join("\n")
     );
 }
 
@@ -1032,7 +938,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_lp_scaling, bench_milp_scaling, kernel_comparison, ordering_comparison,
-        pricing_comparison, update_comparison, fault_comparison, parallel_comparison,
-        mirrored_comparison
+        update_comparison, fault_comparison, parallel_comparison, mirrored_comparison
 }
 criterion_main!(benches);

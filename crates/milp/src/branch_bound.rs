@@ -43,14 +43,14 @@
 //!   warm-start A/B baseline). Every variable shape branches natively: a
 //!   box `[lo, hi]` on a shifted, mirrored, or free (split-pair) integer
 //!   translates to standard-form column-bound updates via
-//!   [`ColMap::box_updates`], so warm starts, steepest-edge weights, and
-//!   pseudo-costs survive across nodes for all of them. The dense
-//!   tableau is a kernel-level oracle only — rung 6 of the per-node
-//!   recovery ladder, plus a whole-solve cross-validation pass when
-//!   [`Kernel::DenseTableau`] is requested for a MILP (the search runs
-//!   in the oracle configuration from [`SolverOptions::resolve`], then
-//!   the incumbent's integer assignment is pinned and re-solved by the
-//!   genuine dense tableau, which must reproduce the objective).
+//!   [`ColMap::box_updates`], so warm starts and pseudo-costs survive
+//!   across nodes for all of them. The dense tableau is a kernel-level
+//!   oracle only — rung 6 of the per-node recovery ladder, plus a
+//!   whole-solve cross-validation pass when [`Kernel::DenseTableau`] is
+//!   requested for a MILP (the search runs in the oracle configuration
+//!   from [`SolverOptions::resolve`], then the incumbent's integer
+//!   assignment is pinned and re-solved by the genuine dense tableau,
+//!   which must reproduce the objective).
 //!
 //! The round-and-fix heuristic (round all integer variables of a
 //! relaxation, fix them, re-solve the continuous part) provides early
@@ -154,13 +154,14 @@ pub struct BranchBoundStats {
     /// Basis-change pivots performed by the primal phases, including
     /// artificial drive-out swaps.
     pub primal_pivots: usize,
-    /// Bound flips: primal span-exhausted entering columns plus the
-    /// long-step dual ratio test's flipped candidates
+    /// Bound flips: primal entering columns whose span ran out before
+    /// any basic variable blocked, plus the exhausted candidates every
+    /// dual pivot's long-step ratio test flipped on its way to the
+    /// entering column
     /// (`dual_pivots + primal_pivots + bound_flips = simplex_iters`).
     pub bound_flips: usize,
-    /// Pricing reference frameworks reset to units: drifted dual
-    /// steepest-edge weights (also recorded in `recovery`) plus routine
-    /// Devex reference resets (see [`crate::Pricing`]).
+    /// Always 0: the kernel keeps no pricing weights to reset. The field
+    /// stays because the `perfbench` reports read it.
     pub weight_resets: usize,
 }
 
@@ -594,10 +595,9 @@ impl WarmBackend<'_> {
         stats.peak_u_nnz = stats.peak_u_nnz.max(self.kernel.factor_stats.peak_u_nnz);
         stats.basis_rows = self.kernel.dims().0;
         stats.recovery.absorb(self.kernel.recovery());
-        stats.dual_pivots += self.kernel.pricing_stats.dual_pivots;
-        stats.primal_pivots += self.kernel.pricing_stats.primal_pivots;
-        stats.bound_flips += self.kernel.pricing_stats.bound_flips;
-        stats.weight_resets += self.kernel.pricing_stats.weight_resets;
+        stats.dual_pivots += self.kernel.pivot_stats.dual_pivots;
+        stats.primal_pivots += self.kernel.pivot_stats.primal_pivots;
+        stats.bound_flips += self.kernel.pivot_stats.bound_flips;
     }
 
     /// Checks every inactive cut against `sol`, activates the violated

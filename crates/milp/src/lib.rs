@@ -38,10 +38,10 @@
 //!   heavy ([`SolverOptions::refactor_eta_len`] /
 //!   [`SolverOptions::refactor_fill_growth`]), or eagerly when an
 //!   unstable update is refused;
-//! * pricing maintains **steepest-edge reference weights in both
-//!   simplex directions** ([`SolverOptions::pricing`], see "Pricing"
-//!   below), with an automatic **Bland fallback** after a long
-//!   degenerate run;
+//! * pricing is **one rule** (see "Pricing" below): Dantzig with an
+//!   automatic **Bland fallback** after a long degenerate run in the
+//!   primal phases; the largest box violation and a long-step ratio
+//!   test in the dual;
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
 //!   right-hand-side or bound mutations from any dual-feasible basis.
 //!
@@ -57,56 +57,31 @@
 //!
 //! # Pricing
 //!
-//! Which candidate a simplex iteration pivots on is the largest
-//! per-pivot cost lever in the warm branch & bound hot path — nearly
-//! every node LP is a dual reoptimization of a few pivots, so pivots
-//! *saved* multiply across tens of thousands of nodes.
-//! [`SolverOptions::pricing`] selects the rule:
+//! Nearly every node LP of the warm branch & bound is a dual
+//! reoptimization of a few pivots, so the kernel has one pricing rule,
+//! built for that case:
 //!
-//! * [`Pricing::SteepestEdge`] (the default). The **dual reoptimizer**
-//!   picks its leaving row by `violation²/β_r` against maintained
-//!   reference weights `β_r ≈ ‖B⁻ᵀe_r‖²` (dual steepest edge): a large
-//!   violation along a short edge is a genuinely better exit than a
-//!   huge violation along a badly scaled one. Rows join the reference
-//!   framework **lazily**: a row's weight is anchored to its exact
-//!   norm the first time the scan surfaces it (the `ρ = B⁻ᵀe_r` the
-//!   ratio test needs anyway makes `‖ρ‖²` free) and is maintained from
-//!   then on by the Forrest–Goldfarb recurrence — one extra triangular
-//!   solve (`τ = B⁻¹ρ`) per pivot; unanchored rows keep the unit
-//!   baseline and never feed the recurrence, since folding a norm the
-//!   basis never had through it manufactures garbage weights. Both
-//!   frameworks ride across **both** pivot directions (a primal pivot
-//!   applies the same Forrest–Goldfarb update from its own pivot row),
-//!   so a warm-started node's first dual pivots price against the
-//!   weights the previous node earned instead of cold units.
-//!   **Maintenance is self-checking:** every selection corrects the
-//!   chosen row's weight against its exact norm, and a gross mismatch
-//!   on a framework member (beyond a fixed drift factor) is recorded
-//!   as a [`NumericalEvent::WeightDrift`] and answered by restarting
-//!   the framework, a pricing-tier recovery rung: quality dips for a
-//!   few pivots, correctness never.
-//!   Reduced costs are maintained **incrementally** across dual pivots
-//!   (`rc_j ← rc_j − γ·α_j` from the ratio scan's own column pass)
-//!   instead of recomputing the full dual vector by BTRAN every pivot.
-//!   The dual ratio test takes **long steps** (bound-flip ratio test):
-//!   entering candidates whose box span the dual step exhausts flip
-//!   bounds and the scan continues, so one pivot crosses many
-//!   breakpoints — on box-heavy MILP nodes this collapses chains of
-//!   degenerate pivots into single basis changes. The **primal** loop
-//!   prices by Devex reference weights (`rc²/w_j`, projected steepest
-//!   edge without the exact-norm solves); overflowing frameworks reset
-//!   to units (routine, counted in
-//!   [`BranchBoundStats::weight_resets`] but not a numerical event).
-//! * [`Pricing::Dantzig`] preserves the historical behavior bit-exactly
-//!   — raw worst violation / most negative reduced cost, one
-//!   breakpoint per dual pivot, duals recomputed every pivot. It is the
-//!   pricing A/B baseline and the dense-tableau oracle's rule.
+//! * the **dual reoptimizer** leaves on the row with the largest box
+//!   violation, among the rows whose violation is eligible relative to
+//!   their own rhs/bound scale. It enters by the **long-step
+//!   (bound-flipping) ratio test**: candidates whose box span the dual
+//!   step exhausts flip bounds and the scan continues, so one pivot
+//!   crosses many breakpoints. Reduced costs are maintained
+//!   incrementally (`rc_j ← rc_j − γ·α_j`, from the ratio test's own
+//!   column pass) instead of recomputing the duals every pivot;
+//! * the **primal** phases price by Dantzig (the most violated reduced
+//!   cost), falling back to Bland after a long degenerate run.
+//!
+//! The rule was chosen on the repo benchmark (`perfbench`: the reduced
+//! Table-2 sweep and one 150-edge `MAX_THR` per circuit). Against it,
+//! dual steepest edge with primal Devex pricing took fewer pivots but
+//! cost about 20% more per sweep node and proved nothing more, and
+//! Dantzig without the long step proved one `MAX_THR` fewer at 150
+//! edges (7 of 18 against 8).
 //!
 //! Directional pivot counters ([`BranchBoundStats::dual_pivots`] /
 //! [`BranchBoundStats::primal_pivots`] /
-//! [`BranchBoundStats::bound_flips`]) make the split observable; the
-//! `pricing_comparison` bench arm gates steepest edge on actually
-//! reducing total pivots on the cap-1000 `MAX_THR` runs.
+//! [`BranchBoundStats::bound_flips`]) make the split observable.
 //!
 //! # Failure taxonomy and recovery ladder
 //!
@@ -137,8 +112,8 @@
 //! shape branches natively: a node box on a shifted, mirrored
 //! (upper-bounded, lower −∞), or fully free (split-pair) integer
 //! translates to in-place column-bound updates on the bounded-variable
-//! form, so warm starts, steepest-edge weights, and pseudo-costs survive
-//! across nodes for every model; see the `branch_bound` module docs.
+//! form, so warm starts and pseudo-costs survive across nodes for every
+//! model; see the `branch_bound` module docs.
 //!
 //! # Branching and node scoring
 //!
@@ -278,8 +253,8 @@ mod standard;
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
 pub use model::{
-    cmp, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions,
-    UpdateKind, Variable,
+    cmp, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind,
+    Variable,
 };
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};

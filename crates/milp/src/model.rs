@@ -127,9 +127,11 @@ pub enum Kernel {
     /// relaxations solve directly on the tableau. A branch & bound
     /// search requested with this kernel runs the unified warm revised
     /// backend in the oracle configuration ([`SolverOptions::resolve`]:
-    /// dense factors, product-form updates, Dantzig pricing, cold node
-    /// solves, one worker) and then cross-validates the incumbent's
-    /// pinned integer assignment against the genuine dense tableau.
+    /// dense factors, product-form updates, cold node solves, one
+    /// worker) and then cross-validates the incumbent's pinned integer
+    /// assignment against the genuine dense tableau. Its node bounds come
+    /// from cold two-phase solves, independent of the warm long-step dual
+    /// path the production search takes.
     DenseTableau,
 }
 
@@ -168,32 +170,6 @@ pub enum UpdateKind {
     /// kept as the cross-validation baseline (and the only scheme the
     /// dense-LU oracle supports).
     ProductForm,
-}
-
-/// Pricing rule of the revised simplex kernel — how the primal phase
-/// picks its entering column and how the dual reoptimizer picks its
-/// leaving row (see the crate-level "Pricing" docs). Under
-/// [`Kernel::DenseTableau`] this is normalized to [`Pricing::Dantzig`]
-/// by [`SolverOptions::resolve`] — the tableau oracle's one rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Steepest-edge-style pricing in both simplex directions: the dual
-    /// reoptimizer normalizes each row's box violation by a maintained
-    /// reference weight `‖B⁻ᵀe_r‖²` (updated per pivot from the vectors
-    /// the pivot already computed, with a drift check that resets the
-    /// reference framework through the recovery ladder), the primal
-    /// phase prices by Devex reference weights instead of the bare
-    /// reduced cost, and the dual ratio test takes **long steps**:
-    /// entering candidates whose box span is exhausted flip bounds and
-    /// the scan continues, so one dual pivot can cross many
-    /// breakpoints. The production default.
-    #[default]
-    SteepestEdge,
-    /// The historical rule: Dantzig (most negative reduced cost /
-    /// worst absolute violation) with the automatic Bland fallback,
-    /// no reference weights, one breakpoint per dual pivot. Kept as
-    /// the pricing A/B baseline and the dense-tableau oracle's rule.
-    Dantzig,
 }
 
 /// Node selection strategy of the branch & bound search (see the
@@ -294,8 +270,6 @@ pub struct SolverOptions {
     /// At most this many unreliable candidates are strong-branched per
     /// node (the rest fall back to their pseudo-cost estimates).
     pub strong_branch_candidates: usize,
-    /// Simplex pricing rule (see [`Pricing`]).
-    pub pricing: Pricing,
 }
 
 impl Default for SolverOptions {
@@ -325,7 +299,6 @@ impl Default for SolverOptions {
             reliability: 4,
             strong_branch_pivots: 100,
             strong_branch_candidates: 8,
-            pricing: Pricing::SteepestEdge,
         }
     }
 }
@@ -350,10 +323,9 @@ impl SolverOptions {
     /// * `workers == 0` becomes `1` (a solve needs one worker).
     /// * [`Kernel::DenseTableau`] is an oracle request: the search runs
     ///   the unified warm revised backend pinned to the dense-oracle
-    ///   setup — one worker, [`Pricing::Dantzig`],
-    ///   [`UpdateKind::ProductForm`], [`FactorKind::Dense`], cold node
-    ///   solves — and the incumbent is cross-validated against the
-    ///   genuine dense tableau afterwards.
+    ///   setup — one worker, [`UpdateKind::ProductForm`],
+    ///   [`FactorKind::Dense`], cold node solves — and the incumbent is
+    ///   cross-validated against the genuine dense tableau afterwards.
     ///
     /// Deliberately *not* normalized: [`FactorKind::Dense`] +
     /// [`UpdateKind::ForrestTomlin`] (the dense factor internally
@@ -373,13 +345,6 @@ impl SolverOptions {
                     eff.workers
                 ));
                 eff.workers = 1;
-            }
-            if eff.pricing != Pricing::Dantzig {
-                notes.push(format!(
-                    "pricing: {:?} -> Dantzig (the tableau oracle's one rule)",
-                    eff.pricing
-                ));
-                eff.pricing = Pricing::Dantzig;
             }
             if eff.update != UpdateKind::ProductForm {
                 notes.push(format!(
@@ -776,7 +741,6 @@ mod tests {
         let (eff, notes) = SolverOptions::default().resolve();
         assert!(notes.is_empty(), "defaults must pass through: {notes:?}");
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.pricing, Pricing::SteepestEdge);
 
         let (eff, notes) = SolverOptions {
             workers: 0,
@@ -794,13 +758,11 @@ mod tests {
         .resolve();
         assert_eq!(eff.kernel, Kernel::DenseTableau);
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.pricing, Pricing::Dantzig);
         assert_eq!(eff.update, UpdateKind::ProductForm);
         assert_eq!(eff.factor, FactorKind::Dense);
         assert!(!eff.warm_start);
-        // workers, pricing, update, factor, warm_start each noted.
-        assert_eq!(notes.len(), 5, "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("pricing")), "{notes:?}");
+        // workers, update, factor, warm_start each noted.
+        assert_eq!(notes.len(), 4, "{notes:?}");
 
         // Dense factor + Forrest–Tomlin under the revised kernel is a
         // documented internal degradation, not an option conflict.

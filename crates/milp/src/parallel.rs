@@ -737,7 +737,6 @@ pub(crate) fn search(
         stats.dual_pivots += w.dual_pivots;
         stats.primal_pivots += w.primal_pivots;
         stats.bound_flips += w.bound_flips;
-        stats.weight_resets += w.weight_resets;
     }
     stats.cuts_added = form.cut_rows.len();
     let shared = ctx.shared.into_inner().unwrap();

@@ -17,9 +17,7 @@
 use proptest::prelude::*;
 
 use crate::factor::{Eta, Factor, FactorConfig};
-use crate::model::{
-    cmp, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions, UpdateKind,
-};
+use crate::model::{cmp, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind};
 use crate::solution::SolveError;
 use crate::LinExpr;
 
@@ -786,54 +784,15 @@ proptest! {
         );
     }
 
-    /// **Pricing oracle**: steepest-edge pricing (dual steepest-edge
-    /// rows, Devex columns, long-step ratio test, incremental reduced
-    /// costs) changes which pivots the simplex takes, never which answer
-    /// comes out. For every `NodeOrder` × `workers ∈ {1, 2}` combination,
-    /// completed runs under both pricing rules must agree on the
-    /// objective and return feasible integral points.
-    #[test]
-    fn pricing_rules_agree_on_milp_objectives(lp in planted_lp(5, 4)) {
-        let (m, _vars) = lp.build();
-        let mut reference: Option<f64> = None;
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            for workers in [1usize, 2] {
-                for pricing in [Pricing::SteepestEdge, Pricing::Dantzig] {
-                    let opts = SolverOptions {
-                        max_nodes: 4_000,
-                        node_order: order,
-                        workers,
-                        pricing,
-                        ..Default::default()
-                    };
-                    let (sol, stats) =
-                        crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                    prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                    if stats.truncated {
-                        continue;
-                    }
-                    match reference {
-                        None => reference = Some(sol.objective),
-                        Some(r) => prop_assert!(
-                            (sol.objective - r).abs() < 1e-7,
-                            "{order:?}/workers={workers}/{pricing:?}: {} vs reference {}",
-                            sol.objective,
-                            r
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    /// **Incremental reduced-cost oracle**: the steepest-edge dual
-    /// reoptimizer maintains reduced costs across pivots (`rc_j ← rc_j −
-    /// γ·α_j`) where the Dantzig path recomputes the full dual vector by
-    /// BTRAN every pivot. Twin kernels solving the same planted LP, hit
-    /// with the same box tightening, must agree on the repaired optimum
-    /// and on the feasibility verdict — any drift in the maintained
-    /// reduced costs would steer the long-step ratio test to a dual-
-    /// infeasible column and surface here as a diverging objective.
+    /// **Warm vs cold oracle for the dual reoptimizer**: the long-step
+    /// ratio test steers by reduced costs maintained across pivots
+    /// (`rc_j ← rc_j − γ·α_j`), never recomputed from the duals. A
+    /// kernel warm-started by `dual_reopt` + `primal_opt` after a box
+    /// tightening must agree with a fresh kernel's cold two-phase solve
+    /// of the tightened LP on the optimum and on the feasibility verdict
+    /// — drift in the maintained reduced costs would steer the ratio
+    /// test to a dual-infeasible column and surface here as a diverging
+    /// objective.
     #[test]
     fn dual_reopt_pricings_agree_after_box_tightening(
         lp in planted_lp(6, 5),
@@ -847,29 +806,39 @@ proptest! {
         let (m, _vars) = relaxed.build();
         let bf = crate::standard::BoxedForm::build(&m);
         let j = col.index(lp.nvars);
-        let run = |pricing: Pricing| -> Result<f64, SolveError> {
-            let opts = SolverOptions { pricing, ..Default::default() };
+        let opts = SolverOptions::default();
+        let objective = |k: &crate::revised::Revised| -> f64 {
+            let v = bf.sf.recover(&k.values());
+            lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum()
+        };
+        // Variables are [0, 10] with zero lower bound, so standard-form
+        // column j is variable j unshifted.
+        let warm = || -> Result<f64, SolveError> {
             let mut k = crate::revised::Revised::new(&bf, &opts);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&opts, &mut budget)?;
-            // Variables are [0, 10] with zero lower bound, so standard-
-            // form column j is variable j unshifted.
             k.set_col_bounds(j, 0.0, 10.0 * frac);
             k.dual_reopt(&opts, &mut budget)?;
             k.primal_opt(&opts, &mut budget)?;
-            let v = bf.sf.recover(&k.values());
-            Ok(lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum())
+            Ok(objective(&k))
         };
-        match (run(Pricing::SteepestEdge), run(Pricing::Dantzig)) {
+        let cold = || -> Result<f64, SolveError> {
+            let mut k = crate::revised::Revised::new(&bf, &opts);
+            let mut budget = opts.max_pivots;
+            k.set_col_bounds(j, 0.0, 10.0 * frac);
+            k.solve_two_phase(&opts, &mut budget)?;
+            Ok(objective(&k))
+        };
+        match (warm(), cold()) {
             (Ok(a), Ok(b)) => prop_assert!(
                 (a - b).abs() < 1e-6,
-                "steepest-edge {a} vs dantzig {b} after tightening x{j} to [0, {}]",
+                "warm {a} vs cold {b} after tightening x{j} to [0, {}]",
                 10.0 * frac
             ),
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             (a, b) => prop_assert!(
                 false,
-                "verdicts diverge: steepest-edge {a:?} vs dantzig {b:?}"
+                "verdicts diverge: warm {a:?} vs cold {b:?}"
             ),
         }
     }

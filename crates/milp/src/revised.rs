@@ -25,13 +25,17 @@
 //!   the primal infeasibility introduced by branching. Because any
 //!   optimal basis anywhere in the branch & bound tree is dual feasible
 //!   for *every* node, the search runs as one continuous simplex process
-//!   with in-place bound mutations and no per-node refactorization.
+//!   with in-place bound mutations and no per-node refactorization. The
+//!   leaving row is the largest scale-eligible box violation; the
+//!   entering column comes from the long-step (bound-flipping) ratio
+//!   test over incrementally maintained reduced costs (see the
+//!   crate-level "Pricing" docs).
 //! * [`Revised::set_col_bounds`] / [`Revised::set_rhs`] — mutate a
 //!   column's box or a row's right-hand side in place; `x_B` is lazily
 //!   resynced by one sparse FTRAN at the next pivot run.
 
 use crate::factor::{Eta, Factor, FactorConfig};
-use crate::model::{Pricing, SolverOptions, UpdateKind};
+use crate::model::{SolverOptions, UpdateKind};
 use crate::recover::{
     FaultInjector, FaultSite, NumericalEvent, RecoveryStats, RESIDUAL_CHECK_EVERY,
 };
@@ -68,32 +72,12 @@ pub(crate) struct FactorStats {
     pub peak_u_nnz: usize,
 }
 
-/// Maintained steepest-edge reference weights disagreeing with the
-/// exactly recomputed value by more than this factor (either way) are
-/// treated as corrupted: the event is recorded and the framework reset
-/// (see the crate-level "Pricing" docs). Well inside the update
-/// formula's round-off headroom — healthy weights drift by a few ulps
-/// per pivot, not by an order of magnitude.
-const DSE_DRIFT_FACTOR: f64 = 16.0;
-
-/// Devex reference weights above this trigger a framework reset: the
-/// reference basis is too far away for the weights to approximate
-/// steepest-edge norms, and the magnitudes start to threaten overflow
-/// in the `rc²/w` scores.
-const DEVEX_RESET_ABOVE: f64 = 1e8;
-
-/// Floor of every maintained pricing weight — the exact norms are
-/// `≥ 1` in exact arithmetic (the unit row of `B⁻ᵀe_r` alone), so the
-/// floor only guards the update formula's cancellation.
-const WEIGHT_FLOOR: f64 = 1e-10;
-
-/// Pivot counters split by simplex direction, plus the pricing
-/// framework's reset count (surfaced through
+/// Pivot counters split by simplex direction (surfaced through
 /// [`BranchBoundStats`](crate::BranchBoundStats) and the `milp_scaling`
 /// bench records). `dual_pivots + primal_pivots + bound_flips` equals
 /// [`Revised::iters`] for any single kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct PricingStats {
+pub(crate) struct PivotStats {
     /// Basis-change pivots performed by the dual reoptimizer.
     pub dual_pivots: usize,
     /// Basis-change pivots performed by the primal phases (including
@@ -103,10 +87,6 @@ pub(crate) struct PricingStats {
     /// before any basic variable blocked, plus the dual long-step
     /// ratio test's flipped candidates.
     pub bound_flips: usize,
-    /// Pricing reference frameworks reset to units — drifted dual
-    /// steepest-edge weights (also a recovery-ladder event) plus
-    /// routine Devex reference resets (not a numerical event).
-    pub weight_resets: usize,
 }
 
 /// Outcome of a pivoting phase.
@@ -116,14 +96,11 @@ enum PhaseEnd {
 }
 
 /// Outcome of a dual ratio test: the entering column, its movement
-/// direction, its pivot-row coefficient `α = ρᵀA_q` (as the scan
-/// computed it — the incremental rc update must stay consistent with
-/// it), and the exhausted candidates the long-step scan decided to
-/// bound-flip before the pivot (always empty on the historical path).
+/// direction, and the exhausted candidates the long-step scan decided
+/// to bound-flip before the pivot.
 struct DualChoice {
     enter: usize,
     sigma: f64,
-    alpha: f64,
     flips: Vec<usize>,
 }
 
@@ -188,35 +165,8 @@ pub(crate) struct Revised {
     /// Node-ladder rung 5: price with Bland's rule from the first pivot
     /// instead of waiting for the degenerate-run trigger.
     force_bland: bool,
-    /// Dual steepest-edge reference weights, one per row: `dse[r]`
-    /// approximates `‖B⁻ᵀe_r‖²` for the current basis. Unit-initialized
-    /// at every wholesale basis change (crash/install), exact-corrected
-    /// for the selected row each dual pivot, and maintained across
-    /// pivots by the Forrest–Goldfarb update. Only read under
-    /// [`Pricing::SteepestEdge`].
-    dse: Vec<f64>,
-    /// Reference-framework membership of each `dse` row: `true` once the
-    /// row's weight has been anchored to its exact norm at a selection
-    /// since the last re-baseline. Unreferenced rows keep the unit
-    /// baseline — folding them into the Forrest–Goldfarb update would
-    /// propagate a norm the basis never had, which is what collapses
-    /// weights to the floor and triggers spurious drift resets.
-    dse_ref: Vec<bool>,
-    /// Devex reference weights of the primal pricing loop, one per real
-    /// column. Unit-initialized with the reference framework at every
-    /// wholesale basis change or overflow reset. Only read under
-    /// [`Pricing::SteepestEdge`].
-    devex: Vec<f64>,
-    /// `false` while basis changes the *other* simplex direction made
-    /// (primal pivots for `dse`, dual pivots for `devex`) have not been
-    /// folded into the respective weights — each direction maintains its
-    /// own framework only across its own pivots, so the stale set is
-    /// re-baselined to units at the next loop entry (a routine restart,
-    /// not weight drift).
-    dse_valid: bool,
-    devex_valid: bool,
-    /// Directional pivot counters and weight-reset telemetry.
-    pub(crate) pricing_stats: PricingStats,
+    /// Directional pivot counters.
+    pub(crate) pivot_stats: PivotStats,
 }
 
 impl Revised {
@@ -253,12 +203,7 @@ impl Revised {
             injector: opts.faults.as_ref().map(FaultInjector::new),
             deadline: opts.time_limit.map(|d| Instant::now() + d),
             force_bland: false,
-            dse: vec![1.0; m],
-            dse_ref: vec![false; m],
-            devex: vec![1.0; n],
-            dse_valid: true,
-            devex_valid: true,
-            pricing_stats: PricingStats::default(),
+            pivot_stats: PivotStats::default(),
         }
     }
 
@@ -670,9 +615,6 @@ impl Revised {
         // re-establishes them (the warm-start caller installs a parent
         // *optimal* basis and immediately dual-reoptimizes).
         self.dual_ok = false;
-        // The maintained pricing weights describe the *old* basis; a
-        // wholesale swap restarts both frameworks from units.
-        self.reset_weights();
         self.refactor()?;
         self.compute_xb();
         Ok(())
@@ -705,17 +647,6 @@ impl Revised {
             .collect();
         self.factor.as_ref().expect("factorized").btran(&mut y);
         y
-    }
-
-    /// Resets both pricing reference frameworks to units. Called at
-    /// every wholesale basis change; *event* resets (drift, Devex
-    /// overflow) are counted separately by their call sites.
-    fn reset_weights(&mut self) {
-        self.dse.iter_mut().for_each(|w| *w = 1.0);
-        self.dse_ref.iter_mut().for_each(|r| *r = false);
-        self.devex.iter_mut().for_each(|w| *w = 1.0);
-        self.dse_valid = true;
-        self.devex_valid = true;
     }
 
     /// Phase-2 reduced costs of every real column, basic entries exactly
@@ -875,7 +806,6 @@ impl Revised {
     /// qualify by construction), otherwise a signed artificial.
     fn crash(&mut self) {
         self.dual_ok = false;
-        self.reset_weights();
         self.in_basis.iter_mut().for_each(|x| *x = false);
         // A cold solve starts from scratch: every column rests at its
         // lower bound (persisting upper-bound states would smuggle
@@ -930,14 +860,10 @@ impl Revised {
 
     /// Entering column over the real nonbasic columns: Bland (first
     /// improving) when `bland`, otherwise Dantzig (largest dual
-    /// violation) or — under [`Pricing::SteepestEdge`] — Devex, ranking
-    /// the same improving candidates by `rc²/w_j` against the maintained
-    /// reference weights (see the crate-level "Pricing" docs). At the
-    /// lower bound a negative reduced cost improves; at the upper bound
-    /// a positive one does.
+    /// violation). At the lower bound a negative reduced cost improves;
+    /// at the upper bound a positive one does.
     fn price(&self, y: &[f64], phase1: bool, bland: bool, opts: &SolverOptions) -> Option<usize> {
         let tol = opts.feas_tol;
-        let devex = opts.pricing == Pricing::SteepestEdge;
         let mut best: Option<usize> = None;
         let mut best_score = 0.0f64;
         for j in 0..self.n {
@@ -952,111 +878,12 @@ impl Revised {
             if bland {
                 return Some(j);
             }
-            let ranked = if devex {
-                score * score / self.devex[j].max(WEIGHT_FLOOR)
-            } else {
-                score
-            };
-            if ranked > best_score {
-                best_score = ranked;
+            if score > best_score {
+                best_score = score;
                 best = Some(j);
             }
         }
         best
-    }
-
-    /// Maintains **both** reference frameworks across a primal pivot at
-    /// `prow` entering `enter`. The pivot row `ρ = B⁻ᵀe_prow` (one
-    /// extra BTRAN) feeds the Devex update, and — since `‖ρ‖²` is then
-    /// free — also anchors `dse[prow]` exactly and carries the dual
-    /// steepest-edge framework through the primal loop with the same
-    /// Forrest–Goldfarb update a dual pivot would apply (the formula
-    /// only cares about the basis change, not which direction chose
-    /// it). Without this the framework would re-baseline at every
-    /// `dual_reopt` entry and warm-started nodes would price their
-    /// first dual pivots from cold units. Must run *before* the pivot
-    /// mutates the basis and factors.
-    fn update_weights_primal(&mut self, prow: usize, enter: usize, d: &[f64]) {
-        let mut rho = vec![0.0; self.m];
-        rho[prow] = 1.0;
-        self.factor.as_ref().expect("factorized").btran(&mut rho);
-        self.update_devex_weights(prow, enter, d[prow], &rho);
-        let exact: f64 = rho.iter().map(|v| v * v).sum();
-        self.dse[prow] = exact.max(WEIGHT_FLOOR);
-        self.dse_ref[prow] = true;
-        self.update_dse_weights(prow, &rho, d);
-    }
-
-    /// Devex reference-weight update for a primal pivot at `prow`
-    /// entering `enter` (`alpha_q = d[prow]`, the pivot element; `rho`
-    /// the precomputed pivot row `B⁻ᵀe_prow`): every nonbasic
-    /// candidate's weight is raised to at least `(α_j/α_q)²·w_q`, and
-    /// the leaving column restarts at the weight the entering one
-    /// implies. An overflowing framework resets to units: a routine
-    /// Devex event, counted in `weight_resets` but not in the recovery
-    /// ledger. Must run *before* the pivot mutates the basis and
-    /// factors.
-    fn update_devex_weights(&mut self, prow: usize, enter: usize, alpha_q: f64, rho: &[f64]) {
-        let wq = self.devex[enter].max(1.0);
-        let mut peak = 0.0f64;
-        for j in 0..self.n {
-            if self.in_basis[j] || j == enter || self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            let alpha = self.col_dot(j, rho);
-            if alpha != 0.0 {
-                let k = alpha / alpha_q;
-                let cand = k * k * wq;
-                if cand > self.devex[j] {
-                    self.devex[j] = cand;
-                }
-                peak = peak.max(self.devex[j]);
-            }
-        }
-        let leaving = self.basis[prow];
-        if leaving < self.n {
-            self.devex[leaving] = (wq / (alpha_q * alpha_q)).max(1.0);
-            peak = peak.max(self.devex[leaving]);
-        }
-        if peak > DEVEX_RESET_ABOVE {
-            self.devex.iter_mut().for_each(|w| *w = 1.0);
-            self.pricing_stats.weight_resets += 1;
-        }
-    }
-
-    /// Devex counterpart for a **dual** pivot: the long-step ratio test
-    /// already made a full `α_j = ρᵀA_j` pass, so the primal framework
-    /// rides through the dual loop with the same max-form update at no
-    /// extra solve — keeping both frameworks warm across the
-    /// dual-then-primal reoptimization of every warm-started node.
-    fn update_devex_from_alphas(&mut self, alphas: &[f64], enter: usize, leaving: usize) {
-        let alpha_q = alphas[enter];
-        if alpha_q == 0.0 {
-            return;
-        }
-        let wq = self.devex[enter].max(1.0);
-        let mut peak = 0.0f64;
-        for (j, &alpha) in alphas.iter().enumerate().take(self.n) {
-            if self.in_basis[j] || j == enter || self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            if alpha != 0.0 {
-                let k = alpha / alpha_q;
-                let cand = k * k * wq;
-                if cand > self.devex[j] {
-                    self.devex[j] = cand;
-                }
-                peak = peak.max(self.devex[j]);
-            }
-        }
-        if leaving < self.n {
-            self.devex[leaving] = (wq / (alpha_q * alpha_q)).max(1.0);
-            peak = peak.max(self.devex[leaving]);
-        }
-        if peak > DEVEX_RESET_ABOVE {
-            self.devex.iter_mut().for_each(|w| *w = 1.0);
-            self.pricing_stats.weight_resets += 1;
-        }
     }
 
     /// Bounded-variable ratio test for an entering column moving by
@@ -1133,14 +960,6 @@ impl Revised {
     ) -> Result<PhaseEnd, SolveError> {
         self.sync_xb();
         self.dual_ok = false;
-        let steepest = opts.pricing == Pricing::SteepestEdge;
-        if steepest && !self.devex_valid {
-            // Dual pivots since the last primal loop changed the basis
-            // without maintaining the Devex framework — restart it from
-            // units (a routine re-reference, not an event).
-            self.devex.iter_mut().for_each(|w| *w = 1.0);
-            self.devex_valid = true;
-        }
         let mut degenerate_run = 0usize;
         let switch_after = 4 * (self.m + self.n);
         let mut bland = self.force_bland;
@@ -1187,18 +1006,15 @@ impl Revised {
                 }
                 self.at_upper[enter] = !self.at_upper[enter];
                 self.iters += 1;
-                self.pricing_stats.bound_flips += 1;
+                self.pivot_stats.bound_flips += 1;
             } else {
                 let Some(prow) = block else {
                     return Err(SolveError::Numerical(
                         "ratio test returned a finite blocking step without a row".into(),
                     ));
                 };
-                if steepest {
-                    self.update_weights_primal(prow, enter, &d);
-                }
                 self.pivot(prow, enter, sigma, t, d, spike, to_upper, opts)?;
-                self.pricing_stats.primal_pivots += 1;
+                self.pivot_stats.primal_pivots += 1;
             }
             *pivots_left -= 1;
             pivots_done += 1;
@@ -1291,9 +1107,7 @@ impl Revised {
                     // Degenerate swap: the artificial sits at 0, so the
                     // entering column does not move (t = 0).
                     self.pivot(r, enter, 1.0, 0.0, d, spike, false, opts)?;
-                    self.pricing_stats.primal_pivots += 1;
-                    self.dse_valid = false;
-                    self.devex_valid = false;
+                    self.pivot_stats.primal_pivots += 1;
                     *pivots_left = pivots_left.saturating_sub(1);
                 }
             }
@@ -1323,7 +1137,6 @@ impl Revised {
         // Infeasible (dual unbounded) and IterationLimit, after which
         // the basis is still a valid warm-start seed.
         self.dual_ok = true;
-        let steepest = opts.pricing == Pricing::SteepestEdge;
         // Box violations are judged per row, relative to the row's own
         // rhs/bound scale — the same hygiene the phase-1 exit uses. The
         // noise floor tracks the *global* scale: FTRAN mixes rows, so
@@ -1333,25 +1146,10 @@ impl Revised {
         let scales = self.row_scales();
         let global = scales.iter().fold(0.0f64, |a, &v| a.max(v));
         let noise_floor = 1e3 * f64::EPSILON * global;
-        // Incremental reduced costs (SteepestEdge): one BTRAN + column
-        // pass here, then updated per pivot from the `alpha`s the ratio
-        // scan computed anyway. Dantzig recomputes the duals every pivot
-        // — the historical (golden-pinned) behavior.
-        let mut rc = if steepest {
-            self.reduced_costs()
-        } else {
-            Vec::new()
-        };
-        if steepest && !self.dse_valid {
-            // Primal pivots since the last dual loop changed the basis
-            // without maintaining the steepest-edge weights — restart
-            // the reference framework (a routine re-reference, not
-            // drift): every row reverts to the unit baseline and drops
-            // out of the framework until a selection re-anchors it.
-            self.dse.iter_mut().for_each(|w| *w = 1.0);
-            self.dse_ref.iter_mut().for_each(|r| *r = false);
-            self.dse_valid = true;
-        }
+        // Incremental reduced costs: one BTRAN + column pass here, then
+        // updated per pivot from the `alpha`s the ratio test computes
+        // anyway.
+        let mut rc = self.reduced_costs();
         let mut just_refactored = false;
         let mut pivots_done = 0usize;
         loop {
@@ -1360,7 +1158,7 @@ impl Revised {
             // must see the corrected values.
             self.checkpoint(pivots_done, opts)?;
             let Some((prow, below, worst)) =
-                self.dual_leaving_row(&scales, noise_floor, steepest, opts.feas_tol)
+                self.dual_leaving_row(&scales, noise_floor, opts.feas_tol)
             else {
                 return Ok(()); // primal feasible (and still dual feasible)
             };
@@ -1369,85 +1167,32 @@ impl Revised {
                 return Err(SolveError::IterationLimit);
             }
 
-            // Row prow of B⁻¹A.
+            // Row prow of B⁻¹A. One column pass computes α_j = ρᵀA_j for
+            // every nonbasic column, feeding both the long-step ratio
+            // test and the incremental rc update.
             let mut rho = vec![0.0; self.m];
             rho[prow] = 1.0;
             self.factor.as_ref().expect("factorized").btran(&mut rho);
-            if steepest {
-                // The exact norm is free at the selected row — always
-                // correct the maintained weight with it, and treat a
-                // gross mismatch as a corrupted reference framework
-                // (recovery-ladder pricing rung: reset to units; pricing
-                // quality dips for a few pivots, correctness never).
-                let exact: f64 = rho.iter().map(|v| v * v).sum();
-                let w = self.dse[prow];
-                if !self.dse_ref[prow] {
-                    // Lazy anchoring: an unreferenced row won the scan
-                    // on the unit baseline, but that score is not
-                    // comparable with the exact norms of framework
-                    // members (true row norms here can run to 1e4, so
-                    // the baseline overstates the row by that factor).
-                    // Anchor it with the norm just computed and rescan
-                    // rather than pivoting on a mispriced row — each
-                    // rescan permanently admits one row, so this
-                    // terminates, and only rows the scan actually
-                    // surfaces ever pay the anchoring BTRAN.
-                    self.dse[prow] = exact.max(WEIGHT_FLOOR);
-                    self.dse_ref[prow] = true;
-                    continue;
-                }
-                // Framework members — anchored to their exact norm at an
-                // earlier selection and FG-maintained since — are
-                // self-checking: a gross mismatch means the maintained
-                // framework is corrupted, not merely stale.
-                if !(w <= DSE_DRIFT_FACTOR * exact && exact <= DSE_DRIFT_FACTOR * w) {
-                    self.recovery.record(NumericalEvent::WeightDrift);
-                    self.recovery.weight_resets += 1;
-                    self.pricing_stats.weight_resets += 1;
-                    self.dse.iter_mut().for_each(|x| *x = 1.0);
-                    self.dse_ref.iter_mut().for_each(|r| *r = false);
-                    self.dse[prow] = exact.max(WEIGHT_FLOOR);
-                    self.dse_ref[prow] = true;
-                    continue;
-                }
-                self.dse[prow] = exact.max(WEIGHT_FLOOR);
-            }
-
-            // Ratio test: one column pass computes α_j = ρᵀA_j for every
-            // nonbasic column under steepest edge (feeding the long-step
-            // scan *and* the incremental rc update); the Dantzig path
-            // keeps the historical lazy per-candidate evaluation.
-            let alphas: Vec<f64> = if steepest {
-                (0..self.n)
-                    .map(|j| {
-                        if self.in_basis[j] {
-                            0.0
-                        } else {
-                            self.col_dot(j, &rho)
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let choice = if steepest {
-                self.dual_enter_steepest(&alphas, &rc, below, worst, opts)
-            } else {
-                let y = self.duals(false);
-                self.dual_enter_dantzig(&rho, &y, below, opts)
-            };
-            let Some(choice) = choice else {
-                // Dual unbounded: the violated row cannot be repaired
-                // (under the long-step test: not even with every
-                // exhausted candidate flipped to its other bound).
-                return Err(SolveError::Infeasible);
-            };
-            let DualChoice {
+            let alphas: Vec<f64> = (0..self.n)
+                .map(|j| {
+                    if self.in_basis[j] {
+                        0.0
+                    } else {
+                        self.col_dot(j, &rho)
+                    }
+                })
+                .collect();
+            let Some(DualChoice {
                 enter,
                 sigma,
-                alpha: alpha_enter,
                 flips,
-            } = choice;
+            }) = self.dual_ratio_test(&alphas, &rc, below, worst, opts)
+            else {
+                // Dual unbounded: the violated row cannot be repaired,
+                // not even with every exhausted candidate flipped to its
+                // other bound.
+                return Err(SolveError::Infeasible);
+            };
             // Long-step bound flips: each flipped candidate crosses to
             // its other bound (the coming dual step moves its reduced
             // cost across zero admissibly), eating `|α|·span` of the
@@ -1461,7 +1206,7 @@ impl Revised {
                         self.pending.push((r, -a * dv));
                     }
                     self.iters += 1;
-                    self.pricing_stats.bound_flips += 1;
+                    self.pivot_stats.bound_flips += 1;
                     *pivots_left = pivots_left.saturating_sub(1);
                 }
                 self.sync_xb();
@@ -1480,39 +1225,31 @@ impl Revised {
                 }
                 self.refactor()?;
                 self.compute_xb();
-                if steepest {
-                    rc = self.reduced_costs();
-                }
+                rc = self.reduced_costs();
                 just_refactored = true;
                 continue;
             }
             just_refactored = false;
             let leaving = self.basis[prow];
-            if steepest {
-                self.update_dse_weights(prow, &rho, &d);
-                self.update_devex_from_alphas(&alphas, enter, leaving);
-            }
             self.dual_pivot(prow, enter, sigma, below, d, spike, opts)?;
-            self.pricing_stats.dual_pivots += 1;
-            if steepest {
-                // The dual step moved the duals by γ·ρ with
-                // γ = rc_q/α_q, so every nonbasic reduced cost moves by
-                // −γ·α_j — the α pass above already holds every α_j.
-                // The leaving variable lands nonbasic at rc = −γ; the
-                // entering one becomes basic at exactly 0.
-                let gamma = rc[enter] / alpha_enter;
-                if gamma != 0.0 {
-                    for (rcj, &alpha) in rc.iter_mut().zip(&alphas) {
-                        if alpha != 0.0 {
-                            *rcj -= gamma * alpha;
-                        }
+            self.pivot_stats.dual_pivots += 1;
+            // The dual step moved the duals by γ·ρ with γ = rc_q/α_q, so
+            // every nonbasic reduced cost moves by −γ·α_j — the α pass
+            // above already holds every α_j. The leaving variable lands
+            // nonbasic at rc = −γ; the entering one becomes basic at
+            // exactly 0.
+            let gamma = rc[enter] / alphas[enter];
+            if gamma != 0.0 {
+                for (rcj, &alpha) in rc.iter_mut().zip(&alphas) {
+                    if alpha != 0.0 {
+                        *rcj -= gamma * alpha;
                     }
                 }
-                if leaving < self.n {
-                    rc[leaving] = -gamma;
-                }
-                rc[enter] = 0.0;
             }
+            if leaving < self.n {
+                rc[leaving] = -gamma;
+            }
+            rc[enter] = 0.0;
             *pivots_left = pivots_left.saturating_sub(1);
             pivots_done += 1;
         }
@@ -1524,19 +1261,17 @@ impl Revised {
     /// variable's finite bound magnitudes) and floored at the global
     /// round-off allowance — an absolute cutoff would both pivot on
     /// round-off next to a 1e6-scaled row and miss genuine violations
-    /// on tiny-scaled ones (see the mixed-scale regression test). Under
-    /// steepest edge the selection ranks by `violation²/β_r` against
-    /// the maintained reference weights instead of the raw worst
-    /// violation. Returns `(row, violated_below, violation)`.
+    /// on tiny-scaled ones (see the mixed-scale regression test). Among
+    /// the eligible rows the largest raw violation wins. Returns
+    /// `(row, violated_below, violation)`.
     fn dual_leaving_row(
         &self,
         scales: &[f64],
         noise_floor: f64,
-        steepest: bool,
         tol: f64,
     ) -> Option<(usize, bool, f64)> {
         let mut prow: Option<(usize, bool, f64)> = None;
-        let mut best_score = 0.0f64;
+        let mut best = 0.0f64;
         for (r, &row_scale) in scales.iter().enumerate().take(self.m) {
             let (lb, ub) = self.box_of(self.basis[r]);
             let mut scale = row_scale;
@@ -1554,95 +1289,27 @@ impl Revised {
             } else {
                 (over, false)
             };
-            if viol <= cut {
-                continue;
-            }
-            let score = if steepest {
-                viol * viol / self.dse[r].max(WEIGHT_FLOOR)
-            } else {
-                viol
-            };
-            if score > best_score {
-                best_score = score;
+            if viol > cut && viol > best {
+                best = viol;
                 prow = Some((r, is_below, viol));
             }
         }
         prow
     }
 
-    /// Dual ratio test, historical single-breakpoint form: among
-    /// eligible entering candidates (pivot above `pivot_tol`, movement
-    /// repairing the violated row), the smallest `|rc|/|α|` wins, ties
-    /// within `0.01·feas_tol` — **anchored at the running minimum
-    /// ratio**, see the chained-tie regression test — broken toward the
-    /// larger pivot magnitude. Reduced costs come fresh from the duals
-    /// `y`. `None` means no candidate can repair the row (dual
-    /// unbounded).
-    fn dual_enter_dantzig(
-        &self,
-        rho: &[f64],
-        y: &[f64],
-        below: bool,
-        opts: &SolverOptions,
-    ) -> Option<DualChoice> {
-        let ratio_tie = 0.01 * opts.feas_tol;
-        let mut enter: Option<(usize, f64, f64)> = None;
-        let mut best_ratio = f64::INFINITY;
-        let mut best_alpha = 0.0f64;
-        for j in 0..self.n {
-            if self.in_basis[j] || self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            let alpha = self.col_dot(j, rho);
-            if alpha.abs() <= opts.pivot_tol {
-                continue;
-            }
-            let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
-            // Need −sigma·alpha > 0 when below (raise xb), < 0 when
-            // above (lower xb).
-            let effect = -sigma * alpha;
-            if (below && effect <= opts.pivot_tol) || (!below && effect >= -opts.pivot_tol) {
-                continue;
-            }
-            let rc = self.cost_of(j, false) - self.col_dot(j, y);
-            // Dual feasibility: rc ≥ 0 at lower, ≤ 0 at upper; clamp
-            // round-off.
-            let num = if self.at_upper[j] {
-                (-rc).max(0.0)
-            } else {
-                rc.max(0.0)
-            };
-            let ratio = num / alpha.abs();
-            if ratio < best_ratio - ratio_tie
-                || (ratio < best_ratio + ratio_tie && alpha.abs() > best_alpha)
-            {
-                // Anchor the tie window at the running minimum: a tie
-                // winner's own (larger) ratio must not become the next
-                // comparison anchor.
-                best_ratio = best_ratio.min(ratio);
-                enter = Some((j, sigma, alpha));
-                best_alpha = alpha.abs();
-            }
-        }
-        enter.map(|(enter, sigma, alpha)| DualChoice {
-            enter,
-            sigma,
-            alpha,
-            flips: Vec::new(),
-        })
-    }
-
     /// Dual ratio test, long-step ("bound-flip") form: candidates sorted
-    /// by ratio are consumed in order — one whose box span the dual step
-    /// exhausts **flips bounds** and the scan continues with the row
-    /// violation reduced by `|α|·span`, so a single dual pivot crosses
-    /// many breakpoints. The first candidate the remaining violation
-    /// does not exhaust enters the basis (a tie window anchored at its
-    /// ratio still breaks toward the larger pivot). `None` — committing
-    /// no flips — means the row stays violated even with every
-    /// candidate flipped: the dual ray is unbounded over the boxes, the
-    /// node LP infeasible.
-    fn dual_enter_steepest(
+    /// by ratio `|rc|/|α|` are consumed in order — one whose box span
+    /// the dual step exhausts **flips bounds** and the scan continues
+    /// with the row violation reduced by `|α|·span`, so a single dual
+    /// pivot crosses many breakpoints. The first candidate the remaining
+    /// violation does not exhaust enters the basis; ties within
+    /// `0.01·feas_tol` of **its** ratio — the window stays anchored
+    /// there, not at a tie winner's own larger ratio (see the
+    /// chained-tie regression test) — break toward the larger pivot.
+    /// `None` — committing no flips — means the row stays violated even
+    /// with every candidate flipped: the dual ray is unbounded over the
+    /// boxes, the node LP infeasible.
+    fn dual_ratio_test(
         &self,
         alphas: &[f64],
         rc: &[f64],
@@ -1710,46 +1377,8 @@ impl Revised {
         Some(DualChoice {
             enter,
             sigma,
-            alpha: alphas[enter],
             flips,
         })
-    }
-
-    /// Forrest–Goldfarb dual steepest-edge weight update for a pivot at
-    /// `prow` with direction `d = B⁻¹A_q`: with `τ = B⁻¹ρ` (one extra
-    /// solve against the pre-pivot factors — the scheme's per-pivot
-    /// surcharge) and `β_r` the selected row's exact norm,
-    /// `β'_i = β_i − 2·(d_i/d_r)·τ_i + (d_i/d_r)²·β_r` for `i ≠ r` and
-    /// `β'_r = β_r/d_r²`, floored against cancellation. Must run
-    /// *before* the pivot mutates the factors.
-    ///
-    /// Only rows inside the reference framework are updated: the formula
-    /// is exact precisely when `β_i` is, and folding an unreferenced
-    /// unit baseline through it manufactures weights (often collapsing
-    /// to the floor through cancellation) for a norm the basis never
-    /// had. Unreferenced rows stay at the baseline until a selection
-    /// anchors them.
-    fn update_dse_weights(&mut self, prow: usize, rho: &[f64], d: &[f64]) {
-        let mut tau = rho.to_vec();
-        self.factor.as_ref().expect("factorized").ftran(&mut tau);
-        let dr = d[prow];
-        let beta_r = self.dse[prow];
-        for i in 0..self.m {
-            if i == prow || !self.dse_ref[i] {
-                continue;
-            }
-            let k = d[i] / dr;
-            if k != 0.0 {
-                // Relative safeguard: catastrophic cancellation between
-                // the three terms cannot drag the weight below a small
-                // fraction of the incoming `k²·β_r` content.
-                let guard = 1e-4 * k * k * beta_r;
-                self.dse[i] = (self.dse[i] - 2.0 * k * tau[i] + k * k * beta_r)
-                    .max(guard)
-                    .max(WEIGHT_FLOOR);
-            }
-        }
-        self.dse[prow] = (beta_r / (dr * dr)).max(WEIGHT_FLOOR);
     }
 
     /// One dual pivot: drive `xb[prow]` exactly onto its violated bound.
@@ -1823,7 +1452,7 @@ impl Revised {
         fresh.upper.copy_from_slice(&self.upper);
         fresh.iters = self.iters;
         fresh.factor_stats = self.factor_stats;
-        fresh.pricing_stats = self.pricing_stats;
+        fresh.pivot_stats = self.pivot_stats;
         fresh.recovery = std::mem::take(&mut self.recovery);
         fresh.injector = self.injector.take();
         fresh.deadline = self.deadline;
@@ -2361,9 +1990,12 @@ mod tests {
     }
 
     /// **Chained-tie anchor regression (dual)**: same construction as the
-    /// primal test, driven through `dual_enter_dantzig`. Column 1 ties
-    /// the true minimum (column 0) and out-pivots it; column 2 is only a
-    /// tie of the *winner*, not of the minimum, and must not enter.
+    /// primal test, driven through the long-step `dual_ratio_test`. The
+    /// row violation (1.0) is below every candidate's `|α|·span`, so
+    /// nothing flips and column 0 (the minimum ratio) is the scan's
+    /// entering candidate. Column 1 ties it and out-pivots it; column 2
+    /// is only a tie of the *winner*, not of the minimum, and must not
+    /// enter — it would if the window were anchored at the pick.
     #[test]
     fn chained_near_ties_do_not_walk_the_dual_tie_window() {
         let opts = SolverOptions::default();
@@ -2376,9 +2008,11 @@ mod tests {
                 "row was rescaled; rebuild the probe"
             );
         }
-        let y = vec![0.0];
+        // With zero duals every reduced cost is the column's own cost.
+        let alphas: Vec<f64> = (0..3).map(|j| k.col_dot(j, &rho)).collect();
+        let rc: Vec<f64> = (0..3).map(|j| k.cost_of(j, false)).collect();
         let choice = k
-            .dual_enter_dantzig(&rho, &y, false, &opts)
+            .dual_ratio_test(&alphas, &rc, false, 1.0, &opts)
             .expect("a candidate must be found");
         assert_eq!(
             choice.enter, 1,
@@ -2409,14 +2043,12 @@ mod tests {
         k.xb = vec![2e6 + 0.03, 1.01];
         let scales = vec![2e6, 1.0];
         let noise_floor = 1e3 * f64::EPSILON * 2e6;
-        for steepest in [false, true] {
-            let (row, below, viol) = k
-                .dual_leaving_row(&scales, noise_floor, steepest, opts.feas_tol)
-                .expect("the unit-scale violation must be seen");
-            assert_eq!(row, 1, "round-off on the 2e6-scale row out-scored it");
-            assert!(!below);
-            assert!((viol - 0.01).abs() < 1e-12);
-        }
+        let (row, below, viol) = k
+            .dual_leaving_row(&scales, noise_floor, opts.feas_tol)
+            .expect("the unit-scale violation must be seen");
+        assert_eq!(row, 1, "round-off on the 2e6-scale row out-scored it");
+        assert!(!below);
+        assert!((viol - 0.01).abs() < 1e-12);
     }
 
     /// The long-step dual ratio test flips span-exhausted candidates and
@@ -2437,14 +2069,13 @@ mod tests {
         let alphas = vec![2.0, 1.0];
         let rc = vec![0.1, 0.2]; // ratios 0.05 and 0.2
         let choice = k
-            .dual_enter_steepest(&alphas, &rc, false, 1.0, &opts)
+            .dual_ratio_test(&alphas, &rc, false, 1.0, &opts)
             .expect("the second candidate must absorb the step");
         assert_eq!(choice.flips, vec![0], "best-ratio column must bound-flip");
         assert_eq!(choice.enter, 1);
-        assert!((choice.alpha - 1.0).abs() < 1e-15);
         // Violation beyond every candidate's combined reach: infeasible.
         assert!(
-            k.dual_enter_steepest(&alphas, &rc, false, 20.0, &opts)
+            k.dual_ratio_test(&alphas, &rc, false, 20.0, &opts)
                 .is_none(),
             "an inexhaustible violation is a dual ray"
         );

@@ -35,11 +35,12 @@ cargo test -q -p rr-milp --offline proptests
 # faulted parallel runs agree with their clean twins, mirrored/free
 # integer fixtures solve warm and match the dense oracle, truncation and
 # dual bounds reach the reports, and source-level checks keep the
-# deleted search modes deleted. Fixed seeds and node caps (no wall
-# clocks), so failures reproduce exactly. Run in release: the agreement
-# checks solve every instance at several worker counts. The named
-# trajectory pins in search_orders, backend_unification, parallel_search
-# and pseudo_cost_search run in the cargo test step above.
+# deleted search modes and pricing rules deleted. Fixed seeds and node
+# caps (no wall clocks), so failures reproduce exactly. Run in release:
+# the agreement checks solve every instance at several worker counts.
+# The named trajectory pins in search_orders, backend_unification,
+# parallel_search and pseudo_cost_search, and the pricing checks in
+# pricing_search, run in the cargo test step above.
 echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
 cargo test -q --offline --release --test search_gate
 
@@ -51,26 +52,17 @@ cargo test -q --offline --release --test search_gate
 echo "==> cargo test --test fault_injection (fixed-seed recovery-ladder gate)"
 cargo test -q --offline --release --test fault_injection
 
-# The pricing gate: steepest-edge (dual steepest-edge rows + Devex
-# columns + long-step ratio test) and the historical Dantzig rule must
-# prove identical optima on the Table-1 figures and the bench-20
-# instance across orderings and worker counts, steepest edge must
-# terminate on a massively degenerate model, and the directional pivot
-# counters must tie out against the kernel's iteration ledger.
-echo "==> cargo test --test pricing_search (pricing agreement gate)"
-cargo test -q --offline --release --test pricing_search
-
 # The reduced Table-2 sweep: all 18 ISCAS89 profiles scaled to 20 edges
 # under a deterministic per-MILP node budget (the generous wall clock
 # never binds in practice). --require-proven names every circuit whose
 # whole sweep is proven within gap at seed 2009, so losing any single
 # proof fails the run and prints every circuit that lost one. The other
-# three (s641, s344, s713) are unproven at this budget. The sweep's
+# three (s641, s953, s713) are unproven at this budget. The sweep's
 # per-circuit records append to BENCH_milp.json.
 echo "==> table2 --max-edges 20 (reduced Table-2 per-circuit proof gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 \
-  --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s953,s1494,s820
+  --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820
 
 # Bench code must at least compile so the perf harness can't silently
 # rot between PRs (running the benches stays a manual/nightly job); this

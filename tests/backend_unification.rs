@@ -2,10 +2,13 @@
 //! A `Kernel::DenseTableau` MILP request runs the production backend
 //! and worker loop in the oracle configuration of
 //! `SolverOptions::resolve` (one worker, dense LU, product-form
-//! updates, Dantzig pricing, cold node solves), then re-solves the
-//! incumbent's integer assignment through the genuine dense tableau.
-//! Both golden instances replay through that path bit-exact, reach the
-//! optimum of their `search_gate` golden row, and never warm-start.
+//! updates, cold node solves), then re-solves the incumbent's integer
+//! assignment through the genuine dense tableau. Both golden instances
+//! replay through that path bit-exact, reach the optimum of their
+//! `search_gate` golden row, and never warm-start. The oracle's node
+//! bounds come from cold two-phase solves, not from the warm long-step
+//! dual path of the production search, so the shared optima check that
+//! path independently.
 
 mod common;
 

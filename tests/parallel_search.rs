@@ -51,7 +51,7 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
             stats.cold_solves,
             stats.incumbent_trace.clone()
         ),
-        (181, 684, 180, 1, vec![(71, 50.0)]),
+        (161, 728, 160, 1, vec![(54, 50.0)]),
         "one-worker trajectory drifted from the golden"
     );
     for workers in [1usize, 0] {

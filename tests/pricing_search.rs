@@ -1,14 +1,16 @@
-//! Pricing-rule regression suite for the revised simplex kernel
-//! (`SolverOptions::pricing`):
+//! Regression suite for the revised simplex kernel's one pricing rule:
+//! the dual reoptimizer leaves on the largest scale-eligible violation
+//! and enters by the long-step ratio test over incrementally maintained
+//! reduced costs; the primal phases price by Dantzig with the Bland
+//! fallback.
 //!
-//! * **Agreement** — steepest-edge pricing (dual steepest-edge leaving
-//!   rows, Devex entering columns, long-step ratio test, incremental
-//!   reduced costs) and the historical Dantzig rule must prove
-//!   identical optima on the Table-1 figure instances and the bench
-//!   graphs, across both node orderings and one or two workers.
-//! * **Degeneracy** — the Bland anti-cycling fallback still engages
-//!   under steepest-edge pricing: a massively degenerate model must
-//!   terminate at its true optimum.
+//! * **Agreement** — the production search proves the same optima as
+//!   the `Kernel::DenseTableau` oracle request on the Table-1 figure
+//!   instances, across both node orderings and one or two workers. The
+//!   oracle's node bounds come from cold two-phase solves, so it checks
+//!   the warm long-step path independently.
+//! * **Degeneracy** — the Bland anti-cycling fallback still engages: a
+//!   massively degenerate model must terminate at its true optimum.
 //! * **Counter ledger** — the directional pivot counters tie out:
 //!   `dual_pivots + primal_pivots + bound_flips = simplex_iters` on
 //!   warm runs, and a warm search actually takes dual pivots.
@@ -19,13 +21,13 @@
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, FactorKind, LinExpr, Model, NodeOrder, Pricing, Sense, SolverOptions,
+    cmp, solve_with_stats, FactorKind, Kernel, LinExpr, Model, NodeOrder, Sense, SolverOptions,
     Status,
 };
 use rr_rrg::figures;
 
 /// Deterministic solver options: node caps only, no wall clock.
-fn capped(pricing: Pricing, order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
+fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
@@ -33,14 +35,14 @@ fn capped(pricing: Pricing, order: NodeOrder, max_nodes: usize, workers: usize) 
     opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
-    opts.solver.pricing = pricing;
     opts.cuts = false;
     opts
 }
 
-/// Both pricing rules prove identical optima on every Table-1 figure
-/// instance, for both problems, both node orderings and `workers ∈
-/// {1, 2}` — completed runs only, which at these sizes is all of them.
+/// The production search proves the optimum of the dense-tableau oracle
+/// request on every Table-1 figure instance, for both problems, both
+/// node orderings and `workers ∈ {1, 2}` — completed runs only, which
+/// at these sizes is all of them.
 #[test]
 fn pricing_rules_agree_on_table1_instances() {
     let instances = [
@@ -50,26 +52,27 @@ fn pricing_rules_agree_on_table1_instances() {
     ];
     for (name, g) in &instances {
         for problem in ["max_thr", "min_cyc"] {
+            let solve = |o: &CoreOptions| {
+                match problem {
+                    "max_thr" => formulation::max_thr(g, g.max_delay(), o),
+                    _ => formulation::min_cyc(g, 1.0, o),
+                }
+                .unwrap_or_else(|e| panic!("{name}/{problem}: {e}"))
+            };
+            let mut oracle_opts = capped(NodeOrder::DfsNearerFirst, 20_000, 1);
+            oracle_opts.solver.kernel = Kernel::DenseTableau;
+            let oracle = solve(&oracle_opts);
+            assert!(oracle.proven_optimal, "{name}/{problem}: oracle truncated");
             for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
                 for workers in [1usize, 2] {
-                    let solve = |pricing: Pricing| {
-                        let o = capped(pricing, order, 20_000, workers);
-                        match problem {
-                            "max_thr" => formulation::max_thr(g, g.max_delay(), &o),
-                            _ => formulation::min_cyc(g, 1.0, &o),
-                        }
-                        .unwrap_or_else(|e| panic!("{name}/{problem}: {e}"))
-                    };
-                    let se = solve(Pricing::SteepestEdge);
-                    let dz = solve(Pricing::Dantzig);
-                    assert!(se.proven_optimal, "{name}/{problem}: SE truncated");
-                    assert!(dz.proven_optimal, "{name}/{problem}: Dantzig truncated");
+                    let out = solve(&capped(order, 20_000, workers));
+                    assert!(out.proven_optimal, "{name}/{problem}: truncated");
                     assert!(
-                        (se.objective - dz.objective).abs() < 1e-7,
+                        (out.objective - oracle.objective).abs() < 1e-7,
                         "{name}/{problem}/{order:?}/workers={workers}: \
-                         steepest-edge {} vs dantzig {}",
-                        se.objective,
-                        dz.objective
+                         production {} vs dense oracle {}",
+                        out.objective,
+                        oracle.objective
                     );
                 }
             }
@@ -77,31 +80,9 @@ fn pricing_rules_agree_on_table1_instances() {
     }
 }
 
-/// The 20-edge bench instance under the production configuration
-/// (cycle-sum cuts on): both pricings complete and land on the pinned
-/// optimum.
-#[test]
-fn pricing_rules_agree_on_bench20() {
-    let g = bench_instance(20);
-    for pricing in [Pricing::SteepestEdge, Pricing::Dantzig] {
-        let mut o = CoreOptions::fast();
-        o.solver.time_limit = None;
-        o.solver.max_nodes = 4000;
-        o.solver.factor = FactorKind::Sparse;
-        o.solver.pricing = pricing;
-        let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
-        assert!(out.proven_optimal, "{pricing:?} truncated");
-        assert!(
-            (out.objective - 6.497_501_818_546_008_5).abs() < 1e-6,
-            "{pricing:?}: obj {}",
-            out.objective
-        );
-    }
-}
-
 /// A massively degenerate model — many redundant facets through the
-/// same vertex — terminates at its optimum under steepest-edge pricing:
-/// the degenerate-run Bland fallback is pricing-agnostic.
+/// same vertex — terminates at its optimum: the degenerate-run Bland
+/// fallback still engages alongside the long-step dual path.
 #[test]
 fn steepest_edge_terminates_on_a_degenerate_model() {
     let mut m = Model::new(Sense::Maximize);
@@ -123,7 +104,6 @@ fn steepest_edge_terminates_on_a_degenerate_model() {
         }
     }
     let opts = SolverOptions {
-        pricing: Pricing::SteepestEdge,
         max_nodes: 20_000,
         ..SolverOptions::default()
     };
@@ -135,26 +115,21 @@ fn steepest_edge_terminates_on_a_degenerate_model() {
 }
 
 /// Directional pivot counters tie out against the kernel's total
-/// iteration count on one-worker warm runs under both pricing rules, and a
-/// warm search actually exercises the dual reoptimizer.
+/// iteration count on a one-worker warm run, and a warm search actually
+/// exercises the dual reoptimizer.
 #[test]
 fn pivot_counters_tie_out_on_serial_warm_runs() {
     let g = bench_instance(20);
-    for pricing in [Pricing::SteepestEdge, Pricing::Dantzig] {
-        let o = capped(pricing, NodeOrder::DfsNearerFirst, 2000, 1);
-        let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
-        let s = &out.stats;
-        assert_eq!(
-            s.dual_pivots + s.primal_pivots + s.bound_flips,
-            s.simplex_iters,
-            "{pricing:?}: counter ledger does not tie out"
-        );
-        assert!(s.primal_pivots > 0, "{pricing:?}: no primal pivots counted");
-        assert!(
-            s.dual_pivots > 0,
-            "{pricing:?}: warm search never took a dual pivot"
-        );
-    }
+    let o = capped(NodeOrder::DfsNearerFirst, 2000, 1);
+    let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
+    let s = &out.stats;
+    assert_eq!(
+        s.dual_pivots + s.primal_pivots + s.bound_flips,
+        s.simplex_iters,
+        "counter ledger does not tie out"
+    );
+    assert!(s.primal_pivots > 0, "no primal pivots counted");
+    assert!(s.dual_pivots > 0, "warm search never took a dual pivot");
 }
 
 /// The ledger also ties out through the parallel merge layer (every
@@ -162,12 +137,12 @@ fn pivot_counters_tie_out_on_serial_warm_runs() {
 #[test]
 fn pivot_counters_tie_out_across_workers() {
     let g = bench_instance(20);
-    let o = capped(Pricing::SteepestEdge, NodeOrder::BestBound, 2000, 2);
+    let o = capped(NodeOrder::BestBound, 2000, 2);
     let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
     let s = &out.stats;
     assert_eq!(
         s.dual_pivots + s.primal_pivots + s.bound_flips,
         s.simplex_iters,
-        "parallel merge lost pricing counters"
+        "parallel merge lost pivot counters"
     );
 }

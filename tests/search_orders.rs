@@ -1,20 +1,17 @@
 //! Depth-first trajectory pins. The ring MILP and the bench20 `MAX_THR`
 //! instance replay their rows of the `search_gate` golden table under an
 //! explicit `NodeOrder::DfsNearerFirst` request, and the historical
-//! golden configuration (product-form updates, Dantzig pricing) must
-//! reach the same optima and replay its own trajectory bit-exact. The
-//! names date from the search-core refactor these pins first guarded;
-//! the values were re-pinned when most-fractional branching was deleted
-//! and every solve moved onto the worker loop.
+//! golden configuration (product-form updates) must reach the same
+//! optima and replay its own trajectory bit-exact. The names date from
+//! the search-core refactor these pins first guarded; the values follow
+//! the golden table whenever the production trajectory changes.
 
 mod common;
 
 use common::ring_difference_milp;
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    solve_with_stats, BranchBoundStats, NodeOrder, Pricing, SolverOptions, Status, UpdateKind,
-};
+use rr_milp::{solve_with_stats, BranchBoundStats, NodeOrder, SolverOptions, Status, UpdateKind};
 
 /// The bench20 `MAX_THR` optimum (the warm-start hint already holds it).
 const BENCH20_OPTIMUM: f64 = 6.497_501_818_546_008_5;
@@ -29,12 +26,11 @@ fn dfs(max_nodes: usize) -> SolverOptions {
     }
 }
 
-/// The historical golden configuration: product-form updates and
-/// Dantzig pricing on top of [`dfs`].
+/// The historical golden configuration: product-form updates on top of
+/// [`dfs`].
 fn historical(max_nodes: usize) -> SolverOptions {
     SolverOptions {
         update: UpdateKind::ProductForm,
-        pricing: Pricing::Dantzig,
         ..dfs(max_nodes)
     }
 }
@@ -64,7 +60,7 @@ fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
             s.truncated,
             s.incumbent_trace
         ),
-        (181, 684, 180, 1, false, vec![(71, 50.0)]),
+        (161, 728, 160, 1, false, vec![(54, 50.0)]),
         "trajectory drifted from the golden"
     );
     let (a, sa) = solve_with_stats(&m, &historical(20_000)).unwrap();
@@ -107,7 +103,7 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
             s.cold_solves,
             s.cuts_activated
         ),
-        (37, 855, 36, 2, 5),
+        (35, 683, 34, 2, 5),
         "trajectory drifted from the golden"
     );
     // One incumbent, seeded by the warm-start hint before any node.
