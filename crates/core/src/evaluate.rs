@@ -84,6 +84,21 @@ mod tests {
     }
 
     #[test]
+    fn empty_simulation_window_is_an_evaluation_error() {
+        let g = figures::figure_1a(0.5);
+        for (horizon, warmup) in [(0, 0), (1_000, 1_000)] {
+            let mut opts = CoreOptions::default();
+            opts.sim.horizon = horizon;
+            opts.sim.warmup = warmup;
+            let err = evaluate_config(&g, &Config::initial(&g), &opts).unwrap_err();
+            assert!(
+                matches!(&err, OptError::Evaluation(m) if m.contains("empty measurement window")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn figure_2_evaluation_shows_lp_gap() {
         let g = figures::figure_2(0.5);
         let ev = evaluate_config(&g, &Config::initial(&g), &CoreOptions::default()).unwrap();

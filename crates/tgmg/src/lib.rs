@@ -15,10 +15,12 @@
 //!   unit-delay throttle per early node) — in a *skeleton* form that can be
 //!   instantiated for any retiming/recycling configuration ([`skeleton`]),
 //! * the **LP throughput upper bound** (4), `Θ_lp` ([`lp_bound`]),
-//! * a **discrete-event simulator** measuring the actual steady-state
-//!   throughput `Θ` ([`sim`]) — the stand-in for the paper's RTL
-//!   simulations (Lemma 3.1 guarantees the refined TGMG has exactly the
-//!   RRG's throughput),
+//! * an event-driven **discrete-event simulator** measuring the actual
+//!   steady-state throughput `Θ` ([`sim`]) — the stand-in for the paper's
+//!   RTL simulations (Lemma 3.1 guarantees the refined TGMG has exactly
+//!   the RRG's throughput). Each instant visits only the nodes whose
+//!   inputs rose, in full-scan order, and pending completions sit in a
+//!   calendar ring,
 //! * the exact **late-evaluation throughput** (minimum cycle ratio) used
 //!   for baselines and cross-checks ([`late`]).
 //!

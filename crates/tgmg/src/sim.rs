@@ -23,8 +23,39 @@
 //! unit throttle). Zero-delay cascades terminate because every cycle of a
 //! valid configuration contains a positive-delay node (liveness gives each
 //! RRG cycle a token, hence a buffer, hence an edge-delay ≥ 1).
+//!
+//! Θ is node 0's firing count from the first instant at or after the
+//! warm-up, that instant's firings included, up to the horizon, divided
+//! by the window's length in cycles.
+//!
+//! # Scheduling
+//!
+//! Time jumps from one completion instant to the next. At each instant
+//! the firings follow a full scan: passes over the nodes in ascending
+//! index, each node firing as often as it is enabled, until a pass fires
+//! nothing. The simulator visits only candidates, kept in two bitsets for
+//! this pass and the next. Completions at an instant make their targets
+//! candidates of the first pass. A zero-delay firing of `u` makes a target
+//! `x` a candidate of this pass when `x > u`, which the scan has yet to
+//! reach, and of the next pass otherwise. The instant ends when the next
+//! pass has no candidates. Every node is a candidate at cycle 0, and under
+//! [`GuardPolicy::ResampleEachCycle`] every early node is one at every
+//! instant, because its guard is redrawn. Skipping the other nodes is
+//! exact: a node whose inputs did not rise cannot have become enabled, and
+//! scanning it has no side effect, because an early node redraws its guard
+//! right after it fires. So every firing and every guard draw happens in
+//! the full scan's order, and the RNG stream and the result are the same
+//! bit for bit. The tests check this against a full-scan reference.
+//!
+//! Pending completions sit in a calendar ring (Brown, "Calendar queues",
+//! CACM 1988) of `max_delay + 1` buckets indexed by time modulo the ring
+//! length. Every pending completion lies at most `max_delay` cycles ahead,
+//! so a bucket holds a single instant. Completions at or past the horizon
+//! are only counted, which also bounds the ring by the horizon. The count
+//! of pending completions detects deadlock. Adjacency is flattened into
+//! compressed sparse rows once per run, with each successor edge's target
+//! stored beside it.
 
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -33,6 +64,9 @@ use rand::{RngExt, SeedableRng};
 use rr_rrg::NodeKind;
 
 use crate::gmg::Tgmg;
+
+#[cfg(test)]
+pub(crate) mod full_scan;
 
 /// How an early node treats its guard selection while the selected input
 /// is empty.
@@ -52,7 +86,8 @@ pub enum GuardPolicy {
 pub struct SimParams {
     /// Total simulated cycles.
     pub horizon: u64,
-    /// Cycles discarded before measuring (steady-state warm-up).
+    /// Cycles discarded before measuring (steady-state warm-up); must be
+    /// below `horizon`.
     pub warmup: u64,
     /// RNG seed for guard selection.
     pub seed: u64,
@@ -105,6 +140,8 @@ pub enum SimError {
     /// A zero-delay cascade did not terminate: the graph has a zero-delay
     /// cycle with positive marking (invalid configuration).
     ZeroDelayLivelock { at_cycle: u64 },
+    /// The measurement window `[warmup, horizon)` is empty.
+    EmptyWindow { horizon: u64, warmup: u64 },
 }
 
 impl fmt::Display for SimError {
@@ -117,6 +154,10 @@ impl fmt::Display for SimError {
             SimError::ZeroDelayLivelock { at_cycle } => {
                 write!(f, "zero-delay livelock at cycle {at_cycle}")
             }
+            SimError::EmptyWindow { horizon, warmup } => write!(
+                f,
+                "empty measurement window: warm-up {warmup} is not below horizon {horizon}"
+            ),
         }
     }
 }
@@ -129,122 +170,132 @@ impl Error for SimError {}
 ///
 /// See [`SimError`].
 pub fn simulate(t: &Tgmg, params: &SimParams) -> Result<SimResult, SimError> {
-    for (i, n) in t.nodes.iter().enumerate() {
-        if n.delay < 0.0 || n.delay.fract() != 0.0 {
-            return Err(SimError::NonIntegerDelay {
-                node: i,
-                delay: n.delay,
-            });
-        }
-    }
-    let delays: Vec<u64> = t.nodes.iter().map(|n| n.delay as u64).collect();
+    let delays = checked_delays(t, params)?;
+    let n = t.num_nodes();
+    let pred = Csr::new(&t.pred, |e| e);
+    let succ = Csr::new(&t.succ, |e| (e, t.edges[e].to));
+    let early: Vec<bool> = t
+        .nodes
+        .iter()
+        .map(|n| n.kind == NodeKind::EarlyEval)
+        .collect();
+    let resample = params.guard_policy == GuardPolicy::ResampleEachCycle;
+    let limit = cascade_limit(t);
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut marking: Vec<i64> = t.initial_marking();
-    let mut firings: Vec<u64> = vec![0; t.num_nodes()];
+    let mut firings: Vec<u64> = vec![0; n];
     // Pending guard selection per early node: the chosen *input edge*.
-    let mut selection: Vec<Option<usize>> = vec![None; t.num_nodes()];
-    // Completion events: (time, node), min-heap.
-    let mut events: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut selection: Vec<Option<usize>> = vec![None; n];
+    let max_delay = delays.iter().copied().max().unwrap_or(0);
+    let mut calendar = Calendar::new(max_delay, params.horizon);
+    let mut candidates = Candidates::new(n);
+    let mut window = Window::default();
+    for v in 0..n {
+        candidates.mark(v);
+    }
 
-    let mut warmup_counts: Vec<u64> = vec![0; t.num_nodes()];
-    let mut warmup_time: Option<u64> = None;
-    // Upper bound on firings per instant: every firing consumes a token
-    // from each input; total positive marking bounds the cascade.
-    let cascade_limit: u64 = 1_000
+    let mut now: u64 = 0;
+    loop {
+        window.open(now, params.warmup, &firings);
+        // Fire everything enabled at the current instant, cascading
+        // through zero-delay completions.
+        let mut cascade: u64 = 0;
+        while let Some(v) = candidates.pop() {
+            let ins = pred.row(v);
+            loop {
+                let enabled = if early[v] {
+                    let sel = *selection[v].get_or_insert_with(|| draw_guard(t, v, &mut rng));
+                    marking[sel] > 0
+                } else {
+                    !ins.is_empty() && ins.iter().all(|&e| marking[e] > 0)
+                };
+                if !enabled {
+                    break;
+                }
+                // Fire v once.
+                for &e in ins {
+                    marking[e] -= 1;
+                }
+                if early[v] {
+                    selection[v] = None;
+                }
+                firings[v] += 1;
+                cascade += 1;
+                if cascade > limit {
+                    return Err(SimError::ZeroDelayLivelock { at_cycle: now });
+                }
+                if delays[v] == 0 {
+                    for &(e, x) in succ.row(v) {
+                        marking[e] += 1;
+                        candidates.mark_after(x, v);
+                    }
+                } else {
+                    // v may still be enabled for another concurrent
+                    // firing; loop again.
+                    calendar.push(now.saturating_add(delays[v]), v);
+                }
+            }
+        }
+
+        if resample {
+            for v in (0..n).filter(|&v| early[v]) {
+                selection[v] = None;
+                candidates.mark(v);
+            }
+        }
+        // Advance time to the next completion.
+        let Some(next) = calendar.next_after(now) else {
+            return Err(SimError::Deadlock { at_cycle: now });
+        };
+        if next >= params.horizon {
+            break;
+        }
+        now = next;
+        calendar.complete(now, |v| {
+            for &(e, x) in succ.row(v) {
+                marking[e] += 1;
+                candidates.mark(x);
+            }
+        });
+    }
+    Ok(window.result(params, firings))
+}
+
+/// Checks the parameters and the delays, returning the delays as cycle
+/// counts.
+fn checked_delays(t: &Tgmg, params: &SimParams) -> Result<Vec<u64>, SimError> {
+    if params.warmup >= params.horizon {
+        return Err(SimError::EmptyWindow {
+            horizon: params.horizon,
+            warmup: params.warmup,
+        });
+    }
+    t.nodes
+        .iter()
+        .enumerate()
+        .map(|(i, n)| {
+            if n.delay < 0.0 || n.delay.fract() != 0.0 {
+                Err(SimError::NonIntegerDelay {
+                    node: i,
+                    delay: n.delay,
+                })
+            } else {
+                Ok(n.delay as u64)
+            }
+        })
+        .collect()
+}
+
+/// Upper bound on firings per instant: every firing consumes a token
+/// from each input; total positive marking bounds the cascade.
+fn cascade_limit(t: &Tgmg) -> u64 {
+    1_000
         + 4 * t
             .edges
             .iter()
             .map(|e| e.marking.unsigned_abs())
             .sum::<u64>()
-        + 4 * t.num_nodes() as u64;
-
-    let mut now: u64 = 0;
-    loop {
-        // Fire everything enabled at the current instant, cascading
-        // through zero-delay completions.
-        let mut cascade: u64 = 0;
-        loop {
-            let mut fired_any = false;
-            for v in 0..t.num_nodes() {
-                loop {
-                    let enabled = match t.nodes[v].kind {
-                        NodeKind::Simple => {
-                            !t.pred[v].is_empty() && t.pred[v].iter().all(|&e| marking[e] > 0)
-                        }
-                        NodeKind::EarlyEval => {
-                            let sel =
-                                *selection[v].get_or_insert_with(|| draw_guard(t, v, &mut rng));
-                            marking[sel] > 0
-                        }
-                    };
-                    if !enabled {
-                        break;
-                    }
-                    // Fire v once.
-                    for &e in &t.pred[v] {
-                        marking[e] -= 1;
-                    }
-                    if t.nodes[v].kind == NodeKind::EarlyEval {
-                        selection[v] = None;
-                    }
-                    firings[v] += 1;
-                    fired_any = true;
-                    cascade += 1;
-                    if cascade > cascade_limit {
-                        return Err(SimError::ZeroDelayLivelock { at_cycle: now });
-                    }
-                    if delays[v] == 0 {
-                        for &e in &t.succ[v] {
-                            marking[e] += 1;
-                        }
-                    } else {
-                        events.push(std::cmp::Reverse((now + delays[v], v)));
-                        // This node may still be enabled for another
-                        // concurrent firing; loop again.
-                    }
-                }
-            }
-            if !fired_any {
-                break;
-            }
-        }
-
-        if warmup_time.is_none() && now >= params.warmup {
-            warmup_counts.copy_from_slice(&firings);
-            warmup_time = Some(now);
-        }
-        if params.guard_policy == GuardPolicy::ResampleEachCycle {
-            for s in selection.iter_mut() {
-                *s = None;
-            }
-        }
-        // Advance time to the next completion.
-        let Some(&std::cmp::Reverse((t_next, _))) = events.peek() else {
-            return Err(SimError::Deadlock { at_cycle: now });
-        };
-        if t_next >= params.horizon {
-            break;
-        }
-        now = t_next;
-        while let Some(&std::cmp::Reverse((te, v))) = events.peek() {
-            if te != now {
-                break;
-            }
-            events.pop();
-            for &e in &t.succ[v] {
-                marking[e] += 1;
-            }
-        }
-    }
-
-    let measured_from = warmup_time.unwrap_or(0);
-    let window = (params.horizon - measured_from) as f64;
-    let throughput = (firings[0].saturating_sub(warmup_counts[0])) as f64 / window;
-    Ok(SimResult {
-        throughput,
-        firings,
-        cycles: params.horizon,
-    })
+        + 4 * t.num_nodes() as u64
 }
 
 fn draw_guard(t: &Tgmg, v: usize, rng: &mut StdRng) -> usize {
@@ -260,22 +311,218 @@ fn draw_guard(t: &Tgmg, v: usize, rng: &mut StdRng) -> usize {
     *ins.last().expect("early node without inputs")
 }
 
+/// The measurement window: Θ counts node 0's firings from the first
+/// instant at or after the warm-up, that instant included, to the
+/// horizon.
+#[derive(Default)]
+struct Window {
+    /// The window's first instant and node 0's firings before it.
+    start: Option<(u64, u64)>,
+}
+
+impl Window {
+    /// Opens the window at `now`, before the instant's firings, unless it
+    /// is already open or `now` is still inside the warm-up.
+    fn open(&mut self, now: u64, warmup: u64, firings: &[u64]) {
+        if self.start.is_none() && now >= warmup {
+            self.start = Some((now, firings.first().copied().unwrap_or(0)));
+        }
+    }
+
+    fn result(self, params: &SimParams, firings: Vec<u64>) -> SimResult {
+        // No instant fell in [warmup, horizon): node 0 did not fire there.
+        let (from, before) = self.start.unwrap_or((params.warmup, firings[0]));
+        let window = (params.horizon - from) as f64;
+        SimResult {
+            throughput: (firings[0] - before) as f64 / window,
+            firings,
+            cycles: params.horizon,
+        }
+    }
+}
+
+/// Adjacency lists flattened into one array (compressed sparse rows).
+struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    fn new(lists: &[Vec<usize>], item: impl Fn(usize) -> T) -> Self {
+        let mut start = Vec::with_capacity(lists.len() + 1);
+        start.push(0);
+        let mut items = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for list in lists {
+            items.extend(list.iter().map(|&e| item(e)));
+            start.push(items.len());
+        }
+        Csr { start, items }
+    }
+
+    fn row(&self, v: usize) -> &[T] {
+        &self.items[self.start[v]..self.start[v + 1]]
+    }
+}
+
+/// The nodes to visit at the current instant: this pass's candidates,
+/// popped in ascending index, and the next pass's.
+struct Candidates {
+    this: Vec<u64>,
+    next: Vec<u64>,
+    /// Word of `this` the pass has reached; lower words are empty.
+    word: usize,
+    next_empty: bool,
+}
+
+impl Candidates {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Candidates {
+            this: vec![0; words],
+            next: vec![0; words],
+            word: 0,
+            next_empty: true,
+        }
+    }
+
+    /// Makes `x` a candidate of the first pass of the coming instant.
+    fn mark(&mut self, x: usize) {
+        self.this[x / 64] |= 1 << (x % 64);
+    }
+
+    /// Makes `x` a candidate after `u` fired and raised one of its
+    /// inputs: in this pass if the scan has yet to reach `x`, else in
+    /// the next.
+    fn mark_after(&mut self, x: usize, u: usize) {
+        if x > u {
+            self.mark(x);
+        } else {
+            self.next[x / 64] |= 1 << (x % 64);
+            self.next_empty = false;
+        }
+    }
+
+    /// The lowest candidate of this pass, moving on to the next pass when
+    /// this one is done. `None` ends the instant.
+    fn pop(&mut self) -> Option<usize> {
+        loop {
+            while let Some(&bits) = self.this.get(self.word) {
+                if bits != 0 {
+                    self.this[self.word] = bits & (bits - 1);
+                    return Some(self.word * 64 + bits.trailing_zeros() as usize);
+                }
+                self.word += 1;
+            }
+            self.word = 0;
+            if self.next_empty {
+                return None;
+            }
+            std::mem::swap(&mut self.this, &mut self.next);
+            self.next_empty = true;
+        }
+    }
+}
+
+/// Pending completions in a ring of buckets, one instant each, indexed
+/// by time modulo the ring length (a calendar queue whose year spans the
+/// longest delay). Completions at or after the horizon are only counted:
+/// the run stops before they happen.
+struct Calendar {
+    ring: Vec<Vec<usize>>,
+    pending: usize,
+    horizon: u64,
+    max_delay: u64,
+}
+
+impl Calendar {
+    fn new(max_delay: u64, horizon: u64) -> Self {
+        // Stored completions lie in (now, min(now + max_delay, horizon − 1)].
+        let len = max_delay.min(horizon - 1) as usize + 1;
+        Calendar {
+            ring: vec![Vec::new(); len],
+            pending: 0,
+            horizon,
+            max_delay,
+        }
+    }
+
+    fn slot(&self, time: u64) -> usize {
+        (time % self.ring.len() as u64) as usize
+    }
+
+    fn push(&mut self, time: u64, v: usize) {
+        self.pending += 1;
+        if time < self.horizon {
+            let slot = self.slot(time);
+            self.ring[slot].push(v);
+        }
+    }
+
+    /// The first completion instant after `now`, the horizon when every
+    /// pending completion lies at or past it, or `None` when nothing is
+    /// pending.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        if self.pending == 0 {
+            return None;
+        }
+        let last = now.saturating_add(self.max_delay).min(self.horizon - 1);
+        Some(
+            (now + 1..=last)
+                .find(|&time| !self.ring[self.slot(time)].is_empty())
+                .unwrap_or(self.horizon),
+        )
+    }
+
+    /// Removes the completions at `now`, passing each node to `f`.
+    fn complete(&mut self, now: u64, f: impl FnMut(usize)) {
+        let slot = self.slot(now);
+        let done = &mut self.ring[slot];
+        self.pending -= done.len();
+        done.drain(..).for_each(f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::tgmg_of;
-    use rr_rrg::figures;
+    use crate::gmg::{TgmgEdge, TgmgNode};
+    use crate::skeleton::{tgmg_of, TgmgSkeleton};
+    use rr_rrg::iscas::TABLE2;
+    use rr_rrg::{cycle_time, figures, Config, Rrg};
 
-    fn measure(g: &rr_rrg::Rrg) -> f64 {
+    fn measure(g: &Rrg) -> f64 {
         simulate(&tgmg_of(g), &SimParams::default())
             .unwrap()
             .throughput
     }
 
+    /// Simulates with both schedulers, asserting they agree.
+    fn both(t: &Tgmg, params: &SimParams) -> Result<SimResult, SimError> {
+        let got = simulate(t, params);
+        assert_eq!(got, full_scan::simulate(t, params), "{params:?}");
+        got
+    }
+
+    fn node(delay: f64) -> TgmgNode {
+        TgmgNode {
+            name: String::new(),
+            kind: NodeKind::Simple,
+            delay,
+        }
+    }
+
+    fn edge(from: usize, to: usize, marking: i64) -> TgmgEdge {
+        TgmgEdge {
+            from,
+            to,
+            marking,
+            gamma: None,
+        }
+    }
+
     #[test]
     fn figure_1a_throughput_is_one() {
-        let th = measure(&figures::figure_1a(0.5));
-        assert!((th - 1.0).abs() < 0.01, "Θ = {th}");
+        assert_eq!(measure(&figures::figure_1a(0.5)), 1.0);
     }
 
     #[test]
@@ -318,60 +565,82 @@ mod tests {
 
     #[test]
     fn deadlocked_graph_reports_deadlock() {
-        use crate::gmg::{Tgmg, TgmgEdge, TgmgNode};
-        use rr_rrg::NodeKind;
         // Two nodes in a token-free cycle.
         let t = Tgmg::new(
-            vec![
-                TgmgNode {
-                    name: "a".into(),
-                    kind: NodeKind::Simple,
-                    delay: 1.0,
-                },
-                TgmgNode {
-                    name: "b".into(),
-                    kind: NodeKind::Simple,
-                    delay: 1.0,
-                },
-            ],
-            vec![
-                TgmgEdge {
-                    from: 0,
-                    to: 1,
-                    marking: 0,
-                    gamma: None,
-                },
-                TgmgEdge {
-                    from: 1,
-                    to: 0,
-                    marking: 0,
-                    gamma: None,
-                },
-            ],
+            vec![node(1.0), node(1.0)],
+            vec![edge(0, 1, 0), edge(1, 0, 0)],
         );
-        assert!(matches!(
-            simulate(&t, &SimParams::fast(1)),
-            Err(SimError::Deadlock { .. })
-        ));
+        assert_eq!(
+            both(&t, &SimParams::fast(1)),
+            Err(SimError::Deadlock { at_cycle: 0 })
+        );
+    }
+
+    #[test]
+    fn deadlock_after_progress_drains_the_calendar() {
+        // Node 0 never fires (its self-loop is empty) but left two tokens
+        // on its way into the delay-1 chain 1 → 2, which fires twice per
+        // stage and then runs dry once node 2's completions land.
+        let t = Tgmg::new(
+            vec![node(1.0), node(1.0), node(1.0)],
+            vec![edge(0, 0, 0), edge(0, 1, 2), edge(1, 2, 0)],
+        );
+        assert_eq!(
+            both(&t, &SimParams::fast(1)),
+            Err(SimError::Deadlock { at_cycle: 2 })
+        );
+    }
+
+    #[test]
+    fn zero_delay_cycle_with_a_token_livelocks() {
+        let t = Tgmg::new(
+            vec![node(0.0), node(0.0)],
+            vec![edge(0, 1, 1), edge(1, 0, 0)],
+        );
+        assert_eq!(
+            both(&t, &SimParams::fast(1)),
+            Err(SimError::ZeroDelayLivelock { at_cycle: 0 })
+        );
+    }
+
+    #[test]
+    fn empty_window_rejected() {
+        let t = tgmg_of(&figures::figure_1a(0.5));
+        for (horizon, warmup) in [(0, 0), (100, 100), (100, 250)] {
+            let params = SimParams {
+                horizon,
+                warmup,
+                ..SimParams::default()
+            };
+            assert_eq!(
+                both(&t, &params),
+                Err(SimError::EmptyWindow { horizon, warmup })
+            );
+        }
+    }
+
+    #[test]
+    fn window_opens_at_the_first_instant_after_warm_up() {
+        // One firing every 10 cycles, at 0, 10, …, 90.
+        let t = Tgmg::new(vec![node(10.0)], vec![edge(0, 0, 1)]);
+        let theta = |warmup| {
+            let params = SimParams {
+                horizon: 100,
+                warmup,
+                ..SimParams::default()
+            };
+            both(&t, &params).unwrap().throughput
+        };
+        assert_eq!(theta(85), 0.1);
+        // The firing at 90 opens the window and counts.
+        assert_eq!(theta(90), 0.1);
+        // No instant in [95, 100).
+        assert_eq!(theta(95), 0.0);
     }
 
     #[test]
     fn non_integer_delay_rejected() {
-        use crate::gmg::{Tgmg, TgmgEdge, TgmgNode};
-        use rr_rrg::NodeKind;
-        let t = Tgmg::new(
-            vec![TgmgNode {
-                name: "a".into(),
-                kind: NodeKind::Simple,
-                delay: 0.5,
-            }],
-            vec![TgmgEdge {
-                from: 0,
-                to: 0,
-                marking: 1,
-                gamma: None,
-            }],
-        );
+        let t = Tgmg::new(vec![node(0.5)], vec![edge(0, 0, 1)]);
         assert!(matches!(
             simulate(&t, &SimParams::fast(1)),
             Err(SimError::NonIntegerDelay { .. })
@@ -384,5 +653,44 @@ mod tests {
         let a = simulate(&t, &SimParams::default()).unwrap();
         let b = simulate(&t, &SimParams::default()).unwrap();
         assert_eq!(a.firings, b.firings);
+    }
+
+    /// Inserts single bubbles mid-critical-path until `τ ≤ β_max`.
+    fn recycled_to_beta_max(g: &Rrg, mut config: Config) -> Config {
+        loop {
+            let path = cycle_time::critical_path_with(g, &config.buffers).unwrap();
+            if path.delay <= g.max_delay() + 1e-9 {
+                return config;
+            }
+            let mid = (path.nodes.len() - 2) / 2;
+            let (u, v) = (path.nodes[mid], path.nodes[mid + 1]);
+            let edge = g
+                .out_edges(u)
+                .iter()
+                .copied()
+                .find(|&e| g.edge(e).target() == v && config.buffers[e.index()] == 0)
+                .unwrap();
+            config.add_bubbles(edge, 1);
+        }
+    }
+
+    #[test]
+    fn table2_configurations_match_the_full_scan() {
+        for profile in TABLE2 {
+            let g = profile.scaled(20).generate(2009);
+            let retimed = rr_retime::min_period_retiming(&g).unwrap().config(&g);
+            let recycled = recycled_to_beta_max(&g, retimed.clone());
+            let skeleton = TgmgSkeleton::of(&g);
+            for config in [retimed, recycled] {
+                let t = skeleton.instantiate(&config.tokens, &config.buffers);
+                for guard_policy in [GuardPolicy::Persistent, GuardPolicy::ResampleEachCycle] {
+                    let params = SimParams {
+                        guard_policy,
+                        ..SimParams::fast(7)
+                    };
+                    both(&t, &params).unwrap();
+                }
+            }
+        }
     }
 }

@@ -70,4 +70,11 @@ cargo run --release -q -p rr-bench --bin table2 --offline -- \
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
+# The repo benchmark (perfbench/, its own cargo workspace) calls the
+# crates' public API; building it here makes an API change that breaks
+# it fail CI instead of the next measurement. Its target directory sits
+# under target/, which the workflow cache already covers.
+echo "==> cargo build perfbench (benchmark must build)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "CI OK"
