@@ -16,17 +16,13 @@
 //!   the tree (undo up to the lowest common ancestor, re-apply down), so
 //!   jumping anywhere in the tree costs only the path difference.
 //!
-//! * **Node ordering** ([`NodeOrder`], selected by
-//!   [`SolverOptions::node_order`]): [`NodeOrder::DfsNearerFirst`] keeps
-//!   the frontier as a LIFO stack exploring the nearer branching side
-//!   first; [`NodeOrder::BestBound`] keeps it as a priority queue keyed
-//!   on a best-estimate score (parent LP bound plus the pseudo-cost
-//!   prediction of the remaining repair cost, ties broken
-//!   most-recently-pushed-first). Either way a claimed node is dived
+//! * **Node ordering**: the frontier is a LIFO stack of [`OpenNode`]s,
+//!   and each branching pushes the nearer side last, so the search
+//!   dives depth-first toward the nearer side. A claimed node is dived
 //!   from until the episode cap trips, so weak LP bounds still reach
 //!   integral leaves. Entries whose bound cannot beat the incumbent are
 //!   discarded unsolved. Every open node carries an `Arc` of its
-//!   parent's optimal basis, so jumps still warm-start.
+//!   parent's optimal basis, so a claim after a jump still warm-starts.
 //!
 //! * **Branching** ([`select_branch_var`]): pseudo-cost branching with
 //!   reliability probes, scored by the product rule over the shared
@@ -39,36 +35,32 @@
 //!   feasible for every node: nodes are reoptimized by a bounded
 //!   dual-simplex run from whatever basis the previous node left behind,
 //!   falling back to the parent snapshot, then to a cold two-phase solve
-//!   ([`SolverOptions::warm_start`]` = false` forces cold solves — the
-//!   warm-start A/B baseline). Every variable shape branches natively: a
-//!   box `[lo, hi]` on a shifted, mirrored, or free (split-pair) integer
-//!   translates to standard-form column-bound updates via
+//!   (the [`Kernel::DenseTableau`] oracle request solves every node
+//!   cold). Every variable shape branches natively: a box `[lo, hi]` on
+//!   a shifted, mirrored, or free (split-pair) integer translates to
+//!   standard-form column-bound updates via
 //!   [`ColMap::box_updates`], so warm starts and pseudo-costs survive
 //!   across nodes for all of them. The dense tableau is a kernel-level
 //!   oracle only — rung 6 of the per-node recovery ladder, plus a
 //!   whole-solve cross-validation pass when [`Kernel::DenseTableau`] is
-//!   requested for a MILP (the search runs in the oracle configuration
-//!   from [`SolverOptions::resolve`], then the incumbent's integer
-//!   assignment is pinned and re-solved by the genuine dense tableau,
-//!   which must reproduce the objective).
+//!   requested for a MILP (the search runs in the oracle configuration,
+//!   then the incumbent's integer assignment is pinned and re-solved by
+//!   the genuine dense tableau, which must reproduce the objective).
 //!
-//! The round-and-fix heuristic (round all integer variables of a
-//! relaxation, fix them, re-solve the continuous part) provides early
-//! incumbents — this is what makes the near-integral retiming
-//! relaxations solve in a handful of nodes. Node and wall-clock limits
-//! return the best incumbent with [`Status::Feasible`] instead of
-//! failing; [`Status::Optimal`] is reported only when the search
-//! genuinely completed (or closed the [`SolverOptions::gap_tol`] gap
-//! against the open-node bound).
+//! Incumbents come from integral node relaxations and from the caller's
+//! warm-start hint ([`solve_with_stats_hinted`]), which is seeded before
+//! the first node. Node and wall-clock limits return the best incumbent
+//! with [`Status::Feasible`] instead of failing; [`Status::Optimal`] is
+//! reported only when the search genuinely completed (or closed the
+//! [`SolverOptions::gap_tol`] gap against the open-node bound).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::expr::VarId;
-use crate::model::{FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind};
+use crate::factor::UpdateKind;
+use crate::model::{Kernel, Model, Sense, SolverOptions};
 use crate::recover::RecoveryStats;
 use crate::revised::{BasisState, Revised};
 use crate::solution::{Solution, SolveError, Status};
@@ -87,34 +79,34 @@ pub struct BranchBoundStats {
     /// Objective of the root LP relaxation.
     pub root_bound: f64,
     /// Total simplex pivots across every LP the search solved (node
-    /// relaxations, warm reoptimizations, heuristic re-solves).
+    /// relaxations, warm reoptimizations, strong-branch probes, the hint
+    /// re-solve).
     pub simplex_iters: usize,
     /// Node LPs successfully reoptimized from the parent basis.
     pub warm_solves: usize,
     /// Node LPs solved two-phase from scratch (root, fallbacks, and all
-    /// nodes when warm starts are disabled).
+    /// nodes under the [`Kernel::DenseTableau`] oracle request).
     pub cold_solves: usize,
     /// Basis refactorizations across the whole search.
     pub refactors: usize,
-    /// Successful Forrest–Tomlin factor updates (0 under
-    /// [`crate::UpdateKind::ProductForm`]).
+    /// Successful Forrest–Tomlin factor updates (0 under the
+    /// [`Kernel::DenseTableau`] oracle request, which runs the product
+    /// form).
     pub ft_updates: usize,
     /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
     /// update rather than the scheduled length/fill policy.
     pub forced_refactors: usize,
     /// Largest nonzero count the (updated) `U` factor reached — the fill
     /// price of absorbing pivots into the factors under Forrest–Tomlin;
-    /// `m²` under [`crate::FactorKind::Dense`].
+    /// `m²` under the dense LU of the [`Kernel::DenseTableau`] request.
     pub peak_u_nnz: usize,
-    /// Largest `nnz(L+U)` any basis snapshot reached — `m²` under
-    /// [`crate::FactorKind::Dense`], the actual fill under
-    /// [`crate::FactorKind::Sparse`].
+    /// Largest `nnz(L+U)` any basis snapshot reached — the actual fill of
+    /// the sparse LU, `m²` under the dense LU of the
+    /// [`Kernel::DenseTableau`] request.
     pub peak_lu_nnz: usize,
     /// Basis dimension (constraint rows) of the bounded-variable form
     /// (0 for rowless models, which solve in closed form).
     pub basis_rows: usize,
-    /// Node ordering the search ran with.
-    pub order: NodeOrder,
     /// Peak number of open (queued but not yet expanded) nodes.
     pub queue_peak: usize,
     /// Node count at the moment the first incumbent was accepted (0 =
@@ -171,8 +163,8 @@ pub struct BranchBoundStats {
 /// never prunes, so an unverified probe cannot break correctness.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ProbeOutcome {
-    /// The backend could not probe (cold mode, kernel not dual feasible,
-    /// probe budget exhausted): use the estimate.
+    /// The backend could not probe (cold oracle nodes, kernel not dual
+    /// feasible, probe budget exhausted): use the estimate.
     Skipped,
     /// The child LP solved to optimality within the probe budget.
     Bound(f64),
@@ -316,24 +308,6 @@ impl WarmBackend<'_> {
         self.try_warm_in_place(opts)
     }
 
-    /// Reoptimizes after a bound change without node bookkeeping (used by
-    /// the round-and-fix heuristic); cold fallback included.
-    fn reopt_in_place(&mut self, opts: &SolverOptions) -> Result<(), SolveError> {
-        let warm = if self.kernel.dual_ok() {
-            self.try_warm_in_place(opts)
-        } else {
-            Err(SolveError::Numerical("kernel not dual feasible".into()))
-        };
-        match warm {
-            Ok(()) => Ok(()),
-            Err(SolveError::Infeasible) => Err(SolveError::Infeasible),
-            Err(_) => {
-                let mut budget = opts.max_pivots;
-                self.kernel.solve_two_phase(opts, &mut budget)
-            }
-        }
-    }
-
     /// The solution at the kernel's current optimum.
     fn node_solution(&self) -> Solution {
         let values = self.form.sf.recover(&self.kernel.values());
@@ -382,12 +356,11 @@ impl WarmBackend<'_> {
                 }
                 _ => {
                     self.kernel.recovery.dense_oracle_solves += 1;
-                    let dense = SolverOptions {
-                        factor: FactorKind::Dense,
-                        update: UpdateKind::ProductForm,
+                    let oracle = SolverOptions {
+                        kernel: Kernel::DenseTableau,
                         ..opts.clone()
                     };
-                    self.kernel = self.kernel.rebuilt(&self.form, &dense);
+                    self.kernel = self.kernel.rebuilt(&self.form, &oracle);
                 }
             }
             let mut budget = opts.max_pivots;
@@ -453,7 +426,7 @@ impl WarmBackend<'_> {
         parent: Option<&BasisState>,
         stats: &mut BranchBoundStats,
     ) -> Result<Solution, SolveError> {
-        if let Some(parent_state) = parent.filter(|_| opts.warm_start) {
+        if let Some(parent_state) = parent.filter(|_| opts.kernel.setup().warm) {
             let outcome = if self.kernel.dual_ok() {
                 self.try_warm_in_place(opts)
             } else {
@@ -503,60 +476,13 @@ impl WarmBackend<'_> {
         }
     }
 
-    /// Warm-start state children should resume from (`None` when warm
-    /// starts are disabled or the kernel has no basis).
+    /// Warm-start state children should resume from (`None` for the
+    /// cold oracle nodes or when the kernel has no basis).
     pub(crate) fn snapshot(&self, opts: &SolverOptions) -> Option<BasisState> {
-        // Skipped entirely in the cold A/B configuration, which never
+        // Skipped entirely under the cold oracle request, which never
         // reads it; also skipped right after a ladder restore, whose
         // fresh kernel has no basis to hand to children yet.
-        (opts.warm_start && self.kernel.has_basis()).then(|| self.kernel.basis_snapshot())
-    }
-
-    /// Round-and-fix: pin every branchable integer's box to the rounded
-    /// relaxation value (`pins`), reoptimize the continuous part from the
-    /// current basis, restore the boxes in `restore`, and return the
-    /// polished candidate — `fallback` when the re-solve fails. The
-    /// pre-heuristic basis is restored afterwards so the next node's
-    /// in-place warm start resumes from the node optimum instead of
-    /// re-navigating away from the heuristic's pinned vertex (a no-op
-    /// when the polish took zero pivots).
-    pub(crate) fn round_and_fix(
-        &mut self,
-        opts: &SolverOptions,
-        pins: &[(usize, f64)],
-        restore: &[(usize, f64, f64)],
-        fallback: &Solution,
-    ) -> Solution {
-        // The basis restore below only matters when later solves warm
-        // start in place; cold mode re-crashes every node anyway. A
-        // kernel fresh off a ladder restore has no basis to save.
-        let pre_basis =
-            (opts.warm_start && self.kernel.has_basis()).then(|| self.kernel.basis_snapshot());
-        for &(vi, val) in pins {
-            self.set_var_box(vi, val, val);
-        }
-        let solved = self.reopt_in_place(opts);
-        let candidate = if solved.is_ok() && self.kernel.verify_residual(opts) {
-            self.node_solution()
-        } else {
-            // The polish re-solve failed (rare numerics) or its result
-            // flunked the residual trust gate; fall back to the
-            // relaxation point itself rather than dropping it.
-            fallback.clone()
-        };
-        for &(vi, l, h) in restore {
-            self.set_var_box(vi, l, h);
-        }
-        if let Some(pre_basis) = pre_basis {
-            if self.kernel.install_basis(&pre_basis).is_ok() {
-                // The restored basis is the node's phase-2 optimum, hence
-                // dual feasible; a (normally zero-pivot) dual pass
-                // re-certifies it so the next node can warm-start in place.
-                let mut budget = opts.max_pivots;
-                let _ = self.kernel.dual_reopt(opts, &mut budget);
-            }
-        }
-        candidate
+        (opts.kernel.setup().warm && self.kernel.has_basis()).then(|| self.kernel.basis_snapshot())
     }
 
     /// Hint seeding: pin `pins`, solve from scratch, restore, and return
@@ -636,7 +562,7 @@ impl WarmBackend<'_> {
         restore_lo: f64,
         restore_hi: f64,
     ) -> ProbeOutcome {
-        if self.int_maps[vi].is_none() || !opts.warm_start || !self.kernel.dual_ok() {
+        if self.int_maps[vi].is_none() || !opts.kernel.setup().warm || !self.kernel.dual_ok() {
             return ProbeOutcome::Skipped;
         }
         self.set_var_box(vi, lo, hi);
@@ -706,8 +632,8 @@ impl TreeNode {
 
 /// The two children of branching `vi` at fractional value `val` inside
 /// the box `[plo, phi]`, returned `[far, near]` (the nearer branching
-/// side last, so LIFO consumers pop it first and equal-bound heap ties
-/// resolve toward it). Children whose box would be empty are `None`.
+/// side last, so the LIFO frontier pops it first). Children whose box
+/// would be empty are `None`.
 pub(crate) fn branch_children(
     parent: usize,
     depth: usize,
@@ -915,87 +841,19 @@ pub(crate) fn select_branch_var(
     Some((cands[best_i].v, cands[best_i].val))
 }
 
-/// An open (queued) node: arena index, parent LP bound, ordering key,
-/// push sequence number, and the parent's basis for warm-start handoff.
+/// An open (queued) node: arena index, parent LP bound, and the
+/// parent's basis for warm-start handoff.
 pub(crate) struct OpenNode {
     pub(crate) node: usize,
     /// Valid (parent) LP bound, signed (minimization form) — what
     /// pruning and discard tests compare against the incumbent.
     pub(crate) bound: f64,
-    /// Heap-ordering key, signed. Equals `bound` except under
-    /// best-bound, where it is the best-estimate score
-    /// `bound + Σ pseudo-cost·fractionality` — a prediction, never used
-    /// to prune.
-    pub(crate) key: f64,
-    pub(crate) seq: usize,
     pub(crate) basis: Option<Arc<BasisState>>,
 }
 
-impl PartialEq for OpenNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for OpenNode {}
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OpenNode {
-    /// "Greatest" (popped first by the max-heap) = smallest bound key;
-    /// ties break toward the most recently pushed node, so equal-bound
-    /// stretches still dive like DFS.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The open-node container: LIFO stack for DFS, bound-keyed priority
-/// queue for best-bound.
-pub(crate) enum Frontier {
-    Dfs(Vec<OpenNode>),
-    Best(BinaryHeap<OpenNode>),
-}
-
-impl Frontier {
-    pub(crate) fn new(order: NodeOrder) -> Frontier {
-        match order {
-            NodeOrder::DfsNearerFirst => Frontier::Dfs(Vec::new()),
-            NodeOrder::BestBound => Frontier::Best(BinaryHeap::new()),
-        }
-    }
-    pub(crate) fn push(&mut self, n: OpenNode) {
-        match self {
-            Frontier::Dfs(v) => v.push(n),
-            Frontier::Best(h) => h.push(n),
-        }
-    }
-    pub(crate) fn pop(&mut self) -> Option<OpenNode> {
-        match self {
-            Frontier::Dfs(v) => v.pop(),
-            Frontier::Best(h) => h.pop(),
-        }
-    }
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Frontier::Dfs(v) => v.len(),
-            Frontier::Best(h) => h.len(),
-        }
-    }
-    /// Minimum valid LP bound over the open nodes (`+∞` when empty).
-    /// The heap is estimate-ordered, so the minimum genuinely requires
-    /// the scan.
-    pub(crate) fn min_bound(&self) -> f64 {
-        let fold = |it: &mut dyn Iterator<Item = f64>| it.fold(f64::INFINITY, f64::min);
-        match self {
-            Frontier::Dfs(v) => fold(&mut v.iter().map(|o| o.bound)),
-            Frontier::Best(h) => fold(&mut h.iter().map(|o| o.bound)),
-        }
-    }
+/// Minimum valid LP bound over `open` (`+∞` when empty).
+pub(crate) fn min_bound(open: &[OpenNode]) -> f64 {
+    open.iter().map(|o| o.bound).fold(f64::INFINITY, f64::min)
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,7 +1037,6 @@ fn solve_rowless(
         incumbent_trace: vec![(1, objective)],
         node_bounds: vec![objective],
         queue_peak: 1,
-        order: opts.node_order,
         ..BranchBoundStats::default()
     };
     Ok((sol, stats))
@@ -1187,8 +1044,8 @@ fn solve_rowless(
 
 /// Whole-solve oracle cross-validation, armed when the caller requested
 /// [`Kernel::DenseTableau`] for a MILP: the search itself ran on the
-/// unified warm backend (in the oracle configuration from
-/// [`SolverOptions::resolve`]); here the incumbent's integer assignment
+/// unified backend (in the oracle configuration the kernel request
+/// selects); here the incumbent's integer assignment
 /// is pinned on a model clone and re-solved by the genuine dense
 /// tableau, which must reproduce the objective. The incumbent point is
 /// feasible for the pinned model and every point of the pinned model
@@ -1349,7 +1206,6 @@ mod tests {
         let truncated_opts = SolverOptions {
             max_nodes: 2,
             gap_tol: 0.0,
-            rounding_heuristic: false,
             ..Default::default()
         };
         let (sol, stats) = solve_with_stats_hinted(&m, &truncated_opts, &hint).unwrap();
@@ -1427,10 +1283,8 @@ mod tests {
         assert!(stats.nodes <= 3, "took {} nodes", stats.nodes);
     }
 
-    /// A multi-row knapsack family needing real search, solved at every
-    /// kernel / warm-start combination; objectives must agree.
-    #[test]
-    fn warm_cold_and_oracle_agree() {
+    /// A multi-row knapsack family needing real search.
+    fn multi_row_knapsack() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let n = 12;
         let mut obj = LinExpr::new();
@@ -1448,66 +1302,52 @@ mod tests {
             }
             m.add_constraint(row, cmp::LE, 17.5 + r as f64);
         }
+        m
+    }
 
-        let warm = SolverOptions::default();
-        let cold = SolverOptions {
-            warm_start: false,
-            ..Default::default()
-        };
+    /// The production search (warm nodes) and the dense-tableau oracle
+    /// request (cold nodes) agree on [`multi_row_knapsack`], and warm
+    /// starts engage and save pivots.
+    #[test]
+    fn warm_cold_and_oracle_agree() {
+        let m = multi_row_knapsack();
         let oracle = SolverOptions {
             kernel: Kernel::DenseTableau,
             ..Default::default()
         };
-        let (s_warm, st_warm) = solve_with_stats(&m, &warm).unwrap();
-        let (s_cold, st_cold) = solve_with_stats(&m, &cold).unwrap();
-        let (s_oracle, _) = solve_with_stats(&m, &oracle).unwrap();
-        assert!((s_warm.objective - s_cold.objective).abs() < 1e-6);
+        let (s_warm, st_warm) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
+        let (s_oracle, st_oracle) = solve_with_stats(&m, &oracle).unwrap();
         assert!((s_warm.objective - s_oracle.objective).abs() < 1e-6);
-        // Warm starts actually engage and save pivots on this family.
         assert!(st_warm.warm_solves > 0, "no warm solves recorded");
+        assert_eq!(st_oracle.warm_solves, 0, "oracle nodes must solve cold");
         assert!(
-            st_warm.simplex_iters <= st_cold.simplex_iters,
+            st_warm.simplex_iters <= st_oracle.simplex_iters,
             "warm {} pivots vs cold {}",
             st_warm.simplex_iters,
-            st_cold.simplex_iters
+            st_oracle.simplex_iters
         );
     }
 
-    /// Both node orderings, under both kernel requests, agree with each
-    /// other on a family needing real search (the dense-tableau request
-    /// additionally cross-validates its incumbent against the tableau).
+    /// One and two production workers and the dense-tableau request
+    /// (which additionally cross-validates its incumbent against the
+    /// tableau) complete on [`multi_row_knapsack`] and agree.
     #[test]
     fn node_orders_agree_across_kernels() {
-        let mut m = Model::new(Sense::Maximize);
-        let n = 12;
-        let mut obj = LinExpr::new();
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.add_integer(format!("x{i}"), 0.0, 3.0))
-            .collect();
-        for (i, &v) in vars.iter().enumerate() {
-            obj += ((i % 5 + 2) as f64) * v;
-        }
-        m.set_objective(obj);
-        for r in 0..5 {
-            let mut row = LinExpr::new();
-            for (i, &v) in vars.iter().enumerate() {
-                row += (((i + r) % 3 + 1) as f64) * v;
-            }
-            m.add_constraint(row, cmp::LE, 17.5 + r as f64);
-        }
+        let m = multi_row_knapsack();
         let mut objectives = Vec::new();
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            for kernel in [Kernel::Revised, Kernel::DenseTableau] {
-                let opts = SolverOptions {
-                    node_order: order,
-                    kernel,
-                    ..Default::default()
-                };
-                let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
-                assert!(!stats.truncated, "{order:?}/{kernel:?} truncated");
-                assert_eq!(stats.order, order);
-                objectives.push(((order, kernel), sol.objective));
-            }
+        for (kernel, workers) in [
+            (Kernel::Revised, 1usize),
+            (Kernel::Revised, 2),
+            (Kernel::DenseTableau, 1),
+        ] {
+            let opts = SolverOptions {
+                kernel,
+                workers,
+                ..Default::default()
+            };
+            let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
+            assert!(!stats.truncated, "{kernel:?}/workers={workers} truncated");
+            objectives.push(((kernel, workers), sol.objective));
         }
         let (_, reference) = objectives[0];
         for &(cfg, obj) in &objectives {
@@ -1519,9 +1359,9 @@ mod tests {
     }
 
     /// An integer variable with *fractional* bounds must still get an
-    /// integral value: the rounding heuristic clamps into the box, which
-    /// used to re-fractionalize the incumbent (x = 2.5 reported as an
-    /// "optimal" integer).
+    /// integral value: clamping a rounded value into the box used to
+    /// re-fractionalize the incumbent (x = 2.5 reported as an "optimal"
+    /// integer).
     #[test]
     fn fractional_bounds_still_yield_integral_solutions() {
         for kernel in [Kernel::Revised, Kernel::DenseTableau] {
@@ -1544,26 +1384,20 @@ mod tests {
 
     /// Free integers branch natively through their split-pair columns
     /// on the warm path — one cold root solve, every other node a warm
-    /// reoptimization — under both node orderings.
+    /// reoptimization.
     #[test]
     fn free_integer_branches_on_the_warm_path() {
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            let mut m = Model::new(Sense::Minimize);
-            let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, true);
-            m.set_objective(LinExpr::var(x));
-            m.add_constraint(LinExpr::var(x), cmp::GE, -2.5);
-            let opts = SolverOptions {
-                node_order: order,
-                ..Default::default()
-            };
-            let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
-            assert_eq!(sol.int_value(x), -2, "{order:?}");
-            assert_eq!(
-                stats.cold_solves, 1,
-                "{order:?}: warm path must engage (one cold root solve)"
-            );
-            assert_eq!(stats.cold_solves + stats.warm_solves, stats.nodes);
-        }
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, true);
+        m.set_objective(LinExpr::var(x));
+        m.add_constraint(LinExpr::var(x), cmp::GE, -2.5);
+        let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
+        assert_eq!(sol.int_value(x), -2);
+        assert_eq!(
+            stats.cold_solves, 1,
+            "warm path must engage (one cold root solve)"
+        );
+        assert_eq!(stats.cold_solves + stats.warm_solves, stats.nodes);
     }
 
     /// Mirrored integers (finite upper bound, lower −∞) branch through

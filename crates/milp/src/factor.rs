@@ -2,7 +2,7 @@
 //!
 //! The basis matrix `B` is held as an **LU factorization of a snapshot
 //! basis `B₀`**, kept current across pivots by one of two update schemes
-//! ([`UpdateKind`](crate::UpdateKind)):
+//! ([`UpdateKind`]):
 //!
 //! * **Forrest–Tomlin** (the production default, sparse snapshot only) —
 //!   the factors themselves are updated in place, so FTRAN/BTRAN keep
@@ -44,7 +44,7 @@
 //! Forrest–Tomlin).
 //!
 //! Two snapshot factorizations implement the same contract, selected by
-//! [`FactorKind`](crate::FactorKind):
+//! [`FactorKind`]:
 //!
 //! * [`SparseLu`] (the production default) — a **right-looking sparse LU
 //!   with Markowitz pivot ordering and threshold partial pivoting**. The
@@ -77,8 +77,40 @@
 //! badly scaled basis (every entry ~1e-12) factors fine while a genuinely
 //! rank-deficient one (duplicate columns cancelling to round-off) is
 //! still rejected.
+//!
+//! Neither choice is a solver option: the kernel request derives both
+//! (`Kernel::setup`). [`crate::Kernel::Revised`] runs the sparse LU with
+//! Forrest–Tomlin updates; [`crate::Kernel::DenseTableau`] and the
+//! recovery ladder's dense rung run the dense LU with the product form.
 
-use crate::model::{FactorKind, UpdateKind};
+use crate::model::SolverOptions;
+
+/// Which snapshot factorization backs the update scheme.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FactorKind {
+    /// Sparse LU with Markowitz pivot ordering and threshold partial
+    /// pivoting: `O(nnz(L+U))` storage and refactor cost proportional to
+    /// fill. The production factorization.
+    Sparse,
+    /// Dense LU snapshot (`O(m²)` storage, `O(m³)` refactor), kept as
+    /// the cross-validation oracle for the sparse scheme.
+    Dense,
+}
+
+/// How the factorization absorbs a pivot (a one-column basis change)
+/// between refactorizations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UpdateKind {
+    /// Forrest–Tomlin: the leaving column of `U` is replaced by the
+    /// entering column's spike, the spike row is eliminated with one row
+    /// eta against `U`'s trailing submatrix, and the pivot is permuted
+    /// to the end. The production scheme; sparse snapshot only.
+    ForrestTomlin,
+    /// Product-form eta file: every pivot appends one eta transformation
+    /// that each subsequent FTRAN/BTRAN replays. The oracle's scheme and
+    /// the recovery ladder's product-form rung.
+    ProductForm,
+}
 
 /// Relative singularity threshold: a pivot candidate must exceed this
 /// fraction of its column's input scale to count as nonzero.
@@ -108,14 +140,14 @@ const FT_MULT_MAX: f64 = 1e8;
 const FT_DROP_REL: f64 = 1e-14;
 
 /// Resolved refactorization policy plus snapshot kind, derived from
-/// [`SolverOptions`](crate::SolverOptions) by the kernel.
+/// [`SolverOptions`] by the kernel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FactorConfig {
     /// Which snapshot factorization backs the update scheme.
     pub kind: FactorKind,
-    /// **Effective** update scheme: Forrest–Tomlin is only available on
-    /// the sparse snapshot, so `resolve` degrades `ForrestTomlin` to
-    /// `ProductForm` under [`FactorKind::Dense`].
+    /// Update scheme. Forrest–Tomlin is only available on the sparse
+    /// snapshot; [`FactorKind::Dense`] always pairs with the product
+    /// form.
     pub update: UpdateKind,
     /// Update count (etas or FT updates) that triggers a refactor; `0` =
     /// automatic (`max(64, 2m)`, see [`Factor::needs_refactor`]).
@@ -127,17 +159,13 @@ pub(crate) struct FactorConfig {
 }
 
 impl FactorConfig {
-    /// Pulls the factorization-relevant knobs out of solver options,
-    /// resolving the effective update scheme for the chosen snapshot.
-    pub fn resolve(opts: &crate::model::SolverOptions) -> FactorConfig {
-        let update = match (opts.factor, opts.update) {
-            (FactorKind::Sparse, u) => u,
-            // The dense oracle has no row/column-wise U to update.
-            (FactorKind::Dense, _) => UpdateKind::ProductForm,
-        };
+    /// The snapshot kind and update scheme the kernel request selects,
+    /// plus the refactor-policy knobs of the solver options.
+    pub fn resolve(opts: &SolverOptions) -> FactorConfig {
+        let setup = opts.kernel.setup();
         FactorConfig {
-            kind: opts.factor,
-            update,
+            kind: setup.factor,
+            update: setup.update,
             max_etas: opts.refactor_eta_len,
             fill_growth: opts.refactor_fill_growth,
         }
@@ -146,7 +174,7 @@ impl FactorConfig {
 
 impl Default for FactorConfig {
     fn default() -> Self {
-        Self::resolve(&crate::model::SolverOptions::default())
+        Self::resolve(&SolverOptions::default())
     }
 }
 

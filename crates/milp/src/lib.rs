@@ -9,8 +9,8 @@
 //! * a [`Model`] builder with named, bounded, continuous or integer
 //!   [`variables`](Model::add_var) and linear [`constraints`](Model::add_constraint),
 //! * two LP kernels selected by [`SolverOptions::kernel`] (see below),
-//! * a **warm-started branch & bound** driver with a rounding heuristic
-//!   for integer programs (see [`solve_with_stats`]),
+//! * a **warm-started branch & bound** search for integer programs (see
+//!   [`solve_with_stats`]),
 //! * time / node limits mirroring the 20-minute CPLEX timeout used in the
 //!   paper ([`SolverOptions`]).
 //!
@@ -27,15 +27,13 @@
 //! * the basis is factorized as a **sparse LU with Forrest–Tomlin
 //!   updates** (`factor` module): the snapshot is a Markowitz-ordered,
 //!   threshold-pivoted sparse LU assembled straight from the sparse
-//!   columns (`O(nnz(L+U))` storage; [`SolverOptions::factor`] keeps the
-//!   old dense LU as a cross-validation oracle), each pivot updates the
-//!   factors in place — spike column, one row eta, pivot permuted to the
-//!   end ([`SolverOptions::update`] keeps the historical product-form
-//!   eta file as the A/B baseline) — FTRAN / BTRAN apply triangular
-//!   solves that are column-oriented with zero skipping (cost tracks
-//!   the fill-in of the sparse right-hand sides, not `m²`), and the
-//!   update state is flushed by refactorization when it grows long or
-//!   heavy ([`SolverOptions::refactor_eta_len`] /
+//!   columns (`O(nnz(L+U))` storage), each pivot updates the factors in
+//!   place — spike column, one row eta, pivot permuted to the end —
+//!   FTRAN / BTRAN apply triangular solves that are column-oriented
+//!   with zero skipping (cost tracks the fill-in of the sparse
+//!   right-hand sides, not `m²`), and the update state is flushed by
+//!   refactorization when it grows long or heavy
+//!   ([`SolverOptions::refactor_eta_len`] /
 //!   [`SolverOptions::refactor_fill_growth`]), or eagerly when an
 //!   unstable update is refused;
 //! * pricing is **one rule** (see "Pricing" below): Dantzig with an
@@ -52,8 +50,13 @@
 //! in place as it branches, and dual-reoptimizes each node from whatever
 //! basis the previous node left behind — typically a handful of pivots
 //! and no refactorization. Warm-start misses fall back to a parent-basis
-//! install, then a cold two-phase solve; `SolverOptions { warm_start:
-//! false, .. }` forces cold node solves for A/B comparisons.
+//! install, then a cold two-phase solve.
+//!
+//! The kernel request alone selects this configuration. The
+//! [`Kernel::DenseTableau`] oracle request runs the same search with the
+//! old dense LU, the product-form eta file and every node solved cold;
+//! neither the factorization, the update scheme nor warm starts are
+//! separate options.
 //!
 //! # Pricing
 //!
@@ -90,8 +93,8 @@
 //! [`NumericalEvent`] (unstable update, singular refactor, cycling
 //! suspected, residual drift, pivot/time budget) and answered by one
 //! escalation ladder: retry the Forrest–Tomlin update from the entering
-//! column → forced refactorization → re-solve the node under
-//! [`UpdateKind::ProductForm`] → cold basis rebuild → Bland-only
+//! column → forced refactorization → re-solve the node under the
+//! product-form update → cold basis rebuild → Bland-only
 //! pricing → dense-oracle kernel for that node. A residual health
 //! monitor recomputes `‖B·x_B − b_eff‖∞` every few pivots and before
 //! any node bound is trusted, so a corrupted factorization can never
@@ -103,12 +106,12 @@
 //! as their clean twins.
 //!
 //! The search itself is one work-stealing loop over **one LP backend**
-//! — the warm revised kernel — with pluggable **node ordering**
-//! ([`SolverOptions::node_order`]): depth-first with the nearer
-//! branching side explored first ([`NodeOrder::DfsNearerFirst`], the
-//! default), or a best-estimate priority queue ([`NodeOrder::BestBound`])
-//! with the parent basis handed off across jumps — the remedy for DFS
-//! plateau incumbents under tight node caps. Every integer variable
+//! — the warm revised kernel — exploring **depth-first**, the nearer
+//! branching side first, with the parent basis handed to every open
+//! node so a jump still warm-starts. Depth-first is the only order: on
+//! the repo benchmark a best-estimate queue never proved more than it.
+//! Incumbents come from integral node relaxations and from the caller's
+//! warm-start hint. Every integer variable
 //! shape branches natively: a node box on a shifted, mirrored
 //! (upper-bounded, lower −∞), or fully free (split-pair) integer
 //! translates to in-place column-bound updates on the bounded-variable
@@ -133,14 +136,11 @@
 //! proves a child infeasible biases selection toward the variable but
 //! never prunes, so an unverified probe cannot break correctness.
 //!
-//! Under [`NodeOrder::BestBound`] the queue is keyed on a
-//! **best-estimate** score — the node LP bound plus the
-//! pseudo-cost-predicted cost of repairing every remaining fractional
-//! variable — while pruning reads the raw bound. The gap test and the
-//! reported [`BranchBoundStats::dual_bound`] use the **global open-node
-//! minimum** (the frontier joined with the bounds of the episodes in
-//! flight), a valid dual bound; the gap test runs whenever an incumbent
-//! improves. The pseudo-cost table is shared by all workers:
+//! The gap test and the reported [`BranchBoundStats::dual_bound`] use
+//! the **global open-node minimum** (the frontier joined with the bounds
+//! of the episodes in flight, each raised to its claimed node's own LP
+//! bound once solved), a valid dual bound; the gap test runs whenever an
+//! incumbent improves. The pseudo-cost table is shared by all workers:
 //! node-expansion updates fold in under the existing budget lock, probe
 //! updates and all reads are lock-free atomics.
 //!
@@ -252,10 +252,7 @@ mod standard;
 
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
-pub use model::{
-    cmp, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind,
-    Variable,
-};
+pub use model::{cmp, CmpOp, Constraint, Kernel, Model, Sense, SolverOptions, Variable};
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};
 

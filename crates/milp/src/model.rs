@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use crate::branch_bound;
 use crate::expr::{LinExpr, VarId};
+use crate::factor::{FactorKind, UpdateKind};
 use crate::simplex;
 use crate::solution::{Solution, SolveError, Status};
 use crate::standard::StandardForm;
@@ -117,78 +118,58 @@ impl Constraint {
 /// Which simplex kernel solves the LP relaxations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// Revised simplex: sparse columns, LU-factorized basis with
-    /// product-form eta updates, dual-simplex warm starts in branch &
+    /// Revised simplex: sparse columns, a sparse LU basis kept current by
+    /// Forrest–Tomlin updates, dual-simplex warm starts in branch &
     /// bound. The production kernel.
     #[default]
     Revised,
     /// The original dense full-tableau two-phase simplex, kept as a
     /// cross-validation oracle (and for A/B benchmarking). Pure LP
     /// relaxations solve directly on the tableau. A branch & bound
-    /// search requested with this kernel runs the unified warm revised
-    /// backend in the oracle configuration ([`SolverOptions::resolve`]:
-    /// dense factors, product-form updates, cold node solves, one
-    /// worker) and then cross-validates the incumbent's pinned integer
-    /// assignment against the genuine dense tableau. Its node bounds come
-    /// from cold two-phase solves, independent of the warm long-step dual
-    /// path the production search takes.
+    /// search requested with this kernel runs the unified revised
+    /// backend in the oracle configuration (dense LU, product-form
+    /// updates, cold node solves, one worker) and then cross-validates
+    /// the incumbent's pinned integer assignment against the genuine
+    /// dense tableau. Its node bounds come from cold two-phase solves,
+    /// independent of the warm long-step dual path the production
+    /// search takes.
     DenseTableau,
 }
 
-/// Which basis factorization backs the revised kernel's eta file (see
-/// the `factor` module docs). Under [`Kernel::DenseTableau`] this is
-/// normalized to [`FactorKind::Dense`] by [`SolverOptions::resolve`]
-/// (the pure-LP tableau itself carries no factorization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FactorKind {
-    /// Sparse LU with Markowitz pivot ordering and threshold partial
-    /// pivoting: `O(nnz(L+U))` storage and refactor cost proportional to
-    /// fill. The production default.
-    #[default]
-    Sparse,
-    /// Dense LU snapshot (`O(m²)` storage, `O(m³)` refactor), kept as
-    /// the cross-validation oracle for the sparse scheme.
-    Dense,
+/// The engine configuration a [`Kernel`] request selects (see
+/// [`Kernel::setup`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Setup {
+    /// Snapshot factorization behind the revised kernel.
+    pub factor: FactorKind,
+    /// How pivots update that factorization between refactorizations.
+    pub update: UpdateKind,
+    /// Branch & bound nodes dual-reoptimize from the previous basis
+    /// (`false`: every node is solved two-phase from scratch).
+    pub warm: bool,
 }
 
-/// How the basis factorization absorbs a pivot (a one-column basis
-/// change) between refactorizations. Only the [`FactorKind::Sparse`]
-/// snapshot supports Forrest–Tomlin; the dense oracle always uses the
-/// product form (see the `factor` module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateKind {
-    /// Forrest–Tomlin: the leaving column of `U` is replaced by the
-    /// entering column's spike, the spike row is eliminated with one row
-    /// eta against `U`'s trailing submatrix, and the pivot is permuted
-    /// to the end — FTRAN/BTRAN keep solving against an *updated*
-    /// triangular `U` instead of replaying an unbounded eta file. The
-    /// production default.
-    #[default]
-    ForrestTomlin,
-    /// Product-form eta file: every pivot appends one eta transformation
-    /// that each subsequent FTRAN/BTRAN replays. The historical scheme,
-    /// kept as the cross-validation baseline (and the only scheme the
-    /// dense-LU oracle supports).
-    ProductForm,
-}
-
-/// Node selection strategy of the branch & bound search (see the
-/// `branch_bound` module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeOrder {
-    /// Depth-first, exploring the nearer branching side first. Cheapest
-    /// bookkeeping and the historical behaviour, but truncated runs can
-    /// plateau on an early incumbent while better ones hide in unvisited
-    /// subtrees.
-    #[default]
-    DfsNearerFirst,
-    /// Best-bound first: a priority queue keyed on a best-estimate score
-    /// (the parent LP bound plus the pseudo-cost-predicted cost of
-    /// repairing the remaining fractional variables; ties dive like
-    /// DFS), with the parent basis handed off to each queued child so
-    /// warm starts survive the jumps. Finds strong incumbents earlier
-    /// under node caps.
-    BestBound,
+impl Kernel {
+    /// The one place the engine configuration is derived from the
+    /// kernel request. [`Kernel::Revised`] is the production setup:
+    /// sparse LU, Forrest–Tomlin updates, warm nodes.
+    /// [`Kernel::DenseTableau`] is the oracle: dense LU, product-form
+    /// updates, cold nodes. The recovery ladder's dense rung rebuilds
+    /// the kernel under the oracle request.
+    pub(crate) fn setup(self) -> Setup {
+        match self {
+            Kernel::Revised => Setup {
+                factor: FactorKind::Sparse,
+                update: UpdateKind::ForrestTomlin,
+                warm: true,
+            },
+            Kernel::DenseTableau => Setup {
+                factor: FactorKind::Dense,
+                update: UpdateKind::ProductForm,
+                warm: false,
+            },
+        }
+    }
 }
 
 /// Resource limits and tolerances for the solver.
@@ -215,26 +196,12 @@ pub struct SolverOptions {
     pub pivot_tol: f64,
     /// Maximum simplex iterations per LP solve.
     pub max_pivots: usize,
-    /// Try the round-and-fix heuristic at the root node.
-    pub rounding_heuristic: bool,
     /// Stop as soon as an incumbent is within `gap_tol` (relative) of the
     /// best LP bound.
     pub gap_tol: f64,
-    /// LP kernel selection (see [`Kernel`]).
+    /// LP kernel selection (see [`Kernel`]). It alone selects the basis
+    /// factorization, the update scheme and warm or cold node solves.
     pub kernel: Kernel,
-    /// Warm-start branch & bound nodes from the parent basis via dual
-    /// simplex (only the [`Kernel::Revised`] kernel supports this; with
-    /// `false` every node is solved two-phase from scratch, which is the
-    /// configuration the warm-start regression tests compare against).
-    pub warm_start: bool,
-    /// Basis factorization behind the revised kernel (see [`FactorKind`]).
-    pub factor: FactorKind,
-    /// How pivots update the factorization between refactorizations (see
-    /// [`UpdateKind`]); [`FactorKind::Dense`] always uses the product
-    /// form regardless of this setting.
-    pub update: UpdateKind,
-    /// Branch & bound node selection strategy (see [`NodeOrder`]).
-    pub node_order: NodeOrder,
     /// Eta-file length that triggers a refactorization; `0` (the
     /// default) resolves to `max(64, 2m)` for a basis of `m` rows.
     pub refactor_eta_len: usize,
@@ -285,13 +252,8 @@ impl Default for SolverOptions {
             // a generous pivot budget (pivots are cheap, restarts are
             // not).
             max_pivots: 2_000_000,
-            rounding_heuristic: true,
             gap_tol: 1e-9,
             kernel: Kernel::Revised,
-            warm_start: true,
-            factor: FactorKind::Sparse,
-            update: UpdateKind::ForrestTomlin,
-            node_order: NodeOrder::DfsNearerFirst,
             refactor_eta_len: 0,
             refactor_fill_growth: 8.0,
             faults: None,
@@ -321,16 +283,12 @@ impl SolverOptions {
     ///
     /// Normalizations:
     /// * `workers == 0` becomes `1` (a solve needs one worker).
-    /// * [`Kernel::DenseTableau`] is an oracle request: the search runs
-    ///   the unified warm revised backend pinned to the dense-oracle
-    ///   setup — one worker, [`UpdateKind::ProductForm`],
-    ///   [`FactorKind::Dense`], cold node solves — and the incumbent is
-    ///   cross-validated against the genuine dense tableau afterwards.
+    /// * [`Kernel::DenseTableau`] runs one worker: the oracle search is
+    ///   deterministic, and its incumbent is cross-validated against the
+    ///   genuine dense tableau afterwards.
     ///
-    /// Deliberately *not* normalized: [`FactorKind::Dense`] +
-    /// [`UpdateKind::ForrestTomlin`] (the dense factor internally
-    /// degrades to the product form; a documented, tested property of
-    /// the factor layer rather than an option conflict).
+    /// The factorization, update scheme and warm or cold node solves
+    /// are not options: the kernel request alone derives them.
     pub fn resolve(&self) -> (SolverOptions, Vec<String>) {
         let mut eff = self.clone();
         let mut notes = Vec::new();
@@ -338,34 +296,12 @@ impl SolverOptions {
             notes.push("workers: 0 -> 1 (a solve needs one worker)".to_string());
             eff.workers = 1;
         }
-        if eff.kernel == Kernel::DenseTableau {
-            if eff.workers != 1 {
-                notes.push(format!(
-                    "workers: {} -> 1 (the DenseTableau oracle runs one worker)",
-                    eff.workers
-                ));
-                eff.workers = 1;
-            }
-            if eff.update != UpdateKind::ProductForm {
-                notes.push(format!(
-                    "update: {:?} -> ProductForm (the oracle configuration)",
-                    eff.update
-                ));
-                eff.update = UpdateKind::ProductForm;
-            }
-            if eff.factor != FactorKind::Dense {
-                notes.push(format!(
-                    "factor: {:?} -> Dense (the oracle configuration)",
-                    eff.factor
-                ));
-                eff.factor = FactorKind::Dense;
-            }
-            if eff.warm_start {
-                notes.push(
-                    "warm_start: true -> false (oracle nodes re-solve from scratch)".to_string(),
-                );
-                eff.warm_start = false;
-            }
+        if eff.kernel == Kernel::DenseTableau && eff.workers != 1 {
+            notes.push(format!(
+                "workers: {} -> 1 (the DenseTableau oracle runs one worker)",
+                eff.workers
+            ));
+            eff.workers = 1;
         }
         (eff, notes)
     }
@@ -733,9 +669,10 @@ mod tests {
     }
 
     /// `SolverOptions::resolve` is the one normalization point: the
-    /// dense-oracle request pins its whole configuration loudly (one
-    /// note per overridden knob), `workers: 0` becomes 1, and a
-    /// production-default request passes through untouched.
+    /// dense-oracle request pins one worker loudly, `workers: 0` becomes
+    /// 1, and a production-default request passes through untouched.
+    /// The oracle's factorization and cold nodes come from the kernel
+    /// request itself.
     #[test]
     fn resolve_normalizes_unsupported_combinations_loudly() {
         let (eff, notes) = SolverOptions::default().resolve();
@@ -758,22 +695,15 @@ mod tests {
         .resolve();
         assert_eq!(eff.kernel, Kernel::DenseTableau);
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.update, UpdateKind::ProductForm);
-        assert_eq!(eff.factor, FactorKind::Dense);
-        assert!(!eff.warm_start);
-        // workers, update, factor, warm_start each noted.
-        assert_eq!(notes.len(), 4, "{notes:?}");
-
-        // Dense factor + Forrest–Tomlin under the revised kernel is a
-        // documented internal degradation, not an option conflict.
-        let (eff, notes) = SolverOptions {
-            factor: FactorKind::Dense,
-            update: UpdateKind::ForrestTomlin,
-            ..Default::default()
-        }
-        .resolve();
-        assert_eq!(eff.update, UpdateKind::ForrestTomlin);
-        assert!(notes.is_empty(), "{notes:?}");
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        let oracle = eff.kernel.setup();
+        assert_eq!(oracle.factor, FactorKind::Dense);
+        assert_eq!(oracle.update, UpdateKind::ProductForm);
+        assert!(!oracle.warm);
+        let production = Kernel::Revised.setup();
+        assert_eq!(production.factor, FactorKind::Sparse);
+        assert_eq!(production.update, UpdateKind::ForrestTomlin);
+        assert!(production.warm);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //!
 //! Layering (see also the crate-level "Concurrency model" docs):
 //!
-//! * **Shared frontier** — one [`Frontier`] (best-bound heap or DFS
-//!   stack, per [`SolverOptions::node_order`]) plus the branch-tree
-//!   arena, the node/time budget, and the `node_bounds` telemetry, all
-//!   behind a single `Mutex` with a `Condvar` for idle workers. The
-//!   incumbent lives behind its *own* `Mutex`, with the pruning cutoff
-//!   mirrored into an atomic (signed-objective bits) so the hot pruning
-//!   path never takes a lock. The two locks are never held at once.
+//! * **Shared frontier** — one LIFO stack of [`OpenNode`]s plus the
+//!   branch-tree arena, the node/time budget, and the `node_bounds`
+//!   telemetry, all behind a single `Mutex` with a `Condvar` for idle
+//!   workers. The incumbent lives behind its *own* `Mutex`, with the
+//!   pruning cutoff mirrored into an atomic (signed-objective bits) so
+//!   the hot pruning path never takes a lock. The two locks are never
+//!   held at once.
 //!
 //! * **Worker layer** — each worker owns a full [`WarmBackend`]: its own
 //!   [`crate::revised::Revised`] kernel, sparse factors, fault injector,
@@ -19,11 +19,11 @@
 //!   A worker claims one open node from the frontier and runs it as a
 //!   bounded DFS **episode**: children bypass the queue onto a
 //!   worker-local dive stack until the episode cap trips, whereupon the
-//!   leftovers — each carrying its own bound key and parent-basis
-//!   `Arc` — are flushed back to the shared frontier for any worker to
-//!   steal. Node boxes are re-derived per worker by an LCA walk of the
-//!   shared branch tree, read under the lock but applied to the
-//!   worker's private kernel.
+//!   leftovers — each carrying its own bound and parent-basis `Arc` —
+//!   are flushed back to the shared frontier for any worker to steal.
+//!   Node boxes are re-derived per worker by an LCA walk of the shared
+//!   branch tree, read under the lock but applied to the worker's
+//!   private kernel.
 //!
 //! * **Merge layer** — every worker accumulates a private
 //!   [`BranchBoundStats`]; at join they are folded additively (counters
@@ -37,7 +37,10 @@
 //! cannot beat the cutoff are discarded unsolved — each discard is
 //! individually sound (its bound alone proves the subtree useless), so
 //! no global agreement is needed. The gap test runs whenever an
-//! incumbent improves, against the open-node bound. Budget exhaustion
+//! incumbent improves, against the open-node bound: the frontier joined
+//! with each running episode's floor. A claim enters with its parent's
+//! bound as the floor, raised to its own LP bound once that LP solves,
+//! so the gap can close during the very first episode. Budget exhaustion
 //! (shared node cap or the single shared deadline) marks the search
 //! truncated and stops every worker at its next claim.
 //!
@@ -49,18 +52,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::branch_bound::{
-    branch_children, finish, select_branch_var, BranchBoundStats, Frontier, OpenNode, PseudoCosts,
+    branch_children, finish, min_bound, select_branch_var, BranchBoundStats, OpenNode, PseudoCosts,
     TreeNode, WarmBackend,
 };
 use crate::expr::VarId;
-use crate::model::{Model, NodeOrder, Sense, SolverOptions};
+use crate::model::{Model, Sense, SolverOptions};
 use crate::revised::Revised;
 use crate::solution::{Solution, SolveError};
 use crate::standard::{BoxedForm, ColMap};
 
 /// Search-wide state behind the frontier lock.
 struct Shared {
-    frontier: Frontier,
+    /// Open nodes, popped last-in first-out (depth-first).
+    frontier: Vec<OpenNode>,
     /// The branch tree. Append-only; indices are stable, so workers can
     /// cache arena indices (`cur`) across lock drops.
     arena: Vec<TreeNode>,
@@ -79,12 +83,11 @@ struct Shared {
     /// Slot per claimed node, indexed by claim order; written when the
     /// node's LP concludes (claim order ≠ completion order).
     node_bounds: Vec<f64>,
-    /// Push sequence for heap tie-breaking.
-    seq: usize,
     /// Per worker: the signed bound of the node it claimed (`+∞` when
-    /// idle). A claim's bound lower-bounds every node its episode can
-    /// produce, so `min(frontier, episode_floor)` is a valid global
-    /// dual bound even while episodes are in flight.
+    /// idle), raised to the claim's own LP bound once that LP solves. A
+    /// claim's bound lower-bounds every node its episode can produce, so
+    /// `min(frontier, episode_floor)` is a valid global dual bound even
+    /// while episodes are in flight.
     episode_floor: Vec<f64>,
 }
 
@@ -189,7 +192,7 @@ impl Ctx<'_> {
             sh.episode_floor
                 .iter()
                 .copied()
-                .fold(sh.frontier.min_bound(), f64::min)
+                .fold(min_bound(&sh.frontier), f64::min)
         };
         let inc = {
             let inc = self.incumbent.lock().unwrap();
@@ -284,25 +287,9 @@ impl Worker<'_, '_> {
         arena[t].depth
     }
 
-    /// Round-and-fix heuristic on this worker's kernel; the candidate is
-    /// offered through the shared incumbent lock.
-    fn offer_incumbent(&mut self, sol: &Solution, node_idx: usize) {
-        let ctx = self.ctx;
-        let mut pins: Vec<(usize, f64)> = Vec::with_capacity(ctx.int_vars.len());
-        let mut restore: Vec<(usize, f64, f64)> = Vec::with_capacity(ctx.int_vars.len());
-        for &v in &ctx.int_vars {
-            let vi = v.index();
-            let val = sol.value(v).round().clamp(self.lo[vi], self.hi[vi]);
-            pins.push((vi, val));
-            restore.push((vi, self.lo[vi], self.hi[vi]));
-        }
-        let candidate = self.backend.round_and_fix(ctx.opts, &pins, &restore, sol);
-        ctx.accept(candidate, node_idx);
-    }
-
     /// Queues the children of an expanded node onto the episode's dive
-    /// stack. Must be called with the shared lock held (arena append).
-    #[allow(clippy::too_many_arguments)]
+    /// stack, nearer side on top. Must be called with the shared lock
+    /// held (arena append).
     fn expand(
         &self,
         sh: &mut Shared,
@@ -311,53 +298,17 @@ impl Worker<'_, '_> {
         bound: f64,
         basis: &Option<Arc<crate::revised::BasisState>>,
         dive: &mut Vec<OpenNode>,
-        sol: &Solution,
     ) {
-        let ctx = self.ctx;
         let vi = var.index();
-        let signed_bound = ctx.signed(bound);
-        // Best-estimate scoring (best-bound only): the shared completion
-        // term Σ_j min(down_j·f⁻_j, up_j·f⁺_j) over the *other*
-        // fractional variables, plus the per-child cost of rounding `vi`
-        // itself. Estimates order the queue but never prune (pruning
-        // reads `OpenNode::bound`).
-        let estimate = ctx.opts.node_order == NodeOrder::BestBound;
-        let common = if estimate {
-            let mut sum = 0.0;
-            for &v in &ctx.int_vars {
-                if v.index() == vi {
-                    continue;
-                }
-                let x = sol.value(v);
-                let fd = x - x.floor();
-                let fu = x.ceil() - x;
-                if fd.min(fu) <= ctx.opts.int_tol {
-                    continue;
-                }
-                let down = ctx.pseudo.estimate(v.index(), false) * fd;
-                let up = ctx.pseudo.estimate(v.index(), true) * fu;
-                sum += down.min(up).max(0.0);
-            }
-            sum
-        } else {
-            0.0
-        };
+        let signed_bound = self.ctx.signed(bound);
         let depth = sh.arena[t].depth + 1;
         let children = branch_children(t, depth, vi, val, self.lo[vi], self.hi[vi], bound);
         for child in children.into_iter().flatten() {
-            let key = if estimate {
-                signed_bound + common + ctx.pseudo.estimate(vi, child.up) * child.frac
-            } else {
-                signed_bound
-            };
             let idx = sh.arena.len();
             sh.arena.push(child);
-            sh.seq += 1;
             dive.push(OpenNode {
                 node: idx,
                 bound: signed_bound,
-                key,
-                seq: sh.seq,
                 basis: basis.clone(),
             });
         }
@@ -489,9 +440,9 @@ impl Worker<'_, '_> {
             solved += 1;
             let pruned = cut_closed || ctx.signed(relax.objective) >= ctx.cutoff() - 1e-9;
             // Children warm-start from this node's optimal basis —
-            // snapshot before strong-branch probes or the heuristic
-            // perturb the kernel. Branching selection is local work
-            // (probes run on this worker's private kernel).
+            // snapshot before strong-branch probes perturb the kernel.
+            // Branching selection is local work (probes run on this
+            // worker's private kernel).
             let my_basis = if pruned {
                 None
             } else {
@@ -513,23 +464,24 @@ impl Worker<'_, '_> {
                     &mut self.stats,
                 )
             };
-            let heuristic_due = ctx.opts.rounding_heuristic
-                && branch.is_some()
-                && (depth == 0 || depth.is_multiple_of(8));
-            if heuristic_due {
-                self.offer_incumbent(&relax, node_idx + 1);
-            }
-            // Lock 2: publish the bound, record the pseudo-cost
-            // observation — this node's bound degradation against its
-            // parent per unit of branch fractionality (the shared table
-            // is updated under the existing budget lock) — and append
-            // the children.
+            // Lock 2: publish the bound, raise the episode floor to the
+            // claim's own LP bound, record the pseudo-cost observation —
+            // this node's bound degradation against its parent per unit
+            // of branch fractionality (the shared table is updated under
+            // the existing budget lock) — and append the children.
             {
                 let mut sh = ctx.shared.lock().unwrap();
                 sh.node_bounds[node_idx] = relax.objective;
                 if depth == 0 {
                     sh.root_bound = relax.objective;
                     sh.root_solved = true;
+                }
+                if solved == 1 && !cut_closed {
+                    // The claimed node's LP bound lower-bounds every node
+                    // this episode can produce (its dive starts from it),
+                    // so the gap test need not wait for the episode to end.
+                    let floor = &mut sh.episode_floor[self.id];
+                    *floor = floor.max(ctx.signed(relax.objective));
                 }
                 let nd = &sh.arena[open.node];
                 if nd.vi != usize::MAX && nd.frac > ctx.opts.int_tol && nd.parent_obj.is_finite() {
@@ -546,7 +498,6 @@ impl Worker<'_, '_> {
                         relax.objective,
                         &my_basis,
                         &mut dive,
-                        &relax,
                     );
                 }
             }
@@ -580,7 +531,7 @@ impl Worker<'_, '_> {
             let mut sh = self.ctx.shared.lock().unwrap();
             sh.outstanding -= 1;
             sh.episode_floor[self.id] = f64::INFINITY;
-            if sh.outstanding == 0 && sh.frontier.len() == 0 {
+            if sh.outstanding == 0 && sh.frontier.is_empty() {
                 sh.done = true;
             }
             drop(sh);
@@ -613,14 +564,11 @@ pub(crate) fn search(
         .collect();
     let int_count = int_vars.len();
     let arena = vec![TreeNode::root()];
-    let mut frontier = Frontier::new(opts.node_order);
-    frontier.push(OpenNode {
+    let frontier = vec![OpenNode {
         node: 0,
         bound: f64::NEG_INFINITY,
-        key: f64::NEG_INFINITY,
-        seq: 0,
         basis: None,
-    });
+    }];
     let ctx = Ctx {
         model,
         opts,
@@ -642,7 +590,6 @@ pub(crate) fn search(
             root_solved: false,
             queue_peak: 1,
             node_bounds: Vec::new(),
-            seq: 0,
             episode_floor: vec![f64::INFINITY; workers],
         }),
         idle: Condvar::new(),
@@ -679,10 +626,7 @@ pub(crate) fn search(
                 lo: model.vars.iter().map(|v| v.lower).collect(),
                 hi: model.vars.iter().map(|v| v.upper).collect(),
                 cur: 0,
-                stats: BranchBoundStats {
-                    order: opts.node_order,
-                    ..BranchBoundStats::default()
-                },
+                stats: BranchBoundStats::default(),
                 episode_cap,
             }
         })
@@ -716,10 +660,7 @@ pub(crate) fn search(
         })
     };
     // Merge layer: counters sum, peaks max, recovery ledgers absorb.
-    let mut stats = BranchBoundStats {
-        order: opts.node_order,
-        ..BranchBoundStats::default()
-    };
+    let mut stats = BranchBoundStats::default();
     for w in &worker_stats {
         stats.simplex_iters += w.simplex_iters;
         stats.warm_solves += w.warm_solves;
@@ -756,7 +697,7 @@ pub(crate) fn search(
     // episode exit) joined with the incumbent; completed searches have an
     // empty frontier, so the bound collapses to the incumbent objective.
     let sense_mul = ctx.sense_mul;
-    let open_min = shared.frontier.min_bound();
+    let open_min = min_bound(&shared.frontier);
     let inc_signed = inc
         .best
         .as_ref()

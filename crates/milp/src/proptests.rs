@@ -16,8 +16,8 @@
 
 use proptest::prelude::*;
 
-use crate::factor::{Eta, Factor, FactorConfig};
-use crate::model::{cmp, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind};
+use crate::factor::{Eta, Factor, FactorConfig, FactorKind, UpdateKind};
+use crate::model::{cmp, Kernel, Model, Sense, SolverOptions};
 use crate::solution::SolveError;
 use crate::LinExpr;
 
@@ -189,9 +189,8 @@ proptest! {
     /// **Unboxed-integer oracle**: MILPs whose integers carry negative,
     /// mirrored, and fully free bound shapes — the class the deleted
     /// `LegacyBackend` used to own — must branch natively on the warm
-    /// path and agree with the dense-tableau oracle request across every
-    /// `NodeOrder` × `workers ∈ {1, 2}` combination, with integral
-    /// feasible points throughout.
+    /// path and agree with the dense-tableau oracle request at
+    /// `workers ∈ {1, 2}`, with integral feasible points throughout.
     #[test]
     fn mirrored_and_free_integers_agree_with_dense_oracle(
         lp in planted_unboxed_milp(4, 3),
@@ -204,34 +203,31 @@ proptest! {
         )
         .expect("planted MILP must be feasible");
         prop_assert!(m.max_violation(dense.values(), 1e-6) < 1e-5);
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            for workers in [1usize, 2] {
-                let opts = SolverOptions {
-                    node_order: order,
-                    workers,
-                    ..base.clone()
-                };
-                let (sol, stats) = crate::solve_with_stats(&m, &opts)
-                    .expect("planted MILP must be feasible");
-                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                for (i, &v) in vars.iter().enumerate() {
-                    let x = sol[v];
-                    prop_assert!(
-                        (x - x.round()).abs() < 1e-6,
-                        "x{i} = {x} not integral (shape {})",
-                        lp.shapes[i]
-                    );
-                }
-                if stats.truncated || dense_stats.truncated {
-                    continue;
-                }
+        for workers in [1usize, 2] {
+            let opts = SolverOptions {
+                workers,
+                ..base.clone()
+            };
+            let (sol, stats) = crate::solve_with_stats(&m, &opts)
+                .expect("planted MILP must be feasible");
+            prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+            for (i, &v) in vars.iter().enumerate() {
+                let x = sol[v];
                 prop_assert!(
-                    (sol.objective - dense.objective).abs() < 1e-7,
-                    "{order:?}/workers={workers}: warm {} vs dense oracle {}",
-                    sol.objective,
-                    dense.objective
+                    (x - x.round()).abs() < 1e-6,
+                    "x{i} = {x} not integral (shape {})",
+                    lp.shapes[i]
                 );
             }
+            if stats.truncated || dense_stats.truncated {
+                continue;
+            }
+            prop_assert!(
+                (sol.objective - dense.objective).abs() < 1e-7,
+                "workers={workers}: warm {} vs dense oracle {}",
+                sol.objective,
+                dense.objective
+            );
         }
     }
 
@@ -294,7 +290,8 @@ proptest! {
         );
     }
 
-    /// Revised (warm and cold B&B) vs dense-tableau oracle on planted
+    /// Revised (warm B&B) vs the dense-tableau oracle request (cold
+    /// B&B on dense LU, incumbent re-checked on the tableau) on planted
     /// (feasible) MILPs: same optimum, and the returned points are
     /// feasible under either kernel.
     #[test]
@@ -302,24 +299,16 @@ proptest! {
         let (m, _vars) = lp.build();
         let base = SolverOptions { max_nodes: 2_000, ..Default::default() };
         let warm = m.solve_with(&base).unwrap();
-        let cold = m
-            .solve_with(&SolverOptions { warm_start: false, ..base.clone() })
-            .unwrap();
         let dense = m
             .solve_with(&SolverOptions { kernel: Kernel::DenseTableau, ..base.clone() })
             .unwrap();
         prop_assert!(m.max_violation(warm.values(), 1e-6) < 1e-5);
+        prop_assert!(m.max_violation(dense.values(), 1e-6) < 1e-5);
         prop_assert!(
             (warm.objective - dense.objective).abs() < 1e-6,
             "warm {} vs dense {}",
             warm.objective,
             dense.objective
-        );
-        prop_assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
         );
     }
 
@@ -502,73 +491,73 @@ proptest! {
         }
     }
 
-    /// **Search-order oracle**: every `NodeOrder` × `FactorKind`
-    /// combination, run through the full warm-started branch & bound,
-    /// must agree on the verdict and the objective.
+    /// **Search oracle**: the production search and the
+    /// `Kernel::DenseTableau` request (dense LU, product form, cold
+    /// nodes) run through the full branch & bound and must agree on the
+    /// verdict and the objective.
     #[test]
     fn node_orders_and_factor_kinds_agree(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
         let mut reference: Option<f64> = None;
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            for factor in [FactorKind::Sparse, FactorKind::Dense] {
-                let opts = SolverOptions {
-                    max_nodes: 4_000,
-                    node_order: order,
-                    factor,
-                    ..Default::default()
-                };
-                let (sol, stats) =
-                    crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                // Truncated searches may legitimately hold different
-                // incumbents; only completed runs must agree.
-                if stats.truncated {
-                    continue;
-                }
-                match reference {
-                    None => reference = Some(sol.objective),
-                    Some(r) => prop_assert!(
-                        (sol.objective - r).abs() < 1e-7,
-                        "{order:?}/{factor:?}: {} vs reference {}",
-                        sol.objective,
-                        r
-                    ),
-                }
+        for kernel in [Kernel::Revised, Kernel::DenseTableau] {
+            let opts = SolverOptions {
+                max_nodes: 4_000,
+                kernel,
+                ..Default::default()
+            };
+            let (sol, stats) =
+                crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
+            prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+            // Truncated searches may legitimately hold different
+            // incumbents; only completed runs must agree.
+            if stats.truncated {
+                continue;
+            }
+            match reference {
+                None => reference = Some(sol.objective),
+                Some(r) => prop_assert!(
+                    (sol.objective - r).abs() < 1e-7,
+                    "{kernel:?}: {} vs reference {}",
+                    sol.objective,
+                    r
+                ),
             }
         }
     }
 
-    /// **Schedule oracle**: node ordering and the worker count change
-    /// which nodes get explored, never which answer comes out. For every
-    /// `NodeOrder` × `workers ∈ {1, 2}` combination, completed runs must
-    /// agree on the objective and return feasible points.
+    /// **Schedule oracle**: the worker count changes which nodes get
+    /// explored, never which answer comes out. At `workers ∈ {1, 2}`,
+    /// completed runs must agree on the objective with the
+    /// `Kernel::DenseTableau` request and return feasible points.
     #[test]
     fn node_orders_and_worker_counts_agree(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
         let mut reference: Option<f64> = None;
-        for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-            for workers in [1usize, 2] {
-                let opts = SolverOptions {
-                    max_nodes: 4_000,
-                    node_order: order,
-                    workers,
-                    ..Default::default()
-                };
-                let (sol, stats) =
-                    crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                if stats.truncated {
-                    continue;
-                }
-                match reference {
-                    None => reference = Some(sol.objective),
-                    Some(r) => prop_assert!(
-                        (sol.objective - r).abs() < 1e-7,
-                        "{order:?}/workers={workers}: {} vs reference {}",
-                        sol.objective,
-                        r
-                    ),
-                }
+        for (kernel, workers) in [
+            (Kernel::Revised, 1usize),
+            (Kernel::Revised, 2),
+            (Kernel::DenseTableau, 1),
+        ] {
+            let opts = SolverOptions {
+                max_nodes: 4_000,
+                kernel,
+                workers,
+                ..Default::default()
+            };
+            let (sol, stats) =
+                crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
+            prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+            if stats.truncated {
+                continue;
+            }
+            match reference {
+                None => reference = Some(sol.objective),
+                Some(r) => prop_assert!(
+                    (sol.objective - r).abs() < 1e-7,
+                    "{kernel:?}/workers={workers}: {} vs reference {}",
+                    sol.objective,
+                    r
+                ),
             }
         }
     }
@@ -720,52 +709,54 @@ proptest! {
         }
     }
 
-    /// Every `FactorKind` × `UpdateKind` combination, run through the
-    /// full warm-started branch & bound, must agree on the verdict and
-    /// the objective (Forrest–Tomlin degrades to the product form on the
-    /// dense snapshot — that combination pins the degradation path).
+    /// The production configuration (sparse LU, Forrest–Tomlin), the
+    /// same kernel forced onto the product-form update (the recovery
+    /// ladder's rung-3 configuration, switched before the first solve),
+    /// and the `Kernel::DenseTableau` request (dense LU, product form)
+    /// must agree on the LP optimum of the root relaxation.
     #[test]
     fn factor_and_update_kinds_agree_on_milps(lp in planted_lp(5, 4)) {
-        let (m, _vars) = lp.build();
-        let mut reference: Option<f64> = None;
-        for factor in [FactorKind::Sparse, FactorKind::Dense] {
-            for update in [UpdateKind::ForrestTomlin, UpdateKind::ProductForm] {
-                let opts = SolverOptions {
-                    max_nodes: 4_000,
-                    factor,
-                    update,
-                    ..Default::default()
-                };
-                let (sol, stats) =
-                    crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                if stats.truncated {
-                    continue;
-                }
-                match reference {
-                    None => reference = Some(sol.objective),
-                    Some(r) => prop_assert!(
-                        (sol.objective - r).abs() < 1e-7,
-                        "{factor:?}/{update:?}: {} vs reference {}",
-                        sol.objective,
-                        r
-                    ),
-                }
+        let relaxed = PlantedLp {
+            integers: vec![false; lp.nvars],
+            ..lp.clone()
+        };
+        let (m, _vars) = relaxed.build();
+        let bf = crate::standard::BoxedForm::build(&m);
+        let solve = |kernel: Kernel, product_form: bool| -> f64 {
+            let opts = SolverOptions { kernel, ..Default::default() };
+            let mut k = crate::revised::Revised::new(&bf, &opts);
+            if product_form {
+                k.set_update_kind(UpdateKind::ProductForm);
             }
+            let mut budget = opts.max_pivots;
+            k.solve_two_phase(&opts, &mut budget).expect("planted LP must be feasible");
+            let v = bf.sf.recover(&k.values());
+            lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum()
+        };
+        let reference = solve(Kernel::Revised, false);
+        for (label, obj) in [
+            ("sparse/product form", solve(Kernel::Revised, true)),
+            ("dense/product form", solve(Kernel::DenseTableau, false)),
+        ] {
+            prop_assert!(
+                (obj - reference).abs() < 1e-6,
+                "{label}: {obj} vs sparse/Forrest–Tomlin {reference}"
+            );
         }
     }
 
-    /// The sparse and dense basis factorizations, driven through the full
-    /// warm-started branch & bound, must land on the same MILP optimum —
-    /// also under an aggressive refactor policy that flushes the eta file
-    /// every couple of pivots.
+    /// The production search and the `Kernel::DenseTableau` request
+    /// (dense-LU factorization), driven through the full branch & bound,
+    /// must land on the same MILP optimum — also under an aggressive
+    /// refactor policy that flushes the update state every couple of
+    /// pivots.
     #[test]
     fn factor_kinds_agree_on_milp_objectives(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
         let base = SolverOptions { max_nodes: 2_000, ..Default::default() };
         let sparse = m.solve_with(&base).unwrap();
         let dense = m
-            .solve_with(&SolverOptions { factor: FactorKind::Dense, ..base.clone() })
+            .solve_with(&SolverOptions { kernel: Kernel::DenseTableau, ..base.clone() })
             .unwrap();
         prop_assert!(
             (sparse.objective - dense.objective).abs() < 1e-7,

@@ -11,17 +11,16 @@
 //!    a corrupted spike without touching the factors.
 //! 2. **Forced refactorization** of the current basis — the classic
 //!    answer to a refused update or to residual drift.
-//! 3. **Product-form switch** for the node: re-solve under
-//!    [`UpdateKind::ProductForm`](crate::UpdateKind), the conservative
-//!    update scheme.
+//! 3. **Product-form switch** for the node: re-solve under the
+//!    product-form eta file, the conservative update scheme.
 //! 4. **Cold basis rebuild**: a fresh kernel over the same form (column
 //!    boxes carried over), discarding every piece of possibly corrupted
 //!    state.
 //! 5. **Bland-only pricing** for the node: escapes cycling that the
 //!    automatic Dantzig→Bland switch did not catch.
-//! 6. **Dense-oracle kernel** for the node: the dense-LU snapshot
-//!    ([`FactorKind::Dense`](crate::FactorKind)) with product-form
-//!    updates — slowest, most robust.
+//! 6. **Dense-oracle kernel** for the node: the kernel rebuilt under the
+//!    [`Kernel::DenseTableau`](crate::Kernel) request, i.e. the dense-LU
+//!    snapshot with product-form updates — slowest, most robust.
 //!
 //! Rungs 1–2 act per pivot inside the revised kernel; rungs 3–6 act per
 //! branch & bound node (see `WarmBackend::solve_node`). Which events

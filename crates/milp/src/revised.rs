@@ -3,9 +3,9 @@
 //! Where the dense oracle ([`crate::simplex`]) updates an `(m+1) × width`
 //! tableau on every pivot, this kernel keeps the constraint matrix as
 //! **sparse columns**, the basis as a sparse LU kept current across
-//! pivots by Forrest–Tomlin updates — or an LU snapshot plus
-//! product-form eta file under
-//! [`UpdateKind::ProductForm`](crate::UpdateKind), see
+//! pivots by Forrest–Tomlin updates — or a dense LU snapshot plus
+//! product-form eta file under the
+//! [`Kernel::DenseTableau`](crate::Kernel) oracle request, see
 //! [`crate::factor`] — and — crucially — variable bounds on the
 //! *columns* (`l ≤ y ≤ u`) rather than as extra rows. Nonbasic columns
 //! rest at either bound; the entering step may terminate in a **bound
@@ -34,8 +34,8 @@
 //!   column's box or a row's right-hand side in place; `x_B` is lazily
 //!   resynced by one sparse FTRAN at the next pivot run.
 
-use crate::factor::{Eta, Factor, FactorConfig};
-use crate::model::{SolverOptions, UpdateKind};
+use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
+use crate::model::SolverOptions;
 use crate::recover::{
     FaultInjector, FaultSite, NumericalEvent, RecoveryStats, RESIDUAL_CHECK_EVERY,
 };
@@ -1891,9 +1891,11 @@ mod tests {
         assert!(v[0] - v[1] >= s * (1.0 - 1e-6), "{v:?}");
     }
 
-    /// `SolverOptions::update` reaches the kernel: under Forrest–Tomlin
-    /// the eta file stays empty and updates are counted (with the same
-    /// optimum); under the product form no FT update ever runs.
+    /// The kernel request reaches the factorization: under
+    /// [`Kernel::Revised`] the kernel runs Forrest–Tomlin updates (the
+    /// eta file stays empty and updates are counted); under the
+    /// [`Kernel::DenseTableau`] request it runs the dense LU with the
+    /// product form, where no FT update ever runs. Same optimum.
     #[test]
     fn update_kind_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
@@ -1905,9 +1907,9 @@ mod tests {
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
         let bf = BoxedForm::build(&m);
-        let run = |update: crate::model::UpdateKind| {
+        let run = |kernel: Kernel| {
             let opts = SolverOptions {
-                update,
+                kernel,
                 ..Default::default()
             };
             let mut k = Revised::new(&bf, &opts);
@@ -1916,12 +1918,13 @@ mod tests {
             let v = bf.sf.recover(&k.values());
             (2.0 * v[0] + 3.0 * v[1] + v[2], k.factor_stats)
         };
-        let (obj_ft, stats_ft) = run(UpdateKind::ForrestTomlin);
-        let (obj_pf, stats_pf) = run(UpdateKind::ProductForm);
+        let (obj_ft, stats_ft) = run(Kernel::Revised);
+        let (obj_pf, stats_pf) = run(Kernel::DenseTableau);
         assert!((obj_ft - obj_pf).abs() < 1e-9, "{obj_ft} vs {obj_pf}");
         assert!(stats_ft.ft_updates > 0, "FT mode never updated the factors");
         assert_eq!(stats_pf.ft_updates, 0, "product form ran FT updates");
         assert!(stats_ft.peak_u_nnz > 0);
+        assert_eq!(stats_pf.peak_lu_nnz, 9, "the oracle factors densely");
     }
 
     /// N-row generalization of [`ratio_probe`]: row `r` holds structural

@@ -54,7 +54,6 @@ fn warm_start_is_used_when_nodes_run_out() {
     let (m, vars) = diagonal_cut(10, 9.5);
     let opts = SolverOptions {
         max_nodes: 1,
-        rounding_heuristic: false,
         ..Default::default()
     };
     // All-zeros is feasible but poor; the solver must return *something*.
@@ -203,14 +202,15 @@ fn ring_difference_milp(n: usize, rows: usize) -> Model {
     m
 }
 
-/// The warm-start regression: over this file's instance family,
-/// warm-started branch & bound must (a) agree with cold start on the
-/// optimum, (b) actually warm-start most nodes, and (c) spend no more
-/// simplex pivots in total than solving every node two-phase from
-/// scratch. (On single-row toys a cold boxed solve is nearly free, so
-/// the per-instance comparison carries a small absolute slack; the
-/// family total — dominated by the realistic multi-row instances — must
-/// hold strictly.)
+/// The warm-start regression: over this file's instance family, the
+/// production search (warm-started nodes) must (a) agree on the optimum
+/// with the `Kernel::DenseTableau` request, which solves every node
+/// two-phase from scratch, (b) actually warm-start most nodes, and (c)
+/// spend no more simplex pivots in total than the cold oracle search.
+/// (On single-row toys a cold boxed solve is nearly free, so the
+/// per-instance comparison carries a small absolute slack; the family
+/// total — dominated by the realistic multi-row instances — must hold
+/// strictly.)
 #[test]
 fn warm_start_spends_fewer_pivots_than_cold_start() {
     let instances: Vec<(&str, Model)> = vec![
@@ -230,11 +230,11 @@ fn warm_start_spends_fewer_pivots_than_cold_start() {
             m
         }),
     ];
-    // The heuristic and gap settings stay at defaults so both runs take
-    // identical branching decisions whenever the node LPs agree.
+    // The gap settings stay at defaults so both runs take identical
+    // branching decisions whenever the node LPs agree.
     let warm_opts = SolverOptions::default();
     let cold_opts = SolverOptions {
-        warm_start: false,
+        kernel: Kernel::DenseTableau,
         ..Default::default()
     };
     let mut total_warm = 0usize;

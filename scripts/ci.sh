@@ -30,12 +30,13 @@ cargo test -q -p rr-milp --offline proptests
 # The search gate: one golden table pins the one-worker trajectory of
 # the production search (objective, nodes, pivots, warm/cold split,
 # incumbent trace, cuts activated) on the ring MILP and MAX_THR for
-# bench20, bench40 and s27. Alongside it: both node orderings and
-# workers in {1, 2, 4} prove identical optima on the Table-1 instances,
-# faulted parallel runs agree with their clean twins, mirrored/free
-# integer fixtures solve warm and match the dense oracle, truncation and
-# dual bounds reach the reports, and source-level checks keep the
-# deleted search modes and pricing rules deleted. Fixed seeds and node
+# bench20, bench40 and s27. Alongside it: the production search and the
+# Kernel::DenseTableau oracle request, and workers in {1, 2, 4}, prove
+# identical optima on the Table-1 instances, faulted parallel runs agree
+# with their clean twins, mirrored/free integer fixtures solve warm and
+# match the dense oracle, truncation, gap termination and dual bounds
+# reach the reports, and source-level checks keep the deleted search
+# modes, pricing rules and rounding heuristic deleted. Fixed seeds and node
 # caps (no wall clocks), so failures reproduce exactly. Run in release:
 # the agreement checks solve every instance at several worker counts.
 # The named trajectory pins in search_orders, backend_unification,
@@ -57,12 +58,12 @@ cargo test -q --offline --release --test fault_injection
 # never binds in practice). --require-proven names every circuit whose
 # whole sweep is proven within gap at seed 2009, so losing any single
 # proof fails the run and prints every circuit that lost one. The other
-# three (s641, s953, s713) are unproven at this budget. The sweep's
-# per-circuit records append to BENCH_milp.json.
+# two (s953, s713) are unproven at this budget. The sweep's per-circuit
+# records append to BENCH_milp.json.
 echo "==> table2 --max-edges 20 (reduced Table-2 per-circuit proof gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 \
-  --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820
+  --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820,s641
 
 # Bench code must at least compile so the perf harness can't silently
 # rot between PRs (running the benches stays a manual/nightly job); this

@@ -1,8 +1,8 @@
 //! One LP backend for every request, the dense-tableau oracle included.
 //! A `Kernel::DenseTableau` MILP request runs the production backend
-//! and worker loop in the oracle configuration of
-//! `SolverOptions::resolve` (one worker, dense LU, product-form
-//! updates, cold node solves), then re-solves the incumbent's integer
+//! and worker loop in the oracle configuration the kernel request
+//! selects (one worker, dense LU, product-form updates, cold node
+//! solves), then re-solves the incumbent's integer
 //! assignment through the genuine dense tableau. Both golden instances
 //! replay through that path bit-exact, reach the optimum of their
 //! `search_gate` golden row, and never warm-start. The oracle's node

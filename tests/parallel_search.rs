@@ -10,7 +10,7 @@ mod common;
 use common::ring_difference_milp;
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{solve_with_stats, BranchBoundStats, NodeOrder, SolverOptions, Status};
+use rr_milp::{solve_with_stats, BranchBoundStats, SolverOptions, Status};
 
 /// Bit-exact stats equality. `node_bounds` holds NaN for failed node
 /// LPs, so the derived `PartialEq` (NaN ≠ NaN) cannot express
@@ -51,7 +51,7 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
             stats.cold_solves,
             stats.incumbent_trace.clone()
         ),
-        (161, 728, 160, 1, vec![(54, 50.0)]),
+        (175, 717, 174, 1, vec![(71, 50.0)]),
         "one-worker trajectory drifted from the golden"
     );
     for workers in [1usize, 0] {
@@ -69,10 +69,9 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
     }
 }
 
-/// A truncated best-bound run on the 40-edge `MAX_THR` bench instance:
-/// `workers = 1`, `workers = 0` and a repeat of the one-worker run stop
-/// at the same node with the same incumbent, dual bound and per-node
-/// bound trace.
+/// A truncated run on the 40-edge `MAX_THR` bench instance: `workers =
+/// 1`, `workers = 0` and a repeat of the one-worker run stop at the same
+/// node with the same incumbent, dual bound and per-node bound trace.
 #[test]
 fn one_worker_matches_serial_best_bound_truncated_runs() {
     let g = bench_instance(40);
@@ -80,7 +79,6 @@ fn one_worker_matches_serial_best_bound_truncated_runs() {
         let opts = CoreOptions {
             solver: SolverOptions {
                 max_nodes: 40,
-                node_order: NodeOrder::BestBound,
                 workers,
                 ..SolverOptions::default()
             },

@@ -6,7 +6,7 @@
 //!
 //! * **Agreement** — the production search proves the same optima as
 //!   the `Kernel::DenseTableau` oracle request on the Table-1 figure
-//!   instances, across both node orderings and one or two workers. The
+//!   instances, at one or two workers. The
 //!   oracle's node bounds come from cold two-phase solves, so it checks
 //!   the warm long-step path independently.
 //! * **Degeneracy** — the Bland anti-cycling fallback still engages: a
@@ -20,19 +20,14 @@
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, FactorKind, Kernel, LinExpr, Model, NodeOrder, Sense, SolverOptions,
-    Status,
-};
+use rr_milp::{cmp, solve_with_stats, Kernel, LinExpr, Model, Sense, SolverOptions, Status};
 use rr_rrg::figures;
 
 /// Deterministic solver options: node caps only, no wall clock.
-fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
+fn capped(max_nodes: usize, workers: usize) -> CoreOptions {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
-    opts.solver.node_order = order;
-    opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
     opts.cuts = false;
@@ -40,9 +35,9 @@ fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
 }
 
 /// The production search proves the optimum of the dense-tableau oracle
-/// request on every Table-1 figure instance, for both problems, both
-/// node orderings and `workers ∈ {1, 2}` — completed runs only, which
-/// at these sizes is all of them.
+/// request on every Table-1 figure instance, for both problems and
+/// `workers ∈ {1, 2}` — completed runs only, which at these sizes is all
+/// of them.
 #[test]
 fn pricing_rules_agree_on_table1_instances() {
     let instances = [
@@ -59,22 +54,20 @@ fn pricing_rules_agree_on_table1_instances() {
                 }
                 .unwrap_or_else(|e| panic!("{name}/{problem}: {e}"))
             };
-            let mut oracle_opts = capped(NodeOrder::DfsNearerFirst, 20_000, 1);
+            let mut oracle_opts = capped(20_000, 1);
             oracle_opts.solver.kernel = Kernel::DenseTableau;
             let oracle = solve(&oracle_opts);
             assert!(oracle.proven_optimal, "{name}/{problem}: oracle truncated");
-            for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
-                for workers in [1usize, 2] {
-                    let out = solve(&capped(order, 20_000, workers));
-                    assert!(out.proven_optimal, "{name}/{problem}: truncated");
-                    assert!(
-                        (out.objective - oracle.objective).abs() < 1e-7,
-                        "{name}/{problem}/{order:?}/workers={workers}: \
-                         production {} vs dense oracle {}",
-                        out.objective,
-                        oracle.objective
-                    );
-                }
+            for workers in [1usize, 2] {
+                let out = solve(&capped(20_000, workers));
+                assert!(out.proven_optimal, "{name}/{problem}: truncated");
+                assert!(
+                    (out.objective - oracle.objective).abs() < 1e-7,
+                    "{name}/{problem}/workers={workers}: \
+                     production {} vs dense oracle {}",
+                    out.objective,
+                    oracle.objective
+                );
             }
         }
     }
@@ -120,7 +113,7 @@ fn steepest_edge_terminates_on_a_degenerate_model() {
 #[test]
 fn pivot_counters_tie_out_on_serial_warm_runs() {
     let g = bench_instance(20);
-    let o = capped(NodeOrder::DfsNearerFirst, 2000, 1);
+    let o = capped(2000, 1);
     let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
     let s = &out.stats;
     assert_eq!(
@@ -137,7 +130,7 @@ fn pivot_counters_tie_out_on_serial_warm_runs() {
 #[test]
 fn pivot_counters_tie_out_across_workers() {
     let g = bench_instance(20);
-    let o = capped(NodeOrder::BestBound, 2000, 2);
+    let o = capped(2000, 2);
     let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
     let s = &out.stats;
     assert_eq!(

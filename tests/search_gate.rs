@@ -4,19 +4,20 @@
 //! * **Golden table** — at `workers = 1` with a node cap and no wall
 //!   clock the search is deterministic, so one table pins its trajectory
 //!   on default options (pseudo-cost branching, the one pricing rule,
-//!   Forrest–Tomlin updates, DFS, cycle-sum cuts): objective, nodes,
-//!   pivots, warm/cold split, incumbent trace and cuts activated, on the
-//!   ring MILP and on `MAX_THR` for bench20, bench40 and s27.
-//! * **Agreement** — both node orderings prove identical optima on the
-//!   Table-1 instances; `workers ∈ {2, 4}` prove the same optima as one
-//!   worker; fault-injected parallel runs agree with their clean twins;
-//!   mirrored and free integer fixtures solve warm and match the dense
-//!   oracle.
+//!   Forrest–Tomlin updates, DFS, cycle-sum cuts, no rounding
+//!   heuristic): objective, nodes, pivots, warm/cold split, incumbent
+//!   trace and cuts activated, on the ring MILP and on `MAX_THR` for
+//!   bench20, bench40 and s27.
+//! * **Agreement** — the production search proves the optima of the
+//!   `Kernel::DenseTableau` oracle request on the Table-1 instances;
+//!   `workers ∈ {2, 4}` prove the same optima as one worker;
+//!   fault-injected parallel runs agree with their clean twins; mirrored
+//!   and free integer fixtures solve warm and match the dense oracle.
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
-//!   the true gap; a truncated best-bound run reports a valid dual bound
-//!   above the root LP bound.
-//! * **Source** — deleted search modes and pricing rules stay deleted,
-//!   and no model is cloned inside the node loop.
+//!   the true gap, already during the first episode; a truncated run
+//!   reports a valid dual bound above the root LP bound.
+//! * **Source** — deleted search modes, pricing rules and the rounding
+//!   heuristic stay deleted, and no model is cloned inside the node loop.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -25,7 +26,7 @@ use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
 use rr_core::formulation::{self, OptOutcome};
 use rr_core::CoreOptions;
 use rr_milp::{
-    cmp, solve_with_stats, BranchBoundStats, FaultPlan, Kernel, LinExpr, Model, NodeOrder, Sense,
+    cmp, solve_with_stats, BranchBoundStats, FaultPlan, Kernel, LinExpr, Model, Sense,
     SolverOptions, Status,
 };
 use rr_rrg::figures;
@@ -34,11 +35,10 @@ use rr_rrg::Rrg;
 
 /// Production options for the formulation instances: default solver
 /// options (exact gap, no wall clock) under a node cap, cuts on.
-fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
+fn capped(max_nodes: usize, workers: usize) -> CoreOptions {
     CoreOptions {
         solver: SolverOptions {
             max_nodes,
-            node_order: order,
             workers,
             ..SolverOptions::default()
         },
@@ -146,10 +146,10 @@ type Golden = (
 #[rustfmt::skip]
 const GOLDEN: [Golden; 4] = [
     // name, objective, nodes, pivots, warm, cold, cuts, truncated, incumbent trace
-    ("ring", 50.0, 161, 728, 160, 1, 0, false, &[(54, 50.0)]),
-    ("bench20", 6.497_501_818_546_008_5, 35, 683, 34, 2, 5, false, &[(0, 6.497_501_818_546_008_5)]),
-    ("bench40", 3.0, 66, 2933, 63, 4, 10, false, &[(0, 4.0), (61, 3.0)]),
-    ("s27", 3.0, 69, 2279, 68, 2, 5, false, &[(0, 3.0)]),
+    ("ring", 50.0, 175, 717, 174, 1, 0, false, &[(71, 50.0)]),
+    ("bench20", 6.497_501_818_546_008_5, 41, 813, 40, 2, 5, false, &[(0, 6.497_501_818_546_008_5)]),
+    ("bench40", 3.0, 144, 3741, 140, 5, 10, false, &[(0, 4.0), (137, 3.0)]),
+    ("s27", 3.0, 67, 2266, 66, 2, 5, false, &[(0, 3.0)]),
 ];
 
 /// Node cap of the formulation rows in the golden table.
@@ -158,9 +158,7 @@ const CAP: usize = 2000;
 /// Solves one golden instance and returns its observed row.
 fn observe(name: &str) -> Row {
     let max_thr = |g: &Rrg| {
-        let out =
-            formulation::max_thr(g, g.max_delay(), &capped(NodeOrder::DfsNearerFirst, CAP, 1))
-                .unwrap();
+        let out = formulation::max_thr(g, g.max_delay(), &capped(CAP, 1)).unwrap();
         Row::of(out.objective, &out.stats)
     };
     match name {
@@ -192,13 +190,17 @@ fn golden_table_pins_the_one_worker_trajectories() {
     );
 }
 
-/// Both orderings prove identical optima on every Table-1 instance.
+/// The production search and the `Kernel::DenseTableau` oracle request
+/// (dense LU, product-form updates, cold nodes, incumbent re-checked on
+/// the tableau) prove identical optima on every Table-1 instance.
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
     let failures = on_table1_instances(|g, problem| {
-        let dfs = solve(g, problem, &capped(NodeOrder::DfsNearerFirst, 20_000, 1))?;
-        let bb = solve(g, problem, &capped(NodeOrder::BestBound, 20_000, 1))?;
-        agree("DFS", &dfs, "best-bound", &bb)
+        let production = solve(g, problem, &capped(20_000, 1))?;
+        let mut oracle_opts = capped(20_000, 1);
+        oracle_opts.solver.kernel = Kernel::DenseTableau;
+        let oracle = solve(g, problem, &oracle_opts)?;
+        agree("production", &production, "dense oracle", &oracle)
     });
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
@@ -208,9 +210,9 @@ fn orderings_prove_identical_optima_on_table1_instances() {
 #[test]
 fn parallel_workers_prove_identical_optima_on_table1_instances() {
     let failures = on_table1_instances(|g, problem| {
-        let one = solve(g, problem, &capped(NodeOrder::BestBound, 20_000, 1))?;
+        let one = solve(g, problem, &capped(20_000, 1))?;
         for workers in [2usize, 4] {
-            let par = solve(g, problem, &capped(NodeOrder::BestBound, 20_000, workers))?;
+            let par = solve(g, problem, &capped(20_000, workers))?;
             agree("1 worker", &one, &format!("{workers} workers"), &par)?;
         }
         Ok(())
@@ -231,7 +233,7 @@ fn faulted_parallel_runs_agree_with_clean_twins() {
     let mut injected_total = 0usize;
     for (name, g) in &instances {
         let run = |faults: Option<FaultPlan>| {
-            let mut opts = capped(NodeOrder::BestBound, 20_000, 4);
+            let mut opts = capped(20_000, 4);
             opts.solver.faults = faults;
             formulation::min_cyc(g, 1.0, &opts)
         };
@@ -334,8 +336,7 @@ fn mirrored_and_free_fixtures_solve_warm_and_match_the_dense_oracle() {
 #[test]
 fn truncated_solves_surface_feasible_verdicts_in_reports() {
     let g = bench_instance(20);
-    let out =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::DfsNearerFirst, 5, 1)).unwrap();
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(5, 1)).unwrap();
     assert!(
         !out.proven_optimal,
         "a 5-node cap cannot prove this optimum"
@@ -344,7 +345,7 @@ fn truncated_solves_surface_feasible_verdicts_in_reports() {
     assert!(out.stats.truncated);
 
     // A completed solve reports the opposite on every surface.
-    let done = formulation::min_cyc(&g, 1.0, &capped(NodeOrder::BestBound, 20_000, 1)).unwrap();
+    let done = formulation::min_cyc(&g, 1.0, &capped(20_000, 1)).unwrap();
     assert!(done.proven_optimal);
     assert!(!done.truncated());
 }
@@ -401,18 +402,47 @@ fn gap_tolerance_fires_on_the_true_gap() {
     assert!(stats.dual_bound >= exact.objective - 1e-9);
 }
 
-/// A *truncated* best-bound run reports the global open-node minimum —
-/// a bound that is at least the root LP bound, never above the true
-/// optimum, and strictly tighter than the root once the frontier has
-/// climbed. On s344 at 20 edges the 40-node cap stops the search with
+/// `gap_tol` can fire during the first episode: once the root LP
+/// solves, the root claim's floor rises from `−∞` to the root bound, so
+/// the first incumbent within the gap ends the search. The episode cap
+/// of the 14-item near-tie knapsack is `max(64, 2·#ints) = 64` solved
+/// nodes, so stopping in fewer shows the gap fired inside the first
+/// episode (at a 1e-3 gap the search stops after 8 nodes).
+#[test]
+fn gap_tolerance_fires_during_the_first_episode() {
+    let m = near_tie_knapsack(14);
+    let opts = SolverOptions {
+        gap_tol: 1e-3,
+        ..SolverOptions::default()
+    };
+    let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    assert!(!stats.truncated);
+    assert!(
+        stats.nodes < 64,
+        "gap termination waited for the episode cap: {} nodes",
+        stats.nodes
+    );
+    // Maximization: the dual bound is an upper bound backing the gap.
+    assert!(
+        stats.dual_bound - sol.objective <= 1e-3 * sol.objective.abs(),
+        "gap claim not supported: obj {} dual {}",
+        sol.objective,
+        stats.dual_bound
+    );
+    assert!(stats.dual_bound >= sol.objective - 1e-9);
+}
+
+/// A *truncated* run reports the global open-node minimum — a bound
+/// that is at least the root LP bound, never above the true optimum,
+/// and strictly tighter than the root once the frontier has climbed. On
+/// s344 at 20 edges the 40-node cap stops the depth-first search with
 /// the dual bound at 3.74 against the root's 3.07 and the optimum's
-/// 7.03. (Best-bound s27 keeps a root-bound node open until its search
-/// completes, so it cannot show the climb.)
+/// 7.03.
 #[test]
 fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     let g = s344_20();
-    let out =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 40, 1)).unwrap();
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(40, 1)).unwrap();
     assert!(
         out.stats.truncated,
         "completed in {} nodes",
@@ -428,12 +458,13 @@ fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     );
     assert!(
         dual > root + 1e-3,
-        "best-bound frontier never tightened past the root LP ({root})"
+        "frontier never tightened past the root LP ({root})"
     );
 }
 
-/// Source-level assertions that the deleted search modes and pricing
-/// rules stay deleted — their identifiers survive only in comment lines
+/// Source-level assertions that the deleted search modes, pricing rules
+/// and the rounding heuristic stay deleted — their identifiers survive
+/// only in comment lines
 /// anywhere under `crates/` — and that no model is cloned inside the
 /// node loop: `model.clone()` appears exactly once in `branch_bound.rs`
 /// (the whole-solve cross-validation pin, after the search returns) and
@@ -456,6 +487,11 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "update_dse_weights",
         "update_devex_weights",
         "DSE_DRIFT_FACTOR",
+        "BestBound",
+        "NodeOrder",
+        "round_and_fix",
+        "rounding_heuristic",
+        "offer_incumbent",
     ];
     let mut offenders = Vec::new();
     let mut dirs = vec![std::path::PathBuf::from(concat!(

@@ -1,36 +1,36 @@
 //! Depth-first trajectory pins. The ring MILP and the bench20 `MAX_THR`
-//! instance replay their rows of the `search_gate` golden table under an
-//! explicit `NodeOrder::DfsNearerFirst` request, and the historical
-//! golden configuration (product-form updates) must reach the same
-//! optima and replay its own trajectory bit-exact. The names date from
-//! the search-core refactor these pins first guarded; the values follow
-//! the golden table whenever the production trajectory changes.
+//! instance replay their rows of the `search_gate` golden table on the
+//! production search (depth-first, the only order), and the
+//! `Kernel::DenseTableau` oracle request (dense LU, product-form updates,
+//! cold nodes) must reach the same optima and replay its own trajectory
+//! bit-exact. The names date from the search-core refactor these pins
+//! first guarded; the values follow the golden table whenever the
+//! production trajectory changes.
 
 mod common;
 
 use common::ring_difference_milp;
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{solve_with_stats, BranchBoundStats, NodeOrder, SolverOptions, Status, UpdateKind};
+use rr_milp::{solve_with_stats, BranchBoundStats, Kernel, SolverOptions, Status};
 
 /// The bench20 `MAX_THR` optimum (the warm-start hint already holds it).
 const BENCH20_OPTIMUM: f64 = 6.497_501_818_546_008_5;
 
-/// Depth-first search on default options: one worker, exact gap, no
-/// wall clock.
+/// The production search on default options: one worker, exact gap,
+/// no wall clock.
 fn dfs(max_nodes: usize) -> SolverOptions {
     SolverOptions {
         max_nodes,
-        node_order: NodeOrder::DfsNearerFirst,
         ..SolverOptions::default()
     }
 }
 
-/// The historical golden configuration: product-form updates on top of
-/// [`dfs`].
+/// The oracle configuration: the `Kernel::DenseTableau` request on top
+/// of [`dfs`].
 fn historical(max_nodes: usize) -> SolverOptions {
     SolverOptions {
-        update: UpdateKind::ProductForm,
+        kernel: Kernel::DenseTableau,
         ..dfs(max_nodes)
     }
 }
@@ -60,7 +60,7 @@ fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
             s.truncated,
             s.incumbent_trace
         ),
-        (161, 728, 160, 1, false, vec![(54, 50.0)]),
+        (175, 717, 174, 1, false, vec![(71, 50.0)]),
         "trajectory drifted from the golden"
     );
     let (a, sa) = solve_with_stats(&m, &historical(20_000)).unwrap();
@@ -68,15 +68,12 @@ fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
     assert_eq!(a.status, Status::Optimal);
     assert!(
         (a.objective - 50.0).abs() < 1e-12,
-        "historical obj {}",
+        "oracle obj {}",
         a.objective
     );
     assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-    assert_eq!(
-        trajectory(&sa),
-        trajectory(&sb),
-        "historical replay diverged"
-    );
+    assert_eq!(sa.warm_solves, 0, "oracle nodes must solve cold");
+    assert_eq!(trajectory(&sa), trajectory(&sb), "oracle replay diverged");
 }
 
 #[test]
@@ -103,14 +100,14 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
             s.cold_solves,
             s.cuts_activated
         ),
-        (35, 683, 34, 2, 5),
+        (41, 813, 40, 2, 5),
         "trajectory drifted from the golden"
     );
     // One incumbent, seeded by the warm-start hint before any node.
     assert_eq!(s.incumbent_trace.len(), 1);
     assert_eq!(s.incumbent_trace[0].0, 0);
 
-    // The historical configuration with the 2% gap of `fast()` and no cuts.
+    // The oracle configuration with the 2% gap of `fast()` and no cuts.
     let hist = CoreOptions {
         solver: SolverOptions {
             gap_tol: 0.02,
@@ -123,13 +120,13 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
     let b = formulation::max_thr(&g, g.max_delay(), &hist).unwrap();
     assert!(
         (a.objective - BENCH20_OPTIMUM).abs() < 1e-8,
-        "historical obj {}",
+        "oracle obj {}",
         a.objective
     );
     assert_eq!(a.objective.to_bits(), b.objective.to_bits());
     assert_eq!(
         trajectory(&a.stats),
         trajectory(&b.stats),
-        "historical replay diverged"
+        "oracle replay diverged"
     );
 }
