@@ -9,9 +9,8 @@
 //! Absolute values differ from the paper (the graph attributes were
 //! random there too); the qualitative shape — several Pareto points, the
 //! LP picking a near-optimal one, err% growing as bubbles are inserted —
-//! is the reproduction target (see EXPERIMENTS.md).
+//! is the reproduction target.
 
-use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::HarnessArgs;
 use rr_core::report::evaluate_benchmark;
 use rr_rrg::iscas::IscasProfile;
@@ -47,11 +46,8 @@ fn main() {
         "\nξ* = {:.2}, ξ_nee = {:.2}, ξ_lp_min = {:.2}, ξ_sim_min = {:.2}, I% = {:.1}",
         row.xi_star, row.xi_nee, row.xi_lp_min, row.xi_sim_min, row.improvement_pct
     );
-    append(&[JsonRecord::new("table1")
-        .str("circuit", name)
-        .int("edges", g.num_edges() as u64)
-        .num("wall_ms", wall_ms)
-        .int("milp_nodes", table1.outcome.total_nodes as u64)
-        .int("pivots", table1.outcome.total_simplex_iters as u64)
-        .num("xi_sim_min", row.xi_sim_min)]);
+    println!(
+        "{name}: {} MILP nodes, {} pivots, {wall_ms:.0} ms",
+        table1.outcome.total_nodes, table1.outcome.total_simplex_iters
+    );
 }

@@ -9,11 +9,11 @@
 //! cargo run --release -p rr-bench --bin table2 -- --only s27,s526 --verbose
 //! ```
 //!
-//! By default profiles larger than 150 edges are scaled down (our from-
-//! scratch MILP solver stands in for CPLEX; see EXPERIMENTS.md for the
-//! deviation log). Circuits run in parallel across cores.
+//! By default profiles larger than 150 edges are scaled down, because
+//! our from-scratch MILP solver stands in for CPLEX. Circuits run in
+//! parallel across cores, so the per-circuit wall times printed before
+//! the table are contended time.
 
-use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::{parallel_map, HarnessArgs};
 use rr_core::report::{evaluate_benchmark, Table2};
 use rr_rrg::iscas::TABLE2;
@@ -71,7 +71,6 @@ fn main() {
 
     let total = results.len();
     let mut table = Table2::default();
-    let mut records = Vec::new();
     let mut proven: Vec<&str> = Vec::new();
     for (name, scaled, edges, wall_ms, res) in results {
         match res {
@@ -87,32 +86,15 @@ fn main() {
                 if row.proven_optimal {
                     proven.push(name);
                 }
-                records.push(
-                    JsonRecord::new("table2")
-                        .str("circuit", name)
-                        .int("edges", edges as u64)
-                        .num("wall_ms", wall_ms)
-                        .int("milp_nodes", table1.outcome.total_nodes as u64)
-                        .int("pivots", table1.outcome.total_simplex_iters as u64)
-                        .num("xi_sim_min", row.xi_sim_min)
-                        .int("proven", u64::from(row.proven_optimal))
-                        .int("incidents", row.incidents as u64),
+                println!(
+                    "{name}: {edges} edges, {} MILP nodes, {} pivots, {wall_ms:.0} ms",
+                    table1.outcome.total_nodes, table1.outcome.total_simplex_iters
                 );
                 table.rows.push(row);
             }
-            Err(e) => {
-                eprintln!("{name}: failed: {e}");
-                records.push(
-                    JsonRecord::new("table2")
-                        .str("circuit", name)
-                        .int("edges", edges as u64)
-                        .num("wall_ms", wall_ms)
-                        .str("error", &e.to_string()),
-                );
-            }
+            Err(e) => eprintln!("{name}: {edges} edges, failed after {wall_ms:.0} ms: {e}"),
         }
     }
-    append(&records);
     println!();
     print!("{table}");
     println!(

@@ -8,11 +8,10 @@
 //! | `table1`  | Table 1 — all non-dominated RCs of the s526 profile |
 //! | `table2`  | Table 2 — the 18 ISCAS89 profiles with ξ*, ξ_nee, ξ_lp, ξ_sim, I% |
 //!
-//! Criterion benches live in `benches/` and measure the *performance* of
-//! the reproduction itself (MILP scaling, simulator cost); the binaries
-//! produce the *numbers*.
-
-pub mod bench_log;
+//! The binaries produce the *numbers*. The *performance* of the
+//! reproduction is measured by the `perfbench` package at the repository
+//! root; the one bench in `benches/` holds the revised kernel to its
+//! speedup over the dense oracle.
 
 use std::time::Duration;
 
@@ -26,9 +25,9 @@ use rr_tgmg::sim::SimParams;
 /// The `milp_scaling` bench instance family (paper-default generator,
 /// seed 42): the **single source of truth** for every consumer that
 /// claims to measure "the N-edge bench instance" — the `milp_scaling`
-/// bench records in `BENCH_milp.json`, the `factor_kernels` e2e
-/// regression, and the `search_gate` golden table all pin trajectories
-/// of exactly this graph, so the definition must not fork.
+/// kernel comparison, the `factor_kernels` e2e regression, and the
+/// `search_gate` golden table all pin trajectories of exactly this
+/// graph, so the definition must not fork.
 pub fn milp_bench_instance(edges: usize) -> Rrg {
     let nodes = edges / 2;
     let early = (nodes / 8).max(1);
@@ -41,8 +40,9 @@ pub struct HarnessArgs {
     /// Base RNG seed for graph generation (`--seed N`).
     pub seed: u64,
     /// Edge cap for profile scaling (`--max-edges N`); `--full-size`
-    /// disables scaling entirely. See EXPERIMENTS.md for why the default
-    /// caps the four largest profiles.
+    /// disables scaling entirely. The default scales down the nine
+    /// profiles above 150 edges to keep their MILPs tractable for the
+    /// from-scratch solver, which stands in for CPLEX.
     pub max_edges: Option<usize>,
     /// Per-MILP time limit in seconds (`--time-limit N`). The paper used
     /// 20-minute CPLEX timeouts.

@@ -33,7 +33,7 @@ pub struct MinEffCycOutcome {
     pub total_nodes: usize,
     /// Simplex pivots summed over every MILP solve in the sweep — the
     /// single number that tracks how much LP work the whole optimization
-    /// cost (recorded by the scaling benches).
+    /// cost (printed by the table binaries).
     pub total_simplex_iters: usize,
     /// Human-readable records of solver failures the sweep absorbed
     /// instead of aborting on (iteration/time limits, numerical

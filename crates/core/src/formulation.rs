@@ -82,8 +82,8 @@ pub struct OptOutcome {
     /// incumbent at a limit, mirroring the paper's CPLEX timeouts).
     pub proven_optimal: bool,
     /// Branch & bound search statistics (nodes, simplex pivots,
-    /// warm/cold solve split) — the perf telemetry the scaling benches
-    /// record in `BENCH_milp.json`.
+    /// warm/cold solve split) — the perf telemetry the table binaries
+    /// print and the benchmark reports.
     pub stats: BranchBoundStats,
 }
 
@@ -502,8 +502,10 @@ mod tests {
                 .unwrap()
                 .generate(1);
             let built = build(&g, Mode::Variable, Mode::Const(1.25), None, false);
-            let mut o = rr_milp::SolverOptions::default();
-            o.max_pivots = 2_000_000;
+            let o = rr_milp::SolverOptions {
+                max_pivots: 2_000_000,
+                ..Default::default()
+            };
             let t0 = std::time::Instant::now();
             let res = built.model.solve_relaxation(&o);
             println!(

@@ -17,8 +17,8 @@
 //!   alternation of §4, which collects non-dominated configurations,
 //!   evaluates each by simulation, and returns the best.
 //!
-//! The throughput constraints are re-derived rather than transcribed (the
-//! printed (5)–(10) contain typos, see DESIGN.md §5): LP (4) is emitted
+//! The throughput constraints are re-derived rather than transcribed,
+//! because the printed (5)–(10) contain typos: LP (4) is emitted
 //! mechanically over the shared [`rr_tgmg::TgmgSkeleton`], with the
 //! bilinear `x·r(·)` terms absorbed into the free σ potentials — which is
 //! exactly why fixing τ or x yields an MILP.
@@ -80,9 +80,6 @@ impl Default for CoreOptions {
             epsilon: 0.01,
             solver: SolverOptions {
                 time_limit: Some(std::time::Duration::from_secs(120)),
-                // A 0.5 % proof gap: far below the ε = 0.01 sweep
-                // granularity, far above what DFS needs to close exactly.
-                gap_tol: 0.005,
                 ..Default::default()
             },
             sim: SimParams::default(),

@@ -36,7 +36,7 @@ proptest! {
         .throughput;
         let tgmg = tgmg_sim(
             &tgmg_of(&g),
-            &SimParams { horizon: 10_000, warmup: 2_000, seed: seed ^ 1, ..Default::default() },
+            &SimParams { horizon: 10_000, warmup: 2_000, seed: seed ^ 1 },
         )
         .unwrap()
         .throughput;

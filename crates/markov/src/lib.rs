@@ -16,13 +16,13 @@
 //! * [`chain`] enumerates the reachable state space into a CSR transition
 //!   matrix (flat column/probability/reward arrays, interned state keys)
 //!   and validates that every row's probability mass is 1;
-//! * [`solve`] (internal) locates the terminal strongly connected
+//! * `solve` (internal) locates the terminal strongly connected
 //!   component and solves the stationary equations — by default with a
 //!   sparse Gauss–Seidel / damped-power hybrid that stops on the residual
 //!   `‖πP − π‖₁`, scaling to recurrent classes of 10⁴–10⁵ states; the
 //!   original dense Gauss–Jordan elimination survives as a
 //!   cross-validation oracle behind [`MarkovParams::solver`];
-//! * [`power`] (internal) covers multi-terminal or oversized chains with
+//! * `power` (internal) covers multi-terminal or oversized chains with
 //!   a Cesàro-averaged power iteration whose stopping rule extrapolates
 //!   the limit (Aitken Δ² over geometric checkpoints).
 //!
@@ -48,9 +48,9 @@
 //! result with an `O(k³)` elimination (it refuses recurrent classes past
 //! [`DENSE_STATE_CAP`] states with
 //! [`MarkovError::DenseSolveTooLarge`] rather than grinding). The two
-//! agree to well below 1e-7 on every chain both can solve; the `markov_scaling`
-//! bench in `rr-bench` A/B-measures them and appends the wall times to
-//! `BENCH_markov.json`.
+//! agree to well below 1e-7 on every chain both can solve; the tests hold
+//! them to that on the figure chains, on bounded pipelines of up to
+//! 1,091 recurrent states, and on random graphs.
 //!
 //! # Example
 //!
@@ -349,19 +349,33 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_all_figure_chains() {
-        for g in [
-            figures::figure_1a(0.5),
-            figures::figure_1b(0.5),
-            figures::figure_1b(0.9),
-            figures::figure_2(0.25),
-            figures::figure_2(0.9),
+        // The two bounded pipelines have 419 and 1,091 recurrent states,
+        // the largest chains below the dense oracle's cap.
+        for (g, capacity) in [
+            (figures::figure_1a(0.5), Capacity::Unbounded),
+            (figures::figure_1b(0.5), Capacity::Unbounded),
+            (figures::figure_1b(0.9), Capacity::Unbounded),
+            (figures::figure_2(0.25), Capacity::Unbounded),
+            (figures::figure_2(0.9), Capacity::Unbounded),
+            (
+                figures::figure_1b_pipeline(&[2, 2], 0.6),
+                Capacity::PerBuffer(2),
+            ),
+            (
+                figures::figure_1b_pipeline(&[3, 2], 0.6),
+                Capacity::PerBuffer(2),
+            ),
         ] {
-            let sparse = exact_throughput_with(&g, &MarkovParams::default()).unwrap();
+            let params = MarkovParams {
+                capacity,
+                ..Default::default()
+            };
+            let sparse = exact_throughput_with(&g, &params).unwrap();
             let dense = exact_throughput_with(
                 &g,
                 &MarkovParams {
                     solver: StationarySolver::DenseGaussJordan,
-                    ..Default::default()
+                    ..params
                 },
             )
             .unwrap();
@@ -379,46 +393,62 @@ mod tests {
     fn sparse_solves_beyond_the_old_dense_cap() {
         // Two pipelined figure-1(b) stages of length 3: ~2.5k recurrent
         // states — past the 2,000-state wall where the old dense-only
-        // engine silently fell back to power iteration. The sparse path
-        // must solve it exactly; the dense oracle must refuse it with a
-        // structured error; and the answer must agree with an independent
-        // machine simulation.
-        let g = figures::figure_1b_pipeline(&[3, 3], 0.6);
-        let sparse = exact_throughput(&g).unwrap();
-        assert!(sparse.exact, "sparse path fell back to power iteration");
-        assert!(
-            sparse.recurrent_states > DENSE_STATE_CAP,
-            "instance shrank below the cap: {} states",
-            sparse.recurrent_states
-        );
-
-        let dense_params = MarkovParams {
-            solver: StationarySolver::DenseGaussJordan,
-            ..Default::default()
-        };
-        match exact_throughput_with(&g, &dense_params) {
-            Err(MarkovError::DenseSolveTooLarge { states, cap }) => {
-                assert_eq!(states, sparse.recurrent_states);
-                assert_eq!(cap, DENSE_STATE_CAP);
-            }
-            other => panic!("expected DenseSolveTooLarge, got {other:?}"),
-        }
-
-        let sim = rr_elastic::simulate(
-            &g,
-            &rr_elastic::MachineParams {
-                horizon: 60_000,
-                warmup: 10_000,
+        // engine silently fell back to power iteration — and two of
+        // length 5 at two slots per buffer: 28,520 recurrent states. The
+        // sparse path must solve both exactly; the dense oracle must
+        // refuse them with a structured error; and each answer must agree
+        // with an independent machine simulation.
+        for (g, capacity) in [
+            (
+                figures::figure_1b_pipeline(&[3, 3], 0.6),
+                Capacity::Unbounded,
+            ),
+            (
+                figures::figure_1b_pipeline(&[5, 5], 0.6),
+                Capacity::PerBuffer(2),
+            ),
+        ] {
+            let params = MarkovParams {
+                capacity,
                 ..Default::default()
-            },
-        )
-        .unwrap()
-        .throughput;
-        assert!(
-            (sparse.throughput - sim).abs() < 0.01,
-            "sparse {} vs simulation {sim}",
-            sparse.throughput
-        );
+            };
+            let sparse = exact_throughput_with(&g, &params).unwrap();
+            assert!(sparse.exact, "sparse path fell back to power iteration");
+            assert!(
+                sparse.recurrent_states > DENSE_STATE_CAP,
+                "instance shrank below the cap: {} states",
+                sparse.recurrent_states
+            );
+
+            let dense_params = MarkovParams {
+                solver: StationarySolver::DenseGaussJordan,
+                ..params
+            };
+            match exact_throughput_with(&g, &dense_params) {
+                Err(MarkovError::DenseSolveTooLarge { states, cap }) => {
+                    assert_eq!(states, sparse.recurrent_states);
+                    assert_eq!(cap, DENSE_STATE_CAP);
+                }
+                other => panic!("expected DenseSolveTooLarge, got {other:?}"),
+            }
+
+            let sim = rr_elastic::simulate(
+                &g,
+                &rr_elastic::MachineParams {
+                    horizon: 60_000,
+                    warmup: 10_000,
+                    capacity,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .throughput;
+            assert!(
+                (sparse.throughput - sim).abs() < 0.01,
+                "sparse {} vs simulation {sim}",
+                sparse.throughput
+            );
+        }
     }
 
     /// The old power-iteration stopping rule compared Cesàro averages

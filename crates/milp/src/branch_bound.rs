@@ -1067,8 +1067,8 @@ fn cross_validate_dense(
         kernel: Kernel::DenseTableau,
         ..opts.clone()
     };
-    let check = match pinned.solve_relaxation_counted(&oracle) {
-        Ok((check, _pivots)) => check,
+    let check = match pinned.solve_relaxation(&oracle) {
+        Ok(check) => check,
         Err(e) => {
             return Err(SolveError::Numerical(format!(
                 "dense-oracle cross-validation failed on the pinned incumbent: {e:?}"
@@ -1267,11 +1267,11 @@ mod tests {
             }
         }
         m.set_objective(obj);
-        for i in 0..3 {
+        for (i, row) in x.iter().enumerate() {
             let mut r = LinExpr::new();
             let mut c = LinExpr::new();
-            for j in 0..3 {
-                r += LinExpr::var(x[i][j]);
+            for (j, &v) in row.iter().enumerate() {
+                r += LinExpr::var(v);
                 c += LinExpr::var(x[j][i]);
             }
             m.add_constraint(r, cmp::EQ, 1.0);

@@ -211,8 +211,8 @@
 //! **kernel-level cross-validation oracle** ([`Kernel::DenseTableau`]):
 //! an independent implementation whose objectives and feasibility
 //! verdicts the property tests compare against on random LPs/MILPs, the
-//! baseline the `milp_scaling` bench measures speedups over
-//! (`BENCH_milp.json`), and rung 6 of the per-node recovery ladder. It
+//! baseline the `milp_scaling` bench holds the revised kernel's speedup
+//! against, and rung 6 of the per-node recovery ladder. It
 //! is no longer a separate search backend: a MILP solved under
 //! [`Kernel::DenseTableau`] runs the unified warm search in the oracle
 //! configuration and then re-solves the incumbent's pinned integer

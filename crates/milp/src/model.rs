@@ -603,44 +603,27 @@ impl Model {
     ///
     /// See [`Model::solve`].
     pub fn solve_relaxation(&self, opts: &SolverOptions) -> Result<Solution, SolveError> {
-        self.solve_relaxation_counted(opts).map(|(sol, _)| sol)
-    }
-
-    /// Like [`Model::solve_relaxation`], additionally reporting the
-    /// number of simplex pivots the solve took (perf telemetry for the
-    /// scaling benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// See [`Model::solve`].
-    pub fn solve_relaxation_counted(
-        &self,
-        opts: &SolverOptions,
-    ) -> Result<(Solution, usize), SolveError> {
         // Both kernels run off the same resolved options — the one
         // normalization point for every unsupported-knob combination.
         let (opts, _notes) = opts.resolve();
-        let (values, pivots) = match opts.kernel {
+        let values = match opts.kernel {
             Kernel::Revised => {
                 let bf = crate::standard::BoxedForm::build(self);
-                let (raw, pivots) = crate::revised::solve(&bf, &opts)?;
-                (bf.sf.recover(&raw), pivots)
+                let (raw, _pivots) = crate::revised::solve(&bf, &opts)?;
+                bf.sf.recover(&raw)
             }
             Kernel::DenseTableau => {
                 let sf = StandardForm::build(self);
-                let (raw, pivots) = simplex::solve(&sf, &opts)?;
-                (sf.recover(&raw), pivots)
+                let (raw, _pivots) = simplex::solve(&sf, &opts)?;
+                sf.recover(&raw)
             }
         };
         let objective = self.objective.eval(&values);
-        Ok((
-            Solution {
-                values,
-                objective,
-                status: Status::Optimal,
-            },
-            pivots,
-        ))
+        Ok(Solution {
+            values,
+            objective,
+            status: Status::Optimal,
+        })
     }
 }
 

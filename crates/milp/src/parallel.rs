@@ -28,7 +28,7 @@
 //! * **Merge layer** — every worker accumulates a private
 //!   [`BranchBoundStats`]; at join they are folded additively (counters
 //!   sum, peaks max, recovery ledgers absorb) into one stats struct, so
-//!   `report.rs`, Table-1 rendering, and `BENCH_milp.json` records do not
+//!   `report.rs`, Table-1 rendering, and the benchmark's counters do not
 //!   depend on the worker count.
 //!
 //! Termination: a worker that finds the frontier empty while

@@ -28,7 +28,7 @@
 //! surfaced as [`BranchBoundStats::recovery`](crate::BranchBoundStats).
 //!
 //! A **residual health monitor** backs the ladder: every
-//! [`RESIDUAL_CHECK_EVERY`] pivots, and before any node bound is
+//! `RESIDUAL_CHECK_EVERY` pivots, and before any node bound is
 //! trusted, the kernel checks `‖B·x_B − b_eff‖∞` relative to
 //! `feas_tol` and the per-row rhs scale; drift triggers a
 //! refactorization and, if the state cannot be certified, the next
@@ -39,7 +39,7 @@
 //!
 //! [`FaultPlan`] (wired through `SolverOptions::faults`, default off and
 //! compiled in always — no `cfg` forest) drives a deterministic
-//! [`FaultInjector`]: per injection site, the first `skip` opportunities
+//! `FaultInjector`: per injection site, the first `skip` opportunities
 //! pass clean, then the next `count` fire back-to-back. Consecutive
 //! firing is what lets one seed walk the *entire* node ladder: a faked
 //! iteration limit on a cold solve fails the product-form, rebuild and
@@ -103,7 +103,7 @@ pub struct RecoveryStats {
     pub bland_restarts: usize,
     /// Rung 6: nodes re-solved by the dense-oracle factorization.
     pub dense_oracle_solves: usize,
-    /// Faults actually fired by the [`FaultInjector`] (0 on clean runs).
+    /// Faults actually fired by the `FaultInjector` (0 on clean runs).
     pub faults_injected: usize,
 }
 
@@ -189,26 +189,26 @@ const NUM_SITES: usize = 7;
 /// `SolverOptions::faults` (default `None` — no injection, zero
 /// overhead beyond one branch per site). Each field is the number of
 /// times that site fires; *when* it fires is derived from [`seed`]
-/// (see [`FaultInjector`]).
+/// (see `FaultInjector`).
 ///
 /// [`seed`]: FaultPlan::seed
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the SplitMix64 stream that spaces the injections.
     pub seed: u64,
-    /// Fire count of [`FaultSite::PerturbFtSpike`].
+    /// Fire count of `FaultSite::PerturbFtSpike`.
     pub perturb_ft_spike: u32,
-    /// Fire count of [`FaultSite::RefuseFtUpdate`].
+    /// Fire count of `FaultSite::RefuseFtUpdate`.
     pub refuse_ft_update: u32,
-    /// Fire count of [`FaultSite::SingularRefactor`].
+    /// Fire count of `FaultSite::SingularRefactor`.
     pub singular_refactor: u32,
-    /// Fire count of [`FaultSite::PoisonRatioTest`].
+    /// Fire count of `FaultSite::PoisonRatioTest`.
     pub poison_ratio_test: u32,
-    /// Fire count of [`FaultSite::FakeIterationLimit`].
+    /// Fire count of `FaultSite::FakeIterationLimit`.
     pub fake_iteration_limit: u32,
-    /// Fire count of [`FaultSite::InjectCycling`].
+    /// Fire count of `FaultSite::InjectCycling`.
     pub inject_cycling: u32,
-    /// Fire count of [`FaultSite::FakeTimeLimit`].
+    /// Fire count of `FaultSite::FakeTimeLimit`.
     pub fake_time_limit: u32,
 }
 

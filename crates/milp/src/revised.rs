@@ -52,8 +52,8 @@ const ETA_DROP_TOL: f64 = 1e-12;
 
 /// Telemetry of the factorization layer, accumulated per kernel
 /// instance (surfaced through
-/// [`BranchBoundStats`](crate::BranchBoundStats) and the `milp_scaling`
-/// bench records).
+/// [`BranchBoundStats`](crate::BranchBoundStats) and perfbench's
+/// `milp.*` counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct FactorStats {
     /// Successful basis refactorizations.
@@ -73,8 +73,8 @@ pub(crate) struct FactorStats {
 }
 
 /// Pivot counters split by simplex direction (surfaced through
-/// [`BranchBoundStats`](crate::BranchBoundStats) and the `milp_scaling`
-/// bench records). `dual_pivots + primal_pivots + bound_flips` equals
+/// [`BranchBoundStats`](crate::BranchBoundStats) and perfbench's
+/// `milp.*` counters). `dual_pivots + primal_pivots + bound_flips` equals
 /// [`Revised::iters`] for any single kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct PivotStats {

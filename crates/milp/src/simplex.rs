@@ -4,8 +4,8 @@
 //! The production solve path is the revised simplex in
 //! [`crate::revised`]; this tableau kernel is retained because it is a
 //! short, independent implementation whose answers the property tests
-//! compare against, and because it gives the scaling benchmarks a
-//! baseline to measure the revised kernel's speedup over.
+//! compare against, and because it gives the `milp_scaling` bench a
+//! baseline to hold the revised kernel's speedup against.
 //!
 //! A classic full-tableau implementation:
 //!

@@ -235,28 +235,13 @@ mod tests {
         let g = figures::figure_1a(0.5);
         let r: Vec<i64> = vec![3, -1, 2, 0, -5];
         let tokens = retime_tokens(&g, &r);
-        // Top cycle: edges (f→m top), (m→F1), (F1→F2), (F2→F3), (F3→f).
-        // We recompute its sum and compare with the original.
-        let cycle_sum = |t: &dyn Fn(EdgeId) -> i64| -> i64 {
-            g.edges()
-                .filter(|(_, e)| {
-                    // the top f→m edge is edge with 3 original tokens
-                    true && (e.gamma().is_none() || e.tokens() >= 0)
-                })
-                .map(|(id, _)| t(id))
-                .sum()
-        };
-        // All edges form the union of both cycles sharing the m→…→f path;
-        // the *total* is a linear combination of cycle sums and must also
-        // be preserved only when the retiming telescopes. Instead check
-        // per-cycle via validate():
+        // validate() checks every cycle's token sum against the original.
         let c = Config {
             tokens: tokens.clone(),
             buffers: tokens.iter().map(|&t| t.max(0)).collect(),
         };
         // Liveness may fail for arbitrary r (cycles keep sums, so it won't).
         c.validate(&g).unwrap();
-        let _ = cycle_sum; // silence unused in case of refactor
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! The paper extracted its graph *structures* from the largest SCCs of the
 //! ISCAS89 circuits; those netlists are not shipped here, so the
 //! [`iscas`](crate::iscas) module pairs this generator with the exact
-//! |N1|/|N2|/|E| sizes of Table 2 (see DESIGN.md §2 for the substitution
-//! rationale).
+//! |N1|/|N2|/|E| sizes of Table 2: the paper drew the delays, tokens and
+//! branch probabilities at random too, so matching the sizes keeps each
+//! MILP as large as the paper's.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -161,7 +161,8 @@ impl IscasProfile {
     /// A proportionally scaled-down copy capped at `max_edges` edges (at
     /// least 8), used to keep MILP solves tractable without CPLEX. Node
     /// counts shrink by the same ratio; a profile already within the cap is
-    /// returned unchanged. See EXPERIMENTS.md for where this is applied.
+    /// returned unchanged. The table binaries apply it through
+    /// `--max-edges`.
     pub fn scaled(&self, max_edges: usize) -> IscasProfile {
         if self.edges <= max_edges {
             return *self;

@@ -41,20 +41,6 @@ pub fn throughput_upper_bound(t: &Tgmg) -> Result<f64, SolveError> {
 ///
 /// See [`throughput_upper_bound`].
 pub fn throughput_upper_bound_with(t: &Tgmg, opts: &SolverOptions) -> Result<f64, SolveError> {
-    throughput_upper_bound_counted(t, opts).map(|(b, _)| b)
-}
-
-/// [`throughput_upper_bound_with`], additionally reporting the simplex
-/// pivot count of the LP solve (perf telemetry for the scaling benches;
-/// the count is 0 when the LP is detected unbounded).
-///
-/// # Errors
-///
-/// See [`throughput_upper_bound`].
-pub fn throughput_upper_bound_counted(
-    t: &Tgmg,
-    opts: &SolverOptions,
-) -> Result<(f64, usize), SolveError> {
     let mut m = Model::new(Sense::Maximize);
     let phi = m.add_continuous("phi", 0.0, f64::INFINITY);
     let sigma: Vec<_> = (0..t.num_nodes())
@@ -89,9 +75,9 @@ pub fn throughput_upper_bound_counted(
 
     // The model is a pure LP (φ and the free potentials are continuous),
     // so the relaxation *is* the problem.
-    match m.solve_relaxation_counted(opts) {
-        Ok((sol, pivots)) => Ok((sol[phi], pivots)),
-        Err(SolveError::Unbounded) => Ok((f64::INFINITY, 0)),
+    match m.solve_relaxation(opts) {
+        Ok(sol) => Ok(sol[phi]),
+        Err(SolveError::Unbounded) => Ok(f64::INFINITY),
         Err(e) => Err(e),
     }
 }

@@ -14,7 +14,7 @@ use rr_rrg::{Config, NodeKind};
 use crate::gmg::{Tgmg, TgmgEdge, TgmgNode};
 use crate::late;
 use crate::lp_bound::throughput_upper_bound;
-use crate::sim::{full_scan, simulate, GuardPolicy, SimParams};
+use crate::sim::{full_scan, simulate, SimParams};
 use crate::skeleton::{tgmg_of, TgmgSkeleton};
 
 fn small_params() -> impl Strategy<Value = (GeneratorParams, u64)> {
@@ -102,27 +102,21 @@ fn raw_tgmg() -> impl Strategy<Value = Tgmg> {
         })
 }
 
-const POLICIES: [GuardPolicy; 2] = [GuardPolicy::Persistent, GuardPolicy::ResampleEachCycle];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn event_driven_replays_full_scan((t, seed) in configured_tgmg()) {
-        for guard_policy in POLICIES {
-            let params = SimParams { guard_policy, ..SimParams::fast(seed) };
-            let got = simulate(&t, &params);
-            prop_assert!(got.is_ok(), "{got:?}");
-            prop_assert_eq!(got, full_scan::simulate(&t, &params));
-        }
+        let params = SimParams::fast(seed);
+        let got = simulate(&t, &params);
+        prop_assert!(got.is_ok(), "{got:?}");
+        prop_assert_eq!(got, full_scan::simulate(&t, &params));
     }
 
     #[test]
     fn event_driven_replays_full_scan_on_arbitrary_graphs(t in raw_tgmg(), seed in any::<u64>()) {
-        for guard_policy in POLICIES {
-            let params = SimParams { horizon: 600, warmup: 100, seed, guard_policy };
-            prop_assert_eq!(simulate(&t, &params), full_scan::simulate(&t, &params));
-        }
+        let params = SimParams { horizon: 600, warmup: 100, seed };
+        prop_assert_eq!(simulate(&t, &params), full_scan::simulate(&t, &params));
     }
 }
 
@@ -161,7 +155,6 @@ proptest! {
                 horizon: 12_000,
                 warmup: 2_000,
                 seed,
-                ..SimParams::default()
             },
         )
         .unwrap()

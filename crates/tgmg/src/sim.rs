@@ -11,7 +11,9 @@
 //!
 //! * **Guard selection** — an early node draws one input edge with
 //!   probability γ and *keeps that selection* until it fires (the select
-//!   token persists until consumed).
+//!   token persists until consumed). The paper's Markov values for
+//!   Figure 1(b), Θ ≈ 0.491 at α = 0.5 and 0.719 at α = 0.9, pin down
+//!   this policy.
 //! * **Enabling** — simple nodes need positive marking on every input;
 //!   early nodes only on the selected input.
 //! * **Firing** — consumes one token from *every* input (non-selected
@@ -38,14 +40,13 @@
 //! candidates of the first pass. A zero-delay firing of `u` makes a target
 //! `x` a candidate of this pass when `x > u`, which the scan has yet to
 //! reach, and of the next pass otherwise. The instant ends when the next
-//! pass has no candidates. Every node is a candidate at cycle 0, and under
-//! [`GuardPolicy::ResampleEachCycle`] every early node is one at every
-//! instant, because its guard is redrawn. Skipping the other nodes is
-//! exact: a node whose inputs did not rise cannot have become enabled, and
-//! scanning it has no side effect, because an early node redraws its guard
-//! right after it fires. So every firing and every guard draw happens in
-//! the full scan's order, and the RNG stream and the result are the same
-//! bit for bit. The tests check this against a full-scan reference.
+//! pass has no candidates. Every node is a candidate at cycle 0. Skipping
+//! the other nodes is exact: a node whose inputs did not rise cannot have
+//! become enabled, and scanning it has no side effect, because an early
+//! node redraws its guard right after it fires. So every firing and every
+//! guard draw happens in the full scan's order, and the RNG stream and the
+//! result are the same bit for bit. The tests check this against a
+//! full-scan reference.
 //!
 //! Pending completions sit in a calendar ring (Brown, "Calendar queues",
 //! CACM 1988) of `max_delay + 1` buckets indexed by time modulo the ring
@@ -68,19 +69,6 @@ use crate::gmg::Tgmg;
 #[cfg(test)]
 pub(crate) mod full_scan;
 
-/// How an early node treats its guard selection while the selected input
-/// is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GuardPolicy {
-    /// The selection persists until the node fires (a select token is
-    /// consumed exactly once per firing).
-    #[default]
-    Persistent,
-    /// A fresh selection is drawn at every time step while the node is
-    /// blocked.
-    ResampleEachCycle,
-}
-
 /// Simulation horizon and measurement window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimParams {
@@ -91,8 +79,6 @@ pub struct SimParams {
     pub warmup: u64,
     /// RNG seed for guard selection.
     pub seed: u64,
-    /// Blocked-guard semantics.
-    pub guard_policy: GuardPolicy,
 }
 
 impl Default for SimParams {
@@ -101,7 +87,6 @@ impl Default for SimParams {
             horizon: 30_000,
             warmup: 3_000,
             seed: 0xE1A5_71C5,
-            guard_policy: GuardPolicy::default(),
         }
     }
 }
@@ -113,7 +98,6 @@ impl SimParams {
             horizon: 4_000,
             warmup: 500,
             seed,
-            ..Self::default()
         }
     }
 }
@@ -179,7 +163,6 @@ pub fn simulate(t: &Tgmg, params: &SimParams) -> Result<SimResult, SimError> {
         .iter()
         .map(|n| n.kind == NodeKind::EarlyEval)
         .collect();
-    let resample = params.guard_policy == GuardPolicy::ResampleEachCycle;
     let limit = cascade_limit(t);
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut marking: Vec<i64> = t.initial_marking();
@@ -237,12 +220,6 @@ pub fn simulate(t: &Tgmg, params: &SimParams) -> Result<SimResult, SimError> {
             }
         }
 
-        if resample {
-            for v in (0..n).filter(|&v| early[v]) {
-                selection[v] = None;
-                candidates.mark(v);
-            }
-        }
         // Advance time to the next completion.
         let Some(next) = calendar.next_after(now) else {
             return Err(SimError::Deadlock { at_cycle: now });
@@ -683,13 +660,7 @@ mod tests {
             let skeleton = TgmgSkeleton::of(&g);
             for config in [retimed, recycled] {
                 let t = skeleton.instantiate(&config.tokens, &config.buffers);
-                for guard_policy in [GuardPolicy::Persistent, GuardPolicy::ResampleEachCycle] {
-                    let params = SimParams {
-                        guard_policy,
-                        ..SimParams::fast(7)
-                    };
-                    both(&t, &params).unwrap();
-                }
+                both(&t, &SimParams::fast(7)).unwrap();
             }
         }
     }

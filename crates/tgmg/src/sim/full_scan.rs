@@ -11,9 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rr_rrg::NodeKind;
 
-use super::{
-    cascade_limit, checked_delays, draw_guard, GuardPolicy, SimError, SimParams, SimResult, Window,
-};
+use super::{cascade_limit, checked_delays, draw_guard, SimError, SimParams, SimResult, Window};
 use crate::gmg::Tgmg;
 
 /// Full-scan simulation with the semantics of [`super::simulate`].
@@ -74,9 +72,6 @@ pub(crate) fn simulate(t: &Tgmg, params: &SimParams) -> Result<SimResult, SimErr
             }
         }
 
-        if params.guard_policy == GuardPolicy::ResampleEachCycle {
-            selection.fill(None);
-        }
         let Some(&Reverse((next, _))) = events.peek() else {
             return Err(SimError::Deadlock { at_cycle: now });
         };

@@ -3,8 +3,8 @@
 #
 #   ./scripts/ci.sh
 #
-# All dependencies are vendored (vendor/{rand,proptest,criterion}), so
-# the build works fully offline.
+# All dependencies are vendored (vendor/{rand,proptest}), so the build
+# works fully offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,8 +14,8 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo test -q"
 cargo test -q --offline
@@ -58,16 +58,16 @@ cargo test -q --offline --release --test fault_injection
 # never binds in practice). --require-proven names every circuit whose
 # whole sweep is proven within gap at seed 2009, so losing any single
 # proof fails the run and prints every circuit that lost one. The other
-# two (s953, s713) are unproven at this budget. The sweep's per-circuit
-# records append to BENCH_milp.json.
+# two (s953, s713) are unproven at this budget. The sweep prints each
+# circuit's nodes, pivots and wall time.
 echo "==> table2 --max-edges 20 (reduced Table-2 per-circuit proof gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 \
   --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820,s641
 
-# Bench code must at least compile so the perf harness can't silently
-# rot between PRs (running the benches stays a manual/nightly job); this
-# also covers every A/B arm of milp_scaling.
+# The milp_scaling bench (the revised kernel's speedup contract over the
+# dense oracle) must at least compile so it can't silently rot between
+# PRs; running it stays a manual job.
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
