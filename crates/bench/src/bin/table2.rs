@@ -23,19 +23,30 @@ fn main() {
     let opts = args.core_options();
 
     // An unknown `--only` name used to produce a silently empty sweep
-    // (exit 0, no rows), and an unknown `--require-proven` name would
-    // read as a lost proof; fail loudly instead.
+    // (exit 0, no rows), and an unknown or deselected `--require-proven`
+    // name would read as a lost proof; fail loudly before any circuit
+    // runs instead.
     let known: Vec<&str> = TABLE2.iter().map(|p| p.name).collect();
-    for (flag, unknown) in [
-        ("--only", args.unknown_only(&known)),
-        ("--require-proven", args.unknown_required(&known)),
+    let known_list = format!("known: {}", known.join(", "));
+    for (what, names, context) in [
+        (
+            "unknown circuit(s) in --only",
+            args.unknown_only(&known),
+            known_list.clone(),
+        ),
+        (
+            "unknown circuit(s) in --require-proven",
+            args.unknown_required(&known),
+            known_list,
+        ),
+        (
+            "circuit(s) in --require-proven that --only deselects",
+            args.deselected_required(),
+            format!("--only selects: {}", args.only.join(", ")),
+        ),
     ] {
-        if !unknown.is_empty() {
-            eprintln!(
-                "error: unknown circuit(s) in {flag}: {} (known: {})",
-                unknown.join(", "),
-                known.join(", ")
-            );
+        if !names.is_empty() {
+            eprintln!("error: {what}: {} ({context})", names.join(", "));
             std::process::exit(2);
         }
     }

@@ -194,6 +194,16 @@ impl HarnessArgs {
     pub fn unknown_required(&self, known: &[&str]) -> Vec<String> {
         unknown_names(&self.require_proven, known)
     }
+
+    /// The `--require-proven` names that `--only` deselects. The sweep
+    /// never runs them, so they would otherwise read as lost proofs.
+    pub fn deselected_required(&self) -> Vec<String> {
+        self.require_proven
+            .iter()
+            .filter(|n| !self.selected(n))
+            .cloned()
+            .collect()
+    }
 }
 
 fn unknown_names(names: &[String], known: &[&str]) -> Vec<String> {
@@ -339,5 +349,12 @@ mod tests {
         assert!(args(&[]).unknown_only(&["s27"]).is_empty());
         let r = args(&["--require-proven", "s27,s9999"]);
         assert_eq!(r.unknown_required(&["s27"]), vec!["s9999"]);
+        // A known name that `--only` deselects is reported too: the
+        // sweep would never run it.
+        let d = args(&["--only", "s27", "--require-proven", "s27,s526"]);
+        assert!(d.unknown_required(&["s27", "s526"]).is_empty());
+        assert_eq!(d.deselected_required(), vec!["s526"]);
+        let all = args(&["--require-proven", "s27,s526"]);
+        assert!(all.deselected_required().is_empty());
     }
 }

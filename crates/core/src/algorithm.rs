@@ -81,20 +81,6 @@ impl MinEffCycOutcome {
         let best = self.best_simulated()?.xi_sim;
         Some((lp - best) / best * 100.0)
     }
-
-    /// The `k` best evaluations by ξ_lp (the paper's "k other best RC").
-    pub fn top_k(&self, k: usize) -> Vec<&RcEvaluation> {
-        let mut idx: Vec<usize> = (0..self.evaluations.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.evaluations[a]
-                .xi_lp
-                .total_cmp(&self.evaluations[b].xi_lp)
-        });
-        idx.into_iter()
-            .take(k)
-            .map(|i| &self.evaluations[i])
-            .collect()
-    }
 }
 
 /// Classifies a sweep-stage failure: budget/numerical/evaluation

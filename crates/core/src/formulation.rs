@@ -124,13 +124,13 @@ struct Built {
 /// fixed-configuration cross-check against the direct LP bound; the
 /// retiming link is dropped since tokens influence nothing else).
 ///
-/// `cuts` adds retiming cycle-sum cuts when τ is a constant and buffers
+/// Retiming cycle-sum cuts are added when τ is a constant and buffers
 /// are free: any configuration with cycle time ≤ τ places at least
 /// `⌈D(C)/τ⌉` buffers on every cycle `C` (delay sum `D(C)`), while the
 /// LP relaxation only implies the token sum of the retiming link rows —
 /// the cuts carry that weak rhs in the standard form and branch & bound
 /// activates the ceiling rhs lazily where it is violated.
-fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>, cuts: bool) -> Built {
+fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> Built {
     let bounds = bounds_of(g);
     let skeleton = TgmgSkeleton::of(g);
     let mut m = Model::new(Sense::Minimize);
@@ -273,7 +273,7 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>, cut
     }
 
     // --- cycle-sum cuts (MAX_THR only: τ constant, buffers free) ------
-    if cuts && fix_buffers.is_none() {
+    if fix_buffers.is_none() {
         if let (Mode::Const(tau), _) = (tau_mode, x_mode) {
             if tau > 1e-12 {
                 for cycle in rr_rrg::algo::fundamental_cycles(g, 2 * g.num_edges()) {
@@ -434,7 +434,7 @@ fn extract(g: &Rrg, built: &Built, sol: &Solution) -> Result<Config, OptError> {
 /// Panics if `x < 1` (throughput cannot exceed one token per cycle).
 pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
     assert!(x >= 1.0 - 1e-9, "x = 1/Θ must be at least 1");
-    let built = build(g, Mode::Variable, Mode::Const(x), None, opts.cuts);
+    let built = build(g, Mode::Variable, Mode::Const(x), None);
     let hint = warm_start(g, &built, Repair::Throughput { x }, opts);
     let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
     let config = extract(g, &built, &sol)?;
@@ -453,7 +453,7 @@ pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptErr
 ///
 /// See [`min_cyc`]; infeasible only if `τ < β_max`.
 pub fn max_thr(g: &Rrg, tau: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
-    let built = build(g, Mode::Const(tau), Mode::Variable, None, opts.cuts);
+    let built = build(g, Mode::Const(tau), Mode::Variable, None);
     let hint = warm_start(g, &built, Repair::Timing { tau }, opts);
     let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
     let config = extract(g, &built, &sol)?;
@@ -482,7 +482,6 @@ pub fn min_x_for_buffers(g: &Rrg, buffers: &[i64], opts: &CoreOptions) -> Result
         Mode::Const(bounds_of(g).tau_star),
         Mode::Variable,
         Some(buffers),
-        false,
     );
     let sol = built.model.solve_with(&opts.solver)?;
     Ok(sol.value(built.x.expect("x is the objective")))
@@ -493,30 +492,6 @@ mod tests {
     use super::*;
     use rr_rrg::{cycle_time, figures};
     use rr_tgmg::{lp_bound, skeleton::TgmgSkeleton};
-
-    #[test]
-    #[ignore = "diagnostic probe"]
-    fn probe_root_lp() {
-        for name in ["s382", "s526", "s386"] {
-            let g = rr_rrg::iscas::IscasProfile::by_name(name)
-                .unwrap()
-                .generate(1);
-            let built = build(&g, Mode::Variable, Mode::Const(1.25), None, false);
-            let o = rr_milp::SolverOptions {
-                max_pivots: 2_000_000,
-                ..Default::default()
-            };
-            let t0 = std::time::Instant::now();
-            let res = built.model.solve_relaxation(&o);
-            println!(
-                "{name}: vars={} rows={} relax {:?} -> {:?}",
-                built.model.num_vars(),
-                built.model.num_constraints(),
-                t0.elapsed(),
-                res.map(|s| s.objective).map_err(|e| e.to_string())
-            );
-        }
-    }
 
     #[test]
     fn fixed_config_x_matches_direct_lp_bound() {

@@ -56,6 +56,11 @@ use rr_milp::SolverOptions;
 use rr_tgmg::sim::SimParams;
 
 /// Options threading through the whole optimization pipeline.
+///
+/// `MAX_THR(τ)` always carries the retiming cycle-sum cuts (each cycle
+/// `C` needs at least `⌈D(C)/τ⌉` buffers); they are valid for every
+/// integer point and separated lazily inside branch & bound, so they are
+/// not an option.
 #[derive(Debug, Clone)]
 pub struct CoreOptions {
     /// Throughput step ε of `MIN_EFF_CYC` (paper: 0.01).
@@ -63,15 +68,10 @@ pub struct CoreOptions {
     /// MILP solver limits (the paper used a 20-minute CPLEX timeout).
     pub solver: SolverOptions,
     /// Simulation window for the exact-throughput evaluation of each
-    /// stored configuration.
+    /// stored configuration. The sweep simulates every stored
+    /// configuration, so the paper's `k` (how many of the best to
+    /// simulate) is in effect unbounded.
     pub sim: SimParams,
-    /// Keep at most this many best configurations in the outcome (the
-    /// paper's `k`); all non-dominated points are still evaluated.
-    pub k: usize,
-    /// Generate retiming cycle-sum cuts for `MAX_THR(τ)` (each cycle `C`
-    /// needs at least `⌈D(C)/τ⌉` buffers). The cuts are valid for every
-    /// integer point and are separated lazily inside branch & bound.
-    pub cuts: bool,
 }
 
 impl Default for CoreOptions {
@@ -83,8 +83,6 @@ impl Default for CoreOptions {
                 ..Default::default()
             },
             sim: SimParams::default(),
-            k: 5,
-            cuts: true,
         }
     }
 }
@@ -102,8 +100,6 @@ impl CoreOptions {
                 ..Default::default()
             },
             sim: SimParams::fast(0xC0FFEE),
-            k: 5,
-            cuts: true,
         }
     }
 }

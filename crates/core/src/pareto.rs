@@ -17,24 +17,6 @@ pub fn non_dominated_indices(evals: &[RcEvaluation]) -> Vec<usize> {
         .collect()
 }
 
-/// Retains only the non-dominated evaluations, preserving order.
-pub fn prune_dominated(evals: Vec<RcEvaluation>) -> Vec<RcEvaluation> {
-    let keep = non_dominated_indices(&evals);
-    let mut keep_iter = keep.into_iter().peekable();
-    evals
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, e)| {
-            if keep_iter.peek() == Some(&i) {
-                keep_iter.next();
-                Some(e)
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,14 +56,12 @@ mod tests {
             eval(2.5, 0.9),  // frontier
             eval(3.0, 1.0),  // frontier
         ];
-        let pruned = prune_dominated(evals);
-        let taus: Vec<f64> = pruned.iter().map(|e| e.tau).collect();
-        assert_eq!(taus, vec![1.0, 2.5, 3.0]);
+        assert_eq!(non_dominated_indices(&evals), vec![0, 2, 3]);
     }
 
     #[test]
     fn identical_points_survive() {
         let evals = vec![eval(1.0, 0.5), eval(1.0, 0.5)];
-        assert_eq!(prune_dominated(evals).len(), 2);
+        assert_eq!(non_dominated_indices(&evals), vec![0, 1]);
     }
 }

@@ -34,7 +34,6 @@
 
 mod machine;
 mod run;
-pub mod sizing;
 
 pub use machine::{Capacity, Machine, MachineError, StepOutcome, TelescopicSpec};
 pub use run::{simulate, MachineParams, RunResult};

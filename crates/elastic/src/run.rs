@@ -120,6 +120,26 @@ mod tests {
     }
 
     #[test]
+    fn figure_1a_needs_minimal_capacity() {
+        // A bubble-free ring at Θ = 1 works with real 2-slot EBs.
+        let g = figures::figure_1a(0.5);
+        let run = |capacity| {
+            let params = MachineParams {
+                capacity,
+                ..MachineParams::fast(1)
+            };
+            simulate(&g, &params).unwrap().throughput
+        };
+        let unbounded = run(Capacity::Unbounded);
+        let bounded = run(Capacity::PerBuffer(2));
+        assert!((unbounded - 1.0).abs() < 0.05, "unbounded Θ = {unbounded}");
+        assert!(
+            bounded >= 0.98 * unbounded - 1e-9,
+            "2-slot Θ = {bounded}, unbounded Θ = {unbounded}"
+        );
+    }
+
+    #[test]
     fn figure_1b_matches_paper_markov_values() {
         let r05 = simulate(&figures::figure_1b(0.5), &MachineParams::default()).unwrap();
         assert!(

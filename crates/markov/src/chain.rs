@@ -32,11 +32,6 @@ impl Chain {
         self.row_offsets.len() - 1
     }
 
-    /// Total number of stored transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.cols.len()
-    }
-
     /// Successor states of `s` (parallel to [`Chain::probs`]).
     pub fn succs(&self, s: usize) -> &[u32] {
         &self.cols[self.row_offsets[s]..self.row_offsets[s + 1]]

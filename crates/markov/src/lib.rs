@@ -22,8 +22,8 @@
 //!   `‖πP − π‖₁`, scaling to recurrent classes of 10⁴–10⁵ states; the
 //!   original dense Gauss–Jordan elimination survives as a
 //!   cross-validation oracle behind [`MarkovParams::solver`];
-//! * `power` (internal) covers multi-terminal or oversized chains with
-//!   a Cesàro-averaged power iteration whose stopping rule extrapolates
+//! * `power` (internal) covers multi-terminal chains with a
+//!   Cesàro-averaged power iteration whose stopping rule extrapolates
 //!   the limit (Aitken Δ² over geometric checkpoints).
 //!
 //! # Failure taxonomy and degradation ladder
@@ -132,9 +132,6 @@ pub struct MarkovFaults {
 pub struct MarkovParams {
     /// Abort if more reachable states than this are found.
     pub max_states: usize,
-    /// Use the exact stationary solve up to this many recurrent states;
-    /// fall back to power iteration beyond.
-    pub max_exact_solve: usize,
     /// Channel capacity model of the underlying machine.
     pub capacity: Capacity,
     /// Stationary-solve algorithm for the recurrent class.
@@ -147,7 +144,6 @@ impl Default for MarkovParams {
     fn default() -> Self {
         MarkovParams {
             max_states: 200_000,
-            max_exact_solve: 200_000,
             capacity: Capacity::Unbounded,
             solver: StationarySolver::SparseIterative,
             faults: None,
@@ -463,25 +459,16 @@ mod tests {
         let truth = exact_throughput(&g).unwrap();
         assert!(truth.exact);
 
-        // Force the power-iteration fallback.
-        let power = exact_throughput_with(
-            &g,
-            &MarkovParams {
-                max_exact_solve: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!power.exact);
-
-        // Replicate the old stopping rule on the same chain.
+        // Run the power-iteration fallback on the same chain, and
+        // replicate the old stopping rule there.
         let chain = build_chain(&g, &MarkovParams::default()).unwrap();
+        let power = crate::power::power_iteration(&chain).unwrap();
         let old = old_criterion_estimate(&chain);
 
         // Measured: the old rule fires at t = 2,000 with ~8e-6 error (it
         // claimed 1e-7); the extrapolated rule is accurate to ~6e-11.
         let old_err = (old - truth.throughput).abs();
-        let new_err = (power.throughput - truth.throughput).abs();
+        let new_err = (power - truth.throughput).abs();
         assert!(
             old_err > 2e-6,
             "old criterion unexpectedly accurate: err {old_err:.2e}"

@@ -1,5 +1,5 @@
 //! Cesàro-averaged power iteration — the fallback for multi-terminal
-//! chains and state spaces past `max_exact_solve`.
+//! chains.
 //!
 //! The running reward average `A(t) = (1/t)·Σ_{s≤t} E[reward_s]` converges
 //! to the throughput like `θ + c/t` (`c` grows with the mixing time), so

@@ -14,8 +14,10 @@
 //!   elimination, kept as a cross-validation oracle. It refuses classes
 //!   beyond [`DENSE_STATE_CAP`] states instead of grinding.
 //!
-//! Multi-terminal chains (or classes beyond `max_exact_solve`) fall back
-//! to the Cesàro-averaged power iteration in [`crate::power`].
+//! Multi-terminal chains fall back to the Cesàro-averaged power
+//! iteration in [`crate::power`]. Chain building already stops at
+//! [`MarkovParams::max_states`], so a single terminal class needs no
+//! size cap of its own.
 
 use std::collections::HashMap;
 
@@ -58,7 +60,7 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
         terminal.push(ci);
     }
 
-    if terminal.len() == 1 && sccs[terminal[0]].len() <= params.max_exact_solve {
+    if terminal.len() == 1 {
         let mut comp = sccs[terminal[0]].clone();
         comp.sort_unstable();
         let (theta, quality) = match params.solver {
@@ -81,8 +83,8 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
             quality,
         })
     } else {
-        // Multi-terminal or oversized: Cesàro-averaged power iteration
-        // from the initial state.
+        // Multi-terminal: Cesàro-averaged power iteration from the
+        // initial state.
         let theta = power_iteration(chain).ok_or(MarkovError::NoConvergence)?;
         Ok(MarkovResult {
             throughput: theta,

@@ -69,18 +69,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds `coeff · v` in place and returns `self` for chaining.
-    pub fn add_term(&mut self, v: VarId, coeff: f64) -> &mut Self {
-        self.terms.push((v, coeff));
-        self
-    }
-
-    /// Adds a constant in place.
-    pub fn add_constant(&mut self, c: f64) -> &mut Self {
-        self.constant += c;
-        self
-    }
-
     /// The additive constant of the expression.
     pub fn constant_part(&self) -> f64 {
         self.constant
@@ -127,11 +115,6 @@ impl LinExpr {
                 .iter()
                 .map(|&(v, c)| c * values[v.0])
                 .sum::<f64>()
-    }
-
-    /// Largest absolute coefficient (used for row scaling); 0 if constant.
-    pub fn max_abs_coeff(&self) -> f64 {
-        self.terms.iter().map(|&(_, c)| c.abs()).fold(0.0, f64::max)
     }
 }
 

@@ -36,12 +36,12 @@
 //! Under either scheme, when the update state grows past
 //! [`Factor::needs_refactor`] the current basis is refactorized from
 //! scratch, which both caps the per-solve cost and flushes accumulated
-//! round-off. The refactor policy is configurable ([`FactorConfig`]):
-//! refactorize when the update count is *long* ([`FactorConfig::max_etas`]
-//! pivots absorbed) or the accumulated update fill is *heavy* relative to
-//! the snapshot LU's own nonzeros ([`FactorConfig::fill_growth`] — eta
-//! fill under the product form; `U` growth plus row-eta fill under
-//! Forrest–Tomlin).
+//! round-off. The refactor policy ([`FactorConfig`], fixed for solves by
+//! [`FactorConfig::resolve`]): refactorize when the update count is
+//! *long* ([`FactorConfig::max_etas`] pivots absorbed) or the
+//! accumulated update fill is *heavy* relative to the snapshot LU's own
+//! nonzeros ([`FactorConfig::fill_growth`] — eta fill under the product
+//! form; `U` growth plus row-eta fill under Forrest–Tomlin).
 //!
 //! Two snapshot factorizations implement the same contract, selected by
 //! [`FactorKind`]:
@@ -140,7 +140,9 @@ const FT_MULT_MAX: f64 = 1e8;
 const FT_DROP_REL: f64 = 1e-14;
 
 /// Resolved refactorization policy plus snapshot kind, derived from
-/// [`SolverOptions`] by the kernel.
+/// [`SolverOptions`] by the kernel. The policy itself is fixed: the
+/// automatic length cap and an 8× fill trigger (see
+/// [`FactorConfig::resolve`]); the factor tests set both fields directly.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FactorConfig {
     /// Which snapshot factorization backs the update scheme.
@@ -160,14 +162,18 @@ pub(crate) struct FactorConfig {
 
 impl FactorConfig {
     /// The snapshot kind and update scheme the kernel request selects,
-    /// plus the refactor-policy knobs of the solver options.
+    /// under the production refactor policy: the automatic length cap
+    /// (`max_etas = 0`, i.e. `max(64, 2m)`) and a refactor once the
+    /// update fill outgrows the snapshot LU eightfold (dense etas make
+    /// FTRAN/BTRAN pay their fill on every solve, so a heavy file is
+    /// flushed before the length cap).
     pub fn resolve(opts: &SolverOptions) -> FactorConfig {
         let setup = opts.kernel.setup();
         FactorConfig {
             kind: setup.factor,
             update: setup.update,
-            max_etas: opts.refactor_eta_len,
-            fill_growth: opts.refactor_fill_growth,
+            max_etas: 0,
+            fill_growth: 8.0,
         }
     }
 }

@@ -32,9 +32,8 @@
 //!   FTRAN / BTRAN apply triangular solves that are column-oriented
 //!   with zero skipping (cost tracks the fill-in of the sparse
 //!   right-hand sides, not `m²`), and the update state is flushed by
-//!   refactorization when it grows long or heavy
-//!   ([`SolverOptions::refactor_eta_len`] /
-//!   [`SolverOptions::refactor_fill_growth`]), or eagerly when an
+//!   refactorization when it grows long (`max(64, 2m)` updates) or heavy
+//!   (fill past 8× the snapshot LU's nonzeros), or eagerly when an
 //!   unstable update is refused;
 //! * pricing is **one rule** (see "Pricing" below): Dantzig with an
 //!   automatic **Bland fallback** after a long degenerate run in the
@@ -124,13 +123,11 @@
 //! reliability probes**. It maintains per-variable, per-direction
 //! pseudo-costs — running means of the observed LP bound degradation
 //! per unit of fractionality — learned from every expanded child. Until
-//! a variable's history is *reliable* ([`SolverOptions::reliability`]
-//! observations per direction), the most fractional unreliable
-//! candidates of the highest [`priority`](Model::set_priority) class are
-//! **strong-branched**: both children get a bounded dual-simplex probe
-//! ([`SolverOptions::strong_branch_pivots`], capped at
-//! [`SolverOptions::strong_branch_candidates`] candidates per node) and
-//! the observed degradations seed the table. The candidate maximizing
+//! a variable's history is *reliable* (4 observations per direction),
+//! the most fractional unreliable candidates of the highest
+//! [`priority`](Model::set_priority) class are **strong-branched**: both
+//! children get a dual-simplex probe of at most 100 pivots (at most 8
+//! candidates per node) and the observed degradations seed the table. The candidate maximizing
 //! the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is branched (ties
 //! toward higher fractionality, then the lower [`VarId`]); a probe that
 //! proves a child infeasible biases selection toward the variable but

@@ -172,28 +172,33 @@ impl Kernel {
     }
 }
 
-/// Resource limits and tolerances for the solver.
+/// Absolute integrality tolerance.
+pub(crate) const INT_TOL: f64 = 1e-6;
+
+/// Feasibility tolerance of the simplex: how large a reduced-cost or
+/// bound violation must be to count as real. Also scales the ratio
+/// test's tie-break windows (ties within `0.01·FEAS_TOL` of the minimum
+/// ratio are broken toward the larger pivot).
+pub(crate) const FEAS_TOL: f64 = 1e-7;
+
+/// Minimum pivot magnitude the simplex accepts: ratio-test rows and
+/// dual entering columns whose pivot element is at most this size are
+/// skipped as numerically unusable.
+pub(crate) const PIVOT_TOL: f64 = 1e-9;
+
+/// Resource limits for the solver.
 ///
 /// The defaults match what the reproduction harness needs; the paper used a
 /// 20-minute CPLEX timeout, which callers can mirror with
-/// [`SolverOptions::time_limit`].
+/// [`SolverOptions::time_limit`]. The tolerances (`INT_TOL`, `FEAS_TOL`,
+/// `PIVOT_TOL` above), the branching policy (`branch_bound`) and the
+/// refactor policy (`factor`) are constants, not options.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Maximum branch-and-bound nodes before returning the incumbent.
     pub max_nodes: usize,
     /// Wall-clock limit for the whole solve (LP phases included).
     pub time_limit: Option<Duration>,
-    /// Absolute integrality tolerance.
-    pub int_tol: f64,
-    /// Feasibility tolerance of the simplex: how large a reduced-cost or
-    /// bound violation must be to count as real. Also scales the ratio
-    /// test's tie-break windows (ties within `0.01·feas_tol` of the
-    /// minimum ratio are broken toward the larger pivot).
-    pub feas_tol: f64,
-    /// Minimum pivot magnitude the simplex accepts: ratio-test rows and
-    /// dual entering columns whose pivot element is at most this size
-    /// are skipped as numerically unusable.
-    pub pivot_tol: f64,
     /// Maximum simplex iterations per LP solve.
     pub max_pivots: usize,
     /// Stop as soon as an incumbent is within `gap_tol` (relative) of the
@@ -202,15 +207,6 @@ pub struct SolverOptions {
     /// LP kernel selection (see [`Kernel`]). It alone selects the basis
     /// factorization, the update scheme and warm or cold node solves.
     pub kernel: Kernel,
-    /// Eta-file length that triggers a refactorization; `0` (the
-    /// default) resolves to `max(64, 2m)` for a basis of `m` rows.
-    pub refactor_eta_len: usize,
-    /// Refactorize when the eta file's accumulated fill exceeds this
-    /// multiple of the snapshot LU's nonzero count (dense etas make
-    /// FTRAN/BTRAN pay their fill on every solve, so a heavy file is
-    /// flushed before the length cap); `<= 0` or non-finite disables the
-    /// fill trigger.
-    pub refactor_fill_growth: f64,
     /// Deterministic fault-injection plan (see
     /// [`FaultPlan`](crate::FaultPlan) and the `recover` module docs).
     /// `None` — the default — injects nothing; the recovery ladder and
@@ -226,17 +222,6 @@ pub struct SolverOptions {
     /// [`SolverOptions::resolve`] normalizes `0` to `1` and pins the
     /// [`Kernel::DenseTableau`] oracle configuration to `1`.
     pub workers: usize,
-    /// Reliability threshold of pseudo-cost branching: a variable
-    /// direction with fewer recorded observations than this is
-    /// strong-branched instead of trusted (0 disables strong branching
-    /// entirely — pseudo-costs then initialize from node observations
-    /// only).
-    pub reliability: usize,
-    /// Dual-simplex pivot budget of one strong-branch probe.
-    pub strong_branch_pivots: usize,
-    /// At most this many unreliable candidates are strong-branched per
-    /// node (the rest fall back to their pseudo-cost estimates).
-    pub strong_branch_candidates: usize,
 }
 
 impl Default for SolverOptions {
@@ -244,9 +229,6 @@ impl Default for SolverOptions {
         SolverOptions {
             max_nodes: 20_000,
             time_limit: None,
-            int_tol: 1e-6,
-            feas_tol: 1e-7,
-            pivot_tol: 1e-9,
             // Degenerate phase-1 bases of the retiming MILPs can stall
             // the Dantzig/Bland alternation for a long time; give each LP
             // a generous pivot budget (pivots are cheap, restarts are
@@ -254,26 +236,13 @@ impl Default for SolverOptions {
             max_pivots: 2_000_000,
             gap_tol: 1e-9,
             kernel: Kernel::Revised,
-            refactor_eta_len: 0,
-            refactor_fill_growth: 8.0,
             faults: None,
             workers: 1,
-            reliability: 4,
-            strong_branch_pivots: 100,
-            strong_branch_candidates: 8,
         }
     }
 }
 
 impl SolverOptions {
-    /// Options with a wall-clock budget, keeping other defaults.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        SolverOptions {
-            time_limit: Some(limit),
-            ..Self::default()
-        }
-    }
-
     /// Resolves the requested options into the configuration the engine
     /// actually runs, normalizing — in this one place — every knob
     /// combination the engine cannot honor. Returns the effective
@@ -468,11 +437,6 @@ impl Model {
         self.cuts.len() - 1
     }
 
-    /// Number of lazily-activated cuts.
-    pub fn num_cuts(&self) -> usize {
-        self.cuts.len()
-    }
-
     /// The registered cuts, in insertion order.
     pub fn cuts(&self) -> &[Cut] {
         &self.cuts
@@ -487,18 +451,6 @@ impl Model {
         let var = &mut self.vars[v.0];
         var.lower = value;
         var.upper = value;
-    }
-
-    /// Tightens the lower bound of `v` to `max(current, bound)`.
-    pub fn tighten_lower(&mut self, v: VarId, bound: f64) {
-        let var = &mut self.vars[v.0];
-        var.lower = var.lower.max(bound);
-    }
-
-    /// Tightens the upper bound of `v` to `min(current, bound)`.
-    pub fn tighten_upper(&mut self, v: VarId, bound: f64) {
-        let var = &mut self.vars[v.0];
-        var.upper = var.upper.min(bound);
     }
 
     /// Number of variables.

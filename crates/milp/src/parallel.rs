@@ -56,7 +56,7 @@ use crate::branch_bound::{
     TreeNode, WarmBackend,
 };
 use crate::expr::VarId;
-use crate::model::{Model, Sense, SolverOptions};
+use crate::model::{Model, Sense, SolverOptions, INT_TOL};
 use crate::revised::Revised;
 use crate::solution::{Solution, SolveError};
 use crate::standard::{BoxedForm, ColMap};
@@ -147,7 +147,7 @@ impl Ctx<'_> {
     fn accept(&self, candidate: Solution, node_idx: usize) -> bool {
         let integral = self.int_vars.iter().all(|&v| {
             let x = candidate.value(v);
-            (x - x.round()).abs() <= self.opts.int_tol
+            (x - x.round()).abs() <= INT_TOL
         });
         if !integral {
             return false;
@@ -484,7 +484,7 @@ impl Worker<'_, '_> {
                     *floor = floor.max(ctx.signed(relax.objective));
                 }
                 let nd = &sh.arena[open.node];
-                if nd.vi != usize::MAX && nd.frac > ctx.opts.int_tol && nd.parent_obj.is_finite() {
+                if nd.vi != usize::MAX && nd.frac > INT_TOL && nd.parent_obj.is_finite() {
                     let degrade =
                         (ctx.signed(relax.objective) - ctx.signed(nd.parent_obj)).max(0.0);
                     ctx.pseudo.record(nd.vi, nd.up, degrade / nd.frac);

@@ -29,8 +29,8 @@
 //!
 //! A **residual health monitor** backs the ladder: every
 //! `RESIDUAL_CHECK_EVERY` pivots, and before any node bound is
-//! trusted, the kernel checks `‖B·x_B − b_eff‖∞` relative to
-//! `feas_tol` and the per-row rhs scale; drift triggers a
+//! trusted, the kernel checks `‖B·x_B − b_eff‖∞` against `1e3·FEAS_TOL`
+//! times the per-row rhs scale; drift triggers a
 //! refactorization and, if the state cannot be certified, the next
 //! ladder rung. A corrupted factorization can therefore never produce a
 //! wrong prune.

@@ -35,7 +35,7 @@
 //!   resynced by one sparse FTRAN at the next pivot run.
 
 use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
-use crate::model::SolverOptions;
+use crate::model::{SolverOptions, FEAS_TOL, PIVOT_TOL};
 use crate::recover::{
     FaultInjector, FaultSite, NumericalEvent, RecoveryStats, RESIDUAL_CHECK_EVERY,
 };
@@ -46,7 +46,7 @@ use std::time::Instant;
 /// Drop tolerance for product-form eta entries: pivot-direction
 /// components at or below this magnitude are sparsified away. A
 /// *storage* threshold, deliberately far below
-/// [`SolverOptions::pivot_tol`] so the dropped mass stays at round-off
+/// [`PIVOT_TOL`] so the dropped mass stays at round-off
 /// level — not a pivot admissibility check.
 const ETA_DROP_TOL: f64 = 1e-12;
 
@@ -171,7 +171,8 @@ pub(crate) struct Revised {
 
 impl Revised {
     /// Builds the kernel over a bounded-variable form (no basis yet);
-    /// `opts` selects the basis factorization and its refactor policy.
+    /// `opts` supplies the kernel request (which selects the basis
+    /// factorization), the fault plan and the wall-clock deadline.
     pub fn new(bf: &BoxedForm, opts: &SolverOptions) -> Revised {
         let m = bf.sf.rows.len();
         let n = bf.sf.ncols;
@@ -487,9 +488,9 @@ impl Revised {
     /// resting nonbasic contributions) exceeds the monitor's tolerance
     /// on some row — relative to that row's own rhs scale, and NaN-safe
     /// (a NaN residual counts as drift). The tolerance is three decades
-    /// above `feas_tol`, so round-off on healthy bases never trips it;
+    /// above [`FEAS_TOL`], so round-off on healthy bases never trips it;
     /// only genuinely corrupted factors or basic values do.
-    fn residual_drifting(&self, opts: &SolverOptions) -> bool {
+    fn residual_drifting(&self) -> bool {
         debug_assert!(self.pending.is_empty(), "residual check on stale x_B");
         // Backward-error scale: the residual of a healthy basis is
         // round-off in the *summed terms*, so each row's scale is the
@@ -524,7 +525,7 @@ impl Revised {
         // flag their own round-off as drift).
         let global = mag.iter().fold(0.0f64, |acc, &v| acc.max(v));
         let floor = (1e3 * f64::EPSILON * global).max(f64::MIN_POSITIVE);
-        let tol = 1e3 * opts.feas_tol;
+        let tol = 1e3 * FEAS_TOL;
         // Negated `<=` rather than `>` so a NaN residual (poisoned
         // arithmetic somewhere upstream) reads as drifting.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -539,7 +540,7 @@ impl Revised {
     /// refactorization (ladder rung 2); drift that survives the fresh
     /// factorization means the basis state itself is corrupt, which
     /// escalates to the caller as a numerical error (next rung).
-    fn checkpoint(&mut self, pivots_done: usize, opts: &SolverOptions) -> Result<(), SolveError> {
+    fn checkpoint(&mut self, pivots_done: usize) -> Result<(), SolveError> {
         if !pivots_done.is_multiple_of(RESIDUAL_CHECK_EVERY) {
             return Ok(());
         }
@@ -547,13 +548,13 @@ impl Revised {
             self.recovery.record(NumericalEvent::TimeBudget);
             return Err(SolveError::IterationLimit);
         }
-        if pivots_done > 0 && self.residual_drifting(opts) {
+        if pivots_done > 0 && self.residual_drifting() {
             self.recovery.record(NumericalEvent::ResidualDrift);
             self.recovery.forced_refactors += 1;
             self.factor_stats.forced_refactors += 1;
             self.refactor()?;
             self.compute_xb();
-            if self.residual_drifting(opts) {
+            if self.residual_drifting() {
                 self.dual_ok = false;
                 return Err(SolveError::Numerical("persistent residual drift".into()));
             }
@@ -568,12 +569,12 @@ impl Revised {
     /// answers `false`: the bound just computed must not be trusted, and
     /// the caller re-solves on the next ladder rung. Healthy calls are
     /// read-only, so clean-run trajectories are untouched.
-    pub fn verify_residual(&mut self, opts: &SolverOptions) -> bool {
+    pub fn verify_residual(&mut self) -> bool {
         if self.factor.is_none() {
             return true;
         }
         self.sync_xb();
-        if !self.residual_drifting(opts) {
+        if !self.residual_drifting() {
             return true;
         }
         self.recovery.record(NumericalEvent::ResidualDrift);
@@ -678,12 +679,8 @@ impl Revised {
         d: Vec<f64>,
         spike: Option<Vec<f64>>,
         leave_to_upper: bool,
-        opts: &SolverOptions,
     ) -> Result<(), SolveError> {
-        debug_assert!(
-            d[prow].abs() > opts.pivot_tol,
-            "pivot below the configured pivot tolerance"
-        );
+        debug_assert!(d[prow].abs() > PIVOT_TOL, "pivot below the pivot tolerance");
         let enter_value = self.nb_value_any(enter) + sigma * t;
         for (x, &di) in self.xb.iter_mut().zip(d.iter()) {
             *x -= sigma * t * di;
@@ -862,8 +859,8 @@ impl Revised {
     /// improving) when `bland`, otherwise Dantzig (largest dual
     /// violation). At the lower bound a negative reduced cost improves;
     /// at the upper bound a positive one does.
-    fn price(&self, y: &[f64], phase1: bool, bland: bool, opts: &SolverOptions) -> Option<usize> {
-        let tol = opts.feas_tol;
+    fn price(&self, y: &[f64], phase1: bool, bland: bool) -> Option<usize> {
+        let tol = FEAS_TOL;
         let mut best: Option<usize> = None;
         let mut best_score = 0.0f64;
         for j in 0..self.n {
@@ -892,23 +889,16 @@ impl Revised {
     /// flip). Returns `(t, blocking_row, leaving_to_upper)`; a `None`
     /// row at finite `t` is a flip, `t = ∞` means unbounded.
     ///
-    /// Tolerances come from the solver options: rows whose pivot element
-    /// is at most [`SolverOptions::pivot_tol`] are ineligible, and rows
-    /// whose ratio ties the minimum within `0.01·feas_tol` are broken
-    /// toward the larger pivot magnitude (Bland mode breaks ties — at
-    /// the much tighter `1e-5·feas_tol`, a pure float-noise window —
+    /// Rows whose pivot element is at most [`PIVOT_TOL`] are ineligible,
+    /// and rows whose ratio ties the minimum within `0.01·FEAS_TOL` are
+    /// broken toward the larger pivot magnitude (Bland mode breaks ties —
+    /// at the much tighter `1e-5·FEAS_TOL`, a pure float-noise window —
     /// toward the smaller column index, as its anti-cycling argument
     /// requires).
-    fn ratio_test(
-        &self,
-        sigma: f64,
-        d: &[f64],
-        bland: bool,
-        opts: &SolverOptions,
-    ) -> (f64, Option<usize>, bool) {
-        let tol = opts.pivot_tol;
-        let tie = 0.01 * opts.feas_tol;
-        let bland_tie = 1e-5 * opts.feas_tol;
+    fn ratio_test(&self, sigma: f64, d: &[f64], bland: bool) -> (f64, Option<usize>, bool) {
+        let tol = PIVOT_TOL;
+        let tie = 0.01 * FEAS_TOL;
+        let bland_tie = 1e-5 * FEAS_TOL;
         let mut best_t = f64::INFINITY;
         let mut best_row: Option<usize> = None;
         let mut best_to_upper = false;
@@ -955,7 +945,6 @@ impl Revised {
     fn run_primal(
         &mut self,
         phase1: bool,
-        opts: &SolverOptions,
         pivots_left: &mut usize,
     ) -> Result<PhaseEnd, SolveError> {
         self.sync_xb();
@@ -973,9 +962,9 @@ impl Revised {
                 self.recovery.record(NumericalEvent::PivotBudget);
                 return Err(SolveError::IterationLimit);
             }
-            self.checkpoint(pivots_done, opts)?;
+            self.checkpoint(pivots_done)?;
             let y = self.duals(phase1);
-            let Some(enter) = self.price(&y, phase1, bland, opts) else {
+            let Some(enter) = self.price(&y, phase1, bland) else {
                 if !phase1 {
                     // Phase-2 optimality: the basis is dual feasible.
                     self.dual_ok = true;
@@ -992,7 +981,7 @@ impl Revised {
             };
             let sigma = if self.at_upper[enter] { -1.0 } else { 1.0 };
             let (d, spike) = self.direction(enter);
-            let (t_block, block, to_upper) = self.ratio_test(sigma, &d, bland, opts);
+            let (t_block, block, to_upper) = self.ratio_test(sigma, &d, bland);
             let span = self.upper[enter] - self.lower[enter];
             let t = t_block.min(span);
             if !t.is_finite() {
@@ -1013,7 +1002,7 @@ impl Revised {
                         "ratio test returned a finite blocking step without a row".into(),
                     ));
                 };
-                self.pivot(prow, enter, sigma, t, d, spike, to_upper, opts)?;
+                self.pivot(prow, enter, sigma, t, d, spike, to_upper)?;
                 self.pivot_stats.primal_pivots += 1;
             }
             *pivots_left -= 1;
@@ -1037,11 +1026,7 @@ impl Revised {
     ///
     /// [`SolveError::Infeasible`], [`SolveError::Unbounded`],
     /// [`SolveError::IterationLimit`] or [`SolveError::Numerical`].
-    pub fn solve_two_phase(
-        &mut self,
-        opts: &SolverOptions,
-        pivots_left: &mut usize,
-    ) -> Result<(), SolveError> {
+    pub fn solve_two_phase(&mut self, pivots_left: &mut usize) -> Result<(), SolveError> {
         if self.inject(FaultSite::FakeIterationLimit) {
             self.recovery.record(NumericalEvent::PivotBudget);
             return Err(SolveError::IterationLimit);
@@ -1055,7 +1040,7 @@ impl Revised {
         self.compute_xb();
 
         if (0..self.m).any(|r| self.basis[r] >= self.n) {
-            match self.run_primal(true, opts, pivots_left)? {
+            match self.run_primal(true, pivots_left)? {
                 PhaseEnd::Optimal => {}
                 PhaseEnd::Unbounded => {
                     return Err(SolveError::Numerical("phase-1 unbounded".into()));
@@ -1073,10 +1058,10 @@ impl Revised {
             if infeasible {
                 return Err(SolveError::Infeasible);
             }
-            self.drive_out_artificials(opts, pivots_left)?;
+            self.drive_out_artificials(pivots_left)?;
         }
 
-        match self.run_primal(false, opts, pivots_left)? {
+        match self.run_primal(false, pivots_left)? {
             PhaseEnd::Optimal => Ok(()),
             PhaseEnd::Unbounded => Err(SolveError::Unbounded),
         }
@@ -1084,11 +1069,7 @@ impl Revised {
 
     /// Pivots zero-valued basic artificials out of the basis where a real
     /// column can replace them (rows that stay artificial are redundant).
-    fn drive_out_artificials(
-        &mut self,
-        opts: &SolverOptions,
-        pivots_left: &mut usize,
-    ) -> Result<(), SolveError> {
+    fn drive_out_artificials(&mut self, pivots_left: &mut usize) -> Result<(), SolveError> {
         for r in 0..self.m {
             if self.basis[r] < self.n {
                 continue;
@@ -1103,10 +1084,10 @@ impl Revised {
             });
             if let Some(enter) = enter {
                 let (d, spike) = self.direction(enter);
-                if d[r].abs() > opts.pivot_tol {
+                if d[r].abs() > PIVOT_TOL {
                     // Degenerate swap: the artificial sits at 0, so the
                     // entering column does not move (t = 0).
-                    self.pivot(r, enter, 1.0, 0.0, d, spike, false, opts)?;
+                    self.pivot(r, enter, 1.0, 0.0, d, spike, false)?;
                     self.pivot_stats.primal_pivots += 1;
                     *pivots_left = pivots_left.saturating_sub(1);
                 }
@@ -1126,11 +1107,7 @@ impl Revised {
     /// has no feasible point), [`SolveError::IterationLimit`] when the
     /// budget runs out mid-repair (caller should fall back to a cold
     /// solve) and [`SolveError::Numerical`] on factorization trouble.
-    pub fn dual_reopt(
-        &mut self,
-        opts: &SolverOptions,
-        pivots_left: &mut usize,
-    ) -> Result<(), SolveError> {
+    pub fn dual_reopt(&mut self, pivots_left: &mut usize) -> Result<(), SolveError> {
         self.sync_xb();
         // Dual pivots preserve dual feasibility, so the flag stays set
         // across every exit except numerical failure — including
@@ -1156,9 +1133,8 @@ impl Revised {
             // Checked before the violation scan: a checkpoint that heals
             // residual drift recomputes x_B, and the row selection below
             // must see the corrected values.
-            self.checkpoint(pivots_done, opts)?;
-            let Some((prow, below, worst)) =
-                self.dual_leaving_row(&scales, noise_floor, opts.feas_tol)
+            self.checkpoint(pivots_done)?;
+            let Some((prow, below, worst)) = self.dual_leaving_row(&scales, noise_floor, FEAS_TOL)
             else {
                 return Ok(()); // primal feasible (and still dual feasible)
             };
@@ -1186,7 +1162,7 @@ impl Revised {
                 enter,
                 sigma,
                 flips,
-            }) = self.dual_ratio_test(&alphas, &rc, below, worst, opts)
+            }) = self.dual_ratio_test(&alphas, &rc, below, worst)
             else {
                 // Dual unbounded: the violated row cannot be repaired,
                 // not even with every exhausted candidate flipped to its
@@ -1212,7 +1188,7 @@ impl Revised {
                 self.sync_xb();
             }
             let (d, spike) = self.direction(enter);
-            if d[prow].abs() <= opts.pivot_tol {
+            if d[prow].abs() <= PIVOT_TOL {
                 // Factorization drift: the FTRAN direction disagrees with
                 // the BTRAN row. Refactorize, recompute x_B, and restart
                 // the iteration — the corrected x_B may change which row
@@ -1231,7 +1207,7 @@ impl Revised {
             }
             just_refactored = false;
             let leaving = self.basis[prow];
-            self.dual_pivot(prow, enter, sigma, below, d, spike, opts)?;
+            self.dual_pivot(prow, enter, sigma, below, d, spike)?;
             self.pivot_stats.dual_pivots += 1;
             // The dual step moved the duals by γ·ρ with γ = rc_q/α_q, so
             // every nonbasic reduced cost moves by −γ·α_j — the α pass
@@ -1303,7 +1279,7 @@ impl Revised {
     /// with the row violation reduced by `|α|·span`, so a single dual
     /// pivot crosses many breakpoints. The first candidate the remaining
     /// violation does not exhaust enters the basis; ties within
-    /// `0.01·feas_tol` of **its** ratio — the window stays anchored
+    /// `0.01·FEAS_TOL` of **its** ratio — the window stays anchored
     /// there, not at a tie winner's own larger ratio (see the
     /// chained-tie regression test) — break toward the larger pivot.
     /// `None` — committing no flips — means the row stays violated even
@@ -1315,9 +1291,8 @@ impl Revised {
         rc: &[f64],
         below: bool,
         violation: f64,
-        opts: &SolverOptions,
     ) -> Option<DualChoice> {
-        let ratio_tie = 0.01 * opts.feas_tol;
+        let ratio_tie = 0.01 * FEAS_TOL;
         // (ratio, column, sigma, |alpha|, span)
         let mut cands: Vec<(f64, usize, f64, f64, f64)> = Vec::new();
         for j in 0..self.n {
@@ -1326,12 +1301,12 @@ impl Revised {
                 continue;
             }
             let alpha = alphas[j];
-            if alpha.abs() <= opts.pivot_tol {
+            if alpha.abs() <= PIVOT_TOL {
                 continue;
             }
             let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
             let effect = -sigma * alpha;
-            if (below && effect <= opts.pivot_tol) || (!below && effect >= -opts.pivot_tol) {
+            if (below && effect <= PIVOT_TOL) || (!below && effect >= -PIVOT_TOL) {
                 continue;
             }
             let num = if self.at_upper[j] {
@@ -1382,7 +1357,6 @@ impl Revised {
     }
 
     /// One dual pivot: drive `xb[prow]` exactly onto its violated bound.
-    #[allow(clippy::too_many_arguments)]
     fn dual_pivot(
         &mut self,
         prow: usize,
@@ -1391,13 +1365,12 @@ impl Revised {
         below: bool,
         d: Vec<f64>,
         spike: Option<Vec<f64>>,
-        opts: &SolverOptions,
     ) -> Result<(), SolveError> {
         let (lb, ub) = self.box_of(self.basis[prow]);
         let target = if below { lb } else { ub };
         // xb[prow] − sigma·t·d[prow] = target
         let t = (self.xb[prow] - target) / (sigma * d[prow]);
-        self.pivot(prow, enter, sigma, t.max(0.0), d, spike, !below, opts)
+        self.pivot(prow, enter, sigma, t.max(0.0), d, spike, !below)
     }
 
     /// Primal phase-2 cleanup from the current (primal-feasible) basis.
@@ -1405,12 +1378,8 @@ impl Revised {
     /// # Errors
     ///
     /// See [`Revised::solve_two_phase`].
-    pub fn primal_opt(
-        &mut self,
-        opts: &SolverOptions,
-        pivots_left: &mut usize,
-    ) -> Result<(), SolveError> {
-        match self.run_primal(false, opts, pivots_left)? {
+    pub fn primal_opt(&mut self, pivots_left: &mut usize) -> Result<(), SolveError> {
+        match self.run_primal(false, pivots_left)? {
             PhaseEnd::Optimal => Ok(()),
             PhaseEnd::Unbounded => Err(SolveError::Unbounded),
         }
@@ -1476,7 +1445,7 @@ pub(crate) fn solve(bf: &BoxedForm, opts: &SolverOptions) -> Result<(Vec<f64>, u
         let mut y = vec![0.0; bf.sf.ncols];
         for (j, yj) in y.iter_mut().enumerate() {
             let c = bf.sf.cost[j];
-            if c < -opts.feas_tol {
+            if c < -FEAS_TOL {
                 if !bf.col_upper[j].is_finite() {
                     return Err(SolveError::Unbounded);
                 }
@@ -1487,7 +1456,7 @@ pub(crate) fn solve(bf: &BoxedForm, opts: &SolverOptions) -> Result<(Vec<f64>, u
     }
     let mut kernel = Revised::new(bf, opts);
     let mut pivots_left = opts.max_pivots;
-    kernel.solve_two_phase(opts, &mut pivots_left)?;
+    kernel.solve_two_phase(&mut pivots_left)?;
     Ok((kernel.values(), kernel.iters))
 }
 
@@ -1640,15 +1609,15 @@ mod tests {
         let opts = SolverOptions::default();
         let mut k = Revised::new(&bf, &opts);
         let mut budget = opts.max_pivots;
-        k.solve_two_phase(&opts, &mut budget).unwrap();
+        k.solve_two_phase(&mut budget).unwrap();
         let v0 = bf.sf.recover(&k.values());
         assert!((v0[0] + v0[1] - 6.0).abs() < 1e-7, "{v0:?}");
         assert!(k.dual_ok());
 
         // x's standard-form column is column 0 (shifted by lb 0).
         k.set_col_bounds(0, 0.0, 1.0);
-        k.dual_reopt(&opts, &mut budget).unwrap();
-        k.primal_opt(&opts, &mut budget).unwrap();
+        k.dual_reopt(&mut budget).unwrap();
+        k.primal_opt(&mut budget).unwrap();
         let v1 = bf.sf.recover(&k.values());
         assert!(v1[0] <= 1.0 + 1e-7, "x = {}", v1[0]);
         assert!((v1[0] + v1[1] - 5.0).abs() < 1e-6, "{v1:?}");
@@ -1666,10 +1635,10 @@ mod tests {
         let opts = SolverOptions::default();
         let mut k = Revised::new(&bf, &opts);
         let mut budget = opts.max_pivots;
-        k.solve_two_phase(&opts, &mut budget).unwrap();
+        k.solve_two_phase(&mut budget).unwrap();
         k.set_rhs(row, 3.0);
-        k.dual_reopt(&opts, &mut budget).unwrap();
-        k.primal_opt(&opts, &mut budget).unwrap();
+        k.dual_reopt(&mut budget).unwrap();
+        k.primal_opt(&mut budget).unwrap();
         let v = bf.sf.recover(&k.values());
         assert!((v[0] + v[1] - 3.0).abs() < 1e-6, "{v:?}");
     }
@@ -1685,10 +1654,10 @@ mod tests {
         let opts = SolverOptions::default();
         let mut k = Revised::new(&bf, &opts);
         let mut budget = opts.max_pivots;
-        k.solve_two_phase(&opts, &mut budget).unwrap();
+        k.solve_two_phase(&mut budget).unwrap();
         k.set_col_bounds(0, 3.0, 4.0);
         assert_eq!(
-            k.dual_reopt(&opts, &mut budget).unwrap_err(),
+            k.dual_reopt(&mut budget).unwrap_err(),
             SolveError::Infeasible
         );
     }
@@ -1704,7 +1673,7 @@ mod tests {
         let opts = SolverOptions::default();
         let mut k = Revised::new(&bf, &opts);
         let mut budget = opts.max_pivots;
-        k.solve_two_phase(&opts, &mut budget).unwrap();
+        k.solve_two_phase(&mut budget).unwrap();
         let snap = k.basis_snapshot();
         let obj0: f64 = {
             let v = bf.sf.recover(&k.values());
@@ -1712,20 +1681,21 @@ mod tests {
         };
         // Perturb: pin x to 0, reoptimize, then restore.
         k.set_col_bounds(0, 0.0, 0.0);
-        k.dual_reopt(&opts, &mut budget).unwrap();
-        k.primal_opt(&opts, &mut budget).unwrap();
+        k.dual_reopt(&mut budget).unwrap();
+        k.primal_opt(&mut budget).unwrap();
         k.set_col_bounds(0, 0.0, 4.0);
         k.install_basis(&snap).unwrap();
-        k.dual_reopt(&opts, &mut budget).unwrap();
-        k.primal_opt(&opts, &mut budget).unwrap();
+        k.dual_reopt(&mut budget).unwrap();
+        k.primal_opt(&mut budget).unwrap();
         let v = bf.sf.recover(&k.values());
         assert!((2.0 * v[0] + v[1] - obj0).abs() < 1e-6, "{v:?} vs {obj0}");
     }
 
-    /// The refactor policy from `SolverOptions` actually drives the
-    /// kernel: with `refactor_eta_len = 1` every basis-change pivot
-    /// flushes the eta file, so the refactor count must track the pivot
-    /// count — and the optimum must not move.
+    /// The production refactor policy resolved from `SolverOptions`
+    /// reaches the kernel: its automatic length cap `max(64, 2m)` never
+    /// binds on this small LP, so the solve takes only the crash
+    /// refactor. (The `factor` tests drive non-default policies
+    /// directly through `FactorConfig`.)
     #[test]
     fn solver_options_refactor_policy_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
@@ -1737,27 +1707,14 @@ mod tests {
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
         let bf = BoxedForm::build(&m);
-        let run = |opts: &SolverOptions| {
-            let mut k = Revised::new(&bf, opts);
-            let mut budget = opts.max_pivots;
-            k.solve_two_phase(opts, &mut budget).unwrap();
-            let v = bf.sf.recover(&k.values());
-            let obj = 2.0 * v[0] + 3.0 * v[1] + v[2];
-            (obj, k.factor_stats.refactors, k.iters)
-        };
-        let (obj_default, refactors_default, _) = run(&SolverOptions::default());
-        let eager = SolverOptions {
-            refactor_eta_len: 1,
-            ..Default::default()
-        };
-        let (obj_eager, refactors_eager, iters) = run(&eager);
-        assert!((obj_default - obj_eager).abs() < 1e-9);
-        // Defaults never hit the `max(64, 2m)` cap on this small LP…
-        assert_eq!(refactors_default, 1, "only the crash refactor expected");
-        // …while the configured policy refactors after every eta push.
-        assert!(
-            refactors_eager > 1 && refactors_eager <= iters + 1,
-            "eager policy did not fire: {refactors_eager} refactors over {iters} pivots"
+        let opts = SolverOptions::default();
+        let mut k = Revised::new(&bf, &opts);
+        let mut budget = opts.max_pivots;
+        k.solve_two_phase(&mut budget).unwrap();
+        assert!(k.iters > 0);
+        assert_eq!(
+            k.factor_stats.refactors, 1,
+            "only the crash refactor expected"
         );
     }
 
@@ -1765,14 +1722,14 @@ mod tests {
     /// real columns, basis = the two structural columns, `xb` set by the
     /// test. (`ratio_test` reads only the basis, boxes and `xb`, so no
     /// factorization is needed.)
-    fn ratio_probe(xb: [f64; 2], opts: &SolverOptions) -> Revised {
+    fn ratio_probe(xb: [f64; 2]) -> Revised {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(LinExpr::var(x), cmp::EQ, 1.0);
         m.add_constraint(LinExpr::var(y), cmp::EQ, 1.0);
         let bf = BoxedForm::build(&m);
-        let mut k = Revised::new(&bf, opts);
+        let mut k = Revised::new(&bf, &SolverOptions::default());
         k.basis[0] = 0;
         k.basis[1] = 1;
         k.in_basis[0] = true;
@@ -1782,59 +1739,38 @@ mod tests {
     }
 
     /// **Tolerance-hygiene regression**: the ratio test's tie window is
-    /// `0.01·feas_tol`, so a non-default `feas_tol` genuinely changes
-    /// which row blocks. Two rows with ratios 1.0 and 1.0 + 5e-10: at
-    /// the default (window 1e-9) they tie and the larger pivot wins
-    /// (row 1); with `feas_tol = 1e-12` the window collapses and the
-    /// strictly smaller ratio wins (row 0).
+    /// `0.01·FEAS_TOL` = 1e-9 around the minimum ratio. Two rows with
+    /// ratios 1.0 and 1.0 + 5e-10 fall inside it: they tie and the
+    /// larger pivot wins (row 1). At 1.0 and 1.0 + 5e-9 they fall
+    /// outside it, and the strictly smaller ratio wins (row 0).
     #[test]
     fn feas_tol_changes_the_blocking_row() {
         let d = [1.0, 2.0];
-        let defaults = SolverOptions::default();
-        let k = ratio_probe([1.0, 2.0 * (1.0 + 5e-10)], &defaults);
-        let (t, row, _) = k.ratio_test(1.0, &d, false, &defaults);
-        assert_eq!(
-            row,
-            Some(1),
-            "default window must tie-break to the larger pivot"
-        );
+        let k = ratio_probe([1.0, 2.0 * (1.0 + 5e-10)]);
+        let (t, row, _) = k.ratio_test(1.0, &d, false);
+        assert_eq!(row, Some(1), "a tie must break to the larger pivot");
         assert!((t - 1.0).abs() < 1e-6);
 
-        let tight = SolverOptions {
-            feas_tol: 1e-12,
-            ..Default::default()
-        };
-        let k = ratio_probe([1.0, 2.0 * (1.0 + 5e-10)], &tight);
-        let (_, row, _) = k.ratio_test(1.0, &d, false, &tight);
+        let k = ratio_probe([1.0, 2.0 * (1.0 + 5e-9)]);
+        let (_, row, _) = k.ratio_test(1.0, &d, false);
         assert_eq!(
             row,
             Some(0),
-            "tight feas_tol must pick the strictly smaller ratio"
+            "outside the tie window the strictly smaller ratio must win"
         );
     }
 
     /// **Tolerance-hygiene regression**: rows whose pivot element is at
-    /// most `pivot_tol` are ineligible — so shrinking `pivot_tol` below
-    /// a tiny pivot brings its row into play.
+    /// most `PIVOT_TOL` = 1e-9 are ineligible, so a 1e-10 pivot row is
+    /// skipped while a 1e-8 pivot row blocks.
     #[test]
     fn pivot_tol_gates_ratio_test_eligibility() {
-        let d = [1e-10, 1.0];
-        let defaults = SolverOptions::default(); // pivot_tol = 1e-9
-        let k = ratio_probe([1e-12, 5.0], &defaults);
-        let (_, row, _) = k.ratio_test(1.0, &d, false, &defaults);
+        let k = ratio_probe([1e-12, 5.0]);
+        let (_, row, _) = k.ratio_test(1.0, &[1e-10, 1.0], false);
         assert_eq!(row, Some(1), "sub-tolerance pivot row must be skipped");
 
-        let loose = SolverOptions {
-            pivot_tol: 1e-12,
-            ..Default::default()
-        };
-        let k = ratio_probe([1e-12, 5.0], &loose);
-        let (_, row, _) = k.ratio_test(1.0, &d, false, &loose);
-        assert_eq!(
-            row,
-            Some(0),
-            "smaller pivot_tol must admit the tiny-pivot row"
-        );
+        let (_, row, _) = k.ratio_test(1.0, &[1e-8, 1.0], false);
+        assert_eq!(row, Some(0), "an above-tolerance pivot row must block");
     }
 
     /// **Scaled-model regression (ported from the PR 3 factor suite to
@@ -1914,7 +1850,7 @@ mod tests {
             };
             let mut k = Revised::new(&bf, &opts);
             let mut budget = opts.max_pivots;
-            k.solve_two_phase(&opts, &mut budget).unwrap();
+            k.solve_two_phase(&mut budget).unwrap();
             let v = bf.sf.recover(&k.values());
             (2.0 * v[0] + 3.0 * v[1] + v[2], k.factor_stats)
         };
@@ -1929,7 +1865,7 @@ mod tests {
 
     /// N-row generalization of [`ratio_probe`]: row `r` holds structural
     /// column `r` basic at `xb[r]`, every box is `[0, 10]`.
-    fn ratio_probe_n(xb: &[f64], opts: &SolverOptions) -> Revised {
+    fn ratio_probe_n(xb: &[f64]) -> Revised {
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..xb.len())
             .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
@@ -1938,7 +1874,7 @@ mod tests {
             m.add_constraint(LinExpr::var(v), cmp::EQ, 1.0);
         }
         let bf = BoxedForm::build(&m);
-        let mut k = Revised::new(&bf, opts);
+        let mut k = Revised::new(&bf, &SolverOptions::default());
         for r in 0..xb.len() {
             k.basis[r] = r;
             k.in_basis[r] = true;
@@ -1961,9 +1897,8 @@ mod tests {
             .enumerate()
             .map(|(i, &dr)| dr * (1.0 + i as f64 * 0.9e-9))
             .collect();
-        let defaults = SolverOptions::default(); // tie window 1e-9
-        let k = ratio_probe_n(&xb, &defaults);
-        let (t, row, _) = k.ratio_test(1.0, &d, false, &defaults);
+        let k = ratio_probe_n(&xb); // tie window 1e-9
+        let (t, row, _) = k.ratio_test(1.0, &d, false);
         assert_eq!(
             row,
             Some(1),
@@ -1980,7 +1915,7 @@ mod tests {
     /// nonbasic at lower bound, the artificial left basic. Costs are
     /// `alpha_j · (1 + j·0.9e-9)`, so with `ρ = e_0` the dual ratios
     /// `rc_j/|α_j|` step by 0.9e-9 with pivot magnitudes increasing.
-    fn dual_tie_probe(opts: &SolverOptions) -> Revised {
+    fn dual_tie_probe() -> Revised {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 0.0, 10.0);
@@ -1989,7 +1924,7 @@ mod tests {
         m.set_objective(a[0] * x + (a[1] * (1.0 + 0.9e-9)) * y + (a[2] * (1.0 + 1.8e-9)) * z);
         m.add_constraint(a[0] * x + a[1] * y + a[2] * z, cmp::EQ, 1.0);
         let bf = BoxedForm::build(&m);
-        Revised::new(&bf, opts)
+        Revised::new(&bf, &SolverOptions::default())
     }
 
     /// **Chained-tie anchor regression (dual)**: same construction as the
@@ -2001,8 +1936,7 @@ mod tests {
     /// enter — it would if the window were anchored at the pick.
     #[test]
     fn chained_near_ties_do_not_walk_the_dual_tie_window() {
-        let opts = SolverOptions::default();
-        let k = dual_tie_probe(&opts);
+        let k = dual_tie_probe();
         let rho = vec![1.0];
         // Sanity: equilibration left the row untouched.
         for (j, want) in [(0usize, 1.0 / 3.0), (1, 2.0 / 3.0), (2, 1.0)] {
@@ -2015,7 +1949,7 @@ mod tests {
         let alphas: Vec<f64> = (0..3).map(|j| k.col_dot(j, &rho)).collect();
         let rc: Vec<f64> = (0..3).map(|j| k.cost_of(j, false)).collect();
         let choice = k
-            .dual_ratio_test(&alphas, &rc, false, 1.0, &opts)
+            .dual_ratio_test(&alphas, &rc, false, 1.0)
             .expect("a candidate must be found");
         assert_eq!(
             choice.enter, 1,
@@ -2027,7 +1961,7 @@ mod tests {
     /// **Scale-hygiene regression for the dual leaving-row scan**: a
     /// basic variable 0.03 outside its bound on a 2e6-scale row is
     /// round-off, not infeasibility — while 0.01 outside a unit-scale
-    /// box is genuine. Under the old absolute `feas_tol` cut both rows
+    /// box is genuine. Under the old absolute `FEAS_TOL` cut both rows
     /// were eligible and the larger raw violation (the noise) won.
     #[test]
     fn dual_leaving_row_judges_violations_relative_to_row_scale() {
@@ -2047,7 +1981,7 @@ mod tests {
         let scales = vec![2e6, 1.0];
         let noise_floor = 1e3 * f64::EPSILON * 2e6;
         let (row, below, viol) = k
-            .dual_leaving_row(&scales, noise_floor, opts.feas_tol)
+            .dual_leaving_row(&scales, noise_floor, FEAS_TOL)
             .expect("the unit-scale violation must be seen");
         assert_eq!(row, 1, "round-off on the 2e6-scale row out-scored it");
         assert!(!below);
@@ -2072,14 +2006,13 @@ mod tests {
         let alphas = vec![2.0, 1.0];
         let rc = vec![0.1, 0.2]; // ratios 0.05 and 0.2
         let choice = k
-            .dual_ratio_test(&alphas, &rc, false, 1.0, &opts)
+            .dual_ratio_test(&alphas, &rc, false, 1.0)
             .expect("the second candidate must absorb the step");
         assert_eq!(choice.flips, vec![0], "best-ratio column must bound-flip");
         assert_eq!(choice.enter, 1);
         // Violation beyond every candidate's combined reach: infeasible.
         assert!(
-            k.dual_ratio_test(&alphas, &rc, false, 20.0, &opts)
-                .is_none(),
+            k.dual_ratio_test(&alphas, &rc, false, 20.0).is_none(),
             "an inexhaustible violation is a dual ray"
         );
     }

@@ -20,7 +20,7 @@
 //! (guaranteed finite). The ratio test breaks near-ties toward the largest
 //! pivot magnitude for stability.
 
-use crate::model::SolverOptions;
+use crate::model::{SolverOptions, FEAS_TOL};
 use crate::solution::SolveError;
 use crate::standard::StandardForm;
 
@@ -218,7 +218,7 @@ pub(crate) fn solve(
     if m == 0 {
         // No rows: minimize over y >= 0 directly. Any negative cost makes
         // the problem unbounded; otherwise all-zero is optimal.
-        if sf.cost.iter().any(|&c| c < -opts.feas_tol) {
+        if sf.cost.iter().any(|&c| c < -FEAS_TOL) {
             return Err(SolveError::Unbounded);
         }
         return Ok((vec![0.0; n], 0));
@@ -299,7 +299,7 @@ pub(crate) fn solve(
     }
 
     let mut pivots_left = opts.max_pivots;
-    let tol = opts.feas_tol;
+    let tol = FEAS_TOL;
     let deadline = opts.time_limit.map(|d| std::time::Instant::now() + d);
     let blocked_none = vec![false; width];
 

@@ -82,46 +82,6 @@ pub fn is_strongly_connected(g: &Rrg) -> bool {
     g.num_nodes() > 0 && sccs(g).len() == 1
 }
 
-/// Extracts the subgraph induced by the largest SCC (most nodes; ties
-/// broken by most edges). Returns the subgraph plus the mapping from new
-/// node ids to original ids. Edges with both endpoints inside the SCC are
-/// kept.
-pub fn largest_scc(g: &Rrg) -> (Rrg, Vec<NodeId>) {
-    let comps = sccs(g);
-    let mut best: Option<&Vec<NodeId>> = None;
-    for c in &comps {
-        let better = match best {
-            None => true,
-            Some(b) => c.len() > b.len(),
-        };
-        if better {
-            best = Some(c);
-        }
-    }
-    let keep = best.cloned().unwrap_or_default();
-    let mut in_comp = vec![usize::MAX; g.num_nodes()];
-    for (new, old) in keep.iter().enumerate() {
-        in_comp[old.0] = new;
-    }
-    let mut sub = Rrg {
-        nodes: keep.iter().map(|&n| g.nodes[n.0].clone()).collect(),
-        edges: Vec::new(),
-        succ: Vec::new(),
-        pred: Vec::new(),
-    };
-    for e in &g.edges {
-        let (s, t) = (in_comp[e.source.0], in_comp[e.target.0]);
-        if s != usize::MAX && t != usize::MAX {
-            let mut e = e.clone();
-            e.source = NodeId(s);
-            e.target = NodeId(t);
-            sub.edges.push(e);
-        }
-    }
-    sub.rebuild_adjacency();
-    (sub, keep)
-}
-
 /// Finds a directed cycle whose total token count (`Σ R0`) is ≤ 0, if one
 /// exists. Such a cycle violates the liveness condition of Definition 2.1.
 ///
@@ -355,10 +315,6 @@ mod tests {
         let g = b.build().unwrap();
         let comps = sccs(&g);
         assert_eq!(comps.len(), 2);
-        let (sub, map) = largest_scc(&g);
-        assert_eq!(sub.num_nodes(), 2);
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(map.len(), 2);
     }
 
     #[test]

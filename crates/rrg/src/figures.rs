@@ -195,6 +195,19 @@ mod tests {
     }
 
     #[test]
+    fn figure_2_statistics() {
+        let g = figure_2(0.5);
+        assert_eq!(g.num_nodes(), 5);
+        assert_eq!(g.num_edges(), 6);
+        assert_eq!(g.num_early(), 1);
+        assert_eq!(g.total_tokens(), 2); // 1+1+1+0+1−2
+        assert_eq!(g.total_buffers(), 4);
+        let max_in = g.node_ids().map(|n| g.in_edges(n).len()).max();
+        assert_eq!(max_in, Some(2)); // the mux
+        assert!(g.edges().all(|(_, e)| e.source() != e.target()));
+    }
+
+    #[test]
     fn figure_1b_has_two_bubbles() {
         let g = figure_1b(0.5);
         let total: i64 = g.edges().map(|(_, e)| e.bubbles()).sum();

@@ -265,6 +265,29 @@ mod tests {
         }
     }
 
+    /// The generator follows §5's recipe: the requested early count, a
+    /// mean delay well inside the (0, 20] range, and a token density
+    /// near the paper's 0.25 (the liveness fix-up pushes it slightly up
+    /// on sparse graphs).
+    #[test]
+    fn generated_graphs_match_the_recipe() {
+        let p = GeneratorParams::paper_defaults(40, 8, 120);
+        let mut densities = Vec::new();
+        for seed in 0..8 {
+            let g = p.generate(seed);
+            assert_eq!(g.num_early(), 8);
+            let mean_delay = g.nodes().map(|(_, n)| n.delay()).sum::<f64>() / g.num_nodes() as f64;
+            assert!(mean_delay > 5.0 && mean_delay < 15.0, "{mean_delay}");
+            let with_tokens = g.edges().filter(|(_, e)| e.tokens() > 0).count();
+            densities.push(with_tokens as f64 / g.num_edges() as f64);
+        }
+        let avg: f64 = densities.iter().sum::<f64>() / densities.len() as f64;
+        assert!(
+            (avg - 0.25).abs() < 0.12,
+            "average token density {avg} strays from the paper's 0.25"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "at least")]
     fn too_few_edges_rejected() {

@@ -20,8 +20,7 @@
 //! * retiming / recycling configurations ([`Config`]) — the paper's "RC",
 //! * the paper's motivating figures ([`figures`]),
 //! * the random benchmark generator and the ISCAS89 Table-2 profiles
-//!   ([`generate`], [`iscas`]),
-//! * Graphviz export ([`dot`]).
+//!   ([`generate`], [`iscas`]).
 //!
 //! # Example
 //!
@@ -39,13 +38,10 @@ pub mod algo;
 mod builder;
 pub mod config;
 pub mod cycle_time;
-pub mod dot;
 pub mod figures;
 pub mod generate;
-pub mod io;
 pub mod iscas;
 mod rrg;
-pub mod stats;
 pub mod validate;
 
 pub use builder::RrgBuilder;

@@ -113,10 +113,6 @@ impl Edge {
     pub fn bubbles(&self) -> i64 {
         self.buffers - self.tokens.max(0)
     }
-    /// `true` when the edge has no buffers (a combinational wire).
-    pub fn is_combinational(&self) -> bool {
-        self.buffers == 0
-    }
 }
 
 /// A Retiming and Recycling Graph: the directed multigraph ⟨S, β, R0, R, γ⟩

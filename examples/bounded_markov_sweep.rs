@@ -49,7 +49,6 @@ fn main() {
             let params = MarkovParams {
                 capacity: cap,
                 max_states: 500_000,
-                max_exact_solve: 500_000,
                 solver: StationarySolver::SparseIterative,
                 faults: None,
             };

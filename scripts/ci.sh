@@ -20,6 +20,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --offline
 
+# Rustdoc must build without warnings, so a deleted item cannot leave a
+# broken intra-doc link behind. The vendored crates are not ours to lint.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest --exclude rand
+
 # The rr-milp property suites are the sparse-LU ↔ dense-oracle agreement
 # gate. The vendored proptest draws a deterministic, name-seeded stream
 # (see vendor/proptest), so this is a fixed-seed run by construction —
@@ -36,12 +41,13 @@ cargo test -q -p rr-milp --offline proptests
 # with their clean twins, mirrored/free integer fixtures solve warm and
 # match the dense oracle, truncation, gap termination and dual bounds
 # reach the reports, and source-level checks keep the deleted search
-# modes, pricing rules and rounding heuristic deleted. Fixed seeds and node
-# caps (no wall clocks), so failures reproduce exactly. Run in release:
-# the agreement checks solve every instance at several worker counts.
-# The named trajectory pins in search_orders, backend_unification,
-# parallel_search and pseudo_cost_search, and the pricing checks in
-# pricing_search, run in the cargo test step above.
+# modes, pricing rules, rounding heuristic, retired option fields and
+# unused modules deleted. Fixed seeds and node caps (no wall clocks), so
+# failures reproduce exactly. Run in release: the agreement checks solve
+# every instance at several worker counts. The named trajectory pins in
+# search_orders, backend_unification, parallel_search and
+# pseudo_cost_search, and the pricing checks in pricing_search, run in
+# the cargo test step above.
 echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
 cargo test -q --offline --release --test search_gate
 

@@ -30,7 +30,6 @@ fn capped(max_nodes: usize, workers: usize) -> CoreOptions {
     opts.solver.max_nodes = max_nodes;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
-    opts.cuts = false;
     opts
 }
 

@@ -16,8 +16,9 @@
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
 //!   the true gap, already during the first episode; a truncated run
 //!   reports a valid dual bound above the root LP bound.
-//! * **Source** — deleted search modes, pricing rules and the rounding
-//!   heuristic stay deleted, and no model is cloned inside the node loop.
+//! * **Source** — deleted search modes, pricing rules, the rounding
+//!   heuristic, the retired solver knobs and the unused modules stay
+//!   deleted, and no model is cloned inside the node loop.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -462,13 +463,19 @@ fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     );
 }
 
-/// Source-level assertions that the deleted search modes, pricing rules
-/// and the rounding heuristic stay deleted — their identifiers survive
-/// only in comment lines
-/// anywhere under `crates/` — and that no model is cloned inside the
-/// node loop: `model.clone()` appears exactly once in `branch_bound.rs`
-/// (the whole-solve cross-validation pin, after the search returns) and
-/// never in `parallel.rs`.
+/// Source-level assertions that the deleted search modes, pricing rules,
+/// the rounding heuristic, the retired solver, core and Markov knobs and
+/// the unused modules stay deleted — their identifiers survive only in
+/// comment lines anywhere under `crates/` and `examples/` — and that no
+/// model is cloned inside the node loop: `model.clone()` appears exactly
+/// once in `branch_bound.rs` (the whole-solve cross-validation pin,
+/// after the search returns) and never in `parallel.rs`.
+///
+/// The retired tolerances, the reliability threshold and the cut switch
+/// live on as names elsewhere (the crate-private `INT_TOL`-style consts,
+/// the `int_tol` parameter of `Model::max_violation`, `Model::cuts`), so
+/// only their field accesses and the old `CoreOptions` literals are
+/// patterns here.
 #[test]
 fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
     let deleted = [
@@ -492,12 +499,28 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "round_and_fix",
         "rounding_heuristic",
         "offer_incumbent",
+        "refactor_eta_len",
+        "refactor_fill_growth",
+        "strong_branch_pivots",
+        "strong_branch_candidates",
+        "max_exact_solve",
+        "top_k",
+        "to_dot",
+        "from_text",
+        "RrgStats",
+        "minimal_uniform_capacity",
+        ".reliability",
+        ".int_tol",
+        ".feas_tol",
+        ".pivot_tol",
+        "opts.cuts",
+        "cuts: bool",
+        "cuts: true",
+        "cuts: false",
     ];
     let mut offenders = Vec::new();
-    let mut dirs = vec![std::path::PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/crates"
-    ))];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("crates"), root.join("examples")];
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();

@@ -107,13 +107,12 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
     assert_eq!(s.incumbent_trace.len(), 1);
     assert_eq!(s.incumbent_trace[0].0, 0);
 
-    // The oracle configuration with the 2% gap of `fast()` and no cuts.
+    // The oracle configuration with the 2% gap of `fast()`.
     let hist = CoreOptions {
         solver: SolverOptions {
             gap_tol: 0.02,
             ..historical(2000)
         },
-        cuts: false,
         ..CoreOptions::fast()
     };
     let a = formulation::max_thr(&g, g.max_delay(), &hist).unwrap();
