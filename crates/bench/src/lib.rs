@@ -34,7 +34,9 @@ pub fn milp_bench_instance(edges: usize) -> Rrg {
     GeneratorParams::paper_defaults(nodes - early, early, edges).generate(42)
 }
 
-/// Command-line options shared by the harness binaries.
+/// Command-line options shared by the harness binaries. Every MILP
+/// solves on one thread; `table2` uses the cores by running circuits in
+/// parallel ([`parallel_map`]).
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Base RNG seed for graph generation (`--seed N`).
@@ -53,10 +55,6 @@ pub struct HarnessArgs {
     pub only: Vec<String>,
     /// Print per-configuration detail (`--verbose`).
     pub verbose: bool,
-    /// Branch & bound workers per MILP (`--workers N`); `1` runs the
-    /// one worker on the calling thread, which keeps the search
-    /// deterministic.
-    pub workers: usize,
     /// Per-MILP node budget (`--max-nodes N`), the deterministic
     /// alternative to the wall clock that the CI sweep gate uses.
     pub max_nodes: Option<usize>,
@@ -75,7 +73,6 @@ impl Default for HarnessArgs {
             horizon: 30_000,
             only: Vec::new(),
             verbose: false,
-            workers: 1,
             max_nodes: None,
             require_proven: Vec::new(),
         }
@@ -119,11 +116,6 @@ impl HarnessArgs {
                 }
                 "--only" => out.only = take("--only").split(',').map(str::to_string).collect(),
                 "--verbose" => out.verbose = true,
-                "--workers" => {
-                    out.workers = take("--workers")
-                        .parse()
-                        .expect("workers must be an integer")
-                }
                 "--max-nodes" => {
                     out.max_nodes = Some(
                         take("--max-nodes")
@@ -140,7 +132,7 @@ impl HarnessArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --seed N --max-edges N --full-size --time-limit SECS \
-                         --horizon CYCLES --only s526,s27 --workers N --max-nodes N \
+                         --horizon CYCLES --only s526,s27 --max-nodes N \
                          --require-proven s27,s526 --verbose"
                     );
                     std::process::exit(0);
@@ -156,7 +148,6 @@ impl HarnessArgs {
         CoreOptions {
             solver: SolverOptions {
                 time_limit: Some(Duration::from_secs(self.time_limit_secs)),
-                workers: self.workers,
                 max_nodes: self.max_nodes.unwrap_or(SolverOptions::default().max_nodes),
                 ..Default::default()
             },
@@ -311,14 +302,6 @@ mod tests {
             assert_eq!(out, (0..17).map(|x| x + 1).collect::<Vec<_>>());
         }
         assert!(parallel_map_bounded(4, Vec::<i32>::new(), |x| x).is_empty());
-    }
-
-    #[test]
-    fn workers_flag_reaches_solver_options() {
-        let a = args(&["--workers", "4"]);
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.core_options().solver.workers, 4);
-        assert_eq!(args(&[]).core_options().solver.workers, 1);
     }
 
     #[test]

@@ -1,31 +1,28 @@
 //! Branch & bound for mixed-integer models: the entry points, the LP
-//! backend, and the search data structures the worker loop in
-//! [`crate::parallel`] runs on.
+//! backend, and the search data structures the depth-first loop in
+//! [`crate::search`] runs on.
 //!
 //! # Architecture
 //!
-//! Every solve — one worker or many — runs the same search loop
-//! (`parallel` module): workers claim open nodes from a shared
-//! [`Frontier`], dive from each claim in a bounded depth-first
-//! **episode**, and hand the leftovers back. With
-//! [`SolverOptions::workers`]` = 1` the single worker runs on the calling
-//! thread. This module supplies the pieces that loop is built from:
+//! Every solve runs the same search loop (`search` module) on the
+//! calling thread. This module supplies the pieces that loop is built
+//! from:
 //!
 //! * **The branch tree** — an arena of one-bound-tightening
-//!   [`TreeNode`]s. A worker moves its kernel between nodes by walking
+//!   [`TreeNode`]s. The search moves its kernel between nodes by walking
 //!   the tree (undo up to the lowest common ancestor, re-apply down), so
 //!   jumping anywhere in the tree costs only the path difference.
 //!
-//! * **Node ordering**: the frontier is a LIFO stack of [`OpenNode`]s,
-//!   and each branching pushes the nearer side last, so the search
-//!   dives depth-first toward the nearer side. A claimed node is dived
-//!   from until the episode cap trips, so weak LP bounds still reach
-//!   integral leaves. Entries whose bound cannot beat the incumbent are
-//!   discarded unsolved. Every open node carries an `Arc` of its
-//!   parent's optimal basis, so a claim after a jump still warm-starts.
+//! * **Node ordering**: the open nodes form one LIFO stack of
+//!   [`OpenNode`]s, and each branching pushes the nearer side last, so
+//!   the search dives depth-first toward the nearer side and weak LP
+//!   bounds still reach integral leaves. Entries whose bound cannot beat
+//!   the incumbent are discarded unsolved. Every open node carries an
+//!   `Rc` of its parent's optimal basis, so a pop after a backtrack
+//!   still warm-starts.
 //!
 //! * **Branching** ([`select_branch_var`]): pseudo-cost branching with
-//!   reliability probes, scored by the product rule over the shared
+//!   reliability probes, scored by the product rule over the
 //!   [`PseudoCosts`] table.
 //!
 //! * **The LP backend** ([`WarmBackend`]) runs the revised kernel over a
@@ -54,8 +51,7 @@
 //! reported only when the search genuinely completed (or closed the
 //! [`SolverOptions::gap_tol`] gap against the open-node bound).
 
-use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use crate::expr::VarId;
@@ -76,7 +72,8 @@ pub struct BranchBoundStats {
     pub incumbents: usize,
     /// True when a limit (nodes or time) stopped the search.
     pub truncated: bool,
-    /// Objective of the root LP relaxation.
+    /// Objective of the root LP relaxation (`NaN` when the root LP
+    /// failed or was never solved).
     pub root_bound: f64,
     /// Total simplex pivots across every LP the search solved (node
     /// relaxations, warm reoptimizations, strong-branch probes, the hint
@@ -107,7 +104,8 @@ pub struct BranchBoundStats {
     /// Basis dimension (constraint rows) of the bounded-variable form
     /// (0 for rowless models, which solve in closed form).
     pub basis_rows: usize,
-    /// Peak number of open (queued but not yet expanded) nodes.
+    /// Peak size of the open-node stack (queued but not yet expanded
+    /// nodes).
     pub queue_peak: usize,
     /// Node count at the moment the first incumbent was accepted (0 =
     /// seeded by the warm-start hint, before any node was solved).
@@ -116,10 +114,9 @@ pub struct BranchBoundStats {
     /// `(node index, objective)` at every incumbent acceptance, in
     /// order — the improvement trajectory of the search.
     pub incumbent_trace: Vec<(usize, f64)>,
-    /// LP relaxation objective of every solved node, in claim order —
-    /// solve order with one worker (`NaN` for nodes whose LP failed or
-    /// proved infeasible). Length equals `nodes`; entries discarded
-    /// unsolved do not appear.
+    /// LP relaxation objective of every solved node, in solve order
+    /// (`NaN` for nodes whose LP failed or proved infeasible). Length
+    /// equals `nodes`; entries discarded unsolved do not appear.
     pub node_bounds: Vec<f64>,
     /// Candidates strong-branched by the reliability rule (each counts
     /// one probed candidate, i.e. up to two child dual-simplex probes).
@@ -133,9 +130,11 @@ pub struct BranchBoundStats {
     /// tightened in place to its integer-valid rhs).
     pub cuts_activated: usize,
     /// Tightest proven dual bound at termination, in the model's sense:
-    /// the frontier minimum joined with the incumbent. Equals the
-    /// incumbent objective when the search completed; falls back to the
-    /// root bound when nothing tighter was proven.
+    /// the minimum bound over the open stack and over the nodes dropped
+    /// after an LP failure, joined with the incumbent. Equals the
+    /// incumbent objective when the search completed; the signed
+    /// infinity when no finite bound was proven (a lost or unsolved
+    /// root).
     pub dual_bound: f64,
     /// Numerical-event and recovery-ladder counters (see
     /// [`crate::recover`]).
@@ -172,11 +171,9 @@ pub(crate) enum ProbeOutcome {
     Infeasible,
 }
 
-/// Shared pseudo-cost table: per variable × direction mean bound
-/// degradation per unit of fractionality, learned from node solves and
-/// strong-branch probes. All cells are atomics so concurrent workers
-/// read estimates lock-free; with one worker the relaxed atomics are
-/// exactly as deterministic as plain fields.
+/// Pseudo-cost table: per variable × direction mean bound degradation
+/// per unit of fractionality, learned from node solves and
+/// strong-branch probes.
 pub(crate) struct PseudoCosts {
     /// `cells[vi][dir]`, `dir` 0 = down (floor) and 1 = up (ceil).
     cells: Vec<[PseudoCell; 2]>,
@@ -185,48 +182,37 @@ pub(crate) struct PseudoCosts {
     global: PseudoCell,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct PseudoCell {
-    /// Sum of observed degradations, stored as `f64` bits.
-    sum_bits: AtomicU64,
-    count: AtomicU64,
+    /// Sum of observed degradations.
+    sum: f64,
+    count: u64,
+}
+
+impl PseudoCell {
+    fn add(&mut self, degrade: f64) {
+        self.sum += degrade;
+        self.count += 1;
+    }
 }
 
 impl PseudoCosts {
     pub(crate) fn new(nvars: usize) -> PseudoCosts {
         PseudoCosts {
-            cells: (0..nvars).map(|_| Default::default()).collect(),
+            cells: vec![Default::default(); nvars],
             global: PseudoCell::default(),
         }
     }
 
-    /// Lock-free `sum += degrade` (CAS loop over the f64 bits).
-    fn add(cell: &PseudoCell, degrade: f64) {
-        let mut cur = cell.sum_bits.load(MemOrdering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + degrade).to_bits();
-            match cell.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                MemOrdering::Relaxed,
-                MemOrdering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-        cell.count.fetch_add(1, MemOrdering::Relaxed);
-    }
-
     /// Records one observed degradation per unit fractionality.
-    pub(crate) fn record(&self, vi: usize, up: bool, degrade_per_frac: f64) {
-        Self::add(&self.cells[vi][up as usize], degrade_per_frac);
-        Self::add(&self.global, degrade_per_frac);
+    pub(crate) fn record(&mut self, vi: usize, up: bool, degrade_per_frac: f64) {
+        self.cells[vi][up as usize].add(degrade_per_frac);
+        self.global.add(degrade_per_frac);
     }
 
     /// Observation count of one direction (the reliability test).
     pub(crate) fn observations(&self, vi: usize, up: bool) -> u64 {
-        self.cells[vi][up as usize].count.load(MemOrdering::Relaxed)
+        self.cells[vi][up as usize].count
     }
 
     /// Mean observed degradation per unit fractionality; variables with
@@ -235,17 +221,11 @@ impl PseudoCosts {
     /// fractionality ordering).
     pub(crate) fn estimate(&self, vi: usize, up: bool) -> f64 {
         let cell = &self.cells[vi][up as usize];
-        let n = cell.count.load(MemOrdering::Relaxed);
-        let (sum, n) = if n > 0 {
-            (cell.sum_bits.load(MemOrdering::Relaxed), n)
-        } else {
-            let gn = self.global.count.load(MemOrdering::Relaxed);
-            if gn == 0 {
-                return 0.0;
-            }
-            (self.global.sum_bits.load(MemOrdering::Relaxed), gn)
-        };
-        f64::from_bits(sum) / n as f64
+        let cell = if cell.count > 0 { cell } else { &self.global };
+        if cell.count == 0 {
+            return 0.0;
+        }
+        cell.sum / cell.count as f64
     }
 }
 
@@ -255,12 +235,10 @@ impl PseudoCosts {
 
 /// Revised-kernel backend over a [`BoxedForm`] built once; branching
 /// mutates column boxes in place and nodes dual-reoptimize from the
-/// previous basis. The form is behind an `Arc` — read-only after the
-/// build — so the search can hand one copy to every worker's backend
-/// while each worker keeps exclusive ownership of its kernel.
+/// previous basis.
 pub(crate) struct WarmBackend<'a> {
     pub(crate) model: &'a Model,
-    pub(crate) form: Arc<BoxedForm>,
+    pub(crate) form: BoxedForm,
     /// Per model variable: the standard-form substitution of every
     /// branchable integer (shifted, mirrored, or split); `None` for
     /// continuous variables and integers fixed at the root. Branch boxes
@@ -395,17 +373,6 @@ impl WarmBackend<'_> {
     fn restore_kernel(&mut self, opts: &SolverOptions) {
         self.kernel.set_force_bland(false);
         self.kernel = self.kernel.rebuilt(&self.form, opts);
-    }
-
-    /// Activates cut `i` (tightens its row to the integer-valid rhs) if
-    /// this backend has not already — workers use this to mirror
-    /// activations other workers published.
-    pub(crate) fn apply_cut(&mut self, i: usize) {
-        if !self.active_cuts[i] {
-            let cr = self.form.cut_rows[i];
-            self.kernel.set_rhs(cr.row, cr.strong_b);
-            self.active_cuts[i] = true;
-        }
     }
 
     /// Pushes a model variable's box into the LP (a no-op for variables
@@ -632,7 +599,7 @@ impl TreeNode {
 
 /// The two children of branching `vi` at fractional value `val` inside
 /// the box `[plo, phi]`, returned `[far, near]` (the nearer branching
-/// side last, so the LIFO frontier pops it first). Children whose box
+/// side last, so the LIFO stack pops it first). Children whose box
 /// would be empty are `None`.
 pub(crate) fn branch_children(
     parent: usize,
@@ -710,7 +677,7 @@ pub(crate) fn select_branch_var(
     lo: &[f64],
     hi: &[f64],
     sense_mul: f64,
-    pseudo: &PseudoCosts,
+    pseudo: &mut PseudoCosts,
     stats: &mut BranchBoundStats,
 ) -> Option<(VarId, f64)> {
     struct Cand {
@@ -860,7 +827,7 @@ pub(crate) struct OpenNode {
     /// Valid (parent) LP bound, signed (minimization form) — what
     /// pruning and discard tests compare against the incumbent.
     pub(crate) bound: f64,
-    pub(crate) basis: Option<Arc<BasisState>>,
+    pub(crate) basis: Option<Rc<BasisState>>,
 }
 
 /// Minimum valid LP bound over `open` (`+∞` when empty).
@@ -928,16 +895,10 @@ pub fn solve_with_stats_hinted(
     hint: &[(VarId, f64)],
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
     // One deadline for the whole solve, captured here and installed on
-    // every kernel the search constructs: N workers (or ladder rebuilds)
-    // share a single wall-clock budget instead of each starting a fresh
-    // one.
+    // the kernel: recovery-ladder rebuilds share a single wall-clock
+    // budget instead of each starting a fresh one.
     let deadline = opts.time_limit.map(|limit| Instant::now() + limit);
-    // All option normalization happens in one place; the original
-    // kernel request is only remembered to arm the whole-solve oracle
-    // cross-validation below.
     let want_oracle = opts.kernel == Kernel::DenseTableau;
-    let (eff, _notes) = opts.resolve();
-    let opts = &eff;
     let form = BoxedForm::build(model);
     if form.sf.proven_infeasible {
         // A constant row is violated: no point of any kind exists.
@@ -970,7 +931,7 @@ pub fn solve_with_stats_hinted(
         }
         return result;
     }
-    let result = crate::parallel::search(model, opts, hint, Arc::new(form), int_maps, deadline);
+    let result = crate::search::search(model, opts, hint, form, int_maps, deadline);
     if want_oracle {
         if let Ok((sol, _)) = &result {
             cross_validate_dense(model, opts, sol)?;
@@ -1337,26 +1298,21 @@ mod tests {
         );
     }
 
-    /// One and two production workers and the dense-tableau request
-    /// (which additionally cross-validates its incumbent against the
-    /// tableau) complete on [`multi_row_knapsack`] and agree.
+    /// The production search and the dense-tableau request (which
+    /// additionally cross-validates its incumbent against the tableau)
+    /// complete on [`multi_row_knapsack`] and agree.
     #[test]
     fn node_orders_agree_across_kernels() {
         let m = multi_row_knapsack();
         let mut objectives = Vec::new();
-        for (kernel, workers) in [
-            (Kernel::Revised, 1usize),
-            (Kernel::Revised, 2),
-            (Kernel::DenseTableau, 1),
-        ] {
+        for kernel in [Kernel::Revised, Kernel::DenseTableau] {
             let opts = SolverOptions {
                 kernel,
-                workers,
                 ..Default::default()
             };
             let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
-            assert!(!stats.truncated, "{kernel:?}/workers={workers} truncated");
-            objectives.push(((kernel, workers), sol.objective));
+            assert!(!stats.truncated, "{kernel:?} truncated");
+            objectives.push((kernel, sol.objective));
         }
         let (_, reference) = objectives[0];
         for &(cfg, obj) in &objectives {

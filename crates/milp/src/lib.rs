@@ -102,13 +102,16 @@
 //! seeded [`FaultPlan`] ([`SolverOptions::faults`], default off) can
 //! inject each failure class deterministically — the fault-injection
 //! test and bench gates assert that injected runs prove the same optima
-//! as their clean twins.
+//! as their clean twins. One wall-clock deadline is captured at solve
+//! start and every ladder rebuild inherits it, so
+//! [`SolverOptions::time_limit`] bounds the whole solve.
 //!
-//! The search itself is one work-stealing loop over **one LP backend**
-//! — the warm revised kernel — exploring **depth-first**, the nearer
-//! branching side first, with the parent basis handed to every open
-//! node so a jump still warm-starts. Depth-first is the only order: on
-//! the repo benchmark a best-estimate queue never proved more than it.
+//! The search itself is one depth-first loop over **one LP backend**
+//! — the warm revised kernel — popping one stack of open nodes, the
+//! nearer branching side first, with the parent basis handed to every
+//! open node so a backtrack still warm-starts. Depth-first is the only
+//! order: on the repo benchmark a best-estimate queue never proved more
+//! than it.
 //! Incumbents come from integral node relaxations and from the caller's
 //! warm-start hint. Every integer variable
 //! shape branches natively: a node box on a shifted, mirrored
@@ -133,13 +136,12 @@
 //! proves a child infeasible biases selection toward the variable but
 //! never prunes, so an unverified probe cannot break correctness.
 //!
-//! The gap test and the reported [`BranchBoundStats::dual_bound`] use
-//! the **global open-node minimum** (the frontier joined with the bounds
-//! of the episodes in flight, each raised to its claimed node's own LP
-//! bound once solved), a valid dual bound; the gap test runs whenever an
-//! incumbent improves. The pseudo-cost table is shared by all workers:
-//! node-expansion updates fold in under the existing budget lock, probe
-//! updates and all reads are lock-free atomics.
+//! The gap test runs whenever an incumbent improves, against the
+//! **minimum bound over the open stack**, i.e. over every unexplored
+//! node, so a leaf of the first dive can already end the search. The
+//! reported [`BranchBoundStats::dual_bound`] joins that minimum with the
+//! incumbent and with the bounds of nodes dropped after an LP failure,
+//! so it stays valid when the recovery ladder gives up on a node.
 //!
 //! On the retiming MILPs the `MAX_THR` formulation additionally carries
 //! **cycle-sum cuts** (`rr-core`'s formulation layer): every fundamental
@@ -155,54 +157,13 @@
 //!
 //! # Concurrency model
 //!
-//! Every solve runs one **work-stealing branch & bound** loop (the
-//! `parallel` module) with [`SolverOptions::workers`] workers.
-//! `workers = 1` (the default) runs the single worker on the calling
-//! thread — no thread is spawned and the trajectory is deterministic;
-//! `workers >= 2` spawns scoped worker threads. Every model runs at any
-//! worker count — mirrored and free integers included. Unsupported knob
-//! combinations are normalized loudly in one place
-//! ([`SolverOptions::resolve`]), not silently ignored per call site.
-//! Ownership is strictly layered:
+//! A solve runs on the calling thread: the `search` module owns the one
+//! kernel, the branch tree, the open-node stack and the incumbent, and
+//! the crate holds no lock, atomic or thread, so a seed and a node cap
+//! replay the same trajectory bit for bit. Parallelism lives one level
+//! up, in `rr_bench::parallel_map`, which runs one circuit per core.
 //!
-//! * **Per worker (exclusive):** one `Revised` kernel with its own
-//!   sparse LU factors, eta file, fault injector, and recovery ladder
-//!   state, plus the worker's locally tracked variable boxes. Nothing
-//!   about LP solving is shared, so no kernel state is ever protected by
-//!   a lock — a worker re-derives a claimed node's boxes from the shared
-//!   branch tree (an LCA walk) and applies them to its private kernel.
-//! * **Shared (read-only):** the standard form behind an `Arc` — built
-//!   once, immutable thereafter.
-//! * **Shared (locked):** the open-node frontier, branch-tree arena, and
-//!   node/time budget behind one mutex; the incumbent behind a second
-//!   mutex. The two are never held simultaneously.
-//!
-//! **Incumbent publication ordering:** the pruning cutoff is mirrored
-//! into an atomic (signed-objective bits) *while the incumbent lock is
-//! held*, with `Release` ordering; the hot pruning path reads it
-//! `Acquire` without locking. Because the cutoff only ever tightens, a
-//! racy read sees at worst a slightly stale (looser) value — a node a
-//! fresher cutoff would have pruned may get solved redundantly, but no
-//! node is ever pruned against an incumbent that does not exist. The
-//! same monotonicity argument makes discarding queued nodes at claim
-//! time individually sound: each discarded entry's own bound proves its
-//! subtree useless regardless of what other workers are doing.
-//!
-//! **Why recovery stays worker-local:** the PR 6 ladder mutates the
-//! failing kernel (update-kind switch, cold rebuild, Bland pricing,
-//! dense-oracle rebuild) and its counters describe *that kernel's*
-//! numerical history. Sharing ladder state across workers would couple
-//! one worker's numerical trouble to every other worker's healthy
-//! factors, and would serialize exactly the slow path that most needs to
-//! stay independent. Instead each worker escalates privately and the
-//! merge layer folds the per-worker [`RecoveryStats`] ledgers together
-//! additively at join, so the reported totals have one shape at every
-//! worker count.
-//!
-//! A single wall-clock deadline is captured once at solve start and
-//! installed on every kernel, so N workers share one
-//! [`SolverOptions::time_limit`] budget instead of each getting a fresh
-//! one.
+//! # Cross-validation oracle
 //!
 //! The original dense full-tableau two-phase simplex is retained as a
 //! **kernel-level cross-validation oracle** ([`Kernel::DenseTableau`]):
@@ -240,9 +201,9 @@ mod branch_bound;
 mod expr;
 mod factor;
 mod model;
-mod parallel;
 pub mod recover;
 mod revised;
+mod search;
 mod simplex;
 mod solution;
 mod standard;

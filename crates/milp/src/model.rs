@@ -128,7 +128,7 @@ pub enum Kernel {
     /// relaxations solve directly on the tableau. A branch & bound
     /// search requested with this kernel runs the unified revised
     /// backend in the oracle configuration (dense LU, product-form
-    /// updates, cold node solves, one worker) and then cross-validates
+    /// updates, cold node solves) and then cross-validates
     /// the incumbent's pinned integer assignment against the genuine
     /// dense tableau. Its node bounds come from cold two-phase solves,
     /// independent of the warm long-step dual path the production
@@ -212,15 +212,12 @@ pub struct SolverOptions {
     /// `None` — the default — injects nothing; the recovery ladder and
     /// residual health monitor stay armed either way.
     pub faults: Option<crate::FaultPlan>,
-    /// Branch & bound workers. Every solve runs the same work-stealing
-    /// search loop, where each worker owns its own kernel and factors
-    /// and claims bounded DFS episodes from a shared frontier (see the
-    /// crate-level "Concurrency model" docs). `1` (the default) runs the
-    /// one worker on the calling thread — no thread is spawned, and the
-    /// trajectory is deterministic; `>= 2` spawns that many scoped
-    /// threads. Every model runs at any worker count;
-    /// [`SolverOptions::resolve`] normalizes `0` to `1` and pins the
-    /// [`Kernel::DenseTableau`] oracle configuration to `1`.
+    /// Inert: the search never reads it, and every solve runs on the
+    /// calling thread (see the crate-level "Concurrency model" docs).
+    /// [`SolverOptions::resolve`] maps any value other than `1` to `1`.
+    /// The field stays only because the `perfbench` reports print it
+    /// and hash the options' `Debug` text; it goes in the next change
+    /// to the benchmark.
     pub workers: usize,
 }
 
@@ -243,31 +240,17 @@ impl Default for SolverOptions {
 }
 
 impl SolverOptions {
-    /// Resolves the requested options into the configuration the engine
-    /// actually runs, normalizing — in this one place — every knob
-    /// combination the engine cannot honor. Returns the effective
-    /// options plus one human-readable note per normalized knob, so
-    /// callers surface what changed instead of silently ignoring
-    /// settings at scattered call sites.
-    ///
-    /// Normalizations:
-    /// * `workers == 0` becomes `1` (a solve needs one worker).
-    /// * [`Kernel::DenseTableau`] runs one worker: the oracle search is
-    ///   deterministic, and its incumbent is cross-validated against the
-    ///   genuine dense tableau afterwards.
-    ///
-    /// The factorization, update scheme and warm or cold node solves
-    /// are not options: the kernel request alone derives them.
+    /// The options as the engine runs them, plus one note per changed
+    /// field: any `workers` other than `1` becomes `1`, because every
+    /// solve runs on the calling thread. The solver itself never calls
+    /// this; it stays, with [`SolverOptions::workers`], only because the
+    /// `perfbench` reports print the resolved options.
     pub fn resolve(&self) -> (SolverOptions, Vec<String>) {
         let mut eff = self.clone();
         let mut notes = Vec::new();
-        if eff.workers == 0 {
-            notes.push("workers: 0 -> 1 (a solve needs one worker)".to_string());
-            eff.workers = 1;
-        }
-        if eff.kernel == Kernel::DenseTableau && eff.workers != 1 {
+        if eff.workers != 1 {
             notes.push(format!(
-                "workers: {} -> 1 (the DenseTableau oracle runs one worker)",
+                "workers: {} -> 1 (every solve runs on the calling thread)",
                 eff.workers
             ));
             eff.workers = 1;
@@ -555,18 +538,15 @@ impl Model {
     ///
     /// See [`Model::solve`].
     pub fn solve_relaxation(&self, opts: &SolverOptions) -> Result<Solution, SolveError> {
-        // Both kernels run off the same resolved options — the one
-        // normalization point for every unsupported-knob combination.
-        let (opts, _notes) = opts.resolve();
         let values = match opts.kernel {
             Kernel::Revised => {
                 let bf = crate::standard::BoxedForm::build(self);
-                let (raw, _pivots) = crate::revised::solve(&bf, &opts)?;
+                let (raw, _pivots) = crate::revised::solve(&bf, opts)?;
                 bf.sf.recover(&raw)
             }
             Kernel::DenseTableau => {
                 let sf = StandardForm::build(self);
-                let (raw, _pivots) = simplex::solve(&sf, &opts)?;
+                let (raw, _pivots) = simplex::solve(&sf, opts)?;
                 sf.recover(&raw)
             }
         };
@@ -603,35 +583,30 @@ mod tests {
         assert!((sol[x] - 2.0).abs() < 1e-7);
     }
 
-    /// `SolverOptions::resolve` is the one normalization point: the
-    /// dense-oracle request pins one worker loudly, `workers: 0` becomes
-    /// 1, and a production-default request passes through untouched.
-    /// The oracle's factorization and cold nodes come from the kernel
-    /// request itself.
+    /// `SolverOptions::resolve` maps any `workers` other than 1 to 1
+    /// with one note, under both kernels, and passes a default request
+    /// through untouched. The oracle's factorization and cold nodes
+    /// come from the kernel request itself.
     #[test]
     fn resolve_normalizes_unsupported_combinations_loudly() {
         let (eff, notes) = SolverOptions::default().resolve();
         assert!(notes.is_empty(), "defaults must pass through: {notes:?}");
         assert_eq!(eff.workers, 1);
 
-        let (eff, notes) = SolverOptions {
-            workers: 0,
-            ..Default::default()
+        for kernel in [Kernel::Revised, Kernel::DenseTableau] {
+            for workers in [0, 2, 4] {
+                let (eff, notes) = SolverOptions {
+                    kernel,
+                    workers,
+                    ..Default::default()
+                }
+                .resolve();
+                assert_eq!(eff.kernel, kernel);
+                assert_eq!(eff.workers, 1, "{kernel:?}/workers={workers}");
+                assert_eq!(notes.len(), 1, "{notes:?}");
+            }
         }
-        .resolve();
-        assert_eq!(eff.workers, 1);
-        assert_eq!(notes.len(), 1, "{notes:?}");
-
-        let (eff, notes) = SolverOptions {
-            kernel: Kernel::DenseTableau,
-            workers: 4,
-            ..Default::default()
-        }
-        .resolve();
-        assert_eq!(eff.kernel, Kernel::DenseTableau);
-        assert_eq!(eff.workers, 1);
-        assert_eq!(notes.len(), 1, "{notes:?}");
-        let oracle = eff.kernel.setup();
+        let oracle = Kernel::DenseTableau.setup();
         assert_eq!(oracle.factor, FactorKind::Dense);
         assert_eq!(oracle.update, UpdateKind::ProductForm);
         assert!(!oracle.warm);

@@ -189,8 +189,8 @@ proptest! {
     /// **Unboxed-integer oracle**: MILPs whose integers carry negative,
     /// mirrored, and fully free bound shapes — the class the deleted
     /// `LegacyBackend` used to own — must branch natively on the warm
-    /// path and agree with the dense-tableau oracle request at
-    /// `workers ∈ {1, 2}`, with integral feasible points throughout.
+    /// path and agree with the dense-tableau oracle request, with
+    /// integral feasible points throughout.
     #[test]
     fn mirrored_and_free_integers_agree_with_dense_oracle(
         lp in planted_unboxed_milp(4, 3),
@@ -203,28 +203,21 @@ proptest! {
         )
         .expect("planted MILP must be feasible");
         prop_assert!(m.max_violation(dense.values(), 1e-6) < 1e-5);
-        for workers in [1usize, 2] {
-            let opts = SolverOptions {
-                workers,
-                ..base.clone()
-            };
-            let (sol, stats) = crate::solve_with_stats(&m, &opts)
-                .expect("planted MILP must be feasible");
-            prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-            for (i, &v) in vars.iter().enumerate() {
-                let x = sol[v];
-                prop_assert!(
-                    (x - x.round()).abs() < 1e-6,
-                    "x{i} = {x} not integral (shape {})",
-                    lp.shapes[i]
-                );
-            }
-            if stats.truncated || dense_stats.truncated {
-                continue;
-            }
+        let (sol, stats) = crate::solve_with_stats(&m, &base)
+            .expect("planted MILP must be feasible");
+        prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+        for (i, &v) in vars.iter().enumerate() {
+            let x = sol[v];
+            prop_assert!(
+                (x - x.round()).abs() < 1e-6,
+                "x{i} = {x} not integral (shape {})",
+                lp.shapes[i]
+            );
+        }
+        if !stats.truncated && !dense_stats.truncated {
             prop_assert!(
                 (sol.objective - dense.objective).abs() < 1e-7,
-                "workers={workers}: warm {} vs dense oracle {}",
+                "warm {} vs dense oracle {}",
                 sol.objective,
                 dense.objective
             );
@@ -525,40 +518,47 @@ proptest! {
         }
     }
 
-    /// **Schedule oracle**: the worker count changes which nodes get
-    /// explored, never which answer comes out. At `workers ∈ {1, 2}`,
-    /// completed runs must agree on the objective with the
-    /// `Kernel::DenseTableau` request and return feasible points.
+    /// **Replay oracle**: the search runs on the calling thread, so a
+    /// repeated production solve replays the first one bit for bit
+    /// (objective, nodes, pivots, node bounds), and a completed run
+    /// agrees on the objective with the `Kernel::DenseTableau` request.
     #[test]
     fn node_orders_and_worker_counts_agree(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
-        let mut reference: Option<f64> = None;
-        for (kernel, workers) in [
-            (Kernel::Revised, 1usize),
-            (Kernel::Revised, 2),
-            (Kernel::DenseTableau, 1),
-        ] {
-            let opts = SolverOptions {
-                max_nodes: 4_000,
-                kernel,
-                workers,
-                ..Default::default()
-            };
-            let (sol, stats) =
-                crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-            prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-            if stats.truncated {
-                continue;
-            }
-            match reference {
-                None => reference = Some(sol.objective),
-                Some(r) => prop_assert!(
-                    (sol.objective - r).abs() < 1e-7,
-                    "{kernel:?}/workers={workers}: {} vs reference {}",
-                    sol.objective,
-                    r
-                ),
-            }
+        let opts = SolverOptions {
+            max_nodes: 4_000,
+            ..Default::default()
+        };
+        let run = |opts: &SolverOptions| {
+            crate::solve_with_stats(&m, opts).expect("planted MILP must be feasible")
+        };
+        let (sol, stats) = run(&opts);
+        let (again, again_stats) = run(&opts);
+        prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+        let bits = |s: &crate::BranchBoundStats| -> Vec<u64> {
+            s.node_bounds.iter().map(|x| x.to_bits()).collect()
+        };
+        prop_assert!(
+            sol.objective.to_bits() == again.objective.to_bits()
+                && (stats.nodes, stats.simplex_iters) == (again_stats.nodes, again_stats.simplex_iters)
+                && bits(&stats) == bits(&again_stats),
+            "repeat solve diverged: {} in {} nodes vs {} in {} nodes",
+            sol.objective,
+            stats.nodes,
+            again.objective,
+            again_stats.nodes
+        );
+        let (dense, dense_stats) = run(&SolverOptions {
+            kernel: Kernel::DenseTableau,
+            ..opts
+        });
+        if !stats.truncated && !dense_stats.truncated {
+            prop_assert!(
+                (sol.objective - dense.objective).abs() < 1e-7,
+                "production {} vs dense oracle {}",
+                sol.objective,
+                dense.objective
+            );
         }
     }
 

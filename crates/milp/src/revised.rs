@@ -227,9 +227,9 @@ impl Revised {
 
     /// Overrides the wall-clock deadline. [`Revised::new`] starts a
     /// fresh budget from "now"; branch & bound instead captures **one**
-    /// deadline at solve start and installs it on every kernel it
-    /// constructs — N search workers (or ladder rebuilds) must share a
-    /// single budget, not each get the full one.
+    /// deadline at solve start and installs it on its kernel, which
+    /// every ladder rebuild inherits ([`Revised::rebuilt`]), so the
+    /// whole solve shares a single budget.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }

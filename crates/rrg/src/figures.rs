@@ -200,8 +200,9 @@ mod tests {
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 6);
         assert_eq!(g.num_early(), 1);
-        assert_eq!(g.total_tokens(), 2); // 1+1+1+0+1−2
-        assert_eq!(g.total_buffers(), 4);
+        let tokens: i64 = g.edges().map(|(_, e)| e.tokens()).sum();
+        assert_eq!(tokens, 2); // 1+1+1+0+1−2
+        assert_eq!(g.edges().map(|(_, e)| e.buffers()).sum::<i64>(), 4);
         let max_in = g.node_ids().map(|n| g.in_edges(n).len()).max();
         assert_eq!(max_in, Some(2)); // the mux
         assert!(g.edges().all(|(_, e)| e.source() != e.target()));

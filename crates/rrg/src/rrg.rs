@@ -214,21 +214,10 @@ impl Rrg {
         self.nodes.iter().map(|n| n.delay).sum()
     }
 
-    /// Total number of tokens over all edges (counting anti-tokens
-    /// negatively).
-    pub fn total_tokens(&self) -> i64 {
-        self.edges.iter().map(|e| e.tokens).sum()
-    }
-
     /// Total number of positive tokens (`Σ max(R0, 0)`); an upper bound on
     /// the token count of any simple cycle, hence on any retimed `R0`.
     pub fn total_positive_tokens(&self) -> i64 {
         self.edges.iter().map(|e| e.tokens.max(0)).sum()
-    }
-
-    /// Total number of elastic buffers.
-    pub fn total_buffers(&self) -> i64 {
-        self.edges.iter().map(|e| e.buffers).sum()
     }
 
     /// `true` if the graph has at least one early-evaluation node.
@@ -286,8 +275,8 @@ mod tests {
         assert_eq!(g.num_early(), 0);
         assert_eq!(g.max_delay(), 2.0);
         assert_eq!(g.total_delay(), 3.0);
-        assert_eq!(g.total_tokens(), 1);
-        assert_eq!(g.total_buffers(), 2);
+        assert_eq!(g.edges().map(|(_, e)| e.tokens()).sum::<i64>(), 1);
+        assert_eq!(g.edges().map(|(_, e)| e.buffers()).sum::<i64>(), 2);
     }
 
     #[test]

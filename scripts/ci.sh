@@ -32,20 +32,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude p
 echo "==> cargo test -p rr-milp proptests (fixed-seed kernel/oracle gate)"
 cargo test -q -p rr-milp --offline proptests
 
-# The search gate: one golden table pins the one-worker trajectory of
-# the production search (objective, nodes, pivots, warm/cold split,
-# incumbent trace, cuts activated) on the ring MILP and MAX_THR for
-# bench20, bench40 and s27. Alongside it: the production search and the
-# Kernel::DenseTableau oracle request, and workers in {1, 2, 4}, prove
-# identical optima on the Table-1 instances, faulted parallel runs agree
-# with their clean twins, mirrored/free integer fixtures solve warm and
-# match the dense oracle, truncation, gap termination and dual bounds
-# reach the reports, and source-level checks keep the deleted search
-# modes, pricing rules, rounding heuristic, retired option fields and
-# unused modules deleted. Fixed seeds and node caps (no wall clocks), so
-# failures reproduce exactly. Run in release: the agreement checks solve
-# every instance at several worker counts. The named trajectory pins in
-# search_orders, backend_unification, parallel_search and
+# The search gate: one golden table pins the trajectory of the
+# single-threaded production search (objective, nodes, pivots, warm/cold
+# split, incumbent trace, cuts activated) on the ring MILP and MAX_THR
+# for bench20, bench40 and s27, and repeat solves replay the whole stats
+# struct bit for bit. Alongside it: the production search and the
+# Kernel::DenseTableau oracle request prove identical optima on the
+# Table-1 instances, mirrored/free integer fixtures solve warm and match
+# the dense oracle, truncation, gap termination and dual bounds (lost
+# nodes included) reach the reports, and source-level checks keep the
+# deleted search modes, pricing rules, rounding heuristic, retired
+# option fields, unused modules and threads out of the code. Fixed seeds
+# and node caps (no wall clocks), so failures reproduce exactly. Run in
+# release: the agreement checks solve every Table-1 instance twice. The
+# named trajectory pins in search_orders, backend_unification and
 # pseudo_cost_search, and the pricing checks in pricing_search, run in
 # the cargo test step above.
 echo "==> cargo test --test search_gate (branch-and-bound golden gate)"

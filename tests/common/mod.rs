@@ -4,9 +4,9 @@ use rr_milp::{cmp, LinExpr, Model, Sense};
 
 /// The ring-difference golden instance: difference constraints over a
 /// ring plus coupling knapsack rows, the model of the ring row in the
-/// `search_gate` golden table. The ring pins in `search_orders`,
-/// `backend_unification` and `parallel_search` hold for exactly this
-/// model, so change it only together with them.
+/// `search_gate` golden table. The ring pins in `search_orders` and
+/// `backend_unification` hold for exactly this model, so change it only
+/// together with them.
 pub fn ring_difference_milp(n: usize, rows: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
     let vars: Vec<_> = (0..n)

@@ -6,9 +6,8 @@
 //!
 //! * **Agreement** — the production search proves the same optima as
 //!   the `Kernel::DenseTableau` oracle request on the Table-1 figure
-//!   instances, at one or two workers. The
-//!   oracle's node bounds come from cold two-phase solves, so it checks
-//!   the warm long-step path independently.
+//!   instances. The oracle's node bounds come from cold two-phase
+//!   solves, so it checks the warm long-step path independently.
 //! * **Degeneracy** — the Bland anti-cycling fallback still engages: a
 //!   massively degenerate model must terminate at its true optimum.
 //! * **Counter ledger** — the directional pivot counters tie out:
@@ -24,19 +23,17 @@ use rr_milp::{cmp, solve_with_stats, Kernel, LinExpr, Model, Sense, SolverOption
 use rr_rrg::figures;
 
 /// Deterministic solver options: node caps only, no wall clock.
-fn capped(max_nodes: usize, workers: usize) -> CoreOptions {
+fn capped(max_nodes: usize) -> CoreOptions {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
     opts.solver.gap_tol = 1e-9;
-    opts.solver.workers = workers;
     opts
 }
 
 /// The production search proves the optimum of the dense-tableau oracle
-/// request on every Table-1 figure instance, for both problems and
-/// `workers ∈ {1, 2}` — completed runs only, which at these sizes is all
-/// of them.
+/// request on every Table-1 figure instance, for both problems —
+/// completed runs only, which at these sizes is all of them.
 #[test]
 fn pricing_rules_agree_on_table1_instances() {
     let instances = [
@@ -53,21 +50,18 @@ fn pricing_rules_agree_on_table1_instances() {
                 }
                 .unwrap_or_else(|e| panic!("{name}/{problem}: {e}"))
             };
-            let mut oracle_opts = capped(20_000, 1);
+            let mut oracle_opts = capped(20_000);
             oracle_opts.solver.kernel = Kernel::DenseTableau;
             let oracle = solve(&oracle_opts);
             assert!(oracle.proven_optimal, "{name}/{problem}: oracle truncated");
-            for workers in [1usize, 2] {
-                let out = solve(&capped(20_000, workers));
-                assert!(out.proven_optimal, "{name}/{problem}: truncated");
-                assert!(
-                    (out.objective - oracle.objective).abs() < 1e-7,
-                    "{name}/{problem}/workers={workers}: \
-                     production {} vs dense oracle {}",
-                    out.objective,
-                    oracle.objective
-                );
-            }
+            let out = solve(&capped(20_000));
+            assert!(out.proven_optimal, "{name}/{problem}: truncated");
+            assert!(
+                (out.objective - oracle.objective).abs() < 1e-7,
+                "{name}/{problem}: production {} vs dense oracle {}",
+                out.objective,
+                oracle.objective
+            );
         }
     }
 }
@@ -107,12 +101,12 @@ fn steepest_edge_terminates_on_a_degenerate_model() {
 }
 
 /// Directional pivot counters tie out against the kernel's total
-/// iteration count on a one-worker warm run, and a warm search actually
-/// exercises the dual reoptimizer.
+/// iteration count on a warm run, and a warm search actually exercises
+/// the dual reoptimizer.
 #[test]
 fn pivot_counters_tie_out_on_serial_warm_runs() {
     let g = bench_instance(20);
-    let o = capped(2000, 1);
+    let o = capped(2000);
     let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
     let s = &out.stats;
     assert_eq!(
@@ -122,19 +116,4 @@ fn pivot_counters_tie_out_on_serial_warm_runs() {
     );
     assert!(s.primal_pivots > 0, "no primal pivots counted");
     assert!(s.dual_pivots > 0, "warm search never took a dual pivot");
-}
-
-/// The ledger also ties out through the parallel merge layer (every
-/// worker's kernel is absorbed additively).
-#[test]
-fn pivot_counters_tie_out_across_workers() {
-    let g = bench_instance(20);
-    let o = capped(2000, 2);
-    let out = formulation::max_thr(&g, g.max_delay(), &o).unwrap();
-    let s = &out.stats;
-    assert_eq!(
-        s.dual_pivots + s.primal_pivots + s.bound_flips,
-        s.simplex_iters,
-        "parallel merge lost pivot counters"
-    );
 }

@@ -1,24 +1,26 @@
 //! The branch & bound gate: one golden table for the production search,
 //! plus the behaviour checks every search change must keep.
 //!
-//! * **Golden table** — at `workers = 1` with a node cap and no wall
-//!   clock the search is deterministic, so one table pins its trajectory
-//!   on default options (pseudo-cost branching, the one pricing rule,
+//! * **Golden table** — with a node cap and no wall clock the search
+//!   is deterministic, so one table pins its trajectory on default
+//!   options (pseudo-cost branching, the one pricing rule,
 //!   Forrest–Tomlin updates, DFS, cycle-sum cuts, no rounding
 //!   heuristic): objective, nodes, pivots, warm/cold split, incumbent
 //!   trace and cuts activated, on the ring MILP and on `MAX_THR` for
-//!   bench20, bench40 and s27.
+//!   bench20, bench40 and s27. A repeated solve replays the whole stats
+//!   struct bit for bit, completed and truncated.
 //! * **Agreement** — the production search proves the optima of the
 //!   `Kernel::DenseTableau` oracle request on the Table-1 instances;
-//!   `workers ∈ {2, 4}` prove the same optima as one worker;
-//!   fault-injected parallel runs agree with their clean twins; mirrored
-//!   and free integer fixtures solve warm and match the dense oracle.
+//!   mirrored and free integer fixtures solve warm and match the dense
+//!   oracle.
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
-//!   the true gap, already during the first episode; a truncated run
-//!   reports a valid dual bound above the root LP bound.
+//!   the true gap, before the first dive ends; a truncated run reports
+//!   a valid dual bound above the root LP bound, and a node lost to an
+//!   LP failure keeps its bound in the dual bound.
 //! * **Source** — deleted search modes, pricing rules, the rounding
-//!   heuristic, the retired solver knobs and the unused modules stay
-//!   deleted, and no model is cloned inside the node loop.
+//!   heuristic, the retired solver knobs, the unused modules and the
+//!   threaded search stay deleted, rr-milp uses no lock, atomic or
+//!   thread, and no model is cloned inside the node loop.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -27,8 +29,7 @@ use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
 use rr_core::formulation::{self, OptOutcome};
 use rr_core::CoreOptions;
 use rr_milp::{
-    cmp, solve_with_stats, BranchBoundStats, FaultPlan, Kernel, LinExpr, Model, Sense,
-    SolverOptions, Status,
+    cmp, solve_with_stats, BranchBoundStats, Kernel, LinExpr, Model, Sense, SolverOptions, Status,
 };
 use rr_rrg::figures;
 use rr_rrg::iscas::IscasProfile;
@@ -36,11 +37,10 @@ use rr_rrg::Rrg;
 
 /// Production options for the formulation instances: default solver
 /// options (exact gap, no wall clock) under a node cap, cuts on.
-fn capped(max_nodes: usize, workers: usize) -> CoreOptions {
+fn capped(max_nodes: usize) -> CoreOptions {
     CoreOptions {
         solver: SolverOptions {
             max_nodes,
-            workers,
             ..SolverOptions::default()
         },
         ..CoreOptions::default()
@@ -89,7 +89,7 @@ fn s344_20() -> Rrg {
 /// The proven `MAX_THR` optimum of [`s344_20`].
 const S344_20_OPTIMUM: f64 = 7.032_698_912_644_731;
 
-/// One observed `workers = 1` trajectory: everything a golden row pins.
+/// One observed trajectory: everything a golden row pins.
 #[derive(Debug)]
 struct Row {
     objective: f64,
@@ -156,10 +156,15 @@ const GOLDEN: [Golden; 4] = [
 /// Node cap of the formulation rows in the golden table.
 const CAP: usize = 2000;
 
+/// The golden row named `name`.
+fn golden(name: &str) -> &'static Golden {
+    GOLDEN.iter().find(|g| g.0 == name).unwrap()
+}
+
 /// Solves one golden instance and returns its observed row.
 fn observe(name: &str) -> Row {
     let max_thr = |g: &Rrg| {
-        let out = formulation::max_thr(g, g.max_delay(), &capped(CAP, 1)).unwrap();
+        let out = formulation::max_thr(g, g.max_delay(), &capped(CAP)).unwrap();
         Row::of(out.objective, &out.stats)
     };
     match name {
@@ -197,8 +202,8 @@ fn golden_table_pins_the_one_worker_trajectories() {
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
     let failures = on_table1_instances(|g, problem| {
-        let production = solve(g, problem, &capped(20_000, 1))?;
-        let mut oracle_opts = capped(20_000, 1);
+        let production = solve(g, problem, &capped(20_000))?;
+        let mut oracle_opts = capped(20_000);
         oracle_opts.solver.kernel = Kernel::DenseTableau;
         let oracle = solve(g, problem, &oracle_opts)?;
         agree("production", &production, "dense oracle", &oracle)
@@ -206,58 +211,64 @@ fn orderings_prove_identical_optima_on_table1_instances() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-/// `workers ∈ {2, 4}` prove the same optima as one worker on every
-/// Table-1 instance.
-#[test]
-fn parallel_workers_prove_identical_optima_on_table1_instances() {
-    let failures = on_table1_instances(|g, problem| {
-        let one = solve(g, problem, &capped(20_000, 1))?;
-        for workers in [2usize, 4] {
-            let par = solve(g, problem, &capped(20_000, workers))?;
-            agree("1 worker", &one, &format!("{workers} workers"), &par)?;
-        }
-        Ok(())
-    });
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+/// Bit-exact stats equality. `node_bounds` holds NaN for failed or
+/// infeasible node LPs, so the derived `PartialEq` (NaN ≠ NaN) cannot
+/// express "identical trajectory"; that field is compared bitwise.
+fn assert_stats_identical(mut a: BranchBoundStats, mut b: BranchBoundStats) {
+    let bits = |s: &mut BranchBoundStats| -> Vec<u64> {
+        std::mem::take(&mut s.node_bounds)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    assert_eq!(
+        bits(&mut a),
+        bits(&mut b),
+        "node-bound trajectories diverged"
+    );
+    assert_eq!(a, b);
 }
 
-/// A fault-injected parallel run agrees with its clean parallel twin on
-/// every instance, and the merged per-worker recovery ledgers show the
-/// injections actually fired somewhere in the sweep.
+/// The ring row of the golden table replays, and a second solve of the
+/// same model replays the whole stats struct bit for bit.
 #[test]
-fn faulted_parallel_runs_agree_with_clean_twins() {
-    let instances: Vec<(&str, Rrg)> = vec![
-        ("figure_1a(0.5)", figures::figure_1a(0.5)),
-        ("figure_1b(0.5)", figures::figure_1b(0.5)),
-        ("bench20", bench_instance(20)),
-    ];
-    let mut injected_total = 0usize;
-    for (name, g) in &instances {
-        let run = |faults: Option<FaultPlan>| {
-            let mut opts = capped(20_000, 4);
-            opts.solver.faults = faults;
-            formulation::min_cyc(g, 1.0, &opts)
-        };
-        let clean = run(None).unwrap_or_else(|e| panic!("{name} clean: {e}"));
-        let faulted = run(Some(FaultPlan::seeded(0xDAC_2009)))
-            .unwrap_or_else(|e| panic!("{name} faulted: {e}"));
-        assert_eq!(clean.stats.recovery.faults_injected, 0);
-        assert!(
-            (clean.objective - faulted.objective).abs() <= 1e-7,
-            "{name}: clean {} vs faulted {}",
-            clean.objective,
-            faulted.objective
-        );
-        assert_eq!(
-            clean.proven_optimal, faulted.proven_optimal,
-            "{name}: verdicts diverged under faults"
-        );
-        injected_total += faulted.stats.recovery.faults_injected;
-    }
+fn one_worker_matches_the_serial_goldens_bit_exact() {
+    let m = ring_difference_milp(12, 6);
+    let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    let ring = golden("ring");
+    let got = Row::of(sol.objective, &stats);
+    assert!(got.matches(ring), "observed {got:?}\n  golden {ring:?}");
+    let (again, again_stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
+    assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+    assert_stats_identical(again_stats, stats);
+}
+
+/// A truncated run on the 40-edge `MAX_THR` bench instance replays bit
+/// for bit: a repeat stops at the same node with the same incumbent,
+/// dual bound and per-node bound trace.
+#[test]
+fn one_worker_matches_serial_best_bound_truncated_runs() {
+    let g = bench_instance(40);
+    let run = || formulation::max_thr(&g, g.max_delay(), &capped(40)).unwrap();
+    let one = run();
     assert!(
-        injected_total > 0,
-        "the fault plan never fired across the parallel sweep"
+        one.stats.truncated,
+        "completed in {} nodes",
+        one.stats.nodes
     );
+    assert!(!one.proven_optimal);
+    // ξ = 3.0 is the proven optimum (the bench40 golden row): a truncated
+    // run's incumbent cannot beat it, and its dual bound cannot pass it.
+    assert!(one.objective >= 3.0 - 1e-6, "incumbent {}", one.objective);
+    assert!(
+        one.stats.dual_bound <= 3.0 + 1e-6,
+        "dual {}",
+        one.stats.dual_bound
+    );
+    let other = run();
+    assert_eq!(one.objective.to_bits(), other.objective.to_bits());
+    assert_stats_identical(other.stats, one.stats);
 }
 
 /// A mirrored-integer fixture: `y` has no lower bound, only an upper
@@ -286,10 +297,10 @@ fn free_fixture() -> Model {
     m
 }
 
-/// Mirrored and free integer fixtures solve through the warm path at
-/// `workers ∈ {1, 2}`, agree with the dense-tableau oracle request to
-/// ≤ 1e-7, and on one worker take exactly one cold solve, every other
-/// node a warm dual reoptimization.
+/// Mirrored and free integer fixtures solve through the warm path,
+/// agree with the dense-tableau oracle request to ≤ 1e-7, and take
+/// exactly one cold solve, every other node a warm dual
+/// reoptimization.
 #[test]
 fn mirrored_and_free_fixtures_solve_warm_and_match_the_dense_oracle() {
     for (name, m) in [("mirrored", mirrored_fixture()), ("free", free_fixture())] {
@@ -300,34 +311,20 @@ fn mirrored_and_free_fixtures_solve_warm_and_match_the_dense_oracle() {
             })
             .unwrap_or_else(|e| panic!("{name}: dense oracle failed: {e:?}"));
         assert_eq!(dense.status, Status::Optimal);
-        for workers in [1usize, 2] {
-            let opts = SolverOptions {
-                workers,
-                ..SolverOptions::default()
-            };
-            let (sol, stats) = solve_with_stats(&m, &opts)
-                .unwrap_or_else(|e| panic!("{name}/workers={workers}: {e:?}"));
-            assert_eq!(sol.status, Status::Optimal);
-            assert!(
-                (sol.objective - dense.objective).abs() <= 1e-7,
-                "{name}/workers={workers}: warm {} vs dense oracle {}",
-                sol.objective,
-                dense.objective
-            );
-            assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-            assert!(sol.values().iter().all(|x| (x - x.round()).abs() < 1e-6));
-            assert!(!stats.truncated);
-            // Every worker warm-starts after its own first cold solve.
-            assert!(
-                stats.cold_solves <= workers,
-                "{name}: {} cold solves for {workers} workers",
-                stats.cold_solves
-            );
-            if workers == 1 {
-                assert_eq!(stats.cold_solves, 1, "{name}");
-                assert_eq!(stats.warm_solves, stats.nodes - 1, "{name}");
-            }
-        }
+        let (sol, stats) = solve_with_stats(&m, &SolverOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_eq!(sol.status, Status::Optimal);
+        assert!(
+            (sol.objective - dense.objective).abs() <= 1e-7,
+            "{name}: warm {} vs dense oracle {}",
+            sol.objective,
+            dense.objective
+        );
+        assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+        assert!(sol.values().iter().all(|x| (x - x.round()).abs() < 1e-6));
+        assert!(!stats.truncated);
+        assert_eq!(stats.cold_solves, 1, "{name}");
+        assert_eq!(stats.warm_solves, stats.nodes - 1, "{name}");
     }
 }
 
@@ -337,7 +334,7 @@ fn mirrored_and_free_fixtures_solve_warm_and_match_the_dense_oracle() {
 #[test]
 fn truncated_solves_surface_feasible_verdicts_in_reports() {
     let g = bench_instance(20);
-    let out = formulation::max_thr(&g, g.max_delay(), &capped(5, 1)).unwrap();
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(5)).unwrap();
     assert!(
         !out.proven_optimal,
         "a 5-node cap cannot prove this optimum"
@@ -346,7 +343,7 @@ fn truncated_solves_surface_feasible_verdicts_in_reports() {
     assert!(out.stats.truncated);
 
     // A completed solve reports the opposite on every surface.
-    let done = formulation::min_cyc(&g, 1.0, &capped(20_000, 1)).unwrap();
+    let done = formulation::min_cyc(&g, 1.0, &capped(20_000)).unwrap();
     assert!(done.proven_optimal);
     assert!(!done.truncated());
 }
@@ -403,12 +400,11 @@ fn gap_tolerance_fires_on_the_true_gap() {
     assert!(stats.dual_bound >= exact.objective - 1e-9);
 }
 
-/// `gap_tol` can fire during the first episode: once the root LP
-/// solves, the root claim's floor rises from `−∞` to the root bound, so
-/// the first incumbent within the gap ends the search. The episode cap
-/// of the 14-item near-tie knapsack is `max(64, 2·#ints) = 64` solved
-/// nodes, so stopping in fewer shows the gap fired inside the first
-/// episode (at a 1e-3 gap the search stops after 8 nodes).
+/// `gap_tol` fires as soon as an incumbent is within the gap of the
+/// minimum bound over the open stack, i.e. over every unexplored node,
+/// so a leaf of the very first dive can end the search. On the 14-item
+/// near-tie knapsack at a 1e-3 gap the search stops after 8 nodes; the
+/// gate is fewer than 64.
 #[test]
 fn gap_tolerance_fires_during_the_first_episode() {
     let m = near_tie_knapsack(14);
@@ -421,7 +417,7 @@ fn gap_tolerance_fires_during_the_first_episode() {
     assert!(!stats.truncated);
     assert!(
         stats.nodes < 64,
-        "gap termination waited for the episode cap: {} nodes",
+        "gap termination took {} nodes",
         stats.nodes
     );
     // Maximization: the dual bound is an upper bound backing the gap.
@@ -443,7 +439,7 @@ fn gap_tolerance_fires_during_the_first_episode() {
 #[test]
 fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     let g = s344_20();
-    let out = formulation::max_thr(&g, g.max_delay(), &capped(40, 1)).unwrap();
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(40)).unwrap();
     assert!(
         out.stats.truncated,
         "completed in {} nodes",
@@ -463,13 +459,43 @@ fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     );
 }
 
+/// A node whose LP fails through the whole recovery ladder is dropped,
+/// but its bound still counts: the reported dual bound never passes the
+/// optimum. Under a small per-LP pivot budget the hint LP of `MAX_THR`
+/// still installs an incumbent, but the root LP of bench20 and bench40
+/// runs out of pivots on every rung. Nothing is proven, so the run is
+/// truncated, the root bound stays `NaN` and the dual bound is `−∞`
+/// (the problem minimizes).
+#[test]
+fn lost_nodes_keep_their_bound_in_the_dual_bound() {
+    for (name, edges, max_pivots) in [("bench20", 20, 30), ("bench40", 40, 40)] {
+        let optimum = golden(name).1;
+        let g = bench_instance(edges);
+        let mut opts = capped(CAP);
+        opts.solver.max_pivots = max_pivots;
+        let out = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
+        let s = &out.stats;
+        assert!(s.truncated && !out.proven_optimal, "{name}: proven");
+        assert!(out.objective >= optimum - 1e-6, "{name}: {}", out.objective);
+        assert!(
+            s.dual_bound <= optimum + 1e-6,
+            "{name}: dual bound {} passes the optimum {optimum}",
+            s.dual_bound
+        );
+        assert!(s.root_bound.is_nan(), "{name}: root {}", s.root_bound);
+        assert_eq!(s.dual_bound, f64::NEG_INFINITY, "{name}");
+    }
+}
+
 /// Source-level assertions that the deleted search modes, pricing rules,
-/// the rounding heuristic, the retired solver, core and Markov knobs and
-/// the unused modules stay deleted — their identifiers survive only in
-/// comment lines anywhere under `crates/` and `examples/` — and that no
-/// model is cloned inside the node loop: `model.clone()` appears exactly
-/// once in `branch_bound.rs` (the whole-solve cross-validation pin,
-/// after the search returns) and never in `parallel.rs`.
+/// the rounding heuristic, the retired solver, core and Markov knobs,
+/// the unused modules, the threaded search and the `--workers` flag
+/// stay deleted — their identifiers survive only in comment lines
+/// anywhere under `crates/` and `examples/` — that no non-comment line
+/// under `crates/milp/src` names `std::sync` or `std::thread`, and that
+/// no model is cloned inside the node loop: `model.clone()` appears
+/// exactly once in `branch_bound.rs` (the whole-solve cross-validation
+/// pin, after the search returns) and never in `search.rs`.
 ///
 /// The retired tolerances, the reliability threshold and the cut switch
 /// live on as names elsewhere (the crate-private `INT_TOL`-style consts,
@@ -517,9 +543,16 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "cuts: bool",
         "cuts: true",
         "cuts: false",
+        "episode_floor",
+        "cut_flags",
+        "apply_cut",
+        "Condvar",
+        "\"--workers\"",
     ];
+    let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let milp_src = root.join("crates").join("milp").join("src");
     let mut dirs = vec![root.join("crates"), root.join("examples")];
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -528,9 +561,11 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let src = std::fs::read_to_string(&path).unwrap();
+                let in_milp = path.starts_with(&milp_src);
                 for (lineno, line) in src.lines().enumerate() {
                     if !line.trim_start().starts_with("//")
-                        && deleted.iter().any(|ident| line.contains(ident))
+                        && (deleted.iter().any(|ident| line.contains(ident))
+                            || in_milp && threads.iter().any(|t| line.contains(t)))
                     {
                         offenders.push(format!("{}:{}: {line}", path.display(), lineno + 1));
                     }
@@ -540,21 +575,21 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
     }
     assert!(
         offenders.is_empty(),
-        "deleted identifiers outside comments:\n{}",
+        "deleted identifiers or threads outside comments:\n{}",
         offenders.join("\n")
     );
 
     let branch_bound = include_str!("../crates/milp/src/branch_bound.rs");
-    let parallel = include_str!("../crates/milp/src/parallel.rs");
+    let search = include_str!("../crates/milp/src/search.rs");
     assert_eq!(
         branch_bound.matches("model.clone()").count(),
         1,
         "branch_bound.rs must clone the model exactly once (the cross-validation pin)"
     );
     assert_eq!(
-        parallel.matches("model.clone()").count(),
+        search.matches("model.clone()").count(),
         0,
-        "parallel.rs must never clone the model"
+        "search.rs must never clone the model"
     );
 }
 
