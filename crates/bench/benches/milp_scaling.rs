@@ -5,7 +5,11 @@
 //! re-checked on the tableau), in the same run:
 //!
 //! * the LP throughput bound on the 60- and 240-edge bench instances;
-//! * `MAX_THR` at the min-delay cycle time on the 20- and 40-edge ones.
+//! * `MAX_THR` at the min-delay cycle time on the 20-, 40- and 60-edge
+//!   ones. The 60-edge instance is the contract row: bench40 closes at
+//!   the root, so it measures no branching, while bench60 takes tens of
+//!   nodes and the oracle stops at a `fast()` limit (2,000 nodes or
+//!   10 s).
 //!
 //! ```text
 //! cargo bench --offline -p rr-bench --bench milp_scaling
@@ -62,7 +66,7 @@ fn main() {
         }
     }
     let mut largest = None;
-    for edges in [20usize, 40] {
+    for edges in [20usize, 40, 60] {
         let g = instance(edges);
         let (warm, warm_ms) = solve_max_thr(&g, Kernel::Revised);
         let (oracle, oracle_ms) = solve_max_thr(&g, Kernel::DenseTableau);

@@ -16,7 +16,9 @@ pub struct VarBounds {
     pub max_retiming: i64,
     /// Upper bound on `x = 1/Θ`.
     pub max_x: f64,
-    /// Big-M for the path constraints (`τ*`, the total delay).
+    /// `τ*`, the total delay: no combinational path is longer, so it
+    /// bounds every departure time. It is the path rows' big-M where τ
+    /// exceeds it and where no smaller `MIN_CYC` ceiling is admitted.
     pub tau_star: f64,
 }
 

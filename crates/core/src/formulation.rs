@@ -7,7 +7,10 @@
 //! * `R'(e)` — integer buffer counts with `R'(e) ≥ R0(e) + r(v) − r(u)`
 //!   (Definition 2.7; bubbles are the slack of this inequality),
 //! * continuous timing variables implementing Lemma 2.1 (path
-//!   constraints), condensed to one arrival variable per node,
+//!   constraints), condensed to one arrival variable per node; the
+//!   big-M of a path row is a bound on any departure time (τ for
+//!   `MAX_THR(τ)`, a feasible τ ceiling for `MIN_CYC`), and an edge
+//!   `u→v` with `β(u) + β(v)` above that bound must hold a buffer,
 //! * continuous free potentials σ̂ implementing Lemma 3.2 (throughput
 //!   constraints) via LP (4) over the shared TGMG skeleton, with the
 //!   bilinear `x·r` products absorbed into σ̂ — the token coefficients
@@ -99,7 +102,7 @@ impl OptOutcome {
 
 /// Whether a model parameter is an optimization variable or a constant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
+pub(crate) enum Mode {
     /// The parameter is fixed to this value.
     Const(f64),
     /// The parameter is a decision variable (and the objective).
@@ -120,6 +123,20 @@ struct Built {
 /// Builds the shared constraint body. Exactly one of `tau`/`x` should be
 /// [`Mode::Variable`]; that variable becomes the minimization objective.
 ///
+/// `big_m` bounds every departure time `arr(u) + β(u)` of an admissible
+/// configuration, and is the M of the path rows
+/// `arr(v) ≥ arr(u) + β(u) − M·R'(e)`: the departure rows force
+/// `arr(u) + β(u) ≤ τ` and `arr(v) ≥ 0`, so a buffered edge's row is
+/// slack once `M ≥ τ`, and `M = τ*` (the total delay) suffices for any τ
+/// because no combinational path is longer. A variable τ takes `big_m`
+/// as its upper bound, so for `MIN_CYC` it must be the cycle time of a
+/// configuration the model admits. The smaller M is, the less a
+/// fractional buffer cuts a path in the LP relaxation.
+///
+/// With free buffers, `R'(e) ≥ 1` on every edge `u→v` with
+/// `β(u) + β(v) > big_m`: `R'(e) = 0` puts both nodes on one
+/// combinational path, which departs `v` no earlier than `β(u) + β(v)`.
+///
 /// `fix_buffers` freezes `R'` to a given assignment (used for the
 /// fixed-configuration cross-check against the direct LP bound; the
 /// retiming link is dropped since tokens influence nothing else).
@@ -130,7 +147,7 @@ struct Built {
 /// LP relaxation only implies the token sum of the retiming link rows —
 /// the cuts carry that weak rhs in the standard form and branch & bound
 /// activates the ceiling rhs lazily where it is violated.
-fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> Built {
+fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, big_m: f64, fix_buffers: Option<&[i64]>) -> Built {
     let bounds = bounds_of(g);
     let skeleton = TgmgSkeleton::of(g);
     let mut m = Model::new(Sense::Minimize);
@@ -138,7 +155,7 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> 
     let (tau_var, tau_param): (Option<VarId>, LinExpr) = match tau_mode {
         Mode::Const(c) => (None, LinExpr::constant(c)),
         Mode::Variable => {
-            let v = m.add_continuous("tau", g.max_delay(), bounds.tau_star);
+            let v = m.add_continuous("tau", g.max_delay(), big_m);
             (Some(v), LinExpr::var(v))
         }
     };
@@ -167,8 +184,17 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> 
         })
         .collect();
     let buf: Vec<VarId> = g
-        .edge_ids()
-        .map(|e| m.add_integer(format!("R_{}", e.index()), 0.0, bounds.max_buffers as f64))
+        .edges()
+        .map(|(id, e)| {
+            let span = g.node(e.source()).delay() + g.node(e.target()).delay();
+            let forced = fix_buffers.is_none() && span > big_m + 1e-9;
+            let lower = if forced { 1.0 } else { 0.0 };
+            m.add_integer(
+                format!("R_{}", id.index()),
+                lower,
+                bounds.max_buffers as f64,
+            )
+        })
         .collect();
 
     // Branch on buffer counts before retiming values: for fixed buffers
@@ -198,7 +224,7 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> 
     }
 
     // --- path constraints (Lemma 2.1, node-arrival form) -------------
-    // With tout(e) = max(0, arr(u) + β(u) − τ*·R'(e)) eliminated, each
+    // With tout(e) = max(0, arr(u) + β(u) − M·R'(e)) eliminated, each
     // edge contributes a single row.
     let arr: Vec<VarId> = g
         .node_ids()
@@ -207,8 +233,8 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, fix_buffers: Option<&[i64]>) -> 
     for (id, e) in g.edges() {
         let u = e.source().index();
         let v = e.target().index();
-        // arr(v) ≥ arr(u) + β(u) − τ*·R'(e)
-        let expr = LinExpr::var(arr[v]) - arr[u] + LinExpr::term(buf[id.index()], bounds.tau_star);
+        // arr(v) ≥ arr(u) + β(u) − M·R'(e)
+        let expr = LinExpr::var(arr[v]) - arr[u] + LinExpr::term(buf[id.index()], big_m);
         m.add_constraint(expr, cmp::GE, g.node(e.source()).delay());
     }
     // departure(u) = arr(u) + β(u) ≤ τ for every node.
@@ -348,11 +374,7 @@ fn warm_start(g: &Rrg, built: &Built, repair: Repair, opts: &CoreOptions) -> Vec
 
     match repair {
         Repair::Throughput { x } => {
-            let tgmg = TgmgSkeleton::of(g).instantiate(&tokens, &buffers);
-            let ok = rr_tgmg::lp_bound::throughput_upper_bound(&tgmg)
-                .map(|th| th + 1e-9 >= 1.0 / x)
-                .unwrap_or(false);
-            if !ok {
+            if !reaches_throughput(g, &tokens, &buffers, x) {
                 // Bubble-free fallback: every EB holds a token → Θ_lp = 1.
                 buffers = tokens.iter().map(|&t| t.max(0)).collect();
             }
@@ -406,6 +428,12 @@ fn warm_start(g: &Rrg, built: &Built, repair: Repair, opts: &CoreOptions) -> Vec
     hint
 }
 
+/// `true` when the configuration's LP throughput bound Θ_lp reaches `1/x`.
+fn reaches_throughput(g: &Rrg, tokens: &[i64], buffers: &[i64], x: f64) -> bool {
+    let tgmg = TgmgSkeleton::of(g).instantiate(tokens, buffers);
+    rr_tgmg::lp_bound::throughput_upper_bound(&tgmg).is_ok_and(|th| th + 1e-9 >= 1.0 / x)
+}
+
 /// Extracts the integer configuration from a solution.
 fn extract(g: &Rrg, built: &Built, sol: &Solution) -> Result<Config, OptError> {
     let r: Vec<i64> = built.r.iter().map(|&v| sol.int_value(v)).collect();
@@ -415,6 +443,61 @@ fn extract(g: &Rrg, built: &Built, sol: &Solution) -> Result<Config, OptError> {
     cfg.validate(g)
         .map_err(|e| OptError::BadConfig(e.to_string()))?;
     Ok(cfg)
+}
+
+/// Builds, warm-starts and solves one `MIN_CYC` or `MAX_THR` model whose
+/// path rows use `big_m` (see [`build`]).
+pub(crate) fn solve(
+    g: &Rrg,
+    tau_mode: Mode,
+    x_mode: Mode,
+    big_m: f64,
+    opts: &CoreOptions,
+) -> Result<OptOutcome, OptError> {
+    let built = build(g, tau_mode, x_mode, big_m, None);
+    let repair = match (tau_mode, x_mode) {
+        (Mode::Variable, Mode::Const(x)) => Repair::Throughput { x },
+        (Mode::Const(tau), Mode::Variable) => Repair::Timing { tau },
+        _ => unreachable!("build accepts exactly one objective variable"),
+    };
+    let hint = warm_start(g, &built, repair, opts);
+    let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
+    let config = extract(g, &built, &sol)?;
+    let objective = built.tau.or(built.x).expect("one objective variable");
+    Ok(OptOutcome {
+        config,
+        objective: sol.value(objective),
+        proven_optimal: sol.status == Status::Optimal,
+        stats,
+    })
+}
+
+/// `MIN_CYC(x)`'s τ ceiling: the cycle time of the min-delay retiming
+/// configuration when the model admits it — it validates, fits the
+/// variable boxes of [`bounds_of`] with `r(n₀) = 0`, and its Θ_lp
+/// reaches `1/x` — and τ* otherwise.
+///
+/// The Θ_lp check matters on graphs with bubbles: Leiserson–Saxe counts
+/// buffers, not tokens, as registers, so its period can fall below
+/// `MIN_CYC(1)` (Figure 1(b): period 1, `MIN_CYC(1)` = 3).
+fn min_cyc_ceiling(g: &Rrg, x: f64) -> f64 {
+    let bounds = bounds_of(g);
+    let Ok(ls) = rr_retime::min_period_retiming(g) else {
+        return bounds.tau_star;
+    };
+    let cfg = ls.config(g);
+    let r0 = ls.retiming[0]; // an empty graph is a `RetimeError`
+    let admitted = cfg.validate(g).is_ok()
+        && cfg.buffers.iter().all(|&b| b <= bounds.max_buffers)
+        && ls
+            .retiming
+            .iter()
+            .all(|&r| (r - r0).abs() <= bounds.max_retiming)
+        && reaches_throughput(g, &cfg.tokens, &cfg.buffers, x);
+    if !admitted {
+        return bounds.tau_star;
+    }
+    rr_rrg::cycle_time::cycle_time_with(g, &cfg.buffers).unwrap_or(bounds.tau_star)
 }
 
 /// `MIN_CYC(x)`: the configuration of minimum cycle time among those with
@@ -434,16 +517,8 @@ fn extract(g: &Rrg, built: &Built, sol: &Solution) -> Result<Config, OptError> {
 /// Panics if `x < 1` (throughput cannot exceed one token per cycle).
 pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
     assert!(x >= 1.0 - 1e-9, "x = 1/Θ must be at least 1");
-    let built = build(g, Mode::Variable, Mode::Const(x), None);
-    let hint = warm_start(g, &built, Repair::Throughput { x }, opts);
-    let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
-    let config = extract(g, &built, &sol)?;
-    Ok(OptOutcome {
-        config,
-        objective: sol.value(built.tau.expect("tau is the objective")),
-        proven_optimal: sol.status == Status::Optimal,
-        stats,
-    })
+    let ceiling = min_cyc_ceiling(g, x);
+    solve(g, Mode::Variable, Mode::Const(x), ceiling, opts)
 }
 
 /// `MAX_THR(τ)`: the configuration with cycle time ≤ τ maximising the LP
@@ -453,16 +528,8 @@ pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptErr
 ///
 /// See [`min_cyc`]; infeasible only if `τ < β_max`.
 pub fn max_thr(g: &Rrg, tau: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
-    let built = build(g, Mode::Const(tau), Mode::Variable, None);
-    let hint = warm_start(g, &built, Repair::Timing { tau }, opts);
-    let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
-    let config = extract(g, &built, &sol)?;
-    Ok(OptOutcome {
-        config,
-        objective: sol.value(built.x.expect("x is the objective")),
-        proven_optimal: sol.status == Status::Optimal,
-        stats,
-    })
+    let big_m = tau.min(bounds_of(g).tau_star);
+    solve(g, Mode::Const(tau), Mode::Variable, big_m, opts)
 }
 
 /// Cross-check helper: minimises `x` for a **fixed** buffer assignment
@@ -477,10 +544,12 @@ pub fn max_thr(g: &Rrg, tau: f64, opts: &CoreOptions) -> Result<OptOutcome, OptE
 pub fn min_x_for_buffers(g: &Rrg, buffers: &[i64], opts: &CoreOptions) -> Result<f64, OptError> {
     // τ* (the sum of all delays) never restricts timing: any buffered
     // configuration meets it.
+    let tau_star = bounds_of(g).tau_star;
     let built = build(
         g,
-        Mode::Const(bounds_of(g).tau_star),
+        Mode::Const(tau_star),
         Mode::Variable,
+        tau_star,
         Some(buffers),
     );
     let sol = built.model.solve_with(&opts.solver)?;
@@ -522,6 +591,24 @@ mod tests {
         let ls = rr_retime::min_period_retiming(&g).unwrap();
         let tau = cycle_time::cycle_time_with(&g, &out.config.buffers).unwrap();
         assert_eq!(tau, ls.period, "MIN_CYC(1) must equal min-delay retiming");
+    }
+
+    /// Figure 1(b) carries bubbles, so its Leiserson–Saxe period (1)
+    /// lies below `MIN_CYC(1)` = 3: a ceiling taken from the raw period
+    /// would make the low-x models infeasible.
+    #[test]
+    fn min_cyc_ceiling_keeps_figure_1b_optima() {
+        let g = figures::figure_1b(0.5);
+        assert_eq!(rr_retime::min_period_retiming(&g).unwrap().period, 1.0);
+        for (x, want) in [(1.0, 3.0), (1.2, 3.0), (1.5, 2.0), (2.0, 1.0), (3.0, 1.0)] {
+            let out = min_cyc(&g, x, &CoreOptions::fast()).unwrap();
+            assert!(out.proven_optimal, "MIN_CYC({x}) unproven");
+            assert!(
+                (out.objective - want).abs() < 1e-6,
+                "MIN_CYC({x}) = {} instead of {want}",
+                out.objective
+            );
+        }
     }
 
     #[test]

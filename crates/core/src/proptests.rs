@@ -5,14 +5,20 @@
 //! must reproduce the *direct* LP (4) bound computed on the instantiated
 //! TGMG — this pins the correctness of both model reductions and of the
 //! bilinear-term absorption at once.
+//!
+//! Another pins the path-row tightening: the model with big-M = τ (or
+//! `MIN_CYC`'s ceiling) and forced buffers reaches the same optimum as
+//! the loose model with big-M = τ*.
 
 use proptest::prelude::*;
 
+use rr_milp::SolverOptions;
 use rr_rrg::generate::GeneratorParams;
 use rr_rrg::Config;
 use rr_tgmg::{lp_bound, TgmgSkeleton};
 
-use crate::formulation::{max_thr, min_cyc, min_x_for_buffers};
+use crate::bounds::bounds_of;
+use crate::formulation::{max_thr, min_cyc, min_x_for_buffers, solve, Mode};
 use crate::CoreOptions;
 
 fn tiny_graphs() -> impl Strategy<Value = (GeneratorParams, u64)> {
@@ -81,5 +87,40 @@ proptest! {
         prop_assert!(out.config.validate(&g).is_ok());
         let out2 = min_cyc(&g, 1.6, &CoreOptions::fast()).unwrap();
         prop_assert!(out2.config.validate(&g).is_ok());
+    }
+
+    #[test]
+    fn tightened_path_rows_keep_every_optimum((p, seed) in tiny_graphs()) {
+        let g = p.generate(seed);
+        let tau_star = bounds_of(&g).tau_star;
+        // The exact default gap: a 2% gap would let two proven runs
+        // stop at different incumbents.
+        let mut opts = CoreOptions::fast();
+        opts.solver.gap_tol = SolverOptions::default().gap_tol;
+        let initial = rr_rrg::cycle_time::cycle_time(&g).unwrap();
+        for tau in [g.max_delay(), initial] {
+            let tight = max_thr(&g, tau, &opts).unwrap();
+            let loose = solve(&g, Mode::Const(tau), Mode::Variable, tau_star, &opts).unwrap();
+            if tight.proven_optimal && loose.proven_optimal {
+                prop_assert!(
+                    (tight.objective - loose.objective).abs() < 1e-6,
+                    "MAX_THR({tau}): tight {} vs loose {}",
+                    tight.objective,
+                    loose.objective
+                );
+            }
+        }
+        for x in [1.0, 1.6] {
+            let tight = min_cyc(&g, x, &opts).unwrap();
+            let loose = solve(&g, Mode::Variable, Mode::Const(x), tau_star, &opts).unwrap();
+            if tight.proven_optimal && loose.proven_optimal {
+                prop_assert!(
+                    (tight.objective - loose.objective).abs() < 1e-6,
+                    "MIN_CYC({x}): tight {} vs loose {}",
+                    tight.objective,
+                    loose.objective
+                );
+            }
+        }
     }
 }

@@ -39,15 +39,15 @@ cargo test -q -p rr-milp --offline proptests
 # struct bit for bit. Alongside it: the production search and the
 # Kernel::DenseTableau oracle request prove identical optima on the
 # Table-1 instances, mirrored/free integer fixtures solve warm and match
-# the dense oracle, truncation, gap termination and dual bounds (lost
-# nodes included) reach the reports, and source-level checks keep the
-# deleted search modes, pricing rules, rounding heuristic, retired
-# option fields, unused modules and threads out of the code. Fixed seeds
-# and node caps (no wall clocks), so failures reproduce exactly. Run in
-# release: the agreement checks solve every Table-1 instance twice. The
-# named trajectory pins in search_orders, backend_unification and
-# pseudo_cost_search, and the pricing checks in pricing_search, run in
-# the cargo test step above.
+# the dense oracle, the pseudo-cost search-strength facts hold,
+# truncation, gap termination and dual bounds (lost nodes included)
+# reach the reports, and source-level checks keep the deleted search
+# modes, pricing rules, rounding heuristic, retired option fields,
+# unused modules and threads out of the code. Fixed seeds and node caps
+# (no wall clocks), so failures reproduce exactly. Run in release: the
+# agreement checks solve every Table-1 instance twice. The named
+# trajectory pins in search_orders and backend_unification, and the
+# pricing checks in pricing_search, run in the cargo test step above.
 echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
 cargo test -q --offline --release --test search_gate
 
@@ -71,11 +71,13 @@ cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 \
   --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820,s641
 
-# The milp_scaling bench (the revised kernel's speedup contract over the
-# dense oracle) must at least compile so it can't silently rot between
-# PRs; running it stays a manual job.
-echo "==> cargo bench --no-run"
-cargo bench --no-run --offline
+# The milp_scaling bench, the workspace's only bench target: the revised
+# kernel and the dense oracle must agree on every completed instance,
+# and the revised kernel must stay at least 2x faster on the largest
+# MAX_THR instance (60 edges). It panics on either failure. About 10 s,
+# most of it the oracle running into fast()'s node or time limit.
+echo "==> cargo bench milp_scaling (kernel speedup contract)"
+cargo bench --offline -p rr-bench --bench milp_scaling
 
 # The repo benchmark (perfbench/, its own cargo workspace) calls the
 # crates' public API; building it here makes an API change that breaks

@@ -9,6 +9,10 @@
 //!   trace and cuts activated, on the ring MILP and on `MAX_THR` for
 //!   bench20, bench40 and s27. A repeated solve replays the whole stats
 //!   struct bit for bit, completed and truncated.
+//! * **Search strength** — the bench20, s27 and bench40 rows restated
+//!   as the pseudo-cost facts they stand for: reliability probes and
+//!   pseudo-cost updates run, cycle-sum cuts fire, no incumbent sits on
+//!   the plateau of the deleted most-fractional rule.
 //! * **Agreement** — the production search proves the optima of the
 //!   `Kernel::DenseTableau` oracle request on the Table-1 instances;
 //!   mirrored and free integer fixtures solve warm and match the dense
@@ -78,16 +82,19 @@ fn s27() -> Rrg {
     IscasProfile::by_name("s27").unwrap().generate(2009)
 }
 
-/// s344 scaled to 20 edges, as the reduced Table-2 sweep runs it.
-fn s344_20() -> Rrg {
-    IscasProfile::by_name("s344")
+/// `name` scaled to 20 edges, as the reduced Table-2 sweep runs it.
+fn scaled_20(name: &str) -> Rrg {
+    IscasProfile::by_name(name)
         .unwrap()
         .scaled(20)
         .generate(2009)
 }
 
-/// The proven `MAX_THR` optimum of [`s344_20`].
+/// The proven `MAX_THR` optimum of s344 at 20 edges.
 const S344_20_OPTIMUM: f64 = 7.032_698_912_644_731;
+
+/// The proven `MAX_THR` optimum of s400 at 20 edges.
+const S400_20_OPTIMUM: f64 = 1.769_811_861_725_364_9;
 
 /// One observed trajectory: everything a golden row pins.
 #[derive(Debug)]
@@ -148,9 +155,9 @@ type Golden = (
 const GOLDEN: [Golden; 4] = [
     // name, objective, nodes, pivots, warm, cold, cuts, truncated, incumbent trace
     ("ring", 50.0, 175, 717, 174, 1, 0, false, &[(71, 50.0)]),
-    ("bench20", 6.497_501_818_546_008_5, 41, 813, 40, 2, 5, false, &[(0, 6.497_501_818_546_008_5)]),
-    ("bench40", 3.0, 144, 3741, 140, 5, 10, false, &[(0, 4.0), (137, 3.0)]),
-    ("s27", 3.0, 67, 2266, 66, 2, 5, false, &[(0, 3.0)]),
+    ("bench20", 6.497_501_818_546_008_5, 11, 181, 10, 1, 0, false, &[(0, 6.497_501_818_546_008_5)]),
+    ("bench40", 3.0, 1, 141, 0, 1, 0, false, &[(0, 3.0)]),
+    ("s27", 3.0, 25, 651, 24, 2, 3, false, &[(0, 3.0)]),
 ];
 
 /// Node cap of the formulation rows in the golden table.
@@ -194,6 +201,67 @@ fn golden_table_pins_the_one_worker_trajectories() {
         "golden rows drifted:\n{}",
         drifted.join("\n")
     );
+}
+
+/// bench20 `MAX_THR`: proven in 11 nodes, reliability probes and
+/// pseudo-cost updates at work, and a dual bound that meets the
+/// incumbent. It activates no cycle-sum cut; s27 carries that fact.
+#[test]
+fn bench20_pseudo_cost_golden() {
+    let g = bench_instance(20);
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(4000)).unwrap();
+    assert!(out.proven_optimal && !out.stats.truncated);
+    assert!(
+        (out.objective - golden("bench20").1).abs() < 1e-8,
+        "obj {}",
+        out.objective
+    );
+    let s = &out.stats;
+    // nodes, pivots, cuts activated
+    assert_eq!(
+        (s.nodes, s.simplex_iters, s.cuts_activated),
+        (11, 181, 0),
+        "golden drifted"
+    );
+    assert!(s.strong_branches > 0, "reliability probes never ran");
+    assert!(s.pseudo_updates > 0, "pseudo-costs never learned");
+    assert!(
+        (s.dual_bound - out.objective).abs() <= 1e-8 * out.objective,
+        "dual bound {} vs objective {}",
+        s.dual_bound,
+        out.objective
+    );
+}
+
+/// s27 `MAX_THR`: no incumbent ever sits on the ξ = 4.0 plateau on which
+/// the deleted most-fractional rule parked. The warm-start hint already
+/// holds ξ = 3.0, and the search proves it optimal in 25 nodes with
+/// three cycle-sum cuts activated.
+#[test]
+fn s27_pseudo_cost_escapes_the_most_fractional_plateau() {
+    let g = s27();
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(2000)).unwrap();
+    assert!(out.proven_optimal);
+    assert!((out.objective - 3.0).abs() < 1e-6, "obj {}", out.objective);
+    let s = &out.stats;
+    assert_eq!(s.nodes, 25, "node-count golden drifted");
+    assert!(s.cuts_activated > 0, "no cycle-sum cut ever fired");
+    assert!(
+        s.incumbent_trace.iter().all(|&(_, obj)| obj < 4.0 - 1e-6),
+        "an incumbent sat on the plateau: trace {:?}",
+        s.incumbent_trace
+    );
+}
+
+/// bench40 `MAX_THR` under the cap-1000 budget: completes and proves
+/// ξ = 3.0 at the root.
+#[test]
+fn bench40_pseudo_cost_completes_under_the_cap_1000_budget() {
+    let g = bench_instance(40);
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(1000)).unwrap();
+    assert!(out.proven_optimal && !out.stats.truncated);
+    assert!((out.objective - 3.0).abs() < 1e-6, "obj {}", out.objective);
+    assert_eq!(out.stats.nodes, 1, "node-count golden drifted");
 }
 
 /// The production search and the `Kernel::DenseTableau` oracle request
@@ -244,12 +312,13 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
     assert_stats_identical(again_stats, stats);
 }
 
-/// A truncated run on the 40-edge `MAX_THR` bench instance replays bit
-/// for bit: a repeat stops at the same node with the same incumbent,
-/// dual bound and per-node bound trace.
+/// A truncated `MAX_THR` run on s344 at 20 edges replays bit for bit:
+/// a repeat stops at the same node with the same incumbent, dual bound
+/// and per-node bound trace. (bench40 closes at the root, so no node cap
+/// truncates it.)
 #[test]
 fn one_worker_matches_serial_best_bound_truncated_runs() {
-    let g = bench_instance(40);
+    let g = scaled_20("s344");
     let run = || formulation::max_thr(&g, g.max_delay(), &capped(40)).unwrap();
     let one = run();
     assert!(
@@ -258,11 +327,15 @@ fn one_worker_matches_serial_best_bound_truncated_runs() {
         one.stats.nodes
     );
     assert!(!one.proven_optimal);
-    // ξ = 3.0 is the proven optimum (the bench40 golden row): a truncated
-    // run's incumbent cannot beat it, and its dual bound cannot pass it.
-    assert!(one.objective >= 3.0 - 1e-6, "incumbent {}", one.objective);
+    // A truncated run's incumbent cannot beat the proven optimum, and its
+    // dual bound cannot pass it.
     assert!(
-        one.stats.dual_bound <= 3.0 + 1e-6,
+        one.objective >= S344_20_OPTIMUM - 1e-6,
+        "incumbent {}",
+        one.objective
+    );
+    assert!(
+        one.stats.dual_bound <= S344_20_OPTIMUM + 1e-6,
         "dual {}",
         one.stats.dual_bound
     );
@@ -433,12 +506,12 @@ fn gap_tolerance_fires_during_the_first_episode() {
 /// A *truncated* run reports the global open-node minimum — a bound
 /// that is at least the root LP bound, never above the true optimum,
 /// and strictly tighter than the root once the frontier has climbed. On
-/// s344 at 20 edges the 40-node cap stops the depth-first search with
-/// the dual bound at 3.74 against the root's 3.07 and the optimum's
-/// 7.03.
+/// s400 at 20 edges the 40-node cap stops the depth-first search with
+/// the dual bound at 1.61 against the root's 1.54 and the optimum's
+/// 1.77.
 #[test]
 fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
-    let g = s344_20();
+    let g = scaled_20("s400");
     let out = formulation::max_thr(&g, g.max_delay(), &capped(40)).unwrap();
     assert!(
         out.stats.truncated,
@@ -450,7 +523,7 @@ fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     assert!(dual.is_finite());
     assert!(dual >= root - 1e-9, "dual {dual} below root {root}");
     assert!(
-        dual <= S344_20_OPTIMUM + 1e-6,
+        dual <= S400_20_OPTIMUM + 1e-6,
         "dual {dual} overshoots the optimum"
     );
     assert!(

