@@ -7,9 +7,10 @@
 //! * the LP throughput bound on the 60- and 240-edge bench instances;
 //! * `MAX_THR` at the min-delay cycle time on the 20-, 40- and 60-edge
 //!   ones. The 60-edge instance is the contract row: bench40 closes at
-//!   the root, so it measures no branching, while bench60 takes tens of
-//!   nodes and the oracle stops at a `fast()` limit (2,000 nodes or
-//!   10 s).
+//!   the root, so it measures no branching, while bench60 branches. The
+//!   production search proves it in 63 nodes, and the oracle, whose
+//!   nodes all solve cold, in 279, well inside `fast()`'s limits (2,000
+//!   nodes or 10 s), so the two completed objectives are compared too.
 //!
 //! ```text
 //! cargo bench --offline -p rr-bench --bench milp_scaling

@@ -221,9 +221,9 @@ where
 
 /// The shared bounded-parallelism fan-out: runs items on up to `workers`
 /// scoped threads pulling from one work queue, preserving input order in
-/// the output. Every table-row fan-out and the parallel-search test
-/// harness go through here — the one place that owns the
-/// `std::thread::scope` + work-queue idiom.
+/// the output. The `table2` circuit fan-out (through [`parallel_map`])
+/// and the `search_gate` agreement check go through here — the one
+/// place that owns the `std::thread::scope` + work-queue idiom.
 pub fn parallel_map_bounded<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

@@ -110,14 +110,14 @@ pub(crate) enum Mode {
 }
 
 /// A built model with its variable handles.
-struct Built {
-    model: Model,
-    r: Vec<VarId>,
-    buf: Vec<VarId>,
+pub(crate) struct Built {
+    pub(crate) model: Model,
+    pub(crate) r: Vec<VarId>,
+    pub(crate) buf: Vec<VarId>,
     /// τ handle when variable.
-    tau: Option<VarId>,
+    pub(crate) tau: Option<VarId>,
     /// x handle when variable.
-    x: Option<VarId>,
+    pub(crate) x: Option<VarId>,
 }
 
 /// Builds the shared constraint body. Exactly one of `tau`/`x` should be
@@ -144,10 +144,17 @@ struct Built {
 /// Retiming cycle-sum cuts are added when τ is a constant and buffers
 /// are free: any configuration with cycle time ≤ τ places at least
 /// `⌈D(C)/τ⌉` buffers on every cycle `C` (delay sum `D(C)`), while the
-/// LP relaxation only implies the token sum of the retiming link rows —
-/// the cuts carry that weak rhs in the standard form and branch & bound
-/// activates the ceiling rhs lazily where it is violated.
-fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, big_m: f64, fix_buffers: Option<&[i64]>) -> Built {
+/// LP relaxation only implies the token sum of the retiming link rows.
+/// Each cut is an ordinary `Σ_{e∈C} R'(e) ≥ ⌈D(C)/τ⌉` row over a
+/// fundamental cycle, added only where the ceiling exceeds the token
+/// sum.
+pub(crate) fn build(
+    g: &Rrg,
+    tau_mode: Mode,
+    x_mode: Mode,
+    big_m: f64,
+    fix_buffers: Option<&[i64]>,
+) -> Built {
     let bounds = bounds_of(g);
     let skeleton = TgmgSkeleton::of(g);
     let mut m = Model::new(Sense::Minimize);
@@ -307,16 +314,16 @@ fn build(g: &Rrg, tau_mode: Mode, x_mode: Mode, big_m: f64, fix_buffers: Option<
                         .iter()
                         .map(|&e| g.node(g.edge(e).source()).delay())
                         .sum();
-                    let weak: f64 = cycle.iter().map(|&e| g.edge(e).tokens() as f64).sum();
-                    let strong = (delay / tau - 1e-9).ceil().max(weak);
-                    if strong <= weak + 0.5 {
+                    let tokens: f64 = cycle.iter().map(|&e| g.edge(e).tokens() as f64).sum();
+                    let need = (delay / tau - 1e-9).ceil();
+                    if need <= tokens + 0.5 {
                         continue; // the LP-implied token sum already covers it
                     }
                     let mut expr = LinExpr::new();
                     for &e in &cycle {
                         expr += LinExpr::var(buf[e.index()]);
                     }
-                    m.add_cut(expr, weak, strong);
+                    m.add_constraint(expr, cmp::GE, need);
                 }
             }
         }

@@ -59,8 +59,8 @@ use rr_tgmg::sim::SimParams;
 ///
 /// `MAX_THR(τ)` always carries the retiming cycle-sum cuts (each cycle
 /// `C` needs at least `⌈D(C)/τ⌉` buffers); they are valid for every
-/// integer point and separated lazily inside branch & bound, so they are
-/// not an option.
+/// integer point and enter the model as ordinary constraint rows, so
+/// they are not an option.
 #[derive(Debug, Clone)]
 pub struct CoreOptions {
     /// Throughput step ε of `MIN_EFF_CYC` (paper: 0.01).

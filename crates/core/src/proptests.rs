@@ -9,16 +9,21 @@
 //! Another pins the path-row tightening: the model with big-M = τ (or
 //! `MIN_CYC`'s ceiling) and forced buffers reaches the same optimum as
 //! the loose model with big-M = τ*.
+//!
+//! A third checks that every `MAX_THR(τ)` row, the cycle-sum cuts
+//! included, is valid: any legal configuration with cycle time τ
+//! satisfies them all, at its own Θ_lp.
 
 use proptest::prelude::*;
 
 use rr_milp::SolverOptions;
+use rr_rrg::config::retime_tokens;
 use rr_rrg::generate::GeneratorParams;
 use rr_rrg::Config;
 use rr_tgmg::{lp_bound, TgmgSkeleton};
 
 use crate::bounds::bounds_of;
-use crate::formulation::{max_thr, min_cyc, min_x_for_buffers, solve, Mode};
+use crate::formulation::{build, max_thr, min_cyc, min_x_for_buffers, solve, Mode};
 use crate::CoreOptions;
 
 fn tiny_graphs() -> impl Strategy<Value = (GeneratorParams, u64)> {
@@ -122,5 +127,49 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Node and edge counts `tiny_graphs()` never exceeds.
+const TINY_NODES: usize = 9;
+const TINY_EDGES: usize = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A random legal configuration — a retiming with `r(n₀) = 0` and
+    /// `|r| ≤ 2`, buffers `max(R0', 0)` plus random bubbles — pinned
+    /// into `MAX_THR(τ)` at its own cycle time τ, with `MAX_THR`'s
+    /// big-M `min(τ, τ*)`: the relaxation must be feasible and reach
+    /// the configuration's own `x = 1/Θ_lp`. A cycle-sum cut whose rhs
+    /// exceeded the buffers some legal configuration places on its
+    /// cycle would make the pinned model infeasible.
+    #[test]
+    fn every_legal_configuration_satisfies_every_max_thr_row(
+        (p, seed) in tiny_graphs(),
+        shift in proptest::collection::vec(-2i64..=2, TINY_NODES),
+        bubbles in proptest::collection::vec(0i64..=1, TINY_EDGES),
+    ) {
+        let g = p.generate(seed);
+        let mut r = shift[..g.num_nodes()].to_vec();
+        r[0] = 0;
+        let tokens = retime_tokens(&g, &r);
+        let buffers: Vec<i64> = tokens.iter().zip(&bubbles).map(|(&t, &b)| t.max(0) + b).collect();
+        let tau = rr_rrg::cycle_time::cycle_time_with(&g, &buffers).unwrap();
+        let t = TgmgSkeleton::of(&g).instantiate(&tokens, &buffers);
+        let x = 1.0 / lp_bound::throughput_upper_bound(&t).unwrap();
+
+        let big_m = tau.min(bounds_of(&g).tau_star);
+        let mut built = build(&g, Mode::Const(tau), Mode::Variable, big_m, None);
+        for (&v, &val) in built.r.iter().zip(&r) {
+            built.model.fix_var(v, val as f64);
+        }
+        for (&v, &val) in built.buf.iter().zip(&buffers) {
+            built.model.fix_var(v, val as f64);
+        }
+        let sol = built.model.solve_relaxation(&SolverOptions::default());
+        prop_assert!(sol.is_ok(), "r {r:?} buffers {buffers:?} at tau {tau}: {sol:?}");
+        let got = sol.unwrap().value(built.x.unwrap());
+        prop_assert!((got - x).abs() < 1e-6, "x {got} vs 1/Θ_lp {x}");
     }
 }

@@ -27,7 +27,7 @@
 //!
 //! * **The LP backend** ([`WarmBackend`]) runs the revised kernel over a
 //!   [`BoxedForm`] built once. Branching rewrites a column's `[lo, hi]`
-//!   box in place, and since rhs/bound changes leave reduced costs
+//!   box in place, and since bound changes leave reduced costs
 //!   untouched, *any* optimal basis anywhere in the tree is dual
 //!   feasible for every node: nodes are reoptimized by a bounded
 //!   dual-simplex run from whatever basis the previous node left behind,
@@ -124,10 +124,12 @@ pub struct BranchBoundStats {
     /// Pseudo-cost observations recorded: node bound degradations plus
     /// strong-branch probe results.
     pub pseudo_updates: usize,
-    /// Lazily-activatable cut rows carried by the standard form.
+    /// Always 0: every row, the cycle-sum cuts of `MAX_THR` included,
+    /// is an ordinary constraint, so the search adds no cut. The field
+    /// stays because the `perfbench` reports read it.
     pub cuts_added: usize,
-    /// Cut activations across the whole search (a violated cut row
-    /// tightened in place to its integer-valid rhs).
+    /// Always 0: no row is activated during the search. The field stays
+    /// because the `perfbench` reports read it.
     pub cuts_activated: usize,
     /// Tightest proven dual bound at termination, in the model's sense:
     /// the minimum bound over the open stack and over the nodes dropped
@@ -245,17 +247,11 @@ pub(crate) struct WarmBackend<'a> {
     /// translate through [`ColMap::box_updates`].
     pub(crate) int_maps: Vec<Option<ColMap>>,
     pub(crate) kernel: Revised,
-    /// Which cut rows have been activated (tightened to their
-    /// integer-valid rhs). Activated rhs values live in `kernel.b`, and
-    /// [`crate::revised::Revised::rebuilt`] copies `b` forward — so
-    /// activations survive every recovery-ladder rebuild without
-    /// re-application.
-    pub(crate) active_cuts: Vec<bool>,
 }
 
 impl WarmBackend<'_> {
     /// Dual-reoptimizes the kernel **in place** (no refactorization): any
-    /// dual-feasible basis is a valid warm-start seed for any rhs, so the
+    /// dual-feasible basis is a valid warm-start seed for any boxes, so the
     /// state the previous node left behind works directly. `Err` values
     /// are *soft* failures (fall back) except [`SolveError::Infeasible`],
     /// which is a genuine verdict.
@@ -491,29 +487,6 @@ impl WarmBackend<'_> {
         stats.dual_pivots += self.kernel.pivot_stats.dual_pivots;
         stats.primal_pivots += self.kernel.pivot_stats.primal_pivots;
         stats.bound_flips += self.kernel.pivot_stats.bound_flips;
-    }
-
-    /// Checks every inactive cut against `sol`, activates the violated
-    /// ones (tightening their row rhs to the integer-valid value in
-    /// place), and returns how many fired — the caller must then
-    /// re-solve the node LP.
-    pub(crate) fn separate_cuts(&mut self, sol: &Solution) -> usize {
-        let mut activated = 0;
-        for (i, cr) in self.form.cut_rows.iter().enumerate() {
-            if self.active_cuts[i] {
-                continue;
-            }
-            let cut = &self.model.cuts[cr.cut];
-            if cut.expr.eval(&sol.values) < cut.rhs - 1e-6 {
-                // Tighten the row in place: an rhs change leaves reduced
-                // costs (dual feasibility) untouched, so the next dual
-                // reoptimization re-solves from the current basis.
-                self.kernel.set_rhs(cr.row, cr.strong_b);
-                self.active_cuts[i] = true;
-                activated += 1;
-            }
-        }
-        activated
     }
 
     /// Strong-branch probe: a bounded dual reoptimization of the child

@@ -40,10 +40,10 @@
 //!   primal phases; the largest box violation and a long-step ratio
 //!   test in the dual;
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
-//!   right-hand-side or bound mutations from any dual-feasible basis.
+//!   bound mutations from any dual-feasible basis.
 //!
 //! Branch & bound exploits that last point aggressively (**warm-start
-//! policy**): bound/rhs changes never disturb reduced costs, so any
+//! policy**): bound changes never disturb reduced costs, so any
 //! optimal basis anywhere in the tree is dual feasible for every node.
 //! The search therefore builds the LP once, mutates integer-column boxes
 //! in place as it branches, and dual-reoptimizes each node from whatever
@@ -142,18 +142,6 @@
 //! reported [`BranchBoundStats::dual_bound`] joins that minimum with the
 //! incumbent and with the bounds of nodes dropped after an LP failure,
 //! so it stays valid when the recovery ladder gives up on a node.
-//!
-//! On the retiming MILPs the `MAX_THR` formulation additionally carries
-//! **cycle-sum cuts** (`rr-core`'s formulation layer): every fundamental
-//! cycle of the retiming-and-recycling graph needs at least
-//! `⌈delay(C)/τ⌉` buffers, but the LP relaxation only implies the token
-//! sum. The cut rows are built into the standard form at their
-//! LP-implied (weak) right-hand sides and **activated lazily** — a
-//! separation pass after each node LP tightens violated rows in place to
-//! the integer-valid rhs via the same dual-feasible `set_rhs` mutation
-//! the branching boxes use, so warm starts survive and activation costs
-//! a few dual pivots ([`BranchBoundStats::cuts_added`] /
-//! [`BranchBoundStats::cuts_activated`]).
 //!
 //! # Concurrency model
 //!

@@ -259,40 +259,6 @@ impl SolverOptions {
     }
 }
 
-/// A lazily-activated cutting plane: `expr >= rhs` is valid for every
-/// integer-feasible point, while `expr >= weak_rhs` is already implied
-/// by the LP relaxation.
-///
-/// Cut rows enter the standard form with the *weak* right-hand side, so
-/// the relaxation (and any backend that ignores cuts) is unchanged; the
-/// warm-started backend tightens a row to `rhs` the first time the node
-/// relaxation violates it (separation).
-#[derive(Debug, Clone)]
-pub struct Cut {
-    pub(crate) expr: LinExpr,
-    /// LP-implied right-hand side the row is born with.
-    pub(crate) weak_rhs: f64,
-    /// Integer-valid right-hand side activated on separation.
-    pub(crate) rhs: f64,
-}
-
-impl Cut {
-    /// The cut expression (constant part already folded into the rhs).
-    pub fn expr(&self) -> &LinExpr {
-        &self.expr
-    }
-
-    /// The LP-implied (inactive) right-hand side.
-    pub fn weak_rhs(&self) -> f64 {
-        self.weak_rhs
-    }
-
-    /// The integer-valid (activated) right-hand side.
-    pub fn rhs(&self) -> f64 {
-        self.rhs
-    }
-}
-
 /// A mixed-integer linear program.
 ///
 /// See the [crate-level docs](crate) for an end-to-end example.
@@ -302,7 +268,6 @@ pub struct Model {
     pub(crate) objective: LinExpr,
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
-    pub(crate) cuts: Vec<Cut>,
 }
 
 impl Model {
@@ -313,7 +278,6 @@ impl Model {
             objective: LinExpr::new(),
             vars: Vec::new(),
             constraints: Vec::new(),
-            cuts: Vec::new(),
         }
     }
 
@@ -390,39 +354,6 @@ impl Model {
         );
         self.constraints.push(Constraint { expr: e, op, rhs });
         self.constraints.len() - 1
-    }
-
-    /// Adds a lazily-activated cutting plane `expr >= rhs` whose weak
-    /// form `expr >= weak_rhs` is LP-implied, and returns its index.
-    ///
-    /// The expression constant is folded into both right-hand sides,
-    /// mirroring [`Model::add_constraint`]. Only the warm-started
-    /// revised backend separates cuts; every other backend solves the
-    /// (equivalent) weak rows and remains correct.
-    pub fn add_cut(&mut self, expr: impl Into<LinExpr>, weak_rhs: f64, rhs: f64) -> usize {
-        let mut e = expr.into();
-        let shift = e.constant_part();
-        e.constant = 0.0;
-        e.compact();
-        debug_assert!(
-            e.iter().all(|(v, _)| v.index() < self.vars.len()),
-            "cut references a variable from another model"
-        );
-        debug_assert!(
-            weak_rhs <= rhs,
-            "cut weak rhs must not exceed the activated rhs"
-        );
-        self.cuts.push(Cut {
-            expr: e,
-            weak_rhs: weak_rhs - shift,
-            rhs: rhs - shift,
-        });
-        self.cuts.len() - 1
-    }
-
-    /// The registered cuts, in insertion order.
-    pub fn cuts(&self) -> &[Cut] {
-        &self.cuts
     }
 
     /// Fixes a variable to a value by tightening both bounds.

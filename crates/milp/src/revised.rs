@@ -21,7 +21,7 @@
 //!   after a long degenerate run, mirroring the oracle.
 //! * [`Revised::dual_reopt`] — warm start: from any **dual-feasible**
 //!   basis (rc ≥ 0 at lower bounds, rc ≤ 0 at upper bounds — a property
-//!   rhs and bound changes cannot disturb), dual simplex pivots repair
+//!   bound changes cannot disturb), dual simplex pivots repair
 //!   the primal infeasibility introduced by branching. Because any
 //!   optimal basis anywhere in the branch & bound tree is dual feasible
 //!   for *every* node, the search runs as one continuous simplex process
@@ -30,9 +30,10 @@
 //!   entering column comes from the long-step (bound-flipping) ratio
 //!   test over incrementally maintained reduced costs (see the
 //!   crate-level "Pricing" docs).
-//! * [`Revised::set_col_bounds`] / [`Revised::set_rhs`] — mutate a
-//!   column's box or a row's right-hand side in place; `x_B` is lazily
-//!   resynced by one sparse FTRAN at the next pivot run.
+//! * [`Revised::set_col_bounds`] — mutate a column's box in place (the
+//!   only mutation: the right-hand side is fixed at construction);
+//!   `x_B` is lazily resynced by one sparse FTRAN at the next pivot
+//!   run.
 
 use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
 use crate::model::{SolverOptions, FEAS_TOL, PIVOT_TOL};
@@ -120,7 +121,7 @@ pub(crate) struct Revised {
     n: usize,
     /// Sparse columns of `A`: `cols[j]` = `(row, value)` entries.
     cols: Vec<Vec<(usize, f64)>>,
-    /// Right-hand side (mutable across branch & bound nodes).
+    /// Right-hand side, fixed at construction.
     b: Vec<f64>,
     /// Phase-2 minimization costs, length `n`.
     cost: Vec<f64>,
@@ -243,20 +244,6 @@ impl Revised {
     /// [`Revised::dual_reopt`] may run in place.
     pub fn dual_ok(&self) -> bool {
         self.dual_ok && self.factor.is_some()
-    }
-
-    /// Overwrites one row's right-hand side. `x_B` is lazily corrected
-    /// by a sparse FTRAN at the next pivot run; dual feasibility is
-    /// unaffected. Branch & bound uses this to activate lazily-separated
-    /// cut rows (tightening a `>=` surplus row's rhs in place).
-    pub fn set_rhs(&mut self, row: usize, value: f64) {
-        let delta = value - self.b[row];
-        if delta != 0.0 {
-            self.b[row] = value;
-            if self.factor.is_some() {
-                self.pending.push((row, delta));
-            }
-        }
     }
 
     /// Rewrites a column's box `[l, u]` (branch & bound bound
@@ -1106,7 +1093,8 @@ impl Revised {
     /// [`SolveError::Infeasible`] when the dual is unbounded (the node LP
     /// has no feasible point), [`SolveError::IterationLimit`] when the
     /// budget runs out mid-repair (caller should fall back to a cold
-    /// solve) and [`SolveError::Numerical`] on factorization trouble.
+    /// solve) and [`SolveError::Numerical`] on factorization trouble or
+    /// when a violation within `FEAS_TOL` has no entering candidate.
     pub fn dual_reopt(&mut self, pivots_left: &mut usize) -> Result<(), SolveError> {
         self.sync_xb();
         // Dual pivots preserve dual feasibility, so the flag stays set
@@ -1164,6 +1152,14 @@ impl Revised {
                 flips,
             }) = self.dual_ratio_test(&alphas, &rc, below, worst)
             else {
+                // A violation within FEAS_TOL that no candidate can
+                // repair is round-off, not a proof: let the caller
+                // re-solve from the parent basis or cold.
+                if worst <= FEAS_TOL {
+                    return Err(SolveError::Numerical(
+                        "unrepairable round-off violation".into(),
+                    ));
+                }
                 // Dual unbounded: the violated row cannot be repaired,
                 // not even with every exhausted candidate flipped to its
                 // other bound.
@@ -1282,9 +1278,11 @@ impl Revised {
     /// `0.01·FEAS_TOL` of **its** ratio — the window stays anchored
     /// there, not at a tie winner's own larger ratio (see the
     /// chained-tie regression test) — break toward the larger pivot.
-    /// `None` — committing no flips — means the row stays violated even
-    /// with every candidate flipped: the dual ray is unbounded over the
-    /// boxes, the node LP infeasible.
+    /// When every candidate is exhausted but the violation left over is
+    /// within `FEAS_TOL`, the last one enters instead of flipping.
+    /// `None` — committing no flips — means the row stays violated by
+    /// more than that even with every candidate flipped: the dual ray is
+    /// unbounded over the boxes, the node LP infeasible.
     fn dual_ratio_test(
         &self,
         alphas: &[f64],
@@ -1337,6 +1335,12 @@ impl Revised {
                 chosen = Some(i);
                 break;
             }
+        }
+        // Every candidate flipped with only round-off left over: that is
+        // no dual ray. The last flipped candidate enters instead.
+        if chosen.is_none() && remaining <= FEAS_TOL {
+            flips.pop();
+            chosen = Some(cands.len() - 1);
         }
         let ci = chosen?;
         let mut pick = ci;
@@ -1416,7 +1420,6 @@ impl Revised {
     /// time budget).
     pub fn rebuilt(&mut self, bf: &BoxedForm, opts: &SolverOptions) -> Revised {
         let mut fresh = Revised::new(bf, opts);
-        fresh.b.copy_from_slice(&self.b);
         fresh.lower.copy_from_slice(&self.lower);
         fresh.upper.copy_from_slice(&self.upper);
         fresh.iters = self.iters;
@@ -1621,26 +1624,6 @@ mod tests {
         let v1 = bf.sf.recover(&k.values());
         assert!(v1[0] <= 1.0 + 1e-7, "x = {}", v1[0]);
         assert!((v1[0] + v1[1] - 5.0).abs() < 1e-6, "{v1:?}");
-    }
-
-    #[test]
-    fn dual_reopt_tracks_rhs_tightening() {
-        // Same model, tightening the constraint row's rhs instead.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0);
-        let y = m.add_continuous("y", 0.0, 4.0);
-        m.set_objective(x + LinExpr::var(y));
-        let row = m.add_constraint(x + y, cmp::LE, 6.0);
-        let bf = BoxedForm::build(&m);
-        let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
-        let mut budget = opts.max_pivots;
-        k.solve_two_phase(&mut budget).unwrap();
-        k.set_rhs(row, 3.0);
-        k.dual_reopt(&mut budget).unwrap();
-        k.primal_opt(&mut budget).unwrap();
-        let v = bf.sf.recover(&k.values());
-        assert!((v[0] + v[1] - 3.0).abs() < 1e-6, "{v:?}");
     }
 
     #[test]
@@ -2014,6 +1997,33 @@ mod tests {
         assert!(
             k.dual_ratio_test(&alphas, &rc, false, 20.0).is_none(),
             "an inexhaustible violation is a dual ray"
+        );
+    }
+
+    /// **Round-off leftover regression**: when flipping every candidate
+    /// leaves only round-off of the violation (here 1e-9 of 10.6), the
+    /// row is repairable: the last candidate enters instead of flipping,
+    /// so a feasible node LP is not declared infeasible. A leftover
+    /// above `FEAS_TOL` is still a dual ray.
+    #[test]
+    fn dual_ratio_test_enters_the_last_candidate_on_a_round_off_leftover() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_continuous("x", 0.0, 0.3);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
+        let bf = BoxedForm::build(&m);
+        let k = Revised::new(&bf, &SolverOptions::default());
+        let alphas = vec![2.0, 1.0]; // |α|·span: 0.6 and 10
+        let rc = vec![0.1, 0.2];
+        let choice = k
+            .dual_ratio_test(&alphas, &rc, false, 10.6 + 1e-9)
+            .expect("a round-off leftover is no dual ray");
+        assert_eq!(choice.flips, vec![0]);
+        assert_eq!(choice.enter, 1);
+        assert!(
+            k.dual_ratio_test(&alphas, &rc, false, 10.6 + 1e-3)
+                .is_none(),
+            "a leftover above FEAS_TOL is a dual ray"
         );
     }
 

@@ -8,9 +8,9 @@
 //! bound cannot beat the incumbent, checks the budget (node cap, then
 //! the deadline), walks the kernel's boxes from the previously solved
 //! node to this one (undo to the lowest common ancestor, re-apply
-//! down), solves the node LP with lazy cut separation, and either
-//! accepts an integral leaf or pushes the two children, the nearer side
-//! on top so it is popped first.
+//! down), solves the node LP, and either accepts an integral leaf or
+//! pushes the two children, the nearer side on top so it is popped
+//! first.
 //!
 //! Bounds: the gap test runs whenever an incumbent improves, against
 //! the minimum bound over the open stack, i.e. over every unexplored
@@ -147,7 +147,7 @@ impl Search<'_> {
             }
             self.cur = open.node;
             let basis = open.basis.as_deref();
-            let mut relax = match self.backend.solve_node(self.opts, basis, &mut self.stats) {
+            let relax = match self.backend.solve_node(self.opts, basis, &mut self.stats) {
                 Ok(sol) => sol,
                 Err(SolveError::Infeasible) => continue, // bound slot stays NaN
                 Err(SolveError::IterationLimit) | Err(SolveError::Numerical(_)) => {
@@ -160,30 +160,7 @@ impl Search<'_> {
                 }
                 Err(e) => return Err(e),
             };
-            // Lazy cut separation: activate violated cuts and re-solve
-            // until the point is clean. The weaker pre-activation bound
-            // stays valid, so a failed re-solve simply keeps it;
-            // Infeasible closes the node (cuts hold for every integer
-            // point in this box).
-            let mut cut_closed = false;
-            if !self.backend.form.cut_rows.is_empty() {
-                for _ in 0..8 {
-                    let activated = self.backend.separate_cuts(&relax);
-                    if activated == 0 {
-                        break;
-                    }
-                    self.stats.cuts_activated += activated;
-                    match self.backend.solve_node(self.opts, basis, &mut self.stats) {
-                        Ok(sol) => relax = sol,
-                        Err(SolveError::Infeasible) => {
-                            cut_closed = true;
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            let pruned = cut_closed || self.signed(relax.objective) >= self.cutoff() - 1e-9;
+            let pruned = self.signed(relax.objective) >= self.cutoff() - 1e-9;
             // Children warm-start from this node's optimal basis —
             // snapshot before strong-branch probes perturb the kernel.
             let (my_basis, branch) = if pruned {
@@ -225,7 +202,6 @@ impl Search<'_> {
             }
         }
         self.backend.finish(&mut self.stats);
-        self.stats.cuts_added = self.backend.form.cut_rows.len();
         // Proven dual bound: the unexplored nodes, the dropped ones and
         // the incumbent. A completed search has neither open nor dropped
         // nodes, so the bound collapses to the incumbent objective; a
@@ -277,7 +253,6 @@ pub(crate) fn search(
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
     let mut kernel = Revised::new(&form, opts);
     kernel.set_deadline(deadline);
-    let cuts = form.cut_rows.len();
     let mut s = Search {
         model,
         opts,
@@ -295,7 +270,6 @@ pub(crate) fn search(
             form,
             int_maps,
             kernel,
-            active_cuts: vec![false; cuts],
         },
         pseudo: PseudoCosts::new(model.vars.len()),
         arena: vec![TreeNode::root()],

@@ -104,19 +104,6 @@ pub(crate) struct StandardForm {
     pub proven_infeasible: bool,
 }
 
-/// Where a lazily-activated [`crate::model::Cut`] landed in the
-/// standard form, with its activated right-hand side already lowered
-/// into scaled standard-form units.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CutRow {
-    /// Index into `Model::cuts`.
-    pub cut: usize,
-    /// Row index in the standard form.
-    pub row: usize,
-    /// Integer-valid rhs to install on activation (scaled like the row).
-    pub strong_b: f64,
-}
-
 /// The bounded-variable form: `min c·y, A·y = b, 0 ≤ y ≤ u` (upper
 /// bounds may be `+∞`; branch & bound later raises column lower bounds
 /// above 0 in place). Consumed by the revised kernel.
@@ -126,8 +113,6 @@ pub(crate) struct BoxedForm {
     /// Per-column upper bound (`+∞` for unbounded, slack and surplus
     /// columns), length `sf.ncols`.
     pub col_upper: Vec<f64>,
-    /// Lazily-activated cut rows (born with their weak rhs).
-    pub cut_rows: Vec<CutRow>,
 }
 
 impl BoxedForm {
@@ -246,39 +231,6 @@ impl StandardForm {
             });
         }
 
-        // Cut rows, born with the weak (LP-implied) rhs so the
-        // relaxation is identical in both forms and under every
-        // backend. The boxed form records where each cut landed plus
-        // its activated rhs (in the same scaled units as the row) so
-        // the warm-started backend can tighten rows in place on
-        // separation.
-        let mut cut_rows: Vec<CutRow> = Vec::new();
-        for (idx, cut) in model.cuts.iter().enumerate() {
-            let (mut row, shift) = lower_expr(&map, &cut.expr);
-            if row.is_empty() {
-                // A cut over fixed variables carries no search
-                // information; its weak form is LP-implied by
-                // construction, so it is safe to drop.
-                continue;
-            }
-            let scale = row
-                .iter()
-                .map(|&(_, c)| c.abs())
-                .fold(0.0f64, f64::max)
-                .max(1e-12);
-            for t in &mut row {
-                t.1 /= scale;
-            }
-            cut_rows.push(CutRow {
-                cut: idx,
-                row: rows.len(),
-                strong_b: (cut.rhs - shift) / scale,
-            });
-            rows.push(row);
-            rhs.push((cut.weak_rhs - shift) / scale);
-            aux.push(RowAux::Surplus(0));
-        }
-
         // Upper-bound rows (`y <= u - l`), already scaled (coeff 1) —
         // classic form only; the boxed form carries them on the columns.
         for (col, ub) in bound_rows {
@@ -316,7 +268,6 @@ impl StandardForm {
                 proven_infeasible,
             },
             col_upper,
-            cut_rows,
         }
     }
 

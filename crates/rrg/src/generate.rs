@@ -29,7 +29,7 @@ pub struct GeneratorParams {
     pub simple_nodes: usize,
     /// Number of early-evaluation nodes (`|N2|`); each needs in-degree ≥ 2.
     pub early_nodes: usize,
-    /// Total number of edges (`|E|`), at least `simple + early`.
+    /// Total number of edges (`|E|`), at least `simple + 2·early`.
     pub edges: usize,
     /// Probability that an edge starts with one token in one EB (paper:
     /// 0.25).
@@ -59,15 +59,18 @@ impl GeneratorParams {
     ///
     /// # Panics
     ///
-    /// Panics if `edges < simple_nodes + early_nodes` (a strongly
-    /// connected graph on `n` nodes needs at least `n` edges) or if fewer
-    /// than two nodes are requested.
+    /// Panics if `edges < simple_nodes + 2·early_nodes` (a strongly
+    /// connected graph on `n` nodes needs at least `n` edges, and every
+    /// early node one more input) or if fewer than two nodes are
+    /// requested.
     pub fn generate(&self, seed: u64) -> Rrg {
         let n = self.simple_nodes + self.early_nodes;
         assert!(n >= 2, "need at least two nodes");
+        let min_edges = n + self.early_nodes;
         assert!(
-            self.edges >= n,
-            "strong connectivity needs at least {n} edges, got {}",
+            self.edges >= min_edges,
+            "strong connectivity plus a second input per early node needs at least \
+             {min_edges} edges, got {}",
             self.edges
         );
         let mut rng = StdRng::seed_from_u64(seed);

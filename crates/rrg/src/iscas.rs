@@ -158,11 +158,13 @@ impl IscasProfile {
         GeneratorParams::paper_defaults(self.simple_nodes, self.early_nodes, self.edges)
     }
 
-    /// A proportionally scaled-down copy capped at `max_edges` edges (at
-    /// least 8), used to keep MILP solves tractable without CPLEX. Node
-    /// counts shrink by the same ratio; a profile already within the cap is
-    /// returned unchanged. The table binaries apply it through
-    /// `--max-edges`.
+    /// A proportionally scaled-down copy capped at `max_edges` edges, used
+    /// to keep MILP solves tractable without CPLEX. Node counts shrink by
+    /// the same ratio, keeping at least one simple and one early node; a
+    /// profile already within the cap is returned unchanged. The copy
+    /// always has at least `simple + 2·early` edges (the generator's
+    /// minimum), so a cap below that is exceeded. The table binaries
+    /// apply it through `--max-edges`.
     pub fn scaled(&self, max_edges: usize) -> IscasProfile {
         if self.edges <= max_edges {
             return *self;
@@ -177,8 +179,8 @@ impl IscasProfile {
         if edges < simple + early + early {
             simple = (edges.saturating_sub(2 * early)).max(1);
         }
-        if edges < simple + early {
-            edges = simple + early;
+        if edges < simple + 2 * early {
+            edges = simple + 2 * early;
         }
         IscasProfile {
             name: self.name,
@@ -244,5 +246,19 @@ mod tests {
         // Unscaled profiles pass through.
         let small = IscasProfile::by_name("s27").unwrap();
         assert_eq!(small.scaled(150), small);
+        // Every profile at every tiny cap generates a valid graph, one
+        // above the cap only where the cap is below `simple + 2·early`.
+        for p in TABLE2 {
+            for cap in 0..=10 {
+                let s = p.scaled(cap);
+                let floor = s.simple_nodes + 2 * s.early_nodes;
+                assert!(s.early_nodes >= 1, "{} at {cap}", p.name);
+                assert!(s.edges >= floor, "{} at {cap}: {s:?}", p.name);
+                assert!(s.edges <= cap.max(floor), "{} at {cap}: {s:?}", p.name);
+                let g = s.generate(2009);
+                check_generated(&g, &s.params())
+                    .unwrap_or_else(|e| panic!("{} at {cap}: {e}", p.name));
+            }
+        }
     }
 }

@@ -34,20 +34,23 @@ cargo test -q -p rr-milp --offline proptests
 
 # The search gate: one golden table pins the trajectory of the
 # single-threaded production search (objective, nodes, pivots, warm/cold
-# split, incumbent trace, cuts activated) on the ring MILP and MAX_THR
-# for bench20, bench40 and s27, and repeat solves replay the whole stats
-# struct bit for bit. Alongside it: the production search and the
-# Kernel::DenseTableau oracle request prove identical optima on the
-# Table-1 instances, mirrored/free integer fixtures solve warm and match
-# the dense oracle, the pseudo-cost search-strength facts hold,
-# truncation, gap termination and dual bounds (lost nodes included)
-# reach the reports, and source-level checks keep the deleted search
-# modes, pricing rules, rounding heuristic, retired option fields,
-# unused modules and threads out of the code. Fixed seeds and node caps
-# (no wall clocks), so failures reproduce exactly. Run in release: the
-# agreement checks solve every Table-1 instance twice. The named
-# trajectory pins in search_orders and backend_unification, and the
-# pricing checks in pricing_search, run in the cargo test step above.
+# split, incumbent trace) on the ring MILP and MAX_THR for bench20,
+# bench40 and s27, repeat solves replay the whole stats struct bit for
+# bit, and the Kernel::DenseTableau oracle request replays its own
+# trajectory on the ring and bench20. Alongside it: the production
+# search and the oracle request prove identical optima on the Table-1
+# instances and on four random graphs that exercise the round-off
+# verdicts of the warm dual simplex, mirrored/free integer fixtures
+# solve warm and match the dense oracle, the pseudo-cost
+# search-strength facts hold, truncation, gap termination and dual
+# bounds (lost nodes included) reach the reports, and source-level
+# checks keep the deleted search modes, pricing rules, rounding
+# heuristic, retired option fields, unused modules, lazy cut rows and
+# threads out of the code. Fixed seeds and node caps (no wall clocks),
+# so failures reproduce exactly. Run in release: the agreement checks
+# solve every instance twice. The named trajectory pins in
+# backend_unification and the pricing checks in pricing_search run in
+# the cargo test step above.
 echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
 cargo test -q --offline --release --test search_gate
 
@@ -74,8 +77,8 @@ cargo run --release -q -p rr-bench --bin table2 --offline -- \
 # The milp_scaling bench, the workspace's only bench target: the revised
 # kernel and the dense oracle must agree on every completed instance,
 # and the revised kernel must stay at least 2x faster on the largest
-# MAX_THR instance (60 edges). It panics on either failure. About 10 s,
-# most of it the oracle running into fast()'s node or time limit.
+# MAX_THR instance (60 edges). It panics on either failure. About 2 s
+# once built, most of it the oracle's cold nodes on that instance.
 echo "==> cargo bench milp_scaling (kernel speedup contract)"
 cargo bench --offline -p rr-bench --bench milp_scaling
 

@@ -1,12 +1,12 @@
-//! Fixtures shared by the branch & bound test files.
+//! The ring fixture of `backend_unification`.
 
 use rr_milp::{cmp, LinExpr, Model, Sense};
 
 /// The ring-difference golden instance: difference constraints over a
-/// ring plus coupling knapsack rows, the model of the ring row in the
-/// `search_gate` golden table. The ring pins in `search_orders` and
-/// `backend_unification` hold for exactly this model, so change it only
-/// together with them.
+/// ring plus coupling knapsack rows, the same model as the ring row in
+/// the `search_gate` golden table. The ring pin in
+/// `backend_unification` holds for exactly this model, so change it
+/// only together with that pin.
 pub fn ring_difference_milp(n: usize, rows: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
     let vars: Vec<_> = (0..n)

@@ -4,27 +4,31 @@
 //! * **Golden table** — with a node cap and no wall clock the search
 //!   is deterministic, so one table pins its trajectory on default
 //!   options (pseudo-cost branching, the one pricing rule,
-//!   Forrest–Tomlin updates, DFS, cycle-sum cuts, no rounding
-//!   heuristic): objective, nodes, pivots, warm/cold split, incumbent
-//!   trace and cuts activated, on the ring MILP and on `MAX_THR` for
+//!   Forrest–Tomlin updates, DFS, no rounding heuristic): objective,
+//!   nodes, pivots, warm/cold split and incumbent trace, on the ring
+//!   MILP and on `MAX_THR` (cycle-sum cuts as ordinary rows) for
 //!   bench20, bench40 and s27. A repeated solve replays the whole stats
-//!   struct bit for bit, completed and truncated.
+//!   struct bit for bit, completed and truncated, and the
+//!   `Kernel::DenseTableau` oracle request replays its own trajectory on
+//!   the ring and bench20 instances.
 //! * **Search strength** — the bench20, s27 and bench40 rows restated
 //!   as the pseudo-cost facts they stand for: reliability probes and
-//!   pseudo-cost updates run, cycle-sum cuts fire, no incumbent sits on
-//!   the plateau of the deleted most-fractional rule.
+//!   pseudo-cost updates run, no incumbent sits on the plateau of the
+//!   deleted most-fractional rule.
 //! * **Agreement** — the production search proves the optima of the
-//!   `Kernel::DenseTableau` oracle request on the Table-1 instances;
-//!   mirrored and free integer fixtures solve warm and match the dense
-//!   oracle.
+//!   `Kernel::DenseTableau` oracle request on the Table-1 instances and
+//!   on four random graphs that exercise the round-off verdicts of the
+//!   warm dual simplex; mirrored and free integer fixtures solve warm
+//!   and match the dense oracle.
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
 //!   the true gap, before the first dive ends; a truncated run reports
 //!   a valid dual bound above the root LP bound, and a node lost to an
 //!   LP failure keeps its bound in the dual bound.
 //! * **Source** — deleted search modes, pricing rules, the rounding
-//!   heuristic, the retired solver knobs, the unused modules and the
-//!   threaded search stay deleted, rr-milp uses no lock, atomic or
-//!   thread, and no model is cloned inside the node loop.
+//!   heuristic, the retired solver knobs, the unused modules, the
+//!   threaded search and the lazy cut rows stay deleted, rr-milp uses no
+//!   lock, atomic or thread, and no model is cloned inside the node
+//!   loop.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -36,11 +40,12 @@ use rr_milp::{
     cmp, solve_with_stats, BranchBoundStats, Kernel, LinExpr, Model, Sense, SolverOptions, Status,
 };
 use rr_rrg::figures;
+use rr_rrg::generate::GeneratorParams;
 use rr_rrg::iscas::IscasProfile;
 use rr_rrg::Rrg;
 
 /// Production options for the formulation instances: default solver
-/// options (exact gap, no wall clock) under a node cap, cuts on.
+/// options (exact gap, no wall clock) under a node cap.
 fn capped(max_nodes: usize) -> CoreOptions {
     CoreOptions {
         solver: SolverOptions {
@@ -93,9 +98,6 @@ fn scaled_20(name: &str) -> Rrg {
 /// The proven `MAX_THR` optimum of s344 at 20 edges.
 const S344_20_OPTIMUM: f64 = 7.032_698_912_644_731;
 
-/// The proven `MAX_THR` optimum of s400 at 20 edges.
-const S400_20_OPTIMUM: f64 = 1.769_811_861_725_364_9;
-
 /// One observed trajectory: everything a golden row pins.
 #[derive(Debug)]
 struct Row {
@@ -104,7 +106,6 @@ struct Row {
     pivots: usize,
     warm: usize,
     cold: usize,
-    cuts_activated: usize,
     truncated: bool,
     trace: Vec<(usize, f64)>,
 }
@@ -117,7 +118,6 @@ impl Row {
             pivots: s.simplex_iters,
             warm: s.warm_solves,
             cold: s.cold_solves,
-            cuts_activated: s.cuts_activated,
             truncated: s.truncated,
             trace: s.incumbent_trace.clone(),
         }
@@ -126,21 +126,20 @@ impl Row {
     /// Counts and flags match exactly; objectives within 1e-9 relative.
     fn matches(&self, g: &Golden) -> bool {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        let (_, objective, nodes, pivots, warm, cold, cuts, truncated, trace) = *g;
+        let (_, objective, nodes, pivots, warm, cold, truncated, trace) = *g;
         close(self.objective, objective)
             && (self.nodes, self.pivots, self.warm, self.cold) == (nodes, pivots, warm, cold)
-            && (self.cuts_activated, self.truncated) == (cuts, truncated)
+            && self.truncated == truncated
             && self.trace.len() == trace.len()
             && (self.trace.iter().zip(trace)).all(|(&(n, o), &(gn, go))| n == gn && close(o, go))
     }
 }
 
-/// Name, objective, nodes, pivots, warm solves, cold solves, cuts
-/// activated, truncated, incumbent trace `(node, objective)`.
+/// Name, objective, nodes, pivots, warm solves, cold solves,
+/// truncated, incumbent trace `(node, objective)`.
 type Golden = (
     &'static str,
     f64,
-    usize,
     usize,
     usize,
     usize,
@@ -153,11 +152,11 @@ type Golden = (
 /// that justify the trajectory change (`table2 --max-edges 20`).
 #[rustfmt::skip]
 const GOLDEN: [Golden; 4] = [
-    // name, objective, nodes, pivots, warm, cold, cuts, truncated, incumbent trace
-    ("ring", 50.0, 175, 717, 174, 1, 0, false, &[(71, 50.0)]),
-    ("bench20", 6.497_501_818_546_008_5, 11, 181, 10, 1, 0, false, &[(0, 6.497_501_818_546_008_5)]),
-    ("bench40", 3.0, 1, 141, 0, 1, 0, false, &[(0, 3.0)]),
-    ("s27", 3.0, 25, 651, 24, 2, 3, false, &[(0, 3.0)]),
+    // name, objective, nodes, pivots, warm, cold, truncated, incumbent trace
+    ("ring", 50.0, 161, 698, 160, 1, false, &[(67, 50.0)]),
+    ("bench20", 6.497_501_818_546_008_5, 11, 181, 10, 1, false, &[(0, 6.497_501_818_546_008_5)]),
+    ("bench40", 3.0, 1, 141, 0, 1, false, &[(0, 3.0)]),
+    ("s27", 3.0, 42, 745, 41, 1, false, &[(0, 3.191_044_062_831_587_3), (15, 3.0)]),
 ];
 
 /// Node cap of the formulation rows in the golden table.
@@ -205,7 +204,7 @@ fn golden_table_pins_the_one_worker_trajectories() {
 
 /// bench20 `MAX_THR`: proven in 11 nodes, reliability probes and
 /// pseudo-cost updates at work, and a dual bound that meets the
-/// incumbent. It activates no cycle-sum cut; s27 carries that fact.
+/// incumbent.
 #[test]
 fn bench20_pseudo_cost_golden() {
     let g = bench_instance(20);
@@ -217,12 +216,8 @@ fn bench20_pseudo_cost_golden() {
         out.objective
     );
     let s = &out.stats;
-    // nodes, pivots, cuts activated
-    assert_eq!(
-        (s.nodes, s.simplex_iters, s.cuts_activated),
-        (11, 181, 0),
-        "golden drifted"
-    );
+    // nodes, pivots
+    assert_eq!((s.nodes, s.simplex_iters), (11, 181), "golden drifted");
     assert!(s.strong_branches > 0, "reliability probes never ran");
     assert!(s.pseudo_updates > 0, "pseudo-costs never learned");
     assert!(
@@ -234,9 +229,9 @@ fn bench20_pseudo_cost_golden() {
 }
 
 /// s27 `MAX_THR`: no incumbent ever sits on the ξ = 4.0 plateau on which
-/// the deleted most-fractional rule parked. The warm-start hint already
-/// holds ξ = 3.0, and the search proves it optimal in 25 nodes with
-/// three cycle-sum cuts activated.
+/// the deleted most-fractional rule parked. The warm-start hint holds
+/// ξ ≈ 3.19, and the search finds ξ = 3.0 at node 15 and proves it
+/// optimal in 42 nodes.
 #[test]
 fn s27_pseudo_cost_escapes_the_most_fractional_plateau() {
     let g = s27();
@@ -244,8 +239,7 @@ fn s27_pseudo_cost_escapes_the_most_fractional_plateau() {
     assert!(out.proven_optimal);
     assert!((out.objective - 3.0).abs() < 1e-6, "obj {}", out.objective);
     let s = &out.stats;
-    assert_eq!(s.nodes, 25, "node-count golden drifted");
-    assert!(s.cuts_activated > 0, "no cycle-sum cut ever fired");
+    assert_eq!(s.nodes, 42, "node-count golden drifted");
     assert!(
         s.incumbent_trace.iter().all(|&(_, obj)| obj < 4.0 - 1e-6),
         "an incumbent sat on the plateau: trace {:?}",
@@ -266,14 +260,15 @@ fn bench40_pseudo_cost_completes_under_the_cap_1000_budget() {
 
 /// The production search and the `Kernel::DenseTableau` oracle request
 /// (dense LU, product-form updates, cold nodes, incumbent re-checked on
-/// the tableau) prove identical optima on every Table-1 instance.
+/// the tableau) prove identical optima on every Table-1 instance and on
+/// the random-graph regressions of [`oracle_instances`].
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
-    let failures = on_table1_instances(|g, problem| {
-        let production = solve(g, problem, &capped(20_000))?;
+    let failures = on_table1_instances(|g, problem, param| {
+        let production = solve(g, problem, param, &capped(20_000))?;
         let mut oracle_opts = capped(20_000);
         oracle_opts.solver.kernel = Kernel::DenseTableau;
-        let oracle = solve(g, problem, &oracle_opts)?;
+        let oracle = solve(g, problem, param, &oracle_opts)?;
         agree("production", &production, "dense oracle", &oracle)
     });
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -310,6 +305,81 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
     let (again, again_stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
     assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
     assert_stats_identical(again_stats, stats);
+}
+
+/// The oracle configuration: the `Kernel::DenseTableau` request (dense
+/// LU, product-form updates, cold nodes) under a node cap.
+fn oracle(max_nodes: usize) -> SolverOptions {
+    SolverOptions {
+        max_nodes,
+        kernel: Kernel::DenseTableau,
+        ..SolverOptions::default()
+    }
+}
+
+/// Nodes, pivots and incumbent trace: what an oracle replay must
+/// reproduce.
+fn trajectory(s: &BranchBoundStats) -> (usize, usize, Vec<(usize, f64)>) {
+    (s.nodes, s.simplex_iters, s.incumbent_trace.clone())
+}
+
+/// The ring row of the golden table on the production search
+/// (depth-first, the only order), and the `Kernel::DenseTableau` oracle
+/// request reaching the same optimum with every node cold and replaying
+/// its own trajectory bit for bit. The name dates from the search-core
+/// refactor this pin first guarded.
+#[test]
+fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
+    let got = observe("ring");
+    let ring = golden("ring");
+    assert!(got.matches(ring), "observed {got:?}\n  golden {ring:?}");
+    let m = ring_difference_milp(12, 6);
+    let (a, sa) = solve_with_stats(&m, &oracle(20_000)).unwrap();
+    let (b, sb) = solve_with_stats(&m, &oracle(20_000)).unwrap();
+    assert_eq!(a.status, Status::Optimal);
+    assert!(
+        (a.objective - ring.1).abs() < 1e-12,
+        "oracle obj {}",
+        a.objective
+    );
+    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    assert_eq!(sa.warm_solves, 0, "oracle nodes must solve cold");
+    assert_eq!(trajectory(&sa), trajectory(&sb), "oracle replay diverged");
+}
+
+/// The bench20 row of the golden table (one incumbent, seeded by the
+/// warm-start hint before any node), and the oracle request with the 2%
+/// gap of `fast()` reaching the same optimum and replaying its own
+/// trajectory bit for bit.
+#[test]
+fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
+    let got = observe("bench20");
+    let bench20 = golden("bench20");
+    assert!(
+        got.matches(bench20),
+        "observed {got:?}\n  golden {bench20:?}"
+    );
+    let g = bench_instance(20);
+    let opts = CoreOptions {
+        solver: SolverOptions {
+            gap_tol: 0.02,
+            ..oracle(2000)
+        },
+        ..CoreOptions::fast()
+    };
+    let a = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
+    let b = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
+    assert!(
+        (a.objective - bench20.1).abs() < 1e-8,
+        "oracle obj {}",
+        a.objective
+    );
+    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    assert_eq!(
+        trajectory(&a.stats),
+        trajectory(&b.stats),
+        "oracle replay diverged"
+    );
 }
 
 /// A truncated `MAX_THR` run on s344 at 20 edges replays bit for bit:
@@ -506,13 +576,13 @@ fn gap_tolerance_fires_during_the_first_episode() {
 /// A *truncated* run reports the global open-node minimum — a bound
 /// that is at least the root LP bound, never above the true optimum,
 /// and strictly tighter than the root once the frontier has climbed. On
-/// s400 at 20 edges the 40-node cap stops the depth-first search with
-/// the dual bound at 1.61 against the root's 1.54 and the optimum's
-/// 1.77.
+/// s344 at 20 edges the 100-node cap stops the depth-first search with
+/// the dual bound at 6.89 against the root's 5.94 and the optimum's
+/// 7.03.
 #[test]
 fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
-    let g = scaled_20("s400");
-    let out = formulation::max_thr(&g, g.max_delay(), &capped(40)).unwrap();
+    let g = scaled_20("s344");
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(100)).unwrap();
     assert!(
         out.stats.truncated,
         "completed in {} nodes",
@@ -523,7 +593,7 @@ fn truncated_best_bound_reports_a_valid_dual_bound_above_the_root() {
     assert!(dual.is_finite());
     assert!(dual >= root - 1e-9, "dual {dual} below root {root}");
     assert!(
-        dual <= S400_20_OPTIMUM + 1e-6,
+        dual <= S344_20_OPTIMUM + 1e-6,
         "dual {dual} overshoots the optimum"
     );
     assert!(
@@ -562,19 +632,20 @@ fn lost_nodes_keep_their_bound_in_the_dual_bound() {
 
 /// Source-level assertions that the deleted search modes, pricing rules,
 /// the rounding heuristic, the retired solver, core and Markov knobs,
-/// the unused modules, the threaded search and the `--workers` flag
-/// stay deleted — their identifiers survive only in comment lines
-/// anywhere under `crates/` and `examples/` — that no non-comment line
-/// under `crates/milp/src` names `std::sync` or `std::thread`, and that
-/// no model is cloned inside the node loop: `model.clone()` appears
-/// exactly once in `branch_bound.rs` (the whole-solve cross-validation
-/// pin, after the search returns) and never in `search.rs`.
+/// the unused modules, the threaded search, the `--workers` flag and
+/// the lazily activated cut rows stay deleted — their identifiers
+/// survive only in comment lines anywhere under `crates/` and
+/// `examples/` — that no non-comment line under `crates/milp/src`
+/// names `std::sync` or `std::thread`, and that no model is cloned
+/// inside the node loop: `model.clone()` appears exactly once in
+/// `branch_bound.rs` (the whole-solve cross-validation pin, after the
+/// search returns) and never in `search.rs`.
 ///
-/// The retired tolerances, the reliability threshold and the cut switch
-/// live on as names elsewhere (the crate-private `INT_TOL`-style consts,
-/// the `int_tol` parameter of `Model::max_violation`, `Model::cuts`), so
-/// only their field accesses and the old `CoreOptions` literals are
-/// patterns here.
+/// The retired tolerances and the reliability threshold live on as
+/// names elsewhere (the crate-private `INT_TOL`-style consts, the
+/// `int_tol` parameter of `Model::max_violation`), so only their field
+/// accesses and the old `CoreOptions` cut-switch literals are patterns
+/// here.
 #[test]
 fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
     let deleted = [
@@ -621,6 +692,13 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "apply_cut",
         "Condvar",
         "\"--workers\"",
+        "add_cut",
+        "CutRow",
+        "cut_rows",
+        "active_cuts",
+        "separate_cuts",
+        "set_rhs",
+        "weak_rhs",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
@@ -666,36 +744,80 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
     );
 }
 
+/// Random graphs whose feasible node LPs a round-off verdict of the
+/// warm dual simplex can declare infeasible — a long-step ratio test
+/// that flips every candidate over a round-off leftover, or a round-off
+/// violation without an entering candidate — each with the problem and
+/// the x or τ that exposes it. The oracle proves 32.7358, 29.1360,
+/// 21.6982 and 1.4643.
+fn oracle_instances() -> Vec<(String, Rrg, &'static str, f64)> {
+    let graph = |ns, ne, edges, seed| GeneratorParams::paper_defaults(ns, ne, edges).generate(seed);
+    let last = graph(6, 2, 12, 6_652_426_207_296_374_060);
+    let tau = (last.max_delay() + rr_rrg::cycle_time::cycle_time(&last).unwrap()) / 2.0;
+    vec![
+        (
+            "random(5,0,8)".into(),
+            graph(5, 0, 8, 10_809_252_245_400_807_478),
+            "min_cyc",
+            1.0,
+        ),
+        (
+            "random(4,2,8)".into(),
+            graph(4, 2, 8, 3_777_512_514_397_210_422),
+            "min_cyc",
+            1.6,
+        ),
+        (
+            "random(6,1,11)".into(),
+            graph(6, 1, 11, 15_215_625_091_782_679_862),
+            "min_cyc",
+            1.3,
+        ),
+        ("random(6,2,12)".into(), last, "max_thr", tau),
+    ]
+}
+
 /// Runs `check` on every Table-1 instance — the paper figures ×
 /// {`MAX_THR` at the min-delay cycle time, `MIN_CYC(1)`} plus the bench
-/// instances (`MIN_CYC(1)`) — four at a time, and collects every failure.
-fn on_table1_instances(check: impl Fn(&Rrg, &str) -> Result<(), String> + Sync) -> Vec<String> {
-    let mut jobs: Vec<(String, Rrg, &str)> = Vec::new();
+/// instances (`MIN_CYC(1)`) — and on [`oracle_instances`], four at a
+/// time, and collects every failure. `check` receives the problem and
+/// its x or τ.
+fn on_table1_instances(
+    check: impl Fn(&Rrg, &str, f64) -> Result<(), String> + Sync,
+) -> Vec<String> {
+    let mut jobs: Vec<(String, Rrg, &str, f64)> = Vec::new();
     for (name, g) in [
         ("figure_1a(0.5)", figures::figure_1a(0.5)),
         ("figure_1a(0.9)", figures::figure_1a(0.9)),
         ("figure_1b(0.5)", figures::figure_1b(0.5)),
         ("figure_2(0.7)", figures::figure_2(0.7)),
     ] {
-        for problem in ["max_thr", "min_cyc"] {
-            jobs.push((name.to_string(), g.clone(), problem));
-        }
+        let tau = g.max_delay();
+        jobs.push((name.to_string(), g.clone(), "max_thr", tau));
+        jobs.push((name.to_string(), g, "min_cyc", 1.0));
     }
     for edges in [20usize, 40] {
-        jobs.push((format!("bench{edges}"), bench_instance(edges), "min_cyc"));
+        jobs.push((
+            format!("bench{edges}"),
+            bench_instance(edges),
+            "min_cyc",
+            1.0,
+        ));
     }
-    parallel_map_bounded(4, jobs, |(name, g, problem)| {
-        check(&g, problem).map_err(|e| format!("{name}/{problem}: {e}"))
+    jobs.extend(oracle_instances());
+    parallel_map_bounded(4, jobs, |(name, g, problem, param)| {
+        check(&g, problem, param).map_err(|e| format!("{name}/{problem}({param}): {e}"))
     })
     .into_iter()
     .filter_map(Result::err)
     .collect()
 }
 
-fn solve(g: &Rrg, problem: &str, opts: &CoreOptions) -> Result<OptOutcome, String> {
+/// `MAX_THR(param)` or `MIN_CYC(param)`.
+fn solve(g: &Rrg, problem: &str, param: f64, opts: &CoreOptions) -> Result<OptOutcome, String> {
     match problem {
-        "max_thr" => formulation::max_thr(g, g.max_delay(), opts),
-        _ => formulation::min_cyc(g, 1.0, opts),
+        "max_thr" => formulation::max_thr(g, param, opts),
+        _ => formulation::min_cyc(g, param, opts),
     }
     .map_err(|e| e.to_string())
 }
