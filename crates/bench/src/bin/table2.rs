@@ -83,6 +83,7 @@ fn main() {
     let total = results.len();
     let mut table = Table2::default();
     let mut proven: Vec<&str> = Vec::new();
+    let mut failed: Vec<&str> = Vec::new();
     for (name, scaled, edges, wall_ms, res) in results {
         match res {
             Ok((row, table1)) => {
@@ -103,7 +104,10 @@ fn main() {
                 );
                 table.rows.push(row);
             }
-            Err(e) => eprintln!("{name}: {edges} edges, failed after {wall_ms:.0} ms: {e}"),
+            Err(e) => {
+                eprintln!("{name}: {edges} edges, failed after {wall_ms:.0} ms: {e}");
+                failed.push(name);
+            }
         }
     }
     println!();
@@ -129,6 +133,15 @@ fn main() {
             lost.len(),
             lost.join(", ")
         );
+    }
+    if !failed.is_empty() {
+        eprintln!(
+            "error: {} circuit(s) failed: {}",
+            failed.len(),
+            failed.join(", ")
+        );
+    }
+    if !lost.is_empty() || !failed.is_empty() {
         std::process::exit(1);
     }
 }

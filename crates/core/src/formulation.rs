@@ -100,13 +100,14 @@ impl OptOutcome {
     }
 }
 
-/// Whether a model parameter is an optimization variable or a constant.
+/// Which of the two MILPs to build, with its fixed parameter; the other
+/// parameter is the variable the model minimises.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Mode {
-    /// The parameter is fixed to this value.
-    Const(f64),
-    /// The parameter is a decision variable (and the objective).
-    Variable,
+pub(crate) enum Problem {
+    /// `MIN_CYC(x)`: x fixed, τ minimised.
+    MinCyc { x: f64 },
+    /// `MAX_THR(τ)`: τ fixed, x = 1/Θ_lp minimised.
+    MaxThr { tau: f64 },
 }
 
 /// A built model with its variable handles.
@@ -114,14 +115,11 @@ pub(crate) struct Built {
     pub(crate) model: Model,
     pub(crate) r: Vec<VarId>,
     pub(crate) buf: Vec<VarId>,
-    /// τ handle when variable.
-    pub(crate) tau: Option<VarId>,
-    /// x handle when variable.
-    pub(crate) x: Option<VarId>,
+    /// The minimised variable: τ for `MIN_CYC`, x for `MAX_THR`.
+    pub(crate) objective: VarId,
 }
 
-/// Builds the shared constraint body. Exactly one of `tau`/`x` should be
-/// [`Mode::Variable`]; that variable becomes the minimization objective.
+/// Builds the shared constraint body of `problem`.
 ///
 /// `big_m` bounds every departure time `arr(u) + β(u)` of an admissible
 /// configuration, and is the M of the path rows
@@ -133,51 +131,38 @@ pub(crate) struct Built {
 /// configuration the model admits. The smaller M is, the less a
 /// fractional buffer cuts a path in the LP relaxation.
 ///
-/// With free buffers, `R'(e) ≥ 1` on every edge `u→v` with
-/// `β(u) + β(v) > big_m`: `R'(e) = 0` puts both nodes on one
-/// combinational path, which departs `v` no earlier than `β(u) + β(v)`.
+/// `R'(e) ≥ 1` on every edge `u→v` with `β(u) + β(v) > big_m`:
+/// `R'(e) = 0` puts both nodes on one combinational path, which departs
+/// `v` no earlier than `β(u) + β(v)`.
 ///
-/// `fix_buffers` freezes `R'` to a given assignment (used for the
-/// fixed-configuration cross-check against the direct LP bound; the
-/// retiming link is dropped since tokens influence nothing else).
-///
-/// Retiming cycle-sum cuts are added when τ is a constant and buffers
-/// are free: any configuration with cycle time ≤ τ places at least
-/// `⌈D(C)/τ⌉` buffers on every cycle `C` (delay sum `D(C)`), while the
-/// LP relaxation only implies the token sum of the retiming link rows.
+/// `MAX_THR` carries the retiming cycle-sum cuts: any configuration
+/// with cycle time ≤ τ places at least `⌈D(C)/τ⌉` buffers on every
+/// cycle `C` (delay sum `D(C)`), while the LP relaxation only implies
+/// the token sum of the retiming link rows.
 /// Each cut is an ordinary `Σ_{e∈C} R'(e) ≥ ⌈D(C)/τ⌉` row over a
 /// fundamental cycle, added only where the ceiling exceeds the token
 /// sum.
-pub(crate) fn build(
-    g: &Rrg,
-    tau_mode: Mode,
-    x_mode: Mode,
-    big_m: f64,
-    fix_buffers: Option<&[i64]>,
-) -> Built {
+pub(crate) fn build(g: &Rrg, problem: Problem, big_m: f64) -> Built {
     let bounds = bounds_of(g);
     let skeleton = TgmgSkeleton::of(g);
     let mut m = Model::new(Sense::Minimize);
 
-    let (tau_var, tau_param): (Option<VarId>, LinExpr) = match tau_mode {
-        Mode::Const(c) => (None, LinExpr::constant(c)),
-        Mode::Variable => {
+    // The objective variable, the τ of the departure rows, and the
+    // x-scaled token terms of the throughput rows.
+    type Scaled = Box<dyn Fn(f64) -> LinExpr>;
+    let (objective, tau_param, x_scaled): (VarId, LinExpr, Scaled) = match problem {
+        Problem::MinCyc { x } => {
             let v = m.add_continuous("tau", g.max_delay(), big_m);
-            (Some(v), LinExpr::var(v))
+            let scaled: Scaled = Box::new(move |k: f64| LinExpr::constant(k * x));
+            (v, LinExpr::var(v), scaled)
         }
-    };
-    let (x_var, x_scaled): (Option<VarId>, Box<dyn Fn(f64) -> LinExpr>) = match x_mode {
-        Mode::Const(c) => (None, Box::new(move |k: f64| LinExpr::constant(k * c))),
-        Mode::Variable => {
+        Problem::MaxThr { tau } => {
             let v = m.add_continuous("x", 1.0, bounds.max_x);
-            (Some(v), Box::new(move |k: f64| LinExpr::term(v, k)))
+            let scaled: Scaled = Box::new(move |k: f64| LinExpr::term(v, k));
+            (v, LinExpr::constant(tau), scaled)
         }
     };
-    match (tau_var, x_var) {
-        (Some(t), None) => m.set_objective(LinExpr::var(t)),
-        (None, Some(x)) => m.set_objective(LinExpr::var(x)),
-        _ => panic!("exactly one of tau/x must be the objective variable"),
-    }
+    m.set_objective(LinExpr::var(objective));
 
     // --- configuration variables ------------------------------------
     let r: Vec<VarId> = g
@@ -194,7 +179,7 @@ pub(crate) fn build(
         .edges()
         .map(|(id, e)| {
             let span = g.node(e.source()).delay() + g.node(e.target()).delay();
-            let forced = fix_buffers.is_none() && span > big_m + 1e-9;
+            let forced = span > big_m + 1e-9;
             let lower = if forced { 1.0 } else { 0.0 };
             m.add_integer(
                 format!("R_{}", id.index()),
@@ -211,23 +196,13 @@ pub(crate) fn build(
         m.set_priority(b, 1);
     }
 
-    if let Some(fixed) = fix_buffers {
-        for (i, &b) in fixed.iter().enumerate() {
-            m.fix_var(buf[i], b as f64);
-        }
-        for &rv in &r {
-            m.fix_var(rv, 0.0);
-        }
-    } else {
-        if !r.is_empty() {
-            m.fix_var(r[0], 0.0); // break the uniform-shift symmetry
-        }
-        // R'(e) ≥ R0(e) + r(v) − r(u)  — Definition 2.7.
-        for (id, e) in g.edges() {
-            let expr =
-                LinExpr::var(buf[id.index()]) - r[e.target().index()] + r[e.source().index()];
-            m.add_constraint(expr, cmp::GE, e.tokens() as f64);
-        }
+    if !r.is_empty() {
+        m.fix_var(r[0], 0.0); // break the uniform-shift symmetry
+    }
+    // R'(e) ≥ R0(e) + r(v) − r(u)  — Definition 2.7.
+    for (id, e) in g.edges() {
+        let expr = LinExpr::var(buf[id.index()]) - r[e.target().index()] + r[e.source().index()];
+        m.add_constraint(expr, cmp::GE, e.tokens() as f64);
     }
 
     // --- path constraints (Lemma 2.1, node-arrival form) -------------
@@ -305,26 +280,24 @@ pub(crate) fn build(
         }
     }
 
-    // --- cycle-sum cuts (MAX_THR only: τ constant, buffers free) ------
-    if fix_buffers.is_none() {
-        if let (Mode::Const(tau), _) = (tau_mode, x_mode) {
-            if tau > 1e-12 {
-                for cycle in rr_rrg::algo::fundamental_cycles(g, 2 * g.num_edges()) {
-                    let delay: f64 = cycle
-                        .iter()
-                        .map(|&e| g.node(g.edge(e).source()).delay())
-                        .sum();
-                    let tokens: f64 = cycle.iter().map(|&e| g.edge(e).tokens() as f64).sum();
-                    let need = (delay / tau - 1e-9).ceil();
-                    if need <= tokens + 0.5 {
-                        continue; // the LP-implied token sum already covers it
-                    }
-                    let mut expr = LinExpr::new();
-                    for &e in &cycle {
-                        expr += LinExpr::var(buf[e.index()]);
-                    }
-                    m.add_constraint(expr, cmp::GE, need);
+    // --- cycle-sum cuts (MAX_THR only: τ constant) -------------------
+    if let Problem::MaxThr { tau } = problem {
+        if tau > 1e-12 {
+            for cycle in rr_rrg::algo::fundamental_cycles(g, 2 * g.num_edges()) {
+                let delay: f64 = cycle
+                    .iter()
+                    .map(|&e| g.node(g.edge(e).source()).delay())
+                    .sum();
+                let tokens: f64 = cycle.iter().map(|&e| g.edge(e).tokens() as f64).sum();
+                let need = (delay / tau - 1e-9).ceil();
+                if need <= tokens + 0.5 {
+                    continue; // the LP-implied token sum already covers it
                 }
+                let mut expr = LinExpr::new();
+                for &e in &cycle {
+                    expr += LinExpr::var(buf[e.index()]);
+                }
+                m.add_constraint(expr, cmp::GE, need);
             }
         }
     }
@@ -333,30 +306,22 @@ pub(crate) fn build(
         model: m,
         r,
         buf,
-        tau: tau_var,
-        x: x_var,
+        objective,
     }
 }
 
-/// What the warm-start heuristic must preserve.
-enum Repair {
-    /// `MIN_CYC`: the configuration must reach Θ_lp ≥ 1/x (τ is free).
-    Throughput { x: f64 },
-    /// `MAX_THR`: the configuration must meet cycle time ≤ τ (Θ is free).
-    Timing { tau: f64 },
-}
-
 /// Builds a warm-start hint from the LP relaxation: round the retiming,
-/// derive legal buffers, then repair the violated side —
+/// derive legal buffers, then repair the side `problem` fixes —
 ///
-/// * throughput violations fall back to the bubble-free configuration of
-///   the rounded retiming (Θ_lp = 1 by construction);
-/// * timing violations are repaired greedily by dropping a bubble on the
-///   middle of the critical path until τ is met.
+/// * `MIN_CYC(x)`: a configuration short of Θ_lp ≥ 1/x falls back to
+///   the bubble-free configuration of the rounded retiming (Θ_lp = 1 by
+///   construction);
+/// * `MAX_THR(τ)`: a cycle time above τ is repaired greedily by dropping
+///   a bubble on the middle of the critical path until τ is met.
 ///
 /// Returns `(hint pairs, none-on-failure)`; failures only mean "no warm
 /// start", never wrong answers (branch & bound verifies feasibility).
-fn warm_start(g: &Rrg, built: &Built, repair: Repair, opts: &CoreOptions) -> Vec<(VarId, f64)> {
+fn warm_start(g: &Rrg, built: &Built, problem: Problem, opts: &CoreOptions) -> Vec<(VarId, f64)> {
     // If the relaxation itself fails, fall back to the identity retiming
     // (the input graph's own configuration is always legal).
     let relax = built.model.solve_relaxation(&opts.solver).ok();
@@ -379,14 +344,14 @@ fn warm_start(g: &Rrg, built: &Built, repair: Repair, opts: &CoreOptions) -> Vec
         })
         .collect();
 
-    match repair {
-        Repair::Throughput { x } => {
+    match problem {
+        Problem::MinCyc { x } => {
             if !reaches_throughput(g, &tokens, &buffers, x) {
                 // Bubble-free fallback: every EB holds a token → Θ_lp = 1.
                 buffers = tokens.iter().map(|&t| t.max(0)).collect();
             }
         }
-        Repair::Timing { tau } => {
+        Problem::MaxThr { tau } => {
             let cap = 4 * g.num_edges() + 16;
             for _ in 0..cap {
                 let Ok(cp) = rr_rrg::cycle_time::critical_path_with(g, &buffers) else {
@@ -452,28 +417,21 @@ fn extract(g: &Rrg, built: &Built, sol: &Solution) -> Result<Config, OptError> {
     Ok(cfg)
 }
 
-/// Builds, warm-starts and solves one `MIN_CYC` or `MAX_THR` model whose
-/// path rows use `big_m` (see [`build`]).
+/// Builds, warm-starts and solves `problem` with path rows that use
+/// `big_m` (see [`build`]).
 pub(crate) fn solve(
     g: &Rrg,
-    tau_mode: Mode,
-    x_mode: Mode,
+    problem: Problem,
     big_m: f64,
     opts: &CoreOptions,
 ) -> Result<OptOutcome, OptError> {
-    let built = build(g, tau_mode, x_mode, big_m, None);
-    let repair = match (tau_mode, x_mode) {
-        (Mode::Variable, Mode::Const(x)) => Repair::Throughput { x },
-        (Mode::Const(tau), Mode::Variable) => Repair::Timing { tau },
-        _ => unreachable!("build accepts exactly one objective variable"),
-    };
-    let hint = warm_start(g, &built, repair, opts);
+    let built = build(g, problem, big_m);
+    let hint = warm_start(g, &built, problem, opts);
     let (sol, stats) = solve_with_stats_hinted(&built.model, &opts.solver, &hint)?;
     let config = extract(g, &built, &sol)?;
-    let objective = built.tau.or(built.x).expect("one objective variable");
     Ok(OptOutcome {
         config,
-        objective: sol.value(objective),
+        objective: sol.value(built.objective),
         proven_optimal: sol.status == Status::Optimal,
         stats,
     })
@@ -525,7 +483,7 @@ fn min_cyc_ceiling(g: &Rrg, x: f64) -> f64 {
 pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
     assert!(x >= 1.0 - 1e-9, "x = 1/Θ must be at least 1");
     let ceiling = min_cyc_ceiling(g, x);
-    solve(g, Mode::Variable, Mode::Const(x), ceiling, opts)
+    solve(g, Problem::MinCyc { x }, ceiling, opts)
 }
 
 /// `MAX_THR(τ)`: the configuration with cycle time ≤ τ maximising the LP
@@ -536,7 +494,7 @@ pub fn min_cyc(g: &Rrg, x: f64, opts: &CoreOptions) -> Result<OptOutcome, OptErr
 /// See [`min_cyc`]; infeasible only if `τ < β_max`.
 pub fn max_thr(g: &Rrg, tau: f64, opts: &CoreOptions) -> Result<OptOutcome, OptError> {
     let big_m = tau.min(bounds_of(g).tau_star);
-    solve(g, Mode::Const(tau), Mode::Variable, big_m, opts)
+    solve(g, Problem::MaxThr { tau }, big_m, opts)
 }
 
 /// Cross-check helper: minimises `x` for a **fixed** buffer assignment
@@ -545,22 +503,24 @@ pub fn max_thr(g: &Rrg, tau: f64, opts: &CoreOptions) -> Result<OptOutcome, OptE
 /// the skeleton but differ in the σ̂ absorption, so their agreement
 /// validates the linearisation.
 ///
+/// The model is `MAX_THR(τ*)` with `r = 0` and the buffers pinned: τ*
+/// (the sum of all delays) never restricts timing, and with the
+/// retiming fixed the tokens are the graph's own.
+///
 /// # Errors
 ///
 /// See [`min_cyc`].
 pub fn min_x_for_buffers(g: &Rrg, buffers: &[i64], opts: &CoreOptions) -> Result<f64, OptError> {
-    // τ* (the sum of all delays) never restricts timing: any buffered
-    // configuration meets it.
     let tau_star = bounds_of(g).tau_star;
-    let built = build(
-        g,
-        Mode::Const(tau_star),
-        Mode::Variable,
-        tau_star,
-        Some(buffers),
-    );
+    let mut built = build(g, Problem::MaxThr { tau: tau_star }, tau_star);
+    for &r in &built.r {
+        built.model.fix_var(r, 0.0);
+    }
+    for (&b, &count) in built.buf.iter().zip(buffers) {
+        built.model.fix_var(b, count as f64);
+    }
     let sol = built.model.solve_with(&opts.solver)?;
-    Ok(sol.value(built.x.expect("x is the objective")))
+    Ok(sol.value(built.objective))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use rr_rrg::Config;
 use rr_tgmg::{lp_bound, TgmgSkeleton};
 
 use crate::bounds::bounds_of;
-use crate::formulation::{build, max_thr, min_cyc, min_x_for_buffers, solve, Mode};
+use crate::formulation::{build, max_thr, min_cyc, min_x_for_buffers, solve, Problem};
 use crate::CoreOptions;
 
 fn tiny_graphs() -> impl Strategy<Value = (GeneratorParams, u64)> {
@@ -105,7 +105,7 @@ proptest! {
         let initial = rr_rrg::cycle_time::cycle_time(&g).unwrap();
         for tau in [g.max_delay(), initial] {
             let tight = max_thr(&g, tau, &opts).unwrap();
-            let loose = solve(&g, Mode::Const(tau), Mode::Variable, tau_star, &opts).unwrap();
+            let loose = solve(&g, Problem::MaxThr { tau }, tau_star, &opts).unwrap();
             if tight.proven_optimal && loose.proven_optimal {
                 prop_assert!(
                     (tight.objective - loose.objective).abs() < 1e-6,
@@ -117,7 +117,7 @@ proptest! {
         }
         for x in [1.0, 1.6] {
             let tight = min_cyc(&g, x, &opts).unwrap();
-            let loose = solve(&g, Mode::Variable, Mode::Const(x), tau_star, &opts).unwrap();
+            let loose = solve(&g, Problem::MinCyc { x }, tau_star, &opts).unwrap();
             if tight.proven_optimal && loose.proven_optimal {
                 prop_assert!(
                     (tight.objective - loose.objective).abs() < 1e-6,
@@ -160,7 +160,7 @@ proptest! {
         let x = 1.0 / lp_bound::throughput_upper_bound(&t).unwrap();
 
         let big_m = tau.min(bounds_of(&g).tau_star);
-        let mut built = build(&g, Mode::Const(tau), Mode::Variable, big_m, None);
+        let mut built = build(&g, Problem::MaxThr { tau }, big_m);
         for (&v, &val) in built.r.iter().zip(&r) {
             built.model.fix_var(v, val as f64);
         }
@@ -169,7 +169,7 @@ proptest! {
         }
         let sol = built.model.solve_relaxation(&SolverOptions::default());
         prop_assert!(sol.is_ok(), "r {r:?} buffers {buffers:?} at tau {tau}: {sol:?}");
-        let got = sol.unwrap().value(built.x.unwrap());
+        let got = sol.unwrap().value(built.objective);
         prop_assert!((got - x).abs() < 1e-6, "x {got} vs 1/Θ_lp {x}");
     }
 }

@@ -864,18 +864,14 @@ impl SparseLu {
         true
     }
 
-    /// Stored nonzeros of the current `U` (diagonal counted once).
-    pub fn u_nnz(&self) -> usize {
-        self.m + self.u_cols.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Stored nonzeros of `L̃ + U`: the static `L` (unit diagonal not
     /// counted), the accumulated Forrest–Tomlin row etas, and the
     /// current `U` (diagonal counted once).
     pub fn nnz(&self) -> usize {
         self.l_cols.iter().map(Vec::len).sum::<usize>()
             + self.row_etas.iter().map(|e| e.terms.len()).sum::<usize>()
-            + self.u_nnz()
+            + self.m
+            + self.u_cols.iter().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -1057,15 +1053,6 @@ impl Factor {
     /// the product-form eta file.
     pub fn current_nnz(&self) -> usize {
         self.lu.nnz() + self.eta_nnz
-    }
-
-    /// Current nonzeros of `U` alone (the dense oracle, which keeps no
-    /// separate update state, reports its full `m²` storage).
-    pub fn u_nnz(&self) -> usize {
-        match &self.lu {
-            Lu::Dense(lu) => lu.nnz(),
-            Lu::Sparse(lu) => lu.u_nnz(),
-        }
     }
 
     /// The update scheme this factor actually runs (Forrest–Tomlin

@@ -42,15 +42,6 @@
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
 //!   bound mutations from any dual-feasible basis.
 //!
-//! Branch & bound exploits that last point aggressively (**warm-start
-//! policy**): bound changes never disturb reduced costs, so any
-//! optimal basis anywhere in the tree is dual feasible for every node.
-//! The search therefore builds the LP once, mutates integer-column boxes
-//! in place as it branches, and dual-reoptimizes each node from whatever
-//! basis the previous node left behind — typically a handful of pivots
-//! and no refactorization. Warm-start misses fall back to a parent-basis
-//! install, then a cold two-phase solve.
-//!
 //! The kernel request alone selects this configuration. The
 //! [`Kernel::DenseTableau`] oracle request runs the same search with the
 //! old dense LU, the product-form eta file and every node solved cold;
@@ -106,50 +97,16 @@
 //! start and every ladder rebuild inherits it, so
 //! [`SolverOptions::time_limit`] bounds the whole solve.
 //!
-//! The search itself is one depth-first loop over **one LP backend**
-//! — the warm revised kernel — popping one stack of open nodes, the
-//! nearer branching side first, with the parent basis handed to every
-//! open node so a backtrack still warm-starts. Depth-first is the only
-//! order: on the repo benchmark a best-estimate queue never proved more
-//! than it.
-//! Incumbents come from integral node relaxations and from the caller's
-//! warm-start hint. Every integer variable
-//! shape branches natively: a node box on a shifted, mirrored
-//! (upper-bounded, lower −∞), or fully free (split-pair) integer
-//! translates to in-place column-bound updates on the bounded-variable
-//! form, so warm starts and pseudo-costs survive across nodes for every
-//! model; see the `branch_bound` module docs.
+//! # Branch & bound
 //!
-//! # Branching and node scoring
-//!
-//! The search has one branching rule, **pseudo-cost branching with
-//! reliability probes**. It maintains per-variable, per-direction
-//! pseudo-costs — running means of the observed LP bound degradation
-//! per unit of fractionality — learned from every expanded child. Until
-//! a variable's history is *reliable* (4 observations per direction),
-//! the most fractional unreliable candidates of the highest
-//! [`priority`](Model::set_priority) class are **strong-branched**: both
-//! children get a dual-simplex probe of at most 100 pivots (at most 8
-//! candidates per node) and the observed degradations seed the table. The candidate maximizing
-//! the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is branched (ties
-//! toward higher fractionality, then the lower [`VarId`]); a probe that
-//! proves a child infeasible biases selection toward the variable but
-//! never prunes, so an unverified probe cannot break correctness.
-//!
-//! The gap test runs whenever an incumbent improves, against the
-//! **minimum bound over the open stack**, i.e. over every unexplored
-//! node, so a leaf of the first dive can already end the search. The
-//! reported [`BranchBoundStats::dual_bound`] joins that minimum with the
-//! incumbent and with the bounds of nodes dropped after an LP failure,
-//! so it stays valid when the recovery ladder gives up on a node.
-//!
-//! # Concurrency model
-//!
-//! A solve runs on the calling thread: the `search` module owns the one
-//! kernel, the branch tree, the open-node stack and the incumbent, and
-//! the crate holds no lock, atomic or thread, so a seed and a node cap
-//! replay the same trajectory bit for bit. Parallelism lives one level
-//! up, in `rr_bench::parallel_map`, which runs one circuit per core.
+//! [`solve_with_stats`] runs one depth-first branch & bound loop on the
+//! calling thread. It builds the LP once, mutates integer-column boxes
+//! in place as it branches, and dual-reoptimizes each node from the
+//! basis the previous node left behind: bound changes never disturb
+//! reduced costs, so any optimal basis in the tree is dual feasible for
+//! every node. The `search` module documents the whole design: the
+//! branch tree, the node order, the warm-start fallbacks, pseudo-cost
+//! branching with reliability probes, and the gap test and dual bound.
 //!
 //! # Cross-validation oracle
 //!

@@ -437,7 +437,7 @@ impl Model {
     /// See [`Model::solve`].
     pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, SolveError> {
         if self.has_integers() {
-            branch_bound::solve(self, opts, &[])
+            branch_bound::solve_with_stats(self, opts).map(|(sol, _)| sol)
         } else {
             self.solve_relaxation(opts)
         }
@@ -457,7 +457,7 @@ impl Model {
         hint: &[(VarId, f64)],
     ) -> Result<Solution, SolveError> {
         if self.has_integers() {
-            branch_bound::solve(self, opts, hint)
+            branch_bound::solve_with_stats_hinted(self, opts, hint).map(|(sol, _)| sol)
         } else {
             self.solve_relaxation(opts)
         }

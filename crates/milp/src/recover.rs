@@ -23,9 +23,10 @@
 //!    snapshot with product-form updates — slowest, most robust.
 //!
 //! Rungs 1–2 act per pivot inside the revised kernel; rungs 3–6 act per
-//! branch & bound node (see `WarmBackend::solve_node`). Which events
-//! occurred and which rungs fired is recorded in [`RecoveryStats`],
-//! surfaced as [`BranchBoundStats::recovery`](crate::BranchBoundStats).
+//! branch & bound node (see `Search::solve_node` in the `search`
+//! module). Which events occurred and which rungs fired is recorded in
+//! [`RecoveryStats`], surfaced as
+//! [`BranchBoundStats::recovery`](crate::BranchBoundStats).
 //!
 //! A **residual health monitor** backs the ladder: every
 //! `RESIDUAL_CHECK_EVERY` pivots, and before any node bound is

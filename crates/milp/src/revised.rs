@@ -67,10 +67,6 @@ pub(crate) struct FactorStats {
     /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
     /// update, as opposed to the scheduled length/fill policy.
     pub forced_refactors: usize,
-    /// Largest nonzero count the (updated) `U` factor reached — the
-    /// fill price of absorbing pivots into the factors (the dense
-    /// oracle reports its full `m²` storage here).
-    pub peak_u_nnz: usize,
 }
 
 /// Pivot counters split by simplex direction (surfaced through
@@ -422,7 +418,6 @@ impl Revised {
             Some(f) => {
                 self.factor_stats.refactors += 1;
                 self.factor_stats.peak_lu_nnz = self.factor_stats.peak_lu_nnz.max(f.lu_nnz());
-                self.factor_stats.peak_u_nnz = self.factor_stats.peak_u_nnz.max(f.u_nnz());
                 self.factor = Some(f);
                 Ok(())
             }
@@ -748,7 +743,6 @@ impl Revised {
                     // refactor time as in the product form.
                     self.factor_stats.peak_lu_nnz =
                         self.factor_stats.peak_lu_nnz.max(factor.current_nnz());
-                    self.factor_stats.peak_u_nnz = self.factor_stats.peak_u_nnz.max(factor.u_nnz());
                     if !first {
                         self.recovery.record(NumericalEvent::UnstableUpdate);
                         self.recovery.ft_retries += 1;
@@ -1443,20 +1437,6 @@ pub(crate) fn solve(bf: &BoxedForm, opts: &SolverOptions) -> Result<(Vec<f64>, u
     if bf.sf.proven_infeasible {
         return Err(SolveError::Infeasible);
     }
-    if bf.sf.rows.is_empty() {
-        // No rows: optimize each boxed column independently.
-        let mut y = vec![0.0; bf.sf.ncols];
-        for (j, yj) in y.iter_mut().enumerate() {
-            let c = bf.sf.cost[j];
-            if c < -FEAS_TOL {
-                if !bf.col_upper[j].is_finite() {
-                    return Err(SolveError::Unbounded);
-                }
-                *yj = bf.col_upper[j];
-            }
-        }
-        return Ok((y, 0));
-    }
     let mut kernel = Revised::new(bf, opts);
     let mut pivots_left = opts.max_pivots;
     kernel.solve_two_phase(&mut pivots_left)?;
@@ -1842,7 +1822,6 @@ mod tests {
         assert!((obj_ft - obj_pf).abs() < 1e-9, "{obj_ft} vs {obj_pf}");
         assert!(stats_ft.ft_updates > 0, "FT mode never updated the factors");
         assert_eq!(stats_pf.ft_updates, 0, "product form ran FT updates");
-        assert!(stats_ft.peak_u_nnz > 0);
         assert_eq!(stats_pf.peak_lu_nnz, 9, "the oracle factors densely");
     }
 

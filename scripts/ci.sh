@@ -17,6 +17,35 @@ cargo build --release --offline
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The test step runs every suite once, the gates below included (in
+# the test profile, opt-level 2 with debug assertions on):
+#
+# * The rr-milp property suites are the sparse-LU ↔ dense-oracle
+#   agreement gate. The vendored proptest draws a deterministic,
+#   name-seeded stream (see vendor/proptest), so this is a fixed-seed
+#   run by construction — a failure reproduces exactly on re-run.
+# * tests/search_gate.rs is the branch-and-bound gate: one golden table
+#   pins the trajectory of the single-threaded production search
+#   (objective, nodes, pivots, warm/cold split, incumbent trace) on the
+#   ring MILP and MAX_THR for bench20, bench40 and s27, repeat solves
+#   replay the whole stats struct bit for bit, and the
+#   Kernel::DenseTableau oracle request replays its own trajectory on
+#   the ring and bench20. Alongside it: the production search and the
+#   oracle request prove identical optima on the Table-1 instances, on
+#   four random graphs that exercise the round-off verdicts of the warm
+#   dual simplex and on 600 solves over 100 random graphs;
+#   mirrored/free integer fixtures solve warm and match the dense
+#   oracle, the pseudo-cost search-strength facts hold, truncation, gap
+#   termination and dual bounds (lost nodes included) reach the
+#   reports, and source-level checks keep deleted identifiers and
+#   threads out of the code. Fixed seeds and node caps (no wall
+#   clocks), so failures reproduce exactly.
+# * tests/fault_injection.rs is the self-healing gate: fixed-seed
+#   fault-injected runs must prove the same optima as their clean twins
+#   on every Table-1 figure and bench instance, with the recovery
+#   counters showing every failure class was observed and every ladder
+#   rung fired. The FaultPlan is seeded (one deterministic SplitMix64
+#   stream per site), so failures replay exactly.
 echo "==> cargo test -q"
 cargo test -q --offline
 
@@ -25,50 +54,14 @@ cargo test -q --offline
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest --exclude rand
 
-# The rr-milp property suites are the sparse-LU ↔ dense-oracle agreement
-# gate. The vendored proptest draws a deterministic, name-seeded stream
-# (see vendor/proptest), so this is a fixed-seed run by construction —
-# a failure here reproduces exactly on re-run.
-echo "==> cargo test -p rr-milp proptests (fixed-seed kernel/oracle gate)"
-cargo test -q -p rr-milp --offline proptests
-
-# The search gate: one golden table pins the trajectory of the
-# single-threaded production search (objective, nodes, pivots, warm/cold
-# split, incumbent trace) on the ring MILP and MAX_THR for bench20,
-# bench40 and s27, repeat solves replay the whole stats struct bit for
-# bit, and the Kernel::DenseTableau oracle request replays its own
-# trajectory on the ring and bench20. Alongside it: the production
-# search and the oracle request prove identical optima on the Table-1
-# instances and on four random graphs that exercise the round-off
-# verdicts of the warm dual simplex, mirrored/free integer fixtures
-# solve warm and match the dense oracle, the pseudo-cost
-# search-strength facts hold, truncation, gap termination and dual
-# bounds (lost nodes included) reach the reports, and source-level
-# checks keep the deleted search modes, pricing rules, rounding
-# heuristic, retired option fields, unused modules, lazy cut rows and
-# threads out of the code. Fixed seeds and node caps (no wall clocks),
-# so failures reproduce exactly. Run in release: the agreement checks
-# solve every instance twice. The named trajectory pins in
-# backend_unification and the pricing checks in pricing_search run in
-# the cargo test step above.
-echo "==> cargo test --test search_gate (branch-and-bound golden gate)"
-cargo test -q --offline --release --test search_gate
-
-# The self-healing gate: fixed-seed fault-injected runs must prove the
-# same optima as their clean twins on every Table-1 figure and bench
-# instance, with the recovery counters showing every failure class was
-# observed and every ladder rung fired. The FaultPlan is seeded (one
-# deterministic SplitMix64 stream per site), so failures replay exactly.
-echo "==> cargo test --test fault_injection (fixed-seed recovery-ladder gate)"
-cargo test -q --offline --release --test fault_injection
-
 # The reduced Table-2 sweep: all 18 ISCAS89 profiles scaled to 20 edges
 # under a deterministic per-MILP node budget (the generous wall clock
 # never binds in practice). --require-proven names every circuit whose
 # whole sweep is proven within gap at seed 2009, so losing any single
 # proof fails the run and prints every circuit that lost one. The other
-# two (s953, s713) are unproven at this budget. The sweep prints each
-# circuit's nodes, pivots and wall time.
+# two (s953, s713) are unproven at this budget; a circuit that fails
+# outright (an evaluation or solver error) fails the run too. The sweep
+# prints each circuit's nodes, pivots and wall time.
 echo "==> table2 --max-edges 20 (reduced Table-2 per-circuit proof gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 \

@@ -9,26 +9,29 @@
 //!   MILP and on `MAX_THR` (cycle-sum cuts as ordinary rows) for
 //!   bench20, bench40 and s27. A repeated solve replays the whole stats
 //!   struct bit for bit, completed and truncated, and the
-//!   `Kernel::DenseTableau` oracle request replays its own trajectory on
-//!   the ring and bench20 instances.
+//!   `Kernel::DenseTableau` oracle request reaches the same optima with
+//!   every node cold and replays its own trajectory on the ring and
+//!   bench20 instances.
 //! * **Search strength** — the bench20, s27 and bench40 rows restated
 //!   as the pseudo-cost facts they stand for: reliability probes and
 //!   pseudo-cost updates run, no incumbent sits on the plateau of the
 //!   deleted most-fractional rule.
 //! * **Agreement** — the production search proves the optima of the
-//!   `Kernel::DenseTableau` oracle request on the Table-1 instances and
-//!   on four random graphs that exercise the round-off verdicts of the
-//!   warm dual simplex; mirrored and free integer fixtures solve warm
-//!   and match the dense oracle.
+//!   `Kernel::DenseTableau` oracle request on the Table-1 instances, on
+//!   four random graphs that exercise the round-off verdicts of the warm
+//!   dual simplex, and on 600 `MIN_CYC`/`MAX_THR` solves over 100 random
+//!   graphs; mirrored and free integer fixtures solve warm and match the
+//!   dense oracle.
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
 //!   the true gap, before the first dive ends; a truncated run reports
 //!   a valid dual bound above the root LP bound, and a node lost to an
 //!   LP failure keeps its bound in the dual bound.
 //! * **Source** — deleted search modes, pricing rules, the rounding
 //!   heuristic, the retired solver knobs, the unused modules, the
-//!   threaded search and the lazy cut rows stay deleted, rr-milp uses no
-//!   lock, atomic or thread, and no model is cloned inside the node
-//!   loop.
+//!   threaded search, the lazy cut rows, the separate LP backend layer,
+//!   the rowless shortcut and the unread stats fields stay deleted,
+//!   rr-milp uses no lock, atomic or thread, and no model is cloned
+//!   inside the node loop.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -264,14 +267,66 @@ fn bench40_pseudo_cost_completes_under_the_cap_1000_budget() {
 /// the random-graph regressions of [`oracle_instances`].
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
-    let failures = on_table1_instances(|g, problem, param| {
-        let production = solve(g, problem, param, &capped(20_000))?;
-        let mut oracle_opts = capped(20_000);
-        oracle_opts.solver.kernel = Kernel::DenseTableau;
-        let oracle = solve(g, problem, param, &oracle_opts)?;
-        agree("production", &production, "dense oracle", &oracle)
-    });
+    let failures = on_table1_instances(agrees_with_oracle);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The random-graph oracle check. A SplitMix64 stream seeded
+/// `0x1234_5678_9abc_def0` draws 100 graphs of the `rr-core` property
+/// tests' sizes, four draws per graph: `2 + v%6` simple nodes, `v%3`
+/// early nodes, `v%6` extra edges and the generator seed. On each graph
+/// `MIN_CYC` at x = 1, 1.3 and 1.6 and `MAX_THR` at β_max, at the
+/// initial cycle time τ₀ and at their midpoint must pass
+/// [`agrees_with_oracle`]. Graphs 107, 224, 260 and 382 of the same
+/// stream are the regressions of [`oracle_instances`].
+#[test]
+fn random_graphs_prove_the_dense_oracle_optima() {
+    let mut state = 0x1234_5678_9abc_def0_u64;
+    let mut jobs: Vec<(usize, Rrg, &str, f64)> = Vec::new();
+    for i in 0..100 {
+        let mut draw = || splitmix64(&mut state);
+        let simple = 2 + (draw() % 6) as usize;
+        let early = (draw() % 3) as usize;
+        let extra = (draw() % 6) as usize;
+        let edges = simple + 2 * early + extra;
+        let g = GeneratorParams::paper_defaults(simple, early, edges).generate(draw());
+        let beta_max = g.max_delay();
+        let tau0 = rr_rrg::cycle_time::cycle_time(&g).unwrap();
+        for x in [1.0, 1.3, 1.6] {
+            jobs.push((i, g.clone(), "min_cyc", x));
+        }
+        for tau in [beta_max, tau0, (beta_max + tau0) / 2.0] {
+            jobs.push((i, g.clone(), "max_thr", tau));
+        }
+    }
+    let failures: Vec<String> = parallel_map_bounded(4, jobs, |(i, g, problem, param)| {
+        agrees_with_oracle(&g, problem, param)
+            .map_err(|e| format!("graph {i} {problem}({param}): {e}"))
+    })
+    .into_iter()
+    .filter_map(Result::err)
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// One SplitMix64 step.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The production search and the `Kernel::DenseTableau` oracle request
+/// both prove `MAX_THR(param)` or `MIN_CYC(param)` on `g` under a
+/// 20,000-node cap, the exact gap and no wall clock, and agree.
+fn agrees_with_oracle(g: &Rrg, problem: &str, param: f64) -> Result<(), String> {
+    let production = solve(g, problem, param, &capped(20_000))?;
+    let mut oracle_opts = capped(20_000);
+    oracle_opts.solver.kernel = Kernel::DenseTableau;
+    let oracle = solve(g, problem, param, &oracle_opts)?;
+    agree("production", &production, "dense oracle", &oracle)
 }
 
 /// Bit-exact stats equality. `node_bounds` holds NaN for failed or
@@ -317,10 +372,15 @@ fn oracle(max_nodes: usize) -> SolverOptions {
     }
 }
 
-/// Nodes, pivots and incumbent trace: what an oracle replay must
-/// reproduce.
-fn trajectory(s: &BranchBoundStats) -> (usize, usize, Vec<(usize, f64)>) {
-    (s.nodes, s.simplex_iters, s.incumbent_trace.clone())
+/// Nodes, pivots, cold solves and incumbent trace: what an oracle
+/// replay must reproduce.
+fn trajectory(s: &BranchBoundStats) -> (usize, usize, usize, Vec<(usize, f64)>) {
+    (
+        s.nodes,
+        s.simplex_iters,
+        s.cold_solves,
+        s.incumbent_trace.clone(),
+    )
 }
 
 /// The ring row of the golden table on the production search
@@ -378,6 +438,59 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
     assert_eq!(
         trajectory(&a.stats),
         trajectory(&b.stats),
+        "oracle replay diverged"
+    );
+}
+
+/// The ring MILP under the `Kernel::DenseTableau` oracle request (dense
+/// LU, product-form updates, cold nodes, incumbent re-checked on the
+/// tableau) with a node cap it never reaches: it proves the ring row's
+/// optimum without a warm solve and replays its own trajectory bit for
+/// bit.
+#[test]
+fn ring_milp_golden_replays_bit_exact_through_the_unified_backend() {
+    let m = ring_difference_milp(12, 6);
+    let (sol, s) = solve_with_stats(&m, &oracle(200_000)).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    assert!((sol.objective - 50.0).abs() < 1e-9, "obj {}", sol.objective);
+    assert!(!s.truncated);
+    assert_eq!(
+        s.warm_solves, 0,
+        "the oracle configuration solves every node cold"
+    );
+    let (again, t) = solve_with_stats(&m, &oracle(200_000)).unwrap();
+    assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+    assert_eq!(trajectory(&t), trajectory(&s), "oracle replay diverged");
+}
+
+/// bench20 `MAX_THR` under the oracle request at node cap 100 and the
+/// exact gap: every node is a cold dense-LU solve, so the cap keeps the
+/// run short, and the warm-start hint already holds the optimum. The
+/// objective matches the bench20 row, no node warm-starts, and a repeat
+/// replays the trajectory bit for bit.
+#[test]
+fn bench20_max_thr_golden_replays_bit_exact_through_the_unified_backend() {
+    let g = bench_instance(20);
+    let opts = CoreOptions {
+        solver: oracle(100),
+        ..CoreOptions::default()
+    };
+    let out = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
+    let again = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
+    assert!(
+        (out.objective - golden("bench20").1).abs() < 1e-8,
+        "obj {}",
+        out.objective
+    );
+    assert_eq!(out.proven_optimal, !out.stats.truncated);
+    assert_eq!(
+        out.stats.warm_solves, 0,
+        "the oracle configuration solves every node cold"
+    );
+    assert_eq!(again.objective.to_bits(), out.objective.to_bits());
+    assert_eq!(
+        trajectory(&again.stats),
+        trajectory(&out.stats),
         "oracle replay diverged"
     );
 }
@@ -632,8 +745,11 @@ fn lost_nodes_keep_their_bound_in_the_dual_bound() {
 
 /// Source-level assertions that the deleted search modes, pricing rules,
 /// the rounding heuristic, the retired solver, core and Markov knobs,
-/// the unused modules, the threaded search, the `--workers` flag and
-/// the lazily activated cut rows stay deleted — their identifiers
+/// the unused modules, the threaded search, the `--workers` flag, the
+/// lazily activated cut rows, the separate LP backend layer with its
+/// ten-argument branching call, the closed-form rowless solve, the
+/// unread stats fields and the `(Mode, Mode)` formulation pair stay
+/// deleted — their identifiers
 /// survive only in comment lines anywhere under `crates/` and
 /// `examples/` — that no non-comment line under `crates/milp/src`
 /// names `std::sync` or `std::thread`, and that no model is cloned
@@ -699,6 +815,20 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "separate_cuts",
         "set_rhs",
         "weak_rhs",
+        "WarmBackend",
+        "solve_rowless",
+        "branch_bound::solve(",
+        "first_incumbent_node",
+        "queue_peak",
+        "peak_u_nnz",
+        "fn u_nnz",
+        ".u_nnz()",
+        ".incumbents",
+        "pub incumbents",
+        "fn finish(",
+        "select_branch_var",
+        "fix_buffers",
+        "Mode::Const",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
