@@ -5,18 +5,18 @@
 //! Verilog controllers: where `rr-tgmg` simulates the *abstract* timed
 //! guarded marked graph, this crate executes the elastic **machine** —
 //! channels with elastic-buffer pipelines, one firing per node per clock,
-//! join/fork behaviour, early-evaluation multiplexers that issue
-//! anti-tokens on the channels they did not use, and (optionally) real
-//! back-pressure from bounded buffer capacity.
+//! join/fork behaviour, and early-evaluation multiplexers that issue
+//! anti-tokens on the channels they did not use.
 //!
-//! Lemma 3.1 of the paper says both views have the same steady-state
-//! throughput under the big-enough-FIFO assumption (footnote 1); the test
-//! suites of both crates enforce that agreement, and the bounded-capacity
-//! mode quantifies what the assumption is worth (an ablation the paper
-//! cites Lu & Koh for).
+//! Its FIFOs never fill: the machine models the paper's big-enough-FIFO
+//! assumption (footnote 1), under which Lemma 3.1 says both views have
+//! the same steady-state throughput; the test suites of both crates
+//! enforce that agreement.
 //!
 //! The per-cycle step function is exposed deterministically
-//! ([`Machine::step_with`]) so that `rr-markov` can enumerate the exact
+//! ([`Machine::step_with`]), and a state can be saved as a canonical key
+//! and loaded back ([`Machine::canonical_state_into`],
+//! [`Machine::load_state`]), so that `rr-markov` can enumerate the exact
 //! reachable state space.
 //!
 //! # Example
@@ -35,7 +35,7 @@
 mod machine;
 mod run;
 
-pub use machine::{Capacity, Machine, MachineError, StepOutcome, TelescopicSpec};
+pub use machine::{Machine, MachineError, StepOutcome};
 pub use run::{simulate, MachineParams, RunResult};
 
 #[cfg(test)]

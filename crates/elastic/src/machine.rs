@@ -8,7 +8,9 @@
 //! Edges with `R(e) = 0` are combinational wires — a token produced this
 //! cycle is consumable this cycle (nodes are evaluated in topological
 //! order of the wire subgraph, which is acyclic for every valid
-//! configuration).
+//! configuration). FIFOs never fill: this is the paper's big-enough-FIFO
+//! assumption (footnote 1), under which Lemma 3.1 ties the machine to the
+//! TGMG.
 //!
 //! ## Firing rules (one firing per node per clock)
 //!
@@ -20,51 +22,12 @@
 //!   passive anti-tokens that cancel the late token on arrival
 //!   (Cortadella & Kishinevsky, DAC'07);
 //! * anti-token counters cancel against the oldest queued token eagerly.
-//!
-//! ## Capacity
-//!
-//! [`Capacity::Unbounded`] implements the paper's footnote-1 idealisation.
-//! [`Capacity::PerBuffer`]`(k)` limits each channel to `k·R(e)` stored
-//! tokens (a real elastic buffer holds two) and stalls producers whose
-//! output would overflow — including the combinational stall of wire
-//! channels (`R = 0` stores nothing: producer and consumer must fire in
-//! the same cycle). The maximal consistent firing set is computed as a
-//! greatest fixpoint, mirroring how valid/stop signals settle within a
-//! clock cycle.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use rr_rrg::{algo, EdgeId, NodeId, NodeKind, Rrg};
-
-/// Channel capacity model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Capacity {
-    /// FIFOs never fill (footnote 1 of the paper).
-    #[default]
-    Unbounded,
-    /// Each channel holds at most `k · R(e)` tokens (`k = 2` models real
-    /// elastic buffers); wires hold none.
-    PerBuffer(u32),
-}
-
-/// A *telescopic* unit — the paper's §6 future-work extension: a block
-/// with variable latency that usually completes within the clock cycle
-/// but occasionally stretches over several.
-///
-/// While stretched, the unit is busy (it cannot accept the next operation)
-/// and its results reach the output channels late; the elastic handshake
-/// absorbs both effects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelescopicSpec {
-    /// The node that telescopes.
-    pub node: NodeId,
-    /// Probability the operation finishes in the normal single cycle.
-    pub fast_prob: f64,
-    /// Extra cycles taken by a slow operation (≥ 1).
-    pub slow_extra: u64,
-}
 
 /// Machine construction failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,8 +59,6 @@ struct Channel {
     /// Passive anti-tokens waiting at the consumer side.
     anti: u64,
     latency: u64,
-    /// Stored-token capacity (`u64::MAX` when unbounded).
-    capacity: u64,
 }
 
 impl Channel {
@@ -128,7 +89,9 @@ pub struct StepOutcome {
 /// A running elastic machine over an RRG configuration.
 ///
 /// Use [`crate::simulate`] for γ-randomised runs; drive
-/// [`Machine::step_with`] directly for deterministic exploration.
+/// [`Machine::step_with`] directly for deterministic exploration, and
+/// [`Machine::canonical_state_into`] / [`Machine::load_state`] to save and
+/// restore the state between steps.
 #[derive(Debug, Clone)]
 pub struct Machine {
     graph: Rrg,
@@ -139,40 +102,10 @@ pub struct Machine {
     selection: Vec<Option<EdgeId>>,
     /// Scratch: tokens produced on wires during firing-set computation.
     wire_pending: Vec<u64>,
-    bounded: bool,
     now: u64,
     fired_total: Vec<u64>,
     max_occupancy: Vec<u64>,
     max_anti: Vec<u64>,
-    /// Per-node `(fast_prob, slow_extra)` for telescopic units.
-    telescopic: Vec<Option<(f64, u64)>>,
-    /// First cycle at which a busy (stretched) unit can fire again.
-    busy_until: Vec<u64>,
-    /// This cycle's pre-drawn extra latency per node (0 = fast); only
-    /// meaningful for telescopic nodes, resampled every cycle.
-    pending_extra: Vec<u64>,
-    /// RNG for telescopic latency draws (`None` when no unit telescopes).
-    tele_rng: Option<SplitMix64>,
-}
-
-/// Minimal cloneable RNG (SplitMix64) for telescopic latency draws; the
-/// machine must stay `Clone` because `rr-markov` snapshots it per state.
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 impl Machine {
@@ -181,39 +114,13 @@ impl Machine {
     /// # Errors
     ///
     /// [`MachineError::CombinationalCycle`] if the wire subgraph is cyclic.
-    pub fn new(g: &Rrg, capacity: Capacity) -> Result<Machine, MachineError> {
-        Machine::with_telescopic(g, capacity, &[], 0)
-    }
-
-    /// Builds a machine with telescopic (variable-latency) units.
-    ///
-    /// `seed` drives the latency draws; runs are deterministic per seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec names an out-of-range node, has `fast_prob`
-    /// outside `(0, 1]`, or `slow_extra == 0`.
-    pub fn with_telescopic(
-        g: &Rrg,
-        capacity: Capacity,
-        specs: &[TelescopicSpec],
-        seed: u64,
-    ) -> Result<Machine, MachineError> {
+    pub fn new(g: &Rrg) -> Result<Machine, MachineError> {
         let buffers: Vec<i64> = g.edges().map(|(_, e)| e.buffers()).collect();
         let wire_topo = algo::combinational_topo_order(g, &buffers)
             .map_err(|edge| MachineError::CombinationalCycle { edge })?;
         let channels: Vec<Channel> = g
             .edges()
             .map(|(_, e)| {
-                let latency = e.buffers() as u64;
-                let cap = match capacity {
-                    Capacity::Unbounded => u64::MAX,
-                    Capacity::PerBuffer(k) => latency * k as u64,
-                };
                 let mut queue = VecDeque::new();
                 let mut anti = 0;
                 if e.tokens() >= 0 {
@@ -226,8 +133,7 @@ impl Machine {
                 Channel {
                     queue,
                     anti,
-                    latency,
-                    capacity: cap,
+                    latency: e.buffers() as u64,
                 }
             })
             .collect();
@@ -237,29 +143,10 @@ impl Machine {
             .filter(|(_, node)| node.is_early())
             .map(|(id, _)| id)
             .collect();
-        let mut telescopic = vec![None; n];
-        for spec in specs {
-            assert!(
-                spec.node.index() < n,
-                "telescopic spec names a missing node"
-            );
-            assert!(
-                spec.fast_prob > 0.0 && spec.fast_prob <= 1.0,
-                "fast_prob must lie in (0, 1]"
-            );
-            assert!(spec.slow_extra >= 1, "slow_extra must be at least 1");
-            telescopic[spec.node.index()] = Some((spec.fast_prob, spec.slow_extra));
-        }
-        let tele_rng = if specs.is_empty() {
-            None
-        } else {
-            Some(SplitMix64(seed ^ 0x5174_65CE_5C0D_E5D1))
-        };
         Ok(Machine {
             graph: g.clone(),
             wire_topo,
             early_nodes,
-            bounded: matches!(capacity, Capacity::PerBuffer(_)),
             wire_pending: vec![0; g.num_edges()],
             channels,
             selection: vec![None; n],
@@ -267,10 +154,6 @@ impl Machine {
             fired_total: vec![0; n],
             max_occupancy: vec![0; g.num_edges()],
             max_anti: vec![0; g.num_edges()],
-            telescopic,
-            busy_until: vec![0; n],
-            pending_extra: vec![0; n],
-            tele_rng,
         })
     }
 
@@ -324,9 +207,12 @@ impl Machine {
         s
     }
 
-    /// Writes the canonical encoding into `s` (cleared first). State-key
-    /// interners probe millions of candidate successors; reusing one
-    /// scratch buffer keeps the hot enumeration loop allocation-free.
+    /// Writes the canonical encoding into `s` (cleared first): per
+    /// channel its queue length, each token's remaining latency and its
+    /// anti-token count, then each early node's pending selection
+    /// (`u64::MAX` when undrawn). State-key interners probe millions of
+    /// candidate successors; reusing one scratch buffer keeps the hot
+    /// enumeration loop allocation-free.
     pub fn canonical_state_into(&self, s: &mut Vec<u64>) {
         s.clear();
         for ch in &self.channels {
@@ -342,9 +228,36 @@ impl Machine {
                 Some(e) => e.index() as u64,
             });
         }
-        for &b in &self.busy_until {
-            s.push(b.saturating_sub(self.now));
+    }
+
+    /// Restores the state encoded by [`Machine::canonical_state_into`]:
+    /// its inverse, with the key's latencies counted from the current
+    /// cycle. The firing and occupancy counters keep running. `rr-markov`
+    /// keeps only the keys of the reachable states and steps one machine
+    /// from each in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not the encoding of a state of a machine over
+    /// the same graph.
+    pub fn load_state(&mut self, key: &[u64]) {
+        let mut words = key.iter().copied();
+        let mut next = || words.next().expect("state key too short");
+        for ch in &mut self.channels {
+            let len = next();
+            ch.queue.clear();
+            for _ in 0..len {
+                ch.queue.push_back(self.now + next());
+            }
+            ch.anti = next();
         }
+        for &v in &self.early_nodes {
+            self.selection[v.index()] = match next() {
+                u64::MAX => None,
+                e => Some(EdgeId(e as usize)),
+            };
+        }
+        assert!(words.next().is_none(), "state key too long");
     }
 
     /// Executes one clock cycle with externally supplied guard draws.
@@ -376,25 +289,8 @@ impl Machine {
         for ch in &mut self.channels {
             ch.settle_anti();
         }
-        // Pre-draw this cycle's telescopic latencies so the firing-set
-        // computation knows which wire outputs would arrive late.
-        if let Some(rng) = &mut self.tele_rng {
-            for v in 0..self.telescopic.len() {
-                if let Some((fast_prob, slow_extra)) = self.telescopic[v] {
-                    self.pending_extra[v] = if rng.next_f64() < fast_prob {
-                        0
-                    } else {
-                        slow_extra
-                    };
-                }
-            }
-        }
 
-        let fired = if self.bounded {
-            self.firing_set_bounded()
-        } else {
-            self.firing_set_unbounded()
-        };
+        let fired = self.firing_set();
 
         // Apply: consume inputs and produce outputs in wire-topo order so
         // that same-cycle wire tokens exist before their consumer pops.
@@ -422,14 +318,10 @@ impl Machine {
             if is_early {
                 self.selection[v.index()] = None;
             }
-            let extra = self.pending_extra[v.index()];
-            if extra > 0 {
-                self.busy_until[v.index()] = self.now + 1 + extra;
-            }
             for ei in 0..self.graph.out_edges(v).len() {
                 let e = self.graph.out_edges(v)[ei];
                 let ch = &mut self.channels[e.index()];
-                let arrival = self.now + ch.latency + extra;
+                let arrival = self.now + ch.latency;
                 ch.queue.push_back(arrival);
                 ch.settle_anti();
             }
@@ -452,23 +344,17 @@ impl Machine {
         }
     }
 
-    /// Firing set under unbounded capacity: one wire-topo pass.
-    fn firing_set_unbounded(&mut self) -> Vec<bool> {
-        for p in self.wire_pending.iter_mut() {
-            *p = 0;
-        }
+    /// This cycle's firing set: one wire-topo pass.
+    fn firing_set(&mut self) -> Vec<bool> {
+        self.wire_pending.fill(0);
         let mut fired = vec![false; self.graph.num_nodes()];
         for idx in 0..self.wire_topo.len() {
             let v = self.wire_topo[idx];
-            if self.now >= self.busy_until[v.index()] && self.inputs_ready(v) {
+            if self.inputs_ready(v) {
                 fired[v.index()] = true;
-                // Wire tokens of a telescoping (slow) firing arrive late,
-                // so they do not feed same-cycle consumers.
-                if self.pending_extra[v.index()] == 0 {
-                    for &e in self.graph.out_edges(v) {
-                        if self.channels[e.index()].latency == 0 {
-                            self.wire_pending[e.index()] += 1;
-                        }
+                for &e in self.graph.out_edges(v) {
+                    if self.channels[e.index()].latency == 0 {
+                        self.wire_pending[e.index()] += 1;
                     }
                 }
             }
@@ -499,81 +385,6 @@ impl Machine {
             }
         }
     }
-
-    /// Firing set under bounded capacity: greatest fixpoint of
-    /// "inputs ready ∧ outputs accept" (how valid/stop settle in a cycle).
-    fn firing_set_bounded(&mut self) -> Vec<bool> {
-        let n = self.graph.num_nodes();
-        let mut fire = vec![true; n];
-        loop {
-            let mut changed = false;
-            for v in self.graph.node_ids() {
-                if !fire[v.index()] {
-                    continue;
-                }
-                let inputs_ok =
-                    self.now >= self.busy_until[v.index()] && self.inputs_ready_hyp(v, &fire);
-                let outputs_ok = self.graph.out_edges(v).iter().all(|&e| {
-                    let ch = &self.channels[e.index()];
-                    if ch.anti > 0 {
-                        return true; // the new token cancels waiting debt
-                    }
-                    let consumed = u64::from(self.consumes_under(e, &fire));
-                    (ch.queue.len() as u64 + 1).saturating_sub(consumed) <= ch.capacity
-                });
-                if !(inputs_ok && outputs_ok) {
-                    fire[v.index()] = false;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Record wire production for the apply phase's availability needs.
-        for p in self.wire_pending.iter_mut() {
-            *p = 0;
-        }
-        for v in self.graph.node_ids() {
-            if fire[v.index()] {
-                for &e in self.graph.out_edges(v) {
-                    if self.channels[e.index()].latency == 0 {
-                        self.wire_pending[e.index()] += 1;
-                    }
-                }
-            }
-        }
-        fire
-    }
-
-    /// Input readiness under a hypothesised firing set (wire producers
-    /// taken from the hypothesis).
-    fn inputs_ready_hyp(&self, v: NodeId, fire: &[bool]) -> bool {
-        let check = |e: EdgeId| -> bool {
-            let ch = &self.channels[e.index()];
-            if ch.anti > 0 {
-                return false;
-            }
-            let src = self.graph.edge(e).source().index();
-            ch.offers(self.now) || (ch.latency == 0 && fire[src] && self.pending_extra[src] == 0)
-        };
-        match self.graph.node(v).kind() {
-            NodeKind::Simple => {
-                !self.graph.in_edges(v).is_empty()
-                    && self.graph.in_edges(v).iter().all(|&e| check(e))
-            }
-            NodeKind::EarlyEval => {
-                let sel = self.selection[v.index()].expect("selection drawn at cycle start");
-                check(sel)
-            }
-        }
-    }
-
-    /// Whether the consumer of `e` takes a token off `e` this cycle under
-    /// the hypothesised firing set.
-    fn consumes_under(&self, e: EdgeId, fire: &[bool]) -> bool {
-        fire[self.graph.edge(e).target().index()]
-    }
 }
 
 #[cfg(test)]
@@ -584,7 +395,7 @@ mod tests {
     #[test]
     fn figure_1a_machine_runs_at_rate_one() {
         let g = figures::figure_1a(0.5);
-        let mut m = Machine::new(&g, Capacity::Unbounded).unwrap();
+        let mut m = Machine::new(&g).unwrap();
         let mux = g.node_by_name("m").unwrap();
         for _ in 0..100 {
             // Always select the (token-rich) top channel.
@@ -597,7 +408,7 @@ mod tests {
     #[test]
     fn anti_tokens_accumulate_and_cancel() {
         let g = figures::figure_1b(0.5);
-        let mut m = Machine::new(&g, Capacity::Unbounded).unwrap();
+        let mut m = Machine::new(&g).unwrap();
         for _ in 0..50 {
             m.step_with(|_| figures::edge::TOP);
         }
@@ -613,7 +424,7 @@ mod tests {
         // Figure 1(a) with a fixed guard is deterministic with period 1
         // once warmed up.
         let g = figures::figure_1a(0.5);
-        let mut m = Machine::new(&g, Capacity::Unbounded).unwrap();
+        let mut m = Machine::new(&g).unwrap();
         for _ in 0..10 {
             m.step_with(|_| figures::edge::TOP);
         }
@@ -626,7 +437,7 @@ mod tests {
     #[test]
     fn undrawn_guards_are_reported_and_drawn_once() {
         let g = figures::figure_1b(0.5);
-        let mut m = Machine::new(&g, Capacity::Unbounded).unwrap();
+        let mut m = Machine::new(&g).unwrap();
         assert_eq!(m.undrawn_early_nodes().len(), 1);
         let mut draws = 0;
         m.step_with(|_| {
@@ -639,19 +450,71 @@ mod tests {
         assert_eq!(m.undrawn_early_nodes().len(), 1);
     }
 
+    /// One machine, loaded in turn with the key of every state of another
+    /// machine's run, replays each step: the same firings and the same
+    /// successor key, through anti-token debt, in-flight tokens and
+    /// pending guards. The loaded machine runs five cycles ahead, so the
+    /// key's latencies must count from its own clock.
+    #[test]
+    fn loaded_key_replays_its_machine() {
+        let g = figures::figure_1b_pipeline(&[3, 2], 0.6);
+        let mut draws = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |v: NodeId| {
+            draws = draws.rotate_left(7) ^ 0xD1B5_4A32_D192_ED03;
+            let ins = g.in_edges(v);
+            ins[draws as usize % ins.len()]
+        };
+        let mut original = Machine::new(&g).unwrap();
+        let mut loaded = Machine::new(&g).unwrap();
+        for _ in 0..5 {
+            loaded.step_with(&mut draw);
+        }
+        let (mut debt, mut in_flight, mut pending) = (false, false, false);
+        for cycle in 0..200 {
+            let key = original.canonical_state();
+            loaded.load_state(&key);
+            assert_eq!(
+                loaded.canonical_state(),
+                key,
+                "cycle {cycle}: load ≠ inverse"
+            );
+            debt |= original.channels.iter().any(|ch| ch.anti > 0);
+            in_flight |= original
+                .channels
+                .iter()
+                .any(|ch| ch.queue.iter().any(|&a| a > original.now));
+            pending |= original.selection.iter().any(Option::is_some);
+            let mut picks = Vec::new();
+            let a = original.step_with(|v| {
+                let e = draw(v);
+                picks.push(e);
+                e
+            });
+            let mut replay = picks.into_iter();
+            let b = loaded.step_with(|_| replay.next().expect("same undrawn guards"));
+            assert_eq!(a, b, "cycle {cycle}: firings differ");
+            assert_eq!(
+                loaded.canonical_state(),
+                original.canonical_state(),
+                "cycle {cycle}: successor keys differ"
+            );
+        }
+        assert!(debt && in_flight && pending, "{debt} {in_flight} {pending}");
+    }
+
     #[test]
     fn bounded_wires_force_joint_firing_at_full_rate() {
         use rr_rrg::RrgBuilder;
         // a → b over a wire; b → a with one buffered token. The cycle has
-        // one token and one EB, so the rate is 1; the capacity-0 wire
-        // makes a and b fire in the same cycles.
+        // one token and one EB, so the rate is 1; the wire makes a and b
+        // fire in the same cycles.
         let mut bld = RrgBuilder::new();
         let a = bld.add_simple("a", 1.0);
         let b = bld.add_simple("b", 1.0);
         bld.add_edge(a, b, 0, 0);
         bld.add_edge(b, a, 1, 1);
         let g = bld.build().unwrap();
-        let mut m = Machine::new(&g, Capacity::PerBuffer(2)).unwrap();
+        let mut m = Machine::new(&g).unwrap();
         for _ in 0..40 {
             m.step_with(|_| unreachable!("no early nodes"));
         }
@@ -662,87 +525,20 @@ mod tests {
     }
 
     #[test]
-    fn telescopic_ring_matches_renewal_theory() {
-        use rr_rrg::RrgBuilder;
-        // One-node ring with a single token: firings are a renewal
-        // process with period 1 (prob p) or 1 + extra (prob 1−p), so
-        // Θ = 1/(p + (1−p)(1+extra)).
-        let mut bld = RrgBuilder::new();
-        let a = bld.add_simple("a", 1.0);
-        bld.add_edge(a, a, 1, 1);
-        let g = bld.build().unwrap();
-        for (p, extra) in [(0.5, 1u64), (0.8, 3)] {
-            let spec = TelescopicSpec {
-                node: a,
-                fast_prob: p,
-                slow_extra: extra,
-            };
-            let mut m = Machine::with_telescopic(&g, Capacity::Unbounded, &[spec], 99).unwrap();
-            let cycles = 40_000;
-            for _ in 0..cycles {
-                m.step_with(|_| unreachable!("no early nodes"));
-            }
-            let theta = m.fired_total()[a.index()] as f64 / cycles as f64;
-            let expect = 1.0 / (p + (1.0 - p) * (1.0 + extra as f64));
-            assert!(
-                (theta - expect).abs() < 0.01,
-                "p={p}, extra={extra}: Θ = {theta} vs renewal {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn always_fast_telescopic_is_a_no_op() {
-        let g = figures::figure_1b(0.7);
-        let spec = TelescopicSpec {
-            node: g.node_by_name("F2").unwrap(),
-            fast_prob: 1.0,
-            slow_extra: 4,
-        };
-        let mut plain = Machine::new(&g, Capacity::Unbounded).unwrap();
-        let mut tele = Machine::with_telescopic(&g, Capacity::Unbounded, &[spec], 5).unwrap();
-        for _ in 0..300 {
-            plain.step_with(|_| figures::edge::TOP);
-            tele.step_with(|_| figures::edge::TOP);
-        }
-        assert_eq!(plain.fired_total(), tele.fired_total());
-    }
-
-    #[test]
-    fn telescopic_slowdown_reduces_throughput() {
-        let g = figures::figure_1a(0.5);
-        let spec = TelescopicSpec {
-            node: g.node_by_name("F1").unwrap(),
-            fast_prob: 0.5,
-            slow_extra: 2,
-        };
-        let mut m = Machine::with_telescopic(&g, Capacity::Unbounded, &[spec], 5).unwrap();
-        for _ in 0..4_000 {
-            m.step_with(|_| figures::edge::TOP);
-        }
-        let theta = m.fired_total()[0] as f64 / 4_000.0;
-        assert!(theta < 0.75, "Θ = {theta} should drop well below 1");
-        assert!(theta > 0.3);
-    }
-
-    #[test]
     fn bounded_starved_buffer_halves_the_rate() {
         use rr_rrg::RrgBuilder;
-        // Two-EB ring with one token: latency 2 per revolution → rate 1/2
-        // regardless of capacity mode.
+        // Two-EB ring with one token: latency 2 per revolution → rate 1/2.
         let mut bld = RrgBuilder::new();
         let a = bld.add_simple("a", 1.0);
         let b = bld.add_simple("b", 1.0);
         bld.add_edge(a, b, 0, 1);
         bld.add_edge(b, a, 1, 1);
         let g = bld.build().unwrap();
-        for cap in [Capacity::Unbounded, Capacity::PerBuffer(2)] {
-            let mut m = Machine::new(&g, cap).unwrap();
-            for _ in 0..40 {
-                m.step_with(|_| unreachable!("no early nodes"));
-            }
-            let fa = m.fired_total()[a.index()];
-            assert!((19..=21).contains(&fa), "{cap:?}: fired {fa}");
+        let mut m = Machine::new(&g).unwrap();
+        for _ in 0..40 {
+            m.step_with(|_| unreachable!("no early nodes"));
         }
+        let fa = m.fired_total()[a.index()];
+        assert!((19..=21).contains(&fa), "fired {fa}");
     }
 }

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rr_rrg::{EdgeId, NodeId, Rrg};
 
-use crate::machine::{Capacity, Machine, MachineError, TelescopicSpec};
+use crate::machine::{Machine, MachineError};
 
 /// Parameters of a randomised machine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,10 +15,6 @@ pub struct MachineParams {
     pub warmup: u64,
     /// Guard-draw RNG seed.
     pub seed: u64,
-    /// Channel capacity model.
-    pub capacity: Capacity,
-    /// Variable-latency units (empty = none).
-    pub telescopic: Vec<TelescopicSpec>,
 }
 
 impl Default for MachineParams {
@@ -27,8 +23,6 @@ impl Default for MachineParams {
             horizon: 30_000,
             warmup: 3_000,
             seed: 0x5EED_CAFE,
-            capacity: Capacity::Unbounded,
-            telescopic: Vec::new(),
         }
     }
 }
@@ -40,7 +34,6 @@ impl MachineParams {
             horizon: 4_000,
             warmup: 500,
             seed,
-            ..Self::default()
         }
     }
 }
@@ -67,11 +60,9 @@ pub struct RunResult {
 ///
 /// [`MachineError::CombinationalCycle`] for invalid configurations;
 /// [`MachineError::Deadlock`] when the machine stops making progress (a
-/// correct configuration of a live RRG cannot deadlock under unbounded
-/// capacity, but bounded capacity can introduce structural deadlocks).
+/// correct configuration of a live RRG cannot deadlock).
 pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineError> {
-    let mut machine =
-        Machine::with_telescopic(g, params.capacity, &params.telescopic, params.seed ^ 0x7E1E)?;
+    let mut machine = Machine::new(g)?;
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut draw = move |g: &Rrg, v: NodeId| -> EdgeId {
         let ins = g.in_edges(v);
@@ -120,26 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn figure_1a_needs_minimal_capacity() {
-        // A bubble-free ring at Θ = 1 works with real 2-slot EBs.
-        let g = figures::figure_1a(0.5);
-        let run = |capacity| {
-            let params = MachineParams {
-                capacity,
-                ..MachineParams::fast(1)
-            };
-            simulate(&g, &params).unwrap().throughput
-        };
-        let unbounded = run(Capacity::Unbounded);
-        let bounded = run(Capacity::PerBuffer(2));
-        assert!((unbounded - 1.0).abs() < 0.05, "unbounded Θ = {unbounded}");
-        assert!(
-            bounded >= 0.98 * unbounded - 1e-9,
-            "2-slot Θ = {bounded}, unbounded Θ = {unbounded}"
-        );
-    }
-
-    #[test]
     fn figure_1b_matches_paper_markov_values() {
         let r05 = simulate(&figures::figure_1b(0.5), &MachineParams::default()).unwrap();
         assert!(
@@ -164,28 +135,6 @@ mod tests {
                 (r.throughput - exact).abs() < 0.02,
                 "α={alpha}: Θ = {} vs {exact}",
                 r.throughput
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_capacity_never_beats_unbounded() {
-        for &alpha in &[0.5, 0.9] {
-            let g = figures::figure_1b(alpha);
-            let unb = simulate(&g, &MachineParams::default()).unwrap();
-            let bnd = simulate(
-                &g,
-                &MachineParams {
-                    capacity: Capacity::PerBuffer(2),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(
-                bnd.throughput <= unb.throughput + 0.01,
-                "α={alpha}: bounded {} vs unbounded {}",
-                bnd.throughput,
-                unb.throughput
             );
         }
     }

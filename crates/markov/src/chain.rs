@@ -1,13 +1,19 @@
 //! Reachable-state enumeration into a compressed sparse row (CSR) chain.
 //!
 //! The chain of an elastic machine is extremely sparse: each state has one
-//! successor per guard combination (a handful), while bounded-capacity
-//! state spaces run to 10⁴–10⁵ states. Per-state `Vec`s of transitions
-//! waste a pointer-and-capacity header per state and scatter the rows over
-//! the heap; the CSR layout below stores the whole transition structure in
+//! successor per guard combination (a handful), while pipelined state
+//! spaces run to 10⁴–10⁵ states. Per-state `Vec`s of transitions waste a
+//! pointer-and-capacity header per state and scatter the rows over the
+//! heap; the CSR layout below stores the whole transition structure in
 //! four flat arrays, so both solvers stream it cache-linearly.
+//!
+//! A state is its canonical key ([`Machine::canonical_state_into`]),
+//! stored once. One machine explores them all: it loads a state's key
+//! ([`Machine::load_state`]), steps one guard combination, encodes the
+//! successor and interns it.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use rr_elastic::Machine;
 use rr_rrg::{EdgeId, NodeId, Rrg};
@@ -60,23 +66,21 @@ impl Chain {
     }
 }
 
-/// Interns canonical state keys: each distinct key is stored once (as the
-/// map key) and identified by its dense state index. Lookups probe with a
-/// borrowed slice, so the enumeration loop allocates only on first sight
-/// of a state.
+/// Interns canonical state keys: each distinct key is stored once, shared
+/// by the lookup map and the index-ordered list, and identified by its
+/// dense state index. Lookups probe with a borrowed slice, so the
+/// enumeration loop allocates only on first sight of a state.
+#[derive(Default)]
 struct StateInterner {
-    index: HashMap<Box<[u64]>, u32>,
+    index: HashMap<Rc<[u64]>, u32>,
+    keys: Vec<Rc<[u64]>>,
+    /// Total length of the interned keys.
+    words: usize,
 }
 
 impl StateInterner {
-    fn new() -> Self {
-        StateInterner {
-            index: HashMap::new(),
-        }
-    }
-
     fn len(&self) -> usize {
-        self.index.len()
+        self.keys.len()
     }
 
     /// Returns the state index for `key`, interning it when new; the
@@ -85,8 +89,11 @@ impl StateInterner {
         if let Some(&i) = self.index.get(key) {
             return (i, false);
         }
-        let i = u32::try_from(self.index.len()).expect("state index fits u32");
-        self.index.insert(key.into(), i);
+        let i = u32::try_from(self.keys.len()).expect("state index fits u32");
+        let key: Rc<[u64]> = key.into();
+        self.words += key.len();
+        self.index.insert(Rc::clone(&key), i);
+        self.keys.push(key);
         (i, true)
     }
 }
@@ -111,19 +118,21 @@ pub const ROW_MASS_TOLERANCE: f64 = 1e-9;
 ///
 /// # Errors
 ///
-/// [`MarkovError::StateSpaceTooLarge`] past `params.max_states`;
-/// [`MarkovError::ProbabilityLeak`] when a state's outgoing probabilities
-/// do not sum to 1 (a machine or γ-assignment bug that would silently
-/// skew both solvers); [`MarkovError::Machine`] from machine construction.
+/// [`MarkovError::StateSpaceTooLarge`] past `params.max_states` states, or
+/// once the interned keys hold more than `2 · max_states` times the
+/// initial key's length in words: a queue that grows without end
+/// lengthens the keys with the exploration depth, so the state count
+/// alone does not bound memory. [`MarkovError::ProbabilityLeak`] when a
+/// state's outgoing probabilities do not sum to 1 (a machine or
+/// γ-assignment bug that would silently skew both solvers);
+/// [`MarkovError::Machine`] from machine construction.
 pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError> {
-    let initial = Machine::new(g, params.capacity)?;
-    let mut interner = StateInterner::new();
-    let mut machines: Vec<Machine> = Vec::new();
-    let mut key_scratch: Vec<u64> = Vec::new();
-
-    initial.canonical_state_into(&mut key_scratch);
-    interner.intern(&key_scratch);
-    machines.push(initial);
+    let mut machine = Machine::new(g)?;
+    let mut states = StateInterner::default();
+    let mut key: Vec<u64> = Vec::new();
+    machine.canonical_state_into(&mut key);
+    states.intern(&key);
+    let max_words = params.max_states.saturating_mul(2 * key.len());
 
     let mut row_offsets = vec![0usize];
     let mut cols: Vec<u32> = Vec::new();
@@ -134,29 +143,26 @@ pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError>
     // every state after it has been interned: the CSR rows are emitted in
     // order without a separate frontier or per-state buffers.
     let mut s = 0usize;
-    while s < machines.len() {
-        let machine = machines[s].clone();
-        let undrawn = machine.undrawn_early_nodes();
-        let combos = guard_combinations(g, &undrawn)?;
+    while s < states.len() {
+        let current = Rc::clone(&states.keys[s]);
+        machine.load_state(&current);
+        let combos = guard_combinations(g, &machine.undrawn_early_nodes())?;
         let mut row_mass = 0.0f64;
         for (choice, prob) in combos {
-            let mut m = machine.clone();
+            machine.load_state(&current);
             let mut it = choice.iter();
-            let outcome = m.step_with(|v| {
+            let outcome = machine.step_with(|v| {
                 let &(node, edge) = it.next().expect("draw called more times than undrawn");
                 debug_assert_eq!(node, v, "draw order mismatch");
                 edge
             });
             let reward = f64::from(outcome.fired[0]);
-            m.canonical_state_into(&mut key_scratch);
-            let (next, new) = interner.intern(&key_scratch);
-            if new {
-                if interner.len() > params.max_states {
-                    return Err(MarkovError::StateSpaceTooLarge {
-                        limit: params.max_states,
-                    });
-                }
-                machines.push(m);
+            machine.canonical_state_into(&mut key);
+            let (next, new) = states.intern(&key);
+            if new && (states.len() > params.max_states || states.words > max_words) {
+                return Err(MarkovError::StateSpaceTooLarge {
+                    limit: params.max_states,
+                });
             }
             cols.push(next);
             probs.push(prob);
@@ -215,4 +221,26 @@ fn guard_combinations(g: &Rrg, undrawn: &[NodeId]) -> Result<Vec<GuardCombo>, Ma
         c.sort_by_key(|&(v, _)| v);
     }
     Ok(combos)
+}
+
+#[cfg(test)]
+impl Chain {
+    /// A chain from explicit rows of `(successor, probability, reward)`.
+    pub(crate) fn from_rows(rows: &[&[(u32, f64, f64)]]) -> Chain {
+        let mut chain = Chain {
+            row_offsets: vec![0],
+            cols: Vec::new(),
+            probs: Vec::new(),
+            rewards: Vec::new(),
+        };
+        for row in rows {
+            for &(t, p, r) in row.iter() {
+                chain.cols.push(t);
+                chain.probs.push(p);
+                chain.rewards.push(r);
+            }
+            chain.row_offsets.push(chain.cols.len());
+        }
+        chain
+    }
 }

@@ -11,20 +11,23 @@
 //! γ-distributed guard draws. The long-run average of "reference node
 //! fired this cycle" is the throughput.
 //!
-//! The engine is organised in three layers:
+//! The engine is organised in two layers:
 //!
 //! * [`chain`] enumerates the reachable state space into a CSR transition
-//!   matrix (flat column/probability/reward arrays, interned state keys)
-//!   and validates that every row's probability mass is 1;
+//!   matrix (flat column/probability/reward arrays, each state stored once
+//!   as its interned key), validates that every row's probability mass is
+//!   1, and stops at [`MarkovParams::max_states`] states or when the keys
+//!   outgrow their word budget;
 //! * `solve` (internal) locates the terminal strongly connected
-//!   component and solves the stationary equations — by default with a
-//!   sparse Gauss–Seidel / damped-power hybrid that stops on the residual
-//!   `‖πP − π‖₁`, scaling to recurrent classes of 10⁴–10⁵ states; the
-//!   original dense Gauss–Jordan elimination survives as a
-//!   cross-validation oracle behind [`MarkovParams::solver`];
-//! * `power` (internal) covers multi-terminal chains with a
-//!   Cesàro-averaged power iteration whose stopping rule extrapolates
-//!   the limit (Aitken Δ² over geometric checkpoints).
+//!   components and solves the stationary equations of each — by
+//!   default with a sparse Gauss–Seidel / damped-power hybrid that stops
+//!   on the residual `‖πP − π‖₁`, scaling to recurrent classes of
+//!   10⁴–10⁵ states; the original dense Gauss–Jordan elimination
+//!   survives as a cross-validation oracle behind
+//!   [`MarkovParams::solver`]. A chain with several terminal classes
+//!   weights each class's throughput by the probability of being
+//!   absorbed into it from the initial state, so it is solved as exactly
+//!   as a chain with one.
 //!
 //! # Failure taxonomy and degradation ladder
 //!
@@ -32,10 +35,11 @@
 //! budget. It degrades through explicit rungs — Gauss–Seidel → damped
 //! power steps → Cesàro average of the damped iterates — and reports
 //! which rung produced the answer in [`MarkovResult::quality`]
-//! ([`SolveQuality`]); only the Cesàro rung marks the result inexact.
-//! Structural failures stay hard errors ([`MarkovError`]): a
-//! probability leak or an oversized state space cannot be "degraded
-//! around" without silently skewing every downstream number. A seeded
+//! ([`SolveQuality`]; with several terminal classes, the weakest class's
+//! rung); only the Cesàro rung marks the result inexact. Structural
+//! failures stay hard errors ([`MarkovError`]): a probability leak or an
+//! oversized state space cannot be "degraded around" without silently
+//! skewing every downstream number. A seeded
 //! [`MarkovFaults`] plan ([`MarkovParams::faults`], default off) stalls
 //! each iterative phase deterministically so the ladder is testable on
 //! well-behaved chains.
@@ -49,8 +53,8 @@
 //! [`DENSE_STATE_CAP`] states with
 //! [`MarkovError::DenseSolveTooLarge`] rather than grinding). The two
 //! agree to well below 1e-7 on every chain both can solve; the tests hold
-//! them to that on the figure chains, on bounded pipelines of up to
-//! 1,091 recurrent states, and on random graphs.
+//! them to that on the figure chains, on pipelines of up to 1,091
+//! recurrent states, and on random recycled graphs.
 //!
 //! # Example
 //!
@@ -68,11 +72,10 @@
 use std::error::Error;
 use std::fmt;
 
-use rr_elastic::{Capacity, MachineError};
+use rr_elastic::MachineError;
 use rr_rrg::Rrg;
 
 pub mod chain;
-mod power;
 mod solve;
 
 pub use chain::{build_chain, Chain, ROW_MASS_TOLERANCE};
@@ -81,7 +84,7 @@ pub use solve::DENSE_STATE_CAP;
 #[cfg(test)]
 mod proptests;
 
-/// Stationary-solve algorithm for the terminal recurrent class.
+/// Stationary-solve algorithm for each terminal (recurrent) class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StationarySolver {
     /// Sparse Gauss–Seidel / damped-power hybrid with a residual-based
@@ -98,7 +101,7 @@ pub enum StationarySolver {
 /// How the stationary distribution was obtained — the solver's own
 /// degradation ladder, reported instead of silently mixing methods.
 /// Ordered from strongest to weakest guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolveQuality {
     /// Direct elimination (dense oracle) or a trivial singleton class —
     /// no iteration involved.
@@ -130,11 +133,11 @@ pub struct MarkovFaults {
 /// Limits for the state-space exploration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovParams {
-    /// Abort if more reachable states than this are found.
+    /// Abort if more reachable states than this are found, or once the
+    /// stored state keys hold more than `2 · max_states` times the
+    /// initial key's length in words.
     pub max_states: usize,
-    /// Channel capacity model of the underlying machine.
-    pub capacity: Capacity,
-    /// Stationary-solve algorithm for the recurrent class.
+    /// Stationary-solve algorithm for the recurrent classes.
     pub solver: StationarySolver,
     /// Deterministic fault injection (default `None` — fully inert).
     pub faults: Option<MarkovFaults>,
@@ -144,7 +147,6 @@ impl Default for MarkovParams {
     fn default() -> Self {
         MarkovParams {
             max_states: 200_000,
-            capacity: Capacity::Unbounded,
             solver: StationarySolver::SparseIterative,
             faults: None,
         }
@@ -159,21 +161,26 @@ pub struct MarkovResult {
     pub throughput: f64,
     /// Number of reachable states explored.
     pub states: usize,
-    /// Number of states in the recurrent class that was solved.
+    /// Number of states in the terminal (recurrent) classes, all of which
+    /// are solved.
     pub recurrent_states: usize,
-    /// `true` when the stationary distribution was solved exactly (vs
-    /// power iteration or a Cesàro-average degradation).
+    /// `true` when every terminal class's stationary distribution was
+    /// solved exactly (not degraded to a Cesàro average); a chain with
+    /// several terminal classes is exact too.
     pub exact: bool,
     /// Which rung of the solver's degradation ladder produced the
-    /// answer; `exact` is equivalent to
-    /// `quality != SolveQuality::CesaroAverage`.
+    /// answer — the weakest rung over the terminal classes; `exact` is
+    /// equivalent to `quality != SolveQuality::CesaroAverage`.
     pub quality: SolveQuality,
 }
 
 /// Analysis failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MarkovError {
-    /// More reachable states than [`MarkovParams::max_states`].
+    /// More reachable states than [`MarkovParams::max_states`], or state
+    /// keys holding more than `2 · max_states` times the initial key's
+    /// length in words (a queue that grows without end lengthens the keys
+    /// instead of multiplying the states).
     StateSpaceTooLarge { limit: usize },
     /// Underlying machine failure.
     Machine(MachineError),
@@ -184,11 +191,11 @@ pub enum MarkovError {
     /// The dense cross-validation oracle was asked for a recurrent class
     /// larger than [`DENSE_STATE_CAP`]; use the sparse solver instead.
     DenseSolveTooLarge { states: usize, cap: usize },
-    /// The multi-terminal power-iteration fallback did not reach its
-    /// residual tolerance within the iteration budget. (The
-    /// single-terminal sparse solve no longer fails this way — it
-    /// degrades to a Cesàro average and reports
-    /// [`SolveQuality::CesaroAverage`] instead.)
+    /// A chain with several terminal classes still had more than 1e-15
+    /// of its probability mass in transient states after the absorption
+    /// budget (2²⁰ steps). This is the only budget that fails a solve:
+    /// a class's stationary solve degrades to a Cesàro average and
+    /// reports [`SolveQuality::CesaroAverage`] instead.
     NoConvergence,
     /// An early-evaluation node has an incoming edge without a γ
     /// assignment, so guard probabilities cannot be formed.
@@ -211,7 +218,9 @@ impl fmt::Display for MarkovError {
                 "dense oracle refuses {states} recurrent states (cap {cap}); \
                  use StationarySolver::SparseIterative"
             ),
-            MarkovError::NoConvergence => f.write_str("iterative solve did not converge"),
+            MarkovError::NoConvergence => {
+                f.write_str("transient mass did not drain into the terminal classes")
+            }
             MarkovError::MissingGamma { edge } => write!(
                 f,
                 "edge {edge}: early-evaluation input lacks a γ probability"
@@ -257,7 +266,9 @@ pub fn exact_throughput_with(g: &Rrg, params: &MarkovParams) -> Result<MarkovRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rr_rrg::figures;
+    use rr_rrg::config::retime_tokens;
+    use rr_rrg::generate::GeneratorParams;
+    use rr_rrg::{figures, Config};
 
     #[test]
     fn figure_2_closed_form_is_exact() {
@@ -277,7 +288,7 @@ mod tests {
     #[test]
     fn figure_1b_matches_paper_values() {
         // §1.4: Θ = 0.491 at α = 0.5 and Θ = 0.719 at α = 0.9. The exact
-        // chain gives 0.49180… and 0.71875: the paper truncated (not
+        // chain gives 0.49180… and 0.71902…: the paper truncated (not
         // rounded) the first value to three decimals.
         let r05 = exact_throughput(&figures::figure_1b(0.5)).unwrap();
         assert!(
@@ -331,51 +342,29 @@ mod tests {
     }
 
     #[test]
-    fn bounded_capacity_chain_solves_too() {
-        let g = figures::figure_1b(0.5);
-        let params = MarkovParams {
-            capacity: Capacity::PerBuffer(2),
-            ..Default::default()
-        };
-        let bounded = exact_throughput_with(&g, &params).unwrap();
-        let unbounded = exact_throughput(&g).unwrap();
-        assert!(bounded.throughput <= unbounded.throughput + 1e-9);
-        assert!(bounded.throughput > 0.0);
-    }
-
-    #[test]
     fn solvers_agree_on_all_figure_chains() {
-        // The two bounded pipelines have 419 and 1,091 recurrent states,
-        // the largest chains below the dense oracle's cap.
-        for (g, capacity) in [
-            (figures::figure_1a(0.5), Capacity::Unbounded),
-            (figures::figure_1b(0.5), Capacity::Unbounded),
-            (figures::figure_1b(0.9), Capacity::Unbounded),
-            (figures::figure_2(0.25), Capacity::Unbounded),
-            (figures::figure_2(0.9), Capacity::Unbounded),
-            (
-                figures::figure_1b_pipeline(&[2, 2], 0.6),
-                Capacity::PerBuffer(2),
-            ),
-            (
-                figures::figure_1b_pipeline(&[3, 2], 0.6),
-                Capacity::PerBuffer(2),
-            ),
+        // The two pipelines have 419 and 1,091 recurrent states, the
+        // largest chains below the dense oracle's cap.
+        for (g, recurrent) in [
+            (figures::figure_1a(0.5), 1),
+            (figures::figure_1b(0.5), 13),
+            (figures::figure_1b(0.9), 13),
+            (figures::figure_2(0.25), 6),
+            (figures::figure_2(0.9), 6),
+            (figures::figure_1b_pipeline(&[2, 2], 0.6), 419),
+            (figures::figure_1b_pipeline(&[3, 2], 0.6), 1_091),
         ] {
-            let params = MarkovParams {
-                capacity,
-                ..Default::default()
-            };
-            let sparse = exact_throughput_with(&g, &params).unwrap();
+            let sparse = exact_throughput(&g).unwrap();
             let dense = exact_throughput_with(
                 &g,
                 &MarkovParams {
                     solver: StationarySolver::DenseGaussJordan,
-                    ..params
+                    ..Default::default()
                 },
             )
             .unwrap();
             assert!(sparse.exact && dense.exact);
+            assert_eq!(sparse.recurrent_states, recurrent);
             assert!(
                 (sparse.throughput - dense.throughput).abs() < 1e-7,
                 "sparse {} vs dense {}",
@@ -387,29 +376,20 @@ mod tests {
 
     #[test]
     fn sparse_solves_beyond_the_old_dense_cap() {
-        // Two pipelined figure-1(b) stages of length 3: ~2.5k recurrent
+        // Two pipelined figure-1(b) stages of length 3: 2,496 recurrent
         // states — past the 2,000-state wall where the old dense-only
         // engine silently fell back to power iteration — and two of
-        // length 5 at two slots per buffer: 28,520 recurrent states. The
-        // sparse path must solve both exactly; the dense oracle must
-        // refuse them with a structured error; and each answer must agree
-        // with an independent machine simulation.
-        for (g, capacity) in [
-            (
-                figures::figure_1b_pipeline(&[3, 3], 0.6),
-                Capacity::Unbounded,
-            ),
-            (
-                figures::figure_1b_pipeline(&[5, 5], 0.6),
-                Capacity::PerBuffer(2),
-            ),
+        // length 5: 28,520 recurrent states. The sparse path must solve
+        // both exactly; the dense oracle must refuse them with a
+        // structured error; and each answer must agree with an
+        // independent machine simulation.
+        for (g, recurrent) in [
+            (figures::figure_1b_pipeline(&[3, 3], 0.6), 2_496),
+            (figures::figure_1b_pipeline(&[5, 5], 0.6), 28_520),
         ] {
-            let params = MarkovParams {
-                capacity,
-                ..Default::default()
-            };
-            let sparse = exact_throughput_with(&g, &params).unwrap();
-            assert!(sparse.exact, "sparse path fell back to power iteration");
+            let sparse = exact_throughput(&g).unwrap();
+            assert!(sparse.exact, "sparse path degraded to a Cesàro average");
+            assert_eq!(sparse.recurrent_states, recurrent);
             assert!(
                 sparse.recurrent_states > DENSE_STATE_CAP,
                 "instance shrank below the cap: {} states",
@@ -418,7 +398,7 @@ mod tests {
 
             let dense_params = MarkovParams {
                 solver: StationarySolver::DenseGaussJordan,
-                ..params
+                ..Default::default()
             };
             match exact_throughput_with(&g, &dense_params) {
                 Err(MarkovError::DenseSolveTooLarge { states, cap }) => {
@@ -433,7 +413,6 @@ mod tests {
                 &rr_elastic::MachineParams {
                     horizon: 60_000,
                     warmup: 10_000,
-                    capacity,
                     ..Default::default()
                 },
             )
@@ -447,71 +426,50 @@ mod tests {
         }
     }
 
-    /// The old power-iteration stopping rule compared Cesàro averages
-    /// 1,000 iterations apart against 1e-7: the successive delta shrinks
-    /// like `c/t²` while the absolute error is still `c/t`, so on a
-    /// slow-mixing chain (γ near 1 the mux almost always takes the top
-    /// channel, and the bottom-channel excursions that set the throughput
-    /// are rare) it fired while the answer was off in the fourth decimal.
+    /// A recycled random graph whose chain has three terminal classes
+    /// (7, 22 and 32 states, periods 3, 6 and 6), each running at 1/3:
+    /// every class is solved and weighted by its absorption probability,
+    /// under either solver, and the answer is exact.
     #[test]
-    fn slow_mixing_power_iteration_is_accurate_where_old_criterion_failed() {
-        let g = figures::figure_1b(0.9999);
-        let truth = exact_throughput(&g).unwrap();
-        assert!(truth.exact);
-
-        // Run the power-iteration fallback on the same chain, and
-        // replicate the old stopping rule there.
-        let chain = build_chain(&g, &MarkovParams::default()).unwrap();
-        let power = crate::power::power_iteration(&chain).unwrap();
-        let old = old_criterion_estimate(&chain);
-
-        // Measured: the old rule fires at t = 2,000 with ~8e-6 error (it
-        // claimed 1e-7); the extrapolated rule is accurate to ~6e-11.
-        let old_err = (old - truth.throughput).abs();
-        let new_err = (power - truth.throughput).abs();
-        assert!(
-            old_err > 2e-6,
-            "old criterion unexpectedly accurate: err {old_err:.2e}"
-        );
-        assert!(
-            new_err < 1e-8,
-            "extrapolated criterion off by {new_err:.2e} (old: {old_err:.2e})"
-        );
-        assert!(new_err * 100.0 < old_err);
+    fn several_terminal_classes_solve_exactly() {
+        let g = GeneratorParams::paper_defaults(5, 1, 10).generate(4775422552608331596);
+        let config = Config {
+            tokens: retime_tokens(&g, &[0, 0, -2, -1, -2, -2]),
+            buffers: vec![2, 1, 1, 4, 0, 1, 1, 1, 2, 2],
+        };
+        let g = config.apply(&g).unwrap();
+        for solver in [
+            StationarySolver::SparseIterative,
+            StationarySolver::DenseGaussJordan,
+        ] {
+            let params = MarkovParams {
+                solver,
+                ..Default::default()
+            };
+            let r = exact_throughput_with(&g, &params).unwrap();
+            assert_eq!((r.states, r.recurrent_states), (122, 61), "{solver:?}");
+            assert!(r.exact, "{solver:?}: {:?}", r.quality);
+            assert!(
+                (r.throughput - 1.0 / 3.0).abs() < 1e-12,
+                "{solver:?}: Θ = {}",
+                r.throughput
+            );
+        }
     }
 
-    /// The pre-fix stopping rule, verbatim: converged when Cesàro averages
-    /// 1,000 iterations apart differ by less than 1e-7.
-    fn old_criterion_estimate(chain: &Chain) -> f64 {
-        let n = chain.num_states();
-        let mut dist = vec![0.0f64; n];
-        dist[0] = 1.0;
-        let mut next = vec![0.0f64; n];
-        let mut avg_prev = f64::NAN;
-        let mut cum_reward = 0.0;
-        for it in 1..=400_000usize {
-            next.iter_mut().for_each(|x| *x = 0.0);
-            let mut step_reward = 0.0;
-            for (s, d) in dist.iter().enumerate() {
-                if *d == 0.0 {
-                    continue;
-                }
-                for (t, p, r) in chain.row(s) {
-                    next[t] += d * p;
-                    step_reward += d * p * r;
-                }
-            }
-            std::mem::swap(&mut dist, &mut next);
-            cum_reward += step_reward;
-            if it % 1_000 == 0 {
-                let avg = cum_reward / it as f64;
-                if (avg - avg_prev).abs() < 1e-7 {
-                    return avg;
-                }
-                avg_prev = avg;
-            }
-        }
-        panic!("old criterion never fired");
+    /// A retiming-plus-bubbles configuration whose machine grows a queue
+    /// without end: its keys lengthen with the exploration depth, so the
+    /// word budget refuses it long before the state cap would.
+    #[test]
+    fn unbounded_queue_growth_hits_the_word_budget() {
+        let g = GeneratorParams::paper_defaults(5, 1, 9).generate(122);
+        let config = Config {
+            tokens: vec![3, 1, 1, -1, -1, 0, 0, 0, -2],
+            buffers: vec![4, 3, 3, 1, 0, 1, 0, 2, 1],
+        };
+        assert!(config.validate(&g).is_ok());
+        let err = exact_throughput(&config.apply(&g).unwrap()).unwrap_err();
+        assert_eq!(err, MarkovError::StateSpaceTooLarge { limit: 200_000 });
     }
 
     /// Each rung of the degradation ladder, driven by the seeded fault

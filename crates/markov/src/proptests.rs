@@ -2,24 +2,22 @@
 //!
 //! The sparse Gauss–Seidel/power hybrid is the production path; the dense
 //! Gauss–Jordan elimination is its oracle. On every chain both can solve —
-//! figure variants across the γ range and random bounded-capacity
-//! benchmark graphs — their throughputs must agree to 1e-7 (in practice
-//! they agree to ~1e-12; the bound leaves room for ill-conditioned
-//! classes).
+//! figure variants across the γ range and random recycled benchmark
+//! graphs — their throughputs must agree to 1e-7 (in practice they agree
+//! to ~1e-12; the bound leaves room for ill-conditioned classes).
 
 use proptest::prelude::*;
 
-use rr_elastic::Capacity;
 use rr_rrg::generate::GeneratorParams;
-use rr_rrg::{figures, Rrg};
+use rr_rrg::{figures, Config, Rrg};
 
 use crate::{exact_throughput_with, MarkovError, MarkovParams, StationarySolver};
 
-/// Solves with both solvers and asserts agreement; skips instances the
-/// dense oracle refuses or that exceed the exploration limits.
-fn assert_solvers_agree(g: &Rrg, capacity: Capacity, label: &str) {
+/// Solves with both solvers and asserts agreement; returns `false`
+/// (skipped) on instances the dense oracle refuses or that exceed the
+/// exploration limits.
+fn assert_solvers_agree(g: &Rrg, label: &str) -> bool {
     let sparse_params = MarkovParams {
-        capacity,
         max_states: 50_000,
         ..Default::default()
     };
@@ -29,12 +27,12 @@ fn assert_solvers_agree(g: &Rrg, capacity: Capacity, label: &str) {
     };
     let sparse = match exact_throughput_with(g, &sparse_params) {
         Ok(r) => r,
-        Err(MarkovError::StateSpaceTooLarge { .. }) => return,
+        Err(MarkovError::StateSpaceTooLarge { .. }) => return false,
         Err(e) => panic!("{label}: sparse solve failed: {e}"),
     };
     let dense = match exact_throughput_with(g, &dense_params) {
         Ok(r) => r,
-        Err(MarkovError::DenseSolveTooLarge { .. }) => return,
+        Err(MarkovError::DenseSolveTooLarge { .. }) => return false,
         Err(e) => panic!("{label}: dense solve failed: {e}"),
     };
     assert_eq!(sparse.exact, dense.exact);
@@ -47,45 +45,64 @@ fn assert_solvers_agree(g: &Rrg, capacity: Capacity, label: &str) {
         dense.throughput,
         sparse.recurrent_states
     );
+    true
+}
+
+/// One random benchmark graph: seed, simple and early node counts, and a
+/// retiming in −2..=2 plus 0–2 bubbles per edge. A bare generated graph
+/// has no bubble, and its chain collapses to a one-state recurrent class.
+type RandomChain = (u64, usize, usize, Vec<i64>, Vec<i64>);
+
+fn random_chain() -> impl Strategy<Value = RandomChain> {
+    (
+        0u64..500,
+        4usize..7,
+        1usize..3,
+        prop::collection::vec(-2i64..=2, 8),
+        prop::collection::vec(0i64..=2, 16),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Figure chains across the whole γ range, unbounded and bounded.
+    /// Figure chains across the whole γ range.
     #[test]
-    fn solvers_agree_on_figure_chains(
-        alpha in 0.05f64..0.95,
-        variant in 0usize..3,
-        cap in 0u32..3,
-    ) {
+    fn solvers_agree_on_figure_chains(alpha in 0.05f64..0.95, variant in 0usize..3) {
         let g = match variant {
             0 => figures::figure_1a(alpha),
             1 => figures::figure_1b(alpha),
             _ => figures::figure_2(alpha),
         };
-        let capacity = match cap {
-            0 => Capacity::Unbounded,
-            k => Capacity::PerBuffer(k),
-        };
-        assert_solvers_agree(&g, capacity, &format!("figure v{variant} α={alpha}"));
+        prop_assert!(assert_solvers_agree(&g, &format!("figure v{variant} α={alpha}")));
     }
+}
 
-    /// Random paper-recipe benchmark graphs under bounded capacity — the
-    /// workload whose state spaces actually stress the sparse path.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// Random recycled benchmark graphs — the workload whose state spaces
+    /// actually stress the sparse path. One case draws 24 graphs, so a
+    /// run in which every graph is skipped fails.
     #[test]
     fn solvers_agree_on_random_bounded_chains(
-        seed in 0u64..500,
-        simple in 4usize..7,
-        early in 1usize..3,
-        k in 1u32..3,
+        draws in prop::collection::vec(random_chain(), 24),
     ) {
-        let edges = (simple + early) * 2;
-        let g = GeneratorParams::paper_defaults(simple, early, edges).generate(seed);
-        assert_solvers_agree(
-            &g,
-            Capacity::PerBuffer(k),
-            &format!("random s={seed} n={simple}+{early} k={k}"),
-        );
+        let mut checked = 0;
+        for (seed, simple, early, r, bubbles) in draws {
+            let edges = (simple + early) * 2;
+            let g = GeneratorParams::paper_defaults(simple, early, edges).generate(seed);
+            let r: Vec<i64> = (0..g.num_nodes()).map(|i| r[i % r.len()]).collect();
+            let mut config = Config::from_retiming_with_buffers(&g, &r);
+            for (i, b) in config.buffers.iter_mut().enumerate() {
+                *b += bubbles[i % bubbles.len()];
+            }
+            let g = config
+                .apply(&g)
+                .expect("a retiming plus bubbles is a valid configuration");
+            let label = format!("random s={seed} n={simple}+{early} r={r:?}");
+            checked += usize::from(assert_solvers_agree(&g, &label));
+        }
+        prop_assert!(checked > 0, "every drawn chain was skipped");
     }
 }

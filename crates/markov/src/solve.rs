@@ -1,7 +1,7 @@
-//! Stationary solve on the terminal strongly connected component.
+//! Stationary solve on the terminal strongly connected components.
 //!
-//! Two interchangeable solvers compute `π P = π, Σπ = 1` on the recurrent
-//! class (selected by [`MarkovParams::solver`]):
+//! Two interchangeable solvers compute `π P = π, Σπ = 1` on a terminal
+//! (recurrent) class (selected by [`MarkovParams::solver`]):
 //!
 //! * [`StationarySolver::SparseIterative`] — the production path: a
 //!   Gauss–Seidel sweep over the in-transition (CSC) structure of the
@@ -14,15 +14,15 @@
 //!   elimination, kept as a cross-validation oracle. It refuses classes
 //!   beyond [`DENSE_STATE_CAP`] states instead of grinding.
 //!
-//! Multi-terminal chains fall back to the Cesàro-averaged power
-//! iteration in [`crate::power`]. Chain building already stops at
-//! [`MarkovParams::max_states`], so a single terminal class needs no
-//! size cap of its own.
+//! A chain with several terminal classes solves each class the same way
+//! and weights its throughput `Θ_k` by the probability `a_k` that the
+//! chain, started in state 0, is absorbed into it: `Θ = Σ_k a_k·Θ_k`.
+//! Chain building already stops at [`MarkovParams::max_states`], so a
+//! class needs no size cap of its own.
 
 use std::collections::HashMap;
 
 use crate::chain::Chain;
-use crate::power::power_iteration;
 use crate::{MarkovError, MarkovParams, MarkovResult, SolveQuality, StationarySolver};
 
 /// Hard cap on the dense oracle: beyond this many recurrent states the
@@ -31,13 +31,20 @@ use crate::{MarkovError, MarkovParams, MarkovResult, SolveQuality, StationarySol
 /// old dense-only engine.)
 pub const DENSE_STATE_CAP: usize = 2_000;
 
+/// Transient probability mass left over when the absorption
+/// probabilities are taken as final.
+const ABSORPTION_EPS: f64 = 1e-15;
+
+/// Steps of the absorption push before [`MarkovError::NoConvergence`].
+const ABSORPTION_STEPS: usize = 1 << 20;
+
 /// `‖πP − π‖₁` threshold of the sparse iterative solver, scaled mildly
 /// with the class size to stay achievable in double precision.
 fn residual_eps(k: usize) -> f64 {
     1e-13 + k as f64 * 1e-15
 }
 
-/// Finds the recurrent class and solves for the stationary throughput.
+/// Finds the terminal classes and solves for the long-run throughput.
 pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult, MarkovError> {
     let n = chain.num_states();
     let sccs = tarjan(chain);
@@ -47,8 +54,10 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
             comp_of[s] = ci;
         }
     }
-    // Terminal SCCs: no transition leaves the component.
-    let mut terminal: Vec<usize> = Vec::new();
+    // Terminal SCCs: no transition leaves the component. `class_of` maps
+    // their states to the class index and transient states to `None`.
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    let mut class_of = vec![None; n];
     'comp: for (ci, comp) in sccs.iter().enumerate() {
         for &s in comp {
             for &t in chain.succs(s) {
@@ -57,14 +66,24 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
                 }
             }
         }
-        terminal.push(ci);
+        for &s in comp {
+            class_of[s] = Some(classes.len());
+        }
+        let mut comp = comp.clone();
+        comp.sort_unstable();
+        classes.push(comp);
     }
 
-    if terminal.len() == 1 {
-        let mut comp = sccs[terminal[0]].clone();
-        comp.sort_unstable();
-        let (theta, quality) = match params.solver {
-            StationarySolver::SparseIterative => stationary_sparse(chain, &comp, params),
+    let weights = if classes.len() == 1 {
+        vec![1.0]
+    } else {
+        absorption(chain, &class_of, classes.len())?
+    };
+    let mut throughput = 0.0f64;
+    let mut quality = SolveQuality::Direct;
+    for (comp, weight) in classes.iter().zip(&weights) {
+        let (theta, q) = match params.solver {
+            StationarySolver::SparseIterative => stationary_sparse(chain, comp, params),
             StationarySolver::DenseGaussJordan => {
                 if comp.len() > DENSE_STATE_CAP {
                     return Err(MarkovError::DenseSolveTooLarge {
@@ -72,28 +91,56 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
                         cap: DENSE_STATE_CAP,
                     });
                 }
-                (stationary_dense(chain, &comp), SolveQuality::Direct)
+                (stationary_dense(chain, comp), SolveQuality::Direct)
             }
         };
-        Ok(MarkovResult {
-            throughput: theta,
-            states: n,
-            recurrent_states: comp.len(),
-            exact: quality != SolveQuality::CesaroAverage,
-            quality,
-        })
-    } else {
-        // Multi-terminal: Cesàro-averaged power iteration from the
-        // initial state.
-        let theta = power_iteration(chain).ok_or(MarkovError::NoConvergence)?;
-        Ok(MarkovResult {
-            throughput: theta,
-            states: n,
-            recurrent_states: terminal.iter().map(|&c| sccs[c].len()).sum(),
-            exact: false,
-            quality: SolveQuality::CesaroAverage,
-        })
+        throughput += weight * theta;
+        quality = quality.max(q);
     }
+    Ok(MarkovResult {
+        throughput,
+        states: n,
+        recurrent_states: classes.iter().map(Vec::len).sum(),
+        exact: quality != SolveQuality::CesaroAverage,
+        quality,
+    })
+}
+
+/// Probability of absorption into each terminal class from state 0, which
+/// is transient whenever there are several classes (every state is
+/// reachable from it). The transient mass is pushed forward one step at a
+/// time until at most [`ABSORPTION_EPS`] of it is left.
+fn absorption(
+    chain: &Chain,
+    class_of: &[Option<usize>],
+    classes: usize,
+) -> Result<Vec<f64>, MarkovError> {
+    let transient: Vec<usize> = (0..chain.num_states())
+        .filter(|&s| class_of[s].is_none())
+        .collect();
+    let mut absorbed = vec![0.0f64; classes];
+    let mut mass = vec![0.0f64; chain.num_states()];
+    let mut next = mass.clone();
+    mass[0] = 1.0;
+    for _ in 0..ABSORPTION_STEPS {
+        for &s in &transient {
+            let m = std::mem::take(&mut mass[s]);
+            if m == 0.0 {
+                continue;
+            }
+            for (t, p, _) in chain.row(s) {
+                match class_of[t] {
+                    Some(c) => absorbed[c] += m * p,
+                    None => next[t] += m * p,
+                }
+            }
+        }
+        std::mem::swap(&mut mass, &mut next);
+        if transient.iter().map(|&s| mass[s]).sum::<f64>() <= ABSORPTION_EPS {
+            return Ok(absorbed);
+        }
+    }
+    Err(MarkovError::NoConvergence)
 }
 
 /// The terminal class of `chain` restricted to local indices, stored both
@@ -439,4 +486,51 @@ fn tarjan(chain: &Chain) -> Vec<Vec<usize>> {
         }
     }
     comps
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// From 0, state 1 is absorbed into the firing self-loop {2} with
+    /// probability 0.3, into the 2-cycle {3, 4} (Θ = 1/2) with probability
+    /// 0.2, and returns to 0 otherwise: a_{2} = 0.6, a_{3,4} = 0.4, so
+    /// Θ = 0.6·1 + 0.4·0.5 = 0.8 under either solver.
+    #[test]
+    fn terminal_classes_are_weighted_by_their_absorption_probability() {
+        let chain = Chain::from_rows(&[
+            &[(1, 1.0, 0.0)],
+            &[(2, 0.3, 0.0), (0, 0.5, 0.0), (3, 0.2, 0.0)],
+            &[(2, 1.0, 1.0)],
+            &[(4, 1.0, 1.0)],
+            &[(3, 1.0, 0.0)],
+        ]);
+        for solver in [
+            StationarySolver::SparseIterative,
+            StationarySolver::DenseGaussJordan,
+        ] {
+            let params = MarkovParams {
+                solver,
+                ..Default::default()
+            };
+            let r = solve_chain(&chain, &params).unwrap();
+            assert!((r.throughput - 0.8).abs() < 1e-12, "{solver:?}: {r:?}");
+            assert!(r.exact, "{solver:?}: {r:?}");
+            assert_eq!((r.states, r.recurrent_states), (5, 3));
+        }
+    }
+
+    /// Transient mass that leaks out at 1e-7 per step cannot drain below
+    /// 1e-15 within the absorption budget: the solve reports
+    /// `NoConvergence` instead of a throughput.
+    #[test]
+    fn slow_absorption_reports_no_convergence() {
+        let chain = Chain::from_rows(&[
+            &[(0, 1.0 - 1e-7, 0.0), (1, 5e-8, 0.0), (2, 5e-8, 0.0)],
+            &[(1, 1.0, 1.0)],
+            &[(2, 1.0, 0.0)],
+        ]);
+        let err = solve_chain(&chain, &MarkovParams::default()).unwrap_err();
+        assert_eq!(err, MarkovError::NoConvergence);
+    }
 }

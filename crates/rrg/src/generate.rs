@@ -57,6 +57,13 @@ impl GeneratorParams {
     /// paper's source circuits were live by construction) and has exactly
     /// `early_nodes` early-evaluation nodes.
     ///
+    /// It is also bubble-free: every token sits in its own elastic buffer
+    /// (the fix-up raises tokens and buffers together), so the graph runs
+    /// at Θ = 1. A throughput check that should see anything else must
+    /// draw a configuration on it, e.g. a retiming plus bubbles
+    /// ([`Config::from_retiming_with_buffers`](crate::Config::from_retiming_with_buffers),
+    /// [`Config::add_bubbles`](crate::Config::add_bubbles)).
+    ///
     /// # Panics
     ///
     /// Panics if `edges < simple_nodes + 2·early_nodes` (a strongly

@@ -9,13 +9,13 @@
 
 use proptest::prelude::*;
 use rr_rrg::generate::GeneratorParams;
-use rr_rrg::{Config, NodeKind};
+use rr_rrg::{Config, NodeKind, Rrg};
 
 use crate::gmg::{Tgmg, TgmgEdge, TgmgNode};
 use crate::late;
 use crate::lp_bound::throughput_upper_bound;
 use crate::sim::{full_scan, simulate, SimParams};
-use crate::skeleton::{tgmg_of, TgmgSkeleton};
+use crate::skeleton::tgmg_of;
 
 fn small_params() -> impl Strategy<Value = (GeneratorParams, u64)> {
     (2usize..10, 0usize..3, 0usize..12, any::<u64>()).prop_map(|(ns, ne, extra, seed)| {
@@ -27,9 +27,11 @@ fn small_params() -> impl Strategy<Value = (GeneratorParams, u64)> {
     })
 }
 
-/// A generated graph under a random retiming (anti-tokens included) plus
-/// random bubbles, as a TGMG.
-fn configured_tgmg() -> impl Strategy<Value = (Tgmg, u64)> {
+/// A generated graph under a random retiming in −2..=2 (anti-tokens
+/// included) plus 0–2 bubbles per edge. A bare generated graph has no
+/// bubble and runs at Θ = 1, which would leave the throughput checks
+/// nothing to compare.
+fn configured_graph() -> impl Strategy<Value = (Rrg, u64)> {
     (
         small_params(),
         prop::collection::vec(-2i64..=2, 12),
@@ -42,9 +44,16 @@ fn configured_tgmg() -> impl Strategy<Value = (Tgmg, u64)> {
             for (i, b) in config.buffers.iter_mut().enumerate() {
                 *b += bubbles[i % bubbles.len()];
             }
-            let t = TgmgSkeleton::of(&g).instantiate(&config.tokens, &config.buffers);
-            (t, seed)
+            let g = config
+                .apply(&g)
+                .expect("a retiming plus bubbles is a valid configuration");
+            (g, seed)
         })
+}
+
+/// [`configured_graph`] as a TGMG.
+fn configured_tgmg() -> impl Strategy<Value = (Tgmg, u64)> {
+    configured_graph().prop_map(|(g, seed)| (tgmg_of(&g), seed))
 }
 
 /// An arbitrary TGMG: any edges, delays 0–2, markings −1…2 and early
@@ -124,8 +133,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lp_bound_dominates_simulation((p, seed) in small_params()) {
-        let g = p.generate(seed);
+    fn lp_bound_dominates_simulation((g, seed) in configured_graph()) {
         let t = tgmg_of(&g);
         let bound = throughput_upper_bound(&t).unwrap();
         let sim = simulate(&t, &SimParams::fast(seed)).unwrap().throughput;
@@ -135,8 +143,8 @@ proptest! {
     }
 
     #[test]
-    fn late_eval_lp_equals_min_cycle_ratio((p, seed) in small_params()) {
-        let g = p.generate(seed).with_late_evaluation();
+    fn late_eval_lp_equals_min_cycle_ratio((g, _seed) in configured_graph()) {
+        let g = g.with_late_evaluation();
         let t = tgmg_of(&g);
         let bound = throughput_upper_bound(&t).unwrap();
         let mcr = late::exact_late_throughput(&g);
@@ -145,8 +153,8 @@ proptest! {
     }
 
     #[test]
-    fn late_eval_simulation_converges_to_mcr((p, seed) in small_params()) {
-        let g = p.generate(seed).with_late_evaluation();
+    fn late_eval_simulation_converges_to_mcr((g, seed) in configured_graph()) {
+        let g = g.with_late_evaluation();
         let t = tgmg_of(&g);
         let mcr = late::exact_late_throughput(&g);
         let sim = simulate(

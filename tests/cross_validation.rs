@@ -5,24 +5,56 @@
 
 use rr_core::{evaluate_config, formulation, CoreOptions};
 use rr_elastic::{simulate as machine_sim, MachineParams};
-use rr_markov::{exact_throughput_with, MarkovParams};
+use rr_markov::{exact_throughput_with, MarkovError, MarkovParams};
 use rr_rrg::generate::GeneratorParams;
-use rr_rrg::Config;
+use rr_rrg::{Config, Rrg};
 use rr_tgmg::late::exact_late_throughput;
+use rr_tgmg::lp_bound::throughput_upper_bound;
+use rr_tgmg::skeleton::tgmg_of;
+
+/// One SplitMix64 step.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A random configuration of `g`: a retiming in −2..=2 (anti-tokens
+/// included) plus 0–2 bubbles per edge. The generator's own graphs have
+/// no bubble and run at Θ = 1, so a throughput check on them compares
+/// nothing.
+fn recycled(g: &Rrg, state: &mut u64) -> Config {
+    let r: Vec<i64> = (0..g.num_nodes())
+        .map(|_| (splitmix64(state) % 5) as i64 - 2)
+        .collect();
+    let mut config = Config::from_retiming_with_buffers(g, &r);
+    for b in &mut config.buffers {
+        *b += (splitmix64(state) % 3) as i64;
+    }
+    config
+}
 
 #[test]
 fn markov_vs_machine_vs_lp_on_random_small_graphs() {
-    for seed in 0..6 {
+    let mut state = 0x5e_ed0f_c4a1_u64;
+    let mut checked = 0;
+    for seed in 0..12 {
         let g = GeneratorParams::paper_defaults(5, 1, 9).generate(seed);
+        let g = recycled(&g, &mut state).apply(&g).unwrap();
         let markov = exact_throughput_with(
             &g,
             &MarkovParams {
-                max_states: 500_000,
+                max_states: 50_000,
                 ..Default::default()
             },
         );
-        let Ok(markov) = markov else {
-            continue; // state space too large for this seed — fine
+        let markov = match markov {
+            Ok(markov) => markov,
+            // State space too large for this draw — fine.
+            Err(MarkovError::StateSpaceTooLarge { .. }) => continue,
+            Err(e) => panic!("seed {seed}: {e}"),
         };
         let machine = machine_sim(
             &g,
@@ -39,7 +71,15 @@ fn markov_vs_machine_vs_lp_on_random_small_graphs() {
             "seed {seed}: markov {} vs machine {machine}",
             markov.throughput
         );
+        let lp = throughput_upper_bound(&tgmg_of(&g)).unwrap();
+        assert!(
+            lp >= markov.throughput - 1e-9,
+            "seed {seed}: LP bound {lp} below exact {}",
+            markov.throughput
+        );
+        checked += 1;
     }
+    assert!(checked > 0, "every drawn graph was skipped");
 }
 
 #[test]
@@ -64,12 +104,14 @@ fn optimizer_configs_verify_under_the_elastic_machine() {
 
 #[test]
 fn late_eval_evaluation_matches_min_cycle_ratio() {
+    let mut state = 0x1a7e_e7a1_u64;
     for seed in 0..4 {
         let g = GeneratorParams::paper_defaults(7, 0, 12)
             .generate(seed)
             .with_late_evaluation();
-        let ev = evaluate_config(&g, &Config::initial(&g), &CoreOptions::fast()).unwrap();
-        let mcr = exact_late_throughput(&g).min(1.0);
+        let config = recycled(&g, &mut state);
+        let ev = evaluate_config(&g, &config, &CoreOptions::fast()).unwrap();
+        let mcr = exact_late_throughput(&config.apply(&g).unwrap()).min(1.0);
         assert!(
             (ev.theta_lp - mcr).abs() < 1e-5,
             "seed {seed}: LP {} vs MCR {mcr}",
@@ -81,7 +123,7 @@ fn late_eval_evaluation_matches_min_cycle_ratio() {
 #[test]
 fn config_round_trip_through_all_representations() {
     let g = GeneratorParams::paper_defaults(6, 2, 14).generate(9);
-    let cfg = Config::initial(&g);
+    let cfg = recycled(&g, &mut 9);
     // Config → applied graph → machine; Config → skeleton instantiation →
     // TGMG sim. Same physical system, same throughput.
     let applied = cfg.apply(&g).unwrap();

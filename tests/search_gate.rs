@@ -22,6 +22,12 @@
 //!   dual simplex, and on 600 `MIN_CYC`/`MAX_THR` solves over 100 random
 //!   graphs; mirrored and free integer fixtures solve warm and match the
 //!   dense oracle.
+//! * **Pricing** — the one pricing rule (the dual reoptimizer leaves on
+//!   the largest scale-eligible violation and enters by the long-step
+//!   ratio test; the primal phases price by Dantzig with the Bland
+//!   fallback) terminates on a massively degenerate model, and the
+//!   directional pivot counters tie out against the kernel's iteration
+//!   count on a warm run.
 //! * **Reports** — truncation reaches `OptOutcome`; `gap_tol` fires on
 //!   the true gap, before the first dive ends; a truncated run reports
 //!   a valid dual bound above the root LP bound, and a node lost to an
@@ -269,6 +275,93 @@ fn bench40_pseudo_cost_completes_under_the_cap_1000_budget() {
 fn orderings_prove_identical_optima_on_table1_instances() {
     let failures = on_table1_instances(agrees_with_oracle);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The production search proves the optimum of the dense-tableau oracle
+/// request on every paper figure, for both problems — completed runs
+/// only, which at these sizes is all of them. The oracle's node bounds
+/// come from cold two-phase solves, so it checks the warm long-step
+/// dual path (largest-violation leaving row, bound-flipping ratio test)
+/// independently.
+#[test]
+fn pricing_rules_agree_on_table1_instances() {
+    let instances = [
+        ("figure_1a(0.5)", figures::figure_1a(0.5)),
+        ("figure_1b(0.5)", figures::figure_1b(0.5)),
+        ("figure_2(0.7)", figures::figure_2(0.7)),
+    ];
+    for (name, g) in &instances {
+        for problem in ["max_thr", "min_cyc"] {
+            let solve = |o: &CoreOptions| {
+                match problem {
+                    "max_thr" => formulation::max_thr(g, g.max_delay(), o),
+                    _ => formulation::min_cyc(g, 1.0, o),
+                }
+                .unwrap_or_else(|e| panic!("{name}/{problem}: {e}"))
+            };
+            let mut oracle_opts = capped(20_000);
+            oracle_opts.solver.kernel = Kernel::DenseTableau;
+            let oracle = solve(&oracle_opts);
+            assert!(oracle.proven_optimal, "{name}/{problem}: oracle truncated");
+            let out = solve(&capped(20_000));
+            assert!(out.proven_optimal, "{name}/{problem}: truncated");
+            assert!(
+                (out.objective - oracle.objective).abs() < 1e-7,
+                "{name}/{problem}: production {} vs dense oracle {}",
+                out.objective,
+                oracle.objective
+            );
+        }
+    }
+}
+
+/// A massively degenerate model — many redundant facets through the
+/// same vertex — terminates at its optimum: the degenerate-run Bland
+/// fallback of the primal phases still engages alongside the long-step
+/// dual path.
+#[test]
+fn steepest_edge_terminates_on_a_degenerate_model() {
+    let mut m = Model::new(Sense::Maximize);
+    let n = 8;
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_integer(format!("x{i}"), 0.0, 1.0))
+        .collect();
+    let mut obj = LinExpr::new();
+    for &v in &vars {
+        obj += 1.0 * v;
+    }
+    m.set_objective(obj);
+    // Every pair constraint passes through the all-half vertex; any
+    // subset of k of them is tight there, so node LPs are heavily
+    // degenerate.
+    for i in 0..n {
+        for j in (i + 1)..n {
+            m.add_constraint(vars[i] + vars[j], cmp::LE, 1.0);
+        }
+    }
+    let (sol, stats) = solve_with_stats(&m, &capped(20_000).solver).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    assert!(!stats.truncated);
+    // At most one variable can be 1 (pairwise caps): optimum 1.
+    assert!((sol.objective - 1.0).abs() < 1e-7, "obj {}", sol.objective);
+}
+
+/// Directional pivot counters tie out against the kernel's total
+/// iteration count on a warm run (`dual_pivots + primal_pivots +
+/// bound_flips = simplex_iters`), and a warm search actually exercises
+/// the dual reoptimizer.
+#[test]
+fn pivot_counters_tie_out_on_serial_warm_runs() {
+    let g = bench_instance(20);
+    let out = formulation::max_thr(&g, g.max_delay(), &capped(2000)).unwrap();
+    let s = &out.stats;
+    assert_eq!(
+        s.dual_pivots + s.primal_pivots + s.bound_flips,
+        s.simplex_iters,
+        "counter ledger does not tie out"
+    );
+    assert!(s.primal_pivots > 0, "no primal pivots counted");
+    assert!(s.dual_pivots > 0, "warm search never took a dual pivot");
 }
 
 /// The random-graph oracle check. A SplitMix64 stream seeded
@@ -748,8 +841,9 @@ fn lost_nodes_keep_their_bound_in_the_dual_bound() {
 /// the unused modules, the threaded search, the `--workers` flag, the
 /// lazily activated cut rows, the separate LP backend layer with its
 /// ten-argument branching call, the closed-form rowless solve, the
-/// unread stats fields and the `(Mode, Mode)` formulation pair stay
-/// deleted — their identifiers
+/// unread stats fields, the `(Mode, Mode)` formulation pair, the elastic
+/// machine's bounded-capacity and telescopic modes and the Markov power
+/// iteration stay deleted — their identifiers
 /// survive only in comment lines anywhere under `crates/` and
 /// `examples/` — that no non-comment line under `crates/milp/src`
 /// names `std::sync` or `std::thread`, and that no model is cloned
@@ -829,6 +923,15 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "select_branch_var",
         "fix_buffers",
         "Mode::Const",
+        "Capacity::",
+        "TelescopicSpec",
+        "with_telescopic",
+        "firing_set_bounded",
+        "inputs_ready_hyp",
+        "consumes_under",
+        "busy_until",
+        "pending_extra",
+        "power_iteration",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
