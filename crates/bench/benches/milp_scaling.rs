@@ -1,16 +1,17 @@
 //! The perf contract of the revised-simplex kernel: every instance is
 //! solved with the production kernel (revised simplex + Markowitz sparse
 //! LU, warm-started branch & bound) and under the `Kernel::DenseTableau`
-//! oracle request (dense LU, product-form updates, cold nodes, incumbent
-//! re-checked on the tableau), in the same run:
+//! oracle request, whose every LP (each branch & bound node and the
+//! hint's pinned LP) runs cold on the dense tableau, in the same run:
 //!
 //! * the LP throughput bound on the 60- and 240-edge bench instances;
 //! * `MAX_THR` at the min-delay cycle time on the 20-, 40- and 60-edge
 //!   ones. The 60-edge instance is the contract row: bench40 closes at
 //!   the root, so it measures no branching, while bench60 branches. The
 //!   production search proves it in 63 nodes, and the oracle, whose
-//!   nodes all solve cold, in 279, well inside `fast()`'s limits (2,000
-//!   nodes or 10 s), so the two completed objectives are compared too.
+//!   nodes all solve cold on the tableau, in 467, well inside `fast()`'s
+//!   limits (2,000 nodes or 10 s), so the two completed objectives are
+//!   compared too.
 //!
 //! ```text
 //! cargo bench --offline -p rr-bench --bench milp_scaling
@@ -31,8 +32,10 @@ use rr_rrg::Rrg;
 use rr_tgmg::{lp_bound, skeleton::tgmg_of};
 
 /// The documented floor on the revised kernel's `MAX_THR` speedup over
-/// the dense oracle.
-const MIN_SPEEDUP: f64 = 2.0;
+/// the dense oracle. The bench60 row reads ×62–88 on a 2-vCPU host, so
+/// the floor trips once production slows by about 20× against the
+/// tableau.
+const MIN_SPEEDUP: f64 = 3.3;
 
 fn agree(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-7 * a.abs().max(1.0)

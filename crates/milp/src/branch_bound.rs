@@ -3,7 +3,7 @@
 //! the `search` module, whose docs describe its architecture.
 
 use crate::expr::VarId;
-use crate::model::{Kernel, Model, SolverOptions};
+use crate::model::{Model, SolverOptions};
 use crate::recover::RecoveryStats;
 use crate::solution::{Solution, SolveError};
 
@@ -20,25 +20,26 @@ pub struct BranchBoundStats {
     pub root_bound: f64,
     /// Total simplex pivots across every LP the search solved (node
     /// relaxations, warm reoptimizations, strong-branch probes, the hint
-    /// re-solve).
+    /// re-solve), tableau pivots included.
     pub simplex_iters: usize,
     /// Node LPs successfully reoptimized from the parent basis.
     pub warm_solves: usize,
     /// Node LPs solved two-phase from scratch (root, fallbacks, and all
-    /// nodes under the [`Kernel::DenseTableau`] oracle request).
+    /// nodes under the
+    /// [`Kernel::DenseTableau`](crate::Kernel::DenseTableau) oracle
+    /// request, which solves them on the tableau).
     pub cold_solves: usize,
-    /// Basis refactorizations across the whole search.
+    /// Basis refactorizations across the whole search (0 under the
+    /// oracle request, whose LPs factor no basis).
     pub refactors: usize,
-    /// Successful Forrest–Tomlin factor updates (0 under the
-    /// [`Kernel::DenseTableau`] oracle request, which runs the product
-    /// form).
+    /// Successful Forrest–Tomlin factor updates (0 under the oracle
+    /// request).
     pub ft_updates: usize,
     /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
     /// update rather than the scheduled length/fill policy.
     pub forced_refactors: usize,
     /// Largest `nnz(L+U)` any basis snapshot reached — the actual fill of
-    /// the sparse LU, `m²` under the dense LU of the
-    /// [`Kernel::DenseTableau`] request.
+    /// the sparse LU (0 under the oracle request).
     pub peak_lu_nnz: usize,
     /// Basis dimension (constraint rows) of the bounded-variable form:
     /// 0 when every constraint folded to a constant.
@@ -78,7 +79,7 @@ pub struct BranchBoundStats {
     /// B&B hot path (a subset of `simplex_iters`).
     pub dual_pivots: usize,
     /// Basis-change pivots performed by the primal phases, including
-    /// artificial drive-out swaps.
+    /// artificial drive-out swaps and every tableau pivot.
     pub primal_pivots: usize,
     /// Bound flips: primal entering columns whose span ran out before
     /// any basic variable blocked, plus the exhausted candidates every
@@ -106,7 +107,10 @@ pub fn solve_with_stats(
     solve_with_stats_hinted(model, opts, &[])
 }
 
-/// [`solve_with_stats`] with a warm-start hint for the integer variables.
+/// [`solve_with_stats`] with a warm-start hint for the integer variables:
+/// the hinted integers are pinned and the rest re-solved to form the
+/// first incumbent (nothing when that LP is infeasible). Pairs for
+/// non-integer variables are ignored.
 ///
 /// # Errors
 ///
@@ -116,60 +120,13 @@ pub fn solve_with_stats_hinted(
     opts: &SolverOptions,
     hint: &[(VarId, f64)],
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
-    let result = crate::search::search(model, opts, hint)?;
-    if opts.kernel == Kernel::DenseTableau {
-        cross_validate_dense(model, opts, &result.0)?;
-    }
-    Ok(result)
-}
-
-/// Whole-solve oracle cross-validation, armed when the caller requested
-/// [`Kernel::DenseTableau`] for a MILP: the search itself ran in the
-/// oracle configuration the kernel request selects; here the
-/// incumbent's integer assignment is pinned on a model clone and
-/// re-solved by the genuine dense tableau, which must reproduce the
-/// objective. The incumbent point is
-/// feasible for the pinned model and every point of the pinned model
-/// lies in the incumbent's node box, so the two objectives tie at an
-/// exact optimum — any disagreement is a numerical verdict, not noise.
-fn cross_validate_dense(
-    model: &Model,
-    opts: &SolverOptions,
-    sol: &Solution,
-) -> Result<(), SolveError> {
-    let mut pinned = model.clone();
-    for (v, var) in model.vars() {
-        if var.is_integer() {
-            let val = sol.value(v).round().clamp(var.lower(), var.upper());
-            pinned.fix_var(v, val);
-        }
-    }
-    let oracle = SolverOptions {
-        kernel: Kernel::DenseTableau,
-        ..opts.clone()
-    };
-    let check = match pinned.solve_relaxation(&oracle) {
-        Ok(check) => check,
-        Err(e) => {
-            return Err(SolveError::Numerical(format!(
-                "dense-oracle cross-validation failed on the pinned incumbent: {e:?}"
-            )))
-        }
-    };
-    let tol = 1e-6 * sol.objective.abs().max(1.0);
-    if (check.objective - sol.objective).abs() > tol {
-        return Err(SolveError::Numerical(format!(
-            "dense-oracle cross-validation disagrees: search {} vs tableau {}",
-            sol.objective, check.objective
-        )));
-    }
-    Ok(())
+    crate::search::search(model, opts, hint)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{cmp, Model, Sense};
+    use crate::model::{cmp, Kernel, Model, Sense};
     use crate::solution::Status;
     use crate::LinExpr;
 
@@ -385,8 +342,8 @@ mod tests {
     }
 
     /// The production search (warm nodes) and the dense-tableau oracle
-    /// request (cold nodes) agree on [`multi_row_knapsack`], and warm
-    /// starts engage and save pivots.
+    /// request (cold tableau nodes) agree on [`multi_row_knapsack`], and
+    /// warm starts engage and save pivots.
     #[test]
     fn warm_cold_and_oracle_agree() {
         let m = multi_row_knapsack();
@@ -407,9 +364,9 @@ mod tests {
         );
     }
 
-    /// The production search and the dense-tableau request (which
-    /// additionally cross-validates its incumbent against the tableau)
-    /// complete on [`multi_row_knapsack`] and agree.
+    /// The production search and the dense-tableau request (every node
+    /// LP solved on the tableau) complete on [`multi_row_knapsack`] and
+    /// agree.
     #[test]
     fn node_orders_agree_across_kernels() {
         let m = multi_row_knapsack();

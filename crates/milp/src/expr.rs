@@ -79,11 +79,6 @@ impl LinExpr {
         self.terms.iter().copied()
     }
 
-    /// `true` if the expression has no variable terms (after compaction).
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|&(_, c)| c == 0.0)
-    }
-
     /// Merges duplicate variables and drops zero coefficients.
     pub fn compact(&mut self) {
         if self.terms.len() <= 1 {
@@ -322,10 +317,9 @@ mod tests {
         let mut e = v(2) - v(2) + 1.0 * v(1);
         e.compact();
         assert_eq!(e.terms, vec![(v(1), 1.0)]);
-        assert!(!e.is_constant());
         let mut z = v(0) - v(0);
         z.compact();
-        assert!(z.is_constant());
+        assert!(z.terms.is_empty());
     }
 
     #[test]

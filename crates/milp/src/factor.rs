@@ -1,13 +1,13 @@
 //! Basis factorization for the revised simplex kernel.
 //!
-//! The basis matrix `B` is held as an **LU factorization of a snapshot
-//! basis `B₀`**, kept current across pivots by one of two update schemes
-//! ([`UpdateKind`]):
+//! The basis matrix `B` is held as a **sparse LU factorization of a
+//! snapshot basis `B₀`** ([`SparseLu`]), kept current across pivots by
+//! one of two update schemes ([`UpdateKind`]):
 //!
-//! * **Forrest–Tomlin** (the production default, sparse snapshot only) —
-//!   the factors themselves are updated in place, so FTRAN/BTRAN keep
-//!   their zero-skipping triangular solves against a *current* `U`. On
-//!   the basis change "slot `p` leaves, column `a` enters":
+//! * **Forrest–Tomlin** (every kernel starts on it) — the factors
+//!   themselves are updated in place, so FTRAN/BTRAN keep their
+//!   zero-skipping triangular solves against a *current* `U`. On the
+//!   basis change "slot `p` leaves, column `a` enters":
 //!   1. **Spike**: the entering column is run through `L` (and every row
 //!      eta accumulated so far) to give `w = L̃⁻¹·P·a`, which replaces
 //!      column `p` of `U`. Entries of `w` other than `w[p]` land above
@@ -27,42 +27,33 @@
 //!   exploding multiplier aborts the update *before any state mutates*
 //!   and the caller falls back to a full refactorization (**forced
 //!   refactor**) — the standard FT stability policy.
-//! * **Product-form eta file** (the historical scheme, and the only one
-//!   the dense oracle supports) — after `k` pivots,
-//!   `B = B₀·E₁·…·E_k` where each `Eᵢ` is an identity matrix with one
-//!   column replaced by the pivot direction `d = B⁻¹A_j`; FTRAN/BTRAN
-//!   apply the LU triangles and then replay the whole file.
+//! * **Product-form eta file** (the historical scheme, and rung 3 of the
+//!   recovery ladder) — after `k` pivots, `B = B₀·E₁·…·E_k` where each
+//!   `Eᵢ` is an identity matrix with one column replaced by the pivot
+//!   direction `d = B⁻¹A_j`; FTRAN/BTRAN apply the LU triangles and then
+//!   replay the whole file.
 //!
 //! Under either scheme, when the update state grows past
 //! [`Factor::needs_refactor`] the current basis is refactorized from
 //! scratch, which both caps the per-solve cost and flushes accumulated
 //! round-off. The refactor policy ([`FactorConfig`], fixed for solves by
-//! [`FactorConfig::resolve`]): refactorize when the update count is
-//! *long* ([`FactorConfig::max_etas`] pivots absorbed) or the
-//! accumulated update fill is *heavy* relative to the snapshot LU's own
-//! nonzeros ([`FactorConfig::fill_growth`] — eta fill under the product
-//! form; `U` growth plus row-eta fill under Forrest–Tomlin).
+//! its `Default`): refactorize when the update count is *long*
+//! ([`FactorConfig::max_etas`] pivots absorbed) or the accumulated
+//! update fill is *heavy* relative to the snapshot LU's own nonzeros
+//! ([`FactorConfig::fill_growth`] — eta fill under the product form;
+//! `U` growth plus row-eta fill under Forrest–Tomlin).
 //!
-//! Two snapshot factorizations implement the same contract, selected by
-//! [`FactorKind`]:
+//! The snapshot is a **right-looking sparse LU with Markowitz pivot
+//! ordering and threshold partial pivoting**. The basis is assembled
+//! straight from the model's sparse columns (no dense `m×m` matrix is
+//! ever materialized); at every elimination step the pivot is chosen to
+//! minimize the Markowitz fill bound `(r_i − 1)·(c_j − 1)` over the
+//! active submatrix, restricted to entries within a threshold factor of
+//! their column's magnitude so stability is not sacrificed for sparsity.
+//! The factors `P·B·Q = L·U` (row *and* column permutations) store
+//! `O(nnz(L+U))`, and a refactor costs `O(fill)` instead of `O(m³)`.
 //!
-//! * [`SparseLu`] (the production default) — a **right-looking sparse LU
-//!   with Markowitz pivot ordering and threshold partial pivoting**. The
-//!   basis is assembled straight from the model's sparse columns (no
-//!   dense `m×m` matrix is ever materialized); at every elimination step
-//!   the pivot is chosen to minimize the Markowitz fill bound
-//!   `(r_i − 1)·(c_j − 1)` over the active submatrix, restricted to
-//!   entries within a threshold factor of their column's magnitude so
-//!   stability is not sacrificed for sparsity. The factors `P·B·Q = L·U`
-//!   (row *and* column permutations) store `O(nnz(L+U))`, and a refactor
-//!   costs `O(fill)` instead of `O(m³)`.
-//! * [`DenseLu`] — the original dense partial-pivoting LU, kept alive as
-//!   the **cross-validation oracle**: an independent implementation whose
-//!   FTRAN/BTRAN answers the property tests compare against, and the
-//!   baseline the `milp_scaling` bench measures the sparse scheme's
-//!   storage and speed wins over.
-//!
-//! Both store their triangles in **dual row/column-major layouts** so the
+//! The triangles are stored in **dual row/column-major layouts** so the
 //! triangular solves stay column-oriented with zero skipping in both
 //! directions (the simplex right-hand sides are extremely sparse — a
 //! constraint column for FTRAN, a couple of objective entries for BTRAN —
@@ -78,24 +69,10 @@
 //! rank-deficient one (duplicate columns cancelling to round-off) is
 //! still rejected.
 //!
-//! Neither choice is a solver option: the kernel request derives both
-//! (`Kernel::setup`). [`crate::Kernel::Revised`] runs the sparse LU with
-//! Forrest–Tomlin updates; [`crate::Kernel::DenseTableau`] and the
-//! recovery ladder's dense rung run the dense LU with the product form.
-
-use crate::model::SolverOptions;
-
-/// Which snapshot factorization backs the update scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FactorKind {
-    /// Sparse LU with Markowitz pivot ordering and threshold partial
-    /// pivoting: `O(nnz(L+U))` storage and refactor cost proportional to
-    /// fill. The production factorization.
-    Sparse,
-    /// Dense LU snapshot (`O(m²)` storage, `O(m³)` refactor), kept as
-    /// the cross-validation oracle for the sparse scheme.
-    Dense,
-}
+//! The update scheme is not a solver option: the revised kernel starts
+//! on Forrest–Tomlin, and only the recovery ladder's rung 3 switches it
+//! to the product form. The crate's one independent oracle is the dense
+//! tableau ([`crate::simplex`]), not a second factorization.
 
 /// How the factorization absorbs a pivot (a one-column basis change)
 /// between refactorizations.
@@ -104,11 +81,11 @@ pub(crate) enum UpdateKind {
     /// Forrest–Tomlin: the leaving column of `U` is replaced by the
     /// entering column's spike, the spike row is eliminated with one row
     /// eta against `U`'s trailing submatrix, and the pivot is permuted
-    /// to the end. The production scheme; sparse snapshot only.
+    /// to the end. The production scheme.
     ForrestTomlin,
     /// Product-form eta file: every pivot appends one eta transformation
-    /// that each subsequent FTRAN/BTRAN replays. The oracle's scheme and
-    /// the recovery ladder's product-form rung.
+    /// that each subsequent FTRAN/BTRAN replays. The recovery ladder's
+    /// rung-3 scheme.
     ProductForm,
 }
 
@@ -139,17 +116,13 @@ const FT_MULT_MAX: f64 = 1e8;
 /// the cancellation drop the Markowitz factorization applies).
 const FT_DROP_REL: f64 = 1e-14;
 
-/// Resolved refactorization policy plus snapshot kind, derived from
-/// [`SolverOptions`] by the kernel. The policy itself is fixed: the
-/// automatic length cap and an 8× fill trigger (see
-/// [`FactorConfig::resolve`]); the factor tests set both fields directly.
+/// The refactorization policy plus the update scheme the next refactor
+/// installs. Solves run its `Default`: Forrest–Tomlin under the
+/// automatic length cap and an 8× fill trigger; the factor tests set
+/// the fields directly.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FactorConfig {
-    /// Which snapshot factorization backs the update scheme.
-    pub kind: FactorKind,
-    /// Update scheme. Forrest–Tomlin is only available on the sparse
-    /// snapshot; [`FactorKind::Dense`] always pairs with the product
-    /// form.
+    /// Update scheme (Forrest–Tomlin unless rung 3 switched it).
     pub update: UpdateKind,
     /// Update count (etas or FT updates) that triggers a refactor; `0` =
     /// automatic (`max(64, 2m)`, see [`Factor::needs_refactor`]).
@@ -160,188 +133,18 @@ pub(crate) struct FactorConfig {
     pub fill_growth: f64,
 }
 
-impl FactorConfig {
-    /// The snapshot kind and update scheme the kernel request selects,
-    /// under the production refactor policy: the automatic length cap
-    /// (`max_etas = 0`, i.e. `max(64, 2m)`) and a refactor once the
-    /// update fill outgrows the snapshot LU eightfold (dense etas make
-    /// FTRAN/BTRAN pay their fill on every solve, so a heavy file is
-    /// flushed before the length cap).
-    pub fn resolve(opts: &SolverOptions) -> FactorConfig {
-        let setup = opts.kernel.setup();
+impl Default for FactorConfig {
+    /// The production policy: Forrest–Tomlin updates, the automatic
+    /// length cap (`max_etas = 0`, i.e. `max(64, 2m)`) and a refactor
+    /// once the update fill outgrows the snapshot LU eightfold (dense
+    /// etas make FTRAN/BTRAN pay their fill on every solve, so a heavy
+    /// file is flushed before the length cap).
+    fn default() -> Self {
         FactorConfig {
-            kind: setup.factor,
-            update: setup.update,
+            update: UpdateKind::ForrestTomlin,
             max_etas: 0,
             fill_growth: 8.0,
         }
-    }
-}
-
-impl Default for FactorConfig {
-    fn default() -> Self {
-        Self::resolve(&SolverOptions::default())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense LU (cross-validation oracle)
-// ---------------------------------------------------------------------------
-
-/// Dense LU factorization `P·B = L·U` with partial pivoting, stored in
-/// both layouts (see the module docs). Kept as the oracle behind
-/// [`FactorKind::Dense`].
-pub(crate) struct DenseLu {
-    m: usize,
-    /// Row-major `m × m`; strict lower triangle holds `L` (unit
-    /// diagonal implied), upper triangle holds `U`.
-    lu: Vec<f64>,
-    /// Column-major copy of the same factors.
-    lu_col: Vec<f64>,
-    /// `perm[i]` = original row index stored at factored row `i`.
-    perm: Vec<usize>,
-}
-
-impl DenseLu {
-    /// Factors a dense row-major matrix; `None` when numerically singular.
-    ///
-    /// Singularity is judged **relative to each column's input scale**:
-    /// column `k` is declared dependent when its best pivot is below
-    /// `SINGULAR_REL · max_i |B_ik|`, so uniformly tiny (but
-    /// well-conditioned) bases are not misreported as singular.
-    pub fn factor(mut a: Vec<f64>, m: usize) -> Option<DenseLu> {
-        debug_assert_eq!(a.len(), m * m);
-        // Per-column scale of the *input* matrix, before elimination
-        // mixes columns.
-        let mut scale = vec![0.0f64; m];
-        for i in 0..m {
-            for j in 0..m {
-                scale[j] = scale[j].max(a[i * m + j].abs());
-            }
-        }
-        let mut perm: Vec<usize> = (0..m).collect();
-        for k in 0..m {
-            // Partial pivot: largest magnitude in column k at/below row k.
-            let mut p = k;
-            let mut mx = a[k * m + k].abs();
-            for i in k + 1..m {
-                let v = a[i * m + k].abs();
-                if v > mx {
-                    mx = v;
-                    p = i;
-                }
-            }
-            if mx <= SINGULAR_REL * scale[k] {
-                return None;
-            }
-            if p != k {
-                for j in 0..m {
-                    a.swap(k * m + j, p * m + j);
-                }
-                perm.swap(k, p);
-            }
-            let inv = 1.0 / a[k * m + k];
-            for i in k + 1..m {
-                let f = a[i * m + k] * inv;
-                a[i * m + k] = f;
-                if f != 0.0 {
-                    let (top, bottom) = a.split_at_mut(i * m);
-                    let arow = &mut bottom[..m];
-                    let krow = &top[k * m..k * m + m];
-                    for j in k + 1..m {
-                        arow[j] -= f * krow[j];
-                    }
-                }
-            }
-        }
-        let mut lu_col = vec![0.0; m * m];
-        for i in 0..m {
-            for j in 0..m {
-                lu_col[j * m + i] = a[i * m + j];
-            }
-        }
-        Some(DenseLu {
-            m,
-            lu: a,
-            lu_col,
-            perm,
-        })
-    }
-
-    /// Solves `B·x = rhs` in place (`rhs` becomes `x`). Column-oriented
-    /// with zero skipping: cost scales with the fill-in of the solution,
-    /// not with `m²`, when `rhs` is sparse.
-    pub fn solve(&self, rhs: &mut [f64]) {
-        let m = self.m;
-        let mut x = vec![0.0; m];
-        for i in 0..m {
-            x[i] = rhs[self.perm[i]];
-        }
-        // L y = Pb (unit lower): walk columns of L (column-major).
-        for j in 0..m {
-            let xj = x[j];
-            if xj != 0.0 {
-                let col = &self.lu_col[j * m..(j + 1) * m];
-                for i in j + 1..m {
-                    x[i] -= col[i] * xj;
-                }
-            }
-        }
-        // U x = y: backward, columns of U (column-major).
-        for j in (0..m).rev() {
-            let xj = x[j] / self.lu_col[j * m + j];
-            x[j] = xj;
-            if xj != 0.0 {
-                let col = &self.lu_col[j * m..j * m + j];
-                for (i, &u) in col.iter().enumerate() {
-                    if u != 0.0 {
-                        x[i] -= u * xj;
-                    }
-                }
-            }
-        }
-        rhs.copy_from_slice(&x);
-    }
-
-    /// Solves `Bᵀ·y = rhs` in place. Columns of `Uᵀ`/`Lᵀ` are rows of
-    /// `U`/`L` — contiguous in the row-major copy — with zero skipping.
-    pub fn solve_transpose(&self, rhs: &mut [f64]) {
-        let m = self.m;
-        // Uᵀ z = c (lower-triangular, forward over columns of Uᵀ).
-        let mut z = rhs.to_vec();
-        for j in 0..m {
-            let zj = z[j] / self.lu[j * m + j];
-            z[j] = zj;
-            if zj != 0.0 {
-                let row = &self.lu[j * m..(j + 1) * m];
-                for i in j + 1..m {
-                    if row[i] != 0.0 {
-                        z[i] -= row[i] * zj;
-                    }
-                }
-            }
-        }
-        // Lᵀ w = z (unit upper in transpose, backward over columns of Lᵀ).
-        for j in (0..m).rev() {
-            let zj = z[j];
-            if zj != 0.0 {
-                let row = &self.lu[j * m..j * m + j];
-                for (i, &l) in row.iter().enumerate() {
-                    if l != 0.0 {
-                        z[i] -= l * zj;
-                    }
-                }
-            }
-        }
-        // y = Pᵀ w.
-        for i in 0..m {
-            rhs[self.perm[i]] = z[i];
-        }
-    }
-
-    /// Stored nonzeros: the dense scheme always pays `m²`.
-    pub fn nnz(&self) -> usize {
-        self.m * self.m
     }
 }
 
@@ -879,34 +682,6 @@ impl SparseLu {
 // Snapshot + eta file
 // ---------------------------------------------------------------------------
 
-/// The snapshot factorization behind the eta file.
-#[allow(clippy::large_enum_variant)] // one long-lived factor per kernel
-enum Lu {
-    Dense(DenseLu),
-    Sparse(SparseLu),
-}
-
-impl Lu {
-    fn solve(&self, rhs: &mut [f64]) {
-        match self {
-            Lu::Dense(lu) => lu.solve(rhs),
-            Lu::Sparse(lu) => lu.solve(rhs),
-        }
-    }
-    fn solve_transpose(&self, rhs: &mut [f64]) {
-        match self {
-            Lu::Dense(lu) => lu.solve_transpose(rhs),
-            Lu::Sparse(lu) => lu.solve_transpose(rhs),
-        }
-    }
-    fn nnz(&self) -> usize {
-        match self {
-            Lu::Dense(lu) => lu.nnz(),
-            Lu::Sparse(lu) => lu.nnz(),
-        }
-    }
-}
-
 /// One product-form update: identity with column `row` replaced by the
 /// pivot direction `d = B⁻¹A_enter`.
 pub(crate) struct Eta {
@@ -922,8 +697,8 @@ pub(crate) struct Eta {
 /// inside the sparse LU, or a product-form eta file); see the module
 /// docs.
 pub(crate) struct Factor {
-    lu: Lu,
-    /// Effective update scheme (Forrest–Tomlin only on the sparse LU).
+    lu: SparseLu,
+    /// Update scheme, fixed at the refactor.
     update: UpdateKind,
     /// Product-form eta file (always empty under Forrest–Tomlin).
     etas: Vec<Eta>,
@@ -946,8 +721,8 @@ impl Factor {
     /// Factorizes the basis given by `col(slot, out)` — a callback that
     /// appends basis column `slot`'s sparse `(row, value)` entries to
     /// `out` (one entry per row). Returns `None` when the basis is
-    /// singular. Only [`FactorKind::Dense`] materializes an `m×m`
-    /// matrix; the sparse path assembles CSC directly.
+    /// singular. The columns are assembled as CSC directly; no `m×m`
+    /// matrix is materialized.
     pub fn refactor<F>(m: usize, cfg: &FactorConfig, mut col: F) -> Option<Factor>
     where
         F: FnMut(usize, &mut Vec<(usize, f64)>),
@@ -959,18 +734,7 @@ impl Factor {
             col(j, &mut scratch);
             cols.push(scratch.clone());
         }
-        let lu = match cfg.kind {
-            FactorKind::Sparse => Lu::Sparse(SparseLu::factor(m, &cols)?),
-            FactorKind::Dense => {
-                let mut a = vec![0.0; m * m];
-                for (j, cj) in cols.iter().enumerate() {
-                    for &(i, v) in cj {
-                        a[i * m + j] = v;
-                    }
-                }
-                Lu::Dense(DenseLu::factor(a, m)?)
-            }
-        };
+        let lu = SparseLu::factor(m, &cols)?;
         let lu_nnz = lu.nnz();
         // `max(64, 2m)` keeps the amortized refactor cost per pivot at
         // `O(m²)` worst case while warm-started branch & bound (a handful
@@ -1043,8 +807,7 @@ impl Factor {
         }
     }
 
-    /// Nonzeros of the snapshot `L + U` at refactor time (the dense
-    /// oracle reports its full `m²` storage).
+    /// Nonzeros of the snapshot `L + U` at refactor time.
     pub fn lu_nnz(&self) -> usize {
         self.lu_nnz
     }
@@ -1055,8 +818,7 @@ impl Factor {
         self.lu.nnz() + self.eta_nnz
     }
 
-    /// The update scheme this factor actually runs (Forrest–Tomlin
-    /// degrades to the product form on the dense snapshot).
+    /// The update scheme this factor runs.
     pub fn update_kind(&self) -> UpdateKind {
         self.update
     }
@@ -1084,10 +846,7 @@ impl Factor {
             self.refuse_next -= 1;
             return false;
         }
-        let Lu::Sparse(lu) = &mut self.lu else {
-            unreachable!("Forrest–Tomlin is resolved away for the dense snapshot")
-        };
-        if lu.ft_update(slot, col) {
+        if self.lu.ft_update(slot, col) {
             self.updates += 1;
             true
         } else {
@@ -1115,10 +874,7 @@ impl Factor {
     /// pivot without re-running the lower solve.
     pub fn ftran_spiked(&self, x: &mut [f64], spike: &mut Vec<f64>) {
         debug_assert!(self.update == UpdateKind::ForrestTomlin && self.etas.is_empty());
-        match &self.lu {
-            Lu::Sparse(lu) => lu.solve_spiked(x, Some(spike)),
-            Lu::Dense(_) => unreachable!("Forrest–Tomlin is resolved away for the dense snapshot"),
-        }
+        self.lu.solve_spiked(x, Some(spike));
     }
 
     /// [`Factor::ft_update`] with the spike saved by a prior
@@ -1129,10 +885,7 @@ impl Factor {
             self.refuse_next -= 1;
             return false;
         }
-        let Lu::Sparse(lu) = &mut self.lu else {
-            unreachable!("Forrest–Tomlin is resolved away for the dense snapshot")
-        };
-        if lu.ft_update_spiked(slot, spike) {
+        if self.lu.ft_update_spiked(slot, spike) {
             self.updates += 1;
             true
         } else {
@@ -1173,28 +926,55 @@ mod tests {
             .collect()
     }
 
-    /// `Factor` over a dense row-major matrix with the given kind, in
-    /// the historical product-form update mode (the Forrest–Tomlin
-    /// update path has its own suite below).
-    fn factor_of(a: &[f64], m: usize, kind: FactorKind) -> Option<Factor> {
+    /// `Factor` over a dense row-major matrix under the given update
+    /// scheme.
+    fn factor_of(a: &[f64], m: usize, update: UpdateKind) -> Option<Factor> {
         let cols = csc_of(a, m);
         let cfg = FactorConfig {
-            kind,
-            update: UpdateKind::ProductForm,
+            update,
             ..FactorConfig::default()
         };
         Factor::refactor(m, &cfg, |j, out| out.extend_from_slice(&cols[j]))
     }
 
+    /// Both update schemes, for the tests that hold under either.
+    const UPDATES: [UpdateKind; 2] = [UpdateKind::ForrestTomlin, UpdateKind::ProductForm];
+
+    /// `‖B·x − b‖∞` and `‖Bᵀ·y − b‖∞` for `x`, `y` the FTRAN and BTRAN
+    /// of `b` through `f`, checked against the dense row-major mirror `a`
+    /// of the basis itself.
+    fn residuals(f: &Factor, a: &[f64], m: usize, b: &[f64]) -> (f64, f64) {
+        let (mut x, mut y) = (b.to_vec(), b.to_vec());
+        f.ftran(&mut x);
+        f.btran(&mut y);
+        let (mut rx, mut ry) = (0.0f64, 0.0f64);
+        for i in 0..m {
+            let bx: f64 = (0..m).map(|j| a[i * m + j] * x[j]).sum();
+            let by: f64 = (0..m).map(|j| a[j * m + i] * y[j]).sum();
+            rx = rx.max((bx - b[i]).abs());
+            ry = ry.max((by - b[i]).abs());
+        }
+        (rx, ry)
+    }
+
+    /// Asserts both residuals of [`residuals`] are at most `tol`.
+    fn assert_solves(f: &Factor, a: &[f64], m: usize, b: &[f64], tol: f64, what: &str) {
+        let (rx, ry) = residuals(f, a, m, b);
+        assert!(rx <= tol, "{what}: ‖B·x − b‖∞ = {rx:e}");
+        assert!(ry <= tol, "{what}: ‖Bᵀ·y − b‖∞ = {ry:e}");
+    }
+
+    /// A 2×2 system through `Factor` in product-form mode, the recovery
+    /// ladder's rung-3 configuration.
     #[test]
     fn lu_solves_small_system() {
         // [[2,1],[1,3]] x = [5,10] → x = [1,3].
-        let lu = DenseLu::factor(vec![2.0, 1.0, 1.0, 3.0], 2).unwrap();
+        let f = factor_of(&[2.0, 1.0, 1.0, 3.0], 2, UpdateKind::ProductForm).unwrap();
         let mut x = vec![5.0, 10.0];
-        lu.solve(&mut x);
+        f.ftran(&mut x);
         assert!(approx(&x, &[1.0, 3.0]), "{x:?}");
         let mut y = vec![4.0, 7.0];
-        lu.solve_transpose(&mut y);
+        f.btran(&mut y);
         // Check Bᵀy = rhs: Bᵀ = [[2,1],[1,3]].
         assert!((2.0 * y[0] + 1.0 * y[1] - 4.0).abs() < 1e-9);
         assert!((1.0 * y[0] + 3.0 * y[1] - 7.0).abs() < 1e-9);
@@ -1214,11 +994,15 @@ mod tests {
         assert!(lu.nnz() <= 4);
     }
 
+    /// A rank-one 2×2 basis is rejected by the sparse LU and by `Factor`
+    /// under either update scheme.
     #[test]
     fn singular_matrix_is_rejected_by_both_kinds() {
         let a = vec![1.0, 2.0, 2.0, 4.0];
-        assert!(DenseLu::factor(a.clone(), 2).is_none());
         assert!(SparseLu::factor(2, &csc_of(&a, 2)).is_none());
+        for update in UPDATES {
+            assert!(factor_of(&a, 2, update).is_none(), "{update:?}");
+        }
     }
 
     /// The degenerate-case suite: 1×1, permutation matrices, duplicate
@@ -1226,15 +1010,15 @@ mod tests {
     #[test]
     fn degenerate_cases_match_across_kinds() {
         // 1×1.
-        for kind in [FactorKind::Sparse, FactorKind::Dense] {
-            let f = factor_of(&[4.0], 1, kind).unwrap();
+        for update in UPDATES {
+            let f = factor_of(&[4.0], 1, update).unwrap();
             let mut x = vec![6.0];
             f.ftran(&mut x);
-            assert!((x[0] - 1.5).abs() < 1e-12, "{kind:?}");
+            assert!((x[0] - 1.5).abs() < 1e-12, "{update:?}");
             let mut y = vec![8.0];
             f.btran(&mut y);
-            assert!((y[0] - 2.0).abs() < 1e-12, "{kind:?}");
-            assert!(factor_of(&[0.0], 1, kind).is_none(), "{kind:?}");
+            assert!((y[0] - 2.0).abs() < 1e-12, "{update:?}");
+            assert!(factor_of(&[0.0], 1, update).is_none(), "{update:?}");
         }
         // A 4×4 permutation matrix: nnz(L+U) must stay at m.
         let p = vec![
@@ -1245,32 +1029,27 @@ mod tests {
         ];
         let sp = SparseLu::factor(4, &csc_of(&p, 4)).unwrap();
         assert_eq!(sp.nnz(), 4, "permutation factors with zero fill");
-        let mut x = vec![1.0, 2.0, 3.0, 4.0];
-        sp.solve(&mut x);
-        // P x = b with P e.g. mapping col j → row i: x = Pᵀ b.
-        for i in 0..4 {
-            let got: f64 = (0..4).map(|j| p[i * 4 + j] * x[j]).sum();
-            assert!((got - (i as f64 + 1.0)).abs() < 1e-12);
+        for update in UPDATES {
+            let f = factor_of(&p, 4, update).unwrap();
+            assert_solves(&f, &p, 4, &[1.0, 2.0, 3.0, 4.0], 1e-12, "permutation");
         }
-        // Duplicate columns → singular under both kinds.
+        // Duplicate columns and a structurally singular basis (an empty
+        // column) are rejected under both schemes.
         let dup = vec![
             1.0, 2.0, 1.0, //
             0.5, -1.0, 0.5, //
             3.0, 0.25, 3.0,
         ];
-        assert!(factor_of(&dup, 3, FactorKind::Sparse).is_none());
-        assert!(factor_of(&dup, 3, FactorKind::Dense).is_none());
-        // Structurally singular: an empty column.
         let hole = vec![
             1.0, 0.0, 2.0, //
             4.0, 0.0, 1.0, //
             0.0, 0.0, 3.0,
         ];
-        assert!(factor_of(&hole, 3, FactorKind::Sparse).is_none());
-        assert!(factor_of(&hole, 3, FactorKind::Dense).is_none());
-        // Empty basis (m = 0) factors trivially.
-        for kind in [FactorKind::Sparse, FactorKind::Dense] {
-            let f = factor_of(&[], 0, kind).unwrap();
+        for update in UPDATES {
+            assert!(factor_of(&dup, 3, update).is_none(), "{update:?}");
+            assert!(factor_of(&hole, 3, update).is_none(), "{update:?}");
+            // Empty basis (m = 0) factors trivially.
+            let f = factor_of(&[], 0, update).unwrap();
             f.ftran(&mut []);
             f.btran(&mut []);
         }
@@ -1291,44 +1070,46 @@ mod tests {
         .iter()
         .map(|v| v * scale)
         .collect();
-        let b = [1.0, -2.0, 0.5];
-        for kind in [FactorKind::Sparse, FactorKind::Dense] {
-            let f = factor_of(&a, 3, kind)
-                .unwrap_or_else(|| panic!("{kind:?} misreported a scaled basis as singular"));
-            let mut x = b.to_vec();
-            f.ftran(&mut x);
-            for i in 0..3 {
-                let got: f64 = (0..3).map(|j| a[i * 3 + j] * x[j]).sum();
-                assert!(
-                    (got - b[i]).abs() < 1e-9 * scale.max(1.0).max((x[i]).abs() * 1e-16),
-                    "{kind:?} row {i}: {got} vs {}",
-                    b[i]
-                );
-            }
+        for update in UPDATES {
+            let f = factor_of(&a, 3, update)
+                .unwrap_or_else(|| panic!("{update:?} misreported a scaled basis as singular"));
+            assert_solves(&f, &a, 3, &[1.0, -2.0, 0.5], 1e-9, "scaled basis");
         }
     }
 
+    /// Replacing column 1 of the identity with `(0.5, 2, 0.25)`, as a
+    /// product-form eta or as a Forrest–Tomlin update, answers for the
+    /// new basis.
     #[test]
     fn eta_updates_track_column_replacement() {
-        // Start from B0 = I (3×3); replace column 1 with d = (0.5, 2.0, 0.25).
-        for kind in [FactorKind::Sparse, FactorKind::Dense] {
-            let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
-            let mut f = factor_of(&eye, 3, kind).unwrap();
-            f.push(Eta {
-                row: 1,
-                pivot: 2.0,
-                others: vec![(0, 0.5), (2, 0.25)],
-            });
+        let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
+        let mut a = eye.to_vec();
+        a[1] = 0.5;
+        a[4] = 2.0;
+        a[7] = 0.25;
+        for update in UPDATES {
+            let mut f = factor_of(&eye, 3, update).unwrap();
+            match update {
+                UpdateKind::ProductForm => f.push(Eta {
+                    row: 1,
+                    pivot: 2.0,
+                    others: vec![(0, 0.5), (2, 0.25)],
+                }),
+                UpdateKind::ForrestTomlin => {
+                    assert!(f.ft_update(1, &[(0, 0.5), (1, 2.0), (2, 0.25)]));
+                }
+            }
             // New B = [e0, (0.5,2,0.25), e2]. Solve B x = (1, 4, 1):
             // x1 = 2, x0 = 1 - 0.5*2 = 0, x2 = 1 - 0.25*2 = 0.5.
             let mut x = vec![1.0, 4.0, 1.0];
             f.ftran(&mut x);
-            assert!(approx(&x, &[0.0, 2.0, 0.5]), "{kind:?}: {x:?}");
+            assert!(approx(&x, &[0.0, 2.0, 0.5]), "{update:?}: {x:?}");
             // Bᵀ y = (3, 6, 8): y0 = 3, y2 = 8, row1: 0.5·y0 + 2·y1 + 0.25·y2 = 6
             // → y1 = (6 − 1.5 − 2)/2 = 1.25.
             let mut y = vec![3.0, 6.0, 8.0];
             f.btran(&mut y);
-            assert!(approx(&y, &[3.0, 1.25, 8.0]), "{kind:?}: {y:?}");
+            assert!(approx(&y, &[3.0, 1.25, 8.0]), "{update:?}: {y:?}");
+            assert_solves(&f, &a, 3, &[1.0, -3.0, 2.5], 1e-12, "replaced column");
         }
     }
 
@@ -1341,37 +1122,18 @@ mod tests {
             4.0, 1.0, 0.0, 0.0, //
             0.0, 0.0, 3.0, 1.0,
         ];
-        for kind in [FactorKind::Sparse, FactorKind::Dense] {
-            let f = factor_of(&a, 4, kind).unwrap();
-            let b = vec![1.0, -2.0, 0.5, 3.0];
-            let mut x = b.clone();
-            f.ftran(&mut x);
-            for i in 0..4 {
-                let got: f64 = (0..4).map(|j| a[i * 4 + j] * x[j]).sum();
-                assert!(
-                    (got - b[i]).abs() < 1e-9,
-                    "{kind:?} row {i}: {got} vs {}",
-                    b[i]
-                );
-            }
-            // Sparse rhs through the transpose: Bᵀ y = e2.
-            let mut y = vec![0.0, 0.0, 1.0, 0.0];
-            f.btran(&mut y);
-            for i in 0..4 {
-                let got: f64 = (0..4).map(|j| a[j * 4 + i] * y[j]).sum();
-                let want = if i == 2 { 1.0 } else { 0.0 };
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "{kind:?} col {i}: {got} vs {want}"
-                );
-            }
+        for update in UPDATES {
+            let f = factor_of(&a, 4, update).unwrap();
+            assert_solves(&f, &a, 4, &[1.0, -2.0, 0.5, 3.0], 1e-9, "dense rhs");
+            // A sparse rhs: B x = e2 and Bᵀ y = e2.
+            assert_solves(&f, &a, 4, &[0.0, 0.0, 1.0, 0.0], 1e-9, "sparse rhs");
         }
     }
 
     #[test]
     fn sparse_nnz_tracks_fill_not_dimension() {
-        // A tridiagonal system: sparse LU fill stays O(m), the dense
-        // oracle burns m² regardless.
+        // A tridiagonal system: the sparse LU's fill stays O(m), far
+        // below the m² a dense factorization would store.
         let m = 32;
         let mut a = vec![0.0; m * m];
         for i in 0..m {
@@ -1381,37 +1143,12 @@ mod tests {
                 a[(i + 1) * m + i] = -1.0;
             }
         }
-        let sparse = factor_of(&a, m, FactorKind::Sparse).unwrap();
-        let dense = factor_of(&a, m, FactorKind::Dense).unwrap();
-        assert!(
-            sparse.lu_nnz() <= 3 * m,
-            "fill {} on tridiagonal",
-            sparse.lu_nnz()
-        );
-        assert_eq!(dense.lu_nnz(), m * m);
-        // Same answers regardless of storage.
-        let mut xs: Vec<f64> = (0..m).map(|i| (i % 5) as f64 - 2.0).collect();
-        let mut xd = xs.clone();
-        sparse.ftran(&mut xs);
-        dense.ftran(&mut xd);
-        assert!(approx(&xs, &xd), "ftran diverges");
-        let mut ys: Vec<f64> = (0..m).map(|i| ((i * 7) % 3) as f64).collect();
-        let mut yd = ys.clone();
-        sparse.btran(&mut ys);
-        dense.btran(&mut yd);
-        assert!(approx(&ys, &yd), "btran diverges");
-    }
-
-    /// `Factor` over a dense row-major matrix, sparse snapshot,
-    /// Forrest–Tomlin updates.
-    fn ft_factor_of(a: &[f64], m: usize) -> Option<Factor> {
-        let cols = csc_of(a, m);
-        let cfg = FactorConfig {
-            kind: FactorKind::Sparse,
-            update: UpdateKind::ForrestTomlin,
-            ..FactorConfig::default()
-        };
-        Factor::refactor(m, &cfg, |j, out| out.extend_from_slice(&cols[j]))
+        let rhs: Vec<f64> = (0..m).map(|i| (i % 5) as f64 - 2.0).collect();
+        for update in UPDATES {
+            let f = factor_of(&a, m, update).unwrap();
+            assert!(f.lu_nnz() <= 3 * m, "fill {} on tridiagonal", f.lu_nnz());
+            assert_solves(&f, &a, m, &rhs, 1e-9, "tridiagonal");
+        }
     }
 
     /// Replaces column `slot` of the dense row-major mirror with `col`.
@@ -1427,7 +1164,7 @@ mod tests {
     /// FTRAN/BTRAN of `f` agree with a fresh Markowitz refactorization
     /// of the dense mirror `a` on a couple of rhs vectors.
     fn assert_matches_fresh(f: &Factor, a: &[f64], m: usize, stage: &str) {
-        let fresh = factor_of(a, m, FactorKind::Sparse)
+        let fresh = factor_of(a, m, UpdateKind::ProductForm)
             .unwrap_or_else(|| panic!("{stage}: fresh refactorization failed"));
         let rhs: Vec<f64> = (0..m).map(|i| ((i * 7 + 3) % 5) as f64 - 2.0).collect();
         let mut xu = rhs.clone();
@@ -1448,7 +1185,7 @@ mod tests {
     #[test]
     fn ft_update_tracks_column_replacement() {
         let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
-        let mut f = ft_factor_of(&eye, 3).unwrap();
+        let mut f = factor_of(&eye, 3, UpdateKind::ForrestTomlin).unwrap();
         // Replace basis slot 1 with a = (0.5, 2.0, 0.25) (original rows).
         let col = vec![(0, 0.5), (1, 2.0), (2, 0.25)];
         assert!(f.ft_update(1, &col), "well-conditioned update refused");
@@ -1471,7 +1208,7 @@ mod tests {
     #[test]
     fn ft_degenerate_cases() {
         // m = 1: the update is a plain diagonal replacement.
-        let mut f = ft_factor_of(&[4.0], 1).unwrap();
+        let mut f = factor_of(&[4.0], 1, UpdateKind::ForrestTomlin).unwrap();
         assert!(f.ft_update(0, &[(0, 8.0)]));
         let mut x = vec![2.0];
         f.ftran(&mut x);
@@ -1485,7 +1222,7 @@ mod tests {
             0.0, 3.0, 1.0, //
             0.0, 0.0, 4.0,
         ];
-        let mut f = ft_factor_of(&tri, 3).unwrap();
+        let mut f = factor_of(&tri, 3, UpdateKind::ForrestTomlin).unwrap();
         let col = vec![(0, 1.0), (1, 2.0), (2, 8.0)];
         assert!(f.ft_update(2, &col));
         let mut a = tri.to_vec();
@@ -1497,7 +1234,7 @@ mod tests {
         // updated diagonal to round-off → the update must refuse and
         // leave the factors answering for the *old* basis.
         let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
-        let mut f = ft_factor_of(&eye, 3).unwrap();
+        let mut f = factor_of(&eye, 3, UpdateKind::ForrestTomlin).unwrap();
         let bad = vec![(0, 1.0), (1, 1e-14), (2, 0.0)];
         assert!(!f.ft_update(1, &bad), "near-singular spike accepted");
         assert_matches_fresh(&f, &eye, 3, "refused update must not corrupt");
@@ -1517,7 +1254,7 @@ mod tests {
                 a[(i + 1) * m + i] = 0.5;
             }
         }
-        let mut f = ft_factor_of(&a, m).unwrap();
+        let mut f = factor_of(&a, m, UpdateKind::ForrestTomlin).unwrap();
         let replacements: Vec<(usize, Vec<(usize, f64)>)> = vec![
             (2, vec![(0, 1.0), (2, 4.0), (4, -0.5)]),
             (0, vec![(0, 2.5), (1, 1.0), (3, 0.25)]),
@@ -1541,7 +1278,6 @@ mod tests {
         let mut f = Factor::refactor(
             2,
             &FactorConfig {
-                kind: FactorKind::Sparse,
                 update: UpdateKind::ForrestTomlin,
                 max_etas: 2,
                 fill_growth: f64::INFINITY,
@@ -1565,7 +1301,6 @@ mod tests {
             Factor::refactor(
                 2,
                 &FactorConfig {
-                    kind: FactorKind::Sparse,
                     update: UpdateKind::ProductForm,
                     max_etas,
                     fill_growth,

@@ -42,11 +42,11 @@
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
 //!   bound mutations from any dual-feasible basis.
 //!
-//! The kernel request alone selects this configuration. The
-//! [`Kernel::DenseTableau`] oracle request runs the same search with the
-//! old dense LU, the product-form eta file and every node solved cold;
-//! neither the factorization, the update scheme nor warm starts are
-//! separate options.
+//! The kernel request alone selects this configuration; neither the
+//! update scheme nor warm starts are separate options. The one other
+//! engine is the dense tableau of the [`Kernel::DenseTableau`] oracle
+//! request (see "Cross-validation oracle" below): it shares no
+//! factorization, pricing or ratio test with the revised kernel.
 //!
 //! # Pricing
 //!
@@ -85,7 +85,7 @@
 //! escalation ladder: retry the Forrest–Tomlin update from the entering
 //! column → forced refactorization → re-solve the node under the
 //! product-form update → cold basis rebuild → Bland-only
-//! pricing → dense-oracle kernel for that node. A residual health
+//! pricing → the node on the tableau. A residual health
 //! monitor recomputes `‖B·x_B − b_eff‖∞` every few pivots and before
 //! any node bound is trusted, so a corrupted factorization can never
 //! produce a wrong prune. Which events occurred and which rungs fired is
@@ -110,16 +110,17 @@
 //!
 //! # Cross-validation oracle
 //!
-//! The original dense full-tableau two-phase simplex is retained as a
-//! **kernel-level cross-validation oracle** ([`Kernel::DenseTableau`]):
-//! an independent implementation whose objectives and feasibility
-//! verdicts the property tests compare against on random LPs/MILPs, the
-//! baseline the `milp_scaling` bench holds the revised kernel's speedup
-//! against, and rung 6 of the per-node recovery ladder. It
-//! is no longer a separate search backend: a MILP solved under
-//! [`Kernel::DenseTableau`] runs the unified warm search in the oracle
-//! configuration and then re-solves the incumbent's pinned integer
-//! assignment on the genuine tableau, failing loudly on disagreement.
+//! The original dense full-tableau two-phase simplex is the crate's one
+//! **cross-validation oracle** ([`Kernel::DenseTableau`]): an
+//! independent implementation whose objectives and feasibility verdicts
+//! the property tests and the search gate compare against on random
+//! LPs/MILPs, the baseline the `milp_scaling` bench holds the revised
+//! kernel's speedup against, and rung 6 of the per-node recovery ladder.
+//! Every LP of an oracle solve runs on it: a pure LP directly, and a
+//! MILP through the same depth-first search, with every node and the
+//! hint's pinned LP solved cold on the tableau over the node's boxes. Its
+//! incumbents are therefore tableau solutions, and no revised kernel or
+//! basis factorization solves anything under the oracle request.
 //!
 //! Numerics are deliberately tolerance-based (no exact arithmetic): the
 //! retiming/recycling MILPs have at most a few thousand rows and very

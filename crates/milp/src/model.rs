@@ -1,11 +1,10 @@
 //! Model builder: variables, constraints, objective, solver entry points.
 
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::branch_bound;
 use crate::expr::{LinExpr, VarId};
-use crate::factor::{FactorKind, UpdateKind};
 use crate::simplex;
 use crate::solution::{Solution, SolveError, Status};
 use crate::standard::StandardForm;
@@ -123,53 +122,15 @@ pub enum Kernel {
     /// bound. The production kernel.
     #[default]
     Revised,
-    /// The original dense full-tableau two-phase simplex, kept as a
-    /// cross-validation oracle (and for A/B benchmarking). Pure LP
-    /// relaxations solve directly on the tableau. A branch & bound
-    /// search requested with this kernel runs the unified revised
-    /// backend in the oracle configuration (dense LU, product-form
-    /// updates, cold node solves) and then cross-validates
-    /// the incumbent's pinned integer assignment against the genuine
-    /// dense tableau. Its node bounds come from cold two-phase solves,
-    /// independent of the warm long-step dual path the production
-    /// search takes.
+    /// The dense full-tableau two-phase simplex, the cross-validation
+    /// oracle (and the A/B baseline of the `milp_scaling` bench). It
+    /// shares no factorization, pricing or ratio test with the revised
+    /// kernel, and every LP of an oracle solve runs on it: a pure LP solves directly on the
+    /// tableau, and a branch & bound search runs the same depth-first
+    /// loop with every node, and the hint's pinned LP, solved cold on
+    /// the tableau over the node's boxes. No strong-branch probe runs,
+    /// and no node is dual-reoptimized.
     DenseTableau,
-}
-
-/// The engine configuration a [`Kernel`] request selects (see
-/// [`Kernel::setup`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Setup {
-    /// Snapshot factorization behind the revised kernel.
-    pub factor: FactorKind,
-    /// How pivots update that factorization between refactorizations.
-    pub update: UpdateKind,
-    /// Branch & bound nodes dual-reoptimize from the previous basis
-    /// (`false`: every node is solved two-phase from scratch).
-    pub warm: bool,
-}
-
-impl Kernel {
-    /// The one place the engine configuration is derived from the
-    /// kernel request. [`Kernel::Revised`] is the production setup:
-    /// sparse LU, Forrest–Tomlin updates, warm nodes.
-    /// [`Kernel::DenseTableau`] is the oracle: dense LU, product-form
-    /// updates, cold nodes. The recovery ladder's dense rung rebuilds
-    /// the kernel under the oracle request.
-    pub(crate) fn setup(self) -> Setup {
-        match self {
-            Kernel::Revised => Setup {
-                factor: FactorKind::Sparse,
-                update: UpdateKind::ForrestTomlin,
-                warm: true,
-            },
-            Kernel::DenseTableau => Setup {
-                factor: FactorKind::Dense,
-                update: UpdateKind::ProductForm,
-                warm: false,
-            },
-        }
-    }
 }
 
 /// Absolute integrality tolerance.
@@ -191,7 +152,7 @@ pub(crate) const PIVOT_TOL: f64 = 1e-9;
 /// The defaults match what the reproduction harness needs; the paper used a
 /// 20-minute CPLEX timeout, which callers can mirror with
 /// [`SolverOptions::time_limit`]. The tolerances (`INT_TOL`, `FEAS_TOL`,
-/// `PIVOT_TOL` above), the branching policy (`branch_bound`) and the
+/// `PIVOT_TOL` above), the branching policy (`search`) and the
 /// refactor policy (`factor`) are constants, not options.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -204,8 +165,9 @@ pub struct SolverOptions {
     /// Stop as soon as an incumbent is within `gap_tol` (relative) of the
     /// best LP bound.
     pub gap_tol: f64,
-    /// LP kernel selection (see [`Kernel`]). It alone selects the basis
-    /// factorization, the update scheme and warm or cold node solves.
+    /// LP kernel selection (see [`Kernel`]). It alone selects the
+    /// engine: the revised kernel with warm nodes, or the tableau for
+    /// every LP.
     pub kernel: Kernel,
     /// Deterministic fault-injection plan (see
     /// [`FaultPlan`](crate::FaultPlan) and the `recover` module docs).
@@ -367,16 +329,6 @@ impl Model {
         var.upper = value;
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Variable metadata.
     pub fn var(&self, v: VarId) -> &Variable {
         &self.vars[v.0]
@@ -413,6 +365,20 @@ impl Model {
         worst
     }
 
+    /// `true` when `values` holds a non-finite entry or violates some
+    /// row by more than `tol` times that row's magnitude: the largest of
+    /// 1, its rhs, its constant and each of its `|coeff · value|` terms.
+    pub(crate) fn rows_violated(&self, values: &[f64], tol: f64) -> bool {
+        values.iter().any(|v| !v.is_finite())
+            || self.constraints.iter().any(|c| {
+                let scale = c.expr.terms.iter().fold(
+                    c.rhs.abs().max(c.expr.constant.abs()).max(1.0),
+                    |s, &(v, a)| s.max((a * values[v.index()]).abs()),
+                );
+                c.violation(values) > tol * scale
+            })
+    }
+
     /// Solves the model with default [`SolverOptions`].
     ///
     /// # Errors
@@ -443,26 +409,6 @@ impl Model {
         }
     }
 
-    /// Like [`Model::solve_with`], seeding branch & bound with a warm
-    /// start: the given integer assignments are fixed and the continuous
-    /// part re-solved to form the first incumbent (ignored when
-    /// infeasible). Pairs for non-integer variables are ignored.
-    ///
-    /// # Errors
-    ///
-    /// See [`Model::solve`].
-    pub fn solve_with_hint(
-        &self,
-        opts: &SolverOptions,
-        hint: &[(VarId, f64)],
-    ) -> Result<Solution, SolveError> {
-        if self.has_integers() {
-            branch_bound::solve_with_stats_hinted(self, opts, hint).map(|(sol, _)| sol)
-        } else {
-            self.solve_relaxation(opts)
-        }
-    }
-
     /// Solves the LP relaxation (integrality dropped).
     ///
     /// # Errors
@@ -476,9 +422,10 @@ impl Model {
                 bf.sf.recover(&raw)
             }
             Kernel::DenseTableau => {
-                let sf = StandardForm::build(self);
-                let (raw, _pivots) = simplex::solve(&sf, opts)?;
-                sf.recover(&raw)
+                let sf = StandardForm::build(self, None);
+                let deadline = opts.time_limit.map(|limit| Instant::now() + limit);
+                let mut budget = opts.max_pivots;
+                sf.recover(&simplex::solve(&sf, &mut budget, deadline)?)
             }
         };
         let objective = self.objective.eval(&values);
@@ -516,8 +463,7 @@ mod tests {
 
     /// `SolverOptions::resolve` maps any `workers` other than 1 to 1
     /// with one note, under both kernels, and passes a default request
-    /// through untouched. The oracle's factorization and cold nodes
-    /// come from the kernel request itself.
+    /// through untouched.
     #[test]
     fn resolve_normalizes_unsupported_combinations_loudly() {
         let (eff, notes) = SolverOptions::default().resolve();
@@ -537,14 +483,6 @@ mod tests {
                 assert_eq!(notes.len(), 1, "{notes:?}");
             }
         }
-        let oracle = Kernel::DenseTableau.setup();
-        assert_eq!(oracle.factor, FactorKind::Dense);
-        assert_eq!(oracle.update, UpdateKind::ProductForm);
-        assert!(!oracle.warm);
-        let production = Kernel::Revised.setup();
-        assert_eq!(production.factor, FactorKind::Sparse);
-        assert_eq!(production.update, UpdateKind::ForrestTomlin);
-        assert!(production.warm);
     }
 
     #[test]
@@ -562,6 +500,18 @@ mod tests {
         // x = 2.5 violates integrality (0.5) and the row (2.0).
         let viol = m.max_violation(&[2.5], 1e-6);
         assert!(viol > 1.9, "violation was {viol}");
+    }
+
+    #[test]
+    fn rows_violated_scales_with_the_row() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_continuous("x", 0.0, 1e6);
+        m.add_constraint(1.0 * x, cmp::LE, 1e5);
+        // 1e-3 over a 1e5 row is round-off at a 1e-4 relative tolerance;
+        // 1e2 over it, or a NaN, is not.
+        assert!(!m.rows_violated(&[1e5 + 1e-3], 1e-4));
+        assert!(m.rows_violated(&[1e5 + 1e2], 1e-4));
+        assert!(m.rows_violated(&[f64::NAN], 1e-4));
     }
 
     #[test]

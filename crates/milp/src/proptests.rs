@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use crate::factor::{Eta, Factor, FactorConfig, FactorKind, UpdateKind};
+use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
 use crate::model::{cmp, Kernel, Model, Sense, SolverOptions};
 use crate::solution::SolveError;
 use crate::LinExpr;
@@ -283,8 +283,8 @@ proptest! {
         );
     }
 
-    /// Revised (warm B&B) vs the dense-tableau oracle request (cold
-    /// B&B on dense LU, incumbent re-checked on the tableau) on planted
+    /// Revised (warm B&B) vs the dense-tableau oracle request (every
+    /// node LP solved cold on the tableau) on planted
     /// (feasible) MILPs: same optimum, and the returned points are
     /// feasible under either kernel.
     #[test]
@@ -359,11 +359,13 @@ proptest! {
         }
     }
 
-    /// **Factorization oracle**: random sparse nonsingular bases (planted
-    /// diagonal dominance, then randomly row/column-permuted) factored by
-    /// the Markowitz sparse LU and by the dense LU; FTRAN and BTRAN
-    /// answers must agree to 1e-9 — at the snapshot and through a
-    /// nonempty product-form eta file built from random pivot sequences.
+    /// **Factorization residuals**: random sparse nonsingular bases
+    /// (planted diagonal dominance, then randomly row/column-permuted)
+    /// factored by the Markowitz sparse LU; FTRAN and BTRAN answers must
+    /// solve the basis itself, `‖B·x − b‖∞ < 1e-9` and
+    /// `‖Bᵀ·y − b‖∞ < 1e-9` — at the snapshot and through a nonempty
+    /// product-form eta file built from random pivot sequences, each
+    /// pivot replacing one column of the dense mirror `B`.
     #[test]
     fn sparse_factor_matches_dense_oracle_through_eta_file(
         m in 1usize..9,
@@ -412,63 +414,44 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mk = |kind| {
-            Factor::refactor(
-                m,
-                &FactorConfig {
-                    kind,
-                    update: UpdateKind::ProductForm,
-                    max_etas: 0,
-                    fill_growth: 8.0,
-                },
-                |j, out| out.extend_from_slice(&cols[j]),
-            )
-            .expect("diagonally dominant basis is nonsingular")
-        };
-        let mut sparse = mk(FactorKind::Sparse);
-        let mut dense = mk(FactorKind::Dense);
-        prop_assert!(sparse.lu_nnz() <= m * m, "sparse fill exceeds dense storage");
+        let mut f = Factor::refactor(
+            m,
+            &FactorConfig {
+                update: UpdateKind::ProductForm,
+                max_etas: 0,
+                fill_growth: 8.0,
+            },
+            |j, out| out.extend_from_slice(&cols[j]),
+        )
+        .expect("diagonally dominant basis is nonsingular");
+        prop_assert!(f.lu_nnz() <= m * m, "sparse fill exceeds dense storage");
 
         // A sparse right-hand side (masked), checked in both directions
         // after every basis change.
         let rhs: Vec<f64> = (0..m)
             .map(|i| if rhs_mask[i] { rhs_raw[i] } else { 0.0 })
             .collect();
-        let check = |sparse: &Factor, dense: &Factor, stage: &str| {
-            let mut xs = rhs.clone();
-            let mut xd = rhs.clone();
-            sparse.ftran(&mut xs);
-            dense.ftran(&mut xd);
+        let check = |f: &Factor, b: &[f64], stage: &str| {
+            let mut x = rhs.clone();
+            let mut y = rhs.clone();
+            f.ftran(&mut x);
+            f.btran(&mut y);
             for i in 0..m {
-                assert!(
-                    (xs[i] - xd[i]).abs() < 1e-9,
-                    "{stage}: ftran[{i}] sparse {} vs dense {}",
-                    xs[i],
-                    xd[i]
-                );
-            }
-            let mut ys = rhs.clone();
-            let mut yd = rhs.clone();
-            sparse.btran(&mut ys);
-            dense.btran(&mut yd);
-            for i in 0..m {
-                assert!(
-                    (ys[i] - yd[i]).abs() < 1e-9,
-                    "{stage}: btran[{i}] sparse {} vs dense {}",
-                    ys[i],
-                    yd[i]
-                );
+                let bx: f64 = (0..m).map(|j| b[i * m + j] * x[j]).sum();
+                let by: f64 = (0..m).map(|j| b[j * m + i] * y[j]).sum();
+                assert!((bx - rhs[i]).abs() < 1e-9, "{stage}: (B·x)[{i}] = {bx} vs {}", rhs[i]);
+                assert!((by - rhs[i]).abs() < 1e-9, "{stage}: (Bᵀ·y)[{i}] = {by} vs {}", rhs[i]);
             }
         };
-        check(&sparse, &dense, "snapshot");
+        check(&f, &b, "snapshot");
 
         // Random pivot sequence: replace basis slot r with a random
-        // column whose direction d = B⁻¹a has a usable pivot; both
-        // factors receive the *same* eta, so they must keep agreeing.
+        // column whose direction d = B⁻¹a has a usable pivot; the factor
+        // absorbs its eta and the dense mirror the column itself.
         for (slot, colvals) in &pivots {
             let r = slot.index(m);
             let mut d: Vec<f64> = colvals[..m].to_vec();
-            dense.ftran(&mut d);
+            f.ftran(&mut d);
             if d[r].abs() < 0.1 {
                 continue; // replacement would make B near-singular
             }
@@ -478,15 +461,17 @@ proptest! {
                 .filter(|&(i, &v)| i != r && v.abs() > 1e-12)
                 .map(|(i, &v)| (i, v))
                 .collect();
-            sparse.push(Eta { row: r, pivot: d[r], others: others.clone() });
-            dense.push(Eta { row: r, pivot: d[r], others });
-            check(&sparse, &dense, "eta file");
+            f.push(Eta { row: r, pivot: d[r], others });
+            for i in 0..m {
+                b[i * m + r] = colvals[i];
+            }
+            check(&f, &b, "eta file");
         }
     }
 
     /// **Search oracle**: the production search and the
-    /// `Kernel::DenseTableau` request (dense LU, product form, cold
-    /// nodes) run through the full branch & bound and must agree on the
+    /// `Kernel::DenseTableau` request (cold tableau nodes) run through
+    /// the full branch & bound and must agree on the
     /// verdict and the objective.
     #[test]
     fn node_orders_and_factor_kinds_agree(lp in planted_lp(5, 4)) {
@@ -623,7 +608,6 @@ proptest! {
             Factor::refactor(
                 m,
                 &FactorConfig {
-                    kind: FactorKind::Sparse,
                     update,
                     max_etas: 1_000_000, // keep updates in play: no auto flush
                     fill_growth: 0.0,
@@ -712,8 +696,8 @@ proptest! {
     /// The production configuration (sparse LU, Forrest–Tomlin), the
     /// same kernel forced onto the product-form update (the recovery
     /// ladder's rung-3 configuration, switched before the first solve),
-    /// and the `Kernel::DenseTableau` request (dense LU, product form)
-    /// must agree on the LP optimum of the root relaxation.
+    /// and the dense tableau of the `Kernel::DenseTableau` request must
+    /// agree on the LP optimum of the root relaxation.
     #[test]
     fn factor_and_update_kinds_agree_on_milps(lp in planted_lp(5, 4)) {
         let relaxed = PlantedLp {
@@ -722,21 +706,26 @@ proptest! {
         };
         let (m, _vars) = relaxed.build();
         let bf = crate::standard::BoxedForm::build(&m);
-        let solve = |kernel: Kernel, product_form: bool| -> f64 {
-            let opts = SolverOptions { kernel, ..Default::default() };
+        let objective = |v: &[f64]| -> f64 { lp.obj.iter().zip(v).map(|(c, x)| c * x).sum() };
+        let solve = |update: UpdateKind| -> f64 {
+            let opts = SolverOptions::default();
             let mut k = crate::revised::Revised::new(&bf, &opts);
-            if product_form {
-                k.set_update_kind(UpdateKind::ProductForm);
-            }
+            k.set_update_kind(update);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&mut budget).expect("planted LP must be feasible");
-            let v = bf.sf.recover(&k.values());
-            lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum()
+            objective(&bf.sf.recover(&k.values()))
         };
-        let reference = solve(Kernel::Revised, false);
+        let tableau = {
+            let sf = crate::standard::StandardForm::build(&m, None);
+            let mut budget = SolverOptions::default().max_pivots;
+            let y = crate::simplex::solve(&sf, &mut budget, None)
+                .expect("planted LP must be feasible");
+            objective(&sf.recover(&y))
+        };
+        let reference = solve(UpdateKind::ForrestTomlin);
         for (label, obj) in [
-            ("sparse/product form", solve(Kernel::Revised, true)),
-            ("dense/product form", solve(Kernel::DenseTableau, false)),
+            ("sparse/product form", solve(UpdateKind::ProductForm)),
+            ("dense tableau", tableau),
         ] {
             prop_assert!(
                 (obj - reference).abs() < 1e-6,
@@ -746,8 +735,8 @@ proptest! {
     }
 
     /// The production search and the `Kernel::DenseTableau` request
-    /// (dense-LU factorization), driven through the full branch & bound,
-    /// must land on the same MILP optimum.
+    /// (every node LP on the tableau), driven through the full branch &
+    /// bound, must land on the same MILP optimum.
     #[test]
     fn factor_kinds_agree_on_milp_objectives(lp in planted_lp(5, 4)) {
         let (m, _vars) = lp.build();
@@ -758,7 +747,7 @@ proptest! {
             .unwrap();
         prop_assert!(
             (sparse.objective - dense.objective).abs() < 1e-7,
-            "sparse-LU {} vs dense-LU {}",
+            "sparse-LU {} vs dense tableau {}",
             sparse.objective,
             dense.objective
         );

@@ -18,9 +18,11 @@
 //!    state.
 //! 5. **Bland-only pricing** for the node: escapes cycling that the
 //!    automatic Dantzig→Bland switch did not catch.
-//! 6. **Dense-oracle kernel** for the node: the kernel rebuilt under the
-//!    [`Kernel::DenseTableau`](crate::Kernel) request, i.e. the dense-LU
-//!    snapshot with product-form updates — slowest, most robust.
+//! 6. **The node on the tableau**: a cold solve of the node's LP on the
+//!    dense tableau of the [`Kernel::DenseTableau`](crate::Kernel)
+//!    oracle (the `simplex` module), which shares no factorization,
+//!    pricing or ratio test with the revised kernel — slowest, most
+//!    robust.
 //!
 //! Rungs 1–2 act per pivot inside the revised kernel; rungs 3–6 act per
 //! branch & bound node (see `Search::solve_node` in the `search`
@@ -34,7 +36,9 @@
 //! times the per-row rhs scale; drift triggers a
 //! refactorization and, if the state cannot be certified, the next
 //! ladder rung. A corrupted factorization can therefore never produce a
-//! wrong prune.
+//! wrong prune. Rung 6's tableau point passes the same tolerance on the
+//! model's rows before it bounds anything; a violated row fails the
+//! rung like any other numerical error.
 //!
 //! # Fault injection
 //!
@@ -44,7 +48,8 @@
 //! pass clean, then the next `count` fire back-to-back. Consecutive
 //! firing is what lets one seed walk the *entire* node ladder: a faked
 //! iteration limit on a cold solve fails the product-form, rebuild and
-//! Bland rungs too, leaving the dense oracle to complete the node. All
+//! Bland rungs too, leaving the tableau to complete the node (it has no
+//! injection site). All
 //! randomness comes from an inline SplitMix64 stream seeded by
 //! [`FaultPlan::seed`], so every run of a plan is bit-reproducible.
 
@@ -102,7 +107,7 @@ pub struct RecoveryStats {
     pub cold_rebuilds: usize,
     /// Rung 5: nodes re-solved under Bland-only pricing.
     pub bland_restarts: usize,
-    /// Rung 6: nodes re-solved by the dense-oracle factorization.
+    /// Rung 6: nodes re-solved on the dense tableau.
     pub dense_oracle_solves: usize,
     /// Faults actually fired by the `FaultInjector` (0 on clean runs).
     pub faults_injected: usize,
@@ -218,9 +223,9 @@ impl FaultPlan {
     /// armed, with fire counts chosen so a solve survives them all.
     /// `fake_iteration_limit` is 4 on purpose: fired back-to-back from
     /// the first cold solve, it fails the cold attempt **and** the
-    /// product-form, rebuild and Bland rungs, so the dense-oracle rung
-    /// must complete the node — one seed exercises the whole ladder
-    /// while never exhausting it (the dense attempt always runs clean).
+    /// product-form, rebuild and Bland rungs, so rung 6, the node on the
+    /// tableau, must complete it — one seed exercises the whole ladder
+    /// while never exhausting it (the tableau has no injection site).
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -287,8 +292,8 @@ impl FaultInjector {
                 skip: 9 + skip_small(&mut rng),
                 remaining: plan.refuse_ft_update,
             },
-            // SingularRefactor: past the refactors the node ladder
-            // itself performs, so the dense rung is not sabotaged.
+            // SingularRefactor: past the first few refactors of the
+            // solve.
             SiteState {
                 skip: 8 + skip_small(&mut rng),
                 remaining: plan.singular_refactor,

@@ -3,15 +3,13 @@
 //! Where the dense oracle ([`crate::simplex`]) updates an `(m+1) × width`
 //! tableau on every pivot, this kernel keeps the constraint matrix as
 //! **sparse columns**, the basis as a sparse LU kept current across
-//! pivots by Forrest–Tomlin updates — or a dense LU snapshot plus
-//! product-form eta file under the
-//! [`Kernel::DenseTableau`](crate::Kernel) oracle request, see
-//! [`crate::factor`] — and — crucially — variable bounds on the
-//! *columns* (`l ≤ y ≤ u`) rather than as extra rows. Nonbasic columns
-//! rest at either bound; the entering step may terminate in a **bound
-//! flip** (no basis change at all). Compared to the row-bounded layout
-//! this roughly halves the basis dimension of the retiming MILPs, which
-//! every FTRAN/BTRAN and refactorization pays for directly.
+//! pivots by Forrest–Tomlin updates (see [`crate::factor`]), and —
+//! crucially — variable bounds on the *columns* (`l ≤ y ≤ u`) rather
+//! than as extra rows. Nonbasic columns rest at either bound; the
+//! entering step may terminate in a **bound flip** (no basis change at
+//! all). Compared to the row-bounded layout this roughly halves the
+//! basis dimension of the retiming MILPs, which every FTRAN/BTRAN and
+//! refactorization pays for directly.
 //!
 //! Three entry points matter:
 //!
@@ -59,8 +57,7 @@ const ETA_DROP_TOL: f64 = 1e-12;
 pub(crate) struct FactorStats {
     /// Successful basis refactorizations.
     pub refactors: usize,
-    /// Largest `nnz(L+U)` any snapshot reached (the dense oracle
-    /// reports its full `m²` storage here).
+    /// Largest `nnz(L+U)` any snapshot reached.
     pub peak_lu_nnz: usize,
     /// Successful Forrest–Tomlin updates (0 under the product form).
     pub ft_updates: usize,
@@ -139,8 +136,7 @@ pub(crate) struct Revised {
     /// must be corrected by `B⁻¹·w` via one sparse FTRAN).
     pending: Vec<(usize, f64)>,
     factor: Option<Factor>,
-    /// Snapshot kind + refactor policy, resolved from the solver options
-    /// at construction.
+    /// Update scheme + refactor policy for the next refactorization.
     fcfg: FactorConfig,
     /// `true` while the current basis is known dual feasible for the
     /// phase-2 costs — the precondition for warm-starting
@@ -168,8 +164,7 @@ pub(crate) struct Revised {
 
 impl Revised {
     /// Builds the kernel over a bounded-variable form (no basis yet);
-    /// `opts` supplies the kernel request (which selects the basis
-    /// factorization), the fault plan and the wall-clock deadline.
+    /// `opts` supplies the fault plan and the wall-clock deadline.
     pub fn new(bf: &BoxedForm, opts: &SolverOptions) -> Revised {
         let m = bf.sf.rows.len();
         let n = bf.sf.ncols;
@@ -193,7 +188,7 @@ impl Revised {
             xb: vec![0.0; m],
             pending: Vec::new(),
             factor: None,
-            fcfg: FactorConfig::resolve(opts),
+            fcfg: FactorConfig::default(),
             dual_ok: false,
             iters: 0,
             factor_stats: FactorStats::default(),
@@ -1404,14 +1399,13 @@ impl Revised {
         &self.recovery
     }
 
-    /// Ladder rungs 4 and 6: a fresh kernel over the same form under
-    /// `opts` (which may select a different factorization, e.g. the
-    /// dense oracle), discarding every piece of possibly corrupted
-    /// basis/factor state while carrying over what must survive the
-    /// swap: the branch-tightened column boxes (the form only knows the
-    /// root boxes), the accumulated telemetry, the fault injector and
-    /// the original wall-clock deadline (a rebuild must not extend the
-    /// time budget).
+    /// Ladder rung 4, and the restore after any rung: a fresh kernel
+    /// over the same form, back on Forrest–Tomlin updates, discarding
+    /// every piece of possibly corrupted basis/factor state while
+    /// carrying over what must survive the swap: the branch-tightened
+    /// column boxes (the form only knows the root boxes), the
+    /// accumulated telemetry, the fault injector and the original
+    /// wall-clock deadline (a rebuild must not extend the time budget).
     pub fn rebuilt(&mut self, bf: &BoxedForm, opts: &SolverOptions) -> Revised {
         let mut fresh = Revised::new(bf, opts);
         fresh.lower.copy_from_slice(&self.lower);
@@ -1790,11 +1784,11 @@ mod tests {
         assert!(v[0] - v[1] >= s * (1.0 - 1e-6), "{v:?}");
     }
 
-    /// The kernel request reaches the factorization: under
-    /// [`Kernel::Revised`] the kernel runs Forrest–Tomlin updates (the
-    /// eta file stays empty and updates are counted); under the
-    /// [`Kernel::DenseTableau`] request it runs the dense LU with the
-    /// product form, where no FT update ever runs. Same optimum.
+    /// The update scheme reaches the factorization: a fresh kernel runs
+    /// Forrest–Tomlin updates (the eta file stays empty and updates are
+    /// counted); switched to the product form by `set_update_kind`
+    /// before its first solve (the ladder's rung-3 configuration), it
+    /// runs no FT update at all. Same optimum.
     #[test]
     fn update_kind_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
@@ -1806,23 +1800,20 @@ mod tests {
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
         let bf = BoxedForm::build(&m);
-        let run = |kernel: Kernel| {
-            let opts = SolverOptions {
-                kernel,
-                ..Default::default()
-            };
+        let run = |update: UpdateKind| {
+            let opts = SolverOptions::default();
             let mut k = Revised::new(&bf, &opts);
+            k.set_update_kind(update);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&mut budget).unwrap();
             let v = bf.sf.recover(&k.values());
             (2.0 * v[0] + 3.0 * v[1] + v[2], k.factor_stats)
         };
-        let (obj_ft, stats_ft) = run(Kernel::Revised);
-        let (obj_pf, stats_pf) = run(Kernel::DenseTableau);
+        let (obj_ft, stats_ft) = run(UpdateKind::ForrestTomlin);
+        let (obj_pf, stats_pf) = run(UpdateKind::ProductForm);
         assert!((obj_ft - obj_pf).abs() < 1e-9, "{obj_ft} vs {obj_pf}");
         assert!(stats_ft.ft_updates > 0, "FT mode never updated the factors");
         assert_eq!(stats_pf.ft_updates, 0, "product form ran FT updates");
-        assert_eq!(stats_pf.peak_lu_nnz, 9, "the oracle factors densely");
     }
 
     /// N-row generalization of [`ratio_probe`]: row `r` holds structural

@@ -37,9 +37,16 @@
 //!   per-node recovery ladder (rungs 3–6 of [`crate::recover`]).
 //!   Shifted, mirrored and free (split-pair) integers all branch this
 //!   way: a box translates to standard-form column bounds through
-//!   [`ColMap::box_updates`]. The [`Kernel::DenseTableau`] oracle request
-//!   runs the same loop with the dense LU, the product-form update and
-//!   every node solved cold.
+//!   [`ColMap::box_updates`].
+//! * **The oracle** ([`Kernel::DenseTableau`]) runs the same loop, but
+//!   every node LP, and the hint's pinned LP, is solved cold on the dense
+//!   tableau ([`crate::simplex`]) over a standard form built from the
+//!   model and the node's boxes, under the solve's one deadline; no box
+//!   reaches the revised kernel, which solves nothing, and no
+//!   strong-branch probe runs. A tableau point that violates a row is
+//!   refused like a drifting revised bound ([`Search::solve_on_tableau`]).
+//!   The ladder's rung 6 re-solves a failing production node the same
+//!   way.
 //! * **Branching** ([`Search::select_branch`]): pseudo-cost branching
 //!   with reliability probes. Per variable and direction, the table holds
 //!   the running mean of the observed LP bound degradation per unit of
@@ -56,7 +63,7 @@
 //!   never prunes, so an unverified probe cannot break correctness.
 //! * **Incumbents** come from integral node relaxations and from the
 //!   caller's warm-start hint, solved with the hinted integers pinned
-//!   before the root.
+//!   before the root. Under the oracle both are tableau solutions.
 //! * **Bounds**: the gap test runs whenever an incumbent improves,
 //!   against the minimum bound over the open stack, i.e. over every
 //!   unexplored node, so a leaf of the first dive can already end the
@@ -73,10 +80,11 @@ use std::time::Instant;
 use crate::branch_bound::BranchBoundStats;
 use crate::expr::VarId;
 use crate::factor::UpdateKind;
-use crate::model::{Kernel, Model, Sense, SolverOptions, INT_TOL};
+use crate::model::{Kernel, Model, Sense, SolverOptions, FEAS_TOL, INT_TOL};
 use crate::revised::{BasisState, Revised};
+use crate::simplex;
 use crate::solution::{Solution, SolveError, Status};
-use crate::standard::{BoxedForm, ColMap};
+use crate::standard::{BoxedForm, ColMap, StandardForm};
 
 /// Reliability threshold of pseudo-cost branching: a variable direction
 /// with fewer recorded observations than this is strong-branched instead
@@ -201,9 +209,14 @@ fn min_bound(open: &[OpenNode]) -> f64 {
 struct Search<'m> {
     model: &'m Model,
     opts: &'m SolverOptions,
-    /// Nodes dual-reoptimize from the previous basis (`false` under the
-    /// [`Kernel::DenseTableau`] oracle request: every node is cold).
+    /// [`Kernel::Revised`]: nodes dual-reoptimize from the previous
+    /// basis. `false` under the [`Kernel::DenseTableau`] oracle request:
+    /// every LP is solved cold on the tableau.
     warm: bool,
+    /// The one wall-clock deadline of the whole solve.
+    deadline: Option<Instant>,
+    /// Pivots of every tableau solve (the oracle's LPs and rung 6).
+    tableau_pivots: usize,
     form: BoxedForm,
     /// Per model variable: the standard-form substitution of every
     /// branchable integer (shifted, mirrored, or split); `None` for
@@ -237,6 +250,11 @@ impl Search<'_> {
         self.sense_mul * obj
     }
 
+    /// `true` once the solve's one wall-clock deadline has passed.
+    fn out_of_time(&self) -> bool {
+        self.deadline.is_some_and(|dl| Instant::now() >= dl)
+    }
+
     /// The signed incumbent objective (`+∞` without an incumbent).
     fn cutoff(&self) -> f64 {
         self.best
@@ -262,9 +280,13 @@ impl Search<'_> {
         self.gap_closed = inc - min_bound(&self.stack) <= self.opts.gap_tol * inc.abs().max(1.0);
     }
 
-    /// Pushes a model variable's box into the LP (a no-op for variables
-    /// without standard-form columns, i.e. fixed at the root).
+    /// Pushes a model variable's box into the revised kernel: a no-op for
+    /// variables without standard-form columns (fixed at the root), and
+    /// under the oracle, whose tableau LPs read `lo`/`hi` directly.
     fn set_var_box(&mut self, vi: usize, lo: f64, hi: f64) {
+        if !self.warm {
+            return;
+        }
         if let Some(map) = self.int_maps[vi] {
             for (col, l, u) in map.box_updates(lo, hi).into_iter().flatten() {
                 self.kernel.set_col_bounds(col, l, u);
@@ -272,9 +294,8 @@ impl Search<'_> {
         }
     }
 
-    /// The solution at the kernel's current optimum.
-    fn node_solution(&self) -> Solution {
-        let values = self.form.sf.recover(&self.kernel.values());
+    /// The solution at the model-space point `values` of an LP optimum.
+    fn solution(&self, values: Vec<f64>) -> Solution {
         let objective = self.model.objective.eval(&values);
         Solution {
             values,
@@ -283,9 +304,14 @@ impl Search<'_> {
         }
     }
 
+    /// The solution at the kernel's current optimum.
+    fn node_solution(&self) -> Solution {
+        self.solution(self.form.sf.recover(&self.kernel.values()))
+    }
+
     /// Hint seeding, before the root: pin the hinted integers, solve from
-    /// scratch, restore the boxes, and offer the solution as the first
-    /// incumbent (nothing when the pinned LP fails).
+    /// scratch, restore the root boxes, and offer the solution as the
+    /// first incumbent (nothing when the pinned LP fails).
     fn seed_hint(&mut self, hint: &[(VarId, f64)]) {
         let pins: Vec<(usize, f64)> = hint
             .iter()
@@ -296,21 +322,56 @@ impl Search<'_> {
             })
             .collect();
         for &(vi, val) in &pins {
+            (self.lo[vi], self.hi[vi]) = (val, val);
             self.set_var_box(vi, val, val);
         }
-        let mut budget = self.opts.max_pivots;
-        let sol = match self.kernel.solve_two_phase(&mut budget) {
-            // The hint becomes an incumbent, so it passes the same
-            // residual trust gate as node bounds.
-            Ok(()) if self.kernel.verify_residual() => Some(self.node_solution()),
-            _ => None,
+        // The hint becomes an incumbent, so it passes the same residual
+        // trust gate as node bounds.
+        let sol = if self.warm {
+            self.solve_cold().ok()
+        } else {
+            self.solve_on_tableau().ok()
         };
         for &(vi, _) in &pins {
-            self.set_var_box(vi, self.lo[vi], self.hi[vi]);
+            let var = &self.model.vars[vi];
+            (self.lo[vi], self.hi[vi]) = (var.lower, var.upper);
+            self.set_var_box(vi, var.lower, var.upper);
         }
         if let Some(sol) = sol {
             self.accept(sol, 0);
         }
+    }
+
+    /// A two-phase solve of the current node from scratch on the revised
+    /// kernel. A bound the residual trust gate refuses is a
+    /// [`SolveError::Numerical`] failure.
+    fn solve_cold(&mut self) -> Result<Solution, SolveError> {
+        let mut budget = self.opts.max_pivots;
+        self.kernel.solve_two_phase(&mut budget)?;
+        if !self.kernel.verify_residual() {
+            return Err(SolveError::Numerical("residual drift at node bound".into()));
+        }
+        Ok(self.node_solution())
+    }
+
+    /// Solves the current node's LP cold on the dense tableau: a standard
+    /// form built from the model over the node's boxes, under the solve's
+    /// deadline and a fresh pivot budget. Every pivot counts toward
+    /// `simplex_iters`. The tableau clamps basic values at 0 and never
+    /// re-checks them against the rows, so its point passes a trust gate
+    /// of its own: a row violated beyond `1e3·FEAS_TOL` of the row's
+    /// magnitude (the revised kernel's residual tolerance) is a
+    /// [`SolveError::Numerical`] failure, never a bound.
+    fn solve_on_tableau(&mut self) -> Result<Solution, SolveError> {
+        let sf = StandardForm::build(self.model, Some((&self.lo, &self.hi)));
+        let mut budget = self.opts.max_pivots;
+        let y = simplex::solve(&sf, &mut budget, self.deadline);
+        self.tableau_pivots += self.opts.max_pivots - budget;
+        let values = sf.recover(&y?);
+        if self.model.rows_violated(&values, 1e3 * FEAS_TOL) {
+            return Err(SolveError::Numerical("tableau point violates a row".into()));
+        }
+        Ok(self.solution(values))
     }
 
     /// Dual-reoptimizes the kernel **in place** (no refactorization): any
@@ -334,9 +395,14 @@ impl Search<'_> {
     }
 
     /// Solves the current node LP: in-place dual reoptimization when the
-    /// kernel state allows it, else from the parent basis, else cold.
+    /// kernel state allows it, else from the parent basis, else cold
+    /// (always cold, on the tableau, under the oracle request).
     fn solve_node(&mut self, parent: Option<&BasisState>) -> Result<Solution, SolveError> {
-        if let Some(parent_state) = parent.filter(|_| self.warm) {
+        if !self.warm {
+            self.stats.cold_solves += 1;
+            return self.solve_on_tableau();
+        }
+        if let Some(parent_state) = parent {
             let outcome = if self.kernel.dual_ok() {
                 self.try_warm_in_place()
             } else {
@@ -371,78 +437,62 @@ impl Search<'_> {
             }
         }
         self.stats.cold_solves += 1;
-        let mut budget = self.opts.max_pivots;
-        match self.kernel.solve_two_phase(&mut budget) {
-            Ok(()) => {
-                if self.kernel.verify_residual() {
-                    return Ok(self.node_solution());
-                }
-                self.recover_node(SolveError::Numerical("residual drift at node bound".into()))
+        match self.solve_cold() {
+            // Retryable failures (budget, numerics, a refused bound)
+            // enter the recovery ladder; genuine verdicts end the node.
+            Err(first @ (SolveError::IterationLimit | SolveError::Numerical(_))) => {
+                self.recover_node(first)
             }
-            // Genuine verdicts end the node; retryable failures (budget,
-            // numerics) enter the recovery ladder.
-            Err(e @ (SolveError::Infeasible | SolveError::Unbounded)) => Err(e),
-            Err(first) => self.recover_node(first),
+            other => other,
         }
     }
 
     /// The per-node recovery ladder, rungs 3–6 of [`crate::recover`]:
-    /// product-form switch → cold rebuild → Bland-only pricing →
-    /// dense-oracle kernel. Entered after a cold solve failed with a
+    /// product-form switch → cold rebuild → Bland-only pricing → the
+    /// node on the tableau. Entered after a cold solve failed with a
     /// retryable error (budget/numerics) or produced a bound the
     /// residual trust gate refused. Every rung is counted before its
-    /// attempt, re-solves from scratch on a fresh pivot budget, and must
-    /// itself pass the trust gate; `Infeasible`/`Unbounded` from a rung
-    /// is a genuine verdict. On success (or a verdict) the original
-    /// configuration is restored — the next node then cold-starts
-    /// through the ordinary warm-fallback path. Total failure returns
-    /// the error that started the ladder.
+    /// attempt and re-solves from scratch on a fresh pivot budget; the
+    /// revised rungs must pass the trust gate, and
+    /// `Infeasible`/`Unbounded` from a rung is a genuine verdict. On
+    /// success (or a verdict) the original configuration is restored —
+    /// the next node then cold-starts through the ordinary warm-fallback
+    /// path. Total failure returns the error that started the ladder.
     fn recover_node(&mut self, first: SolveError) -> Result<Solution, SolveError> {
         for rung in 0..4u8 {
             // The ladder must not fight a spent wall clock: each failed
             // attempt would just re-pay the solve entry check.
-            if self.kernel.out_of_time() {
+            if self.out_of_time() {
                 break;
             }
-            match rung {
+            let outcome = match rung {
                 0 => {
                     self.kernel.recovery.product_form_switches += 1;
                     self.kernel.set_update_kind(UpdateKind::ProductForm);
+                    self.solve_cold()
                 }
                 1 => {
                     self.kernel.recovery.cold_rebuilds += 1;
                     self.kernel = self.kernel.rebuilt(&self.form, self.opts);
+                    self.solve_cold()
                 }
                 2 => {
                     self.kernel.recovery.bland_restarts += 1;
                     self.kernel.set_force_bland(true);
+                    self.solve_cold()
                 }
                 _ => {
                     self.kernel.recovery.dense_oracle_solves += 1;
-                    let oracle = SolverOptions {
-                        kernel: Kernel::DenseTableau,
-                        ..self.opts.clone()
-                    };
-                    self.kernel = self.kernel.rebuilt(&self.form, &oracle);
+                    self.solve_on_tableau()
                 }
+            };
+            // Retryable failures (an untrustworthy bound included)
+            // escalate to the next rung.
+            if let Err(SolveError::IterationLimit | SolveError::Numerical(_)) = outcome {
+                continue;
             }
-            let mut budget = self.opts.max_pivots;
-            match self.kernel.solve_two_phase(&mut budget) {
-                Ok(()) => {
-                    if self.kernel.verify_residual() {
-                        // Extract before the restore discards the state.
-                        let sol = self.node_solution();
-                        self.restore_kernel();
-                        return Ok(sol);
-                    }
-                    // Untrustworthy bound: escalate to the next rung.
-                }
-                Err(e @ (SolveError::Infeasible | SolveError::Unbounded)) => {
-                    self.restore_kernel();
-                    return Err(e);
-                }
-                Err(_) => {}
-            }
+            self.restore_kernel();
+            return outcome;
         }
         // Exhausted (or out of time): leave a clean configuration behind
         // and report the failure that started the ladder.
@@ -676,7 +726,7 @@ impl Search<'_> {
                 self.stack.push(open);
                 break;
             }
-            if self.stats.nodes >= self.opts.max_nodes || self.kernel.out_of_time() {
+            if self.stats.nodes >= self.opts.max_nodes || self.out_of_time() {
                 self.stats.truncated = true;
                 self.stack.push(open);
                 break;
@@ -740,7 +790,7 @@ impl Search<'_> {
         // Kernel telemetry: a ladder rebuild carries every counter over,
         // so the final kernel holds the whole solve's.
         let k = &self.kernel;
-        self.stats.simplex_iters = k.iters;
+        self.stats.simplex_iters = k.iters + self.tableau_pivots;
         self.stats.refactors = k.factor_stats.refactors;
         self.stats.ft_updates = k.factor_stats.ft_updates;
         self.stats.forced_refactors = k.factor_stats.forced_refactors;
@@ -748,7 +798,7 @@ impl Search<'_> {
         self.stats.basis_rows = k.dims().0;
         self.stats.recovery = k.recovery().clone();
         self.stats.dual_pivots = k.pivot_stats.dual_pivots;
-        self.stats.primal_pivots = k.pivot_stats.primal_pivots;
+        self.stats.primal_pivots = k.pivot_stats.primal_pivots + self.tableau_pivots;
         self.stats.bound_flips = k.pivot_stats.bound_flips;
         // Proven dual bound: the unexplored nodes, the dropped ones and
         // the incumbent. A completed search has neither open nor dropped
@@ -833,7 +883,9 @@ pub(crate) fn search(
     let mut s = Search {
         model,
         opts,
-        warm: opts.kernel.setup().warm,
+        warm: opts.kernel == Kernel::Revised,
+        deadline,
+        tableau_pivots: 0,
         form,
         int_maps,
         kernel,

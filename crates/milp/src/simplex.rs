@@ -1,11 +1,14 @@
-//! Dense two-phase primal simplex on [`StandardForm`] — the
-//! **cross-validation oracle** kernel ([`crate::Kernel::DenseTableau`]).
+//! Dense two-phase primal simplex on [`StandardForm`] — the crate's one
+//! **cross-validation oracle** ([`crate::Kernel::DenseTableau`]).
 //!
 //! The production solve path is the revised simplex in
-//! [`crate::revised`]; this tableau kernel is retained because it is a
-//! short, independent implementation whose answers the property tests
-//! compare against, and because it gives the `milp_scaling` bench a
-//! baseline to hold the revised kernel's speedup against.
+//! [`crate::revised`]. This tableau shares none of its code (no
+//! factorization, pricing or ratio test), so it is the independent
+//! answer every oracle LP gets: pure LPs under the oracle request, every
+//! branch & bound node and the hint's pinned LP of an oracle MILP
+//! search, and rung 6 of the recovery ladder, which re-solves a failing
+//! production node here. It is also the baseline the `milp_scaling`
+//! bench holds the revised kernel's speedup against.
 //!
 //! A classic full-tableau implementation:
 //!
@@ -20,7 +23,9 @@
 //! (guaranteed finite). The ratio test breaks near-ties toward the largest
 //! pivot magnitude for stability.
 
-use crate::model::{SolverOptions, FEAS_TOL};
+use std::time::Instant;
+
+use crate::model::FEAS_TOL;
 use crate::solution::SolveError;
 use crate::standard::StandardForm;
 
@@ -155,7 +160,7 @@ fn run_phase(
     blocked: &[bool],
     pivots_left: &mut usize,
     tol: f64,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> Result<PhaseEnd, SolveError> {
     // Degeneracy bookkeeping for the Bland switch.
     let mut degenerate_run = 0usize;
@@ -167,7 +172,7 @@ fn run_phase(
             return Err(SolveError::IterationLimit);
         }
         if pivots_done.is_multiple_of(TIME_CHECK_EVERY)
-            && deadline.is_some_and(|dl| std::time::Instant::now() >= dl)
+            && deadline.is_some_and(|dl| Instant::now() >= dl)
         {
             return Err(SolveError::IterationLimit);
         }
@@ -199,8 +204,10 @@ fn run_phase(
     }
 }
 
-/// Solves `min c·y, A·y = b, y >= 0`, returning the optimal `y` and the
-/// pivot count.
+/// Solves `min c·y, A·y = b, y >= 0` and returns the optimal `y`. Every
+/// pivot is charged to `pivots_left`, also on failure; the wall clock is
+/// checked against `deadline`, the caller's one deadline for its whole
+/// solve.
 ///
 /// # Errors
 ///
@@ -208,8 +215,9 @@ fn run_phase(
 /// [`SolveError::IterationLimit`].
 pub(crate) fn solve(
     sf: &StandardForm,
-    opts: &SolverOptions,
-) -> Result<(Vec<f64>, usize), SolveError> {
+    pivots_left: &mut usize,
+    deadline: Option<Instant>,
+) -> Result<Vec<f64>, SolveError> {
     if sf.proven_infeasible {
         return Err(SolveError::Infeasible);
     }
@@ -221,7 +229,7 @@ pub(crate) fn solve(
         if sf.cost.iter().any(|&c| c < -FEAS_TOL) {
             return Err(SolveError::Unbounded);
         }
-        return Ok((vec![0.0; n], 0));
+        return Ok(vec![0.0; n]);
     }
 
     // --- Assemble tableau with artificials -----------------------------
@@ -298,9 +306,7 @@ pub(crate) fn solve(
         }
     }
 
-    let mut pivots_left = opts.max_pivots;
     let tol = FEAS_TOL;
-    let deadline = opts.time_limit.map(|d| std::time::Instant::now() + d);
     let blocked_none = vec![false; width];
 
     // --- Phase 1 --------------------------------------------------------
@@ -326,14 +332,7 @@ pub(crate) fn solve(
         }
         t.row_mut(m)[width - 1] = -z;
 
-        match run_phase(
-            &mut t,
-            width - 1,
-            &blocked_none,
-            &mut pivots_left,
-            tol,
-            deadline,
-        )? {
+        match run_phase(&mut t, width - 1, &blocked_none, pivots_left, tol, deadline)? {
             PhaseEnd::Optimal => {}
             PhaseEnd::Unbounded => {
                 // Phase-1 objective is bounded below by 0; unbounded here
@@ -351,7 +350,7 @@ pub(crate) fn solve(
                 let pcol = (0..n).find(|&j| t.row(r)[j].abs() > 1e-7);
                 if let Some(pcol) = pcol {
                     t.pivot(r, pcol);
-                    pivots_left = pivots_left.saturating_sub(1);
+                    *pivots_left = pivots_left.saturating_sub(1);
                 }
                 // If the row is all-zero over real columns it is redundant;
                 // the artificial stays basic at value 0, which is harmless
@@ -397,7 +396,7 @@ pub(crate) fn solve(
         *b = true;
     }
 
-    match run_phase(&mut t, width - 1, &blocked, &mut pivots_left, tol, deadline)? {
+    match run_phase(&mut t, width - 1, &blocked, pivots_left, tol, deadline)? {
         PhaseEnd::Optimal => {}
         PhaseEnd::Unbounded => return Err(SolveError::Unbounded),
     }
@@ -411,7 +410,7 @@ pub(crate) fn solve(
             y[b] = t.rhs(r).max(0.0);
         }
     }
-    Ok((y, opts.max_pivots - pivots_left))
+    Ok(y)
 }
 
 #[cfg(test)]
@@ -421,8 +420,8 @@ mod tests {
     use crate::LinExpr;
 
     fn solve_model(m: &Model) -> Result<Vec<f64>, SolveError> {
-        let sf = StandardForm::build(m);
-        let (y, _) = solve(&sf, &SolverOptions::default())?;
+        let sf = StandardForm::build(m, None);
+        let y = solve(&sf, &mut SolverOptions::default().max_pivots, None)?;
         Ok(sf.recover(&y))
     }
 
@@ -435,12 +434,11 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(x + y, cmp::LE, 4.0);
-        let sf = StandardForm::build(&m);
-        let opts = SolverOptions {
-            time_limit: Some(std::time::Duration::ZERO),
-            ..SolverOptions::default()
-        };
-        assert_eq!(solve(&sf, &opts), Err(SolveError::IterationLimit));
+        let sf = StandardForm::build(&m, None);
+        assert_eq!(
+            solve(&sf, &mut 1_000, Some(Instant::now())),
+            Err(SolveError::IterationLimit)
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Two target shapes are produced:
 //!
 //! * [`StandardForm::build`] — the classic `min c·y, A·y = b, y >= 0`
-//!   form consumed by the dense-tableau oracle. Finite upper bounds
-//!   become explicit `y <= u - l` rows.
+//!   form consumed by the dense-tableau oracle, over the model's own
+//!   variable bounds or a branch & bound node's boxes. Finite upper
+//!   bounds become explicit `y <= u - l` rows.
 //! * [`BoxedForm::build`] — the **bounded-variable** form consumed by
 //!   the revised kernel: `min c·y, A·y = b, l ≤ y ≤ u` with per-column
 //!   bounds and *no* bound rows at all. This keeps the row count (and
@@ -119,18 +120,20 @@ impl BoxedForm {
     /// Builds the bounded-variable form of `model` (its LP relaxation:
     /// integrality is ignored here).
     pub fn build(model: &Model) -> BoxedForm {
-        StandardForm::build_ext(model, true)
+        StandardForm::build_ext(model, None, true)
     }
 }
 
 impl StandardForm {
     /// Builds the row-bounded standard form of `model` (its LP
-    /// relaxation: integrality is ignored here).
-    pub fn build(model: &Model) -> StandardForm {
-        Self::build_ext(model, false).sf
+    /// relaxation: integrality is ignored here). `boxes = Some((lo, hi))`
+    /// replaces every variable's bounds by `[lo[i], hi[i]]`: a branch &
+    /// bound node's boxes, built straight from the model.
+    pub fn build(model: &Model, boxes: Option<(&[f64], &[f64])>) -> StandardForm {
+        Self::build_ext(model, boxes, false).sf
     }
 
-    fn build_ext(model: &Model, boxed: bool) -> BoxedForm {
+    fn build_ext(model: &Model, boxes: Option<(&[f64], &[f64])>, boxed: bool) -> BoxedForm {
         let mut ncols = 0usize;
         let mut map = Vec::with_capacity(model.vars.len());
         // Finite upper bounds of shifted variables: rows in the classic
@@ -138,8 +141,8 @@ impl StandardForm {
         let mut bound_rows: Vec<(usize, f64)> = Vec::new();
         let mut col_upper: Vec<f64> = Vec::new();
 
-        for var in &model.vars {
-            let (l, u) = (var.lower, var.upper);
+        for (i, var) in model.vars.iter().enumerate() {
+            let (l, u) = boxes.map_or((var.lower, var.upper), |(lo, hi)| (lo[i], hi[i]));
             if l == u {
                 map.push(ColMap::Fixed { value: l });
             } else if l.is_finite() {
@@ -342,7 +345,7 @@ mod tests {
         let x = m.add_free("x");
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -3.0);
-        let sf = StandardForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         assert!(matches!(sf.map[0], ColMap::Split { .. }));
         // x >= -3 plus split columns: one row, one surplus column.
         assert_eq!(sf.rows.len(), 1);
@@ -355,7 +358,7 @@ mod tests {
         let x = m.add_continuous("x", 2.0, 2.0);
         let y = m.add_continuous("y", 0.0, f64::INFINITY);
         m.add_constraint(x + y, cmp::EQ, 5.0);
-        let sf = StandardForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         assert!(matches!(sf.map[0], ColMap::Fixed { value } if value == 2.0));
         // Row becomes y = 3.
         assert_eq!(sf.rows.len(), 1);
@@ -367,8 +370,27 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_continuous("x", 1.0, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::GE, 2.0);
-        let sf = StandardForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         assert!(sf.proven_infeasible);
+    }
+
+    /// Node boxes replace the model's bounds: a pinned variable loses
+    /// its column, a tightened one shifts by its new lower bound and
+    /// carries its new span as a bound row.
+    #[test]
+    fn node_boxes_override_the_model_bounds() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_integer("x", 0.0, 10.0);
+        let y = m.add_var("y", f64::NEG_INFINITY, f64::INFINITY, true);
+        m.add_constraint(x + y, cmp::GE, 1.0);
+        let sf = StandardForm::build(&m, Some((&[4.0, 2.0], &[4.0, 7.0])));
+        assert!(matches!(sf.map[x.index()], ColMap::Fixed { value } if value == 4.0));
+        assert!(matches!(sf.map[y.index()], ColMap::Shifted { lb, .. } if lb == 2.0));
+        // y ≥ 1 − 4 − 2 after the shift (a surplus row), and y ≤ 7 − 2.
+        assert_eq!(sf.rows.len(), 2);
+        assert!((sf.rhs[0] + 5.0).abs() < 1e-12 && (sf.rhs[1] - 5.0).abs() < 1e-12);
+        let vals = sf.recover(&[0.5, 0.0, 0.0]);
+        assert_eq!((vals[x.index()], vals[y.index()]), (4.0, 2.5));
     }
 
     #[test]
@@ -421,7 +443,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let a = m.add_continuous("a", -1.0, 4.0); // shifted
         let b = m.add_continuous("b", f64::NEG_INFINITY, 7.0); // mirrored
-        let sf = StandardForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let vals = sf.recover(&[0.5, 2.0, /* slack for a's ub row */ 0.0]);
         assert!((vals[a.index()] - (-0.5)).abs() < 1e-12);
         assert!((vals[b.index()] - 5.0).abs() < 1e-12);

@@ -1,9 +1,12 @@
 //! Stress and edge-case tests of the MILP solver beyond the unit tests:
 //! structured problem families with known optima, warm-start behaviour,
-//! priorities, and limit semantics.
+//! priorities, and limit semantics. The `Kernel::DenseTableau` oracle,
+//! which solves every node LP cold on the dense tableau, checks the
+//! production search's optima and its warm-start savings.
 
 use rr_milp::{
-    cmp, solve_with_stats, Kernel, LinExpr, Model, Sense, SolveError, SolverOptions, Status,
+    cmp, solve_with_stats, solve_with_stats_hinted, Kernel, LinExpr, Model, Sense, SolveError,
+    SolverOptions, Status,
 };
 
 /// max Σx_i over a cube cut by one diagonal plane — LP corner is
@@ -58,13 +61,13 @@ fn warm_start_is_used_when_nodes_run_out() {
     };
     // All-zeros is feasible but poor; the solver must return *something*.
     let hint: Vec<_> = vars.iter().map(|&v| (v, 0.0)).collect();
-    let sol = m.solve_with_hint(&opts, &hint).unwrap();
+    let (sol, _) = solve_with_stats_hinted(&m, &opts, &hint).unwrap();
     assert!(sol.objective >= -1e-9);
     // And an infeasible hint must be ignored, not crash: request 1s
     // everywhere (violates the ≤ 9.5 row).
     let bad_hint: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    match m.solve_with_hint(&opts, &bad_hint) {
-        Ok(sol) => assert!(sol.objective <= 9.0 + 1e-6),
+    match solve_with_stats_hinted(&m, &opts, &bad_hint) {
+        Ok((sol, _)) => assert!(sol.objective <= 9.0 + 1e-6),
         Err(SolveError::IterationLimit) => {} // no incumbent found in 1 node
         Err(e) => panic!("unexpected error {e}"),
     }
@@ -205,7 +208,7 @@ fn ring_difference_milp(n: usize, rows: usize) -> Model {
 /// The warm-start regression: over this file's instance family, the
 /// production search (warm-started nodes) must (a) agree on the optimum
 /// with the `Kernel::DenseTableau` request, which solves every node
-/// two-phase from scratch, (b) actually warm-start most nodes, and (c)
+/// two-phase from scratch on the tableau, (b) actually warm-start most nodes, and (c)
 /// spend no more simplex pivots in total than the cold oracle search.
 /// (On single-row toys a cold boxed solve is nearly free, so the
 /// per-instance comparison carries a small absolute slack; the family

@@ -20,10 +20,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # The test step runs every suite once, the gates below included (in
 # the test profile, opt-level 2 with debug assertions on):
 #
-# * The rr-milp property suites are the sparse-LU ↔ dense-oracle
-#   agreement gate. The vendored proptest draws a deterministic,
-#   name-seeded stream (see vendor/proptest), so this is a fixed-seed
-#   run by construction — a failure reproduces exactly on re-run.
+# * The rr-milp property suites are the revised-kernel ↔ tableau-oracle
+#   agreement gate (the dense tableau is the one oracle: under
+#   Kernel::DenseTableau every LP, each branch-and-bound node included,
+#   runs on it), plus the sparse LU's residual checks. The vendored
+#   proptest draws a deterministic, name-seeded stream (see
+#   vendor/proptest), so this is a fixed-seed run by construction — a
+#   failure reproduces exactly on re-run.
 # * tests/search_gate.rs is the branch-and-bound gate: one golden table
 #   pins the trajectory of the single-threaded production search
 #   (objective, nodes, pivots, warm/cold split, incumbent trace) on the
@@ -31,10 +34,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   replay the whole stats struct bit for bit, and the
 #   Kernel::DenseTableau oracle request replays its own trajectory on
 #   the ring and bench20. Alongside it: the production search and the
-#   oracle request prove identical optima on the Table-1 instances, on
+#   tableau oracle prove identical optima on the Table-1 instances, on
 #   four random graphs that exercise the round-off verdicts of the warm
-#   dual simplex and on 600 solves over 100 random graphs;
-#   mirrored/free integer fixtures solve warm and match the dense
+#   dual simplex, on 600 solves over 100 random graphs and on two rows
+#   of the milp_scaling family (bench40's sparse-LU fill bounded too);
+#   mirrored/free integer fixtures solve warm and match the tableau
 #   oracle, the pseudo-cost search-strength facts hold, truncation, gap
 #   termination and dual bounds (lost nodes included) reach the
 #   reports, and source-level checks keep deleted identifiers and
@@ -44,8 +48,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   fault-injected runs must prove the same optima as their clean twins
 #   on every Table-1 figure and bench instance, with the recovery
 #   counters showing every failure class was observed and every ladder
-#   rung fired. The FaultPlan is seeded (one deterministic SplitMix64
-#   stream per site), so failures replay exactly.
+#   rung fired, rung 6 (the node on the tableau) included. The
+#   FaultPlan is seeded (one deterministic SplitMix64 stream per site),
+#   so failures replay exactly.
 echo "==> cargo test -q"
 cargo test -q --offline
 
@@ -68,10 +73,11 @@ cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --require-proven s208,s27,s444,s838,s386,s400,s526,s382,s420,s832,s1488,s510,s344,s1494,s820,s641
 
 # The milp_scaling bench, the workspace's only bench target: the revised
-# kernel and the dense oracle must agree on every completed instance,
+# kernel and the tableau oracle must agree on every completed instance,
 # and the revised kernel must stay at least 2x faster on the largest
-# MAX_THR instance (60 edges). It panics on either failure. About 2 s
-# once built, most of it the oracle's cold nodes on that instance.
+# MAX_THR instance (60 edges). It panics on either failure. A few
+# seconds once built, most of it the oracle's cold tableau nodes on
+# that instance.
 echo "==> cargo bench milp_scaling (kernel speedup contract)"
 cargo bench --offline -p rr-bench --bench milp_scaling
 

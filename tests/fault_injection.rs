@@ -8,8 +8,9 @@
 //! paper figures (`MAX_THR` at the min-delay cycle time and
 //! `MIN_CYC(1)`) plus the 20/40-edge bench instances (`MIN_CYC(1)`).
 //! Direct `solve_with_stats` runs on a planted MILP cover the deep end
-//! of the ladder (the dense-oracle rung), which hinted runs absorb
-//! earlier: their warm-start hint solve eats the first injected failure.
+//! of the ladder (rung 6, the node on the tableau), which hinted runs
+//! absorb earlier: their warm-start hint solve eats the first injected
+//! failure.
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
@@ -131,9 +132,9 @@ fn faulted_runs_prove_the_same_optima_as_clean_twins() {
         absorb(&mut union, &faulted.stats.recovery);
     }
 
-    // Direct, unhinted searches reach the dense-oracle rung: the first
-    // injected iteration-limit burst lands on the root's cold solve and
-    // the ladder walks product-form → rebuild → Bland → dense.
+    // Direct, unhinted searches reach rung 6: the first injected
+    // iteration-limit burst lands on the root's cold solve and the
+    // ladder walks product-form → rebuild → Bland → the tableau.
     for (n, rows, seed) in [(12usize, 6usize, SEED), (15, 5, SEED ^ 0xFF)] {
         let m = ring_difference_milp(n, rows);
         let clean_opts = SolverOptions::default();

@@ -9,9 +9,9 @@
 //!   MILP and on `MAX_THR` (cycle-sum cuts as ordinary rows) for
 //!   bench20, bench40 and s27. A repeated solve replays the whole stats
 //!   struct bit for bit, completed and truncated, and the
-//!   `Kernel::DenseTableau` oracle request reaches the same optima with
-//!   every node cold and replays its own trajectory on the ring and
-//!   bench20 instances.
+//!   `Kernel::DenseTableau` oracle request, whose every LP runs cold on
+//!   the dense tableau, reaches the same optima and replays its own
+//!   trajectory on the ring and bench20 instances.
 //! * **Search strength** — the bench20, s27 and bench40 rows restated
 //!   as the pseudo-cost facts they stand for: reliability probes and
 //!   pseudo-cost updates run, no incumbent sits on the plateau of the
@@ -21,7 +21,10 @@
 //!   four random graphs that exercise the round-off verdicts of the warm
 //!   dual simplex, and on 600 `MIN_CYC`/`MAX_THR` solves over 100 random
 //!   graphs; mirrored and free integer fixtures solve warm and match the
-//!   dense oracle.
+//!   dense oracle. Two rows of the `milp_scaling` family (folded in from
+//!   the retired factor-kernel suite) add bench40's `MIN_CYC(1)` with a
+//!   bound on the sparse LU's fill and bench20's `MAX_THR` at the
+//!   bench's own options.
 //! * **Pricing** — the one pricing rule (the dual reoptimizer leaves on
 //!   the largest scale-eligible violation and enters by the long-step
 //!   ratio test; the primal phases price by Dantzig with the Bland
@@ -35,9 +38,9 @@
 //! * **Source** — deleted search modes, pricing rules, the rounding
 //!   heuristic, the retired solver knobs, the unused modules, the
 //!   threaded search, the lazy cut rows, the separate LP backend layer,
-//!   the rowless shortcut and the unread stats fields stay deleted,
-//!   rr-milp uses no lock, atomic or thread, and no model is cloned
-//!   inside the node loop.
+//!   the rowless shortcut, the unread stats fields, the dense LU and the
+//!   incumbent re-solve stay deleted, rr-milp uses no lock, atomic or
+//!   thread, and no model is cloned by the search.
 //!
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
@@ -268,20 +271,82 @@ fn bench40_pseudo_cost_completes_under_the_cap_1000_budget() {
 }
 
 /// The production search and the `Kernel::DenseTableau` oracle request
-/// (dense LU, product-form updates, cold nodes, incumbent re-checked on
-/// the tableau) prove identical optima on every Table-1 instance and on
-/// the random-graph regressions of [`oracle_instances`].
+/// (every node LP and the hint's pinned LP solved cold on the dense
+/// tableau) prove identical optima on every Table-1 instance and on the
+/// random-graph regressions of [`oracle_instances`].
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
     let failures = on_table1_instances(agrees_with_oracle);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// bench40 `MIN_CYC(1)`, the largest `milp_scaling` instance the gate
+/// proves: the production search and the tableau oracle prove the same
+/// optimum, and the sparse LU exploits sparsity, its recorded
+/// `nnz(L+U)` staying under a quarter of the dense `m²` storage. The
+/// name dates from the dense-LU oracle this check first compared.
+#[test]
+fn factor_kinds_prove_the_same_optimum_on_the_largest_bench_instance() {
+    let g = bench_instance(40);
+    let production = solve(&g, "min_cyc", 1.0, &capped(20_000)).unwrap();
+    let mut oracle_opts = capped(20_000);
+    oracle_opts.solver.kernel = Kernel::DenseTableau;
+    let oracle = solve(&g, "min_cyc", 1.0, &oracle_opts).unwrap();
+    // Both runs prove the optimum, so the objectives must coincide
+    // regardless of pivot paths.
+    assert!(
+        production.proven_optimal,
+        "production did not prove optimality"
+    );
+    assert!(oracle.proven_optimal, "oracle did not prove optimality");
+    assert!(
+        (production.objective - oracle.objective).abs() < 1e-7,
+        "production {} vs dense oracle {}",
+        production.objective,
+        oracle.objective
+    );
+
+    let s = &production.stats;
+    let m = s.basis_rows;
+    assert!(m > 100, "instance too small to be meaningful ({m} rows)");
+    assert!(s.refactors > 0 && s.peak_lu_nnz > 0);
+    assert!(
+        s.peak_lu_nnz < m * m / 4,
+        "sparse LU fill {} did not clearly beat the dense {m}² = {}",
+        s.peak_lu_nnz,
+        m * m
+    );
+}
+
+/// bench20 `MAX_THR` at the `milp_scaling` bench's own options
+/// (`CoreOptions::fast()`, a 2% gap): the production search and the
+/// tableau oracle reach the identical verdict and objective. The name
+/// dates from the dense-LU oracle this check first compared.
+#[test]
+fn factor_kinds_agree_on_max_thr_at_bench_options() {
+    let g = bench_instance(20);
+    let tau = g.max_delay();
+    let mut oracle_opts = CoreOptions::fast();
+    oracle_opts.solver.kernel = Kernel::DenseTableau;
+    let production = solve(&g, "max_thr", tau, &CoreOptions::fast()).unwrap();
+    let oracle = solve(&g, "max_thr", tau, &oracle_opts).unwrap();
+    assert_eq!(
+        production.proven_optimal, oracle.proven_optimal,
+        "verdicts diverge"
+    );
+    assert!(
+        (production.objective - oracle.objective).abs() < 1e-7,
+        "production {} vs dense oracle {}",
+        production.objective,
+        oracle.objective
+    );
+}
+
 /// The production search proves the optimum of the dense-tableau oracle
 /// request on every paper figure, for both problems — completed runs
 /// only, which at these sizes is all of them. The oracle's node bounds
-/// come from cold two-phase solves, so it checks the warm long-step
-/// dual path (largest-violation leaving row, bound-flipping ratio test)
+/// come from cold tableau solves, so it checks the warm long-step dual
+/// path (largest-violation leaving row, bound-flipping ratio test)
 /// independently.
 #[test]
 fn pricing_rules_agree_on_table1_instances() {
@@ -455,8 +520,8 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
     assert_stats_identical(again_stats, stats);
 }
 
-/// The oracle configuration: the `Kernel::DenseTableau` request (dense
-/// LU, product-form updates, cold nodes) under a node cap.
+/// The oracle configuration: the `Kernel::DenseTableau` request (every
+/// LP cold on the tableau) under a node cap.
 fn oracle(max_nodes: usize) -> SolverOptions {
     SolverOptions {
         max_nodes,
@@ -535,11 +600,11 @@ fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
     );
 }
 
-/// The ring MILP under the `Kernel::DenseTableau` oracle request (dense
-/// LU, product-form updates, cold nodes, incumbent re-checked on the
-/// tableau) with a node cap it never reaches: it proves the ring row's
-/// optimum without a warm solve and replays its own trajectory bit for
-/// bit.
+/// The ring MILP under the `Kernel::DenseTableau` oracle request (every
+/// node LP cold on the tableau) with a node cap it never reaches: it
+/// proves the ring row's optimum without a warm solve, factors no basis
+/// (every pivot is a tableau pivot, counted as a primal pivot), and
+/// replays its own trajectory bit for bit.
 #[test]
 fn ring_milp_golden_replays_bit_exact_through_the_unified_backend() {
     let m = ring_difference_milp(12, 6);
@@ -551,13 +616,20 @@ fn ring_milp_golden_replays_bit_exact_through_the_unified_backend() {
         s.warm_solves, 0,
         "the oracle configuration solves every node cold"
     );
+    assert_eq!(
+        (s.refactors, s.ft_updates, s.peak_lu_nnz),
+        (0, 0, 0),
+        "a basis was factored under the oracle"
+    );
+    assert!(s.simplex_iters > 0);
+    assert_eq!(s.primal_pivots, s.simplex_iters, "tableau pivots uncounted");
     let (again, t) = solve_with_stats(&m, &oracle(200_000)).unwrap();
     assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
     assert_eq!(trajectory(&t), trajectory(&s), "oracle replay diverged");
 }
 
 /// bench20 `MAX_THR` under the oracle request at node cap 100 and the
-/// exact gap: every node is a cold dense-LU solve, so the cap keeps the
+/// exact gap: every node is a cold tableau solve, so the cap keeps the
 /// run short, and the warm-start hint already holds the optimum. The
 /// objective matches the bench20 row, no node warm-starts, and a repeat
 /// replays the trajectory bit for bit.
@@ -842,14 +914,15 @@ fn lost_nodes_keep_their_bound_in_the_dual_bound() {
 /// lazily activated cut rows, the separate LP backend layer with its
 /// ten-argument branching call, the closed-form rowless solve, the
 /// unread stats fields, the `(Mode, Mode)` formulation pair, the elastic
-/// machine's bounded-capacity and telescopic modes and the Markov power
-/// iteration stay deleted — their identifiers
+/// machine's bounded-capacity and telescopic modes, the Markov power
+/// iteration, the dense LU with its factorization-kind plumbing and the
+/// oracle's incumbent re-solve stay deleted — their identifiers
 /// survive only in comment lines anywhere under `crates/` and
 /// `examples/` — that no non-comment line under `crates/milp/src`
-/// names `std::sync` or `std::thread`, and that no model is cloned
-/// inside the node loop: `model.clone()` appears exactly once in
-/// `branch_bound.rs` (the whole-solve cross-validation pin, after the
-/// search returns) and never in `search.rs`.
+/// names `std::sync` or `std::thread`, and that no model is cloned:
+/// `model.clone()` appears in neither `branch_bound.rs` nor
+/// `search.rs` (the oracle builds each node's tableau from the model
+/// and the node's boxes).
 ///
 /// The retired tolerances and the reliability threshold live on as
 /// names elsewhere (the crate-private `INT_TOL`-style consts, the
@@ -932,6 +1005,11 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "busy_until",
         "pending_extra",
         "power_iteration",
+        "DenseLu",
+        "FactorKind",
+        "cross_validate_dense",
+        "Lu::Dense",
+        "fn setup(",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
@@ -967,8 +1045,8 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
     let search = include_str!("../crates/milp/src/search.rs");
     assert_eq!(
         branch_bound.matches("model.clone()").count(),
-        1,
-        "branch_bound.rs must clone the model exactly once (the cross-validation pin)"
+        0,
+        "branch_bound.rs must never clone the model"
     );
     assert_eq!(
         search.matches("model.clone()").count(),
