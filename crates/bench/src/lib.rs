@@ -25,9 +25,9 @@ use rr_tgmg::sim::SimParams;
 /// The `milp_scaling` bench instance family (paper-default generator,
 /// seed 42): the **single source of truth** for every consumer that
 /// claims to measure "the N-edge bench instance" — the `milp_scaling`
-/// kernel comparison, the `factor_kernels` e2e regression, and the
-/// `search_gate` golden table all pin trajectories of exactly this
-/// graph, so the definition must not fork.
+/// kernel comparison, and the `search_gate` golden table and its
+/// production-vs-oracle regressions, all pin trajectories of exactly
+/// this graph, so the definition must not fork.
 pub fn milp_bench_instance(edges: usize) -> Rrg {
     let nodes = edges / 2;
     let early = (nodes / 8).max(1);

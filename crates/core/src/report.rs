@@ -155,30 +155,6 @@ pub fn evaluate_benchmark(
     Ok((row, table1))
 }
 
-/// Verifies the paper's ξ_nee claim on one circuit: "in the experiments
-/// the ξ_nee was always provided by min-delay retiming" — i.e. running the
-/// full `MIN_EFF_CYC` sweep with **all nodes simple** (late evaluation)
-/// should not beat the Leiserson–Saxe period except in the rare unbalanced
-/// cases \[9\] describes.
-///
-/// Returns `(ls_period, late_sweep_best_xi)`.
-///
-/// # Errors
-///
-/// Propagates optimizer failures.
-pub fn late_sweep_check(g: &Rrg, opts: &CoreOptions) -> Result<(f64, f64), OptError> {
-    let late = g.with_late_evaluation();
-    let ls = rr_retime::min_period_retiming(&late)
-        .map_err(|e| OptError::Evaluation(e.to_string()))?
-        .period;
-    let sweep = min_eff_cyc(&late, opts)?;
-    let best = sweep
-        .best_simulated()
-        .ok_or_else(|| OptError::Evaluation("late sweep empty".into()))?
-        .xi_sim;
-    Ok((ls, best))
-}
-
 /// Table 2: all benchmark rows plus the paper's three observations.
 #[derive(Debug, Clone, Default)]
 pub struct Table2 {
@@ -277,12 +253,21 @@ mod tests {
         assert!(rendered.contains("*sim"));
     }
 
+    /// The paper's ξ_nee claim on one circuit: "in the experiments the
+    /// ξ_nee was always provided by min-delay retiming", i.e. the full
+    /// `MIN_EFF_CYC` sweep with every node simple (late evaluation) does
+    /// not beat the Leiserson–Saxe period.
     #[test]
     fn late_sweep_rarely_beats_min_delay_retiming() {
         // On the motivating example the late sweep must tie the LS period
         // exactly (the paper's observation for its whole suite).
-        let g = figures::figure_1a(0.5);
-        let (ls, best) = late_sweep_check(&g, &CoreOptions::fast()).unwrap();
+        let late = figures::figure_1a(0.5).with_late_evaluation();
+        let ls = rr_retime::min_period_retiming(&late).unwrap().period;
+        let best = min_eff_cyc(&late, &CoreOptions::fast())
+            .unwrap()
+            .best_simulated()
+            .unwrap()
+            .xi_sim;
         assert_eq!(ls, 3.0);
         // The sweep can tie via a different Pareto point (e.g. τ = 2 with
         // Θ = 2/3); allow simulation noise around the tie.

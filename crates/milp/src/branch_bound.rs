@@ -120,7 +120,7 @@ pub fn solve_with_stats_hinted(
     opts: &SolverOptions,
     hint: &[(VarId, f64)],
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
-    crate::search::search(model, opts, hint)
+    crate::search::search(model, opts, hint, false)
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! * a [`Model`] builder with named, bounded, continuous or integer
 //!   [`variables`](Model::add_var) and linear [`constraints`](Model::add_constraint),
 //! * two LP kernels selected by [`SolverOptions::kernel`] (see below),
-//! * a **warm-started branch & bound** search for integer programs (see
-//!   [`solve_with_stats`]),
+//! * a **warm-started branch & bound** search that solves every LP and
+//!   integer program (see [`solve_with_stats`]),
 //! * time / node limits mirroring the 20-minute CPLEX timeout used in the
 //!   paper ([`SolverOptions`]).
 //!
@@ -42,11 +42,16 @@
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
 //!   bound mutations from any dual-feasible basis.
 //!
-//! The kernel request alone selects this configuration; neither the
-//! update scheme nor warm starts are separate options. The one other
-//! engine is the dense tableau of the [`Kernel::DenseTableau`] oracle
-//! request (see "Cross-validation oracle" below): it shares no
-//! factorization, pricing or ratio test with the revised kernel.
+//! There is one LP path: every LP runs through the branch & bound search
+//! (the `search` module). A pure LP is a one-node search, and
+//! [`Model::solve_relaxation`] drops integrality, so its root is a leaf;
+//! either way the LP gets a node's residual trust gate, recovery ladder
+//! and the solve's one deadline. The kernel request, read in that one
+//! place, alone selects this configuration; neither the update scheme
+//! nor warm starts are separate options. The one other engine is the
+//! dense tableau of the [`Kernel::DenseTableau`] oracle request (see
+//! "Cross-validation oracle" below): it shares no factorization, pricing
+//! or ratio test with the revised kernel.
 //!
 //! # Pricing
 //!
@@ -92,8 +97,8 @@
 //! reported in [`BranchBoundStats::recovery`] ([`RecoveryStats`]), and a
 //! seeded [`FaultPlan`] ([`SolverOptions::faults`], default off) can
 //! inject each failure class deterministically — the fault-injection
-//! test and bench gates assert that injected runs prove the same optima
-//! as their clean twins. One wall-clock deadline is captured at solve
+//! tests assert that injected runs prove the same optima as their clean
+//! twins. One wall-clock deadline is captured at solve
 //! start and every ladder rebuild inherits it, so
 //! [`SolverOptions::time_limit`] bounds the whole solve.
 //!
@@ -116,9 +121,9 @@
 //! the property tests and the search gate compare against on random
 //! LPs/MILPs, the baseline the `milp_scaling` bench holds the revised
 //! kernel's speedup against, and rung 6 of the per-node recovery ladder.
-//! Every LP of an oracle solve runs on it: a pure LP directly, and a
-//! MILP through the same depth-first search, with every node and the
-//! hint's pinned LP solved cold on the tableau over the node's boxes. Its
+//! Every LP of an oracle solve runs on it, through the same depth-first
+//! search: every node (a pure LP is a one-node search) and the hint's
+//! pinned LP solve cold on the tableau over the node's boxes. Its
 //! incumbents are therefore tableau solutions, and no revised kernel or
 //! basis factorization solves anything under the oracle request.
 //!

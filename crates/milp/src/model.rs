@@ -1,13 +1,11 @@
 //! Model builder: variables, constraints, objective, solver entry points.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::branch_bound;
 use crate::expr::{LinExpr, VarId};
-use crate::simplex;
-use crate::solution::{Solution, SolveError, Status};
-use crate::standard::StandardForm;
+use crate::solution::{Solution, SolveError};
 
 /// Optimization direction of the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,11 +123,11 @@ pub enum Kernel {
     /// The dense full-tableau two-phase simplex, the cross-validation
     /// oracle (and the A/B baseline of the `milp_scaling` bench). It
     /// shares no factorization, pricing or ratio test with the revised
-    /// kernel, and every LP of an oracle solve runs on it: a pure LP solves directly on the
-    /// tableau, and a branch & bound search runs the same depth-first
-    /// loop with every node, and the hint's pinned LP, solved cold on
-    /// the tableau over the node's boxes. No strong-branch probe runs,
-    /// and no node is dual-reoptimized.
+    /// kernel, and every LP of an oracle solve runs on it through the
+    /// same depth-first search: every node (a pure LP is a one-node
+    /// search) and the hint's pinned LP solve cold on the tableau over
+    /// the node's boxes. No strong-branch probe runs, and no node is
+    /// dual-reoptimized.
     DenseTableau,
 }
 
@@ -344,11 +342,6 @@ impl Model {
         self.constraints.iter()
     }
 
-    /// `true` if any variable is integer.
-    pub fn has_integers(&self) -> bool {
-        self.vars.iter().any(|v| v.integer)
-    }
-
     /// Checks a candidate assignment against bounds, constraints and
     /// integrality, returning the largest violation found.
     pub fn max_violation(&self, values: &[f64], int_tol: f64) -> f64 {
@@ -391,49 +384,34 @@ impl Model {
         self.solve_with(&SolverOptions::default())
     }
 
-    /// Solves the model with explicit options.
-    ///
-    /// For mixed-integer models the returned solution has status
-    /// [`Status::Optimal`] when branch & bound proved optimality and
-    /// [`Status::Feasible`] when a limit stopped the search with an
-    /// incumbent.
+    /// Solves the model with explicit options, through the branch & bound
+    /// search of [`crate::solve_with_stats`]; a pure LP is a one-node
+    /// search, with the two consequences [`Model::solve_relaxation`]
+    /// lists. The solution has status [`Optimal`](crate::Status::Optimal)
+    /// when the search completed or closed the gap and
+    /// [`Feasible`](crate::Status::Feasible) when a limit stopped it with
+    /// an incumbent.
     ///
     /// # Errors
     ///
     /// See [`Model::solve`].
     pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, SolveError> {
-        if self.has_integers() {
-            branch_bound::solve_with_stats(self, opts).map(|(sol, _)| sol)
-        } else {
-            self.solve_relaxation(opts)
-        }
+        branch_bound::solve_with_stats(self, opts).map(|(sol, _)| sol)
     }
 
-    /// Solves the LP relaxation (integrality dropped).
+    /// Solves the LP relaxation (integrality dropped) through the same
+    /// search, whose root is then a leaf, so the LP gets a node's
+    /// residual trust gate, recovery ladder and the solve's one deadline.
+    /// Two consequences, shared by a pure LP under [`Model::solve_with`]:
+    /// the LP counts as one node against [`SolverOptions::max_nodes`],
+    /// and an LP that fails on every rung loses its root, so it reports
+    /// [`SolveError::IterationLimit`] whatever the first failure was.
     ///
     /// # Errors
     ///
     /// See [`Model::solve`].
     pub fn solve_relaxation(&self, opts: &SolverOptions) -> Result<Solution, SolveError> {
-        let values = match opts.kernel {
-            Kernel::Revised => {
-                let bf = crate::standard::BoxedForm::build(self);
-                let (raw, _pivots) = crate::revised::solve(&bf, opts)?;
-                bf.sf.recover(&raw)
-            }
-            Kernel::DenseTableau => {
-                let sf = StandardForm::build(self, None);
-                let deadline = opts.time_limit.map(|limit| Instant::now() + limit);
-                let mut budget = opts.max_pivots;
-                sf.recover(&simplex::solve(&sf, &mut budget, deadline)?)
-            }
-        };
-        let objective = self.objective.eval(&values);
-        Ok(Solution {
-            values,
-            objective,
-            status: Status::Optimal,
-        })
+        crate::search::search(self, opts, &[], true).map(|(sol, _)| sol)
     }
 }
 

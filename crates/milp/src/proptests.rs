@@ -705,18 +705,17 @@ proptest! {
             ..lp.clone()
         };
         let (m, _vars) = relaxed.build();
-        let bf = crate::standard::BoxedForm::build(&m);
+        let sf = crate::standard::StandardForm::build(&m, None);
         let objective = |v: &[f64]| -> f64 { lp.obj.iter().zip(v).map(|(c, x)| c * x).sum() };
         let solve = |update: UpdateKind| -> f64 {
             let opts = SolverOptions::default();
-            let mut k = crate::revised::Revised::new(&bf, &opts);
+            let mut k = crate::revised::Revised::new(&sf, None, None);
             k.set_update_kind(update);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&mut budget).expect("planted LP must be feasible");
-            objective(&bf.sf.recover(&k.values()))
+            objective(&sf.recover(&k.values()))
         };
         let tableau = {
-            let sf = crate::standard::StandardForm::build(&m, None);
             let mut budget = SolverOptions::default().max_pivots;
             let y = crate::simplex::solve(&sf, &mut budget, None)
                 .expect("planted LP must be feasible");
@@ -773,17 +772,17 @@ proptest! {
             ..lp.clone()
         };
         let (m, _vars) = relaxed.build();
-        let bf = crate::standard::BoxedForm::build(&m);
+        let sf = crate::standard::StandardForm::build(&m, None);
         let j = col.index(lp.nvars);
         let opts = SolverOptions::default();
         let objective = |k: &crate::revised::Revised| -> f64 {
-            let v = bf.sf.recover(&k.values());
+            let v = sf.recover(&k.values());
             lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum()
         };
         // Variables are [0, 10] with zero lower bound, so standard-form
         // column j is variable j unshifted.
         let warm = || -> Result<f64, SolveError> {
-            let mut k = crate::revised::Revised::new(&bf, &opts);
+            let mut k = crate::revised::Revised::new(&sf, None, None);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&mut budget)?;
             k.set_col_bounds(j, 0.0, 10.0 * frac);
@@ -792,7 +791,7 @@ proptest! {
             Ok(objective(&k))
         };
         let cold = || -> Result<f64, SolveError> {
-            let mut k = crate::revised::Revised::new(&bf, &opts);
+            let mut k = crate::revised::Revised::new(&sf, None, None);
             let mut budget = opts.max_pivots;
             k.set_col_bounds(j, 0.0, 10.0 * frac);
             k.solve_two_phase(&mut budget)?;

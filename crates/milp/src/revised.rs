@@ -1,4 +1,7 @@
-//! Revised simplex kernel with **bounded variables**, on [`BoxedForm`].
+//! Revised simplex kernel with **bounded variables**, on [`StandardForm`]:
+//! the production engine of every LP, each run as a node of the `search`
+//! loop (a pure LP is a one-node search), which hands the kernel the form,
+//! the fault injector and the solve's one deadline ([`Revised::new`]).
 //!
 //! Where the dense oracle ([`crate::simplex`]) updates an `(m+1) × width`
 //! tableau on every pivot, this kernel keeps the constraint matrix as
@@ -34,12 +37,12 @@
 //!   run.
 
 use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
-use crate::model::{SolverOptions, FEAS_TOL, PIVOT_TOL};
+use crate::model::{FEAS_TOL, PIVOT_TOL};
 use crate::recover::{
     FaultInjector, FaultSite, NumericalEvent, RecoveryStats, RESIDUAL_CHECK_EVERY,
 };
 use crate::solution::SolveError;
-use crate::standard::BoxedForm;
+use crate::standard::StandardForm;
 use std::time::Instant;
 
 /// Drop tolerance for product-form eta entries: pivot-direction
@@ -152,8 +155,8 @@ pub(crate) struct Revised {
     /// Deterministic fault injector, armed by `SolverOptions::faults`
     /// (`None` on clean runs — every site check is one cheap branch).
     injector: Option<FaultInjector>,
-    /// Wall-clock deadline from [`SolverOptions::time_limit`], enforced
-    /// at pivot-loop checkpoints, not only at node boundaries.
+    /// The solve's one wall-clock deadline, enforced at pivot-loop
+    /// checkpoints, not only at node boundaries.
     deadline: Option<Instant>,
     /// Node-ladder rung 5: price with Bland's rule from the first pivot
     /// instead of waiting for the degenerate-run trigger.
@@ -163,13 +166,17 @@ pub(crate) struct Revised {
 }
 
 impl Revised {
-    /// Builds the kernel over a bounded-variable form (no basis yet);
-    /// `opts` supplies the fault plan and the wall-clock deadline.
-    pub fn new(bf: &BoxedForm, opts: &SolverOptions) -> Revised {
-        let m = bf.sf.rows.len();
-        let n = bf.sf.ncols;
+    /// Builds the kernel over a standard form (no basis yet), with the
+    /// solve's fault injector and its one wall-clock deadline.
+    pub fn new(
+        form: &StandardForm,
+        injector: Option<FaultInjector>,
+        deadline: Option<Instant>,
+    ) -> Revised {
+        let m = form.rows.len();
+        let n = form.ncols;
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (r, row) in bf.sf.rows.iter().enumerate() {
+        for (r, row) in form.rows.iter().enumerate() {
             for &(c, v) in row {
                 cols[c].push((r, v));
             }
@@ -178,10 +185,10 @@ impl Revised {
             m,
             n,
             cols,
-            b: bf.sf.rhs.clone(),
-            cost: bf.sf.cost.clone(),
+            b: form.rhs.clone(),
+            cost: form.cost.clone(),
             lower: vec![0.0; n],
-            upper: bf.col_upper.clone(),
+            upper: form.col_upper.clone(),
             basis: vec![usize::MAX; m],
             in_basis: vec![false; n + 2 * m],
             at_upper: vec![false; n],
@@ -193,8 +200,8 @@ impl Revised {
             iters: 0,
             factor_stats: FactorStats::default(),
             recovery: RecoveryStats::default(),
-            injector: opts.faults.as_ref().map(FaultInjector::new),
-            deadline: opts.time_limit.map(|d| Instant::now() + d),
+            injector,
+            deadline,
             force_bland: false,
             pivot_stats: PivotStats::default(),
         }
@@ -215,15 +222,6 @@ impl Revised {
     /// ladder stops escalating at this point.
     pub fn out_of_time(&self) -> bool {
         self.deadline.is_some_and(|dl| Instant::now() >= dl)
-    }
-
-    /// Overrides the wall-clock deadline. [`Revised::new`] starts a
-    /// fresh budget from "now"; branch & bound instead captures **one**
-    /// deadline at solve start and installs it on its kernel, which
-    /// every ladder rebuild inherits ([`Revised::rebuilt`]), so the
-    /// whole solve shares a single budget.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
     }
 
     /// `(rows, real columns)` of the LP.
@@ -1406,35 +1404,17 @@ impl Revised {
     /// column boxes (the form only knows the root boxes), the
     /// accumulated telemetry, the fault injector and the original
     /// wall-clock deadline (a rebuild must not extend the time budget).
-    pub fn rebuilt(&mut self, bf: &BoxedForm, opts: &SolverOptions) -> Revised {
-        let mut fresh = Revised::new(bf, opts);
+    pub fn rebuilt(&mut self, form: &StandardForm) -> Revised {
+        let mut fresh = Revised::new(form, self.injector.take(), self.deadline);
         fresh.lower.copy_from_slice(&self.lower);
         fresh.upper.copy_from_slice(&self.upper);
         fresh.iters = self.iters;
         fresh.factor_stats = self.factor_stats;
         fresh.pivot_stats = self.pivot_stats;
         fresh.recovery = std::mem::take(&mut self.recovery);
-        fresh.injector = self.injector.take();
-        fresh.deadline = self.deadline;
         fresh.force_bland = self.force_bland;
         fresh
     }
-}
-
-/// Solves `min c·y, A·y = b, l ≤ y ≤ u` with the revised kernel,
-/// returning the optimal `y` and the pivot count.
-///
-/// # Errors
-///
-/// See [`Revised::solve_two_phase`].
-pub(crate) fn solve(bf: &BoxedForm, opts: &SolverOptions) -> Result<(Vec<f64>, usize), SolveError> {
-    if bf.sf.proven_infeasible {
-        return Err(SolveError::Infeasible);
-    }
-    let mut kernel = Revised::new(bf, opts);
-    let mut pivots_left = opts.max_pivots;
-    kernel.solve_two_phase(&mut pivots_left)?;
-    Ok((kernel.values(), kernel.iters))
 }
 
 #[cfg(test)]
@@ -1444,12 +1424,13 @@ mod tests {
     use crate::LinExpr;
 
     fn solve_model(m: &Model) -> Result<Vec<f64>, SolveError> {
-        let bf = BoxedForm::build(m);
-        let (y, _) = solve(&bf, &SolverOptions::default())?;
-        Ok(bf.sf.recover(&y))
+        let sf = StandardForm::build(m, None);
+        let mut k = Revised::new(&sf, None, None);
+        k.solve_two_phase(&mut SolverOptions::default().max_pivots)?;
+        Ok(sf.recover(&k.values()))
     }
 
-    /// `time_limit` is enforced *inside* the kernel (solve entry and
+    /// The deadline is enforced *inside* the kernel (solve entry and
     /// pivot-loop checkpoints), not only at node boundaries: an already
     /// expired deadline aborts before any pivot.
     #[test]
@@ -1459,19 +1440,19 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(x + y, cmp::LE, 4.0);
-        let bf = BoxedForm::build(&m);
-        let opts = SolverOptions {
-            time_limit: Some(std::time::Duration::ZERO),
-            ..SolverOptions::default()
-        };
-        assert_eq!(solve(&bf, &opts), Err(SolveError::IterationLimit));
-        let kernel = Revised::new(&bf, &opts);
+        let sf = StandardForm::build(&m, None);
+        let mut kernel = Revised::new(&sf, None, Some(Instant::now()));
         assert!(kernel.out_of_time());
         assert_eq!(
             kernel.recovery().time_budget,
             0,
             "the budget event is recorded by the solve path, not the probe"
         );
+        assert_eq!(
+            kernel.solve_two_phase(&mut 1_000),
+            Err(SolveError::IterationLimit)
+        );
+        assert_eq!(kernel.iters, 0);
     }
 
     #[test]
@@ -1582,12 +1563,12 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 4.0);
         m.set_objective(x + LinExpr::var(y));
         m.add_constraint(x + y, cmp::LE, 6.0);
-        let bf = BoxedForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
+        let mut k = Revised::new(&sf, None, None);
         let mut budget = opts.max_pivots;
         k.solve_two_phase(&mut budget).unwrap();
-        let v0 = bf.sf.recover(&k.values());
+        let v0 = sf.recover(&k.values());
         assert!((v0[0] + v0[1] - 6.0).abs() < 1e-7, "{v0:?}");
         assert!(k.dual_ok());
 
@@ -1595,7 +1576,7 @@ mod tests {
         k.set_col_bounds(0, 0.0, 1.0);
         k.dual_reopt(&mut budget).unwrap();
         k.primal_opt(&mut budget).unwrap();
-        let v1 = bf.sf.recover(&k.values());
+        let v1 = sf.recover(&k.values());
         assert!(v1[0] <= 1.0 + 1e-7, "x = {}", v1[0]);
         assert!((v1[0] + v1[1] - 5.0).abs() < 1e-6, "{v1:?}");
     }
@@ -1607,9 +1588,9 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 4.0);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::LE, 2.0);
-        let bf = BoxedForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
+        let mut k = Revised::new(&sf, None, None);
         let mut budget = opts.max_pivots;
         k.solve_two_phase(&mut budget).unwrap();
         k.set_col_bounds(0, 3.0, 4.0);
@@ -1626,14 +1607,14 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 4.0);
         m.set_objective(2.0 * x + LinExpr::var(y));
         m.add_constraint(x + y, cmp::LE, 5.0);
-        let bf = BoxedForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
+        let mut k = Revised::new(&sf, None, None);
         let mut budget = opts.max_pivots;
         k.solve_two_phase(&mut budget).unwrap();
         let snap = k.basis_snapshot();
         let obj0: f64 = {
-            let v = bf.sf.recover(&k.values());
+            let v = sf.recover(&k.values());
             2.0 * v[0] + v[1]
         };
         // Perturb: pin x to 0, reoptimize, then restore.
@@ -1644,11 +1625,11 @@ mod tests {
         k.install_basis(&snap).unwrap();
         k.dual_reopt(&mut budget).unwrap();
         k.primal_opt(&mut budget).unwrap();
-        let v = bf.sf.recover(&k.values());
+        let v = sf.recover(&k.values());
         assert!((2.0 * v[0] + v[1] - obj0).abs() < 1e-6, "{v:?} vs {obj0}");
     }
 
-    /// The production refactor policy resolved from `SolverOptions`
+    /// The production refactor policy (`FactorConfig::default`)
     /// reaches the kernel: its automatic length cap `max(64, 2m)` never
     /// binds on this small LP, so the solve takes only the crash
     /// refactor. (The `factor` tests drive non-default policies
@@ -1663,9 +1644,9 @@ mod tests {
         m.add_constraint(x + y + z, cmp::GE, 6.0);
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
-        let bf = BoxedForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
+        let mut k = Revised::new(&sf, None, None);
         let mut budget = opts.max_pivots;
         k.solve_two_phase(&mut budget).unwrap();
         assert!(k.iters > 0);
@@ -1685,8 +1666,8 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(LinExpr::var(x), cmp::EQ, 1.0);
         m.add_constraint(LinExpr::var(y), cmp::EQ, 1.0);
-        let bf = BoxedForm::build(&m);
-        let mut k = Revised::new(&bf, &SolverOptions::default());
+        let sf = StandardForm::build(&m, None);
+        let mut k = Revised::new(&sf, None, None);
         k.basis[0] = 0;
         k.basis[1] = 1;
         k.in_basis[0] = true;
@@ -1799,14 +1780,14 @@ mod tests {
         m.add_constraint(x + y + z, cmp::GE, 6.0);
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
-        let bf = BoxedForm::build(&m);
+        let sf = StandardForm::build(&m, None);
         let run = |update: UpdateKind| {
             let opts = SolverOptions::default();
-            let mut k = Revised::new(&bf, &opts);
+            let mut k = Revised::new(&sf, None, None);
             k.set_update_kind(update);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&mut budget).unwrap();
-            let v = bf.sf.recover(&k.values());
+            let v = sf.recover(&k.values());
             (2.0 * v[0] + 3.0 * v[1] + v[2], k.factor_stats)
         };
         let (obj_ft, stats_ft) = run(UpdateKind::ForrestTomlin);
@@ -1826,8 +1807,8 @@ mod tests {
         for &v in &vars {
             m.add_constraint(LinExpr::var(v), cmp::EQ, 1.0);
         }
-        let bf = BoxedForm::build(&m);
-        let mut k = Revised::new(&bf, &SolverOptions::default());
+        let sf = StandardForm::build(&m, None);
+        let mut k = Revised::new(&sf, None, None);
         for r in 0..xb.len() {
             k.basis[r] = r;
             k.in_basis[r] = true;
@@ -1876,8 +1857,8 @@ mod tests {
         let a = [1.0 / 3.0, 2.0 / 3.0, 1.0];
         m.set_objective(a[0] * x + (a[1] * (1.0 + 0.9e-9)) * y + (a[2] * (1.0 + 1.8e-9)) * z);
         m.add_constraint(a[0] * x + a[1] * y + a[2] * z, cmp::EQ, 1.0);
-        let bf = BoxedForm::build(&m);
-        Revised::new(&bf, &SolverOptions::default())
+        let sf = StandardForm::build(&m, None);
+        Revised::new(&sf, None, None)
     }
 
     /// **Chained-tie anchor regression (dual)**: same construction as the
@@ -1923,9 +1904,8 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::EQ, 1e6);
         m.add_constraint(LinExpr::var(y), cmp::EQ, 0.5);
-        let bf = BoxedForm::build(&m);
-        let opts = SolverOptions::default();
-        let mut k = Revised::new(&bf, &opts);
+        let sf = StandardForm::build(&m, None);
+        let mut k = Revised::new(&sf, None, None);
         k.basis[0] = 0;
         k.basis[1] = 1;
         k.in_basis[0] = true;
@@ -1953,9 +1933,8 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 0.3);
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
-        let bf = BoxedForm::build(&m);
-        let opts = SolverOptions::default();
-        let k = Revised::new(&bf, &opts);
+        let sf = StandardForm::build(&m, None);
+        let k = Revised::new(&sf, None, None);
         let alphas = vec![2.0, 1.0];
         let rc = vec![0.1, 0.2]; // ratios 0.05 and 0.2
         let choice = k
@@ -1981,8 +1960,8 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 0.3);
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
-        let bf = BoxedForm::build(&m);
-        let k = Revised::new(&bf, &SolverOptions::default());
+        let sf = StandardForm::build(&m, None);
+        let k = Revised::new(&sf, None, None);
         let alphas = vec![2.0, 1.0]; // |α|·span: 0.6 and 10
         let rc = vec![0.1, 0.2];
         let choice = k

@@ -1,11 +1,13 @@
-//! Branch & bound for mixed-integer models: one depth-first loop on the
-//! calling thread over one warm revised kernel. Every MILP solve runs
-//! here, models whose rows all fold to constants included.
+//! Branch & bound: one depth-first loop on the calling thread over one
+//! warm revised kernel. Every LP runs here, models whose rows all fold to
+//! constants included: a MILP, a pure LP (a one-node search) and a MILP's
+//! relaxation (integrality dropped, so the root is a leaf). Each gets the
+//! node's residual trust gate, recovery ladder and the solve's one clock.
 //!
 //! # Architecture
 //!
-//! [`Search`] owns everything a solve touches: the bounded-variable form
-//! ([`BoxedForm`], built once), the revised kernel (sparse factors, fault
+//! [`Search`] owns everything a solve touches: the standard form
+//! ([`StandardForm`], built once), the revised kernel (sparse factors, fault
 //! injector, recovery ladder), the branch tree, one LIFO stack of open
 //! nodes, the pseudo-cost table, the incumbent and the stats. The crate
 //! holds no lock, atomic or thread, so a seed and a node cap replay the
@@ -80,17 +82,19 @@ use std::time::Instant;
 use crate::branch_bound::BranchBoundStats;
 use crate::expr::VarId;
 use crate::factor::UpdateKind;
-use crate::model::{Kernel, Model, Sense, SolverOptions, FEAS_TOL, INT_TOL};
+use crate::model::{Kernel, Model, Sense, SolverOptions, Variable, FEAS_TOL, INT_TOL};
+use crate::recover::FaultInjector;
 use crate::revised::{BasisState, Revised};
 use crate::simplex;
 use crate::solution::{Solution, SolveError, Status};
-use crate::standard::{BoxedForm, ColMap, StandardForm};
+use crate::standard::{ColMap, StandardForm};
 
 /// Reliability threshold of pseudo-cost branching: a variable direction
 /// with fewer recorded observations than this is strong-branched instead
 /// of trusted. Strong branching earns its keep: with it switched off
 /// (threshold 0, pseudo-costs learned from node observations only),
-/// `maxthr150` at seed 2009 proved 4 of 18 circuits instead of 8.
+/// `maxthr150` at seed 2009 proved 4 of 18 circuits instead of 8. That
+/// predates the path rows' big-M = τ; the baseline now proves 11 of 18.
 const RELIABILITY: u64 = 4;
 
 /// Dual-simplex pivot budget of one strong-branch probe.
@@ -217,7 +221,7 @@ struct Search<'m> {
     deadline: Option<Instant>,
     /// Pivots of every tableau solve (the oracle's LPs and rung 6).
     tableau_pivots: usize,
-    form: BoxedForm,
+    form: StandardForm,
     /// Per model variable: the standard-form substitution of every
     /// branchable integer (shifted, mirrored, or split); `None` for
     /// continuous variables and integers fixed at the root.
@@ -306,7 +310,7 @@ impl Search<'_> {
 
     /// The solution at the kernel's current optimum.
     fn node_solution(&self) -> Solution {
-        self.solution(self.form.sf.recover(&self.kernel.values()))
+        self.solution(self.form.recover(&self.kernel.values()))
     }
 
     /// Hint seeding, before the root: pin the hinted integers, solve from
@@ -473,7 +477,7 @@ impl Search<'_> {
                 }
                 1 => {
                     self.kernel.recovery.cold_rebuilds += 1;
-                    self.kernel = self.kernel.rebuilt(&self.form, self.opts);
+                    self.kernel = self.kernel.rebuilt(&self.form);
                     self.solve_cold()
                 }
                 2 => {
@@ -507,7 +511,7 @@ impl Search<'_> {
     /// or cold).
     fn restore_kernel(&mut self) {
         self.kernel.set_force_bland(false);
-        self.kernel = self.kernel.rebuilt(&self.form, self.opts);
+        self.kernel = self.kernel.rebuilt(&self.form);
     }
 
     /// Strong-branch probe: a bounded dual reoptimization of the child
@@ -524,7 +528,7 @@ impl Search<'_> {
             Ok(()) if !self.kernel.has_active_artificial(1e-6) => ProbeOutcome::Bound(
                 self.model
                     .objective
-                    .eval(&self.form.sf.recover(&self.kernel.values())),
+                    .eval(&self.form.recover(&self.kernel.values())),
             ),
             Ok(()) => ProbeOutcome::Skipped,
             Err(SolveError::Infeasible) => ProbeOutcome::Infeasible,
@@ -850,36 +854,40 @@ fn path_ops(arena: &[TreeNode], from: usize, t: usize, ops: &mut Vec<(usize, f64
     arena[t].depth
 }
 
-/// Solves a mixed-integer model: builds the bounded-variable form once,
-/// seeds the warm-start hint, and runs the loop. The entry point of
-/// [`crate::branch_bound::solve_with_stats_hinted`].
+/// Solves a model: builds the standard form once, seeds the warm-start
+/// hint, and runs the loop. With `relaxation` set, integrality is
+/// dropped: no column branches, so the root is a leaf. The entry point of
+/// [`crate::branch_bound::solve_with_stats_hinted`] and
+/// [`Model::solve_relaxation`].
 pub(crate) fn search(
     model: &Model,
     opts: &SolverOptions,
     hint: &[(VarId, f64)],
+    relaxation: bool,
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
     // One deadline for the whole solve, installed on the kernel:
     // recovery-ladder rebuilds share a single wall-clock budget instead
     // of each starting a fresh one.
     let deadline = opts.time_limit.map(|limit| Instant::now() + limit);
-    let form = BoxedForm::build(model);
-    if form.sf.proven_infeasible {
+    let form = StandardForm::build(model, None);
+    if form.proven_infeasible {
         // A constant row is violated: no point of any kind exists.
         return Err(SolveError::Infeasible);
     }
+    let integer = |var: &Variable| var.integer && !relaxation;
     // Every non-fixed integer — shifted, mirrored, or free (split) —
     // branches through its standard-form substitution.
     let int_maps: Vec<Option<ColMap>> = model
         .vars
         .iter()
-        .zip(&form.sf.map)
+        .zip(&form.map)
         .map(|(var, &map)| match map {
             ColMap::Fixed { .. } => None,
-            map => var.integer.then_some(map),
+            map => integer(var).then_some(map),
         })
         .collect();
-    let mut kernel = Revised::new(&form, opts);
-    kernel.set_deadline(deadline);
+    let injector = opts.faults.as_ref().map(FaultInjector::new);
+    let kernel = Revised::new(&form, injector, deadline);
     let mut s = Search {
         model,
         opts,
@@ -891,7 +899,7 @@ pub(crate) fn search(
         kernel,
         int_vars: model
             .vars()
-            .filter(|(_, v)| v.is_integer())
+            .filter(|(_, v)| integer(v))
             .map(|(id, _)| id)
             .collect(),
         sense_mul: match model.sense {

@@ -4,11 +4,16 @@
 //! The production solve path is the revised simplex in
 //! [`crate::revised`]. This tableau shares none of its code (no
 //! factorization, pricing or ratio test), so it is the independent
-//! answer every oracle LP gets: pure LPs under the oracle request, every
-//! branch & bound node and the hint's pinned LP of an oracle MILP
-//! search, and rung 6 of the recovery ladder, which re-solves a failing
-//! production node here. It is also the baseline the `milp_scaling`
-//! bench holds the revised kernel's speedup against.
+//! answer every oracle LP gets: every node of an oracle search (a pure
+//! LP is a one-node search) and the hint's pinned LP, and rung 6 of the
+//! recovery ladder, which re-solves a failing production node here. It
+//! is also the baseline the `milp_scaling` bench holds the revised
+//! kernel's speedup against.
+//!
+//! The tableau keeps `y ≥ 0` alone, so it builds its own bound rows:
+//! every finite column bound of the form becomes a `y + s = u` row after
+//! the constraint rows, in column order, its slack numbered after the
+//! constraint slacks.
 //!
 //! A classic full-tableau implementation:
 //!
@@ -221,8 +226,18 @@ pub(crate) fn solve(
     if sf.proven_infeasible {
         return Err(SolveError::Infeasible);
     }
-    let m = sf.rows.len();
-    let n = sf.ncols;
+    // The bound rows `y + s = u` (see the module docs).
+    let (mut rows, mut rhs, mut n) = (sf.rows.clone(), sf.rhs.clone(), sf.ncols);
+    for (col, &u) in sf.col_upper.iter().enumerate() {
+        if u.is_finite() {
+            rows.push(vec![(col, 1.0), (n, 1.0)]);
+            rhs.push(u);
+            n += 1;
+        }
+    }
+    // Columns past the form's (bound-row slacks, artificials) cost 0.
+    let cost = |j: usize| sf.cost.get(j).copied().unwrap_or(0.0);
+    let m = rows.len();
     if m == 0 {
         // No rows: minimize over y >= 0 directly. Any negative cost makes
         // the problem unbounded; otherwise all-zero is optimal.
@@ -236,20 +251,20 @@ pub(crate) fn solve(
     // Make rhs nonnegative by row negation, then give every row a basic
     // column: a +1 slack if one survived the sign flip, else an artificial.
     let mut need_artificial: Vec<bool> = vec![true; m];
-    let negate: Vec<bool> = sf.rhs.iter().map(|&b| b < 0.0).collect();
+    let negate: Vec<bool> = rhs.iter().map(|&b| b < 0.0).collect();
     // Identify usable basis columns: a column works for row `r` if it has
     // coefficient +1 there (after the sign flip) and appears in no other
     // row. Auxiliary slack/surplus columns satisfy the uniqueness test by
     // construction; unit structural columns are accepted too.
     let mut col_count = vec![0u32; n];
-    for row in &sf.rows {
+    for row in &rows {
         for &(c, _) in row {
             col_count[c] += 1;
         }
     }
     let mut slack_col: Vec<Option<usize>> = vec![None; m];
     for r in 0..m {
-        for &(c, v) in &sf.rows[r] {
+        for &(c, v) in &rows[r] {
             let eff = if negate[r] { -v } else { v };
             if eff == 1.0 && col_count[c] == 1 {
                 // Prefer the highest index (the auxiliary column, if any),
@@ -283,10 +298,10 @@ pub(crate) fn solve(
         let sign = if negate[r] { -1.0 } else { 1.0 };
         {
             let row = t.row_mut(r);
-            for &(c, v) in &sf.rows[r] {
+            for &(c, v) in &rows[r] {
                 row[c] = sign * v;
             }
-            row[width - 1] = sign * sf.rhs[r];
+            row[width - 1] = sign * rhs[r];
         }
         if need_artificial[r] {
             let a = next_art;
@@ -362,28 +377,19 @@ pub(crate) fn solve(
     // --- Phase 2 --------------------------------------------------------
     // Rebuild the objective row from the real costs.
     for j in 0..width {
-        let cj = if j < n { sf.cost[j] } else { 0.0 };
         let mut z = 0.0;
         for r in 0..m {
-            let cb = if t.basis[r] < n {
-                sf.cost[t.basis[r]]
-            } else {
-                0.0
-            };
+            let cb = cost(t.basis[r]);
             if cb != 0.0 {
                 z += cb * t.row(r)[j];
             }
         }
-        t.row_mut(m)[j] = cj - z;
+        t.row_mut(m)[j] = cost(j) - z;
     }
     {
         let mut z = 0.0;
         for r in 0..m {
-            let cb = if t.basis[r] < n {
-                sf.cost[t.basis[r]]
-            } else {
-                0.0
-            };
+            let cb = cost(t.basis[r]);
             if cb != 0.0 {
                 z += cb * t.rhs(r);
             }
@@ -402,10 +408,10 @@ pub(crate) fn solve(
     }
 
     // --- Extract --------------------------------------------------------
-    let mut y = vec![0.0; n];
+    let mut y = vec![0.0; sf.ncols];
     for r in 0..m {
         let b = t.basis[r];
-        if b < n {
+        if b < sf.ncols {
             // Clamp tiny negatives produced by round-off.
             y[b] = t.rhs(r).max(0.0);
         }

@@ -1,23 +1,19 @@
 //! Conversion of a [`Model`] into simplex standard form.
 //!
-//! Two target shapes are produced:
-//!
-//! * [`StandardForm::build`] — the classic `min c·y, A·y = b, y >= 0`
-//!   form consumed by the dense-tableau oracle, over the model's own
-//!   variable bounds or a branch & bound node's boxes. Finite upper
-//!   bounds become explicit `y <= u - l` rows.
-//! * [`BoxedForm::build`] — the **bounded-variable** form consumed by
-//!   the revised kernel: `min c·y, A·y = b, l ≤ y ≤ u` with per-column
-//!   bounds and *no* bound rows at all. This keeps the row count (and
-//!   with it every factorization and triangular solve) proportional to
-//!   the real constraints, and lets branch & bound tighten an integer
-//!   variable by mutating its column bounds in place.
+//! [`StandardForm::build`] produces the one lowered form every LP reads:
+//! `min c·y, A·y = b, 0 ≤ y ≤ u` with per-column upper bounds and *no*
+//! bound rows, over the model's own variable bounds or a branch & bound
+//! node's boxes. This keeps the row count (and with it every
+//! factorization and triangular solve) proportional to the real
+//! constraints, and lets branch & bound tighten an integer variable by
+//! mutating its column bounds in place. The dense tableau, which keeps
+//! `y ≥ 0` alone, appends its own `y + s = u` rows ([`crate::simplex`]).
 //!
 //! The conversion handles the four bound shapes a model variable can have:
 //!
 //! | bounds            | substitution        |
 //! |-------------------|---------------------|
-//! | `l <= x <= u`     | `x = l + y` (row form adds `y <= u - l` when `u` is finite; boxed form sets the column bound) |
+//! | `l <= x <= u`     | `x = l + y`, column bound `y <= u - l` (`+∞` when `u` is infinite) |
 //! | `x <= u` (free below) | `x = u - y`     |
 //! | free              | `x = y⁺ - y⁻`       |
 //! | `l == u`          | constant, no column |
@@ -88,7 +84,9 @@ pub(crate) enum RowAux {
     None,
 }
 
-/// A model in `min c·y, A·y = b, y >= 0` form.
+/// A model in `min c·y, A·y = b, 0 ≤ y ≤ u` form (upper bounds may be
+/// `+∞`; branch & bound later raises column lower bounds above 0 in
+/// place).
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
     /// Total number of columns (structural + slack/surplus).
@@ -98,6 +96,9 @@ pub(crate) struct StandardForm {
     pub rhs: Vec<f64>,
     /// Minimization costs, length `ncols`.
     pub cost: Vec<f64>,
+    /// Per-column upper bound (`+∞` for unbounded, slack and surplus
+    /// columns), length `ncols`.
+    pub col_upper: Vec<f64>,
     /// Per-model-variable recovery mapping.
     pub map: Vec<ColMap>,
     /// Set when the conversion already proves infeasibility (e.g. a
@@ -105,40 +106,14 @@ pub(crate) struct StandardForm {
     pub proven_infeasible: bool,
 }
 
-/// The bounded-variable form: `min c·y, A·y = b, 0 ≤ y ≤ u` (upper
-/// bounds may be `+∞`; branch & bound later raises column lower bounds
-/// above 0 in place). Consumed by the revised kernel.
-#[derive(Debug, Clone)]
-pub(crate) struct BoxedForm {
-    pub sf: StandardForm,
-    /// Per-column upper bound (`+∞` for unbounded, slack and surplus
-    /// columns), length `sf.ncols`.
-    pub col_upper: Vec<f64>,
-}
-
-impl BoxedForm {
-    /// Builds the bounded-variable form of `model` (its LP relaxation:
-    /// integrality is ignored here).
-    pub fn build(model: &Model) -> BoxedForm {
-        StandardForm::build_ext(model, None, true)
-    }
-}
-
 impl StandardForm {
-    /// Builds the row-bounded standard form of `model` (its LP
-    /// relaxation: integrality is ignored here). `boxes = Some((lo, hi))`
-    /// replaces every variable's bounds by `[lo[i], hi[i]]`: a branch &
-    /// bound node's boxes, built straight from the model.
+    /// Builds the standard form of `model` (its LP relaxation:
+    /// integrality is ignored here). `boxes = Some((lo, hi))` replaces
+    /// every variable's bounds by `[lo[i], hi[i]]`: a branch & bound
+    /// node's boxes, built straight from the model.
     pub fn build(model: &Model, boxes: Option<(&[f64], &[f64])>) -> StandardForm {
-        Self::build_ext(model, boxes, false).sf
-    }
-
-    fn build_ext(model: &Model, boxes: Option<(&[f64], &[f64])>, boxed: bool) -> BoxedForm {
         let mut ncols = 0usize;
         let mut map = Vec::with_capacity(model.vars.len());
-        // Finite upper bounds of shifted variables: rows in the classic
-        // form, column bounds in the boxed form.
-        let mut bound_rows: Vec<(usize, f64)> = Vec::new();
         let mut col_upper: Vec<f64> = Vec::new();
 
         for (i, var) in model.vars.iter().enumerate() {
@@ -149,16 +124,7 @@ impl StandardForm {
                 let col = ncols;
                 ncols += 1;
                 map.push(ColMap::Shifted { col, lb: l });
-                if u.is_finite() {
-                    if boxed {
-                        col_upper.push(u - l);
-                    } else {
-                        bound_rows.push((col, u - l));
-                        col_upper.push(f64::INFINITY);
-                    }
-                } else {
-                    col_upper.push(f64::INFINITY);
-                }
+                col_upper.push(u - l); // `+∞` when `u` is
             } else if u.is_finite() {
                 let col = ncols;
                 ncols += 1;
@@ -234,15 +200,7 @@ impl StandardForm {
             });
         }
 
-        // Upper-bound rows (`y <= u - l`), already scaled (coeff 1) —
-        // classic form only; the boxed form carries them on the columns.
-        for (col, ub) in bound_rows {
-            rows.push(vec![(col, 1.0)]);
-            rhs.push(ub);
-            aux.push(RowAux::Slack(0));
-        }
-
-        // Assign slack/surplus columns (unbounded above in either form).
+        // Assign slack/surplus columns (unbounded above).
         for (row, a) in rows.iter_mut().zip(aux.iter_mut()) {
             match a {
                 RowAux::Slack(c) => {
@@ -261,16 +219,14 @@ impl StandardForm {
         cost.resize(ncols, 0.0);
         col_upper.resize(ncols, f64::INFINITY);
 
-        BoxedForm {
-            sf: StandardForm {
-                ncols,
-                rows,
-                rhs,
-                cost,
-                map,
-                proven_infeasible,
-            },
+        StandardForm {
+            ncols,
+            rows,
+            rhs,
+            cost,
             col_upper,
+            map,
+            proven_infeasible,
         }
     }
 
@@ -376,7 +332,7 @@ mod tests {
 
     /// Node boxes replace the model's bounds: a pinned variable loses
     /// its column, a tightened one shifts by its new lower bound and
-    /// carries its new span as a bound row.
+    /// carries its new span as its column bound.
     #[test]
     fn node_boxes_override_the_model_bounds() {
         let mut m = Model::new(Sense::Minimize);
@@ -387,9 +343,10 @@ mod tests {
         assert!(matches!(sf.map[x.index()], ColMap::Fixed { value } if value == 4.0));
         assert!(matches!(sf.map[y.index()], ColMap::Shifted { lb, .. } if lb == 2.0));
         // y ≥ 1 − 4 − 2 after the shift (a surplus row), and y ≤ 7 − 2.
-        assert_eq!(sf.rows.len(), 2);
-        assert!((sf.rhs[0] + 5.0).abs() < 1e-12 && (sf.rhs[1] - 5.0).abs() < 1e-12);
-        let vals = sf.recover(&[0.5, 0.0, 0.0]);
+        assert_eq!(sf.rows.len(), 1);
+        assert!((sf.rhs[0] + 5.0).abs() < 1e-12);
+        assert_eq!(sf.col_upper, [5.0, f64::INFINITY]);
+        let vals = sf.recover(&[0.5, 0.0]);
         assert_eq!((vals[x.index()], vals[y.index()]), (4.0, 2.5));
     }
 
@@ -444,7 +401,7 @@ mod tests {
         let a = m.add_continuous("a", -1.0, 4.0); // shifted
         let b = m.add_continuous("b", f64::NEG_INFINITY, 7.0); // mirrored
         let sf = StandardForm::build(&m, None);
-        let vals = sf.recover(&[0.5, 2.0, /* slack for a's ub row */ 0.0]);
+        let vals = sf.recover(&[0.5, 2.0]);
         assert!((vals[a.index()] - (-0.5)).abs() < 1e-12);
         assert!((vals[b.index()] - 5.0).abs() < 1e-12);
     }

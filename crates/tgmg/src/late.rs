@@ -6,9 +6,10 @@
 //! ```
 //!
 //! (tokens over latency). This classic marked-graph result gives the exact
-//! steady-state throughput when no early evaluation is present, so it
-//! serves both as the Table-2 baseline `ξ_nee` helper and as an oracle for
-//! the LP bound and the simulators.
+//! steady-state throughput when no early evaluation is present, so it is
+//! an oracle for the LP bound and the simulators; only tests call it.
+//! (Table 2's `ξ_nee` comes from `rr_retime::min_period_retiming` in
+//! `rr_core::report::evaluate_benchmark`.)
 //!
 //! Computed by binary search on λ with a negative-cycle test on weights
 //! `R0(e) − λ·R(e)` (parametric Bellman–Ford).

@@ -48,7 +48,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   fault-injected runs must prove the same optima as their clean twins
 #   on every Table-1 figure and bench instance, with the recovery
 #   counters showing every failure class was observed and every ladder
-#   rung fired, rung 6 (the node on the tableau) included. The
+#   rung fired, rung 6 (the node on the tableau) included; faulted pure
+#   LPs (Θ_lp, a MILP relaxation) heal to their clean optima. The
 #   FaultPlan is seeded (one deterministic SplitMix64 stream per site),
 #   so failures replay exactly.
 echo "==> cargo test -q"
@@ -74,8 +75,8 @@ cargo run --release -q -p rr-bench --bin table2 --offline -- \
 
 # The milp_scaling bench, the workspace's only bench target: the revised
 # kernel and the tableau oracle must agree on every completed instance,
-# and the revised kernel must stay at least 2x faster on the largest
-# MAX_THR instance (60 edges). It panics on either failure. A few
+# and the revised kernel must stay at least 3.3x faster (MIN_SPEEDUP) on
+# the largest MAX_THR instance (60 edges). It panics on either failure. A few
 # seconds once built, most of it the oracle's cold tableau nodes on
 # that instance.
 echo "==> cargo bench milp_scaling (kernel speedup contract)"

@@ -10,7 +10,9 @@
 //! Direct `solve_with_stats` runs on a planted MILP cover the deep end
 //! of the ladder (rung 6, the node on the tableau), which hinted runs
 //! absorb earlier: their warm-start hint solve eats the first injected
-//! failure.
+//! failure. Pure LPs run through the same search, so Θ_lp and the
+//! relaxations behind the formulation runs' hints heal on the ladder
+//! too.
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
@@ -19,6 +21,8 @@ use rr_milp::{
 };
 use rr_rrg::figures;
 use rr_rrg::Rrg;
+use rr_tgmg::lp_bound::throughput_upper_bound_with;
+use rr_tgmg::skeleton::tgmg_of;
 
 /// One fixed seed for the whole suite — the plan is deterministic, so a
 /// failure reproduces exactly.
@@ -193,6 +197,47 @@ fn faulted_runs_prove_the_same_optima_as_clean_twins() {
         "dense-oracle rung never fired: {union:?}"
     );
     assert!(union.faults_injected > 0);
+}
+
+/// Pure LPs run through the search too, so a faulted Θ_lp (LP (4) of
+/// the paper) and a faulted MILP relaxation heal on the recovery ladder
+/// instead of failing: the plan's iteration-limit burst fails the first
+/// cold solve and rungs 3–5, and the tableau (rung 6) completes the LP.
+/// Both must return their clean twin's optimum.
+#[test]
+fn pure_lps_heal_through_the_ladder() {
+    let clean_opts = SolverOptions::default();
+    let fault_opts = SolverOptions {
+        faults: Some(FaultPlan::seeded(SEED)),
+        ..SolverOptions::default()
+    };
+    for (name, g) in [
+        ("figure_1b(0.9)", figures::figure_1b(0.9)),
+        ("figure_2(0.7)", figures::figure_2(0.7)),
+        ("bench60", bench_instance(60)),
+    ] {
+        let t = tgmg_of(&g);
+        let clean = throughput_upper_bound_with(&t, &clean_opts)
+            .unwrap_or_else(|e| panic!("{name} clean: {e}"));
+        let faulted = throughput_upper_bound_with(&t, &fault_opts)
+            .unwrap_or_else(|e| panic!("{name} faulted: {e}"));
+        assert!(
+            (clean - faulted).abs() <= 1e-9,
+            "{name}: clean Θ_lp {clean} vs faulted {faulted}"
+        );
+    }
+
+    let m = ring_difference_milp(12, 6);
+    let clean = m.solve_relaxation(&clean_opts).expect("clean relaxation");
+    let faulted = m
+        .solve_relaxation(&fault_opts)
+        .unwrap_or_else(|e| panic!("faulted relaxation: {e}"));
+    assert!(
+        (clean.objective - faulted.objective).abs() <= 1e-9,
+        "ring(12,6) relaxation: clean {} vs faulted {}",
+        clean.objective,
+        faulted.objective
+    );
 }
 
 /// The seeded plan is deterministic: two identical faulted runs produce

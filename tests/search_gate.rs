@@ -915,8 +915,11 @@ fn lost_nodes_keep_their_bound_in_the_dual_bound() {
 /// ten-argument branching call, the closed-form rowless solve, the
 /// unread stats fields, the `(Mode, Mode)` formulation pair, the elastic
 /// machine's bounded-capacity and telescopic modes, the Markov power
-/// iteration, the dense LU with its factorization-kind plumbing and the
-/// oracle's incumbent re-solve stay deleted — their identifiers
+/// iteration, the dense LU with its factorization-kind plumbing, the
+/// oracle's incumbent re-solve, the second LP path (the kernel's own
+/// pure-LP solve, the bounded-form wrapper and its builder switch, the
+/// kernel's deadline setter) and the unused late-sweep helper stay
+/// deleted — their identifiers
 /// survive only in comment lines anywhere under `crates/` and
 /// `examples/` — that no non-comment line under `crates/milp/src`
 /// names `std::sync` or `std::thread`, and that no model is cloned:
@@ -1010,6 +1013,12 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "cross_validate_dense",
         "Lu::Dense",
         "fn setup(",
+        "revised::solve(",
+        "has_integers",
+        "BoxedForm",
+        "build_ext",
+        "set_deadline",
+        "late_sweep_check",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
