@@ -27,6 +27,11 @@
 //!   exploding multiplier aborts the update *before any state mutates*
 //!   and the caller falls back to a full refactorization (**forced
 //!   refactor**) — the standard FT stability policy.
+//!
+//!   The row etas live in one flat file (`eta_row`, `eta_start`,
+//!   `eta_terms`, in update order), the spike is borrowed from the FTRAN
+//!   that computed it, and the factors keep their nonzero count current
+//!   through every update, so the refactor policy reads it in O(1).
 //! * **Product-form eta file** (the historical scheme, and rung 3 of the
 //!   recovery ladder) — after `k` pivots, `B = B₀·E₁·…·E_k` where each
 //!   `Eᵢ` is an identity matrix with one column replaced by the pivot
@@ -73,6 +78,8 @@
 //! on Forrest–Tomlin, and only the recovery ladder's rung 3 switches it
 //! to the product form. The crate's one independent oracle is the dense
 //! tableau ([`crate::simplex`]), not a second factorization.
+
+use std::cell::Cell;
 
 /// How the factorization absorbs a pivot (a one-column basis change)
 /// between refactorizations.
@@ -152,22 +159,14 @@ impl Default for FactorConfig {
 // Sparse LU with Markowitz ordering and threshold partial pivoting
 // ---------------------------------------------------------------------------
 
-/// One Forrest–Tomlin row transformation: after the `L` solve, row
-/// `row`'s value is reduced by `Σ μ_j·x[j]` over `terms = (j, μ_j)` —
-/// the elimination that restored `U`'s triangularity when `row`'s pivot
-/// was permuted to the end.
-struct RowEta {
-    row: usize,
-    terms: Vec<(usize, f64)>,
-}
-
 /// Sparse LU factorization `P·B·Q = L·U` (row *and* column permutations,
 /// chosen per elimination step by the Markowitz rule). `L` is unit lower
 /// triangular, `U` upper triangular; both are stored twice — by column
 /// for FTRAN and by row for BTRAN — in *factored* coordinates.
 ///
 /// Forrest–Tomlin updates ([`SparseLu::ft_update`]) mutate `U` in place
-/// and accumulate [`RowEta`] transformations on the `L` side;
+/// and append row transformations to one flat row-eta file on the `L`
+/// side;
 /// triangularity is then relative to the **pivot order** `porder` (a
 /// permutation of the factored indices), which starts as the identity
 /// and cycles one position to the end per update. `L` itself, the row
@@ -199,8 +198,23 @@ pub(crate) struct SparseLu {
     porder: Vec<usize>,
     /// Inverse of `porder`.
     ppos: Vec<usize>,
-    /// Forrest–Tomlin row transformations, in application order.
-    row_etas: Vec<RowEta>,
+    /// The Forrest–Tomlin row-eta file, in update order: eta `e` reduces
+    /// row `eta_row[e]`'s value after the `L` solve by `Σ μ_j·x[j]` over
+    /// the terms `eta_terms[eta_start[e]..eta_start[e + 1]]` — the
+    /// elimination that restored `U`'s triangularity when that row's
+    /// pivot was permuted to the end.
+    eta_row: Vec<usize>,
+    eta_start: Vec<usize>,
+    eta_terms: Vec<(usize, f64)>,
+    /// Stored nonzeros of `L̃ + U` ([`SparseLu::nnz`]), kept current by
+    /// every update.
+    nnz: usize,
+    /// Work vector of the triangular solves, recycled so a solve
+    /// allocates nothing; each solve overwrites it before reading it.
+    work: Cell<Vec<f64>>,
+    /// Scratch row of the Forrest–Tomlin elimination, all-zero between
+    /// updates.
+    ft_work: Vec<f64>,
 }
 
 impl SparseLu {
@@ -420,6 +434,9 @@ impl SparseLu {
         for uc in &mut u_cols {
             uc.sort_unstable_by_key(|&(i, _)| i);
         }
+        let nnz = l_cols.iter().map(Vec::len).sum::<usize>()
+            + m
+            + u_cols.iter().map(Vec::len).sum::<usize>();
         Some(SparseLu {
             m,
             l_cols,
@@ -433,7 +450,12 @@ impl SparseLu {
             colpos,
             porder: (0..m).collect(),
             ppos: (0..m).collect(),
-            row_etas: Vec::new(),
+            eta_row: Vec::new(),
+            eta_start: vec![0],
+            eta_terms: Vec::new(),
+            nnz,
+            work: Cell::new(Vec::with_capacity(m)),
+            ft_work: vec![0.0; m],
         })
     }
 
@@ -450,12 +472,12 @@ impl SparseLu {
             }
         }
         // Row etas, in the order the updates accumulated them.
-        for eta in &self.row_etas {
-            let mut s = z[eta.row];
-            for &(j, mu) in &eta.terms {
+        for (e, &row) in self.eta_row.iter().enumerate() {
+            let mut s = z[row];
+            for &(j, mu) in &self.eta_terms[self.eta_start[e]..self.eta_start[e + 1]] {
                 s -= mu * z[j];
             }
-            z[eta.row] = s;
+            z[row] = s;
         }
     }
 
@@ -471,10 +493,9 @@ impl SparseLu {
     /// instead of re-running the lower solve.
     pub fn solve_spiked(&self, rhs: &mut [f64], spike: Option<&mut Vec<f64>>) {
         let m = self.m;
-        let mut z = vec![0.0; m];
-        for k in 0..m {
-            z[k] = rhs[self.row_of[k]];
-        }
+        let mut z = self.work.take();
+        z.clear();
+        z.extend(self.row_of.iter().map(|&r| rhs[r]));
         self.lower_solve(&mut z);
         if let Some(s) = spike {
             s.clear();
@@ -495,16 +516,16 @@ impl SparseLu {
         for k in 0..m {
             rhs[self.col_of[k]] = z[k];
         }
+        self.work.set(z);
     }
 
     /// Solves `Bᵀ·y = rhs` in place; columns of `Uᵀ`/`Lᵀ` are the stored
     /// rows of `U`/`L`, again with zero skipping.
     pub fn solve_transpose(&self, rhs: &mut [f64]) {
         let m = self.m;
-        let mut z = vec![0.0; m];
-        for k in 0..m {
-            z[k] = rhs[self.col_of[k]];
-        }
+        let mut z = self.work.take();
+        z.clear();
+        z.extend(self.col_of.iter().map(|&c| rhs[c]));
         // Uᵀ z' = Qᵀ·rhs (lower triangular in pivot order), forward over
         // rows of U.
         for t in 0..m {
@@ -518,10 +539,10 @@ impl SparseLu {
             }
         }
         // Transposed row etas, most recent first.
-        for eta in self.row_etas.iter().rev() {
-            let zr = z[eta.row];
+        for (e, &row) in self.eta_row.iter().enumerate().rev() {
+            let zr = z[row];
             if zr != 0.0 {
-                for &(j, mu) in &eta.terms {
+                for &(j, mu) in &self.eta_terms[self.eta_start[e]..self.eta_start[e + 1]] {
                     z[j] -= mu * zr;
                 }
             }
@@ -539,6 +560,7 @@ impl SparseLu {
         for k in 0..m {
             rhs[self.row_of[k]] = z[k];
         }
+        self.work.set(z);
     }
 
     /// Absorbs the basis change "slot `slot` leaves, column `col`
@@ -554,13 +576,13 @@ impl SparseLu {
             w[self.rowpos[r]] = v;
         }
         self.lower_solve(&mut w);
-        self.ft_apply(slot, w)
+        self.ft_apply(slot, &w)
     }
 
     /// [`SparseLu::ft_update`] with the spike already in hand (the
     /// `L̃⁻¹·P·a` intermediate a [`SparseLu::solve_spiked`] FTRAN of the
     /// entering column saved), skipping the redundant lower solve.
-    pub fn ft_update_spiked(&mut self, slot: usize, spike: Vec<f64>) -> bool {
+    pub fn ft_update_spiked(&mut self, slot: usize, spike: &[f64]) -> bool {
         debug_assert_eq!(spike.len(), self.m);
         self.ft_apply(slot, spike)
     }
@@ -569,63 +591,25 @@ impl SparseLu {
     /// `colpos[slot]` of `U` with the spike `w`, eliminate the pivot's
     /// row with one row eta, permute the pivot to the end. See
     /// [`SparseLu::ft_update`] for the refusal contract.
-    fn ft_apply(&mut self, slot: usize, w: Vec<f64>) -> bool {
+    fn ft_apply(&mut self, slot: usize, w: &[f64]) -> bool {
         let m = self.m;
         let p = self.colpos[slot];
         let spike_scale = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         if spike_scale == 0.0 {
             return false; // a zero entering column cannot form a basis
         }
-
-        // --- eliminate row p against U's trailing rows (scratch) -------
-        // Work row = old row p of U; processing the trailing pivot
-        // positions in order eliminates each entry and the fill it
-        // spawns. Nothing is mutated yet: the multipliers and the final
-        // diagonal are computed first so an unstable update can be
-        // refused without corrupting the factors.
-        let mut work = vec![0.0; m];
-        for &(j, v) in &self.u_rows[p] {
-            work[j] = v;
-        }
-        let mut terms: Vec<(usize, f64)> = Vec::new();
-        let mut diag = w[p];
-        let row_scale = self.u_rows[p]
-            .iter()
-            .fold(spike_scale, |a, &(_, v)| a.max(v.abs()));
-        for t in self.ppos[p] + 1..m {
-            let j = self.porder[t];
-            let v = work[j];
-            if v == 0.0 {
-                continue;
-            }
-            if v.abs() <= FT_DROP_REL * row_scale {
-                work[j] = 0.0;
-                continue;
-            }
-            let mu = v / self.u_diag[j];
-            if mu.abs() > FT_MULT_MAX {
-                return false; // ill-scaled elimination
-            }
-            terms.push((j, mu));
-            work[j] = 0.0;
-            // Fill spawned into row p lands strictly later in pivot
-            // order (entries of u_rows[j] all do), so the scan
-            // eliminates it in turn.
-            for &(k, ujk) in &self.u_rows[j] {
-                work[k] -= mu * ujk;
-            }
-            // Row j's entry in the spike column contributes to the new
-            // diagonal (the spike is not inserted into U yet).
-            diag -= mu * w[j];
-        }
-        if diag.abs() <= FT_DIAG_REL * spike_scale || !diag.is_finite() {
-            return false; // unstable update: force a refactorization
-        }
+        // The multipliers go straight onto the row-eta file and are
+        // truncated away again on a refusal.
+        let first_term = self.eta_terms.len();
+        let Some(diag) = self.ft_eliminate(p, w, spike_scale) else {
+            self.eta_terms.truncate(first_term);
+            return false;
+        };
 
         // --- commit ----------------------------------------------------
         // Drop the old column p…
-        let old_col = std::mem::take(&mut self.u_cols[p]);
-        for (i, _) in old_col {
+        let mut old_col = std::mem::take(&mut self.u_cols[p]);
+        for &(i, _) in &old_col {
             let row = &mut self.u_rows[i];
             let pos = row
                 .iter()
@@ -633,9 +617,10 @@ impl SparseLu {
                 .expect("U row/col desync");
             row.swap_remove(pos);
         }
-        // …and the old row p.
-        let old_row = std::mem::take(&mut self.u_rows[p]);
-        for (j, _) in old_row {
+        // …and the old row p (p ends last in pivot order, so its row
+        // past the diagonal stays empty; it keeps its allocation).
+        let mut old_row = std::mem::take(&mut self.u_rows[p]);
+        for &(j, _) in &old_row {
             let cl = &mut self.u_cols[j];
             let pos = cl
                 .iter()
@@ -643,17 +628,25 @@ impl SparseLu {
                 .expect("U row/col desync");
             cl.swap_remove(pos);
         }
+        self.nnz -= old_col.len() + old_row.len();
+        old_row.clear();
+        self.u_rows[p] = old_row;
         // Insert the spike as the new column p (every other row now
-        // precedes p in pivot order, so all entries are above-diagonal).
+        // precedes p in pivot order, so all entries are above-diagonal),
+        // in the old column's allocation.
+        old_col.clear();
         for (i, &wi) in w.iter().enumerate() {
             if i != p && wi.abs() > FT_DROP_REL * spike_scale {
-                self.u_cols[p].push((i, wi));
+                old_col.push((i, wi));
                 self.u_rows[i].push((p, wi));
             }
         }
+        self.nnz += old_col.len() + (self.eta_terms.len() - first_term);
+        self.u_cols[p] = old_col;
         self.u_diag[p] = diag;
-        if !terms.is_empty() {
-            self.row_etas.push(RowEta { row: p, terms });
+        if self.eta_terms.len() > first_term {
+            self.eta_row.push(p);
+            self.eta_start.push(self.eta_terms.len());
         }
         // Cycle p to the end of the pivot order.
         let start = self.ppos[p];
@@ -667,14 +660,62 @@ impl SparseLu {
         true
     }
 
+    /// Eliminates row `p` of `U` against the trailing rows in pivot
+    /// order, appending one multiplier per eliminated entry to
+    /// `eta_terms`, and returns the updated diagonal that absorbs the
+    /// spike `w` — `None` when the elimination or the diagonal is
+    /// unstable. Mutates nothing else (`ft_work` ends all-zero either
+    /// way), so a refusal leaves the factors intact.
+    fn ft_eliminate(&mut self, p: usize, w: &[f64], spike_scale: f64) -> Option<f64> {
+        // Work row = old row p of U; processing the trailing pivot
+        // positions in order eliminates each entry and the fill it
+        // spawns.
+        let work = &mut self.ft_work;
+        for &(j, v) in &self.u_rows[p] {
+            work[j] = v;
+        }
+        let mut diag = w[p];
+        let row_scale = self.u_rows[p]
+            .iter()
+            .fold(spike_scale, |a, &(_, v)| a.max(v.abs()));
+        for t in self.ppos[p] + 1..self.m {
+            let j = self.porder[t];
+            let v = work[j];
+            if v == 0.0 {
+                continue;
+            }
+            work[j] = 0.0;
+            if v.abs() <= FT_DROP_REL * row_scale {
+                continue;
+            }
+            let mu = v / self.u_diag[j];
+            if mu.abs() > FT_MULT_MAX {
+                work.fill(0.0);
+                return None; // ill-scaled elimination
+            }
+            self.eta_terms.push((j, mu));
+            // Fill spawned into row p lands strictly later in pivot
+            // order (entries of u_rows[j] all do), so the scan
+            // eliminates it in turn.
+            for &(k, ujk) in &self.u_rows[j] {
+                work[k] -= mu * ujk;
+            }
+            // Row j's entry in the spike column contributes to the new
+            // diagonal (the spike is not inserted into U yet).
+            diag -= mu * w[j];
+        }
+        if diag.abs() <= FT_DIAG_REL * spike_scale || !diag.is_finite() {
+            return None; // unstable update: force a refactorization
+        }
+        Some(diag)
+    }
+
     /// Stored nonzeros of `L̃ + U`: the static `L` (unit diagonal not
     /// counted), the accumulated Forrest–Tomlin row etas, and the
-    /// current `U` (diagonal counted once).
+    /// current `U` (diagonal counted once). Kept current by every
+    /// update, so reading it is O(1).
     pub fn nnz(&self) -> usize {
-        self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.row_etas.iter().map(|e| e.terms.len()).sum::<usize>()
-            + self.m
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        self.nnz
     }
 }
 
@@ -879,7 +920,7 @@ impl Factor {
 
     /// [`Factor::ft_update`] with the spike saved by a prior
     /// [`Factor::ftran_spiked`] of the entering column.
-    pub fn ft_update_spiked(&mut self, slot: usize, spike: Vec<f64>) -> bool {
+    pub fn ft_update_spiked(&mut self, slot: usize, spike: &[f64]) -> bool {
         debug_assert!(self.update == UpdateKind::ForrestTomlin);
         if self.refuse_next > 0 {
             self.refuse_next -= 1;
@@ -909,6 +950,16 @@ impl Factor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SparseLu {
+        /// [`SparseLu::nnz`] recounted from the stored factors.
+        fn recount_nnz(&self) -> usize {
+            self.l_cols.iter().map(Vec::len).sum::<usize>()
+                + self.eta_terms.len()
+                + self.m
+                + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        }
+    }
 
     fn approx(a: &[f64], b: &[f64]) -> bool {
         a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
@@ -1242,7 +1293,9 @@ mod tests {
 
     /// A chain of FT updates across several slots (forcing pivot-order
     /// cycling and row-eta accumulation) keeps agreeing with fresh
-    /// factorizations of the mutated basis.
+    /// factorizations of the mutated basis, and the running nonzero
+    /// count agrees with a recount of the stored factors after every
+    /// update and after a refusal.
     #[test]
     fn ft_update_chain_matches_fresh_refactorization() {
         let m = 5;
@@ -1266,7 +1319,12 @@ mod tests {
             assert!(f.ft_update(slot, &col), "update {step} refused");
             replace_col(&mut a, m, slot, &col);
             assert_matches_fresh(&f, &a, m, &format!("after update {step}"));
+            assert_eq!(f.lu.nnz(), f.lu.recount_nnz(), "after update {step}");
         }
+        assert!(!f.lu.eta_row.is_empty(), "the chain never wrote a row eta");
+        let before = f.lu.nnz();
+        assert!(!f.ft_update(3, &[(0, 0.0)]), "zero column accepted");
+        assert_eq!((f.lu.nnz(), f.lu.recount_nnz()), (before, before));
     }
 
     /// The refactor policy counts FT updates like it counts etas, and

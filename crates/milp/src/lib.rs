@@ -64,9 +64,13 @@
 //!   their own rhs/bound scale. It enters by the **long-step
 //!   (bound-flipping) ratio test**: candidates whose box span the dual
 //!   step exhausts flip bounds and the scan continues, so one pivot
-//!   crosses many breakpoints. Reduced costs are maintained
-//!   incrementally (`rc_j ← rc_j − γ·α_j`, from the ratio test's own
-//!   column pass) instead of recomputing the duals every pivot;
+//!   crosses many breakpoints. The pivot row `α = ρᵀA` is computed from
+//!   `ρ`'s nonzeros over a row-wise copy of the matrix, and the ratio
+//!   test pops its candidates off a heap lazily, so only the flipped
+//!   prefix and the entering candidate are ever ordered. Reduced costs
+//!   are maintained incrementally (`rc_j ← rc_j − γ·α_j`, over the
+//!   columns the pivot row reaches) instead of recomputing the duals
+//!   every pivot;
 //! * the **primal** phases price by Dantzig (the most violated reduced
 //!   cost), falling back to Bland after a long degenerate run.
 //!
@@ -76,6 +80,12 @@
 //! cost about 20% more per sweep node and proved nothing more, and
 //! Dantzig without the long step proved one `MAX_THR` fewer at 150
 //! edges (7 of 18 against 8).
+//!
+//! Both shortcuts replay the full computations bit for bit: the row-wise
+//! product adds the same products in the same order as a column-wise
+//! dot product, and the heap pops the candidates in the order a full
+//! sort puts them. The Forrest–Tomlin factors keep their row etas in one
+//! flat file and their nonzero count current (see the `factor` module).
 //!
 //! Directional pivot counters ([`BranchBoundStats::dual_pivots`] /
 //! [`BranchBoundStats::primal_pivots`] /

@@ -840,3 +840,188 @@ proptest! {
         }
     }
 }
+
+/// A random sparse model for the pivot-row check: `(variables, rows)`
+/// with each row `(coefficients, sense 0/1/2 = ≤/≥/=, rhs)`. About 60%
+/// of the coefficients are zero and the rest are multiples of 1/7, so
+/// products and sums round.
+fn sparse_model() -> impl Strategy<Value = (usize, Vec<(Vec<f64>, usize, f64)>)> {
+    (2usize..=12, 1usize..=10).prop_flat_map(|(nv, nr)| {
+        let coeff =
+            (0u32..5, -50i32..=50).prop_map(|(k, c)| if k < 3 { 0.0 } else { f64::from(c) / 7.0 });
+        let row = (
+            proptest::collection::vec(coeff, nv),
+            0usize..3,
+            (-40i32..=40).prop_map(|k| f64::from(k) / 4.0),
+        );
+        proptest::collection::vec(row, nr).prop_map(move |rows| (nv, rows))
+    })
+}
+
+/// `ρ` entries for the pivot-row check: signed zeros, subnormals whose
+/// products underflow to signed zeros, unit entries that cancel exactly,
+/// and ordinary magnitudes.
+fn rho_pool() -> impl Strategy<Value = Vec<f64>> {
+    let entry = (0u32..16, -1e3f64..1e3).prop_map(|(k, x)| match k {
+        0..=3 => 0.0,
+        4..=7 => -0.0,
+        8 => 5e-324,
+        9 => -5e-324,
+        10 => 1.0,
+        11 => -1.0,
+        _ => x,
+    });
+    proptest::collection::vec(entry, 12)
+}
+
+/// The parent's dual ratio-test selection, kept as the reference the
+/// lazy [`long_step`](crate::revised::long_step) must replay: a full
+/// stable sort under the candidate order, then the same scan.
+fn long_step_by_sort(
+    mut cands: Vec<crate::revised::Cand>,
+    violation: f64,
+) -> Option<(usize, f64, Vec<usize>)> {
+    use crate::model::FEAS_TOL;
+    if cands.is_empty() {
+        return None;
+    }
+    cands.sort_by(crate::revised::cand_order);
+    let mut remaining = violation;
+    let mut flips = Vec::new();
+    let mut chosen = None;
+    for (i, c) in cands.iter().enumerate() {
+        if c.span.is_finite() && remaining - c.alpha * c.span > 0.0 {
+            remaining -= c.alpha * c.span;
+            flips.push(c.j);
+        } else {
+            chosen = Some(i);
+            break;
+        }
+    }
+    if chosen.is_none() && remaining <= FEAS_TOL {
+        flips.pop();
+        chosen = Some(cands.len() - 1);
+    }
+    let ci = chosen?;
+    let mut pick = ci;
+    for (k, c) in cands.iter().enumerate().skip(ci + 1) {
+        if c.ratio >= cands[ci].ratio + 0.01 * FEAS_TOL {
+            break;
+        }
+        if c.alpha > cands[pick].alpha {
+            pick = k;
+        }
+    }
+    Some((cands[pick].j, cands[pick].sigma, flips))
+}
+
+/// Dual ratio-test candidate sets: ratios on a few base values (exact
+/// ties, `-0.0` beside `+0.0`) plus offsets inside and just outside the
+/// `0.01·FEAS_TOL` = 1e-9 tie window, tied and near-tied `|α|`, finite
+/// and infinite spans, and column indices in random order; and a
+/// violation at a fraction of the candidates' combined finite reach
+/// (exactly all of it half the time, the round-off leftover case), plus
+/// a jitter around `FEAS_TOL`.
+fn cand_set() -> impl Strategy<Value = (Vec<crate::revised::Cand>, f64)> {
+    const RATIO: [f64; 5] = [-0.0, 0.0, 0.25, 1.0, 3.0];
+    const OFFSET: [f64; 6] = [0.0, 3e-10, 9e-10, 1e-9, 1.5e-9, 1e-6];
+    const ALPHA: [f64; 5] = [1e-3, 0.5, 1.0, 1.0 + 1e-12, 2.0];
+    const SPAN: [f64; 5] = [0.1, 0.5, 1.0, 2.0, f64::INFINITY];
+    const JITTER: [f64; 5] = [0.0, 1e-9, -1e-9, 5e-8, 2e-7];
+    (0usize..24).prop_flat_map(|n| {
+        let cand = (
+            0usize..5,
+            0usize..6,
+            0usize..5,
+            0usize..5,
+            any::<bool>(),
+            any::<u64>(),
+        );
+        (
+            proptest::collection::vec(cand, n),
+            (any::<bool>(), 0.0f64..1.5),
+            0usize..5,
+        )
+            .prop_map(|(raw, (all, frac), jitter)| {
+                // Column indices: the candidates' ranks under random keys.
+                let mut order: Vec<usize> = (0..raw.len()).collect();
+                order.sort_by_key(|&i| raw[i].5);
+                let mut cands = vec![None; raw.len()];
+                for (rank, &i) in order.iter().enumerate() {
+                    let (r, o, a, s, up, _) = raw[i];
+                    cands[i] = Some(crate::revised::Cand {
+                        ratio: RATIO[r] + OFFSET[o],
+                        j: 10 * rank,
+                        sigma: if up { -1.0 } else { 1.0 },
+                        alpha: ALPHA[a],
+                        span: SPAN[s],
+                    });
+                }
+                let cands: Vec<crate::revised::Cand> = cands.into_iter().flatten().collect();
+                let reach: f64 = cands
+                    .iter()
+                    .filter(|c| c.span.is_finite())
+                    .map(|c| c.alpha * c.span)
+                    .sum();
+                let frac = if all { 1.0 } else { frac };
+                (cands, frac * reach + JITTER[jitter])
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// **Pivot-row equivalence**: the dual simplex's pivot row, computed
+    /// row-wise from `ρ`'s nonzeros, equals the column-wise `ρᵀA_j` of
+    /// every nonbasic column bit for bit — `ρ` carrying signed zeros
+    /// and underflowing products included — and reads `+0.0` at every
+    /// basic column.
+    #[test]
+    fn pivot_row_from_rho_nonzeros_matches_column_dots(
+        (nv, rows) in sparse_model(),
+        pool in rho_pool(),
+    ) {
+        let mut m = Model::new(Sense::Minimize);
+        let vars: Vec<_> = (0..nv)
+            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
+            .collect();
+        m.set_objective(vars.iter().map(|&v| LinExpr::var(v)).fold(LinExpr::new(), |a, b| a + b));
+        for (coeffs, sense, rhs) in &rows {
+            let mut e = LinExpr::new();
+            for (&c, &v) in coeffs.iter().zip(&vars) {
+                if c != 0.0 {
+                    e += c * v;
+                }
+            }
+            let op = [cmp::LE, cmp::GE, cmp::EQ][*sense];
+            m.add_constraint(e, op, *rhs);
+        }
+        let sf = crate::standard::StandardForm::build(&m, None);
+        let mut k = crate::revised::Revised::new(&sf, None, None);
+        // Any basis will do: a failed solve still leaves one.
+        let _ = k.solve_two_phase(&mut SolverOptions::default().max_pivots);
+        let (rows_m, n) = k.dims();
+        let rho: Vec<f64> = (0..rows_m).map(|r| pool[r % pool.len()]).collect();
+        let alpha = k.alpha_of(&rho);
+        for (j, a) in alpha.iter().enumerate().take(n) {
+            let want = if k.is_basic(j) { 0.0 } else { k.col_dot(j, &rho) };
+            prop_assert_eq!(a.to_bits(), want.to_bits(), "column {}: {} vs {}", j, a, want);
+        }
+    }
+
+    /// **Lazy ratio-test equivalence**: popping the candidates off a
+    /// heap and scanning the rest for the tie window picks the same
+    /// entering column, direction and flip list as fully sorting them
+    /// first, on exact ratio ties, near ties inside the window and
+    /// long-step flip chains.
+    #[test]
+    fn lazy_long_step_matches_a_full_sort((cands, violation) in cand_set()) {
+        let want = long_step_by_sort(cands.clone(), violation);
+        let mut heap = cands;
+        let mut flips = Vec::new();
+        let got = crate::revised::long_step(&mut heap, violation, &mut flips)
+            .map(|c| (c.j, c.sigma, flips));
+        prop_assert_eq!(got, want);
+    }
+}

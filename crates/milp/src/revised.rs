@@ -35,6 +35,16 @@
 //!   only mutation: the right-hand side is fixed at construction);
 //!   `x_B` is lazily resynced by one sparse FTRAN at the next pivot
 //!   run.
+//!
+//! A dual pivot does only the work its result depends on; every
+//! floating-point operation that feeds a decision keeps its operands and
+//! their order, so trajectories replay bit for bit. The pivot row `α =
+//! ρᵀA` is scattered over the rows with `ρ_r ≠ 0` ([`RowMajor::product`],
+//! also the pricing passes' `yᵀA`) and everything downstream runs over
+//! the columns it reaches; the long-step ratio test pops its candidates
+//! off a heap ([`long_step`]); reduced costs are recomputed only after
+//! something moved the basis or the factors; and the kernel owns its work buffers
+//! ([`Work`]), so a pivot allocates nothing.
 
 use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
 use crate::model::{FEAS_TOL, PIVOT_TOL};
@@ -43,6 +53,7 @@ use crate::recover::{
 };
 use crate::solution::SolveError;
 use crate::standard::StandardForm;
+use std::cmp::Ordering;
 use std::time::Instant;
 
 /// Drop tolerance for product-form eta entries: pivot-direction
@@ -92,12 +103,191 @@ enum PhaseEnd {
     Unbounded,
 }
 
-/// Outcome of a dual ratio test: the entering column, its movement
-/// direction, and the exhausted candidates the long-step scan decided
-/// to bound-flip before the pivot.
-struct DualChoice {
-    enter: usize,
-    sigma: f64,
+/// One candidate of the dual ratio test: a nonbasic column whose pivot
+/// row entry moves the violated basic variable toward its bound.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cand {
+    /// Dual ratio `|rc_j|/|α_j|`.
+    pub ratio: f64,
+    /// Column index.
+    pub j: usize,
+    /// Movement direction of the column if it enters.
+    pub sigma: f64,
+    /// `|α_j|`.
+    pub alpha: f64,
+    /// Box span `u_j − l_j`.
+    pub span: f64,
+}
+
+/// The ratio test's candidate order: ratio, then larger `|α|`, then
+/// index. Total on the finite ratios the candidate scan produces (the
+/// index alone separates any two candidates).
+pub(crate) fn cand_order(a: &Cand, b: &Cand) -> Ordering {
+    a.ratio
+        .partial_cmp(&b.ratio)
+        .unwrap_or(Ordering::Equal)
+        .then(b.alpha.partial_cmp(&a.alpha).unwrap_or(Ordering::Equal))
+        .then(a.j.cmp(&b.j))
+}
+
+/// Restores the min-heap property of `heap` (under [`cand_order`])
+/// below position `i`.
+fn sift_down(heap: &mut [Cand], mut i: usize) {
+    loop {
+        let mut min = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < heap.len() && cand_order(&heap[child], &heap[min]).is_lt() {
+                min = child;
+            }
+        }
+        if min == i {
+            return;
+        }
+        heap.swap(i, min);
+        i = min;
+    }
+}
+
+/// Long-step ("bound-flip") selection over the dual ratio test's
+/// candidates, consumed lazily as a min-heap under [`cand_order`], so
+/// only the flipped prefix and the entering candidate are ever ordered.
+/// Candidates in order: one whose box span the remaining violation
+/// exhausts **flips bounds** (pushed onto `flips`) and the scan
+/// continues with the violation reduced by `|α|·span`, so one dual
+/// pivot crosses many breakpoints. The first candidate the remaining
+/// violation does not exhaust enters; when every candidate is exhausted
+/// but the violation left over is within `FEAS_TOL`, the last flipped
+/// one enters instead. `None` — `flips` then holds nothing the caller
+/// may commit — means the row stays violated by more than that even
+/// with every candidate flipped: the dual ray is unbounded over the
+/// boxes.
+///
+/// The entering candidate then yields to a later candidate of strictly
+/// larger `|α|` whose ratio lies within `0.01·FEAS_TOL` of **its** own —
+/// the window stays anchored there, not at a tie winner's larger ratio
+/// (see the chained-tie regression test) — the earliest in order among
+/// those of the largest `|α|`: one linear scan of what is left in the
+/// heap. The pops replay a full sort of the candidates exactly.
+pub(crate) fn long_step(
+    heap: &mut Vec<Cand>,
+    violation: f64,
+    flips: &mut Vec<usize>,
+) -> Option<Cand> {
+    flips.clear();
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(heap, i);
+    }
+    let mut remaining = violation;
+    let mut last_flipped = None;
+    let chosen = loop {
+        if heap.is_empty() {
+            // Every candidate flipped with only round-off left over:
+            // that is no dual ray. The last flipped candidate enters.
+            if remaining > FEAS_TOL {
+                return None;
+            }
+            flips.pop();
+            break last_flipped?;
+        }
+        let top = heap.swap_remove(0);
+        sift_down(heap, 0);
+        if top.span.is_finite() && remaining - top.alpha * top.span > 0.0 {
+            remaining -= top.alpha * top.span;
+            flips.push(top.j);
+            last_flipped = Some(top);
+        } else {
+            break top;
+        }
+    };
+    let limit = chosen.ratio + 0.01 * FEAS_TOL;
+    let mut best: Option<&Cand> = None;
+    for c in heap.iter().filter(|c| c.ratio < limit) {
+        if best
+            .is_none_or(|b| c.alpha > b.alpha || (c.alpha == b.alpha && cand_order(c, b).is_lt()))
+        {
+            best = Some(c);
+        }
+    }
+    Some(match best {
+        Some(&b) if b.alpha > chosen.alpha => b,
+        _ => chosen,
+    })
+}
+
+/// A row vector over the real columns held scattered: values in a dense
+/// array that is `+0.0` off `touched`, and the columns written, each
+/// once. [`SparseRow::reset`] restores the all-zero state in
+/// `O(touched)`.
+struct SparseRow {
+    val: Vec<f64>,
+    touched: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+impl SparseRow {
+    fn new(n: usize) -> SparseRow {
+        SparseRow {
+            val: vec![0.0; n],
+            touched: Vec::new(),
+            seen: vec![false; n],
+        }
+    }
+
+    fn reset(&mut self) {
+        for &j in &self.touched {
+            self.val[j] = 0.0;
+            self.seen[j] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+/// Row-wise (CSR) copy of the constraint matrix, built once: products
+/// `yᵀA` run over the rows with `y_r ≠ 0` only.
+struct RowMajor {
+    start: Vec<usize>,
+    ent: Vec<(usize, f64)>,
+}
+
+impl RowMajor {
+    /// Adds `yᵀA` into `out` (all-zero on entry): `y_r·a_rj` for the rows
+    /// with `y_r ≠ 0`, in ascending row order. Each column gets the same
+    /// products, added in the same order from `+0.0`, as a column-wise
+    /// dot product over all rows: a zero `y_r` there only adds a signed
+    /// zero, which cannot change a sum that started at `+0.0`. So the
+    /// result is bit-identical, at the cost of the rows `y` reaches.
+    fn product(&self, y: &[f64], out: &mut SparseRow) {
+        for (r, &yr) in y.iter().enumerate() {
+            if yr != 0.0 {
+                for &(j, a) in &self.ent[self.start[r]..self.start[r + 1]] {
+                    if !out.seen[j] {
+                        out.seen[j] = true;
+                        out.touched.push(j);
+                    }
+                    out.val[j] += a * yr;
+                }
+            }
+        }
+    }
+}
+
+/// The kernel's per-pivot work buffers: a pivot allocates nothing. Each
+/// user (re)initializes what it reads, so no state passes between users.
+struct Work {
+    /// Direction `B⁻¹A_j` and its Forrest–Tomlin spike, lent out by
+    /// [`Revised::direction`] and handed back after the pivot.
+    dir: Vec<f64>,
+    spike: Vec<f64>,
+    /// `x_B` correction of [`Revised::sync_xb`].
+    delta: Vec<f64>,
+    /// `ρ = B⁻ᵀe_r` and the pivot row `α = ρᵀA` (basic entries zeroed).
+    rho: Vec<f64>,
+    alpha: SparseRow,
+    /// Duals `y` and the product `yᵀA` of the pricing pass.
+    y: Vec<f64>,
+    ya: SparseRow,
+    /// Dual ratio-test candidates and the long-step flips.
+    cands: Vec<Cand>,
     flips: Vec<usize>,
 }
 
@@ -117,6 +307,8 @@ pub(crate) struct Revised {
     n: usize,
     /// Sparse columns of `A`: `cols[j]` = `(row, value)` entries.
     cols: Vec<Vec<(usize, f64)>>,
+    /// The same matrix row-wise.
+    rows: RowMajor,
     /// Right-hand side, fixed at construction.
     b: Vec<f64>,
     /// Phase-2 minimization costs, length `n`.
@@ -163,6 +355,16 @@ pub(crate) struct Revised {
     force_bland: bool,
     /// Directional pivot counters.
     pub(crate) pivot_stats: PivotStats,
+    /// Reduced costs of the real columns: the last pricing pass's, and
+    /// the dual reoptimizer's incrementally updated ones while it runs.
+    rc: Vec<f64>,
+    /// `true` while `rc` holds the phase-2 reduced costs of the current
+    /// basis and factors as [`Revised::compute_rc`] computed them (not
+    /// incrementally updated), so recomputing them would give the same
+    /// bits. Any pivot, refactorization, basis install or crash clears
+    /// it; bound flips and box changes leave reduced costs alone.
+    rc_fresh: bool,
+    work: Work,
 }
 
 impl Revised {
@@ -176,15 +378,22 @@ impl Revised {
         let m = form.rows.len();
         let n = form.ncols;
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        let mut rows = RowMajor {
+            start: vec![0],
+            ent: Vec::new(),
+        };
         for (r, row) in form.rows.iter().enumerate() {
             for &(c, v) in row {
                 cols[c].push((r, v));
             }
+            rows.ent.extend_from_slice(row);
+            rows.start.push(rows.ent.len());
         }
         Revised {
             m,
             n,
             cols,
+            rows,
             b: form.rhs.clone(),
             cost: form.cost.clone(),
             lower: vec![0.0; n],
@@ -204,6 +413,19 @@ impl Revised {
             deadline,
             force_bland: false,
             pivot_stats: PivotStats::default(),
+            rc: Vec::new(),
+            rc_fresh: false,
+            work: Work {
+                dir: Vec::new(),
+                spike: Vec::new(),
+                delta: Vec::new(),
+                rho: Vec::new(),
+                alpha: SparseRow::new(n),
+                y: Vec::new(),
+                ya: SparseRow::new(n),
+                cands: Vec::new(),
+                flips: Vec::new(),
+            },
         }
     }
 
@@ -319,6 +541,10 @@ impl Revised {
     /// tolerance) — the "solution" would violate a constraint and must
     /// not be trusted.
     pub fn has_active_artificial(&self, tol: f64) -> bool {
+        // Warm nodes hold no basic artificial: skip the row scales.
+        if self.basis.iter().all(|&j| j < self.n) {
+            return false;
+        }
         let scales = self.row_scales();
         (0..self.m).any(|r| self.basis[r] >= self.n && self.xb[r].abs() > tol * scales[r])
     }
@@ -371,13 +597,6 @@ impl Revised {
     }
 
     #[inline]
-    fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
-        let mut s = 0.0;
-        self.for_col(j, |r, v| s += v * y[r]);
-        s
-    }
-
-    #[inline]
     fn cost_of(&self, j: usize, phase1: bool) -> f64 {
         if phase1 {
             if j < self.n {
@@ -398,6 +617,7 @@ impl Revised {
     /// is dropped so the kernel cannot be trusted until the next
     /// successful cold solve or install.
     fn refactor(&mut self) -> Result<(), SolveError> {
+        self.rc_fresh = false;
         if self.inject(FaultSite::SingularRefactor) {
             self.recovery.record(NumericalEvent::SingularRefactor);
             self.factor = None;
@@ -425,7 +645,9 @@ impl Revised {
 
     /// Recomputes `x_B = B⁻¹·(b − Σ_{nonbasic} A_j·value_j)` from scratch.
     fn compute_xb(&mut self) {
-        let mut x = self.b.clone();
+        let mut x = std::mem::take(&mut self.xb);
+        x.clear();
+        x.extend_from_slice(&self.b);
         for j in 0..self.n {
             if !self.in_basis[j] {
                 let v = self.nb_value(j);
@@ -446,13 +668,15 @@ impl Revised {
         if self.pending.is_empty() {
             return;
         }
-        let mut delta = vec![0.0; self.m];
+        let delta = &mut self.work.delta;
+        delta.clear();
+        delta.resize(self.m, 0.0);
         for &(row, d) in &self.pending {
             delta[row] += d;
         }
         self.pending.clear();
-        self.factor.as_ref().expect("factorized").ftran(&mut delta);
-        for (x, d) in self.xb.iter_mut().zip(delta) {
+        self.factor.as_ref().expect("factorized").ftran(delta);
+        for (x, d) in self.xb.iter_mut().zip(delta.iter()) {
             *x += d;
         }
     }
@@ -570,6 +794,7 @@ impl Revised {
     /// [`SolveError::Numerical`] when the basis is singular.
     pub fn install_basis(&mut self, state: &BasisState) -> Result<(), SolveError> {
         assert_eq!(state.basis.len(), self.m, "basis size mismatch");
+        self.rc_fresh = false;
         // Nonbasic columns pinned above their (branch-tightened) box
         // would corrupt x_B; clamp the resting side to the tighter bound.
         self.at_upper.copy_from_slice(&state.at_upper);
@@ -599,13 +824,17 @@ impl Revised {
     /// Direction `d = B⁻¹ A_j`. Under Forrest–Tomlin the lower-solve
     /// intermediate (the FT spike of column `j`) is saved alongside, so
     /// a pivot on `j` updates the factors without repeating that solve.
-    fn direction(&self, j: usize) -> (Vec<f64>, Option<Vec<f64>>) {
-        let mut d = vec![0.0; self.m];
+    /// The buffers come from the kernel's work set; [`Revised::recycle`]
+    /// hands them back.
+    fn direction(&mut self, j: usize) -> (Vec<f64>, Option<Vec<f64>>) {
+        let mut d = std::mem::take(&mut self.work.dir);
+        d.clear();
+        d.resize(self.m, 0.0);
         self.for_col(j, |r, v| d[r] = v);
         let factor = self.factor.as_ref().expect("factorized");
         match factor.update_kind() {
             UpdateKind::ForrestTomlin => {
-                let mut spike = Vec::with_capacity(self.m);
+                let mut spike = std::mem::take(&mut self.work.spike);
                 factor.ftran_spiked(&mut d, &mut spike);
                 (d, Some(spike))
             }
@@ -616,29 +845,64 @@ impl Revised {
         }
     }
 
-    /// Duals `y = B⁻ᵀ c_B` for the given phase.
-    fn duals(&self, phase1: bool) -> Vec<f64> {
-        let mut y: Vec<f64> = (0..self.m)
-            .map(|r| self.cost_of(self.basis[r], phase1))
-            .collect();
-        self.factor.as_ref().expect("factorized").btran(&mut y);
-        y
+    /// Returns a direction (and its spike) to the work set.
+    fn recycle(&mut self, d: Vec<f64>, spike: Option<Vec<f64>>) {
+        self.work.dir = d;
+        if let Some(spike) = spike {
+            self.work.spike = spike;
+        }
     }
 
-    /// Phase-2 reduced costs of every real column, basic entries exactly
-    /// zero — the initializer of the dual reoptimizer's incremental
-    /// reduced-cost state.
-    fn reduced_costs(&self) -> Vec<f64> {
-        let y = self.duals(false);
-        (0..self.n)
-            .map(|j| {
-                if self.in_basis[j] {
-                    0.0
-                } else {
-                    self.cost_of(j, false) - self.col_dot(j, &y)
-                }
-            })
-            .collect()
+    /// Reduced costs `c_j − yᵀA_j` of every real column into `rc`, basic
+    /// entries exactly zero, under the duals `y = B⁻ᵀc_B` of the given
+    /// phase: one BTRAN and one row-wise product, skipped when `rc`
+    /// already holds the fresh phase-2 ones.
+    fn compute_rc(&mut self, phase1: bool) {
+        if !phase1 && self.rc_fresh {
+            return;
+        }
+        let mut y = std::mem::take(&mut self.work.y);
+        y.clear();
+        y.extend(self.basis.iter().map(|&j| self.cost_of(j, phase1)));
+        self.factor.as_ref().expect("factorized").btran(&mut y);
+        self.work.ya.reset();
+        self.rows.product(&y, &mut self.work.ya);
+        self.work.y = y;
+        let mut rc = std::mem::take(&mut self.rc);
+        rc.clear();
+        rc.extend((0..self.n).map(|j| {
+            if self.in_basis[j] {
+                0.0
+            } else {
+                self.cost_of(j, phase1) - self.work.ya.val[j]
+            }
+        }));
+        self.rc = rc;
+        self.rc_fresh = !phase1;
+    }
+
+    /// Row `r` of `B⁻¹A` over the real columns into the work set: `ρ =
+    /// B⁻ᵀe_r`, then `α = ρᵀA` from `ρ`'s nonzeros, basic entries
+    /// zeroed.
+    fn pivot_row(&mut self, r: usize) {
+        let rho = &mut self.work.rho;
+        rho.clear();
+        rho.resize(self.m, 0.0);
+        rho[r] = 1.0;
+        self.factor.as_ref().expect("factorized").btran(rho);
+        self.scatter_alpha();
+    }
+
+    /// `α = ρᵀA` from the work set's `ρ`, basic entries zeroed.
+    fn scatter_alpha(&mut self) {
+        let w = &mut self.work;
+        w.alpha.reset();
+        self.rows.product(&w.rho, &mut w.alpha);
+        for &j in &w.alpha.touched {
+            if self.in_basis[j] {
+                w.alpha.val[j] = 0.0;
+            }
+        }
     }
 
     /// Executes the basis change `basis[prow] := enter`: the entering
@@ -652,10 +916,11 @@ impl Revised {
         sigma: f64,
         t: f64,
         d: Vec<f64>,
-        spike: Option<Vec<f64>>,
+        mut spike: Option<Vec<f64>>,
         leave_to_upper: bool,
     ) -> Result<(), SolveError> {
         debug_assert!(d[prow].abs() > PIVOT_TOL, "pivot below the pivot tolerance");
+        self.rc_fresh = false;
         let enter_value = self.nb_value_any(enter) + sigma * t;
         for (x, &di) in self.xb.iter_mut().zip(d.iter()) {
             *x -= sigma * t * di;
@@ -669,7 +934,9 @@ impl Revised {
         self.basis[prow] = enter;
         self.in_basis[enter] = true;
         self.iters += 1;
-        self.update_basis(prow, enter, &d, spike)
+        let out = self.update_basis(prow, enter, &d, spike.as_deref_mut());
+        self.recycle(d, spike);
+        out
     }
 
     /// Absorbs the basis change at `prow` into the factorization:
@@ -683,14 +950,10 @@ impl Revised {
         prow: usize,
         enter: usize,
         d: &[f64],
-        mut spike: Option<Vec<f64>>,
+        mut spike: Option<&mut [f64]>,
     ) -> Result<(), SolveError> {
-        // Gathered before the factor is mutably borrowed; the FT arm
-        // reads it on the spike-less path and for the retry rung.
-        let mut enter_col: Vec<(usize, f64)> = Vec::new();
-        self.for_col(enter, |r, v| enter_col.push((r, v)));
         if self.fcfg.update == UpdateKind::ForrestTomlin {
-            if let Some(spike) = spike.as_mut() {
+            if let Some(spike) = spike.as_deref_mut() {
                 if self.inject(FaultSite::PerturbFtSpike) {
                     Factor::poison_spike(spike);
                 }
@@ -701,8 +964,7 @@ impl Revised {
                 self.factor.as_mut().expect("factorized").inject_refusals(2);
             }
         }
-        let factor = self.factor.as_mut().expect("factorized");
-        match factor.update_kind() {
+        match self.factor.as_ref().expect("factorized").update_kind() {
             UpdateKind::ProductForm => {
                 let others: Vec<(usize, f64)> = d
                     .iter()
@@ -710,7 +972,7 @@ impl Revised {
                     .filter(|&(i, &v)| i != prow && v.abs() > ETA_DROP_TOL)
                     .map(|(i, &v)| (i, v))
                     .collect();
-                factor.push(Eta {
+                self.factor.as_mut().expect("factorized").push(Eta {
                     row: prow,
                     pivot: d[prow],
                     others,
@@ -721,21 +983,25 @@ impl Revised {
                 // only if a caller pivots without having priced a
                 // direction, which none does.
                 let first = match spike {
-                    Some(spike) => factor.ft_update_spiked(prow, spike),
-                    None => factor.ft_update(prow, &enter_col),
+                    Some(spike) => self
+                        .factor
+                        .as_mut()
+                        .expect("factorized")
+                        .ft_update_spiked(prow, spike),
+                    None => self.ft_update_from_column(prow, enter),
                 };
                 // Ladder rung 1: a refused spiked update may only mean
                 // the saved spike was corrupted — recompute it from the
                 // entering column before paying for a refactorization
                 // (refusals commit nothing, so the factors are intact).
-                let ok = first || factor.ft_update(prow, &enter_col);
+                let ok = first || self.ft_update_from_column(prow, enter);
                 if ok {
                     self.factor_stats.ft_updates += 1;
                     // The snapshot itself grows under FT (spikes + row
                     // etas); peaks are tracked per update, not only at
                     // refactor time as in the product form.
-                    self.factor_stats.peak_lu_nnz =
-                        self.factor_stats.peak_lu_nnz.max(factor.current_nnz());
+                    let nnz = self.factor.as_ref().expect("factorized").current_nnz();
+                    self.factor_stats.peak_lu_nnz = self.factor_stats.peak_lu_nnz.max(nnz);
                     if !first {
                         self.recovery.record(NumericalEvent::UnstableUpdate);
                         self.recovery.ft_retries += 1;
@@ -760,6 +1026,17 @@ impl Revised {
         Ok(())
     }
 
+    /// Forrest–Tomlin update of basis slot `prow` from the entering
+    /// column itself (its spike recomputed by the factor's lower solve).
+    fn ft_update_from_column(&mut self, prow: usize, enter: usize) -> bool {
+        let mut col: Vec<(usize, f64)> = Vec::new();
+        self.for_col(enter, |r, v| col.push((r, v)));
+        self.factor
+            .as_mut()
+            .expect("factorized")
+            .ft_update(prow, &col)
+    }
+
     /// Resting value of any nonbasic column (artificials rest at 0).
     #[inline]
     fn nb_value_any(&self, j: usize) -> f64 {
@@ -777,6 +1054,7 @@ impl Revised {
     /// qualify by construction), otherwise a signed artificial.
     fn crash(&mut self) {
         self.dual_ok = false;
+        self.rc_fresh = false;
         self.in_basis.iter_mut().for_each(|x| *x = false);
         // A cold solve starts from scratch: every column rests at its
         // lower bound (persisting upper-bound states would smuggle
@@ -829,11 +1107,12 @@ impl Revised {
 
     // --- primal simplex --------------------------------------------------
 
-    /// Entering column over the real nonbasic columns: Bland (first
+    /// Entering column over the real nonbasic columns, by the reduced
+    /// costs of the last [`Revised::compute_rc`]: Bland (first
     /// improving) when `bland`, otherwise Dantzig (largest dual
     /// violation). At the lower bound a negative reduced cost improves;
     /// at the upper bound a positive one does.
-    fn price(&self, y: &[f64], phase1: bool, bland: bool) -> Option<usize> {
+    fn price(&self, bland: bool) -> Option<usize> {
         let tol = FEAS_TOL;
         let mut best: Option<usize> = None;
         let mut best_score = 0.0f64;
@@ -841,7 +1120,7 @@ impl Revised {
             if self.in_basis[j] || self.upper[j] - self.lower[j] <= 0.0 {
                 continue;
             }
-            let rc = self.cost_of(j, phase1) - self.col_dot(j, y);
+            let rc = self.rc[j];
             let score = if self.at_upper[j] { rc } else { -rc };
             if score <= tol {
                 continue;
@@ -937,8 +1216,8 @@ impl Revised {
                 return Err(SolveError::IterationLimit);
             }
             self.checkpoint(pivots_done)?;
-            let y = self.duals(phase1);
-            let Some(enter) = self.price(&y, phase1, bland) else {
+            self.compute_rc(phase1);
+            let Some(enter) = self.price(bland) else {
                 if !phase1 {
                     // Phase-2 optimality: the basis is dual feasible.
                     self.dual_ok = true;
@@ -967,6 +1246,7 @@ impl Revised {
                 for (x, &di) in self.xb.iter_mut().zip(d.iter()) {
                     *x -= sigma * span * di;
                 }
+                self.recycle(d, spike);
                 self.at_upper[enter] = !self.at_upper[enter];
                 self.iters += 1;
                 self.pivot_stats.bound_flips += 1;
@@ -1048,14 +1328,16 @@ impl Revised {
             if self.basis[r] < self.n {
                 continue;
             }
-            let mut rho = vec![0.0; self.m];
-            rho[r] = 1.0;
-            self.factor.as_ref().expect("factorized").btran(&mut rho);
-            let enter = (0..self.n).find(|&j| {
-                !self.in_basis[j]
-                    && self.upper[j] > self.lower[j]
-                    && self.col_dot(j, &rho).abs() > 1e-7
-            });
+            self.pivot_row(r);
+            let alpha = &self.work.alpha;
+            let enter = alpha
+                .touched
+                .iter()
+                .copied()
+                .filter(|&j| {
+                    !self.in_basis[j] && self.upper[j] > self.lower[j] && alpha.val[j].abs() > 1e-7
+                })
+                .min();
             if let Some(enter) = enter {
                 let (d, spike) = self.direction(enter);
                 if d[r].abs() > PIVOT_TOL {
@@ -1064,6 +1346,8 @@ impl Revised {
                     self.pivot(r, enter, 1.0, 0.0, d, spike, false)?;
                     self.pivot_stats.primal_pivots += 1;
                     *pivots_left = pivots_left.saturating_sub(1);
+                } else {
+                    self.recycle(d, spike);
                 }
             }
         }
@@ -1094,14 +1378,19 @@ impl Revised {
         // noise floor tracks the *global* scale: FTRAN mixes rows, so
         // even a zero-scale row carries round-off at the global
         // magnitude, and an eligibility cut below that would pivot on
-        // noise.
+        // noise. The cutoffs depend on the row's basic variable, so
+        // after a pivot only the pivot row's is refreshed.
         let scales = self.row_scales();
         let global = scales.iter().fold(0.0f64, |a, &v| a.max(v));
         let noise_floor = 1e3 * f64::EPSILON * global;
-        // Incremental reduced costs: one BTRAN + column pass here, then
-        // updated per pivot from the `alpha`s the ratio test computes
-        // anyway.
-        let mut rc = self.reduced_costs();
+        let mut cuts: Vec<f64> = (0..self.m)
+            .map(|r| self.leaving_cut(r, scales[r], noise_floor))
+            .collect();
+        // Incremental reduced costs: computed here unless the last
+        // pricing pass left them fresh (nothing moved the basis or the
+        // factors since), then updated per pivot from the pivot row the
+        // ratio test computes anyway.
+        self.compute_rc(false);
         let mut just_refactored = false;
         let mut pivots_done = 0usize;
         loop {
@@ -1109,8 +1398,7 @@ impl Revised {
             // residual drift recomputes x_B, and the row selection below
             // must see the corrected values.
             self.checkpoint(pivots_done)?;
-            let Some((prow, below, worst)) = self.dual_leaving_row(&scales, noise_floor, FEAS_TOL)
-            else {
+            let Some((prow, below, worst)) = self.dual_leaving_row(&cuts) else {
                 return Ok(()); // primal feasible (and still dual feasible)
             };
             if *pivots_left == 0 {
@@ -1118,27 +1406,11 @@ impl Revised {
                 return Err(SolveError::IterationLimit);
             }
 
-            // Row prow of B⁻¹A. One column pass computes α_j = ρᵀA_j for
-            // every nonbasic column, feeding both the long-step ratio
-            // test and the incremental rc update.
-            let mut rho = vec![0.0; self.m];
-            rho[prow] = 1.0;
-            self.factor.as_ref().expect("factorized").btran(&mut rho);
-            let alphas: Vec<f64> = (0..self.n)
-                .map(|j| {
-                    if self.in_basis[j] {
-                        0.0
-                    } else {
-                        self.col_dot(j, &rho)
-                    }
-                })
-                .collect();
-            let Some(DualChoice {
-                enter,
-                sigma,
-                flips,
-            }) = self.dual_ratio_test(&alphas, &rc, below, worst)
-            else {
+            // Row prow of B⁻¹A from ρ's nonzeros: α_j = ρᵀA_j for every
+            // nonbasic column it reaches, feeding both the long-step
+            // ratio test and the incremental rc update.
+            self.pivot_row(prow);
+            let Some((enter, sigma)) = self.dual_ratio_test(below, worst) else {
                 // A violation within FEAS_TOL that no candidate can
                 // repair is round-off, not a proof: let the caller
                 // re-solve from the parent basis or cold.
@@ -1156,8 +1428,8 @@ impl Revised {
             // its other bound (the coming dual step moves its reduced
             // cost across zero admissibly), eating `|α|·span` of the
             // violation while the scan continued past its breakpoint.
-            if !flips.is_empty() {
-                for &j in &flips {
+            if !self.work.flips.is_empty() {
+                for &j in &self.work.flips {
                     let old = self.nb_value(j);
                     self.at_upper[j] = !self.at_upper[j];
                     let dv = self.nb_value(j) - old;
@@ -1172,6 +1444,7 @@ impl Revised {
             }
             let (d, spike) = self.direction(enter);
             if d[prow].abs() <= PIVOT_TOL {
+                self.recycle(d, spike);
                 // Factorization drift: the FTRAN direction disagrees with
                 // the BTRAN row. Refactorize, recompute x_B, and restart
                 // the iteration — the corrected x_B may change which row
@@ -1184,7 +1457,7 @@ impl Revised {
                 }
                 self.refactor()?;
                 self.compute_xb();
-                rc = self.reduced_costs();
+                self.compute_rc(false);
                 just_refactored = true;
                 continue;
             }
@@ -1193,54 +1466,59 @@ impl Revised {
             self.dual_pivot(prow, enter, sigma, below, d, spike)?;
             self.pivot_stats.dual_pivots += 1;
             // The dual step moved the duals by γ·ρ with γ = rc_q/α_q, so
-            // every nonbasic reduced cost moves by −γ·α_j — the α pass
-            // above already holds every α_j. The leaving variable lands
-            // nonbasic at rc = −γ; the entering one becomes basic at
-            // exactly 0.
-            let gamma = rc[enter] / alphas[enter];
+            // every nonbasic reduced cost moves by −γ·α_j — the pivot
+            // row already holds every nonzero α_j. The leaving variable
+            // lands nonbasic at rc = −γ; the entering one becomes basic
+            // at exactly 0.
+            let alpha = &self.work.alpha;
+            let gamma = self.rc[enter] / alpha.val[enter];
             if gamma != 0.0 {
-                for (rcj, &alpha) in rc.iter_mut().zip(&alphas) {
-                    if alpha != 0.0 {
-                        *rcj -= gamma * alpha;
+                for &j in &alpha.touched {
+                    if alpha.val[j] != 0.0 {
+                        self.rc[j] -= gamma * alpha.val[j];
                     }
                 }
             }
             if leaving < self.n {
-                rc[leaving] = -gamma;
+                self.rc[leaving] = -gamma;
             }
-            rc[enter] = 0.0;
+            self.rc[enter] = 0.0;
+            cuts[prow] = self.leaving_cut(prow, scales[prow], noise_floor);
             *pivots_left = pivots_left.saturating_sub(1);
             pivots_done += 1;
         }
     }
 
+    /// Eligibility cutoff of row `r`'s box violation in the dual
+    /// leaving-row scan: [`FEAS_TOL`] relative to the row's own scale
+    /// (`row_scale` maxed with the basic variable's finite bound
+    /// magnitudes), floored at the global round-off allowance
+    /// `noise_floor`.
+    fn leaving_cut(&self, r: usize, row_scale: f64, noise_floor: f64) -> f64 {
+        let (lb, ub) = self.box_of(self.basis[r]);
+        let mut scale = row_scale;
+        if lb.is_finite() {
+            scale = scale.max(lb.abs());
+        }
+        if ub.is_finite() {
+            scale = scale.max(ub.abs());
+        }
+        (FEAS_TOL * scale).max(noise_floor)
+    }
+
     /// Leaving-row selection of the dual simplex: the basic variable
-    /// most out of its box. Violations are judged **relative to each
-    /// row's own rhs/bound scale** (the row scale maxed with the basic
-    /// variable's finite bound magnitudes) and floored at the global
-    /// round-off allowance — an absolute cutoff would both pivot on
+    /// most out of its box. Violations are judged against each row's
+    /// cutoff ([`Revised::leaving_cut`]), **relative to the row's own
+    /// rhs/bound scale** — an absolute cutoff would both pivot on
     /// round-off next to a 1e6-scaled row and miss genuine violations
     /// on tiny-scaled ones (see the mixed-scale regression test). Among
     /// the eligible rows the largest raw violation wins. Returns
     /// `(row, violated_below, violation)`.
-    fn dual_leaving_row(
-        &self,
-        scales: &[f64],
-        noise_floor: f64,
-        tol: f64,
-    ) -> Option<(usize, bool, f64)> {
+    fn dual_leaving_row(&self, cuts: &[f64]) -> Option<(usize, bool, f64)> {
         let mut prow: Option<(usize, bool, f64)> = None;
         let mut best = 0.0f64;
-        for (r, &row_scale) in scales.iter().enumerate().take(self.m) {
+        for (r, &cut) in cuts.iter().enumerate() {
             let (lb, ub) = self.box_of(self.basis[r]);
-            let mut scale = row_scale;
-            if lb.is_finite() {
-                scale = scale.max(lb.abs());
-            }
-            if ub.is_finite() {
-                scale = scale.max(ub.abs());
-            }
-            let cut = (tol * scale).max(noise_floor);
             let under = lb - self.xb[r];
             let over = self.xb[r] - ub;
             let (viol, is_below) = if under >= over {
@@ -1256,36 +1534,21 @@ impl Revised {
         prow
     }
 
-    /// Dual ratio test, long-step ("bound-flip") form: candidates sorted
-    /// by ratio `|rc|/|α|` are consumed in order — one whose box span
-    /// the dual step exhausts **flips bounds** and the scan continues
-    /// with the row violation reduced by `|α|·span`, so a single dual
-    /// pivot crosses many breakpoints. The first candidate the remaining
-    /// violation does not exhaust enters the basis; ties within
-    /// `0.01·FEAS_TOL` of **its** ratio — the window stays anchored
-    /// there, not at a tie winner's own larger ratio (see the
-    /// chained-tie regression test) — break toward the larger pivot.
-    /// When every candidate is exhausted but the violation left over is
-    /// within `FEAS_TOL`, the last one enters instead of flipping.
-    /// `None` — committing no flips — means the row stays violated by
-    /// more than that even with every candidate flipped: the dual ray is
-    /// unbounded over the boxes, the node LP infeasible.
-    fn dual_ratio_test(
-        &self,
-        alphas: &[f64],
-        rc: &[f64],
-        below: bool,
-        violation: f64,
-    ) -> Option<DualChoice> {
-        let ratio_tie = 0.01 * FEAS_TOL;
-        // (ratio, column, sigma, |alpha|, span)
-        let mut cands: Vec<(f64, usize, f64, f64, f64)> = Vec::new();
-        for j in 0..self.n {
+    /// Dual ratio test on the pivot row in the work set: the nonbasic
+    /// columns it reaches whose `α` moves the violated basic variable
+    /// toward its bound are the candidates, at ratio `|rc|/|α|`, and
+    /// [`long_step`] picks the entering one. Returns `(column,
+    /// direction)`, with the candidates to bound-flip first left in
+    /// `work.flips`; `None` when the dual ray is unbounded.
+    fn dual_ratio_test(&mut self, below: bool, violation: f64) -> Option<(usize, f64)> {
+        let w = &mut self.work;
+        w.cands.clear();
+        for &j in &w.alpha.touched {
             let span = self.upper[j] - self.lower[j];
             if self.in_basis[j] || span <= 0.0 {
                 continue;
             }
-            let alpha = alphas[j];
+            let alpha = w.alpha.val[j];
             if alpha.abs() <= PIVOT_TOL {
                 continue;
             }
@@ -1295,56 +1558,19 @@ impl Revised {
                 continue;
             }
             let num = if self.at_upper[j] {
-                (-rc[j]).max(0.0)
+                (-self.rc[j]).max(0.0)
             } else {
-                rc[j].max(0.0)
+                self.rc[j].max(0.0)
             };
-            cands.push((num / alpha.abs(), j, sigma, alpha.abs(), span));
+            w.cands.push(Cand {
+                ratio: num / alpha.abs(),
+                j,
+                sigma,
+                alpha: alpha.abs(),
+                span,
+            });
         }
-        if cands.is_empty() {
-            return None;
-        }
-        // Deterministic order: ratio, then larger pivot, then index.
-        cands.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal))
-                .then(a.1.cmp(&b.1))
-        });
-        let mut remaining = violation;
-        let mut flips: Vec<usize> = Vec::new();
-        let mut chosen: Option<usize> = None;
-        for (i, &(_, j, _, alpha_abs, span)) in cands.iter().enumerate() {
-            if span.is_finite() && remaining - alpha_abs * span > 0.0 {
-                remaining -= alpha_abs * span;
-                flips.push(j);
-            } else {
-                chosen = Some(i);
-                break;
-            }
-        }
-        // Every candidate flipped with only round-off left over: that is
-        // no dual ray. The last flipped candidate enters instead.
-        if chosen.is_none() && remaining <= FEAS_TOL {
-            flips.pop();
-            chosen = Some(cands.len() - 1);
-        }
-        let ci = chosen?;
-        let mut pick = ci;
-        for (k, cand) in cands.iter().enumerate().skip(ci + 1) {
-            if cand.0 >= cands[ci].0 + ratio_tie {
-                break;
-            }
-            if cand.3 > cands[pick].3 {
-                pick = k;
-            }
-        }
-        let (_, enter, sigma, _, _) = cands[pick];
-        Some(DualChoice {
-            enter,
-            sigma,
-            flips,
-        })
+        long_step(&mut w.cands, violation, &mut w.flips).map(|c| (c.j, c.sigma))
     }
 
     /// One dual pivot: drive `xb[prow]` exactly onto its violated bound.
@@ -1422,6 +1648,28 @@ mod tests {
     use super::*;
     use crate::model::{cmp, Kernel, Model, Sense, SolverOptions};
     use crate::LinExpr;
+
+    impl Revised {
+        /// `A_jᵀy` column-wise: the reference [`RowMajor::product`] must
+        /// reproduce bit for bit.
+        pub(crate) fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
+            let mut s = 0.0;
+            self.for_col(j, |r, v| s += v * y[r]);
+            s
+        }
+
+        /// The pivot row the dual simplex would price for `rho`, dense.
+        pub(crate) fn alpha_of(&mut self, rho: &[f64]) -> Vec<f64> {
+            self.work.rho = rho.to_vec();
+            self.scatter_alpha();
+            self.work.alpha.val.clone()
+        }
+
+        /// Whether column `j` is basic.
+        pub(crate) fn is_basic(&self, j: usize) -> bool {
+            self.in_basis[j]
+        }
+    }
 
     fn solve_model(m: &Model) -> Result<Vec<f64>, SolveError> {
         let sf = StandardForm::build(m, None);
@@ -1861,6 +2109,27 @@ mod tests {
         Revised::new(&sf, None, None)
     }
 
+    /// Runs the dual ratio test of `k` on the pivot row `alphas` and the
+    /// reduced costs `rc`: `(entering column, flipped columns)`.
+    fn ratio_choice(
+        k: &mut Revised,
+        alphas: &[f64],
+        rc: &[f64],
+        below: bool,
+        violation: f64,
+    ) -> Option<(usize, Vec<usize>)> {
+        let row = &mut k.work.alpha;
+        row.reset();
+        for (j, &a) in alphas.iter().enumerate() {
+            row.val[j] = a;
+            row.seen[j] = true;
+            row.touched.push(j);
+        }
+        k.rc = rc.to_vec();
+        k.dual_ratio_test(below, violation)
+            .map(|(enter, _)| (enter, k.work.flips.clone()))
+    }
+
     /// **Chained-tie anchor regression (dual)**: same construction as the
     /// primal test, driven through the long-step `dual_ratio_test`. The
     /// row violation (1.0) is below every candidate's `|α|·span`, so
@@ -1870,7 +2139,7 @@ mod tests {
     /// enter — it would if the window were anchored at the pick.
     #[test]
     fn chained_near_ties_do_not_walk_the_dual_tie_window() {
-        let k = dual_tie_probe();
+        let mut k = dual_tie_probe();
         let rho = vec![1.0];
         // Sanity: equilibration left the row untouched.
         for (j, want) in [(0usize, 1.0 / 3.0), (1, 2.0 / 3.0), (2, 1.0)] {
@@ -1882,14 +2151,13 @@ mod tests {
         // With zero duals every reduced cost is the column's own cost.
         let alphas: Vec<f64> = (0..3).map(|j| k.col_dot(j, &rho)).collect();
         let rc: Vec<f64> = (0..3).map(|j| k.cost_of(j, false)).collect();
-        let choice = k
-            .dual_ratio_test(&alphas, &rc, false, 1.0)
-            .expect("a candidate must be found");
+        let (enter, flips) =
+            ratio_choice(&mut k, &alphas, &rc, false, 1.0).expect("a candidate must be found");
         assert_eq!(
-            choice.enter, 1,
+            enter, 1,
             "tie window must stay anchored at the minimum ratio"
         );
-        assert!(choice.flips.is_empty());
+        assert!(flips.is_empty());
     }
 
     /// **Scale-hygiene regression for the dual leaving-row scan**: a
@@ -1911,10 +2179,13 @@ mod tests {
         k.in_basis[0] = true;
         k.in_basis[1] = true;
         k.xb = vec![2e6 + 0.03, 1.01];
-        let scales = vec![2e6, 1.0];
+        let scales = [2e6, 1.0];
         let noise_floor = 1e3 * f64::EPSILON * 2e6;
+        let cuts: Vec<f64> = (0..2)
+            .map(|r| k.leaving_cut(r, scales[r], noise_floor))
+            .collect();
         let (row, below, viol) = k
-            .dual_leaving_row(&scales, noise_floor, FEAS_TOL)
+            .dual_leaving_row(&cuts)
             .expect("the unit-scale violation must be seen");
         assert_eq!(row, 1, "round-off on the 2e6-scale row out-scored it");
         assert!(!below);
@@ -1934,17 +2205,16 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
         let sf = StandardForm::build(&m, None);
-        let k = Revised::new(&sf, None, None);
-        let alphas = vec![2.0, 1.0];
-        let rc = vec![0.1, 0.2]; // ratios 0.05 and 0.2
-        let choice = k
-            .dual_ratio_test(&alphas, &rc, false, 1.0)
+        let mut k = Revised::new(&sf, None, None);
+        let alphas = [2.0, 1.0];
+        let rc = [0.1, 0.2]; // ratios 0.05 and 0.2
+        let (enter, flips) = ratio_choice(&mut k, &alphas, &rc, false, 1.0)
             .expect("the second candidate must absorb the step");
-        assert_eq!(choice.flips, vec![0], "best-ratio column must bound-flip");
-        assert_eq!(choice.enter, 1);
+        assert_eq!(flips, vec![0], "best-ratio column must bound-flip");
+        assert_eq!(enter, 1);
         // Violation beyond every candidate's combined reach: infeasible.
         assert!(
-            k.dual_ratio_test(&alphas, &rc, false, 20.0).is_none(),
+            ratio_choice(&mut k, &alphas, &rc, false, 20.0).is_none(),
             "an inexhaustible violation is a dual ray"
         );
     }
@@ -1961,17 +2231,15 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
         let sf = StandardForm::build(&m, None);
-        let k = Revised::new(&sf, None, None);
-        let alphas = vec![2.0, 1.0]; // |α|·span: 0.6 and 10
-        let rc = vec![0.1, 0.2];
-        let choice = k
-            .dual_ratio_test(&alphas, &rc, false, 10.6 + 1e-9)
+        let mut k = Revised::new(&sf, None, None);
+        let alphas = [2.0, 1.0]; // |α|·span: 0.6 and 10
+        let rc = [0.1, 0.2];
+        let (enter, flips) = ratio_choice(&mut k, &alphas, &rc, false, 10.6 + 1e-9)
             .expect("a round-off leftover is no dual ray");
-        assert_eq!(choice.flips, vec![0]);
-        assert_eq!(choice.enter, 1);
+        assert_eq!(flips, vec![0]);
+        assert_eq!(enter, 1);
         assert!(
-            k.dual_ratio_test(&alphas, &rc, false, 10.6 + 1e-3)
-                .is_none(),
+            ratio_choice(&mut k, &alphas, &rc, false, 10.6 + 1e-3).is_none(),
             "a leftover above FEAS_TOL is a dual ray"
         );
     }

@@ -315,7 +315,9 @@ impl Search<'_> {
 
     /// Hint seeding, before the root: pin the hinted integers, solve from
     /// scratch, restore the root boxes, and offer the solution as the
-    /// first incumbent (nothing when the pinned LP fails).
+    /// first incumbent (nothing when the pinned LP fails). A retryable
+    /// failure of the cold solve walks the recovery ladder like a node's,
+    /// but the hint is no node: it is not booked as a cold node solve.
     fn seed_hint(&mut self, hint: &[(VarId, f64)]) {
         let pins: Vec<(usize, f64)> = hint
             .iter()
@@ -332,7 +334,7 @@ impl Search<'_> {
         // The hint becomes an incumbent, so it passes the same residual
         // trust gate as node bounds.
         let sol = if self.warm {
-            self.solve_cold().ok()
+            self.solve_cold_recovering().ok()
         } else {
             self.solve_on_tableau().ok()
         };
@@ -441,9 +443,14 @@ impl Search<'_> {
             }
         }
         self.stats.cold_solves += 1;
+        self.solve_cold_recovering()
+    }
+
+    /// [`Search::solve_cold`], with a retryable failure (budget,
+    /// numerics, a refused bound) walked down the recovery ladder;
+    /// genuine verdicts pass through.
+    fn solve_cold_recovering(&mut self) -> Result<Solution, SolveError> {
         match self.solve_cold() {
-            // Retryable failures (budget, numerics, a refused bound)
-            // enter the recovery ladder; genuine verdicts end the node.
             Err(first @ (SolveError::IterationLimit | SolveError::Numerical(_))) => {
                 self.recover_node(first)
             }

@@ -30,7 +30,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # * tests/search_gate.rs is the branch-and-bound gate: one golden table
 #   pins the trajectory of the single-threaded production search
 #   (objective, nodes, pivots, warm/cold split, incumbent trace) on the
-#   ring MILP and MAX_THR for bench20, bench40 and s27, repeat solves
+#   ring MILP and MAX_THR for bench20, bench40, s27 and s953 at 150
+#   edges (a ~600-row basis, the size maxthr150 runs), repeat solves
 #   replay the whole stats struct bit for bit, and the
 #   Kernel::DenseTableau oracle request replays its own trajectory on
 #   the ring and bench20. Alongside it: the production search and the
@@ -88,5 +89,13 @@ cargo bench --offline -p rr-bench --bench milp_scaling
 # under target/, which the workflow cache already covers.
 echo "==> cargo build perfbench (benchmark must build)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
+# The benchmark's tie-out: one untraced and one traced pass of maxthr150
+# (~6 s on 2 vCPUs). perfbench exits 1 when the traced stage driver stops
+# reproducing the one-shot results (nodes, pivots, configurations) bit
+# for bit, so a kernel change that breaks replay fails CI here instead of
+# at the next measurement.
+echo "==> perfbench maxthr150 --trace 1 (benchmark tie-out)"
+target/perfbench/release/perfbench --workload maxthr150 --seconds 1 --trace 1
 
 echo "CI OK"

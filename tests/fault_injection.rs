@@ -8,11 +8,11 @@
 //! paper figures (`MAX_THR` at the min-delay cycle time and
 //! `MIN_CYC(1)`) plus the 20/40-edge bench instances (`MIN_CYC(1)`).
 //! Direct `solve_with_stats` runs on a planted MILP cover the deep end
-//! of the ladder (rung 6, the node on the tableau), which hinted runs
-//! absorb earlier: their warm-start hint solve eats the first injected
-//! failure. Pure LPs run through the same search, so Θ_lp and the
-//! relaxations behind the formulation runs' hints heal on the ladder
-//! too.
+//! of the ladder (rung 6, the node on the tableau). A hinted run's
+//! warm-start hint LP heals on the same ladder, so the faulted run
+//! still starts from the hint's incumbent at node 0. Pure LPs run
+//! through the same search, so Θ_lp and the relaxations behind the
+//! formulation runs' hints heal on the ladder too.
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
@@ -197,6 +197,39 @@ fn faulted_runs_prove_the_same_optima_as_clean_twins() {
         "dense-oracle rung never fired: {union:?}"
     );
     assert!(union.faults_injected > 0);
+}
+
+/// The warm-start hint's pinned LP heals on the recovery ladder like any
+/// node LP: a retryable failure of its cold solve walks rungs 3–6
+/// instead of dropping the hint. So a faulted `MAX_THR` or `MIN_CYC(1)`
+/// still takes its first incumbent from the hint, at node 0, as its
+/// clean twin does.
+#[test]
+fn faulted_hints_are_accepted_at_the_root() {
+    let instances: Vec<(&str, Rrg)> = vec![
+        ("figure_1a(0.5)", figures::figure_1a(0.5)),
+        ("figure_1b(0.5)", figures::figure_1b(0.5)),
+        ("figure_2(0.7)", figures::figure_2(0.7)),
+        ("bench20", bench_instance(20)),
+    ];
+    for (name, g) in &instances {
+        for problem in ["max_thr", "min_cyc"] {
+            for faults in [None, Some(FaultPlan::seeded(SEED))] {
+                let run = if faults.is_some() { "faulted" } else { "clean" };
+                let out = match problem {
+                    "max_thr" => formulation::max_thr(g, g.max_delay(), &core_opts(faults)),
+                    _ => formulation::min_cyc(g, 1.0, &core_opts(faults)),
+                }
+                .unwrap_or_else(|e| panic!("{name}/{problem} {run}: {e}"));
+                let first = out.stats.incumbent_trace.first().map(|&(node, _)| node);
+                assert_eq!(
+                    first,
+                    Some(0),
+                    "{name}/{problem} {run}: first incumbent at node {first:?}, not the hint's"
+                );
+            }
+        }
+    }
 }
 
 /// Pure LPs run through the search too, so a faulted Θ_lp (LP (4) of

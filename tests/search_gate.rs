@@ -7,7 +7,10 @@
 //!   Forrest–Tomlin updates, DFS, no rounding heuristic): objective,
 //!   nodes, pivots, warm/cold split and incumbent trace, on the ring
 //!   MILP and on `MAX_THR` (cycle-sum cuts as ordinary rows) for
-//!   bench20, bench40 and s27. A repeated solve replays the whole stats
+//!   bench20, bench40, s27 and s953 at 150 edges. The s953 row (598 rows,
+//!   a 60-node cap) runs the row-eta file, the long-step ratio test and
+//!   the strong-branch probes at the basis size of the benchmark's
+//!   `maxthr150`. A repeated solve replays the whole stats
 //!   struct bit for bit, completed and truncated, and the
 //!   `Kernel::DenseTableau` oracle request, whose every LP runs cold on
 //!   the dense tableau, reaches the same optima and replays its own
@@ -163,13 +166,17 @@ type Golden = (
 /// The golden table. Re-pin a row only together with the sweep numbers
 /// that justify the trajectory change (`table2 --max-edges 20`).
 #[rustfmt::skip]
-const GOLDEN: [Golden; 4] = [
+const GOLDEN: [Golden; 5] = [
     // name, objective, nodes, pivots, warm, cold, truncated, incumbent trace
     ("ring", 50.0, 161, 698, 160, 1, false, &[(67, 50.0)]),
     ("bench20", 6.497_501_818_546_008_5, 11, 181, 10, 1, false, &[(0, 6.497_501_818_546_008_5)]),
     ("bench40", 3.0, 1, 141, 0, 1, false, &[(0, 3.0)]),
     ("s27", 3.0, 42, 745, 41, 1, false, &[(0, 3.191_044_062_831_587_3), (15, 3.0)]),
+    ("s953_150", 12.902_449_876_522_356, 60, 4028, 59, 1, true, &[(0, 12.902_449_876_522_356)]),
 ];
+
+/// Node cap of the large-basis golden row.
+const CAP_150: usize = 60;
 
 /// Node cap of the formulation rows in the golden table.
 const CAP: usize = 2000;
@@ -194,6 +201,15 @@ fn observe(name: &str) -> Row {
         "bench20" => max_thr(&bench_instance(20)),
         "bench40" => max_thr(&bench_instance(40)),
         "s27" => max_thr(&s27()),
+        "s953_150" => {
+            // Scaled to 150 edges, as `maxthr150` runs it.
+            let g = IscasProfile::by_name("s953")
+                .unwrap()
+                .scaled(150)
+                .generate(2009);
+            let out = formulation::max_thr(&g, g.max_delay(), &capped(CAP_150)).unwrap();
+            Row::of(out.objective, &out.stats)
+        }
         _ => unreachable!("unknown golden instance {name}"),
     }
 }
@@ -1019,6 +1035,11 @@ fn deleted_modes_stay_deleted_and_no_model_clones_in_the_node_loop() {
         "build_ext",
         "set_deadline",
         "late_sweep_check",
+        "RowEta",
+        "row_etas",
+        "DualChoice",
+        "fn reduced_costs",
+        "fn duals(",
     ];
     let threads = ["std::sync", "std::thread"];
     let mut offenders = Vec::new();
