@@ -1,7 +1,8 @@
 //! Regenerates the paper's motivating example: Figures 1(a), 1(b), 2 and
 //! every §1.4 number — via four independent methods (exact Markov chain,
 //! TGMG discrete-event simulation, cycle-accurate elastic machine, LP
-//! bound), then lets the optimizer rediscover Figure 2 from Figure 1(a).
+//! bound), then lets the optimizer rediscover Figure 2 from Figure 1(a)
+//! and compares it with the best that retiming alone reaches there.
 //!
 //! ```text
 //! cargo run --release -p rr-bench --bin figures
@@ -11,6 +12,7 @@ use rr_bench::HarnessArgs;
 use rr_core::{algorithm, CoreOptions};
 use rr_elastic::{simulate as machine_sim, MachineParams};
 use rr_markov::exact_throughput;
+use rr_retime::min_period_retiming;
 use rr_rrg::{cycle_time, figures};
 use rr_tgmg::{lp_bound, sim as tgmg_sim, skeleton::tgmg_of};
 
@@ -80,6 +82,8 @@ fn main() {
         ..CoreOptions::default()
     };
     let g = figures::figure_1a(0.9);
+    let retimed = min_period_retiming(&g).expect("figure 1(a) retimes").period;
+    println!("  Leiserson–Saxe retiming alone: τ = {retimed} (paper: 3 is minimal)");
     let out = algorithm::min_eff_cyc(&g, &opts).expect("sweep succeeds on the figure");
     for ev in &out.evaluations {
         println!(
@@ -96,4 +100,6 @@ fn main() {
             / (1.0 / figures::figure_2_throughput(0.9))
             * 100.0
     );
+    let gain = (retimed - best.xi_sim) / retimed * 100.0;
+    println!("improvement over best retiming: {gain:.1}% (paper: up to ~50% for such cases)");
 }

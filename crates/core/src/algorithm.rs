@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use rr_rrg::{cycle_time, Rrg};
 
 use crate::evaluate::{evaluate_config, RcEvaluation};
-use crate::formulation::{max_thr, min_cyc, OptError};
+use crate::formulation::{max_thr, min_cyc, OptError, OptOutcome};
 use crate::CoreOptions;
 
 /// Everything the sweep produced.
@@ -83,16 +83,18 @@ impl MinEffCycOutcome {
     }
 }
 
-/// Classifies a sweep-stage failure: budget/numerical/evaluation
-/// failures become recorded incidents (the sweep keeps its partial
-/// frontier); anything else — infeasibility where it is structurally
-/// impossible, malformed configurations — stays a hard error.
-fn sweep_incident(stage: &str, e: &OptError) -> Option<String> {
+/// Absorbs a sweep-stage failure: budget, numerical and evaluation
+/// failures become a recorded incident `"{stage}: {e}"` (the sweep keeps
+/// its partial frontier); anything else — infeasibility where it is
+/// structurally impossible, malformed configurations — is handed back as
+/// a hard error.
+fn absorb(incidents: &mut Vec<String>, stage: &str, e: OptError) -> Result<(), OptError> {
     match e {
         OptError::SolverLimit | OptError::Solver(_) | OptError::Evaluation(_) => {
-            Some(format!("{stage}: {e}"))
+            incidents.push(format!("{stage}: {e}"));
+            Ok(())
         }
-        _ => None,
+        _ => Err(e),
     }
 }
 
@@ -113,12 +115,20 @@ fn sweep_incident(stage: &str, e: &OptError) -> Option<String> {
 pub fn min_eff_cyc(g: &Rrg, opts: &CoreOptions) -> Result<MinEffCycOutcome, OptError> {
     let mut evaluations: Vec<RcEvaluation> = Vec::new();
     let mut seen: HashSet<(Vec<i64>, Vec<i64>)> = HashSet::new();
-    let mut all_proven = true;
     let mut incidents: Vec<String> = Vec::new();
     let mut push = |evals: &mut Vec<RcEvaluation>, ev: RcEvaluation| {
         if seen.insert((ev.config.tokens.clone(), ev.config.buffers.clone())) {
             evals.push(ev);
         }
+    };
+    // Each MILP's proof status, nodes and pivots are added up the moment
+    // it returns, so a sweep cut short by the iteration cap still counts
+    // its last `MAX_THR` (which is never evaluated).
+    let (mut all_proven, mut total_nodes, mut total_simplex_iters) = (true, 0usize, 0usize);
+    let mut tally = |o: &OptOutcome| {
+        all_proven &= o.proven_optimal;
+        total_nodes += o.stats.nodes;
+        total_simplex_iters += o.stats.simplex_iters;
     };
 
     // Anchor: the min-delay retiming configuration. The paper's sweep
@@ -131,54 +141,34 @@ pub fn min_eff_cyc(g: &Rrg, opts: &CoreOptions) -> Result<MinEffCycOutcome, OptE
         if cfg.validate(g).is_ok() {
             match evaluate_config(g, &cfg, opts) {
                 Ok(ev) => push(&mut evaluations, ev),
-                Err(e) => match sweep_incident("evaluate(min-delay anchor)", &e) {
-                    Some(msg) => incidents.push(msg),
-                    None => return Err(e),
-                },
+                Err(e) => absorb(&mut incidents, "evaluate(min-delay anchor)", e)?,
             }
         }
     }
 
-    let mut total_nodes = 0usize;
-    let mut total_simplex_iters = 0usize;
-    let mut outcome = match max_thr(g, g.max_delay(), opts) {
-        Ok(o) => o,
-        Err(e) => match sweep_incident("max_thr(beta_max)", &e) {
-            Some(msg) => {
-                incidents.push(msg);
-                return Ok(MinEffCycOutcome {
-                    evaluations,
-                    all_proven_optimal: false,
-                    total_nodes,
-                    total_simplex_iters,
-                    incidents,
-                });
-            }
-            None => return Err(e),
-        },
+    let mut next = match max_thr(g, g.max_delay(), opts) {
+        Ok(o) => {
+            tally(&o);
+            Some(o)
+        }
+        Err(e) => {
+            absorb(&mut incidents, "max_thr(beta_max)", e)?;
+            None
+        }
     };
-    // Aggregate each solve's proof status the moment it returns (the old
-    // loop-top aggregation silently dropped the final `MAX_THR` outcome
-    // when the iteration bound — rather than the Θ_lp = 1 exit — ended
-    // the sweep, letting a truncated solve masquerade as proven).
-    all_proven &= outcome.proven_optimal;
-    total_nodes += outcome.stats.nodes;
-    total_simplex_iters += outcome.stats.simplex_iters;
     // Throughput targets advance by at least ε per iteration even when a
     // budget-limited solve fails to move the frontier, so the loop is
     // bounded without an early-break heuristic.
     let mut target = 0.0f64;
     let max_iters = (1.0 / opts.epsilon) as usize + 4;
     for _ in 0..max_iters {
+        let Some(outcome) = next.take() else { break };
         let mut eval = match evaluate_config(g, &outcome.config, opts) {
             Ok(ev) => ev,
-            Err(e) => match sweep_incident("evaluate(RC)", &e) {
-                Some(msg) => {
-                    incidents.push(msg);
-                    break;
-                }
-                None => return Err(e),
-            },
+            Err(e) => {
+                absorb(&mut incidents, "evaluate(RC)", e)?;
+                break;
+            }
         };
         // Per-row provenance: Table 1 marks configurations whose solve
         // hit a budget (Status::Feasible incumbents, like the paper's
@@ -193,17 +183,12 @@ pub fn min_eff_cyc(g: &Rrg, opts: &CoreOptions) -> Result<MinEffCycOutcome, OptE
         let mc = match min_cyc(g, 1.0 / target, opts) {
             Ok(o) => o,
             Err(OptError::Infeasible) => break,
-            Err(e) => match sweep_incident(&format!("min_cyc(1/{target:.4})"), &e) {
-                Some(msg) => {
-                    incidents.push(msg);
-                    break;
-                }
-                None => return Err(e),
-            },
+            Err(e) => {
+                absorb(&mut incidents, &format!("min_cyc(1/{target:.4})"), e)?;
+                break;
+            }
         };
-        all_proven &= mc.proven_optimal;
-        total_nodes += mc.stats.nodes;
-        total_simplex_iters += mc.stats.simplex_iters;
+        tally(&mc);
         let tau = match cycle_time::cycle_time_with(g, &mc.config.buffers) {
             Ok(tau) => tau,
             Err(e) => {
@@ -211,19 +196,16 @@ pub fn min_eff_cyc(g: &Rrg, opts: &CoreOptions) -> Result<MinEffCycOutcome, OptE
                 break;
             }
         };
-        outcome = match max_thr(g, tau, opts) {
-            Ok(o) => o,
-            Err(e) => match sweep_incident(&format!("max_thr({tau:.4})"), &e) {
-                Some(msg) => {
-                    incidents.push(msg);
-                    break;
-                }
-                None => return Err(e),
-            },
-        };
-        all_proven &= outcome.proven_optimal;
-        total_nodes += outcome.stats.nodes;
-        total_simplex_iters += outcome.stats.simplex_iters;
+        match max_thr(g, tau, opts) {
+            Ok(o) => {
+                tally(&o);
+                next = Some(o);
+            }
+            Err(e) => {
+                absorb(&mut incidents, &format!("max_thr({tau:.4})"), e)?;
+                break;
+            }
+        }
     }
 
     Ok(MinEffCycOutcome {

@@ -36,6 +36,8 @@ pub enum MachineError {
     CombinationalCycle { edge: EdgeId },
     /// No progress is possible any more (reported by the run loop).
     Deadlock { at_cycle: u64 },
+    /// The measurement window `[warmup, horizon)` is empty.
+    EmptyWindow { horizon: u64, warmup: u64 },
 }
 
 impl fmt::Display for MachineError {
@@ -45,6 +47,10 @@ impl fmt::Display for MachineError {
                 write!(f, "combinational cycle through edge {edge}")
             }
             MachineError::Deadlock { at_cycle } => write!(f, "deadlock at cycle {at_cycle}"),
+            MachineError::EmptyWindow { horizon, warmup } => write!(
+                f,
+                "empty measurement window: warm-up {warmup} is not below horizon {horizon}"
+            ),
         }
     }
 }

@@ -58,10 +58,15 @@ pub struct RunResult {
 ///
 /// # Errors
 ///
+/// [`MachineError::EmptyWindow`] unless `warmup < horizon`;
 /// [`MachineError::CombinationalCycle`] for invalid configurations;
 /// [`MachineError::Deadlock`] when the machine stops making progress (a
 /// correct configuration of a live RRG cannot deadlock).
 pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineError> {
+    let (horizon, warmup) = (params.horizon, params.warmup);
+    if warmup >= horizon {
+        return Err(MachineError::EmptyWindow { horizon, warmup });
+    }
     let mut machine = Machine::new(g)?;
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut draw = move |g: &Rrg, v: NodeId| -> EdgeId {
@@ -79,16 +84,16 @@ pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineErr
 
     let mut warm_counts: Option<(u64, Vec<u64>)> = None;
     let graph = g.clone();
-    for cycle in 0..params.horizon {
+    for cycle in 0..horizon {
         let outcome = machine.step_with(|v| draw(&graph, v));
         if !outcome.live {
             return Err(MachineError::Deadlock { at_cycle: cycle });
         }
-        if warm_counts.is_none() && machine.now() >= params.warmup {
+        if warm_counts.is_none() && machine.now() >= warmup {
             warm_counts = Some((machine.now(), machine.fired_total().to_vec()));
         }
     }
-    let (warm_at, warm) = warm_counts.unwrap_or_else(|| (0, vec![0; machine.fired_total().len()]));
+    let (warm_at, warm) = warm_counts.expect("warmup < horizon opens the window");
     let window = (machine.now() - warm_at) as f64;
     let throughput = (machine.fired_total()[0] - warm[0]) as f64 / window;
     Ok(RunResult {
@@ -103,6 +108,22 @@ pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineErr
 mod tests {
     use super::*;
     use rr_rrg::figures;
+
+    #[test]
+    fn empty_window_rejected() {
+        let g = figures::figure_1b(0.5);
+        for (horizon, warmup) in [(0, 0), (100, 100), (100, 250)] {
+            let params = MachineParams {
+                horizon,
+                warmup,
+                ..MachineParams::default()
+            };
+            assert_eq!(
+                simulate(&g, &params).err(),
+                Some(MachineError::EmptyWindow { horizon, warmup })
+            );
+        }
+    }
 
     #[test]
     fn figure_1a_runs_at_one() {

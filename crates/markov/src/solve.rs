@@ -1,7 +1,13 @@
 //! Stationary solve on the terminal strongly connected components.
 //!
+//! The components come from the workspace's one SCC routine,
+//! [`rr_rrg::algo::tarjan`], run over the chain's successor lists; a
+//! component no transition leaves is a terminal (recurrent) class. Each
+//! class is copied once into local indices, row-wise and column-wise
+//! (`LocalClass`), and whichever solver runs reads that copy.
+//!
 //! Two interchangeable solvers compute `π P = π, Σπ = 1` on a terminal
-//! (recurrent) class (selected by [`MarkovParams::solver`]):
+//! class (selected by [`MarkovParams::solver`]):
 //!
 //! * [`StationarySolver::SparseIterative`] — the production path: a
 //!   Gauss–Seidel sweep over the in-transition (CSC) structure of the
@@ -19,8 +25,6 @@
 //! chain, started in state 0, is absorbed into it: `Θ = Σ_k a_k·Θ_k`.
 //! Chain building already stops at [`MarkovParams::max_states`], so a
 //! class needs no size cap of its own.
-
-use std::collections::HashMap;
 
 use crate::chain::Chain;
 use crate::{MarkovError, MarkovParams, MarkovResult, SolveQuality, StationarySolver};
@@ -47,7 +51,7 @@ fn residual_eps(k: usize) -> f64 {
 /// Finds the terminal classes and solves for the long-run throughput.
 pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult, MarkovError> {
     let n = chain.num_states();
-    let sccs = tarjan(chain);
+    let sccs = rr_rrg::algo::tarjan(n, |v, k| chain.succs(v).get(k).map(|&w| w as usize));
     let mut comp_of = vec![usize::MAX; n];
     for (ci, comp) in sccs.iter().enumerate() {
         for &s in comp {
@@ -81,18 +85,19 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
     };
     let mut throughput = 0.0f64;
     let mut quality = SolveQuality::Direct;
+    let dense = params.solver == StationarySolver::DenseGaussJordan;
     for (comp, weight) in classes.iter().zip(&weights) {
-        let (theta, q) = match params.solver {
-            StationarySolver::SparseIterative => stationary_sparse(chain, comp, params),
-            StationarySolver::DenseGaussJordan => {
-                if comp.len() > DENSE_STATE_CAP {
-                    return Err(MarkovError::DenseSolveTooLarge {
-                        states: comp.len(),
-                        cap: DENSE_STATE_CAP,
-                    });
-                }
-                (stationary_dense(chain, comp), SolveQuality::Direct)
-            }
+        if dense && comp.len() > DENSE_STATE_CAP {
+            return Err(MarkovError::DenseSolveTooLarge {
+                states: comp.len(),
+                cap: DENSE_STATE_CAP,
+            });
+        }
+        let class = LocalClass::new(chain, comp);
+        let (theta, q) = if dense {
+            (stationary_dense(&class), SolveQuality::Direct)
+        } else {
+            stationary_sparse(&class, params)
         };
         throughput += weight * theta;
         quality = quality.max(q);
@@ -144,8 +149,9 @@ fn absorption(
 }
 
 /// The terminal class of `chain` restricted to local indices, stored both
-/// row-wise (CSR, for residuals and power steps) and column-wise (CSC,
-/// for Gauss–Seidel updates).
+/// row-wise (CSR, for residuals, power steps and the dense oracle) and
+/// column-wise (CSC, for Gauss–Seidel updates), with each state's
+/// expected reward.
 struct LocalClass {
     /// CSR: out-transitions `(local target, prob)` per local state.
     out_offsets: Vec<usize>,
@@ -157,6 +163,8 @@ struct LocalClass {
     in_rows: Vec<u32>,
     in_probs: Vec<f64>,
     self_prob: Vec<f64>,
+    /// `r̄(s)` per local state.
+    reward: Vec<f64>,
 }
 
 impl LocalClass {
@@ -164,10 +172,6 @@ impl LocalClass {
     /// ascending). All transitions of a terminal class stay inside it.
     fn new(chain: &Chain, comp: &[usize]) -> LocalClass {
         let k = comp.len();
-        let mut local = HashMap::with_capacity(k);
-        for (i, &s) in comp.iter().enumerate() {
-            local.insert(s, i as u32);
-        }
         let mut out_offsets = Vec::with_capacity(k + 1);
         let mut out_cols = Vec::new();
         let mut out_probs = Vec::new();
@@ -176,7 +180,8 @@ impl LocalClass {
         out_offsets.push(0);
         for (i, &s) in comp.iter().enumerate() {
             for (t, p, _) in chain.row(s) {
-                let j = local[&t];
+                // `comp` is sorted, and no transition leaves the class.
+                let j = comp.binary_search(&t).expect("closed class") as u32;
                 out_cols.push(j);
                 out_probs.push(p);
                 if j as usize == i {
@@ -213,11 +218,17 @@ impl LocalClass {
             in_rows,
             in_probs,
             self_prob,
+            reward: comp.iter().map(|&s| chain.expected_reward(s)).collect(),
         }
     }
 
     fn num_states(&self) -> usize {
         self.self_prob.len()
+    }
+
+    /// `Σ_s π(s)·r̄(s)` over the class.
+    fn throughput(&self, pi: &[f64]) -> f64 {
+        pi.iter().zip(&self.reward).map(|(&p, &r)| p * r).sum()
     }
 
     /// `next ← πP` (dense over the class, sparse over transitions).
@@ -250,12 +261,11 @@ fn residual(class: &LocalClass, pi: &[f64], scratch: &mut [f64]) -> f64 {
 /// with [`SolveQuality::CesaroAverage`] (a budget overrun on a
 /// well-formed chain should degrade the answer's pedigree, not destroy
 /// the whole sweep that asked for it).
-fn stationary_sparse(chain: &Chain, comp: &[usize], params: &MarkovParams) -> (f64, SolveQuality) {
+fn stationary_sparse(class: &LocalClass, params: &MarkovParams) -> (f64, SolveQuality) {
     let faults = params.faults.unwrap_or_default();
-    let class = LocalClass::new(chain, comp);
     let k = class.num_states();
     if k == 1 {
-        return (chain.expected_reward(comp[0]), SolveQuality::Direct);
+        return (class.reward[0], SolveQuality::Direct);
     }
     let eps = residual_eps(k);
     let mut pi = vec![1.0 / k as f64; k];
@@ -285,12 +295,9 @@ fn stationary_sparse(chain: &Chain, comp: &[usize], params: &MarkovParams) -> (f
         }
         let inv = 1.0 / mass;
         pi.iter_mut().for_each(|x| *x *= inv);
-        let res = residual(&class, &pi, &mut scratch);
+        let res = residual(class, &pi, &mut scratch);
         if res < eps {
-            return (
-                class_throughput(chain, comp, &pi),
-                SolveQuality::GaussSeidel,
-            );
+            return (class.throughput(&pi), SolveQuality::GaussSeidel);
         }
         rising = if res >= prev_res { rising + 1 } else { 0 };
         prev_res = res;
@@ -330,10 +337,7 @@ fn stationary_sparse(chain: &Chain, comp: &[usize], params: &MarkovParams) -> (f
             *c += *p;
         }
         if res < eps {
-            return (
-                class_throughput(chain, comp, &pi),
-                SolveQuality::DampedPower,
-            );
+            return (class.throughput(&pi), SolveQuality::DampedPower);
         }
     }
     // Budget exhausted: degrade to the Cesàro average — the time average
@@ -348,35 +352,19 @@ fn stationary_sparse(chain: &Chain, comp: &[usize], params: &MarkovParams) -> (f
         // rather than NaNs — quality already says "do not trust blindly".
         cesaro.iter_mut().for_each(|x| *x = 1.0 / k as f64);
     }
-    (
-        class_throughput(chain, comp, &cesaro),
-        SolveQuality::CesaroAverage,
-    )
-}
-
-/// `Σ_s π(s)·r̄(s)` over the class.
-fn class_throughput(chain: &Chain, comp: &[usize], pi: &[f64]) -> f64 {
-    comp.iter()
-        .zip(pi.iter())
-        .map(|(&s, &p)| p * chain.expected_reward(s))
-        .sum()
+    (class.throughput(&cesaro), SolveQuality::CesaroAverage)
 }
 
 /// Solves `π P = π, Σπ = 1` on one recurrent class by dense Gaussian
 /// elimination and returns `Σ_s π(s)·r̄(s)` — the cross-validation oracle.
-fn stationary_dense(chain: &Chain, comp: &[usize]) -> f64 {
-    let k = comp.len();
-    let mut local = HashMap::with_capacity(k);
-    for (i, &s) in comp.iter().enumerate() {
-        local.insert(s, i);
-    }
+fn stationary_dense(class: &LocalClass) -> f64 {
+    let k = class.num_states();
     // Rows 0..k-1: (P^T − I) π = 0, last row replaced by Σπ = 1.
     let w = k + 1;
     let mut a = vec![0.0f64; k * w];
-    for (i, &s) in comp.iter().enumerate() {
-        for (t, p, _) in chain.row(s) {
-            let j = local[&t];
-            a[j * w + i] += p;
+    for i in 0..k {
+        for idx in class.out_offsets[i]..class.out_offsets[i + 1] {
+            a[class.out_cols[idx] as usize * w + i] += class.out_probs[idx];
         }
     }
     for d in 0..k {
@@ -389,7 +377,7 @@ fn stationary_dense(chain: &Chain, comp: &[usize]) -> f64 {
 
     gaussian_solve(&mut a, k);
     let pi: Vec<f64> = (0..k).map(|i| a[i * w + k]).collect();
-    class_throughput(chain, comp, &pi)
+    class.throughput(&pi)
 }
 
 /// In-place Gauss–Jordan with partial pivoting on a `k × (k+1)` augmented
@@ -427,65 +415,6 @@ fn gaussian_solve(a: &mut [f64], k: usize) {
             a[col * w + c] *= inv;
         }
     }
-}
-
-/// Iterative Tarjan SCC on the CSR transition graph.
-fn tarjan(chain: &Chain) -> Vec<Vec<usize>> {
-    let n = chain.num_states();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![usize::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    let mut call: Vec<(usize, usize)> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        index[root] = next;
-        low[root] = next;
-        next += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-            let succs = chain.succs(v);
-            if *ei < succs.len() {
-                let w = succs[*ei] as usize;
-                *ei += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next;
-                    low[w] = next;
-                    next += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comps.push(comp);
-                }
-            }
-        }
-    }
-    comps
 }
 
 #[cfg(test)]

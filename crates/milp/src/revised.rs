@@ -514,20 +514,7 @@ impl Revised {
     /// global maximum — a unit-scale contradiction stays detectable next
     /// to a 1e6-scale row.
     fn row_scales(&self) -> Vec<f64> {
-        let mut s = vec![0.0f64; self.m];
-        for (sr, &br) in s.iter_mut().zip(&self.b) {
-            *sr = br.abs();
-        }
-        for j in 0..self.n {
-            if !self.in_basis[j] {
-                let v = self.nb_value(j);
-                if v != 0.0 {
-                    for &(r, a) in &self.cols[j] {
-                        s[r] = s[r].max((a * v).abs());
-                    }
-                }
-            }
-        }
+        let (_, mut s) = self.nonbasic_rhs();
         let global = s.iter().fold(0.0f64, |a, &v| a.max(v));
         let floor = (1e3 * f64::EPSILON * global).max(f64::MIN_POSITIVE);
         for sr in &mut s {
@@ -643,21 +630,31 @@ impl Revised {
         }
     }
 
-    /// Recomputes `x_B = B⁻¹·(b − Σ_{nonbasic} A_j·value_j)` from scratch.
-    fn compute_xb(&mut self) {
-        let mut x = std::mem::take(&mut self.xb);
-        x.clear();
-        x.extend_from_slice(&self.b);
+    /// The right-hand side the basis must reproduce,
+    /// `b − Σ_{nonbasic} A_j·value_j`, and per row the largest magnitude
+    /// that entered it: `|b_r|` and the resting contributions
+    /// `|a_rj·value_j|`. The crash basis, `x_B`, the row scales and the
+    /// residual monitor all read this one definition.
+    fn nonbasic_rhs(&self) -> (Vec<f64>, Vec<f64>) {
+        let mut rhs = self.b.clone();
+        let mut mag: Vec<f64> = self.b.iter().map(|b| b.abs()).collect();
         for j in 0..self.n {
             if !self.in_basis[j] {
                 let v = self.nb_value(j);
                 if v != 0.0 {
                     for &(r, a) in &self.cols[j] {
-                        x[r] -= a * v;
+                        rhs[r] -= a * v;
+                        mag[r] = mag[r].max((a * v).abs());
                     }
                 }
             }
         }
+        (rhs, mag)
+    }
+
+    /// Recomputes `x_B = B⁻¹·(b − Σ_{nonbasic} A_j·value_j)` from scratch.
+    fn compute_xb(&mut self) {
+        let (mut x, _) = self.nonbasic_rhs();
         self.factor.as_ref().expect("factorized").ftran(&mut x);
         self.xb = x;
         self.pending.clear();
@@ -696,19 +693,7 @@ impl Revised {
         // largest magnitude that entered its sum — `|b_r|`, the resting
         // nonbasic contributions, and the basic contributions (which
         // mostly cancel but dominate the round-off).
-        let mut r = self.b.clone();
-        let mut mag: Vec<f64> = self.b.iter().map(|b| b.abs()).collect();
-        for j in 0..self.n {
-            if !self.in_basis[j] {
-                let v = self.nb_value(j);
-                if v != 0.0 {
-                    for &(row, a) in &self.cols[j] {
-                        r[row] -= a * v;
-                        mag[row] = mag[row].max((a * v).abs());
-                    }
-                }
-            }
-        }
+        let (mut r, mut mag) = self.nonbasic_rhs();
         for slot in 0..self.m {
             let xv = self.xb[slot];
             if xv != 0.0 {
@@ -748,11 +733,7 @@ impl Revised {
             return Err(SolveError::IterationLimit);
         }
         if pivots_done > 0 && self.residual_drifting() {
-            self.recovery.record(NumericalEvent::ResidualDrift);
-            self.recovery.forced_refactors += 1;
-            self.factor_stats.forced_refactors += 1;
-            self.refactor()?;
-            self.compute_xb();
+            self.forced_refactor(NumericalEvent::ResidualDrift)?;
             if self.residual_drifting() {
                 self.dual_ok = false;
                 return Err(SolveError::Numerical("persistent residual drift".into()));
@@ -776,13 +757,20 @@ impl Revised {
         if !self.residual_drifting() {
             return true;
         }
-        self.recovery.record(NumericalEvent::ResidualDrift);
+        // The answer is `false` whether or not the refactorization heals.
+        let _ = self.forced_refactor(NumericalEvent::ResidualDrift);
+        false
+    }
+
+    /// Ladder rung 2: records `ev`, counts a forced refactorization,
+    /// refactorizes the current basis and recomputes `x_B` from scratch.
+    fn forced_refactor(&mut self, ev: NumericalEvent) -> Result<(), SolveError> {
+        self.recovery.record(ev);
         self.recovery.forced_refactors += 1;
         self.factor_stats.forced_refactors += 1;
-        if self.refactor().is_ok() {
-            self.compute_xb();
-        }
-        false
+        self.refactor()?;
+        self.compute_xb();
+        Ok(())
     }
 
     /// Installs an externally supplied basis state (e.g. a parent
@@ -1009,12 +997,7 @@ impl Revised {
                 } else {
                     // Ladder rung 2 — unstable update: refactorize the
                     // new basis instead.
-                    self.factor_stats.forced_refactors += 1;
-                    self.recovery.record(NumericalEvent::UnstableUpdate);
-                    self.recovery.forced_refactors += 1;
-                    self.refactor()?;
-                    self.compute_xb();
-                    return Ok(());
+                    return self.forced_refactor(NumericalEvent::UnstableUpdate);
                 }
             }
         }
@@ -1061,16 +1044,8 @@ impl Revised {
         // warm-start information into the from-scratch baseline).
         self.at_upper.iter_mut().for_each(|x| *x = false);
         // Effective rhs with every real column resting at its current
-        // bound value.
-        let mut beff = self.b.clone();
-        for j in 0..self.n {
-            let v = self.nb_value(j);
-            if v != 0.0 {
-                for &(r, a) in &self.cols[j] {
-                    beff[r] -= a * v;
-                }
-            }
-        }
+        // bound value (no column is basic yet).
+        let (beff, _) = self.nonbasic_rhs();
         // Singleton columns, highest index first (auxiliary columns are
         // appended last and carry zero cost — same preference the dense
         // oracle uses).

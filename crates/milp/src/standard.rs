@@ -146,18 +146,11 @@ impl StandardForm {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
+        // The constant shift is dropped: solutions report the objective
+        // from the model's own expression.
         let mut cost = vec![0.0; ncols];
-        for (v, c) in model.objective.iter() {
-            let c = c * sense_mul;
-            match map[v.index()] {
-                ColMap::Shifted { col, .. } => cost[col] += c,
-                ColMap::Mirrored { col, .. } => cost[col] -= c,
-                ColMap::Split { pos, neg } => {
-                    cost[pos] += c;
-                    cost[neg] -= c;
-                }
-                ColMap::Fixed { .. } => {}
-            }
+        for (col, c) in lower_expr(&map, &model.objective).0 {
+            cost[col] = sense_mul * c;
         }
 
         let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();

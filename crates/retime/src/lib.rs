@@ -11,7 +11,7 @@
 //! 2. a period `c` is feasible iff the difference constraints
 //!    `r(u) − r(v) ≤ w(e)` (legality) and `r(u) − r(v) ≤ W(u,v) − 1`
 //!    for every pair with `D(u,v) > c` (timing) admit a solution
-//!    (Bellman–Ford);
+//!    ([`rr_rrg::algo::bellman_ford`]);
 //! 3. binary search over the sorted distinct `D` values finds the minimum
 //!    feasible period.
 //!
@@ -147,25 +147,7 @@ fn feasible_with_wd(g: &Rrg, w: &[Vec<Option<i64>>], d: &[Vec<f64>], c: f64) -> 
             }
         }
     }
-    // Bellman–Ford with a virtual source (all distances start at 0).
-    let mut dist = vec![0i64; n];
-    for pass in 0..=n {
-        let mut changed = false;
-        for &(from, to, b) in &cons {
-            let cand = dist[from].saturating_add(b);
-            if cand < dist[to] {
-                dist[to] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Some(dist);
-        }
-        if pass == n {
-            return None;
-        }
-    }
-    unreachable!("loop always returns")
+    rr_rrg::algo::bellman_ford(n, &cons).ok()
 }
 
 /// Minimum-period retiming (registers = buffer counts, tokens move along).

@@ -1,70 +1,62 @@
 //! Structural graph algorithms used across the workspace: strongly
 //! connected components, token-weighted cycle detection (liveness), and
 //! topological ordering of the combinational (bufferless) subgraph.
+//! [`tarjan`] and [`bellman_ford`] take plain indices, so rr-markov's
+//! terminal classes and rr-retime's Leiserson–Saxe difference constraints
+//! run the same code.
 
 use crate::rrg::{EdgeId, NodeId, Rrg};
 
-/// Strongly connected components by Tarjan's algorithm (iterative, so deep
-/// graphs cannot overflow the stack). Components are returned in reverse
-/// topological order.
-pub fn sccs(g: &Rrg) -> Vec<Vec<NodeId>> {
-    let n = g.num_nodes();
-    #[derive(Clone, Copy)]
-    struct Frame {
-        node: usize,
-        edge_pos: usize,
-    }
+/// Strongly connected components of the graph on `0..n` whose `k`-th
+/// successor of `v` is `succ(v, k)` (`None` past the last), by iterative
+/// Tarjan (deep graphs cannot overflow the stack). Roots are tried in
+/// ascending order, and components come out in the order they leave the
+/// stack, which is reverse topological order.
+pub fn tarjan(n: usize, succ: impl Fn(usize, usize) -> Option<usize>) -> Vec<Vec<usize>> {
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![usize::MAX; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut comps: Vec<Vec<NodeId>> = Vec::new();
+    let mut comps: Vec<Vec<usize>> = Vec::new();
+    // Call frames: (node, position of its next successor).
+    let mut call: Vec<(usize, usize)> = Vec::new();
 
     for root in 0..n {
         if index[root] != usize::MAX {
             continue;
         }
-        let mut call: Vec<Frame> = vec![Frame {
-            node: root,
-            edge_pos: 0,
-        }];
+        call.push((root, 0));
         index[root] = next_index;
         lowlink[root] = next_index;
         next_index += 1;
         stack.push(root);
         on_stack[root] = true;
 
-        while let Some(frame) = call.last_mut() {
-            let v = frame.node;
-            if frame.edge_pos < g.succ[v].len() {
-                let e = g.succ[v][frame.edge_pos];
-                frame.edge_pos += 1;
-                let w = g.edges[e.0].target.0;
+        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
+            if let Some(w) = succ(v, *pos) {
+                *pos += 1;
                 if index[w] == usize::MAX {
                     index[w] = next_index;
                     lowlink[w] = next_index;
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call.push(Frame {
-                        node: w,
-                        edge_pos: 0,
-                    });
+                    call.push((w, 0));
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
                 call.pop();
-                if let Some(parent) = call.last() {
-                    lowlink[parent.node] = lowlink[parent.node].min(lowlink[v]);
+                if let Some(&(parent, _)) = call.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
                     let mut comp = Vec::new();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        comp.push(NodeId(w));
+                        comp.push(w);
                         if w == v {
                             break;
                         }
@@ -77,9 +69,65 @@ pub fn sccs(g: &Rrg) -> Vec<Vec<NodeId>> {
     comps
 }
 
+/// Strongly connected components of `g` (see [`tarjan`]), in reverse
+/// topological order.
+pub fn sccs(g: &Rrg) -> Vec<Vec<NodeId>> {
+    tarjan(g.num_nodes(), |v, k| {
+        g.succ[v].get(k).map(|e| g.edges[e.0].target.0)
+    })
+    .into_iter()
+    .map(|comp| comp.into_iter().map(NodeId).collect())
+    .collect()
+}
+
 /// `true` if the graph is strongly connected (and non-empty).
 pub fn is_strongly_connected(g: &Rrg) -> bool {
     g.num_nodes() > 0 && sccs(g).len() == 1
+}
+
+/// Bellman–Ford from a virtual source over the arcs `(from, to, weight)`
+/// on nodes `0..n`: every distance starts at 0 and each pass relaxes the
+/// arcs in slice order (with `saturating_add`). Returns the distances,
+/// which satisfy `d[to] ≤ d[from] + weight` on every arc, or, when a
+/// pass `n + 1` still relaxes something, a negative cycle as arc indices
+/// in path order (each arc's `to` is the next one's `from`).
+pub fn bellman_ford(n: usize, arcs: &[(usize, usize, i64)]) -> Result<Vec<i64>, Vec<usize>> {
+    let mut dist = vec![0i64; n];
+    let mut pred = vec![usize::MAX; n];
+    let mut v = 0;
+    for _ in 0..=n {
+        let mut changed = None;
+        for (i, &(from, to, w)) in arcs.iter().enumerate() {
+            let cand = dist[from].saturating_add(w);
+            if cand < dist[to] {
+                dist[to] = cand;
+                pred[to] = i;
+                changed = Some(to);
+            }
+        }
+        match changed {
+            Some(to) => v = to,
+            None => return Ok(dist),
+        }
+    }
+    // The last node relaxed on pass n + 1 lies on or downstream of a
+    // negative cycle; walk back n arcs to land inside the cycle, then
+    // extract it.
+    for _ in 0..n {
+        v = arcs[pred[v]].0;
+    }
+    let start = v;
+    let mut cycle = Vec::new();
+    loop {
+        let a = pred[v];
+        cycle.push(a);
+        v = arcs[a].0;
+        if v == start {
+            break;
+        }
+    }
+    cycle.reverse();
+    Err(cycle)
 }
 
 /// Finds a directed cycle whose total token count (`Σ R0`) is ≤ 0, if one
@@ -87,8 +135,7 @@ pub fn is_strongly_connected(g: &Rrg) -> bool {
 ///
 /// Implementation: a cycle has `Σ R0 ≤ 0` iff it is negative under the
 /// scaled integer weights `w(e) = (|E|+1)·R0(e) − 1`, detected with
-/// Bellman–Ford from a virtual source. The offending cycle is recovered by
-/// walking the predecessor chain.
+/// [`bellman_ford`].
 pub fn find_dead_cycle(g: &Rrg) -> Option<Vec<EdgeId>> {
     find_nonpositive_cycle_with(g, |e| g.edges[e.0].tokens)
 }
@@ -106,52 +153,15 @@ pub fn find_negative_cycle_with(g: &Rrg, weight: impl Fn(EdgeId) -> i64) -> Opti
 /// Generalisation of [`find_dead_cycle`] to arbitrary per-edge integer
 /// weights: finds a cycle with `Σ weight ≤ 0`, if any.
 pub fn find_nonpositive_cycle_with(g: &Rrg, weight: impl Fn(EdgeId) -> i64) -> Option<Vec<EdgeId>> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return None;
-    }
     let scale = g.num_edges() as i64 + 1;
-    let w = |e: EdgeId| scale * weight(e) - 1;
-
-    // Bellman–Ford with all distances initialised to 0 (virtual source).
-    let mut dist = vec![0i64; n];
-    let mut pred_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut changed_node = None;
-    for pass in 0..=n {
-        let mut changed = None;
-        for (i, e) in g.edges.iter().enumerate() {
-            let id = EdgeId(i);
-            let cand = dist[e.source.0].saturating_add(w(id));
-            if cand < dist[e.target.0] {
-                dist[e.target.0] = cand;
-                pred_edge[e.target.0] = Some(id);
-                changed = Some(e.target);
-            }
-        }
-        changed?; // converged: no nonpositive cycle
-        if pass == n {
-            changed_node = changed;
-        }
-    }
-    // A node relaxed on pass n lies on or downstream of a negative cycle;
-    // walk back n steps to land inside the cycle, then extract it.
-    let mut v = changed_node.expect("relaxation continued on the last pass");
-    for _ in 0..n {
-        let e = pred_edge[v.0].expect("predecessor chain broken");
-        v = g.edges[e.0].source;
-    }
-    let start = v;
-    let mut cycle = Vec::new();
-    loop {
-        let e = pred_edge[v.0].expect("predecessor chain broken inside cycle");
-        cycle.push(e);
-        v = g.edges[e.0].source;
-        if v == start {
-            break;
-        }
-    }
-    cycle.reverse();
-    Some(cycle)
+    let arcs: Vec<(usize, usize, i64)> = g
+        .edges
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.source.0, e.target.0, scale * weight(EdgeId(i)) - 1))
+        .collect();
+    let cycle = bellman_ford(g.num_nodes(), &arcs).err()?;
+    Some(cycle.into_iter().map(EdgeId).collect())
 }
 
 /// Enumerates directed simple cycles as DFS back-edge ("fundamental")
@@ -315,6 +325,80 @@ mod tests {
         let g = b.build().unwrap();
         let comps = sccs(&g);
         assert_eq!(comps.len(), 2);
+    }
+
+    #[test]
+    fn tarjan_pins_components_in_reverse_topological_order() {
+        // Cycle {0, 1}, a bridge 1 → 2 into the cycle {2, 3, 4}, a
+        // self-loop on 5 with an edge 5 → 3 into the finished cycle, and
+        // an isolated node 6.
+        let succ: [&[usize]; 7] = [&[1], &[0, 2], &[3], &[4], &[2], &[5, 3], &[]];
+        let comps = tarjan(succ.len(), |v, k| succ[v].get(k).copied());
+        // A component leaves the stack after every component it reaches;
+        // members come out in stack-pop order.
+        assert_eq!(comps, vec![vec![4, 3, 2], vec![1, 0], vec![5], vec![6]]);
+    }
+
+    /// Seeded random arc lists against a Floyd–Warshall reference: `Ok`
+    /// exactly when no cycle is negative, `Ok` potentials satisfy every
+    /// arc, and an `Err` cycle chains head to tail, closes and is
+    /// negative.
+    #[test]
+    fn bellman_ford_agrees_with_floyd_warshall() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const INF: i64 = i64::MAX / 4;
+        let mut rng = StdRng::seed_from_u64(0xBE11_F0AD);
+        let (mut feasible, mut negative) = (0, 0);
+        for _ in 0..600 {
+            let n: usize = rng.random_range(1..=8);
+            let arcs: Vec<(usize, usize, i64)> = (0..rng.random_range(0..=2 * n))
+                .map(|_| {
+                    let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                    (u, v, rng.random_range(-3..=5))
+                })
+                .collect();
+            let mut d = vec![vec![INF; n]; n];
+            for (i, row) in d.iter_mut().enumerate() {
+                row[i] = 0;
+            }
+            for &(u, v, w) in &arcs {
+                d[u][v] = d[u][v].min(w);
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        if d[i][k] < INF && d[k][j] < INF {
+                            d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                        }
+                    }
+                }
+            }
+            let has_negative_cycle = (0..n).any(|i| d[i][i] < 0);
+            match bellman_ford(n, &arcs) {
+                Ok(pot) => {
+                    assert!(!has_negative_cycle, "missed a negative cycle: {arcs:?}");
+                    for &(u, v, w) in &arcs {
+                        assert!(pot[v] <= pot[u] + w, "arc ({u}, {v}, {w}) violated");
+                    }
+                    feasible += 1;
+                }
+                Err(cycle) => {
+                    assert!(has_negative_cycle, "no negative cycle in {arcs:?}");
+                    for pair in cycle.windows(2) {
+                        assert_eq!(arcs[pair[0]].1, arcs[pair[1]].0);
+                    }
+                    let (first, last) = (cycle[0], *cycle.last().unwrap());
+                    assert_eq!(arcs[last].1, arcs[first].0, "cycle does not close");
+                    assert!(cycle.iter().map(|&a| arcs[a].2).sum::<i64>() < 0);
+                    negative += 1;
+                }
+            }
+        }
+        assert!(
+            feasible > 100 && negative > 100,
+            "{feasible} Ok, {negative} Err"
+        );
     }
 
     #[test]

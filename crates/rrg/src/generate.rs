@@ -22,7 +22,13 @@ use crate::algo;
 use crate::rrg::{NodeId, Rrg};
 use crate::RrgBuilder;
 
-/// Parameters of the random benchmark generator.
+/// Probability that an edge starts with one token in one EB (§5).
+const TOKEN_PROBABILITY: f64 = 0.25;
+
+/// Node delays are drawn uniformly from `(0, MAX_DELAY]` (§5).
+const MAX_DELAY: f64 = 20.0;
+
+/// Size of a random benchmark graph; the attributes follow §5.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorParams {
     /// Number of simple nodes (`|N1|`).
@@ -31,11 +37,6 @@ pub struct GeneratorParams {
     pub early_nodes: usize,
     /// Total number of edges (`|E|`), at least `simple + 2·early`.
     pub edges: usize,
-    /// Probability that an edge starts with one token in one EB (paper:
-    /// 0.25).
-    pub token_probability: f64,
-    /// Node delays are drawn uniformly from `(0, max_delay]` (paper: 20).
-    pub max_delay: f64,
 }
 
 impl GeneratorParams {
@@ -45,8 +46,6 @@ impl GeneratorParams {
             simple_nodes,
             early_nodes,
             edges,
-            token_probability: 0.25,
-            max_delay: 20.0,
         }
     }
 
@@ -127,7 +126,7 @@ impl GeneratorParams {
         let mut b = RrgBuilder::new();
         let ids: Vec<NodeId> = (0..n)
             .map(|i| {
-                let delay = rng.random_range(0.0..self.max_delay) + f64::EPSILON;
+                let delay = rng.random_range(0.0..MAX_DELAY) + f64::EPSILON;
                 if is_early[i] {
                     b.add_early(format!("e{i}"), delay)
                 } else {
@@ -137,7 +136,7 @@ impl GeneratorParams {
             .collect();
         let mut token_count = vec![0i64; edge_list.len()];
         for (i, _) in edge_list.iter().enumerate() {
-            if rng.random_bool(self.token_probability) {
+            if rng.random_bool(TOKEN_PROBABILITY) {
                 token_count[i] = 1;
             }
         }
@@ -149,7 +148,6 @@ impl GeneratorParams {
 
         // γ: random strictly-positive weights, normalised per early node.
         for &e in &early {
-            let node = ids[e];
             // Count inputs of this node in the edge list.
             let ins: Vec<usize> = edge_list
                 .iter()
@@ -162,7 +160,6 @@ impl GeneratorParams {
             for (&i, w) in ins.iter().zip(&weights) {
                 b.set_gamma(edge_ids[i], w / sum);
             }
-            let _ = node;
         }
 
         // 5. Liveness fix-up: while a token-free cycle exists, drop a

@@ -9,8 +9,6 @@ use rr_rrg::NodeKind;
 /// stored on the edge.
 #[derive(Debug, Clone)]
 pub struct TgmgNode {
-    /// Human-readable label (diagnostics only).
-    pub name: String,
     /// Late or early evaluation.
     pub kind: NodeKind,
     /// Firing delay δ(n) ≥ 0.
@@ -134,12 +132,10 @@ mod tests {
         Tgmg::new(
             vec![
                 TgmgNode {
-                    name: "a".into(),
                     kind: NodeKind::Simple,
                     delay: 1.0,
                 },
                 TgmgNode {
-                    name: "b".into(),
                     kind: NodeKind::Simple,
                     delay: 2.0,
                 },
@@ -183,7 +179,6 @@ mod tests {
     fn edge_bounds_enforced() {
         Tgmg::new(
             vec![TgmgNode {
-                name: "a".into(),
                 kind: NodeKind::Simple,
                 delay: 0.0,
             }],

@@ -135,12 +135,10 @@ mod tests {
         let t = Tgmg::new(
             vec![
                 TgmgNode {
-                    name: "a".into(),
                     kind: NodeKind::Simple,
                     delay: 1.0,
                 },
                 TgmgNode {
-                    name: "b".into(),
                     kind: NodeKind::Simple,
                     delay: 1.0,
                 },

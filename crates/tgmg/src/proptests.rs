@@ -89,7 +89,6 @@ fn raw_tgmg() -> impl Strategy<Value = Tgmg> {
                     .iter()
                     .zip(&early)
                     .map(|(&(delay, _), &early)| TgmgNode {
-                        name: String::new(),
                         kind: if early {
                             NodeKind::EarlyEval
                         } else {

@@ -482,7 +482,6 @@ mod tests {
 
     fn node(delay: f64) -> TgmgNode {
         TgmgNode {
-            name: String::new(),
             kind: NodeKind::Simple,
             delay,
         }

@@ -206,12 +206,6 @@ impl TgmgSkeleton {
             .nodes
             .iter()
             .map(|n| TgmgNode {
-                name: match n.tag {
-                    NodeTag::Original(v) => format!("orig_{}", v.index()),
-                    NodeTag::EdgeDelay(e) => format!("edge_{}", e.index()),
-                    NodeTag::Splitter(e) => format!("split_{}", e.index()),
-                    NodeTag::Throttle(v) => format!("throttle_{}", v.index()),
-                },
                 kind: n.kind,
                 delay: match n.delay {
                     DelaySrc::Const(d) => d,

@@ -94,8 +94,12 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-di
 # (~6 s on 2 vCPUs). perfbench exits 1 when the traced stage driver stops
 # reproducing the one-shot results (nodes, pivots, configurations) bit
 # for bit, so a kernel change that breaks replay fails CI here instead of
-# at the next measurement.
-echo "==> perfbench maxthr150 --trace 1 (benchmark tie-out)"
+# at the next measurement. sweep20 ties out too (~14 s): its traced pass
+# re-implements min_eff_cyc call for call (perfbench/src/stages.rs), so a
+# change to the sweep's control flow that stages.rs no longer mirrors
+# fails here.
+echo "==> perfbench maxthr150 and sweep20 --trace 1 (benchmark tie-out)"
 target/perfbench/release/perfbench --workload maxthr150 --seconds 1 --trace 1
+target/perfbench/release/perfbench --workload sweep20 --seconds 1 --trace 1
 
 echo "CI OK"
