@@ -112,7 +112,17 @@ fn absorb(incidents: &mut Vec<String>, stage: &str, e: OptError) -> Result<(), O
 /// Propagates MILP failures other than the expected end-of-sweep
 /// infeasibility and the absorbed budget/numerical classes; see
 /// [`OptError`].
+///
+/// # Panics
+///
+/// Panics unless `0 < opts.epsilon ≤ 1`: the sweep runs at most
+/// `1/ε + 4` steps, each raising the throughput target by at least ε.
 pub fn min_eff_cyc(g: &Rrg, opts: &CoreOptions) -> Result<MinEffCycOutcome, OptError> {
+    assert!(
+        opts.epsilon > 0.0 && opts.epsilon <= 1.0,
+        "epsilon = {} must lie in (0, 1]",
+        opts.epsilon
+    );
     let mut evaluations: Vec<RcEvaluation> = Vec::new();
     let mut seen: HashSet<(Vec<i64>, Vec<i64>)> = HashSet::new();
     let mut incidents: Vec<String> = Vec::new();
@@ -267,6 +277,18 @@ mod tests {
             "starved solves must be recorded: {out:?}"
         );
         assert!(!out.all_proven_optimal);
+    }
+
+    /// ε = 0 would make the step cap `1/ε + 4` overflow; the sweep
+    /// refuses it at entry.
+    #[test]
+    #[should_panic(expected = "epsilon")]
+    fn zero_epsilon_is_rejected() {
+        let opts = CoreOptions {
+            epsilon: 0.0,
+            ..CoreOptions::fast()
+        };
+        let _ = min_eff_cyc(&figures::figure_1a(0.9), &opts);
     }
 
     #[test]

@@ -152,12 +152,12 @@ pub(crate) fn build(g: &Rrg, problem: Problem, big_m: f64) -> Built {
     type Scaled = Box<dyn Fn(f64) -> LinExpr>;
     let (objective, tau_param, x_scaled): (VarId, LinExpr, Scaled) = match problem {
         Problem::MinCyc { x } => {
-            let v = m.add_continuous("tau", g.max_delay(), big_m);
+            let v = m.add_continuous(g.max_delay(), big_m);
             let scaled: Scaled = Box::new(move |k: f64| LinExpr::constant(k * x));
             (v, LinExpr::var(v), scaled)
         }
         Problem::MaxThr { tau } => {
-            let v = m.add_continuous("x", 1.0, bounds.max_x);
+            let v = m.add_continuous(1.0, bounds.max_x);
             let scaled: Scaled = Box::new(move |k: f64| LinExpr::term(v, k));
             (v, LinExpr::constant(tau), scaled)
         }
@@ -165,27 +165,15 @@ pub(crate) fn build(g: &Rrg, problem: Problem, big_m: f64) -> Built {
     m.set_objective(LinExpr::var(objective));
 
     // --- configuration variables ------------------------------------
-    let r: Vec<VarId> = g
-        .node_ids()
-        .map(|n| {
-            m.add_integer(
-                format!("r_{}", n.index()),
-                -(bounds.max_retiming as f64),
-                bounds.max_retiming as f64,
-            )
-        })
-        .collect();
+    let max_r = bounds.max_retiming as f64;
+    let r: Vec<VarId> = g.node_ids().map(|_| m.add_integer(-max_r, max_r)).collect();
     let buf: Vec<VarId> = g
         .edges()
-        .map(|(id, e)| {
+        .map(|(_, e)| {
             let span = g.node(e.source()).delay() + g.node(e.target()).delay();
             let forced = span > big_m + 1e-9;
             let lower = if forced { 1.0 } else { 0.0 };
-            m.add_integer(
-                format!("R_{}", id.index()),
-                lower,
-                bounds.max_buffers as f64,
-            )
+            m.add_integer(lower, bounds.max_buffers as f64)
         })
         .collect();
 
@@ -210,7 +198,7 @@ pub(crate) fn build(g: &Rrg, problem: Problem, big_m: f64) -> Built {
     // edge contributes a single row.
     let arr: Vec<VarId> = g
         .node_ids()
-        .map(|n| m.add_continuous(format!("arr_{}", n.index()), 0.0, f64::INFINITY))
+        .map(|_| m.add_continuous(0.0, f64::INFINITY))
         .collect();
     for (id, e) in g.edges() {
         let u = e.source().index();
@@ -228,9 +216,7 @@ pub(crate) fn build(g: &Rrg, problem: Problem, big_m: f64) -> Built {
     // --- throughput constraints (Lemma 3.2 via LP (4) on the reduced
     // skeleton; interior chain potentials are already eliminated) -------
     let reduced = skeleton.reduced();
-    let sigma: Vec<VarId> = (0..reduced.nodes.len())
-        .map(|i| m.add_free(format!("sig_{i}")))
-        .collect();
+    let sigma: Vec<VarId> = (0..reduced.nodes.len()).map(|_| m.add_free()).collect();
     let mut pred: Vec<Vec<usize>> = vec![Vec::new(); reduced.nodes.len()];
     for (i, e) in reduced.edges.iter().enumerate() {
         pred[e.to].push(i);

@@ -63,7 +63,7 @@ use rr_tgmg::sim::SimParams;
 /// they are not an option.
 #[derive(Debug, Clone)]
 pub struct CoreOptions {
-    /// Throughput step ε of `MIN_EFF_CYC` (paper: 0.01).
+    /// Throughput step ε of `MIN_EFF_CYC` (paper: 0.01), in `(0, 1]`.
     pub epsilon: f64,
     /// MILP solver limits (the paper used a 20-minute CPLEX timeout).
     pub solver: SolverOptions,

@@ -97,10 +97,10 @@ pub struct StepOutcome {
 /// Use [`crate::simulate`] for γ-randomised runs; drive
 /// [`Machine::step_with`] directly for deterministic exploration, and
 /// [`Machine::canonical_state_into`] / [`Machine::load_state`] to save and
-/// restore the state between steps.
+/// restore the state between steps. The machine borrows its graph.
 #[derive(Debug, Clone)]
-pub struct Machine {
-    graph: Rrg,
+pub struct Machine<'g> {
+    graph: &'g Rrg,
     wire_topo: Vec<NodeId>,
     early_nodes: Vec<NodeId>,
     channels: Vec<Channel>,
@@ -114,13 +114,13 @@ pub struct Machine {
     max_anti: Vec<u64>,
 }
 
-impl Machine {
+impl<'g> Machine<'g> {
     /// Builds a machine for the graph's own configuration.
     ///
     /// # Errors
     ///
     /// [`MachineError::CombinationalCycle`] if the wire subgraph is cyclic.
-    pub fn new(g: &Rrg) -> Result<Machine, MachineError> {
+    pub fn new(g: &'g Rrg) -> Result<Machine<'g>, MachineError> {
         let buffers: Vec<i64> = g.edges().map(|(_, e)| e.buffers()).collect();
         let wire_topo = algo::combinational_topo_order(g, &buffers)
             .map_err(|edge| MachineError::CombinationalCycle { edge })?;
@@ -150,7 +150,7 @@ impl Machine {
             .map(|(id, _)| id)
             .collect();
         Ok(Machine {
-            graph: g.clone(),
+            graph: g,
             wire_topo,
             early_nodes,
             wire_pending: vec![0; g.num_edges()],
@@ -183,18 +183,8 @@ impl Machine {
         &self.max_anti
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Rrg {
-        &self.graph
-    }
-
-    /// Early nodes (in id order).
-    pub fn early_nodes(&self) -> &[NodeId] {
-        &self.early_nodes
-    }
-
-    /// Early nodes whose guard is currently undrawn; `draw` will be asked
-    /// for exactly these on the next [`Machine::step_with`].
+    /// Early nodes whose guard is currently undrawn, in id order; `draw`
+    /// will be asked for exactly these on the next [`Machine::step_with`].
     pub fn undrawn_early_nodes(&self) -> Vec<NodeId> {
         self.early_nodes
             .iter()
@@ -308,8 +298,7 @@ impl Machine {
             self.fired_total[v.index()] += 1;
             let is_early = self.graph.node(v).is_early();
             let sel = self.selection[v.index()];
-            for ei in 0..self.graph.in_edges(v).len() {
-                let e = self.graph.in_edges(v)[ei];
+            for &e in self.graph.in_edges(v) {
                 let ch = &mut self.channels[e.index()];
                 if ch.offers(self.now) {
                     ch.queue.pop_front();
@@ -324,8 +313,7 @@ impl Machine {
             if is_early {
                 self.selection[v.index()] = None;
             }
-            for ei in 0..self.graph.out_edges(v).len() {
-                let e = self.graph.out_edges(v)[ei];
+            for &e in self.graph.out_edges(v) {
                 let ch = &mut self.channels[e.index()];
                 let arrival = self.now + ch.latency;
                 ch.queue.push_back(arrival);

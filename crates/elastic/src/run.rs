@@ -69,7 +69,7 @@ pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineErr
     }
     let mut machine = Machine::new(g)?;
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut draw = move |g: &Rrg, v: NodeId| -> EdgeId {
+    let mut draw = move |v: NodeId| -> EdgeId {
         let ins = g.in_edges(v);
         let mut x: f64 = rng.random_range(0.0..1.0);
         for &e in ins {
@@ -83,9 +83,8 @@ pub fn simulate(g: &Rrg, params: &MachineParams) -> Result<RunResult, MachineErr
     };
 
     let mut warm_counts: Option<(u64, Vec<u64>)> = None;
-    let graph = g.clone();
     for cycle in 0..horizon {
-        let outcome = machine.step_with(|v| draw(&graph, v));
+        let outcome = machine.step_with(&mut draw);
         if !outcome.live {
             return Err(MachineError::Deadlock { at_cycle: cycle });
         }

@@ -5,7 +5,7 @@
 //! spaces run to 10⁴–10⁵ states. Per-state `Vec`s of transitions waste a
 //! pointer-and-capacity header per state and scatter the rows over the
 //! heap; the CSR layout below stores the whole transition structure in
-//! four flat arrays, so both solvers stream it cache-linearly.
+//! four flat arrays, so the solve streams it cache-linearly.
 //!
 //! A state is its canonical key ([`Machine::canonical_state_into`]),
 //! stored once. One machine explores them all: it loads a state's key
@@ -15,10 +15,10 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use rr_elastic::Machine;
+use rr_elastic::{Machine, MachineError};
 use rr_rrg::{EdgeId, NodeId, Rrg};
 
-use crate::{MarkovError, MarkovParams};
+use crate::MarkovError;
 
 /// The explicit chain in CSR form: state `s`'s transitions are the index
 /// range `row_offsets[s]..row_offsets[s + 1]` of the parallel
@@ -38,19 +38,9 @@ impl Chain {
         self.row_offsets.len() - 1
     }
 
-    /// Successor states of `s` (parallel to [`Chain::probs`]).
+    /// Successor states of `s`, in [`Chain::row`]'s order.
     pub fn succs(&self, s: usize) -> &[u32] {
         &self.cols[self.row_offsets[s]..self.row_offsets[s + 1]]
-    }
-
-    /// Transition probabilities out of `s`.
-    pub fn probs(&self, s: usize) -> &[f64] {
-        &self.probs[self.row_offsets[s]..self.row_offsets[s + 1]]
-    }
-
-    /// Transition rewards out of `s`.
-    pub fn rewards(&self, s: usize) -> &[f64] {
-        &self.rewards[self.row_offsets[s]..self.row_offsets[s + 1]]
     }
 
     /// `(successor, probability, reward)` triples out of `s`.
@@ -118,21 +108,25 @@ pub const ROW_MASS_TOLERANCE: f64 = 1e-9;
 ///
 /// # Errors
 ///
-/// [`MarkovError::StateSpaceTooLarge`] past `params.max_states` states, or
-/// once the interned keys hold more than `2 · max_states` times the
-/// initial key's length in words: a queue that grows without end
-/// lengthens the keys with the exploration depth, so the state count
-/// alone does not bound memory. [`MarkovError::ProbabilityLeak`] when a
-/// state's outgoing probabilities do not sum to 1 (a machine or
-/// γ-assignment bug that would silently skew both solvers);
-/// [`MarkovError::Machine`] from machine construction.
-pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError> {
+/// [`MarkovError::StateSpaceTooLarge`] past `max_states` states, or once
+/// the interned keys hold more than `2 · max_states` times the initial
+/// key's length in words: a queue that grows without end lengthens the
+/// keys with the exploration depth, so the state count alone does not
+/// bound memory. [`MarkovError::ProbabilityLeak`] when a state's outgoing
+/// probabilities do not sum to 1 (a machine or γ-assignment bug that
+/// would silently skew the solve); [`MarkovError::Machine`] from machine
+/// construction, and [`MachineError::Deadlock`] at cycle 0 for a graph
+/// without nodes, which has no reference node to fire.
+pub fn build_chain(g: &Rrg, max_states: usize) -> Result<Chain, MarkovError> {
+    if g.num_nodes() == 0 {
+        return Err(MachineError::Deadlock { at_cycle: 0 }.into());
+    }
     let mut machine = Machine::new(g)?;
     let mut states = StateInterner::default();
     let mut key: Vec<u64> = Vec::new();
     machine.canonical_state_into(&mut key);
     states.intern(&key);
-    let max_words = params.max_states.saturating_mul(2 * key.len());
+    let max_words = max_states.saturating_mul(2 * key.len());
 
     let mut row_offsets = vec![0usize];
     let mut cols: Vec<u32> = Vec::new();
@@ -146,7 +140,7 @@ pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError>
     while s < states.len() {
         let current = Rc::clone(&states.keys[s]);
         machine.load_state(&current);
-        let combos = guard_combinations(g, &machine.undrawn_early_nodes())?;
+        let combos = guard_combinations(g, &machine.undrawn_early_nodes());
         let mut row_mass = 0.0f64;
         for (choice, prob) in combos {
             machine.load_state(&current);
@@ -159,10 +153,8 @@ pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError>
             let reward = f64::from(outcome.fired[0]);
             machine.canonical_state_into(&mut key);
             let (next, new) = states.intern(&key);
-            if new && (states.len() > params.max_states || states.words > max_words) {
-                return Err(MarkovError::StateSpaceTooLarge {
-                    limit: params.max_states,
-                });
+            if new && (states.len() > max_states || states.words > max_words) {
+                return Err(MarkovError::StateSpaceTooLarge { limit: max_states });
             }
             cols.push(next);
             probs.push(prob);
@@ -191,14 +183,9 @@ pub fn build_chain(g: &Rrg, params: &MarkovParams) -> Result<Chain, MarkovError>
 type GuardCombo = (Vec<(NodeId, EdgeId)>, f64);
 
 /// Cartesian product of guard choices for the undrawn early nodes, with
-/// the probability of each combination.
-///
-/// # Errors
-///
-/// [`MarkovError::MissingGamma`] when an early node's input edge carries
-/// no γ assignment — a structured error rather than a panic, so a
-/// malformed graph fails the analysis instead of the process.
-fn guard_combinations(g: &Rrg, undrawn: &[NodeId]) -> Result<Vec<GuardCombo>, MarkovError> {
+/// the probability of each combination. Each combination lists its nodes
+/// in `undrawn`'s ascending id order, the order `step_with` draws them in.
+fn guard_combinations(g: &Rrg, undrawn: &[NodeId]) -> Vec<GuardCombo> {
     let mut combos: Vec<GuardCombo> = vec![(Vec::new(), 1.0)];
     for &v in undrawn {
         let mut next = Vec::with_capacity(combos.len() * g.in_edges(v).len());
@@ -206,7 +193,7 @@ fn guard_combinations(g: &Rrg, undrawn: &[NodeId]) -> Result<Vec<GuardCombo>, Ma
             let p = g
                 .edge(e)
                 .gamma()
-                .ok_or(MarkovError::MissingGamma { edge: e.0 })?;
+                .expect("validated RRGs have γ on early inputs");
             for (combo, cp) in &combos {
                 let mut c = combo.clone();
                 c.push((v, e));
@@ -215,12 +202,7 @@ fn guard_combinations(g: &Rrg, undrawn: &[NodeId]) -> Result<Vec<GuardCombo>, Ma
         }
         combos = next;
     }
-    // `step_with` draws in ascending node-id order; keep combos sorted to
-    // match.
-    for (c, _) in &mut combos {
-        c.sort_by_key(|&(v, _)| v);
-    }
-    Ok(combos)
+    combos
 }
 
 #[cfg(test)]

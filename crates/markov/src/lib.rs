@@ -16,18 +16,15 @@
 //! * [`chain`] enumerates the reachable state space into a CSR transition
 //!   matrix (flat column/probability/reward arrays, each state stored once
 //!   as its interned key), validates that every row's probability mass is
-//!   1, and stops at [`MarkovParams::max_states`] states or when the keys
-//!   outgrow their word budget;
+//!   1, and stops at `max_states` states ([`DEFAULT_MAX_STATES`] under
+//!   [`exact_throughput`]) or when the keys outgrow their word budget;
 //! * `solve` (internal) locates the terminal strongly connected
-//!   components and solves the stationary equations of each — by
-//!   default with a sparse Gauss–Seidel / damped-power hybrid that stops
-//!   on the residual `‖πP − π‖₁`, scaling to recurrent classes of
-//!   10⁴–10⁵ states; the original dense Gauss–Jordan elimination
-//!   survives as a cross-validation oracle behind
-//!   [`MarkovParams::solver`]. A chain with several terminal classes
-//!   weights each class's throughput by the probability of being
-//!   absorbed into it from the initial state, so it is solved as exactly
-//!   as a chain with one.
+//!   components and solves the stationary equations of each with a sparse
+//!   Gauss–Seidel / damped-power hybrid that stops on the residual
+//!   `‖πP − π‖₁`, scaling to recurrent classes of 10⁴–10⁵ states. A chain
+//!   with several terminal classes weights each class's throughput by the
+//!   probability of being absorbed into it from the initial state, so it
+//!   is solved as exactly as a chain with one.
 //!
 //! # Failure taxonomy and degradation ladder
 //!
@@ -39,22 +36,16 @@
 //! rung); only the Cesàro rung marks the result inexact. Structural
 //! failures stay hard errors ([`MarkovError`]): a probability leak or an
 //! oversized state space cannot be "degraded around" without silently
-//! skewing every downstream number. A seeded
-//! [`MarkovFaults`] plan ([`MarkovParams::faults`], default off) stalls
-//! each iterative phase deterministically so the ladder is testable on
-//! well-behaved chains.
+//! skewing every downstream number.
 //!
-//! # Choosing a solver
+//! # Verification
 //!
-//! [`MarkovParams::solver`] defaults to
-//! [`StationarySolver::SparseIterative`]; select
-//! [`StationarySolver::DenseGaussJordan`] to cross-check the iterative
-//! result with an `O(k³)` elimination (it refuses recurrent classes past
-//! [`DENSE_STATE_CAP`] states with
-//! [`MarkovError::DenseSolveTooLarge`] rather than grinding). The two
-//! agree to well below 1e-7 on every chain both can solve; the tests hold
-//! them to that on the figure chains, on pipelines of up to 1,091
-//! recurrent states, and on random recycled graphs.
+//! The tests hold the sparse solve to an independent oracle, the original
+//! `O(k³)` Gauss–Jordan elimination of each class, which exists only in
+//! test builds. The two agree to well below 1e-7 on the figure chains, on
+//! pipelines of up to 1,091 recurrent states and on random recycled
+//! graphs. Shrunken stage budgets, also test-only, walk the degradation
+//! ladder rung by rung on a chain every rung can solve.
 //!
 //! # Example
 //!
@@ -79,31 +70,20 @@ pub mod chain;
 mod solve;
 
 pub use chain::{build_chain, Chain, ROW_MASS_TOLERANCE};
-pub use solve::DENSE_STATE_CAP;
 
 #[cfg(test)]
 mod proptests;
 
-/// Stationary-solve algorithm for each terminal (recurrent) class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StationarySolver {
-    /// Sparse Gauss–Seidel / damped-power hybrid with a residual-based
-    /// stopping rule (`‖πP − π‖₁ < ε`). Handles recurrent classes of
-    /// 10⁴–10⁵ states; the production default.
-    #[default]
-    SparseIterative,
-    /// Dense Gauss–Jordan elimination — the original `O(k³)` solver, kept
-    /// as a cross-validation oracle. Refuses classes beyond
-    /// [`DENSE_STATE_CAP`] states.
-    DenseGaussJordan,
-}
+/// The state cap of [`exact_throughput`]: exploration stops past this
+/// many reachable states (see [`build_chain`]).
+pub const DEFAULT_MAX_STATES: usize = 200_000;
 
 /// How the stationary distribution was obtained — the solver's own
 /// degradation ladder, reported instead of silently mixing methods.
 /// Ordered from strongest to weakest guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolveQuality {
-    /// Direct elimination (dense oracle) or a trivial singleton class —
+    /// A trivial singleton class (or the test-only dense elimination) —
     /// no iteration involved.
     Direct,
     /// Gauss–Seidel sweeps converged below the residual tolerance.
@@ -115,42 +95,6 @@ pub enum SolveQuality {
     /// the reported throughput is the Cesàro average of the damped-power
     /// iterates — a best-effort estimate, **not** an exact solve.
     CesaroAverage,
-}
-
-/// Deterministic fault injection for the Markov solve — exercises the
-/// degradation ladder without pathological chains. Default off; see the
-/// fault-injection test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MarkovFaults {
-    /// Pretend the Gauss–Seidel phase oscillates: skip it entirely, as
-    /// the rising-residual detector would after 8 rising sweeps.
-    pub stall_gauss_seidel: bool,
-    /// Truncate the damped-power budget so it cannot reach the residual
-    /// tolerance, forcing the Cesàro-average degradation.
-    pub stall_damped_power: bool,
-}
-
-/// Limits for the state-space exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarkovParams {
-    /// Abort if more reachable states than this are found, or once the
-    /// stored state keys hold more than `2 · max_states` times the
-    /// initial key's length in words.
-    pub max_states: usize,
-    /// Stationary-solve algorithm for the recurrent classes.
-    pub solver: StationarySolver,
-    /// Deterministic fault injection (default `None` — fully inert).
-    pub faults: Option<MarkovFaults>,
-}
-
-impl Default for MarkovParams {
-    fn default() -> Self {
-        MarkovParams {
-            max_states: 200_000,
-            solver: StationarySolver::SparseIterative,
-            faults: None,
-        }
-    }
 }
 
 /// Analysis result.
@@ -177,10 +121,10 @@ pub struct MarkovResult {
 /// Analysis failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MarkovError {
-    /// More reachable states than [`MarkovParams::max_states`], or state
-    /// keys holding more than `2 · max_states` times the initial key's
-    /// length in words (a queue that grows without end lengthens the keys
-    /// instead of multiplying the states).
+    /// More reachable states than `max_states`, or state keys holding
+    /// more than `2 · max_states` times the initial key's length in words
+    /// (a queue that grows without end lengthens the keys instead of
+    /// multiplying the states).
     StateSpaceTooLarge { limit: usize },
     /// Underlying machine failure.
     Machine(MachineError),
@@ -188,18 +132,12 @@ pub enum MarkovError {
     /// [`ROW_MASS_TOLERANCE`] — a machine or γ-assignment bug that would
     /// silently skew every downstream solve.
     ProbabilityLeak { state: usize, mass: f64 },
-    /// The dense cross-validation oracle was asked for a recurrent class
-    /// larger than [`DENSE_STATE_CAP`]; use the sparse solver instead.
-    DenseSolveTooLarge { states: usize, cap: usize },
     /// A chain with several terminal classes still had more than 1e-15
     /// of its probability mass in transient states after the absorption
     /// budget (2²⁰ steps). This is the only budget that fails a solve:
     /// a class's stationary solve degrades to a Cesàro average and
     /// reports [`SolveQuality::CesaroAverage`] instead.
     NoConvergence,
-    /// An early-evaluation node has an incoming edge without a γ
-    /// assignment, so guard probabilities cannot be formed.
-    MissingGamma { edge: usize },
 }
 
 impl fmt::Display for MarkovError {
@@ -213,18 +151,9 @@ impl fmt::Display for MarkovError {
                 f,
                 "state {state}: outgoing probability mass {mass} ≠ 1 (machine or γ bug)"
             ),
-            MarkovError::DenseSolveTooLarge { states, cap } => write!(
-                f,
-                "dense oracle refuses {states} recurrent states (cap {cap}); \
-                 use StationarySolver::SparseIterative"
-            ),
             MarkovError::NoConvergence => {
                 f.write_str("transient mass did not drain into the terminal classes")
             }
-            MarkovError::MissingGamma { edge } => write!(
-                f,
-                "edge {edge}: early-evaluation input lacks a γ probability"
-            ),
         }
     }
 }
@@ -244,23 +173,22 @@ impl From<MachineError> for MarkovError {
     }
 }
 
-/// Exact throughput with default limits.
+/// Exact throughput, exploring at most [`DEFAULT_MAX_STATES`] states.
 ///
 /// # Errors
 ///
 /// See [`MarkovError`].
 pub fn exact_throughput(g: &Rrg) -> Result<MarkovResult, MarkovError> {
-    exact_throughput_with(g, &MarkovParams::default())
+    exact_throughput_with(g, DEFAULT_MAX_STATES)
 }
 
-/// Exact throughput with explicit limits.
+/// Exact throughput, exploring at most `max_states` states.
 ///
 /// # Errors
 ///
 /// See [`MarkovError`].
-pub fn exact_throughput_with(g: &Rrg, params: &MarkovParams) -> Result<MarkovResult, MarkovError> {
-    let chain = build_chain(g, params)?;
-    solve::solve_chain(&chain, params)
+pub fn exact_throughput_with(g: &Rrg, max_states: usize) -> Result<MarkovResult, MarkovError> {
+    solve::solve_chain(&build_chain(g, max_states)?)
 }
 
 #[cfg(test)]
@@ -268,7 +196,19 @@ mod tests {
     use super::*;
     use rr_rrg::config::retime_tokens;
     use rr_rrg::generate::GeneratorParams;
-    use rr_rrg::{figures, Config};
+    use rr_rrg::{figures, Config, RrgBuilder};
+
+    /// The test-only dense oracle's answer for `g`.
+    fn dense_throughput(g: &Rrg) -> Result<MarkovResult, MarkovError> {
+        solve::solve_chain_dense(&build_chain(g, DEFAULT_MAX_STATES)?)
+    }
+
+    /// `g` solved with explicit stage budgets: Gauss–Seidel sweeps, then
+    /// damped power steps.
+    fn budgeted_throughput(g: &Rrg, sweeps: usize, steps: usize) -> MarkovResult {
+        let chain = build_chain(g, DEFAULT_MAX_STATES).unwrap();
+        solve::solve_chain_budgeted(&chain, sweeps, steps).unwrap()
+    }
 
     #[test]
     fn figure_2_closed_form_is_exact() {
@@ -323,11 +263,7 @@ mod tests {
 
     #[test]
     fn state_limit_is_enforced() {
-        let params = MarkovParams {
-            max_states: 3,
-            ..Default::default()
-        };
-        let err = exact_throughput_with(&figures::figure_1b(0.5), &params).unwrap_err();
+        let err = exact_throughput_with(&figures::figure_1b(0.5), 3).unwrap_err();
         assert!(matches!(err, MarkovError::StateSpaceTooLarge { .. }));
     }
 
@@ -355,14 +291,7 @@ mod tests {
             (figures::figure_1b_pipeline(&[3, 2], 0.6), 1_091),
         ] {
             let sparse = exact_throughput(&g).unwrap();
-            let dense = exact_throughput_with(
-                &g,
-                &MarkovParams {
-                    solver: StationarySolver::DenseGaussJordan,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let dense = dense_throughput(&g).unwrap();
             assert!(sparse.exact && dense.exact);
             assert_eq!(sparse.recurrent_states, recurrent);
             assert!(
@@ -380,9 +309,9 @@ mod tests {
         // states — past the 2,000-state wall where the old dense-only
         // engine silently fell back to power iteration — and two of
         // length 5: 28,520 recurrent states. The sparse path must solve
-        // both exactly; the dense oracle must refuse them with a
-        // structured error; and each answer must agree with an
-        // independent machine simulation.
+        // both exactly; the test-only dense oracle must refuse them at
+        // its cap; and each answer must agree with an independent machine
+        // simulation.
         for (g, recurrent) in [
             (figures::figure_1b_pipeline(&[3, 3], 0.6), 2_496),
             (figures::figure_1b_pipeline(&[5, 5], 0.6), 28_520),
@@ -391,22 +320,16 @@ mod tests {
             assert!(sparse.exact, "sparse path degraded to a Cesàro average");
             assert_eq!(sparse.recurrent_states, recurrent);
             assert!(
-                sparse.recurrent_states > DENSE_STATE_CAP,
+                sparse.recurrent_states > solve::DENSE_STATE_CAP,
                 "instance shrank below the cap: {} states",
                 sparse.recurrent_states
             );
-
-            let dense_params = MarkovParams {
-                solver: StationarySolver::DenseGaussJordan,
-                ..Default::default()
-            };
-            match exact_throughput_with(&g, &dense_params) {
-                Err(MarkovError::DenseSolveTooLarge { states, cap }) => {
-                    assert_eq!(states, sparse.recurrent_states);
-                    assert_eq!(cap, DENSE_STATE_CAP);
-                }
-                other => panic!("expected DenseSolveTooLarge, got {other:?}"),
-            }
+            assert_eq!(
+                dense_throughput(&g),
+                Err(MarkovError::StateSpaceTooLarge {
+                    limit: solve::DENSE_STATE_CAP
+                })
+            );
 
             let sim = rr_elastic::simulate(
                 &g,
@@ -429,7 +352,8 @@ mod tests {
     /// A recycled random graph whose chain has three terminal classes
     /// (7, 22 and 32 states, periods 3, 6 and 6), each running at 1/3:
     /// every class is solved and weighted by its absorption probability,
-    /// under either solver, and the answer is exact.
+    /// by the sparse solve and by the dense oracle, and the answer is
+    /// exact.
     #[test]
     fn several_terminal_classes_solve_exactly() {
         let g = GeneratorParams::paper_defaults(5, 1, 10).generate(4775422552608331596);
@@ -438,20 +362,16 @@ mod tests {
             buffers: vec![2, 1, 1, 4, 0, 1, 1, 1, 2, 2],
         };
         let g = config.apply(&g).unwrap();
-        for solver in [
-            StationarySolver::SparseIterative,
-            StationarySolver::DenseGaussJordan,
+        for (solver, r) in [
+            ("sparse", exact_throughput(&g)),
+            ("dense", dense_throughput(&g)),
         ] {
-            let params = MarkovParams {
-                solver,
-                ..Default::default()
-            };
-            let r = exact_throughput_with(&g, &params).unwrap();
-            assert_eq!((r.states, r.recurrent_states), (122, 61), "{solver:?}");
-            assert!(r.exact, "{solver:?}: {:?}", r.quality);
+            let r = r.unwrap();
+            assert_eq!((r.states, r.recurrent_states), (122, 61), "{solver}");
+            assert!(r.exact, "{solver}: {:?}", r.quality);
             assert!(
                 (r.throughput - 1.0 / 3.0).abs() < 1e-12,
-                "{solver:?}: Θ = {}",
+                "{solver}: Θ = {}",
                 r.throughput
             );
         }
@@ -472,11 +392,12 @@ mod tests {
         assert_eq!(err, MarkovError::StateSpaceTooLarge { limit: 200_000 });
     }
 
-    /// Each rung of the degradation ladder, driven by the seeded fault
-    /// plan on a chain all rungs can handle: a clean solve converges in
-    /// Gauss–Seidel; a stalled Gauss–Seidel converges in damped power;
-    /// stalling both degrades to the Cesàro average — which must still
-    /// be *reported* (not an error) and land near the true throughput.
+    /// Each rung of the degradation ladder, reached by shrinking the
+    /// stage budgets on a chain all rungs can handle: a clean solve
+    /// converges in Gauss–Seidel; with no Gauss–Seidel sweep it converges
+    /// in damped power; with 16 damped steps as well it degrades to the
+    /// Cesàro average — which must still be *reported* (not an error) and
+    /// land near the true throughput.
     #[test]
     fn fault_plan_walks_the_degradation_ladder() {
         let g = figures::figure_1b(0.5);
@@ -484,17 +405,7 @@ mod tests {
         assert_eq!(clean.quality, SolveQuality::GaussSeidel);
         assert!(clean.exact);
 
-        let damped = exact_throughput_with(
-            &g,
-            &MarkovParams {
-                faults: Some(MarkovFaults {
-                    stall_gauss_seidel: true,
-                    stall_damped_power: false,
-                }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let damped = budgeted_throughput(&g, 0, solve::DAMPED_STEPS);
         assert_eq!(damped.quality, SolveQuality::DampedPower);
         assert!(damped.exact);
         assert!(
@@ -504,17 +415,7 @@ mod tests {
             clean.throughput
         );
 
-        let cesaro = exact_throughput_with(
-            &g,
-            &MarkovParams {
-                faults: Some(MarkovFaults {
-                    stall_gauss_seidel: true,
-                    stall_damped_power: true,
-                }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cesaro = budgeted_throughput(&g, 0, 16);
         assert_eq!(cesaro.quality, SolveQuality::CesaroAverage);
         assert!(!cesaro.exact);
         // 16 damped steps from uniform: crude but in the ballpark.
@@ -540,7 +441,6 @@ mod tests {
         // chain builder demands 1e-9. A γ assignment in the gap passes
         // validation upstream but must be caught (not silently skew the
         // solve) when the chain is assembled.
-        use rr_rrg::RrgBuilder;
         let mut b = RrgBuilder::new();
         let m = b.add_early("m", 0.0);
         let f = b.add_simple("f", 1.0);
@@ -557,5 +457,17 @@ mod tests {
             }
             other => panic!("expected ProbabilityLeak, got {other:?}"),
         }
+    }
+
+    /// A graph without nodes has no reference node to fire: like both
+    /// simulators, the chain builder reports a deadlock before the first
+    /// cycle instead of indexing the empty firing vector.
+    #[test]
+    fn empty_graph_reports_deadlock() {
+        let g = RrgBuilder::new().build().unwrap();
+        assert_eq!(
+            exact_throughput(&g),
+            Err(MarkovError::Machine(MachineError::Deadlock { at_cycle: 0 }))
+        );
     }
 }

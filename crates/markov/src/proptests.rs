@@ -1,7 +1,8 @@
-//! Property-based cross-validation of the two stationary solvers.
+//! Property-based cross-validation of the stationary solve.
 //!
-//! The sparse Gauss–Seidel/power hybrid is the production path; the dense
-//! Gauss–Jordan elimination is its oracle. On every chain both can solve —
+//! The sparse Gauss–Seidel/power hybrid is the production path; the
+//! test-only dense Gauss–Jordan elimination is its oracle. On every chain
+//! both can solve —
 //! figure variants across the γ range and random recycled benchmark
 //! graphs — their throughputs must agree to 1e-7 (in practice they agree
 //! to ~1e-12; the bound leaves room for ill-conditioned classes).
@@ -11,28 +12,22 @@ use proptest::prelude::*;
 use rr_rrg::generate::GeneratorParams;
 use rr_rrg::{figures, Config, Rrg};
 
-use crate::{exact_throughput_with, MarkovError, MarkovParams, StationarySolver};
+use crate::{build_chain, solve, MarkovError};
 
-/// Solves with both solvers and asserts agreement; returns `false`
-/// (skipped) on instances the dense oracle refuses or that exceed the
-/// exploration limits.
+/// Solves with the sparse solve and the dense oracle and asserts
+/// agreement; returns `false` (skipped) on instances that exceed the
+/// exploration limit or that the dense oracle refuses.
 fn assert_solvers_agree(g: &Rrg, label: &str) -> bool {
-    let sparse_params = MarkovParams {
-        max_states: 50_000,
-        ..Default::default()
+    let chain = match build_chain(g, 50_000) {
+        Ok(chain) => chain,
+        Err(MarkovError::StateSpaceTooLarge { .. }) => return false,
+        Err(e) => panic!("{label}: chain build failed: {e}"),
     };
-    let dense_params = MarkovParams {
-        solver: StationarySolver::DenseGaussJordan,
-        ..sparse_params.clone()
-    };
-    let sparse = match exact_throughput_with(g, &sparse_params) {
+    let sparse =
+        solve::solve_chain(&chain).unwrap_or_else(|e| panic!("{label}: sparse solve failed: {e}"));
+    let dense = match solve::solve_chain_dense(&chain) {
         Ok(r) => r,
         Err(MarkovError::StateSpaceTooLarge { .. }) => return false,
-        Err(e) => panic!("{label}: sparse solve failed: {e}"),
-    };
-    let dense = match exact_throughput_with(g, &dense_params) {
-        Ok(r) => r,
-        Err(MarkovError::DenseSolveTooLarge { .. }) => return false,
         Err(e) => panic!("{label}: dense solve failed: {e}"),
     };
     assert_eq!(sparse.exact, dense.exact);

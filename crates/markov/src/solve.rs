@@ -4,36 +4,38 @@
 //! [`rr_rrg::algo::tarjan`], run over the chain's successor lists; a
 //! component no transition leaves is a terminal (recurrent) class. Each
 //! class is copied once into local indices, row-wise and column-wise
-//! (`LocalClass`), and whichever solver runs reads that copy.
+//! (`LocalClass`), and the per-class solve reads that copy.
 //!
-//! Two interchangeable solvers compute `π P = π, Σπ = 1` on a terminal
-//! class (selected by [`MarkovParams::solver`]):
+//! The per-class solve computes `π P = π, Σπ = 1` by a Gauss–Seidel sweep
+//! over the in-transition (CSC) structure of the class, normalised each
+//! pass, with a rigorous residual-based stopping rule `‖πP − π‖₁ < ε`.
+//! When the sweep stalls (periodic classes can make plain Gauss–Seidel
+//! oscillate) it degrades to damped power steps `π ← (π + πP)/2`, which
+//! converge on any irreducible class, and when their budget runs out, to
+//! the Cesàro average of the damped iterates. Memory and per-sweep work
+//! are `O(transitions)`.
 //!
-//! * [`StationarySolver::SparseIterative`] — the production path: a
-//!   Gauss–Seidel sweep over the in-transition (CSC) structure of the
-//!   class, normalised each pass, with a rigorous residual-based stopping
-//!   rule `‖πP − π‖₁ < ε`. When the sweep stalls (periodic classes can
-//!   make plain Gauss–Seidel oscillate) it degrades to damped power steps
-//!   `π ← (π + πP)/2`, which converge on any irreducible class. Memory
-//!   and per-sweep work are `O(transitions)`.
-//! * [`StationarySolver::DenseGaussJordan`] — the original `O(k³)`
-//!   elimination, kept as a cross-validation oracle. It refuses classes
-//!   beyond [`DENSE_STATE_CAP`] states instead of grinding.
+//! `solve_classes` takes the per-class solve as an argument. Production
+//! passes the sparse solve with the stage budgets below; the tests pass
+//! shrunken budgets, which reach the lower rungs, and the original
+//! `O(k³)` Gauss–Jordan elimination, the cross-validation oracle, which
+//! exists only in test builds and refuses classes beyond
+//! `DENSE_STATE_CAP` states.
 //!
 //! A chain with several terminal classes solves each class the same way
 //! and weights its throughput `Θ_k` by the probability `a_k` that the
 //! chain, started in state 0, is absorbed into it: `Θ = Σ_k a_k·Θ_k`.
-//! Chain building already stops at [`MarkovParams::max_states`], so a
-//! class needs no size cap of its own.
+//! Chain building already stops at its `max_states`, so a class needs no
+//! size cap of its own.
 
 use crate::chain::Chain;
-use crate::{MarkovError, MarkovParams, MarkovResult, SolveQuality, StationarySolver};
+use crate::{MarkovError, MarkovResult, SolveQuality};
 
-/// Hard cap on the dense oracle: beyond this many recurrent states the
-/// `O(k³)` elimination is hopeless and [`MarkovError::DenseSolveTooLarge`]
-/// is returned instead. (This was the silent fallback threshold of the
-/// old dense-only engine.)
-pub const DENSE_STATE_CAP: usize = 2_000;
+/// Gauss–Seidel sweeps before the solve falls back to damped power steps.
+const GAUSS_SEIDEL_SWEEPS: usize = 10_000;
+
+/// Damped power steps before the solve degrades to the Cesàro average.
+pub(crate) const DAMPED_STEPS: usize = 4_000_000;
 
 /// Transient probability mass left over when the absorption
 /// probabilities are taken as final.
@@ -49,7 +51,19 @@ fn residual_eps(k: usize) -> f64 {
 }
 
 /// Finds the terminal classes and solves for the long-run throughput.
-pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult, MarkovError> {
+pub fn solve_chain(chain: &Chain) -> Result<MarkovResult, MarkovError> {
+    solve_classes(chain, |class| {
+        Ok(stationary_sparse(class, GAUSS_SEIDEL_SWEEPS, DAMPED_STEPS))
+    })
+}
+
+/// Finds the terminal classes, solves each with `solve_class` (its
+/// throughput and the rung that produced it) and weights the answers by
+/// their absorption probabilities.
+fn solve_classes(
+    chain: &Chain,
+    mut solve_class: impl FnMut(&LocalClass) -> Result<(f64, SolveQuality), MarkovError>,
+) -> Result<MarkovResult, MarkovError> {
     let n = chain.num_states();
     let sccs = rr_rrg::algo::tarjan(n, |v, k| chain.succs(v).get(k).map(|&w| w as usize));
     let mut comp_of = vec![usize::MAX; n];
@@ -85,20 +99,8 @@ pub fn solve_chain(chain: &Chain, params: &MarkovParams) -> Result<MarkovResult,
     };
     let mut throughput = 0.0f64;
     let mut quality = SolveQuality::Direct;
-    let dense = params.solver == StationarySolver::DenseGaussJordan;
     for (comp, weight) in classes.iter().zip(&weights) {
-        if dense && comp.len() > DENSE_STATE_CAP {
-            return Err(MarkovError::DenseSolveTooLarge {
-                states: comp.len(),
-                cap: DENSE_STATE_CAP,
-            });
-        }
-        let class = LocalClass::new(chain, comp);
-        let (theta, q) = if dense {
-            (stationary_dense(&class), SolveQuality::Direct)
-        } else {
-            stationary_sparse(&class, params)
-        };
+        let (theta, q) = solve_class(&LocalClass::new(chain, comp))?;
         throughput += weight * theta;
         quality = quality.max(q);
     }
@@ -254,15 +256,19 @@ fn residual(class: &LocalClass, pi: &[f64], scratch: &mut [f64]) -> f64 {
         .sum()
 }
 
-/// Sparse iterative stationary throughput on one terminal class:
-/// Gauss–Seidel with damped-power fallback, stopping on the `‖πP − π‖₁`
-/// residual. Never fails — when both iterative phases exhaust their
-/// budgets the Cesàro average of the damped-power iterates is returned
-/// with [`SolveQuality::CesaroAverage`] (a budget overrun on a
-/// well-formed chain should degrade the answer's pedigree, not destroy
-/// the whole sweep that asked for it).
-fn stationary_sparse(class: &LocalClass, params: &MarkovParams) -> (f64, SolveQuality) {
-    let faults = params.faults.unwrap_or_default();
+/// Sparse iterative stationary throughput on one terminal class: up to
+/// `max_sweeps` Gauss–Seidel sweeps with a fallback to up to `max_steps`
+/// damped power steps, stopping on the `‖πP − π‖₁` residual. Never fails
+/// — when both iterative phases exhaust their budgets the Cesàro average
+/// of the damped-power iterates is returned with
+/// [`SolveQuality::CesaroAverage`] (a budget overrun on a well-formed
+/// chain should degrade the answer's pedigree, not destroy the whole
+/// sweep that asked for it).
+fn stationary_sparse(
+    class: &LocalClass,
+    max_sweeps: usize,
+    max_steps: usize,
+) -> (f64, SolveQuality) {
     let k = class.num_states();
     if k == 1 {
         return (class.reward[0], SolveQuality::Direct);
@@ -273,9 +279,8 @@ fn stationary_sparse(class: &LocalClass, params: &MarkovParams) -> (f64, SolveQu
 
     // Phase 1: Gauss–Seidel sweeps. π_j ← Σ_{i≠j} π_i p_ij / (1 − p_jj),
     // consuming already-updated entries — typically a few dozen sweeps
-    // even on 10⁵-state classes. The injected stall reproduces what the
-    // rising-residual detector does on a periodic class.
-    let max_sweeps = if faults.stall_gauss_seidel { 0 } else { 10_000 };
+    // even on 10⁵-state classes. With no sweep at all the solve goes
+    // where the rising-residual detector sends a periodic class.
     let mut prev_res = f64::INFINITY;
     let mut rising = 0u32;
     for _ in 0..max_sweeps {
@@ -314,13 +319,6 @@ fn stationary_sparse(class: &LocalClass, params: &MarkovParams) -> (f64, SolveQu
     if pi.iter().any(|x| !x.is_finite()) {
         pi.iter_mut().for_each(|x| *x = 1.0 / k as f64);
     }
-    // The injected stall leaves a budget far too small for the residual
-    // tolerance yet big enough to seed a meaningful Cesàro average.
-    let max_steps = if faults.stall_damped_power {
-        16
-    } else {
-        4_000_000
-    };
     let mut cesaro = vec![0.0f64; k];
     for _ in 0..max_steps {
         class.apply(&pi, &mut scratch);
@@ -355,8 +353,43 @@ fn stationary_sparse(class: &LocalClass, params: &MarkovParams) -> (f64, SolveQu
     (class.throughput(&cesaro), SolveQuality::CesaroAverage)
 }
 
+/// Test seam: the chain solved with explicit stage budgets. No
+/// Gauss–Seidel sweep reaches the damped-power rung, and a handful of
+/// damped steps as well the Cesàro rung.
+#[cfg(test)]
+pub(crate) fn solve_chain_budgeted(
+    chain: &Chain,
+    max_sweeps: usize,
+    max_steps: usize,
+) -> Result<MarkovResult, MarkovError> {
+    solve_classes(chain, |class| {
+        Ok(stationary_sparse(class, max_sweeps, max_steps))
+    })
+}
+
+/// Beyond this many recurrent states the dense oracle's `O(k³)`
+/// elimination is hopeless, and it refuses the class.
+#[cfg(test)]
+pub(crate) const DENSE_STATE_CAP: usize = 2_000;
+
+/// Test seam: the chain solved by the dense oracle, which refuses a class
+/// beyond [`DENSE_STATE_CAP`] states with
+/// [`MarkovError::StateSpaceTooLarge`] at that limit.
+#[cfg(test)]
+pub(crate) fn solve_chain_dense(chain: &Chain) -> Result<MarkovResult, MarkovError> {
+    solve_classes(chain, |class| {
+        if class.num_states() > DENSE_STATE_CAP {
+            return Err(MarkovError::StateSpaceTooLarge {
+                limit: DENSE_STATE_CAP,
+            });
+        }
+        Ok((stationary_dense(class), SolveQuality::Direct))
+    })
+}
+
 /// Solves `π P = π, Σπ = 1` on one recurrent class by dense Gaussian
 /// elimination and returns `Σ_s π(s)·r̄(s)` — the cross-validation oracle.
+#[cfg(test)]
 fn stationary_dense(class: &LocalClass) -> f64 {
     let k = class.num_states();
     // Rows 0..k-1: (P^T − I) π = 0, last row replaced by Σπ = 1.
@@ -382,6 +415,7 @@ fn stationary_dense(class: &LocalClass) -> f64 {
 
 /// In-place Gauss–Jordan with partial pivoting on a `k × (k+1)` augmented
 /// system; the solution lands in the last column.
+#[cfg(test)]
 fn gaussian_solve(a: &mut [f64], k: usize) {
     let w = k + 1;
     for col in 0..k {
@@ -424,7 +458,8 @@ mod tests {
     /// From 0, state 1 is absorbed into the firing self-loop {2} with
     /// probability 0.3, into the 2-cycle {3, 4} (Θ = 1/2) with probability
     /// 0.2, and returns to 0 otherwise: a_{2} = 0.6, a_{3,4} = 0.4, so
-    /// Θ = 0.6·1 + 0.4·0.5 = 0.8 under either solver.
+    /// Θ = 0.6·1 + 0.4·0.5 = 0.8 under the sparse solve and the dense
+    /// oracle.
     #[test]
     fn terminal_classes_are_weighted_by_their_absorption_probability() {
         let chain = Chain::from_rows(&[
@@ -434,17 +469,13 @@ mod tests {
             &[(4, 1.0, 1.0)],
             &[(3, 1.0, 0.0)],
         ]);
-        for solver in [
-            StationarySolver::SparseIterative,
-            StationarySolver::DenseGaussJordan,
+        for (solver, r) in [
+            ("sparse", solve_chain(&chain)),
+            ("dense", solve_chain_dense(&chain)),
         ] {
-            let params = MarkovParams {
-                solver,
-                ..Default::default()
-            };
-            let r = solve_chain(&chain, &params).unwrap();
-            assert!((r.throughput - 0.8).abs() < 1e-12, "{solver:?}: {r:?}");
-            assert!(r.exact, "{solver:?}: {r:?}");
+            let r = r.unwrap();
+            assert!((r.throughput - 0.8).abs() < 1e-12, "{solver}: {r:?}");
+            assert!(r.exact, "{solver}: {r:?}");
             assert_eq!((r.states, r.recurrent_states), (5, 3));
         }
     }
@@ -459,7 +490,7 @@ mod tests {
             &[(1, 1.0, 1.0)],
             &[(2, 1.0, 0.0)],
         ]);
-        let err = solve_chain(&chain, &MarkovParams::default()).unwrap_err();
+        let err = solve_chain(&chain).unwrap_err();
         assert_eq!(err, MarkovError::NoConvergence);
     }
 }

@@ -36,7 +36,9 @@ pub struct BranchBoundStats {
     /// request).
     pub ft_updates: usize,
     /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
-    /// update rather than the scheduled length/fill policy.
+    /// update or by residual drift rather than the scheduled length/fill
+    /// policy: rung 2 of the recovery ladder, so it always equals
+    /// `recovery.forced_refactors`.
     pub forced_refactors: usize,
     /// Largest `nnz(L+U)` any basis snapshot reached — the actual fill of
     /// the sparse LU (0 under the oracle request).
@@ -134,9 +136,9 @@ mod tests {
     fn knapsack_small() {
         // max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6, binary → a=0,b=1,c=1 (20)
         let mut m = Model::new(Sense::Maximize);
-        let a = m.add_integer("a", 0.0, 1.0);
-        let b = m.add_integer("b", 0.0, 1.0);
-        let c = m.add_integer("c", 0.0, 1.0);
+        let a = m.add_integer(0.0, 1.0);
+        let b = m.add_integer(0.0, 1.0);
+        let c = m.add_integer(0.0, 1.0);
         m.set_objective(10.0 * a + 13.0 * b + 7.0 * c);
         m.add_constraint(3.0 * a + 4.0 * b + 2.0 * c, cmp::LE, 6.0);
         let sol = m.solve().unwrap();
@@ -152,8 +154,8 @@ mod tests {
         // LP optimum fractional; integer optimum differs from naive rounding.
         // max y s.t. -x + y <= 0.5, x + y <= 3.5, 0<=x<=3 int, y int
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_integer("x", 0.0, 3.0);
-        let y = m.add_integer("y", 0.0, 10.0);
+        let x = m.add_integer(0.0, 3.0);
+        let y = m.add_integer(0.0, 10.0);
         m.set_objective(LinExpr::var(y));
         m.add_constraint(-1.0 * x + y, cmp::LE, 0.5);
         m.add_constraint(x + y, cmp::LE, 3.5);
@@ -167,8 +169,8 @@ mod tests {
         // min 2x + y s.t. x + y >= 3.3, x int >= 0, y cont >= 0 → x=0? no:
         // x=0 → y=3.3 cost 3.3; x=1 → y=2.3 cost 4.3. Optimal x=0.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", 0.0, 100.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_integer(0.0, 100.0);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(2.0 * x + y);
         m.add_constraint(x + y, cmp::GE, 3.3);
         let sol = m.solve().unwrap();
@@ -180,7 +182,7 @@ mod tests {
     fn infeasible_integrality() {
         // 2x == 3 has no integer solution.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", 0.0, 10.0);
+        let x = m.add_integer(0.0, 10.0);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(2.0 * x, cmp::EQ, 3.0);
         assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);
@@ -190,7 +192,7 @@ mod tests {
     fn negative_integer_ranges() {
         // min x s.t. x >= -2.5, x integer in [-10, 10] → x = -2.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", -10.0, 10.0);
+        let x = m.add_integer(-10.0, 10.0);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -2.5);
         let sol = m.solve().unwrap();
@@ -202,9 +204,7 @@ mod tests {
         // A model where optimality needs some search; a 1-node budget must
         // either produce an incumbent (Feasible) or IterationLimit.
         let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8)
-            .map(|i| m.add_integer(format!("x{i}"), 0.0, 1.0))
-            .collect();
+        let vars: Vec<_> = (0..8).map(|_| m.add_integer(0.0, 1.0)).collect();
         let mut obj = LinExpr::new();
         let mut row = LinExpr::new();
         for (i, &v) in vars.iter().enumerate() {
@@ -229,9 +229,7 @@ mod tests {
     #[test]
     fn truncated_search_is_explicitly_feasible_not_optimal() {
         let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..10)
-            .map(|i| m.add_integer(format!("x{i}"), 0.0, 1.0))
-            .collect();
+        let vars: Vec<_> = (0..10).map(|_| m.add_integer(0.0, 1.0)).collect();
         let mut obj = LinExpr::new();
         let mut row = LinExpr::new();
         for (i, &v) in vars.iter().enumerate() {
@@ -263,8 +261,8 @@ mod tests {
     #[test]
     fn stats_reported() {
         let mut m = Model::new(Sense::Maximize);
-        let a = m.add_integer("a", 0.0, 5.0);
-        let b = m.add_integer("b", 0.0, 5.0);
+        let a = m.add_integer(0.0, 5.0);
+        let b = m.add_integer(0.0, 5.0);
         m.set_objective(3.0 * a + 2.0 * b);
         m.add_constraint(2.0 * a + 3.0 * b, cmp::LE, 11.5);
         let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
@@ -288,14 +286,9 @@ mod tests {
         // already integral and B&B should finish at the root.
         let cost = [[4.0, 2.0, 8.0], [4.0, 3.0, 7.0], [3.0, 1.0, 6.0]];
         let mut m = Model::new(Sense::Minimize);
-        let mut x = vec![];
-        for i in 0..3 {
-            let mut row = vec![];
-            for j in 0..3 {
-                row.push(m.add_integer(format!("x{i}{j}"), 0.0, 1.0));
-            }
-            x.push(row);
-        }
+        let x: Vec<Vec<VarId>> = (0..3)
+            .map(|_| (0..3).map(|_| m.add_integer(0.0, 1.0)).collect())
+            .collect();
         let mut obj = LinExpr::new();
         for i in 0..3 {
             for j in 0..3 {
@@ -324,9 +317,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let n = 12;
         let mut obj = LinExpr::new();
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.add_integer(format!("x{i}"), 0.0, 3.0))
-            .collect();
+        let vars: Vec<_> = (0..n).map(|_| m.add_integer(0.0, 3.0)).collect();
         for (i, &v) in vars.iter().enumerate() {
             obj += ((i % 5 + 2) as f64) * v;
         }
@@ -397,7 +388,7 @@ mod tests {
     fn fractional_bounds_still_yield_integral_solutions() {
         for kernel in [Kernel::Revised, Kernel::DenseTableau] {
             let mut m = Model::new(Sense::Maximize);
-            let x = m.add_integer("x", 0.0, 2.5);
+            let x = m.add_integer(0.0, 2.5);
             m.set_objective(LinExpr::var(x));
             m.add_constraint(LinExpr::var(x), cmp::LE, 10.0);
             let opts = SolverOptions {
@@ -419,7 +410,7 @@ mod tests {
     #[test]
     fn free_integer_branches_on_the_warm_path() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, true);
+        let x = m.add_var(f64::NEG_INFINITY, f64::INFINITY, true);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -2.5);
         let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
@@ -437,7 +428,7 @@ mod tests {
     #[test]
     fn mirrored_integer_branches_on_the_warm_path() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", f64::NEG_INFINITY, 3.5, true);
+        let x = m.add_var(f64::NEG_INFINITY, 3.5, true);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -10.0);
         let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
@@ -453,9 +444,9 @@ mod tests {
     #[test]
     fn rowless_models_solve_in_closed_form() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", -4.6, 9.0);
-        let y = m.add_integer("y", 1.2, 7.8);
-        let z = m.add_continuous("z", 2.0, 5.0);
+        let x = m.add_integer(-4.6, 9.0);
+        let y = m.add_integer(1.2, 7.8);
+        let z = m.add_continuous(2.0, 5.0);
         m.set_objective(1.0 * x - 2.0 * y + 0.5 * z);
         for kernel in [Kernel::Revised, Kernel::DenseTableau] {
             let opts = SolverOptions {
@@ -480,14 +471,14 @@ mod tests {
             };
             // An integer fixed at a fraction has no lattice point.
             let mut m = Model::new(Sense::Minimize);
-            let w = m.add_integer("w", 2.5, 2.5);
+            let w = m.add_integer(2.5, 2.5);
             m.set_objective(LinExpr::var(w));
             assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Infeasible);
 
             // A favorable unbounded direction is reported as such, by
             // the search and by the relaxation.
             let mut m = Model::new(Sense::Maximize);
-            let f = m.add_var("f", f64::NEG_INFINITY, f64::INFINITY, true);
+            let f = m.add_var(f64::NEG_INFINITY, f64::INFINITY, true);
             m.set_objective(LinExpr::var(f));
             assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Unbounded);
             assert_eq!(

@@ -5,7 +5,6 @@
 //! in the paper, e.g. `tin(e) - tout(ep) >= beta` is written
 //! `m.add_constraint(tin - tout, cmp::GE, beta)`.
 
-use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// Identifier of a variable inside one [`Model`](crate::Model).
@@ -19,12 +18,6 @@ impl VarId {
     /// Index of the variable in the owning model (construction order).
     pub fn index(self) -> usize {
         self.0
-    }
-}
-
-impl fmt::Display for VarId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v{}", self.0)
     }
 }
 

@@ -6,7 +6,7 @@
 //! No external solver is available to this reproduction, so this crate
 //! implements the required machinery from scratch:
 //!
-//! * a [`Model`] builder with named, bounded, continuous or integer
+//! * a [`Model`] builder with bounded, continuous or integer
 //!   [`variables`](Model::add_var) and linear [`constraints`](Model::add_constraint),
 //! * two LP kernels selected by [`SolverOptions::kernel`] (see below),
 //! * a **warm-started branch & bound** search that solves every LP and
@@ -148,8 +148,8 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4, x <= 2.5, x,y >= 0
 //! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var("x", 0.0, 2.5, false);
-//! let y = m.add_var("y", 0.0, f64::INFINITY, false);
+//! let x = m.add_var(0.0, 2.5, false);
+//! let y = m.add_var(0.0, f64::INFINITY, false);
 //! m.set_objective(3.0 * x + 2.0 * y);
 //! m.add_constraint(x + y, cmp::LE, 4.0);
 //! let sol = m.solve()?;
@@ -171,7 +171,7 @@ mod standard;
 
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
-pub use model::{cmp, CmpOp, Constraint, Kernel, Model, Sense, SolverOptions, Variable};
+pub use model::{cmp, CmpOp, Kernel, Model, Sense, SolverOptions};
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};
 

@@ -1,6 +1,5 @@
 //! Model builder: variables, constraints, objective, solver entry points.
 
-use std::fmt;
 use std::time::Duration;
 
 use crate::branch_bound;
@@ -25,16 +24,6 @@ pub enum CmpOp {
     Eq,
 }
 
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CmpOp::Le => "<=",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "==",
-        })
-    }
-}
-
 /// Short aliases so constraint sites read close to the paper's notation.
 pub mod cmp {
     pub use super::CmpOp;
@@ -48,61 +37,28 @@ pub mod cmp {
 
 /// A decision variable.
 #[derive(Debug, Clone)]
-pub struct Variable {
-    pub(crate) name: String,
-    pub(crate) lower: f64,
-    pub(crate) upper: f64,
-    pub(crate) integer: bool,
-    pub(crate) priority: i32,
-}
-
-impl Variable {
-    /// Variable name as given at creation.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
+pub(crate) struct Variable {
     /// Lower bound (may be `-inf`).
-    pub fn lower(&self) -> f64 {
-        self.lower
-    }
+    pub(crate) lower: f64,
     /// Upper bound (may be `+inf`).
-    pub fn upper(&self) -> f64 {
-        self.upper
-    }
+    pub(crate) upper: f64,
     /// Whether the variable is required to be integral.
-    pub fn is_integer(&self) -> bool {
-        self.integer
-    }
+    pub(crate) integer: bool,
     /// Branching priority (higher branches first; default 0).
-    pub fn priority(&self) -> i32 {
-        self.priority
-    }
+    pub(crate) priority: i32,
 }
 
 /// A linear constraint `expr op rhs`.
 #[derive(Debug, Clone)]
-pub struct Constraint {
+pub(crate) struct Constraint {
     pub(crate) expr: LinExpr,
     pub(crate) op: CmpOp,
     pub(crate) rhs: f64,
 }
 
 impl Constraint {
-    /// Left-hand-side expression.
-    pub fn expr(&self) -> &LinExpr {
-        &self.expr
-    }
-    /// Comparison operator.
-    pub fn op(&self) -> CmpOp {
-        self.op
-    }
-    /// Right-hand-side constant.
-    pub fn rhs(&self) -> f64 {
-        self.rhs
-    }
-
     /// Signed violation of the constraint under `values` (0 if satisfied).
-    pub fn violation(&self, values: &[f64]) -> f64 {
+    fn violation(&self, values: &[f64]) -> f64 {
         let lhs = self.expr.eval(values);
         match self.op {
             CmpOp::Le => (lhs - self.rhs).max(0.0),
@@ -249,13 +205,7 @@ impl Model {
     /// # Panics
     ///
     /// Panics if `lower > upper` or either bound is NaN.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: f64,
-        integer: bool,
-    ) -> VarId {
+    pub fn add_var(&mut self, lower: f64, upper: f64, integer: bool) -> VarId {
         assert!(
             !lower.is_nan() && !upper.is_nan(),
             "variable bounds must not be NaN"
@@ -263,7 +213,6 @@ impl Model {
         assert!(lower <= upper, "variable lower bound exceeds upper bound");
         let id = VarId(self.vars.len());
         self.vars.push(Variable {
-            name: name.into(),
             lower,
             upper,
             integer,
@@ -278,18 +227,18 @@ impl Model {
     }
 
     /// Adds a continuous variable (shorthand for [`Model::add_var`]).
-    pub fn add_continuous(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.add_var(name, lower, upper, false)
+    pub fn add_continuous(&mut self, lower: f64, upper: f64) -> VarId {
+        self.add_var(lower, upper, false)
     }
 
     /// Adds an integer variable (shorthand for [`Model::add_var`]).
-    pub fn add_integer(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.add_var(name, lower, upper, true)
+    pub fn add_integer(&mut self, lower: f64, upper: f64) -> VarId {
+        self.add_var(lower, upper, true)
     }
 
     /// Adds a free continuous variable (`-inf, +inf`).
-    pub fn add_free(&mut self, name: impl Into<String>) -> VarId {
-        self.add_var(name, f64::NEG_INFINITY, f64::INFINITY, false)
+    pub fn add_free(&mut self) -> VarId {
+        self.add_var(f64::NEG_INFINITY, f64::INFINITY, false)
     }
 
     /// Sets the objective expression (its constant part is carried through
@@ -325,21 +274,6 @@ impl Model {
         let var = &mut self.vars[v.0];
         var.lower = value;
         var.upper = value;
-    }
-
-    /// Variable metadata.
-    pub fn var(&self, v: VarId) -> &Variable {
-        &self.vars[v.0]
-    }
-
-    /// Iterates over all variables with their ids.
-    pub fn vars(&self) -> impl Iterator<Item = (VarId, &Variable)> {
-        self.vars.iter().enumerate().map(|(i, v)| (VarId(i), v))
-    }
-
-    /// Iterates over the constraints.
-    pub fn constraints(&self) -> impl Iterator<Item = &Constraint> {
-        self.constraints.iter()
     }
 
     /// Checks a candidate assignment against bounds, constraints and
@@ -422,7 +356,7 @@ mod tests {
     #[test]
     fn objective_constant_is_reported() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 1.0, 10.0);
+        let x = m.add_continuous(1.0, 10.0);
         m.set_objective(LinExpr::var(x) + 5.0);
         let sol = m.solve().unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7);
@@ -431,7 +365,7 @@ mod tests {
     #[test]
     fn constraint_constant_folds_into_rhs() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         // x + 3 <= 5  →  x <= 2
         m.add_constraint(LinExpr::var(x) + 3.0, cmp::LE, 5.0);
@@ -467,13 +401,13 @@ mod tests {
     #[should_panic(expected = "lower bound exceeds upper")]
     fn rejects_crossed_bounds() {
         let mut m = Model::new(Sense::Minimize);
-        m.add_var("x", 2.0, 1.0, false);
+        m.add_var(2.0, 1.0, false);
     }
 
     #[test]
     fn max_violation_detects_bound_and_row_violations() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", 0.0, 4.0);
+        let x = m.add_integer(0.0, 4.0);
         m.add_constraint(2.0 * x, cmp::LE, 3.0);
         // x = 2.5 violates integrality (0.5) and the row (2.0).
         let viol = m.max_violation(&[2.5], 1e-6);
@@ -483,7 +417,7 @@ mod tests {
     #[test]
     fn rows_violated_scales_with_the_row() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 1e6);
+        let x = m.add_continuous(0.0, 1e6);
         m.add_constraint(1.0 * x, cmp::LE, 1e5);
         // 1e-3 over a 1e5 row is round-off at a 1e-4 relative tolerance;
         // 1e2 over it, or a NaN, is not.
@@ -495,7 +429,7 @@ mod tests {
     #[test]
     fn fix_var_pins_value() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 10.0);
         m.set_objective(LinExpr::var(x));
         m.fix_var(x, 3.5);
         let sol = m.solve().unwrap();

@@ -42,7 +42,7 @@ impl PlantedLp {
         };
         let mut m = Model::new(sense);
         let vars: Vec<_> = (0..self.nvars)
-            .map(|i| m.add_var(format!("x{i}"), 0.0, 10.0, self.integers[i]))
+            .map(|i| m.add_var(0.0, 10.0, self.integers[i]))
             .collect();
         let mut obj = LinExpr::new();
         for (i, &c) in self.obj.iter().enumerate() {
@@ -127,7 +127,7 @@ impl PlantedUnboxedMilp {
                     1 => (f64::NEG_INFINITY, 9.0),
                     _ => (f64::NEG_INFINITY, f64::INFINITY),
                 };
-                m.add_var(format!("x{i}"), lo, hi, true)
+                m.add_var(lo, hi, true)
             })
             .collect();
         let mut obj = LinExpr::new();
@@ -321,7 +321,7 @@ proptest! {
     ) {
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..nv)
-            .map(|i| m.add_var(format!("x{i}"), 0.0, 4.0, ints[i]))
+            .map(|i| m.add_var(0.0, 4.0, ints[i]))
             .collect();
         let mut e = LinExpr::new();
         for (i, &v) in vars.iter().enumerate() {
@@ -984,7 +984,7 @@ proptest! {
     ) {
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..nv)
-            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
+            .map(|_| m.add_continuous(0.0, 10.0))
             .collect();
         m.set_objective(vars.iter().map(|&v| LinExpr::var(v)).fold(LinExpr::new(), |a, b| a + b));
         for (coeffs, sense, rhs) in &rows {

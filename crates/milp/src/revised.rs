@@ -75,9 +75,6 @@ pub(crate) struct FactorStats {
     pub peak_lu_nnz: usize,
     /// Successful Forrest–Tomlin updates (0 under the product form).
     pub ft_updates: usize,
-    /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
-    /// update, as opposed to the scheduled length/fill policy.
-    pub forced_refactors: usize,
 }
 
 /// Pivot counters split by simplex direction (surfaced through
@@ -767,7 +764,6 @@ impl Revised {
     fn forced_refactor(&mut self, ev: NumericalEvent) -> Result<(), SolveError> {
         self.recovery.record(ev);
         self.recovery.forced_refactors += 1;
-        self.factor_stats.forced_refactors += 1;
         self.refactor()?;
         self.compute_xb();
         Ok(())
@@ -1659,8 +1655,8 @@ mod tests {
     #[test]
     fn zero_time_limit_aborts_inside_the_kernel() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(x + y, cmp::LE, 4.0);
         let sf = StandardForm::build(&m, None);
@@ -1682,8 +1678,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → (2, 6), 36.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(LinExpr::var(x), cmp::LE, 4.0);
         m.add_constraint(2.0 * y, cmp::LE, 12.0);
@@ -1698,8 +1694,8 @@ mod tests {
         // max x + y, x ∈ [0, 2.5], y ∈ [1, 3], x + y <= 4 → (2.5, 1.5) or
         // (1, 3): optimum value 4 with x at most 2.5 and y at least 1.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.5);
-        let y = m.add_continuous("y", 1.0, 3.0);
+        let x = m.add_continuous(0.0, 2.5);
+        let y = m.add_continuous(1.0, 3.0);
         m.set_objective(x + LinExpr::var(y));
         m.add_constraint(x + y, cmp::LE, 4.0);
         let v = solve_model(&m).unwrap();
@@ -1713,8 +1709,8 @@ mod tests {
         // variables should sit at their upper bounds (bound flips, no
         // pivots needed beyond the crash).
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 3.0);
-        let y = m.add_continuous("y", 0.0, 5.0);
+        let x = m.add_continuous(0.0, 3.0);
+        let y = m.add_continuous(0.0, 5.0);
         m.set_objective(2.0 * x + y);
         m.add_constraint(x + y, cmp::LE, 100.0);
         let v = solve_model(&m).unwrap();
@@ -1727,8 +1723,8 @@ mod tests {
     #[test]
     fn equality_and_ge_rows_need_phase1() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + y, cmp::EQ, 4.0);
         m.add_constraint(x - y, cmp::GE, 1.0);
@@ -1740,13 +1736,13 @@ mod tests {
     #[test]
     fn detects_infeasible_and_unbounded() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.add_constraint(LinExpr::var(x), cmp::LE, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::GE, 2.0);
         assert_eq!(solve_model(&m).unwrap_err(), SolveError::Infeasible);
 
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(-1.0 * x, cmp::LE, 5.0);
         assert_eq!(solve_model(&m).unwrap_err(), SolveError::Unbounded);
@@ -1756,7 +1752,7 @@ mod tests {
     fn negative_rhs_rows_are_handled() {
         // min x s.t. -x <= -3 (x >= 3): crash needs a signed artificial.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(-1.0 * x, cmp::LE, -3.0);
         let v = solve_model(&m).unwrap();
@@ -1766,8 +1762,8 @@ mod tests {
     #[test]
     fn degenerate_lp_terminates() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + y, cmp::LE, 1.0);
         m.add_constraint(x + 2.0 * y, cmp::LE, 1.0);
@@ -1782,8 +1778,8 @@ mod tests {
         // max x + y s.t. x + y <= 6, x,y ∈ [0, 4] → obj 6. Tighten
         // x ∈ [0, 1] via the column box: dual reopt lands on obj 5.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0);
-        let y = m.add_continuous("y", 0.0, 4.0);
+        let x = m.add_continuous(0.0, 4.0);
+        let y = m.add_continuous(0.0, 4.0);
         m.set_objective(x + LinExpr::var(y));
         m.add_constraint(x + y, cmp::LE, 6.0);
         let sf = StandardForm::build(&m, None);
@@ -1808,7 +1804,7 @@ mod tests {
     fn dual_reopt_detects_node_infeasibility() {
         // x <= 2 (row) with box raised to [3, 4] is infeasible.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 4.0);
+        let x = m.add_continuous(0.0, 4.0);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::LE, 2.0);
         let sf = StandardForm::build(&m, None);
@@ -1826,8 +1822,8 @@ mod tests {
     #[test]
     fn snapshot_restores_across_perturbation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0);
-        let y = m.add_continuous("y", 0.0, 4.0);
+        let x = m.add_continuous(0.0, 4.0);
+        let y = m.add_continuous(0.0, 4.0);
         m.set_objective(2.0 * x + LinExpr::var(y));
         m.add_constraint(x + y, cmp::LE, 5.0);
         let sf = StandardForm::build(&m, None);
@@ -1860,9 +1856,9 @@ mod tests {
     #[test]
     fn solver_options_refactor_policy_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        let z = m.add_continuous("z", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
+        let z = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(2.0 * x + 3.0 * y + z);
         m.add_constraint(x + y + z, cmp::GE, 6.0);
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
@@ -1885,8 +1881,8 @@ mod tests {
     /// factorization is needed.)
     fn ratio_probe(xb: [f64; 2]) -> Revised {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
         m.add_constraint(LinExpr::var(x), cmp::EQ, 1.0);
         m.add_constraint(LinExpr::var(y), cmp::EQ, 1.0);
         let sf = StandardForm::build(&m, None);
@@ -1945,8 +1941,8 @@ mod tests {
     fn tiny_scaled_infeasibility_is_detected() {
         let s = 1e-9;
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + LinExpr::var(y));
         // Two parallel equalities 1e-9 apart: infeasible by exactly s.
         m.add_constraint(x + y, cmp::EQ, s);
@@ -1962,8 +1958,8 @@ mod tests {
     #[test]
     fn mixed_scale_infeasibility_is_not_masked_by_a_large_row() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + 0.5 * y, cmp::EQ, 1e6);
         m.add_constraint(x - y, cmp::EQ, 1.0);
@@ -1978,8 +1974,8 @@ mod tests {
     fn tiny_scaled_feasible_model_solves() {
         let s = 1e-9;
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + y, cmp::EQ, 4.0 * s);
         m.add_constraint(x - y, cmp::GE, s);
@@ -1996,9 +1992,9 @@ mod tests {
     #[test]
     fn update_kind_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        let z = m.add_continuous("z", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
+        let z = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(2.0 * x + 3.0 * y + z);
         m.add_constraint(x + y + z, cmp::GE, 6.0);
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
@@ -2024,9 +2020,7 @@ mod tests {
     /// column `r` basic at `xb[r]`, every box is `[0, 10]`.
     fn ratio_probe_n(xb: &[f64]) -> Revised {
         let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..xb.len())
-            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
-            .collect();
+        let vars: Vec<_> = (0..xb.len()).map(|_| m.add_continuous(0.0, 10.0)).collect();
         for &v in &vars {
             m.add_constraint(LinExpr::var(v), cmp::EQ, 1.0);
         }
@@ -2074,9 +2068,9 @@ mod tests {
     /// `rc_j/|α_j|` step by 0.9e-9 with pivot magnitudes increasing.
     fn dual_tie_probe() -> Revised {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        let z = m.add_continuous("z", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        let z = m.add_continuous(0.0, 10.0);
         let a = [1.0 / 3.0, 2.0 / 3.0, 1.0];
         m.set_objective(a[0] * x + (a[1] * (1.0 + 0.9e-9)) * y + (a[2] * (1.0 + 1.8e-9)) * z);
         m.add_constraint(a[0] * x + a[1] * y + a[2] * z, cmp::EQ, 1.0);
@@ -2143,8 +2137,8 @@ mod tests {
     #[test]
     fn dual_leaving_row_judges_violations_relative_to_row_scale() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 2e6);
-        let y = m.add_continuous("y", 0.0, 1.0);
+        let x = m.add_continuous(0.0, 2e6);
+        let y = m.add_continuous(0.0, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::EQ, 1e6);
         m.add_constraint(LinExpr::var(y), cmp::EQ, 0.5);
         let sf = StandardForm::build(&m, None);
@@ -2176,8 +2170,8 @@ mod tests {
     #[test]
     fn long_step_dual_ratio_test_flips_exhausted_candidates() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 0.3);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 0.3);
+        let y = m.add_continuous(0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
         let sf = StandardForm::build(&m, None);
         let mut k = Revised::new(&sf, None, None);
@@ -2202,8 +2196,8 @@ mod tests {
     #[test]
     fn dual_ratio_test_enters_the_last_candidate_on_a_round_off_leftover() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 0.3);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 0.3);
+        let y = m.add_continuous(0.0, 10.0);
         m.add_constraint(0.2 * x + 0.1 * y, cmp::EQ, 1.0);
         let sf = StandardForm::build(&m, None);
         let mut k = Revised::new(&sf, None, None);
@@ -2224,9 +2218,9 @@ mod tests {
         // A couple of LPs solved by both kernels must agree to 1e-9.
         let build = |variant: usize| {
             let mut m = Model::new(Sense::Minimize);
-            let x = m.add_continuous("x", 0.0, 10.0);
-            let y = m.add_continuous("y", -5.0, 5.0);
-            let z = m.add_free("z");
+            let x = m.add_continuous(0.0, 10.0);
+            let y = m.add_continuous(-5.0, 5.0);
+            let z = m.add_free();
             m.set_objective(3.0 * x - 2.0 * y + 0.5 * z);
             m.add_constraint(x + y + z, cmp::GE, 2.0);
             m.add_constraint(x - y, cmp::LE, 4.0);

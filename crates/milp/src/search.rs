@@ -321,7 +321,7 @@ impl Search<'_> {
     fn seed_hint(&mut self, hint: &[(VarId, f64)]) {
         let pins: Vec<(usize, f64)> = hint
             .iter()
-            .filter(|&&(v, _)| self.model.var(v).is_integer())
+            .filter(|&&(v, _)| self.model.vars[v.index()].integer)
             .map(|&(v, val)| {
                 let vi = v.index();
                 (vi, val.round().clamp(self.lo[vi], self.hi[vi]))
@@ -568,7 +568,7 @@ impl Search<'_> {
             if frac <= INT_TOL {
                 continue;
             }
-            let p = self.model.var(v).priority();
+            let p = self.model.vars[v.index()].priority;
             if p > top {
                 top = p;
                 cands.clear();
@@ -804,7 +804,7 @@ impl Search<'_> {
         self.stats.simplex_iters = k.iters + self.tableau_pivots;
         self.stats.refactors = k.factor_stats.refactors;
         self.stats.ft_updates = k.factor_stats.ft_updates;
-        self.stats.forced_refactors = k.factor_stats.forced_refactors;
+        self.stats.forced_refactors = k.recovery.forced_refactors;
         self.stats.peak_lu_nnz = k.factor_stats.peak_lu_nnz;
         self.stats.basis_rows = k.dims().0;
         self.stats.recovery = k.recovery().clone();
@@ -904,10 +904,9 @@ pub(crate) fn search(
         form,
         int_maps,
         kernel,
-        int_vars: model
-            .vars()
-            .filter(|(_, v)| integer(v))
-            .map(|(id, _)| id)
+        int_vars: (0..model.vars.len())
+            .filter(|&i| integer(&model.vars[i]))
+            .map(VarId)
             .collect(),
         sense_mul: match model.sense {
             Sense::Minimize => 1.0,

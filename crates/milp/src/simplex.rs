@@ -436,8 +436,8 @@ mod tests {
     #[test]
     fn zero_time_limit_aborts_inside_the_tableau_kernel() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(x + y, cmp::LE, 4.0);
         let sf = StandardForm::build(&m, None);
@@ -451,8 +451,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → (2, 6), 36.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(3.0 * x + 5.0 * y);
         m.add_constraint(LinExpr::var(x), cmp::LE, 4.0);
         m.add_constraint(2.0 * y, cmp::LE, 12.0);
@@ -466,8 +466,8 @@ mod tests {
     fn equality_and_ge_rows_need_phase1() {
         // min x + y s.t. x + y = 4, x - y >= 1, x,y >= 0 → (2.5, 1.5).
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + y, cmp::EQ, 4.0);
         m.add_constraint(x - y, cmp::GE, 1.0);
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.add_constraint(LinExpr::var(x), cmp::LE, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::GE, 2.0);
         assert_eq!(solve_model(&m).unwrap_err(), SolveError::Infeasible);
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(-1.0 * x, cmp::LE, 5.0);
         assert_eq!(solve_model(&m).unwrap_err(), SolveError::Unbounded);
@@ -498,7 +498,7 @@ mod tests {
     fn negative_rhs_rows_are_handled() {
         // min x s.t. -x <= -3  (x >= 3).
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         m.add_constraint(-1.0 * x, cmp::LE, -3.0);
         let v = solve_model(&m).unwrap();
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn free_variables_can_go_negative() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_free("x");
+        let x = m.add_free();
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -7.5);
         let v = solve_model(&m).unwrap();
@@ -519,8 +519,8 @@ mod tests {
     fn degenerate_lp_terminates() {
         // Classic degeneracy: redundant constraints through the optimum.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.set_objective(x + y);
         m.add_constraint(x + y, cmp::LE, 1.0);
         m.add_constraint(x + 2.0 * y, cmp::LE, 1.0);
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn no_rows_means_bounds_only() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 1.5, 10.0);
+        let x = m.add_continuous(1.5, 10.0);
         m.set_objective(LinExpr::var(x));
         let sol = m.solve().unwrap();
         assert!((sol[x] - 1.5).abs() < 1e-9);

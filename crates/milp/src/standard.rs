@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn free_variables_split() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_free("x");
+        let x = m.add_free();
         m.set_objective(LinExpr::var(x));
         m.add_constraint(LinExpr::var(x), cmp::GE, -3.0);
         let sf = StandardForm::build(&m, None);
@@ -304,8 +304,8 @@ mod tests {
     #[test]
     fn fixed_variables_get_no_column() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 2.0, 2.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let x = m.add_continuous(2.0, 2.0);
+        let y = m.add_continuous(0.0, f64::INFINITY);
         m.add_constraint(x + y, cmp::EQ, 5.0);
         let sf = StandardForm::build(&m, None);
         assert!(matches!(sf.map[0], ColMap::Fixed { value } if value == 2.0));
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn violated_constant_row_is_proven_infeasible() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 1.0, 1.0);
+        let x = m.add_continuous(1.0, 1.0);
         m.add_constraint(LinExpr::var(x), cmp::GE, 2.0);
         let sf = StandardForm::build(&m, None);
         assert!(sf.proven_infeasible);
@@ -329,8 +329,8 @@ mod tests {
     #[test]
     fn node_boxes_override_the_model_bounds() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_integer("x", 0.0, 10.0);
-        let y = m.add_var("y", f64::NEG_INFINITY, f64::INFINITY, true);
+        let x = m.add_integer(0.0, 10.0);
+        let y = m.add_var(f64::NEG_INFINITY, f64::INFINITY, true);
         m.add_constraint(x + y, cmp::GE, 1.0);
         let sf = StandardForm::build(&m, Some((&[4.0, 2.0], &[4.0, 7.0])));
         assert!(matches!(sf.map[x.index()], ColMap::Fixed { value } if value == 4.0));
@@ -391,8 +391,8 @@ mod tests {
     #[test]
     fn recover_round_trips_shifted_and_mirrored() {
         let mut m = Model::new(Sense::Minimize);
-        let a = m.add_continuous("a", -1.0, 4.0); // shifted
-        let b = m.add_continuous("b", f64::NEG_INFINITY, 7.0); // mirrored
+        let a = m.add_continuous(-1.0, 4.0); // shifted
+        let b = m.add_continuous(f64::NEG_INFINITY, 7.0); // mirrored
         let sf = StandardForm::build(&m, None);
         let vals = sf.recover(&[0.5, 2.0]);
         assert!((vals[a.index()] - (-0.5)).abs() < 1e-12);

@@ -13,9 +13,7 @@ use rr_milp::{
 /// fractional, integer optimum known.
 fn diagonal_cut(n: usize, cap: f64) -> (Model, Vec<rr_milp::VarId>) {
     let mut m = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 1.0))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_integer(0.0, 1.0)).collect();
     let mut sum = LinExpr::new();
     for &v in &vars {
         sum += LinExpr::var(v);
@@ -40,9 +38,9 @@ fn diagonal_cut_optimum_is_floor() {
 fn equality_knapsack() {
     // 3a + 5b + 7c == 19, minimize a + b + c → (0,1,2) → 3.
     let mut m = Model::new(Sense::Minimize);
-    let a = m.add_integer("a", 0.0, 10.0);
-    let b = m.add_integer("b", 0.0, 10.0);
-    let c = m.add_integer("c", 0.0, 10.0);
+    let a = m.add_integer(0.0, 10.0);
+    let b = m.add_integer(0.0, 10.0);
+    let c = m.add_integer(0.0, 10.0);
     m.set_objective(a + b + LinExpr::var(c));
     m.add_constraint(3.0 * a + 5.0 * b + 7.0 * c, cmp::EQ, 19.0);
     let sol = m.solve().unwrap();
@@ -79,8 +77,8 @@ fn priorities_steer_branching() {
     // branched first. We can't observe the tree directly, but priorities
     // must not change the optimum.
     let mut m = Model::new(Sense::Maximize);
-    let x = m.add_integer("x", 0.0, 3.0);
-    let y = m.add_integer("y", 0.0, 3.0);
+    let x = m.add_integer(0.0, 3.0);
+    let y = m.add_integer(0.0, 3.0);
     m.set_objective(x + LinExpr::var(y));
     m.add_constraint(2.0 * x + 2.0 * y, cmp::LE, 9.0);
     m.set_priority(x, 10);
@@ -109,7 +107,7 @@ fn time_limit_is_respected() {
     let mut obj = LinExpr::new();
     let mut row = LinExpr::new();
     for i in 0..n {
-        let v = m.add_integer(format!("x{i}"), 0.0, 1.0);
+        let v = m.add_integer(0.0, 1.0);
         obj += (100.0 + (i % 7) as f64 * 0.01) * v;
         row += (100.0 + (i % 5) as f64 * 0.013) * v;
     }
@@ -132,8 +130,8 @@ fn time_limit_is_respected() {
 #[test]
 fn unused_variables_default_to_bounds() {
     let mut m = Model::new(Sense::Minimize);
-    let x = m.add_continuous("x", 2.0, 9.0);
-    let _unused = m.add_integer("u", -3.0, 5.0);
+    let x = m.add_continuous(2.0, 9.0);
+    let _unused = m.add_integer(-3.0, 5.0);
     m.set_objective(LinExpr::var(x));
     let sol = m.solve().unwrap();
     assert!((sol[x] - 2.0).abs() < 1e-7);
@@ -151,8 +149,8 @@ fn mixed_equalities_and_bounds_with_negative_coefficients() {
     // min 3x − 2y s.t. x − y == -2, x + y >= 4, 0 ≤ x ≤ 10, 0 ≤ y ≤ 10
     // → y = x + 2, x + x + 2 ≥ 4 → x ≥ 1 → obj = 3x − 2x − 4 = x − 4 → x=1.
     let mut m = Model::new(Sense::Minimize);
-    let x = m.add_continuous("x", 0.0, 10.0);
-    let y = m.add_continuous("y", 0.0, 10.0);
+    let x = m.add_continuous(0.0, 10.0);
+    let y = m.add_continuous(0.0, 10.0);
     m.set_objective(3.0 * x - 2.0 * y);
     m.add_constraint(x - y, cmp::EQ, -2.0);
     m.add_constraint(x + y, cmp::GE, 4.0);
@@ -169,7 +167,7 @@ fn near_tie_knapsack(n: usize) -> Model {
     let mut obj = LinExpr::new();
     let mut row = LinExpr::new();
     for i in 0..n {
-        let v = m.add_integer(format!("x{i}"), 0.0, 1.0);
+        let v = m.add_integer(0.0, 1.0);
         obj += (100.0 + (i % 7) as f64 * 0.01) * v;
         row += (100.0 + (i % 5) as f64 * 0.013) * v;
     }
@@ -183,9 +181,7 @@ fn near_tie_knapsack(n: usize) -> Model {
 /// node LPs need real simplex work, which is where warm starts pay.
 fn ring_difference_milp(n: usize, rows: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_integer(0.0, 6.0)).collect();
     let mut obj = LinExpr::new();
     for (i, &v) in vars.iter().enumerate() {
         obj += ((i % 4 + 1) as f64) * v;
@@ -225,9 +221,9 @@ fn warm_start_spends_fewer_pivots_than_cold_start() {
         ("ring_difference_18x9", ring_difference_milp(18, 9)),
         ("equality_knapsack", {
             let mut m = Model::new(Sense::Minimize);
-            let a = m.add_integer("a", 0.0, 10.0);
-            let b = m.add_integer("b", 0.0, 10.0);
-            let c = m.add_integer("c", 0.0, 10.0);
+            let a = m.add_integer(0.0, 10.0);
+            let b = m.add_integer(0.0, 10.0);
+            let c = m.add_integer(0.0, 10.0);
             m.set_objective(a + b + LinExpr::var(c));
             m.add_constraint(3.0 * a + 5.0 * b + 7.0 * c, cmp::EQ, 19.0);
             m
@@ -303,8 +299,8 @@ fn big_m_coefficients_stay_stable() {
     // caricature: indicator-style big-M rows.
     let big = 5_000.0;
     let mut m = Model::new(Sense::Minimize);
-    let z = m.add_integer("z", 0.0, 1.0);
-    let x = m.add_continuous("x", 0.0, f64::INFINITY);
+    let z = m.add_integer(0.0, 1.0);
+    let x = m.add_continuous(0.0, f64::INFINITY);
     m.set_objective(10.0 * z + LinExpr::var(x));
     // x ≥ 7 − big·z : picking z=1 relaxes the row but costs 10.
     m.add_constraint(x + big * z, cmp::GE, 7.0);

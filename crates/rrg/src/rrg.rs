@@ -182,11 +182,6 @@ impl Rrg {
         (0..self.nodes.len()).map(NodeId)
     }
 
-    /// All edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
-    }
-
     /// Outgoing edges of `n`.
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
         &self.succ[n.0]

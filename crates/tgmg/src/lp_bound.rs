@@ -42,10 +42,8 @@ pub fn throughput_upper_bound(t: &Tgmg) -> Result<f64, SolveError> {
 /// See [`throughput_upper_bound`].
 pub fn throughput_upper_bound_with(t: &Tgmg, opts: &SolverOptions) -> Result<f64, SolveError> {
     let mut m = Model::new(Sense::Maximize);
-    let phi = m.add_continuous("phi", 0.0, f64::INFINITY);
-    let sigma: Vec<_> = (0..t.num_nodes())
-        .map(|i| m.add_free(format!("sigma_{i}")))
-        .collect();
+    let phi = m.add_continuous(0.0, f64::INFINITY);
+    let sigma: Vec<_> = (0..t.num_nodes()).map(|_| m.add_free()).collect();
     m.set_objective(LinExpr::var(phi));
 
     for (i, node) in t.nodes.iter().enumerate() {

@@ -86,8 +86,6 @@ pub struct TgmgSkeleton {
     pub nodes: Vec<SkelNode>,
     /// Skeleton edges.
     pub edges: Vec<SkelEdge>,
-    /// Skeleton index of each RRG node's [`NodeTag::Original`] image.
-    pub original: Vec<usize>,
 }
 
 impl TgmgSkeleton {
@@ -96,7 +94,8 @@ impl TgmgSkeleton {
         let mut nodes: Vec<SkelNode> = Vec::new();
         let mut edges: Vec<SkelEdge> = Vec::new();
 
-        // Original nodes.
+        // Original nodes: `original[v]` is the skeleton index of RRG node
+        // v's image.
         let original: Vec<usize> = g
             .node_ids()
             .map(|v| {
@@ -187,11 +186,7 @@ impl TgmgSkeleton {
             }
         }
 
-        TgmgSkeleton {
-            nodes,
-            edges,
-            original,
-        }
+        TgmgSkeleton { nodes, edges }
     }
 
     /// Instantiates the skeleton with explicit token/buffer vectors

@@ -97,9 +97,13 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-di
 # at the next measurement. sweep20 ties out too (~14 s): its traced pass
 # re-implements min_eff_cyc call for call (perfbench/src/stages.rs), so a
 # change to the sweep's control flow that stages.rs no longer mirrors
-# fails here.
-echo "==> perfbench maxthr150 and sweep20 --trace 1 (benchmark tie-out)"
+# fails here. eval150 ties out as well (~4 s): it is the only workload
+# that runs the exact Markov engine (rr_markov::exact_throughput), so a
+# change to the chain builder, the stationary solve or the elastic
+# machine beneath them is held to the same replay.
+echo "==> perfbench maxthr150, sweep20 and eval150 --trace 1 (benchmark tie-out)"
 target/perfbench/release/perfbench --workload maxthr150 --seconds 1 --trace 1
 target/perfbench/release/perfbench --workload sweep20 --seconds 1 --trace 1
+target/perfbench/release/perfbench --workload eval150 --seconds 1 --trace 1
 
 echo "CI OK"

@@ -5,7 +5,7 @@
 
 use rr_core::{evaluate_config, formulation, CoreOptions};
 use rr_elastic::{simulate as machine_sim, MachineParams};
-use rr_markov::{exact_throughput_with, MarkovError, MarkovParams};
+use rr_markov::{exact_throughput_with, MarkovError};
 use rr_rrg::generate::GeneratorParams;
 use rr_rrg::{Config, Rrg};
 use rr_tgmg::late::exact_late_throughput;
@@ -43,14 +43,7 @@ fn markov_vs_machine_vs_lp_on_random_small_graphs() {
     for seed in 0..12 {
         let g = GeneratorParams::paper_defaults(5, 1, 9).generate(seed);
         let g = recycled(&g, &mut state).apply(&g).unwrap();
-        let markov = exact_throughput_with(
-            &g,
-            &MarkovParams {
-                max_states: 50_000,
-                ..Default::default()
-            },
-        );
-        let markov = match markov {
+        let markov = match exact_throughput_with(&g, 50_000) {
             Ok(markov) => markov,
             // State space too large for this draw — fine.
             Err(MarkovError::StateSpaceTooLarge { .. }) => continue,

@@ -41,9 +41,7 @@ fn core_opts(faults: Option<FaultPlan>) -> CoreOptions {
 /// use: difference constraints over a ring plus coupling knapsack rows.
 fn ring_difference_milp(n: usize, rows: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_integer(0.0, 6.0)).collect();
     let mut obj = LinExpr::new();
     for (i, &v) in vars.iter().enumerate() {
         obj += ((i % 4 + 1) as f64) * v;
